@@ -8,40 +8,4 @@ stress.  Includes the closed-form fully relaxing limit as an oracle and
 a diagnostic battery for every a-priori bound the scheme must honor.
 """
 
-from .config import RunConfig, load_config, standard_config
-from .coupler import (Accumulators, CoupledProblem, CoupledState, ResumePayload,
-                      RunResult, Snapshot, coupled_step, maxwell_reference_run,
-                      refined_space_grid, restrict_nodes, restrict_times, run,
-                      run_maxwell)
-from .diagnostics import (DiagnosticsReport, evaluate, measure_f2_ratio,
-                          moment_residuals, result_from_checkpoint,
-                          sub_solution, verify_resume)
-from .errors import (ArtifactIOError, CFLError, ConfigError, DiagnosticFailure,
-                     HlCouetteError, NonContractionError, SchemeInstabilityError,
-                     ScalingUndefinedError, ValidationError)
-from .grids import SigmaGrid, SpaceTimeGrid
-from .initial import InitialData, compute_eta, validate_initial
-from .maxwell import maxwell_p, maxwell_tau
-from .meso import compute_d, compute_tau, hl_solve, hl_step, linf_bound
-from .params import (DimensionlessParams, PhysicalParams, nondimensionalize,
-                     redimensionalize, rescale_fields)
-from .protocols import ShearProtocol
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Accumulators", "ArtifactIOError", "CFLError", "ConfigError",
-    "CoupledProblem", "CoupledState", "DiagnosticFailure", "DiagnosticsReport",
-    "DimensionlessParams", "HlCouetteError", "InitialData",
-    "NonContractionError", "PhysicalParams", "ResumePayload", "RunConfig",
-    "RunResult", "ScalingUndefinedError", "SchemeInstabilityError",
-    "ShearProtocol", "SigmaGrid", "Snapshot", "SpaceTimeGrid",
-    "ValidationError", "compute_d", "compute_eta", "compute_tau",
-    "coupled_step", "evaluate", "hl_solve", "hl_step", "linf_bound",
-    "load_config", "maxwell_p", "maxwell_reference_run", "maxwell_tau",
-    "measure_f2_ratio", "moment_residuals", "nondimensionalize",
-    "redimensionalize", "refined_space_grid", "rescale_fields",
-    "restrict_nodes", "restrict_times", "result_from_checkpoint", "run",
-    "run_maxwell", "standard_config", "sub_solution", "validate_initial",
-    "verify_resume",
-]

@@ -139,16 +139,7 @@ def cmd_run(args) -> int:
         if result.kind == "general":
             final = coupler.ResumePayload(
                 step=result.state.step, u=result.state.u, p=result.state.p,
-                accum=result.accum,
-                series={"tau": result.tau_series, "u": result.u_series,
-                        "b": result.b_series, "trunc": result.trunc_series,
-                        "inner": result.inner_series,
-                        "mass_err": result.mass_err_series,
-                        "min_d": result.min_d_series,
-                        "max_p": result.max_p_series,
-                        "iters": result.picard_iters,
-                        "ratios": result.picard_ratios,
-                        "warnings": result.warnings})
+                accum=result.accum, series=result.series())
             snapshots.save_checkpoint(out / "checkpoint_final.npz", final,
                                       cfg.fingerprint)
         ratios = result.picard_ratios

@@ -8,20 +8,26 @@ fixed-point (Picard) iteration on the end-of-step velocity:
     tau^k = first moment of p^k
     u^{k+1} = backward-Euler momentum step driven by dy tau^k
 
-declared converged when the relative L2 change of u falls below picard_tol.
+declared converged when the relative L2 change of u falls below picard_tol,
+and abandoned after three non-contracting iterates or picard_max of them.
 Every iterate restarts the meso rows from the saved start-of-step state, so
 the accepted step is a genuine implicit solve, not an accumulation.
 
-The fully relaxing variant replaces the meso advance by the exact per-node
-relaxation update tau' + tau = b (integrating factor, b frozen per step)
-and is used both as a production path for sigma_c = 0 runs and as the
-cross-validation partner for the general solver.
+One driver, _picard, runs that fixed point for both paths; a path only
+supplies its stress update b -> tau.  The fully relaxing variant replaces
+the meso advance by the exact per-node relaxation update
+tau' = e^{-dt} tau + (1 - e^{-dt}) b (integrating factor, b frozen per
+step) and is used both as a production path for sigma_c = 0 runs and as
+the cross-validation partner for the general solver.
+
+The per-step records of a run are named once, in the SERIES table: it
+drives allocation, resume, checkpoints and the series archive alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,7 +92,6 @@ class Accumulators:
 class PicardStats:
     iterations: int
     ratio: float             # first measured contraction ratio (nan if unobserved)
-    final_change: float
 
 
 @dataclass
@@ -101,6 +106,52 @@ class Snapshot:
     acc_d: np.ndarray
 
 
+@dataclass(frozen=True)
+class SeriesField:
+    """One per-step record of a run and how it is laid out and stored."""
+
+    key: str                 # ResumePayload.series key
+    attr: str                # RunResult attribute
+    per_node: bool           # one entry per time node (n_steps+1), else per step
+    per_y: bool              # one value per gap node in each entry, else a scalar
+    dtype: type = float
+
+    @property
+    def archive_key(self) -> str:
+        """Member name in series.npz: the attribute without "_series"."""
+        return self.attr.removesuffix("_series")
+
+    @property
+    def checkpoint_key(self) -> str:
+        """Member name in checkpoints."""
+        return "series_" + self.key
+
+    def length(self, steps: int) -> int:
+        """Entries covering `steps` completed steps."""
+        return steps + 1 if self.per_node else steps
+
+
+# the per-step records, in the member order of every archive that holds them
+SERIES = (
+    SeriesField("tau", "tau_series", per_node=True, per_y=True),
+    SeriesField("u", "u_series", per_node=True, per_y=True),
+    SeriesField("b", "b_series", per_node=False, per_y=True),       # loading frozen per step
+    SeriesField("trunc", "trunc_series", per_node=False, per_y=True),  # boundary moment flux
+    SeriesField("inner", "inner_series", per_node=True, per_y=True),   # banded first moment
+    SeriesField("mass_err", "mass_err_series", per_node=True, per_y=False),  # max |mass - 1|
+    SeriesField("min_d", "min_d_series", per_node=True, per_y=False),
+    SeriesField("max_p", "max_p_series", per_node=True, per_y=False),
+    SeriesField("iters", "picard_iters", per_node=False, per_y=False, dtype=int),
+    SeriesField("ratios", "picard_ratios", per_node=False, per_y=False),
+)
+
+
+def _new_series(n_steps: int, n_y: int) -> dict[str, np.ndarray]:
+    """Zeroed per-step records for a run of n_steps, keyed like SERIES."""
+    return {f.key: np.zeros((f.length(n_steps),) + ((n_y,) if f.per_y else ()),
+                            dtype=f.dtype) for f in SERIES}
+
+
 @dataclass
 class RunResult:
     kind: str                      # "general" or "maxwell"
@@ -110,16 +161,16 @@ class RunResult:
     p0: np.ndarray
     u0: np.ndarray
     times: np.ndarray
-    tau_series: np.ndarray         # (n_steps+1, n_y)
-    u_series: np.ndarray           # (n_steps+1, n_y)
-    b_series: np.ndarray           # (n_steps, n_y) loading frozen per step
-    trunc_series: np.ndarray       # (n_steps, n_y) metered boundary moment flux
-    inner_series: np.ndarray       # (n_steps+1, n_y) banded first moment
-    mass_err_series: np.ndarray    # (n_steps+1,) max row deviation from 1
-    min_d_series: np.ndarray       # (n_steps+1,)
-    max_p_series: np.ndarray       # (n_steps+1,)
-    picard_iters: np.ndarray       # (n_steps,)
-    picard_ratios: np.ndarray      # (n_steps,)
+    tau_series: np.ndarray         # per-step records, laid out as in SERIES
+    u_series: np.ndarray
+    b_series: np.ndarray
+    trunc_series: np.ndarray
+    inner_series: np.ndarray
+    mass_err_series: np.ndarray
+    min_d_series: np.ndarray
+    max_p_series: np.ndarray
+    picard_iters: np.ndarray
+    picard_ratios: np.ndarray
     snapshots: list[Snapshot]
     accum: Accumulators
     state: CoupledState
@@ -128,30 +179,30 @@ class RunResult:
     def snapshot_times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
 
+    def series(self) -> dict:
+        """The per-step records keyed as in ResumePayload.series."""
+        return {**{f.key: getattr(self, f.attr) for f in SERIES},
+                "warnings": self.warnings}
 
-def coupled_step(state: CoupledState, prob: CoupledProblem
-                 ) -> tuple[CoupledState, PicardStats, StepReport, np.ndarray]:
-    """One Picard-coupled macro step; returns the new state, iteration
-    stats, the meso step report, and the loading field actually used."""
-    grid, sgrid, dp = prob.sigma_grid, prob.space_grid, prob.dp
-    dt = sgrid.dt
-    t_next = sgrid.time(state.step + 1)
+
+def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
+    """Solve one step's fixed point on the end-of-step velocity.
+
+    stress(b) maps a loading frozen over the step to the end-of-step stress
+    and whatever state the caller keeps; returns the accepted velocity, the
+    loading and kept state of the last iterate, and the iteration stats.
+    """
+    sgrid, dp = prob.space_grid, prob.dp
     v_next = prob.protocol.value(t_next)
     vdot_next = prob.protocol.derivative(t_next)
 
-    u_iter = state.u
+    u_iter = u
     changes: list[float] = []
-    p_new = state.p
-    rep = StepReport.zeros(state.p.shape[0])
-    b = np.zeros(state.p.shape[0])
     strikes = 0
     for _ in range(prob.picard_max):
         b = dp.g0 * (velocity_gradient(u_iter, sgrid) + v_next)
-        n_sub = required_substeps(b, dt, grid)
-        p_new, rep = advance_rows(state.p, b, dt, grid, dp.alpha,
-                                  n_sub=n_sub, sink_scale=prob.sink_scale)
-        tau_new = np.asarray(compute_tau(p_new, grid))
-        u_new = heat_step(state.u, tau_new, vdot_next, dp.rho, dp.mu, dt, sgrid)
+        tau_new, kept = stress(b)
+        u_new = heat_step(u, tau_new, vdot_next, dp.rho, dp.mu, sgrid.dt, sgrid)
         change = l2_norm(u_new - u_iter, sgrid)
         changes.append(change)
         u_iter = u_new
@@ -175,9 +226,24 @@ def coupled_step(state: CoupledState, prob: CoupledProblem
             ratio=ratio)
 
     ratio = changes[1] / changes[0] if len(changes) >= 2 and changes[0] > 0 else math.nan
-    stats = PicardStats(iterations=len(changes), ratio=ratio, final_change=changes[-1])
-    new_state = CoupledState(step=state.step + 1, u=u_iter, p=p_new)
-    return new_state, stats, rep, b
+    return u_iter, b, kept, PicardStats(iterations=len(changes), ratio=ratio)
+
+
+def coupled_step(state: CoupledState, prob: CoupledProblem
+                 ) -> tuple[CoupledState, PicardStats, StepReport, np.ndarray]:
+    """One Picard-coupled macro step; returns the new state, iteration
+    stats, the meso step report, and the loading field actually used."""
+    grid, dp, dt = prob.sigma_grid, prob.dp, prob.space_grid.dt
+
+    def kinetic(b):
+        n_sub = required_substeps(b, dt, grid)
+        p_new, rep = advance_rows(state.p, b, dt, grid, dp.alpha,
+                                  n_sub=n_sub, sink_scale=prob.sink_scale)
+        return np.asarray(compute_tau(p_new, grid)), (p_new, rep)
+
+    u, b, (p_new, rep), stats = _picard(state.u, kinetic, prob,
+                                        prob.space_grid.time(state.step + 1))
+    return CoupledState(step=state.step + 1, u=u, p=p_new), stats, rep, b
 
 
 def _sigma_gradient_energy(p: np.ndarray, grid: SigmaGrid) -> np.ndarray:
@@ -193,7 +259,7 @@ class ResumePayload:
     u: np.ndarray
     p: np.ndarray
     accum: Accumulators
-    series: dict  # per-step arrays up to and including `step`
+    series: dict  # SERIES records up to and including `step`, plus "warnings"
 
 
 def run(prob: CoupledProblem, init: InitialData, eta: float,
@@ -214,16 +280,8 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
     u0 = init.u0.copy()
     p0_max = float(p0.max())
 
-    tau_series = np.zeros((n_steps + 1, n_y))
-    u_series = np.zeros((n_steps + 1, n_y))
-    b_series = np.zeros((n_steps, n_y))
-    trunc_series = np.zeros((n_steps, n_y))
-    inner_series = np.zeros((n_steps + 1, n_y))
-    mass_err = np.zeros(n_steps + 1)
-    min_d = np.zeros(n_steps + 1)
-    max_p = np.zeros(n_steps + 1)
-    iters = np.zeros(n_steps, dtype=int)
-    ratios = np.full(n_steps, math.nan)
+    series = _new_series(n_steps, n_y)
+    mass_err = series["mass_err"]
     warnings: list[str] = []
 
     if resume is None:
@@ -234,27 +292,18 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
         state = CoupledState(step=resume.step, u=resume.u.copy(), p=resume.p.copy())
         accum = resume.accum
         start = resume.step
-        s = resume.series
-        tau_series[:start + 1] = s["tau"]
-        u_series[:start + 1] = s["u"]
-        b_series[:start] = s["b"]
-        trunc_series[:start] = s["trunc"]
-        inner_series[:start + 1] = s["inner"]
-        mass_err[:start + 1] = s["mass_err"]
-        min_d[:start + 1] = s["min_d"]
-        max_p[:start + 1] = s["max_p"]
-        iters[:start] = s["iters"]
-        ratios[:start] = s["ratios"]
-        warnings.extend(s.get("warnings", []))
+        for f in SERIES:
+            series[f.key][:f.length(start)] = resume.series[f.key]
+        warnings.extend(resume.series.get("warnings", []))
 
     def _observe(k: int):
         masses = np.asarray(grid.mass(state.p))
         mass_err[k] = float(np.abs(masses - 1.0).max())
-        tau_series[k] = state.tau(grid)
-        u_series[k] = state.u
-        inner_series[k] = np.asarray(grid.inner_moment(state.p))
-        min_d[k] = float(state.d(grid, dp.alpha).min())
-        max_p[k] = float(state.p.max())
+        series["tau"][k] = state.tau(grid)
+        series["u"][k] = state.u
+        series["inner"][k] = np.asarray(grid.inner_moment(state.p))
+        series["min_d"][k] = float(state.d(grid, dp.alpha).min())
+        series["max_p"][k] = float(state.p.max())
         if mass_err[k] > prob.mass_tol:
             row = int(np.abs(masses - 1.0).argmax())
             exc = DiagnosticFailure(
@@ -288,12 +337,8 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
                                clipped_total=accum.clipped_total,
                                min_before_clip=accum.min_before_clip,
                                truncation_steps=accum.truncation_steps),
-            series={"tau": tau_series[:k + 1].copy(), "u": u_series[:k + 1].copy(),
-                    "b": b_series[:k].copy(), "trunc": trunc_series[:k].copy(),
-                    "inner": inner_series[:k + 1].copy(),
-                    "mass_err": mass_err[:k + 1].copy(), "min_d": min_d[:k + 1].copy(),
-                    "max_p": max_p[:k + 1].copy(), "iters": iters[:k].copy(),
-                    "ratios": ratios[:k].copy(), "warnings": list(warnings)})
+            series={**{f.key: series[f.key][:f.length(k)].copy() for f in SERIES},
+                    "warnings": list(warnings)})
 
     if resume is None:
         _observe(0)
@@ -306,10 +351,10 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
 
         state, stats, rep, b_used = coupled_step(state, prob)
 
-        iters[k] = stats.iterations
-        ratios[k] = stats.ratio
-        b_series[k] = b_used
-        trunc_series[k] = rep.trunc_moment
+        series["iters"][k] = stats.iterations
+        series["ratios"][k] = stats.ratio
+        series["b"][k] = b_used
+        series["trunc"][k] = rep.trunc_moment
         accum.clipped_total += float(rep.clipped_mass.sum())
         accum.min_before_clip = min(accum.min_before_clip, rep.min_before_clip)
         grad_new = velocity_gradient(state.u, sgrid)
@@ -325,11 +370,7 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
 
     return RunResult(kind="general", problem=prob, eta=eta, p0_max=p0_max,
                      p0=p0, u0=u0, times=sgrid.times,
-                     tau_series=tau_series, u_series=u_series, b_series=b_series,
-                     trunc_series=trunc_series,
-                     inner_series=inner_series, mass_err_series=mass_err,
-                     min_d_series=min_d, max_p_series=max_p,
-                     picard_iters=iters, picard_ratios=ratios,
+                     **{f.attr: series[f.key] for f in SERIES},
                      snapshots=snapshots, accum=accum, state=state,
                      warnings=warnings)
 
@@ -352,13 +393,16 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
     decay = math.exp(-sgrid.dt)
     gain = -math.expm1(-sgrid.dt)  # 1 - e^{-dt}, accurate for small dt
 
-    tau_series = np.zeros((n_steps + 1, n_y))
-    u_series = np.zeros((n_steps + 1, n_y))
-    b_series = np.zeros((n_steps, n_y))
-    iters = np.zeros(n_steps, dtype=int)
-    ratios = np.full(n_steps, math.nan)
-    tau_series[0] = tau
-    u_series[0] = u
+    def relax(b):
+        tau_new = decay * tau + gain * b
+        return tau_new, tau_new
+
+    # no density: no mass error, D = alpha everywhere, no density maximum
+    series = _new_series(n_steps, n_y)
+    series["min_d"].fill(dp.alpha)
+    series["max_p"].fill(math.nan)
+    series["tau"][0] = tau
+    series["u"][0] = u
     snapshots: list[Snapshot] = []
     zero = np.zeros(n_y)
 
@@ -370,44 +414,18 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
 
     _snap(0)
     for k in range(n_steps):
-        t_next = sgrid.time(k + 1)
-        v_next = prob.protocol.value(t_next)
-        vdot_next = prob.protocol.derivative(t_next)
-        u_iter = u
-        changes: list[float] = []
-        tau_new = tau
-        b = zero
-        for _ in range(prob.picard_max):
-            b = dp.g0 * (velocity_gradient(u_iter, sgrid) + v_next)
-            tau_new = decay * tau + gain * b
-            u_new = heat_step(u, tau_new, vdot_next, dp.rho, dp.mu, sgrid.dt, sgrid)
-            change = l2_norm(u_new - u_iter, sgrid)
-            changes.append(change)
-            u_iter = u_new
-            if change <= prob.picard_tol * (1.0 + l2_norm(u_new, sgrid)):
-                break
-        else:
-            raise NonContractionError(
-                f"fixed-point iteration did not converge at t = {t_next:.6g}; reduce dt")
-        tau, u = tau_new, u_iter
-        tau_series[k + 1] = tau
-        u_series[k + 1] = u
-        b_series[k] = b
-        iters[k] = len(changes)
-        ratios[k] = changes[1] / changes[0] if len(changes) >= 2 and changes[0] > 0 else math.nan
+        u, b, tau, stats = _picard(u, relax, prob, sgrid.time(k + 1))
+        series["tau"][k + 1] = tau
+        series["u"][k + 1] = u
+        series["b"][k] = b
+        series["iters"][k] = stats.iterations
+        series["ratios"][k] = stats.ratio
         _snap(k + 1)
 
     n_sigma_dummy = prob.sigma_grid.n_sigma
     return RunResult(kind="maxwell", problem=prob, eta=dp.alpha, p0_max=math.nan,
-                     p0=np.zeros((0, n_sigma_dummy)), u0=u_series[0].copy(),
-                     times=sgrid.times, tau_series=tau_series, u_series=u_series,
-                     b_series=b_series,
-                     trunc_series=np.zeros((n_steps, n_y)),
-                     inner_series=np.zeros((n_steps + 1, n_y)),
-                     mass_err_series=np.zeros(n_steps + 1),
-                     min_d_series=np.full(n_steps + 1, dp.alpha),
-                     max_p_series=np.full(n_steps + 1, math.nan),
-                     picard_iters=iters, picard_ratios=ratios,
+                     p0=np.zeros((0, n_sigma_dummy)), u0=series["u"][0].copy(),
+                     times=sgrid.times, **{f.attr: series[f.key] for f in SERIES},
                      snapshots=snapshots,
                      accum=Accumulators.zeros(n_y),
                      state=CoupledState(step=n_steps, u=u, p=np.zeros((0, n_sigma_dummy))),
@@ -438,9 +456,7 @@ def maxwell_reference_run(prob: CoupledProblem, tau0_fn, u0_fn,
     the refined grid can be seeded consistently.
     """
     fine = refined_space_grid(prob.space_grid, refine)
-    fine_prob = CoupledProblem(dp=prob.dp, sigma_grid=prob.sigma_grid,
-                               space_grid=fine, protocol=prob.protocol,
-                               picard_tol=prob.picard_tol, picard_max=prob.picard_max)
-    return run_maxwell(fine_prob, tau0=np.asarray([tau0_fn(y) for y in fine.y]),
+    return run_maxwell(replace(prob, space_grid=fine),
+                       tau0=np.asarray([tau0_fn(y) for y in fine.y]),
                        u0=np.asarray([u0_fn(y) for y in fine.y]),
                        snap_every=snap_every)

@@ -19,12 +19,12 @@ instead of trusting the recorded minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupler import (CoupledProblem, CoupledState, ResumePayload, RunResult,
-                      Snapshot, TRUNCATION_TOL)
+from .coupler import (MASS_TOL, SERIES, CoupledProblem, CoupledState, ResumePayload,
+                      RunResult, Snapshot, TRUNCATION_TOL)
 from .errors import DiagnosticFailure, ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
@@ -32,7 +32,6 @@ from .macro import h1_norm_sq, heat_step, l2_norm
 from .maxwell import offset_kernel
 from .meso import compute_d, compute_tau, linf_bound
 
-MASS_TOL = 1e-10
 NEGATIVITY_FLOOR = -1e-12
 CLIP_TOL = 1e-10
 C_COMPARISON = 0.3    # comparison slack per unit (d_sigma + dt)
@@ -333,9 +332,6 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
         raise ValidationError("checkpoint holds no completed steps to diagnose")
     sg = prob.space_grid
     tgrid = SpaceTimeGrid(n_y=sg.n_y, dt=sg.dt, t_final=payload.step * sg.dt)
-    tprob = CoupledProblem(dp=prob.dp, sigma_grid=prob.sigma_grid,
-                           space_grid=tgrid, protocol=prob.protocol,
-                           picard_tol=prob.picard_tol, picard_max=prob.picard_max)
     s = payload.series
     snap = Snapshot(
         index=payload.step, t=tgrid.time(payload.step), u=payload.u.copy(),
@@ -344,13 +340,10 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
         p=payload.p.copy(), xi=payload.accum.xi.copy(),
         acc_d=payload.accum.acc_d.copy())
     return RunResult(
-        kind="general", problem=tprob, eta=eta,
+        kind="general", problem=replace(prob, space_grid=tgrid), eta=eta,
         p0_max=float(init.p0.max()), p0=init.p0.copy(), u0=init.u0.copy(),
-        times=tgrid.times, tau_series=s["tau"], u_series=s["u"],
-        b_series=s["b"], trunc_series=s["trunc"], inner_series=s["inner"],
-        mass_err_series=s["mass_err"], min_d_series=s["min_d"],
-        max_p_series=s["max_p"], picard_iters=s["iters"],
-        picard_ratios=s["ratios"], snapshots=[snap], accum=payload.accum,
+        times=tgrid.times, **{f.attr: s[f.key] for f in SERIES},
+        snapshots=[snap], accum=payload.accum,
         state=CoupledState(step=payload.step, u=payload.u, p=payload.p),
         warnings=list(s.get("warnings", [])))
 

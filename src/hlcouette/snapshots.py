@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupler import Accumulators, ResumePayload, RunResult, Snapshot
+from .coupler import SERIES, Accumulators, ResumePayload, RunResult, Snapshot
 from .errors import ArtifactIOError
 from .params import rescale_fields
 
@@ -156,11 +156,8 @@ def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:
     _atomic_bytes(Path(path), _npz_bytes(
         fingerprint=np.array(fingerprint),
         kind=np.array(result.kind),
-        times=result.times, tau=result.tau_series, u=result.u_series,
-        b=result.b_series, trunc=result.trunc_series, inner=result.inner_series,
-        mass_err=result.mass_err_series, min_d=result.min_d_series,
-        max_p=result.max_p_series, picard_iters=result.picard_iters,
-        picard_ratios=result.picard_ratios))
+        times=result.times,
+        **{f.archive_key: getattr(result, f.attr) for f in SERIES}))
 
 
 def read_series(path: str | Path) -> dict:
@@ -196,10 +193,7 @@ def save_checkpoint(path: str | Path, payload: ResumePayload, fingerprint: str) 
         clipped_total=np.array(payload.accum.clipped_total),
         min_before_clip=np.array(payload.accum.min_before_clip),
         truncation_steps=np.array(payload.accum.truncation_steps),
-        series_tau=s["tau"], series_u=s["u"], series_b=s["b"],
-        series_trunc=s["trunc"], series_inner=s["inner"], series_mass_err=s["mass_err"],
-        series_min_d=s["min_d"], series_max_p=s["max_p"],
-        series_iters=s["iters"], series_ratios=s["ratios"],
+        **{f.checkpoint_key: s[f.key] for f in SERIES},
         warnings=np.array(json.dumps(s.get("warnings", [])))))
 
 
@@ -220,15 +214,8 @@ def load_checkpoint(path: str | Path,
                 clipped_total=float(z["clipped_total"]),
                 min_before_clip=float(z["min_before_clip"]),
                 truncation_steps=int(z["truncation_steps"]))
-            series = {"tau": z["series_tau"].copy(), "u": z["series_u"].copy(),
-                      "b": z["series_b"].copy(), "trunc": z["series_trunc"].copy(),
-                      "inner": z["series_inner"].copy(),
-                      "mass_err": z["series_mass_err"].copy(),
-                      "min_d": z["series_min_d"].copy(),
-                      "max_p": z["series_max_p"].copy(),
-                      "iters": z["series_iters"].copy(),
-                      "ratios": z["series_ratios"].copy(),
-                      "warnings": json.loads(z["warnings"].item())}
+            series = {f.key: z[f.checkpoint_key].copy() for f in SERIES}
+            series["warnings"] = json.loads(z["warnings"].item())
             return ResumePayload(step=int(z["step"]), u=z["u"].copy(),
                                  p=z["p"].copy(), accum=accum, series=series)
     except OSError as exc:

@@ -139,6 +139,17 @@ def test_non_contraction_raises():
         run(prob, init, eta=0.3)
 
 
+def test_fully_relaxing_divergence_is_detected():
+    stiff = DimensionlessParams(rho=1.0, alpha=1.0, g0=1000.0, mu=1.0)
+    space = SpaceTimeGrid(n_y=8, dt=0.01, t_final=0.1)
+    prob = CoupledProblem(dp=stiff,
+                          sigma_grid=SigmaGrid(sigma_max=4.0, n_sigma=256, threshold=0.0),
+                          space_grid=space, protocol=ShearProtocol.ramp(1.0, 0.1))
+    with pytest.raises(NonContractionError, match="diverging") as info:
+        run_maxwell(prob, tau0=np.zeros(8), u0=np.zeros(8))
+    assert info.value.ratio > 1.0
+
+
 def test_shape_validation():
     prob, init, eta = small_problem()
     bad = InitialData(p0=init.p0[:, :128].copy(), u0=init.u0.copy())
