@@ -12,7 +12,6 @@ run never leaves a truncated artifact behind.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -29,17 +28,24 @@ from .params import rescale_fields
 FLOAT_FMT = "{:.17g}"  # round-trips float64 exactly
 
 
-def _atomic_bytes(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Call write(fh) on a temporary file, then rename it over path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=path.suffix)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            write(fh)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _text(text: str):
+    return lambda fh: fh.write(text.encode())
 
 
 def _fmt_row(values) -> str:
@@ -56,7 +62,7 @@ def write_fields_csv(path: str | Path, t: float, y: np.ndarray,
     columns = [np.asarray(y)] + [np.asarray(v) for v in fields.values()]
     for row in zip(*columns):
         lines.append(_fmt_row(row))
-    _atomic_bytes(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write(path, _text("\n".join(lines) + "\n"))
 
 
 def read_fields_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
@@ -95,20 +101,24 @@ def write_density_csv(path: str | Path, t: float, y: np.ndarray,
              "y," + _fmt_row(centers)]
     for yi, row in zip(np.asarray(y), np.asarray(p)):
         lines.append(FLOAT_FMT.format(float(yi)) + "," + _fmt_row(row))
-    _atomic_bytes(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write(path, _text("\n".join(lines) + "\n"))
 
 
-def _npz_bytes(**arrays) -> bytes:
-    # hand-rolled npz so the zip member timestamps are fixed: reruns of the
-    # same config must produce byte-identical artifacts
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
-        for name, arr in arrays.items():
-            member = io.BytesIO()
-            np.lib.format.write_array(member, np.asarray(arr), allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, member.getvalue())
-    return buf.getvalue()
+def _npz(**arrays):
+    """Writer of an npz archive whose members stream straight into the file.
+
+    Hand-rolled so the zip member timestamps are fixed: reruns of the same
+    config must produce byte-identical artifacts.
+    """
+    def write(fh) -> None:
+        with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+            for name, arr in arrays.items():
+                arr = np.asarray(arr)
+                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+                info.file_size = arr.nbytes  # sizes the zip64 choice up front
+                with zf.open(info, "w") as member:
+                    np.lib.format.write_array(member, arr, allow_pickle=False)
+    return write
 
 
 def _maybe_rescale(snap: Snapshot, scales: tuple[float, float, float] | None,
@@ -153,7 +163,7 @@ def write_snapshots(out_dir: str | Path, result: RunResult, fingerprint: str,
 
 def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:
     """Per-step series archive (always in scaled units)."""
-    _atomic_bytes(Path(path), _npz_bytes(
+    _atomic_write(Path(path), _npz(
         fingerprint=np.array(fingerprint),
         kind=np.array(result.kind),
         times=result.times,
@@ -169,7 +179,7 @@ def read_series(path: str | Path) -> dict:
 
 
 def write_summary(path: str | Path, payload: dict) -> None:
-    _atomic_bytes(Path(path), (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    _atomic_write(Path(path), _text(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
 
 
 def read_summary(path: str | Path) -> dict:
@@ -184,7 +194,7 @@ def read_summary(path: str | Path) -> dict:
 def save_checkpoint(path: str | Path, payload: ResumePayload, fingerprint: str) -> None:
     """Persist exact solver state for a bit-for-bit resume."""
     s = payload.series
-    _atomic_bytes(Path(path), _npz_bytes(
+    _atomic_write(Path(path), _npz(
         fingerprint=np.array(fingerprint),
         step=np.array(payload.step),
         u=payload.u, p=payload.p,

@@ -10,10 +10,11 @@ from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
 from hlcouette.params import DimensionlessParams
 from hlcouette.protocols import ShearProtocol
-from hlcouette.snapshots import (_npz_bytes, load_checkpoint, read_fields_csv,
-                                 read_series, read_summary, save_checkpoint,
-                                 write_density_csv, write_fields_csv,
-                                 write_series, write_snapshots, write_summary)
+from hlcouette.snapshots import (_atomic_write, _npz, load_checkpoint,
+                                 read_fields_csv, read_series, read_summary,
+                                 save_checkpoint, write_density_csv,
+                                 write_fields_csv, write_series,
+                                 write_snapshots, write_summary)
 
 
 def micro_run(snap_every=5, checkpoint_every=5):
@@ -182,9 +183,11 @@ def test_density_csv_layout(tmp_path):
     assert len(lines) == 6
 
 
-def test_npz_bytes_deterministic():
+def test_npz_bytes_deterministic(tmp_path):
     arrays = {"a": np.arange(5.0), "b": np.array("text")}
-    assert _npz_bytes(**arrays) == _npz_bytes(**arrays)
+    _atomic_write(tmp_path / "one.npz", _npz(**arrays))
+    _atomic_write(tmp_path / "two.npz", _npz(**arrays))
+    assert (tmp_path / "one.npz").read_bytes() == (tmp_path / "two.npz").read_bytes()
 
 
 def test_series_round_trip(tmp_path):
@@ -233,8 +236,7 @@ def test_checkpoint_fingerprint_and_corruption_guards(tmp_path):
     with pytest.raises(ArtifactIOError):
         load_checkpoint(tmp_path / "absent.npz")
     truncated = tmp_path / "broken.npz"
-    truncated.write_bytes(_npz_bytes(fingerprint=np.array("c" * 64),
-                                     step=np.array(5)))
+    _atomic_write(truncated, _npz(fingerprint=np.array("c" * 64), step=np.array(5)))
     with pytest.raises(ArtifactIOError):
         load_checkpoint(truncated)
 
