@@ -6,8 +6,8 @@ satisfies, between homogeneous Dirichlet walls,
     rho dt u - mu d2y u = dy tau - rho Vdot(t) y.
 
 One step is backward Euler with the stress divergence and wall acceleration
-evaluated at the end-of-step time; the tridiagonal system is strictly
-diagonally dominant for every dt, so the step is unconditionally stable.
+evaluated at the end-of-step time; the tridiagonal system is symmetric
+positive definite for every dt, so the step is unconditionally stable.
 """
 
 from __future__ import annotations
@@ -82,4 +82,4 @@ def heat_step(u: np.ndarray, tau: np.ndarray, vdot: float, rho: float,
     rhs = (rho / dt) * u + dtau_dy(tau, grid) - rho * vdot * grid.y
     diag = np.full(n, rho / dt + 2.0 * mu / dy ** 2)
     off = np.full(max(n - 1, 0), -mu / dy ** 2)
-    return solve_tridiagonal(off, diag, off, rhs)
+    return solve_tridiagonal(diag, off, rhs)

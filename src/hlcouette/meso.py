@@ -11,9 +11,9 @@ with b the local elastic loading rate.  One step is IMEX split, in order:
 1. explicit first-order upwind advection (CFL |b| dt <= d_sigma, zero
    inflow ghosts, outflow through the downwind end is metered),
 2. implicit backward-Euler diffusion with the coefficient D frozen at the
-   start-of-step row, homogeneous Dirichlet ends at +-sigma_max via one
-   tridiagonal solve per row (the absorbed boundary flux is metered from
-   the column-sum identity of the Dirichlet matrix),
+   start-of-step row, homogeneous Dirichlet ends at +-sigma_max, all rows
+   in one batched tridiagonal solve (the absorbed boundary flux is metered
+   from the column-sum identity of the Dirichlet matrix),
 3. explicit relaxation sink on the cells beyond the threshold,
 4. re-injection at sigma = 0 of everything removed this step (sink mass
    plus the metered truncation losses), split evenly over the two cells

@@ -36,12 +36,11 @@ def _atomic_write(path: Path, write) -> None:
         with os.fdopen(fd, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException as exc:
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
-        raise
 
 
 def _text(text: str):

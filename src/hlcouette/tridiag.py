@@ -1,53 +1,36 @@
-"""Thomas solvers for the implicit diffusion steps.
+"""The one tridiagonal solve behind both implicit diffusion steps.
 
-Two variants share the forward-elimination / back-substitution recurrences:
-
-* ``solve_tridiagonal`` solves a single general tridiagonal system (used by
-  the momentum step).
-* ``solve_diffusion_batch`` solves, for a batch of rows, the
-  constant-coefficient system ``(I + lam * L) x = rhs`` where ``L`` is the
-  1-D Dirichlet Laplacian stencil ``tridiag(-1, 2, -1)`` and ``lam`` differs
-  per row.  The recurrence runs along the stencil axis with vector
-  operations across rows, which is what makes advancing all meso rows of a
-  coupled run affordable in a single thread.
-
-Both are direct solves; no pivoting is needed because every matrix here is
-strictly diagonally dominant.
+Every system here is symmetric positive definite with a nonpositive
+off-diagonal (an M-matrix): ``(rho/dt) I + mu L`` in the momentum step and
+``I + lam L`` in the stress step, ``L`` being the 1-D Dirichlet Laplacian
+``tridiag(-1, 2, -1)``.  LAPACK's ``dptsv`` factors such a matrix as
+``L D L^T``; for an M-matrix every term of its substitutions has the same
+sign, so a nonnegative right-hand side gives a nonnegative solution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import SchemeInstabilityError
 
-def solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+
+def solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
-    """Solve a single tridiagonal system A x = rhs.
+    """Solve A x = rhs for a symmetric positive definite tridiagonal A.
 
-    Parameters
-    ----------
-    lower : (n-1,) sub-diagonal of A (row i couples to i-1 via lower[i-1]).
-    diag : (n,) main diagonal.
-    upper : (n-1,) super-diagonal.
-    rhs : (n,) right-hand side.
-
-    Returns
-    -------
-    (n,) solution array.
+    diag is the (n,) main diagonal, off the (n-1,) off-diagonal on both
+    sides, rhs the (n,) right-hand side.
     """
-    n = diag.shape[0]
-    cp = np.empty(n - 1) if n > 1 else np.empty(0)
-    dp = np.empty(n)
-    beta = diag[0]
-    dp[0] = rhs[0] / beta
-    for i in range(1, n):
-        cp[i - 1] = upper[i - 1] / beta
-        beta = diag[i] - lower[i - 1] * cp[i - 1]
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / beta
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
+    if diag.shape[0] < 2:
+        return rhs / diag  # the LAPACK wrapper rejects an empty off-diagonal
+    # deferred: start-up never solves anything, so it need not load LAPACK
+    from scipy.linalg.lapack import dptsv
+    _, _, x, info = dptsv(diag, off, rhs)
+    if info != 0:
+        raise SchemeInstabilityError(
+            f"tridiagonal solve failed (dptsv info = {info}): "
+            "the matrix is not positive definite")
     return x
 
 
@@ -55,7 +38,8 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + lam*L) x = rhs for every row of a batch.
 
     ``L`` is tridiag(-1, 2, -1) with homogeneous Dirichlet closure (the ghost
-    values beyond both ends are zero).
+    values beyond both ends are zero).  The rows are stacked into one
+    block-diagonal system whose off-diagonal is zero at the row seams.
 
     Parameters
     ----------
@@ -64,7 +48,7 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    (n_rows, n) solutions, same dtype as rhs.
+    (n_rows, n) solutions.
     """
     n_rows, n = rhs.shape
     lam = np.asarray(lam, dtype=float)
@@ -72,18 +56,7 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"lam shape {lam.shape} does not match {n_rows} rows")
     if np.any(lam < 0):
         raise ValueError("negative diffusion number")
-
-    # Work in (n, n_rows) layout so the recurrence touches contiguous rows.
-    d = rhs.T.copy()
-    b = 1.0 + 2.0 * lam
-    off = -lam
-    cp = np.empty((n, n_rows))
-    beta = b.copy()
-    d[0] /= beta
-    for i in range(1, n):
-        cp[i - 1] = off / beta
-        beta = b - off * cp[i - 1]
-        d[i] = (d[i] - off * d[i - 1]) / beta
-    for i in range(n - 2, -1, -1):
-        d[i] -= cp[i] * d[i + 1]
-    return d.T.copy()
+    diag = np.repeat(1.0 + 2.0 * lam, n)
+    off = np.repeat(-lam, n)[:-1]
+    off[n - 1::n] = 0.0
+    return solve_tridiagonal(diag, off, rhs.ravel()).reshape(n_rows, n)

@@ -71,6 +71,17 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert statuses["mass_conservation"] == "pass"
 
 
+def test_single_gap_node_run(tmp_path, capsys):
+    # n_y = 1 leaves a 1x1 momentum system, the solver's scalar branch
+    out = tmp_path / "single"
+    assert main(["run", "--set", "grid.n_y=1", "--set", "grid.n_sigma=64",
+                 "--set", "run.t_final=0.01", "--out", str(out)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    series = read_series(out / "series.npz")
+    assert series["u"].shape == (11, 1)
+    assert np.max(np.abs(series["mass_err"])) <= 1e-10
+
+
 def test_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", *TINY, "--out", str(a)]) == 0

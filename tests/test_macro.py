@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcouette.grids import SpaceTimeGrid
 from hlcouette.macro import (dtau_dy, h1_norm_sq, heat_step, l2_norm,
@@ -118,3 +120,25 @@ def test_unforced_energy_decay():
         cur = l2_norm(u, GRID)
         assert cur < prev
         prev = cur
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64),
+       rho=st.floats(1e-3, 1e3),
+       mu=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+       dt=st.floats(1e-5, 1.0),
+       vdot=st.floats(-10.0, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_heat_step_matches_dense_solve_property(n, rho, mu, dt, vdot, seed):
+    rng = np.random.default_rng(seed)
+    g = SpaceTimeGrid(n_y=n, dt=dt, t_final=0.0)
+    u = rng.normal(size=n)
+    tau = rng.normal(size=n)
+    lap = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+           - np.diag(np.ones(n - 1), -1)) / g.dy ** 2
+    a_mat = (rho / dt) * np.eye(n) + mu * lap
+    rhs = (rho / dt) * u + dtau_dy(tau, g) - rho * vdot * g.y
+    ref = np.linalg.solve(a_mat, rhs)
+    # row sums of a_mat are >= rho/dt, so |x| <= |rhs| dt/rho bounds the scale
+    scale = np.max(np.abs(rhs)) * dt / rho
+    assert np.max(np.abs(heat_step(u, tau, vdot, rho, mu, dt, g) - ref)) <= 1e-10 * scale
