@@ -18,11 +18,10 @@ def random_system(rng, n):
     return diag, off, rhs
 
 
-def dense(lower, diag, upper):
-    n = diag.shape[0]
+def dense(diag, off):
     a = np.diag(diag)
-    if n > 1:
-        a += np.diag(lower, -1) + np.diag(upper, 1)
+    if diag.shape[0] > 1:
+        a += np.diag(off, -1) + np.diag(off, 1)
     return a
 
 
@@ -32,17 +31,17 @@ def test_solve_tridiagonal_matches_dense(n):
     for _ in range(5):
         diag, off, rhs = random_system(rng, n)
         x = solve_tridiagonal(diag, off, rhs)
-        x_ref = np.linalg.solve(dense(off, diag, off), rhs)
+        x_ref = np.linalg.solve(dense(diag, off), rhs)
         assert np.allclose(x, x_ref, rtol=1e-12, atol=1e-14)
-
 
 
 def test_solve_tridiagonal_rejects_indefinite_matrix():
     with pytest.raises(SchemeInstabilityError):
         solve_tridiagonal(np.array([1.0, -1.0, 2.0]), np.zeros(2), np.ones(3))
 
+
 def diffusion_matrix(lam, n):
-    l_mat = dense(np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0))
+    l_mat = dense(np.full(n, 2.0), np.full(n - 1, -1.0))
     return np.eye(n) + lam * l_mat
 
 
