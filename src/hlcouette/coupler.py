@@ -296,13 +296,13 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
             series[f.key][:f.length(start)] = resume.series[f.key]
         warnings.extend(resume.series.get("warnings", []))
 
-    def _observe(k: int):
+    def _observe(k: int, d: np.ndarray):
         masses = np.asarray(grid.mass(state.p))
         mass_err[k] = float(np.abs(masses - 1.0).max())
         series["tau"][k] = state.tau(grid)
         series["u"][k] = state.u
         series["inner"][k] = np.asarray(grid.inner_moment(state.p))
-        series["min_d"][k] = float(state.d(grid, dp.alpha).min())
+        series["min_d"][k] = float(d.min())
         series["max_p"][k] = float(state.p.max())
         if mass_err[k] > prob.mass_tol:
             row = int(np.abs(masses - 1.0).argmax())
@@ -322,11 +322,11 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
 
     snapshots: list[Snapshot] = []
 
-    def _snap(k: int):
+    def _snap(k: int, d: np.ndarray):
         if snap_every and (k % snap_every == 0 or k == n_steps):
             snapshots.append(Snapshot(
                 index=k, t=sgrid.time(k), u=state.u.copy(),
-                tau=state.tau(grid), d=state.d(grid, dp.alpha),
+                tau=series["tau"][k].copy(), d=d,
                 p=state.p.copy(), xi=accum.xi.copy(), acc_d=accum.acc_d.copy()))
 
     def _payload(k: int) -> ResumePayload:
@@ -340,13 +340,16 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
             series={**{f.key: series[f.key][:f.length(k)].copy() for f in SERIES},
                     "warnings": list(warnings)})
 
+    # D of the current state, computed once per step: it feeds the
+    # observation, the snapshot and both ends of the acc_d trapezoid
+    d = state.d(grid, dp.alpha)
     if resume is None:
-        _observe(0)
-        _snap(0)
+        _observe(0, d)
+        _snap(0, d)
 
     for k in range(start, n_steps):
         grad_prev = velocity_gradient(state.u, sgrid)
-        d_prev = state.d(grid, dp.alpha)
+        d_prev = d
         t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
 
         state, stats, rep, b_used = coupled_step(state, prob)
@@ -360,11 +363,12 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
         grad_new = velocity_gradient(state.u, sgrid)
         accum.xi += dp.g0 * (0.5 * sgrid.dt * (grad_prev + grad_new)
                              + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
-        accum.acc_d += 0.5 * sgrid.dt * (d_prev + state.d(grid, dp.alpha))
+        d = state.d(grid, dp.alpha)
+        accum.acc_d += 0.5 * sgrid.dt * (d_prev + d)
         accum.grad_sq += sgrid.dt * _sigma_gradient_energy(state.p, grid)
 
-        _observe(k + 1)
-        _snap(k + 1)
+        _observe(k + 1, d)
+        _snap(k + 1, d)
         if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
             checkpoint_sink(_payload(k + 1))
 

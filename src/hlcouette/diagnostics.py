@@ -18,6 +18,7 @@ instead of trusting the recorded minimum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -154,18 +155,44 @@ def sub_solution(p0: np.ndarray, grid: SigmaGrid, t: float,
     return math.exp(-t) * out
 
 
-def check_comparison(result: RunResult, c_comp: float = C_COMPARISON) -> CheckResult:
+Deficits = list[tuple[float, float]]  # (t, deficit) per density snapshot
+
+
+def _barrier_deficits(result: RunResult) -> tuple[Deficits, Deficits]:
+    """max(barrier - p) and max(barrier-induced D - recorded D) per snapshot.
+
+    Both barrier checks read the same barrier, so it is built once per
+    snapshot, and only one barrier is alive at a time.
+    """
     grid = result.problem.sigma_grid
-    dt = result.problem.space_grid.dt
-    slack = c_comp * (grid.d_sigma + dt)
-    worst, worst_t = -math.inf, 0.0
+    alpha = result.problem.dp.alpha
+    comparison: Deficits = []
+    induced: Deficits = []
     for snap in result.snapshots:
         if snap.p is None:
             continue
         barrier = sub_solution(result.p0, grid, snap.t, snap.xi, snap.acc_d)
-        deficit = float((barrier - snap.p).max())
+        comparison.append((snap.t, float((barrier - snap.p).max())))
+        d_barrier = alpha * np.asarray(grid.exterior_mass(barrier))
+        induced.append((snap.t, float((d_barrier - snap.d).max())))
+    return comparison, induced
+
+
+def _worst(deficits: Deficits) -> tuple[float, float]:
+    """Largest deficit and its time (the earliest one on ties)."""
+    worst, worst_t = -math.inf, 0.0
+    for t, deficit in deficits:
         if deficit > worst:
-            worst, worst_t = deficit, snap.t
+            worst, worst_t = deficit, t
+    return worst, worst_t
+
+
+def _grade_comparison(result: RunResult, deficits: Deficits,
+                      c_comp: float) -> CheckResult:
+    grid = result.problem.sigma_grid
+    dt = result.problem.space_grid.dt
+    slack = c_comp * (grid.d_sigma + dt)
+    worst, worst_t = _worst(deficits)
     if worst == -math.inf:
         return CheckResult("comparison_barrier", "pass", 0.0, slack,
                            "no density snapshots recorded; nothing to compare")
@@ -174,30 +201,31 @@ def check_comparison(result: RunResult, c_comp: float = C_COMPARISON) -> CheckRe
                  f"(slack {slack:.1e})")
 
 
-def check_induced_d_floor(result: RunResult, c_comp: float = C_COMPARISON) -> CheckResult:
-    """Re-derive the diffusivity floor from the barrier instead of the
-    recorded minimum: D = alpha * exterior mass must dominate the
-    barrier's exterior mass up to the pointwise comparison slack."""
+def _grade_induced_d_floor(result: RunResult, deficits: Deficits,
+                           c_comp: float) -> CheckResult:
     grid = result.problem.sigma_grid
     dp = result.problem.dp
     dt = result.problem.space_grid.dt
     window = 2.0 * (grid.sigma_max - grid.threshold)
     slack = dp.alpha * (window * c_comp * (grid.d_sigma + dt) + 1e-12)
-    worst, worst_t = -math.inf, 0.0
-    for snap in result.snapshots:
-        if snap.p is None:
-            continue
-        barrier = sub_solution(result.p0, grid, snap.t, snap.xi, snap.acc_d)
-        induced = dp.alpha * np.asarray(grid.exterior_mass(barrier))
-        deficit = float((induced - snap.d).max())
-        if deficit > worst:
-            worst, worst_t = deficit, snap.t
+    worst, worst_t = _worst(deficits)
     if worst == -math.inf:
         return CheckResult("induced_diffusivity_floor", "pass", 0.0, slack,
                            "no density snapshots recorded; nothing to compare")
     return _soft("induced_diffusivity_floor", worst, slack,
                  f"max (barrier-induced D - recorded D) = {worst:.3e} "
                  f"at t = {worst_t:.4g} (slack {slack:.1e})")
+
+
+def check_comparison(result: RunResult, c_comp: float = C_COMPARISON) -> CheckResult:
+    return _grade_comparison(result, _barrier_deficits(result)[0], c_comp)
+
+
+def check_induced_d_floor(result: RunResult, c_comp: float = C_COMPARISON) -> CheckResult:
+    """Re-derive the diffusivity floor from the barrier instead of the
+    recorded minimum: D = alpha * exterior mass must dominate the
+    barrier's exterior mass up to the pointwise comparison slack."""
+    return _grade_induced_d_floor(result, _barrier_deficits(result)[1], c_comp)
 
 
 def moment_residuals(result: RunResult) -> np.ndarray:
@@ -306,13 +334,14 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
     """Run the applicable checks for a finished run."""
     if checks is None:
         checks = GENERAL_CHECKS if result.kind == "general" else MAXWELL_CHECKS
+    deficits = functools.cache(lambda: _barrier_deficits(result))  # one pass, on demand
     dispatch = {
         "mass": lambda: check_mass(result),
         "positivity": lambda: check_positivity(result),
         "sup_norm": lambda: check_sup_norm(result),
         "d_floor": lambda: check_d_floor(result),
-        "comparison": lambda: check_comparison(result, c_comp),
-        "induced_d_floor": lambda: check_induced_d_floor(result, c_comp),
+        "comparison": lambda: _grade_comparison(result, deficits()[0], c_comp),
+        "induced_d_floor": lambda: _grade_induced_d_floor(result, deficits()[1], c_comp),
         "moment": lambda: check_moment_identity(result, c_mom),
         "gradient": lambda: check_gradient_bound(result),
         "truncation": lambda: check_truncation(result),

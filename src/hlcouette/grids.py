@@ -71,6 +71,11 @@ class SigmaGrid:
         return np.abs(self.centers) > self.threshold
 
     @cached_property
+    def n_exterior_side(self) -> int:
+        """Exterior cells at each end; the exterior is symmetric about 0."""
+        return int(self.exterior[:self.n_sigma // 2].sum())
+
+    @cached_property
     def deposit_cells(self) -> tuple[int, int]:
         """The two cells flanking sigma = 0 that receive the re-injection."""
         return self.n_sigma // 2 - 1, self.n_sigma // 2

@@ -13,7 +13,9 @@ with b the local elastic loading rate.  One step is IMEX split, in order:
 2. implicit backward-Euler diffusion with the coefficient D frozen at the
    start-of-step row, homogeneous Dirichlet ends at +-sigma_max, all rows
    in one batched tridiagonal solve (the absorbed boundary flux is metered
-   from the column-sum identity of the Dirichlet matrix),
+   from the column-sum identity of the Dirichlet matrix; the solve reuses
+   its factorization while lam repeats, as it does across the Picard
+   iterates of one macro step),
 3. explicit relaxation sink on the cells beyond the threshold,
 4. re-injection at sigma = 0 of everything removed this step (sink mass
    plus the metered truncation losses), split evenly over the two cells
@@ -23,8 +25,8 @@ The deposit balancing the measured removals makes discrete mass
 conservation exact by construction; the symmetric split keeps even rows
 even and gives the deposit a vanishing first moment, which the stress
 moment balance relies on.  Every stage is monotone, so negativity can only
-come from rounding; the result is clipped at zero and the clipped mass is
-metered.
+come from rounding; a result with a negative value is clipped at zero and
+the clipped mass is metered.
 """
 
 from __future__ import annotations
@@ -124,16 +126,20 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # frozen diffusion coefficient from the start-of-step row
     d_coef = compute_d(p2, grid, alpha)
 
-    # explicit upwind advection, zero inflow, metered outflow
+    # explicit upwind advection, zero inflow, metered outflow.  One padded
+    # difference row holds back = diff[:, :-1] and fwd = diff[:, 1:], and
+    # q = (p - pos*back) - neg*fwd is evaluated in that order through one
+    # scratch product: the artifacts depend on its bits
     pos = np.maximum(nu, 0.0)[:, None]
     neg = np.minimum(nu, 0.0)[:, None]
-    back = np.empty_like(p2)
-    back[:, 0] = p2[:, 0]
-    back[:, 1:] = p2[:, 1:] - p2[:, :-1]
-    fwd = np.empty_like(p2)
-    fwd[:, -1] = -p2[:, -1]
-    fwd[:, :-1] = p2[:, 1:] - p2[:, :-1]
-    q = p2 - pos * back - neg * fwd
+    diff = np.empty((n_rows, n + 1))
+    diff[:, 0] = p2[:, 0]
+    np.subtract(p2[:, 1:], p2[:, :-1], out=diff[:, 1:n])
+    diff[:, n] = -p2[:, -1]
+    flux = pos * diff[:, :-1]
+    q = p2 - flux
+    np.multiply(neg, diff[:, 1:], out=flux)
+    q -= flux
     out_right = pos[:, 0] * p2[:, -1] * ds
     out_left = -neg[:, 0] * p2[:, 0] * ds
     outflow = out_right + out_left
@@ -149,10 +155,14 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     absorbed = lam * (q[:, 0] + q[:, -1]) * ds
     trunc_moment += lam * ds * (q[:, 0] * w_left + q[:, -1] * w_right)
 
-    # explicit relaxation sink beyond the threshold
-    ext = grid.exterior
-    sink = eff_dt * q[:, ext].sum(axis=1) * ds
-    q[:, ext] *= (1.0 - eff_dt)
+    # explicit relaxation sink beyond the threshold: the sum gathers through
+    # the mask (its summation order is part of the result), the scaling
+    # touches the two contiguous exterior ends in place
+    sink = eff_dt * q[:, grid.exterior].sum(axis=1) * ds
+    n_ext = grid.n_exterior_side
+    keep = 1.0 - eff_dt
+    q[:, :n_ext] *= keep
+    q[:, n - n_ext:] *= keep
 
     # re-injection at sigma = 0 restores every metered removal
     deposit = sink + absorbed + outflow
@@ -165,9 +175,12 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     if min_before < INSTABILITY_FLOOR:
         raise SchemeInstabilityError(
             f"density reached {min_before:.3e} before clipping; the scheme is unstable")
-    negative = np.minimum(q, 0.0)
-    clipped = -negative.sum(axis=1) * ds
-    np.maximum(q, 0.0, out=q)
+    if min_before >= 0.0:
+        clipped = np.zeros(n_rows)  # nothing to clip, the usual case
+    else:
+        negative = np.minimum(q, 0.0)
+        clipped = -negative.sum(axis=1) * ds
+        np.maximum(q, 0.0, out=q)
 
     report = StepReport(sink_mass=sink, boundary_mass=absorbed, outflow_mass=outflow,
                         deposit_mass=deposit, clipped_mass=clipped,

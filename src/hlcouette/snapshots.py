@@ -25,7 +25,7 @@ from .coupler import SERIES, Accumulators, ResumePayload, RunResult, Snapshot
 from .errors import ArtifactIOError
 from .params import rescale_fields
 
-FLOAT_FMT = "{:.17g}"  # round-trips float64 exactly
+FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 
 
 def _atomic_write(path: Path, write) -> None:
@@ -47,21 +47,30 @@ def _text(text: str):
     return lambda fh: fh.write(text.encode())
 
 
-def _fmt_row(values) -> str:
-    return ",".join(FLOAT_FMT.format(float(v)) for v in values)
+def _fmt_rows(table: np.ndarray) -> str:
+    """CSV lines of a 2-D table, each ending in a newline.
+
+    One row template repeated over the rows takes a single % formatting
+    pass over the whole table instead of one call per value.
+    """
+    n_rows, n_cols = table.shape
+    row = ",".join([FLOAT_FMT] * n_cols) + "\n"
+    return (row * n_rows) % tuple(table.ravel().tolist())
+
+
+def _csv(fingerprint: str, t: float, header: str, table: np.ndarray) -> str:
+    return (f"# fingerprint = {fingerprint}\n# t = {FLOAT_FMT % t}\n{header}\n"
+            + _fmt_rows(table))
 
 
 def write_fields_csv(path: str | Path, t: float, y: np.ndarray,
                      fields: dict[str, np.ndarray], fingerprint: str,
                      index_name: str = "y") -> None:
     """Node fields at one time as CSV with a commented header."""
-    path = Path(path)
-    lines = [f"# fingerprint = {fingerprint}", f"# t = {FLOAT_FMT.format(t)}",
-             index_name + "," + ",".join(fields)]
-    columns = [np.asarray(y)] + [np.asarray(v) for v in fields.values()]
-    for row in zip(*columns):
-        lines.append(_fmt_row(row))
-    _atomic_write(path, _text("\n".join(lines) + "\n"))
+    table = np.column_stack([np.asarray(y, dtype=float)]
+                            + [np.asarray(v, dtype=float) for v in fields.values()])
+    header = index_name + "," + ",".join(fields)
+    _atomic_write(Path(path), _text(_csv(fingerprint, t, header, table)))
 
 
 def read_fields_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
@@ -95,12 +104,9 @@ def read_fields_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
 def write_density_csv(path: str | Path, t: float, y: np.ndarray,
                       centers: np.ndarray, p: np.ndarray, fingerprint: str) -> None:
     """Density matrix (rows = gap nodes, columns = stress cells) as CSV."""
-    path = Path(path)
-    lines = [f"# fingerprint = {fingerprint}", f"# t = {FLOAT_FMT.format(t)}",
-             "y," + _fmt_row(centers)]
-    for yi, row in zip(np.asarray(y), np.asarray(p)):
-        lines.append(FLOAT_FMT.format(float(yi)) + "," + _fmt_row(row))
-    _atomic_write(path, _text("\n".join(lines) + "\n"))
+    header = "y," + _fmt_rows(np.asarray(centers, dtype=float)[None, :])[:-1]
+    table = np.column_stack([np.asarray(y, dtype=float), np.asarray(p, dtype=float)])
+    _atomic_write(Path(path), _text(_csv(fingerprint, t, header, table)))
 
 
 def _npz(**arrays):

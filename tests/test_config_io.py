@@ -183,6 +183,32 @@ def test_density_csv_layout(tmp_path):
     assert len(lines) == 6
 
 
+def per_value_csv(fingerprint, t, header, rows):
+    """Reference layout: every value through its own "{:.17g}" call."""
+    fmt = "{:.17g}".format
+    lines = [f"# fingerprint = {fingerprint}", f"# t = {fmt(t)}", header]
+    lines += [",".join(fmt(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writers_match_per_value_formatting(tmp_path):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5e-310,
+                        1.0 / 3.0, -1e300, 1e-7, 123456789.0, 1.0])
+    y = np.arange(1, 13) / 13.0
+    fields = {"u": special, "tau": special[::-1].copy(), "n": np.arange(12)}
+    path = tmp_path / "fields.csv"
+    write_fields_csv(path, 0.1, y, fields, "c" * 64)
+    assert path.read_text() == per_value_csv(
+        "c" * 64, 0.1, "y,u,tau,n", zip(y, special, special[::-1], range(12)))
+    centers = special[:6]
+    p = special.reshape(2, 6)
+    path = tmp_path / "density.csv"
+    write_density_csv(path, 1.0 / 7.0, y[:2], centers, p, "d" * 64)
+    header = "y," + ",".join("{:.17g}".format(c) for c in centers)
+    assert path.read_text() == per_value_csv(
+        "d" * 64, 1.0 / 7.0, header, [[yi, *row] for yi, row in zip(y[:2], p)])
+
+
 def test_npz_bytes_deterministic(tmp_path):
     arrays = {"a": np.arange(5.0), "b": np.array("text")}
     _atomic_write(tmp_path / "one.npz", _npz(**arrays))

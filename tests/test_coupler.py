@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from hlcouette.coupler import (CoupledProblem, maxwell_reference_run,
+from hlcouette.coupler import (SERIES, CoupledProblem, maxwell_reference_run,
                                refined_space_grid, restrict_nodes,
                                restrict_times, run, run_maxwell)
 from hlcouette.errors import DiagnosticFailure, NonContractionError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
 from hlcouette.macro import dtau_dy
+from hlcouette.meso import compute_d, compute_tau
 from hlcouette.params import DimensionlessParams
 from hlcouette.protocols import ShearProtocol
+from hlcouette.tridiag import _diffusion_factors, solve_diffusion_batch
 
 DP = DimensionlessParams(rho=1.0, alpha=1.0, g0=1.0, mu=1.0)
 SGRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
@@ -211,3 +213,41 @@ def test_reference_run_tracks_the_coarse_maxwell_path():
     denom = np.sqrt(np.mean(tau_ref ** 2))
     diff = np.sqrt(np.mean((coarse.tau_series - tau_ref) ** 2))
     assert diff / denom < 0.02
+
+
+def test_recorded_d_is_d_of_the_recorded_state():
+    # D is computed once per step and carried to the series, the snapshot
+    # and both ends of the acc_d trapezoid
+    prob, init, eta = small_problem(n_y=8, t_final=0.01)
+    res = run(prob, init, eta, snap_every=1)
+    alpha, dt = prob.dp.alpha, prob.space_grid.dt
+    assert len(res.snapshots) == prob.space_grid.n_steps + 1
+    d_prev = None
+    for k, snap in enumerate(res.snapshots):
+        d = compute_d(snap.p, SGRID, alpha)
+        assert snap.d.tobytes() == d.tobytes()
+        assert snap.tau.tobytes() == compute_tau(snap.p, SGRID).tobytes()
+        assert res.min_d_series[k] == d.min()
+        if d_prev is not None:
+            acc = res.snapshots[k - 1].acc_d + 0.5 * dt * (d_prev + d)
+            assert snap.acc_d.tobytes() == acc.tobytes()
+        d_prev = d
+
+
+def test_run_does_not_depend_on_the_factor_cache():
+    prob, init, eta = small_problem(n_y=8, t_final=0.01)
+    _diffusion_factors.cache_clear()
+    cold = run(prob, init, eta)
+    cold_hits = _diffusion_factors.cache_info().hits
+    # warm the cache with the first step's matrix, so that solve hits
+    dt = prob.space_grid.dt
+    solve_diffusion_batch(compute_d(init.p0, SGRID, DP.alpha) * (dt / SGRID.d_sigma ** 2),
+                          init.p0)
+    before = _diffusion_factors.cache_info().hits
+    warm = run(prob, init, eta)
+    assert _diffusion_factors.cache_info().hits - before == cold_hits + 1
+    for f in SERIES:
+        assert getattr(cold, f.attr).tobytes() == getattr(warm, f.attr).tobytes(), f.key
+    assert cold.warnings == warm.warnings
+    assert cold.state.p.tobytes() == warm.state.p.tobytes()
+    assert cold.state.u.tobytes() == warm.state.u.tobytes()

@@ -9,8 +9,8 @@ import pytest
 
 import hlcouette.diagnostics as diag
 from hlcouette.coupler import CoupledProblem, ResumePayload, run, run_maxwell
-from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_f2,
-                                   evaluate, gradient_energy_bound,
+from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_comparison,
+                                   check_f2, check_induced_d_floor, evaluate, gradient_energy_bound,
                                    measure_f2_ratio, moment_residuals,
                                    result_from_checkpoint, sub_solution,
                                    verify_resume)
@@ -199,3 +199,18 @@ def test_verify_resume_accepts_and_rejects(healthy):
     hollow.p *= 0.5
     report = verify_resume(hollow, SGRID, SPACE.dt, init.p0, DP.alpha)
     assert any(r.name == "resume_comparison" for r in report.failures)
+
+
+def test_evaluate_builds_each_barrier_once(healthy, monkeypatch):
+    res = healthy[3]
+    expected = [check_comparison(res), check_induced_d_floor(res)]
+    built = []
+
+    def counting(*args):
+        built.append(args[2])
+        return sub_solution(*args)
+
+    monkeypatch.setattr(diag, "sub_solution", counting)
+    report = evaluate(res)
+    assert built == [s.t for s in res.snapshots]
+    assert report.results[4:6] == expected

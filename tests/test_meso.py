@@ -1,15 +1,21 @@
 """Stress-space relaxation solver: conservation, CFL, and the linear limit."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcouette.errors import CFLError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages, uniform_cell_averages
 from hlcouette.maxwell import maxwell_p
-from hlcouette.meso import (advance_rows, compute_d, compute_tau, hl_solve,
-                            hl_step, linf_bound, required_substeps)
+from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, advance_rows,
+                            compute_d, compute_tau, hl_solve, hl_step,
+                            linf_bound, required_substeps)
 from hlcouette.protocols import PiecewiseLinearForcing
+from hlcouette.tridiag import solve_diffusion_batch
 
 GRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
 
@@ -145,3 +151,181 @@ def test_general_stepper_converges_to_the_relaxing_limit():
     assert coarse_tau < 0.01 and coarse_p < 0.05
     assert coarse_tau / fine_tau >= 1.8
     assert coarse_p / fine_p >= 1.8
+
+
+# Property tests over random rows, diffusion strengths and loadings.  The
+# grids have power-of-two cell widths and dt = 2**-k, so b = nu*d_sigma/dt
+# gives hl_step's Courant number nu back exactly and |nu| <= 1 holds
+# without rounding; the fully relaxing grid has no interior band.
+PROPERTY_GRIDS = (SigmaGrid(2.0, 8), SigmaGrid(2.0, 16), SigmaGrid(4.0, 32),
+                  SigmaGrid(2.0, 8, threshold=0.0))
+CELL = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False))
+COURANT = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                    st.floats(-1.0, 1.0, allow_subnormal=False))
+ALPHA = st.one_of(st.just(0.0), st.floats(0.0, 20.0, allow_subnormal=False))
+NEAR_ZERO = st.floats(-1e-10, 0.0, allow_subnormal=False)
+
+
+@st.composite
+def step_inputs(draw, even=False, banded=False, cell=CELL):
+    grids = [g for g in PROPERTY_GRIDS if g.threshold == 1.0] if banded \
+        else PROPERTY_GRIDS
+    grid = draw(st.sampled_from(grids))
+    n_rows = draw(st.integers(1, 4))
+    n = grid.n_sigma
+    width = n // 2 if even else n
+    p = np.array(draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                               min_size=n_rows, max_size=n_rows)))
+    if even:
+        p = np.hstack([p, p[:, ::-1]])
+    dt = 2.0 ** -draw(st.integers(1, 12))
+    nu = np.zeros(n_rows) if even else np.array(
+        draw(st.lists(COURANT, min_size=n_rows, max_size=n_rows)))
+    return grid, p, nu * (grid.d_sigma / dt), dt, draw(ALPHA)
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_inputs())
+def test_hl_step_mass_balance_and_positivity_property(inputs):
+    grid, p, b, dt, alpha = inputs
+    q, rep = hl_step(p, b, dt, grid, alpha)
+    assert np.array_equal(rep.deposit_mass,
+                          rep.sink_mass + rep.boundary_mass + rep.outflow_mass)
+    before = grid.mass(p)
+    balance = (before - rep.sink_mass - rep.boundary_mass - rep.outflow_mass
+               + rep.deposit_mass)
+    assert np.all(np.abs(grid.mass(q) - balance) <= 1e-13 * (1.0 + before))
+    # every stage is monotone, so nonnegative rows never reach the clip
+    assert rep.min_before_clip >= 0.0
+    assert np.all(rep.clipped_mass == 0.0)
+    assert q.min() >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_inputs(even=True))
+def test_hl_step_keeps_even_rows_even_without_loading_property(inputs):
+    grid, p, b, dt, alpha = inputs
+    q, rep = hl_step(p, b, dt, grid, alpha)
+    # the batch solve substitutes in one direction, so evenness holds to
+    # rounding, not bit for bit
+    assert np.all(np.abs(q - q[:, ::-1]) <= 1e-13 * (1.0 + q.max()))
+    assert np.all(rep.outflow_mass == 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_inputs(banded=True))
+def test_hl_step_moment_gain_property(inputs):
+    # advection gains exactly b*dt*mass; the metered trunc_moment leaves
+    # through +-sigma_max, and the sink takes the first moment of the
+    # exterior cells, recovered from the output as
+    # eff_dt/(1 - eff_dt) * moment of the scaled cells (the deposit cells
+    # flank 0, inside the band, and carry no first moment).
+    grid, p, b, dt, alpha = inputs
+    q, rep = hl_step(p, b, dt, grid, alpha)
+    ext = grid.exterior
+    sink_moment = dt / (1.0 - dt) * (q[:, ext] * grid.centers[ext]).sum(axis=1) \
+        * grid.d_sigma
+    gain = compute_tau(q, grid) - compute_tau(p, grid)
+    expected = b * dt * grid.mass(p) - rep.trunc_moment - sink_moment
+    scale = 1.0 + grid.sigma_max * grid.mass(p)
+    assert np.all(np.abs(gain - expected) <= 1e-12 * scale)
+
+
+def unfused_hl_step(p, b, dt, grid, alpha, sink_scale=1.0):
+    """Reference: the step before its numpy ops were fused, kept verbatim."""
+    squeeze = p.ndim == 1
+    p2 = np.atleast_2d(np.asarray(p, dtype=float))
+    n_rows, n = p2.shape
+    b_arr = np.broadcast_to(np.asarray(b, dtype=float), (n_rows,)).astype(float)
+    ds = grid.d_sigma
+
+    nu = b_arr * (dt / ds)
+    worst = float(np.abs(nu).max()) if n_rows else 0.0
+    if worst > 1.0 + 1e-12:
+        raise CFLError(
+            f"advection CFL violated: max |b| dt / d_sigma = {worst:.6g} > 1; "
+            f"sub-cycle with at least {math.ceil(worst)} sub-steps")
+    eff_dt = sink_scale * dt
+    if eff_dt >= 1.0:
+        raise CFLError(f"explicit sink needs dt < 1, got {eff_dt:.6g}")
+
+    # frozen diffusion coefficient from the start-of-step row
+    d_coef = compute_d(p2, grid, alpha)
+
+    # explicit upwind advection, zero inflow, metered outflow
+    pos = np.maximum(nu, 0.0)[:, None]
+    neg = np.minimum(nu, 0.0)[:, None]
+    back = np.empty_like(p2)
+    back[:, 0] = p2[:, 0]
+    back[:, 1:] = p2[:, 1:] - p2[:, :-1]
+    fwd = np.empty_like(p2)
+    fwd[:, -1] = -p2[:, -1]
+    fwd[:, :-1] = p2[:, 1:] - p2[:, :-1]
+    q = p2 - pos * back - neg * fwd
+    out_right = pos[:, 0] * p2[:, -1] * ds
+    out_left = -neg[:, 0] * p2[:, 0] * ds
+    outflow = out_right + out_left
+    # stress carried by the outflow; the sigma weights fall out of the same
+    # telescoping that makes the interior moment gain exactly b*dt*mass
+    w_left, w_right = grid.centers[0] - ds, grid.centers[-1] + ds
+    trunc_moment = out_right * w_right + out_left * w_left
+
+    # implicit diffusion; column sums of the Dirichlet matrix meter the
+    # absorbed boundary flux exactly: sum(rhs) = sum(q) + lam*(q_0 + q_end)
+    lam = d_coef * (dt / (ds * ds))
+    q = solve_diffusion_batch(lam, q)
+    absorbed = lam * (q[:, 0] + q[:, -1]) * ds
+    trunc_moment += lam * ds * (q[:, 0] * w_left + q[:, -1] * w_right)
+
+    # explicit relaxation sink beyond the threshold
+    ext = grid.exterior
+    sink = eff_dt * q[:, ext].sum(axis=1) * ds
+    q[:, ext] *= (1.0 - eff_dt)
+
+    # re-injection at sigma = 0 restores every metered removal
+    deposit = sink + absorbed + outflow
+    i_left, i_right = grid.deposit_cells
+    half = deposit / (2.0 * ds)
+    q[:, i_left] += half
+    q[:, i_right] += half
+
+    min_before = float(q.min())
+    if min_before < INSTABILITY_FLOOR:
+        raise SchemeInstabilityError(
+            f"density reached {min_before:.3e} before clipping; the scheme is unstable")
+    negative = np.minimum(q, 0.0)
+    clipped = -negative.sum(axis=1) * ds
+    np.maximum(q, 0.0, out=q)
+
+    report = StepReport(sink_mass=sink, boundary_mass=absorbed, outflow_mass=outflow,
+                        deposit_mass=deposit, clipped_mass=clipped,
+                        trunc_moment=trunc_moment,
+                        min_before_clip=min_before, n_sub=1)
+    return (q[0] if squeeze else q), report
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_inputs(cell=st.one_of(CELL, NEAR_ZERO)), st.booleans(),
+       st.sampled_from([1.0, 0.0, 0.5]))
+def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, squeeze, sink_scale):
+    # tiny negative cells drive the clip branch as well as the clip-free
+    # one; a row whose exterior mass is negative has a negative D, which the
+    # solve rejects in both versions
+    grid, p, b, dt, alpha = inputs
+    if squeeze:
+        p, b = p[0], b[0]
+    try:
+        ref = unfused_hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
+    except (SchemeInstabilityError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
+        return
+    q, rep = hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
+    assert q.shape == ref[0].shape and q.tobytes() == ref[0].tobytes()
+    for name in ("sink_mass", "boundary_mass", "outflow_mass", "deposit_mass",
+                 "trunc_moment"):
+        assert getattr(rep, name).tobytes() == getattr(ref[1], name).tobytes()
+    # with nothing to clip the reference sums -0.0 where the fused step
+    # reports +0.0; they add up to the same totals
+    assert np.array_equal(rep.clipped_mass, ref[1].clipped_mass)
+    assert rep.min_before_clip == ref[1].min_before_clip

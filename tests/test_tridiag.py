@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scipy.linalg.lapack import dptsv
+
 from hlcouette.errors import SchemeInstabilityError
-from hlcouette.tridiag import solve_diffusion_batch, solve_tridiagonal
+from hlcouette.tridiag import (_diffusion_factors, solve_diffusion_batch,
+                               solve_tridiagonal)
 
 
 def random_system(rng, n):
@@ -125,3 +128,59 @@ def test_diffusion_batch_positivity_and_column_sums_property(batch):
     assert x.min() >= 0.0
     balance = x.sum(axis=1) + lam * (x[:, 0] + x[:, -1])
     assert np.all(np.abs(rhs.sum(axis=1) - balance) <= 1e-12 * rhs.sum(axis=1))
+
+
+# The one-slot factor cache: a hit must give the bits a fresh dptsv gives.
+def dptsv_batch(lam, rhs):
+    """The stacked system solved by one uncached dptsv call."""
+    n_rows, n = rhs.shape
+    diag = np.repeat(1.0 + 2.0 * lam, n)
+    off = np.repeat(-lam, n)[:-1]
+    off[n - 1::n] = 0.0
+    _, _, x, info = dptsv(diag, off, rhs.ravel())
+    assert info == 0
+    return x.reshape(n_rows, n)
+
+
+def test_factor_cache_hits_reproduce_a_fresh_solve_bitwise():
+    rng = np.random.default_rng(3)
+    lam_a, lam_b = rng.uniform(0.0, 40.0, size=(2, 5))
+    rhs = rng.uniform(0.0, 1.0, size=(4, 5, 32))
+    _diffusion_factors.cache_clear()
+    for lam, r in zip((lam_a, lam_b, lam_a, lam_a), rhs):
+        x = solve_diffusion_batch(lam, r)
+        assert x.tobytes() == dptsv_batch(lam, r).tobytes()
+    info = _diffusion_factors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
+
+def test_factor_cache_key_includes_the_row_length():
+    lam = np.array([0.5, 2.0])
+    rhs = np.ones((2, 9))
+    _diffusion_factors.cache_clear()
+    solve_diffusion_batch(lam, rhs[:, :8])
+    x = solve_diffusion_batch(lam, rhs)
+    assert _diffusion_factors.cache_info().misses == 2
+    assert x.tobytes() == dptsv_batch(lam, rhs).tobytes()
+
+
+def test_failed_factorization_is_never_cached():
+    # lam = -0.75 puts -0.5 on the diagonal; the public solve rejects a
+    # negative lam before it reaches the factorization
+    bad = np.array([-0.75]).tobytes()
+    _diffusion_factors.cache_clear()
+    with pytest.raises(SchemeInstabilityError):
+        _diffusion_factors(4, bad)
+    assert _diffusion_factors.cache_info().currsize == 0
+    lam, rhs = np.array([1.5]), np.ones((1, 4))
+    solve_diffusion_batch(lam, rhs)
+    with pytest.raises(SchemeInstabilityError):
+        _diffusion_factors(4, bad)
+    x = solve_diffusion_batch(lam, rhs)  # the good factors are still cached
+    assert _diffusion_factors.cache_info().hits == 1
+    assert x.tobytes() == dptsv_batch(lam, rhs).tobytes()
+
+
+def test_cached_factors_are_read_only():
+    d, e = _diffusion_factors(6, np.array([2.0]).tobytes())
+    assert not d.flags.writeable and not e.flags.writeable
