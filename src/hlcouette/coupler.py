@@ -22,6 +22,11 @@ the cross-validation partner for the general solver.
 
 The per-step records of a run are named once, in the SERIES table: it
 drives allocation, resume, checkpoints and the series archive alike.
+
+run computes D of each accepted state once: it feeds the next step's first
+sub-step as well as the records.  The stress recorded for a step is the tau
+its accepted iterate already took, and the velocity gradient of a step's
+end is reused at the next step's start.
 """
 
 from __future__ import annotations
@@ -229,21 +234,26 @@ def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
     return u_iter, b, kept, PicardStats(iterations=len(changes), ratio=ratio)
 
 
-def coupled_step(state: CoupledState, prob: CoupledProblem
-                 ) -> tuple[CoupledState, PicardStats, StepReport, np.ndarray]:
-    """One Picard-coupled macro step; returns the new state, iteration
-    stats, the meso step report, and the loading field actually used."""
+def coupled_step(state: CoupledState, prob: CoupledProblem, d: np.ndarray
+                 ) -> tuple[CoupledState, PicardStats, StepReport, np.ndarray, np.ndarray]:
+    """One Picard-coupled macro step from state, whose D is d.
+
+    Returns the new state, iteration stats, the meso step report, the
+    loading field actually used, and tau of the new state (the accepted
+    iterate's stress).
+    """
     grid, dp, dt = prob.sigma_grid, prob.dp, prob.space_grid.dt
 
     def kinetic(b):
         n_sub = required_substeps(b, dt, grid)
-        p_new, rep = advance_rows(state.p, b, dt, grid, dp.alpha,
-                                  n_sub=n_sub, sink_scale=prob.sink_scale)
-        return np.asarray(compute_tau(p_new, grid)), (p_new, rep)
+        p_new, rep = advance_rows(state.p, b, dt, grid, dp.alpha, n_sub=n_sub,
+                                  sink_scale=prob.sink_scale, d=d)
+        tau = np.asarray(compute_tau(p_new, grid))
+        return tau, (p_new, rep, tau)
 
-    u, b, (p_new, rep), stats = _picard(state.u, kinetic, prob,
-                                        prob.space_grid.time(state.step + 1))
-    return CoupledState(step=state.step + 1, u=u, p=p_new), stats, rep, b
+    u, b, (p_new, rep, tau), stats = _picard(state.u, kinetic, prob,
+                                             prob.space_grid.time(state.step + 1))
+    return CoupledState(step=state.step + 1, u=u, p=p_new), stats, rep, b, tau
 
 
 def _sigma_gradient_energy(p: np.ndarray, grid: SigmaGrid) -> np.ndarray:
@@ -296,10 +306,10 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
             series[f.key][:f.length(start)] = resume.series[f.key]
         warnings.extend(resume.series.get("warnings", []))
 
-    def _observe(k: int, d: np.ndarray):
+    def _observe(k: int, d: np.ndarray, tau: np.ndarray):
         masses = np.asarray(grid.mass(state.p))
         mass_err[k] = float(np.abs(masses - 1.0).max())
-        series["tau"][k] = state.tau(grid)
+        series["tau"][k] = tau
         series["u"][k] = state.u
         series["inner"][k] = np.asarray(grid.inner_moment(state.p))
         series["min_d"][k] = float(d.min())
@@ -340,19 +350,21 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
             series={**{f.key: series[f.key][:f.length(k)].copy() for f in SERIES},
                     "warnings": list(warnings)})
 
-    # D of the current state, computed once per step: it feeds the
-    # observation, the snapshot and both ends of the acc_d trapezoid
+    # D of the current state, computed once per step: it feeds the next
+    # step's first sub-step, the observation, the snapshot and both ends of
+    # the acc_d trapezoid.  Tau comes from the step's accepted iterate and
+    # the velocity gradient is carried to the next step's trapezoid.
     d = state.d(grid, dp.alpha)
+    grad = velocity_gradient(state.u, sgrid)
     if resume is None:
-        _observe(0, d)
+        _observe(0, d, state.tau(grid))
         _snap(0, d)
 
     for k in range(start, n_steps):
-        grad_prev = velocity_gradient(state.u, sgrid)
-        d_prev = d
+        grad_prev, d_prev = grad, d
         t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
 
-        state, stats, rep, b_used = coupled_step(state, prob)
+        state, stats, rep, b_used, tau = coupled_step(state, prob, d)
 
         series["iters"][k] = stats.iterations
         series["ratios"][k] = stats.ratio
@@ -360,14 +372,14 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
         series["trunc"][k] = rep.trunc_moment
         accum.clipped_total += float(rep.clipped_mass.sum())
         accum.min_before_clip = min(accum.min_before_clip, rep.min_before_clip)
-        grad_new = velocity_gradient(state.u, sgrid)
-        accum.xi += dp.g0 * (0.5 * sgrid.dt * (grad_prev + grad_new)
+        grad = velocity_gradient(state.u, sgrid)
+        accum.xi += dp.g0 * (0.5 * sgrid.dt * (grad_prev + grad)
                              + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
         d = state.d(grid, dp.alpha)
         accum.acc_d += 0.5 * sgrid.dt * (d_prev + d)
         accum.grad_sq += sgrid.dt * _sigma_gradient_energy(state.p, grid)
 
-        _observe(k + 1, d)
+        _observe(k + 1, d, tau)
         _snap(k + 1, d)
         if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
             checkpoint_sink(_payload(k + 1))

@@ -13,9 +13,9 @@ with b the local elastic loading rate.  One step is IMEX split, in order:
 2. implicit backward-Euler diffusion with the coefficient D frozen at the
    start-of-step row, homogeneous Dirichlet ends at +-sigma_max, all rows
    in one batched tridiagonal solve (the absorbed boundary flux is metered
-   from the column-sum identity of the Dirichlet matrix; the solve reuses
-   its factorization while lam repeats, as it does across the Picard
-   iterates of one macro step),
+   from the column-sum identity of the Dirichlet matrix; the solve keeps
+   the factors of a macro step's first sub-step, whose lam recurs on every
+   Picard iterate),
 3. explicit relaxation sink on the cells beyond the threshold,
 4. re-injection at sigma = 0 of everything removed this step (sink mass
    plus the metered truncation losses), split evenly over the two cells
@@ -27,12 +27,28 @@ even and gives the deposit a vanishing first moment, which the stress
 moment balance relies on.  Every stage is monotone, so negativity can only
 come from rounding; a result with a negative value is clipped at zero and
 the clipped mass is metered.
+
+hl_step runs once per sub-step of every Picard iterate, so it avoids work
+that does not change a bit of its result:
+
+- the caller may pass D of the start rows, which coupler.run already holds;
+- the upwind differences, the advective flux and the exterior ends are
+  written into scratch arrays kept per batch shape (_scratch); the result
+  is always a fresh array, never a view of them;
+- the two advective terms are evaluated only for the loading signs present:
+  with every b >= 0, as under a positive wall speed, the downwind term is
+  zero and skipped (evaluating it could only turn a -0.0 cell into +0.0,
+  and the rows of a run hold no -0.0);
+- the sink sum runs over a Fortran-ordered copy of the two exterior ends,
+  the layout of the mask gather q[:, exterior], so its row sums add in the
+  same order and give the same bits (a C-ordered copy would not).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,8 +105,31 @@ class StepReport:
         self.n_sub += other.n_sub
 
 
+def _per_row(b, n_rows: int) -> np.ndarray:
+    """The loading as a read-only (n_rows,) float array; no copy when it is one."""
+    if isinstance(b, np.ndarray) and b.shape == (n_rows,) and b.dtype == np.float64:
+        return b
+    return np.broadcast_to(np.asarray(b, dtype=float), (n_rows,))
+
+
+@lru_cache(maxsize=1)
+def _scratch(n_rows: int, n: int, n_ext: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hl_step's work arrays for one batch shape, reused call after call.
+
+    diff (n_rows*n + 1,) holds the flat upwind differences, of which the
+    backward and forward ones are (n_rows, n) views; flux (n_rows, n) one
+    advective term; ext (n_rows, 2*n_ext), Fortran-ordered, the exterior
+    ends.  Every call overwrites what it reads, so nothing carries over
+    between calls (the program steps in one thread).
+    """
+    return (np.empty(n_rows * n + 1), np.empty((n_rows, n)),
+            np.empty((n_rows, 2 * n_ext), order="F"))
+
+
 def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
-            sink_scale: float = 1.0) -> tuple[np.ndarray, StepReport]:
+            sink_scale: float = 1.0, d: np.ndarray | None = None
+            ) -> tuple[np.ndarray, StepReport]:
     """One IMEX step for a batch of rows.
 
     Parameters
@@ -102,6 +141,10 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     sink_scale : documented fault-injection hook; scales the relaxation
         sink (and only it) so diagnostics can be shown to catch a broken
         scheme. Production value is 1.0.
+    d : (n_rows,) D of p as compute_d gives it, when the caller holds it.
+        Passing it marks p as the start of a macro step, which every Picard
+        iterate restarts from, so the solve keeps the factors of its lam;
+        without it D is computed here and the factors are not kept.
 
     Returns
     -------
@@ -110,7 +153,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     squeeze = p.ndim == 1
     p2 = np.atleast_2d(np.asarray(p, dtype=float))
     n_rows, n = p2.shape
-    b_arr = np.broadcast_to(np.asarray(b, dtype=float), (n_rows,)).astype(float)
+    b_arr = _per_row(b, n_rows)
     ds = grid.d_sigma
 
     nu = b_arr * (dt / ds)
@@ -124,22 +167,39 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
         raise CFLError(f"explicit sink needs dt < 1, got {eff_dt:.6g}")
 
     # frozen diffusion coefficient from the start-of-step row
-    d_coef = compute_d(p2, grid, alpha)
+    recurring = d is not None
+    d_coef = d if recurring else compute_d(p2, grid, alpha)
+    n_ext = grid.n_exterior_side
+    diff, flux, ext = _scratch(n_rows, n, n_ext)
 
-    # explicit upwind advection, zero inflow, metered outflow.  One padded
-    # difference row holds back = diff[:, :-1] and fwd = diff[:, 1:], and
-    # q = (p - pos*back) - neg*fwd is evaluated in that order through one
-    # scratch product: the artifacts depend on its bits
+    # explicit upwind advection, zero inflow, metered outflow:
+    # q = (p - pos*back) - neg*fwd, evaluated in that order (the artifacts
+    # depend on its bits), a term only where its sign occurs.  Subtracting
+    # a term that is zero in every row would change no bit but the sign of
+    # a -0.0 cell, and no stage makes a -0.0 from rows without one.  One
+    # flat subtract fills diff[1:-1]; back = diff[:-1] once its row-start
+    # column is set, fwd = diff[1:] once its row-end column is set, which
+    # overwrites back's row starts, so back is used first.
     pos = np.maximum(nu, 0.0)[:, None]
     neg = np.minimum(nu, 0.0)[:, None]
-    diff = np.empty((n_rows, n + 1))
-    diff[:, 0] = p2[:, 0]
-    np.subtract(p2[:, 1:], p2[:, :-1], out=diff[:, 1:n])
-    diff[:, n] = -p2[:, -1]
-    flux = pos * diff[:, :-1]
-    q = p2 - flux
-    np.multiply(neg, diff[:, 1:], out=flux)
-    q -= flux
+    has_pos, has_neg = bool(pos.any()), bool(neg.any())
+    if has_pos or has_neg:
+        p_flat = p2.ravel()
+        np.subtract(p_flat[1:], p_flat[:-1], out=diff[1:-1])
+    if has_pos:
+        back = diff[:-1].reshape(n_rows, n)
+        back[:, 0] = p2[:, 0]
+        np.multiply(pos, back, out=flux)
+        q = p2 - flux
+    else:
+        q = p2.copy()  # the solve overwrites its right-hand side
+    if has_neg:
+        fwd = diff[1:].reshape(n_rows, n)
+        # an assignment, not np.negative(..., out=fwd[:, -1]): numpy 2.4
+        # has written wrong values through such a strided out=
+        fwd[:, -1] = -p2[:, -1]
+        np.multiply(neg, fwd, out=flux)
+        q -= flux
     out_right = pos[:, 0] * p2[:, -1] * ds
     out_left = -neg[:, 0] * p2[:, 0] * ds
     outflow = out_right + out_left
@@ -151,15 +211,18 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # implicit diffusion; column sums of the Dirichlet matrix meter the
     # absorbed boundary flux exactly: sum(rhs) = sum(q) + lam*(q_0 + q_end)
     lam = d_coef * (dt / (ds * ds))
-    q = solve_diffusion_batch(lam, q)
+    q = solve_diffusion_batch(lam, q, recurring=recurring, overwrite_rhs=True)
     absorbed = lam * (q[:, 0] + q[:, -1]) * ds
     trunc_moment += lam * ds * (q[:, 0] * w_left + q[:, -1] * w_right)
 
-    # explicit relaxation sink beyond the threshold: the sum gathers through
-    # the mask (its summation order is part of the result), the scaling
-    # touches the two contiguous exterior ends in place
-    sink = eff_dt * q[:, grid.exterior].sum(axis=1) * ds
-    n_ext = grid.n_exterior_side
+    # explicit relaxation sink beyond the threshold.  The sum runs over the
+    # exterior ends copied into the Fortran-ordered ext, the layout of the
+    # mask gather q[:, exterior], so each row adds in the same sequence
+    # (its summation order is part of the result); the scaling touches the
+    # two contiguous exterior ends in place
+    ext[:, :n_ext] = q[:, :n_ext]
+    ext[:, n_ext:] = q[:, n - n_ext:]
+    sink = eff_dt * ext.sum(axis=1) * ds
     keep = 1.0 - eff_dt
     q[:, :n_ext] *= keep
     q[:, n - n_ext:] *= keep
@@ -190,25 +253,30 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
 
 
 def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
-                 n_sub: int | None = None,
-                 sink_scale: float = 1.0) -> tuple[np.ndarray, StepReport]:
+                 n_sub: int | None = None, sink_scale: float = 1.0,
+                 d: np.ndarray | None = None) -> tuple[np.ndarray, StepReport]:
     """Advance rows over one macro step of size dt, sub-cycling for the CFL.
 
     b is held constant over the whole macro step (the caller freezes it at
     its fixed-point iterate).  All rows advance in lockstep with the same
-    sub-step count so the batch stays a single vectorized solve.
+    sub-step count so the batch stays a single vectorized solve.  d, when
+    given, is D of p (compute_d), used by the first sub-step.
     """
     p2 = np.atleast_2d(np.asarray(p, dtype=float))
-    b_arr = np.broadcast_to(np.asarray(b, dtype=float), (p2.shape[0],))
+    b_arr = _per_row(b, p2.shape[0])
     if n_sub is None:
         n_sub = required_substeps(b_arr, dt, grid)
     sub_dt = dt / n_sub
     report = StepReport.zeros(p2.shape[0])
     report.min_before_clip = np.inf
     report.n_sub = 0
+    # the first sub-step starts from p, whose D is known or computed once;
+    # the later ones compute their own
     q = p2
-    for _ in range(n_sub):
-        q, rep = hl_step(q, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale)
+    d_start = compute_d(p2, grid, alpha) if d is None else d
+    for i in range(n_sub):
+        q, rep = hl_step(q, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale,
+                         d=d_start if i == 0 else None)
         report.accumulate(rep)
     return (q[0] if p.ndim == 1 else q), report
 

@@ -9,12 +9,21 @@ is exactly those two calls.  For an M-matrix every term of both
 substitutions has the same sign, so a nonnegative right-hand side gives a
 nonnegative solution.
 
-The stress step keeps its last factorization in a one-slot cache keyed on
-the exact bytes of ``lam``.  Every Picard iterate of a macro step restarts
-the rows from the same start-of-step state, whose frozen D fixes ``lam``,
-so iterates with the same sub-step count solve with the same matrix.  A
-hit returns the factors ``dpttrf`` would compute again from the same
-input, so reuse cannot change a single bit of the solution.
+The stress step keeps one factorization in a one-slot cache keyed on the
+exact bytes of ``lam``.  Every Picard iterate of a macro step restarts the
+rows from the same start-of-step state, whose frozen D fixes ``lam`` of the
+first sub-step, so that matrix recurs on every iterate.  The later
+sub-steps of a sub-cycled step start from rows that depend on the
+iterate's loading, so their ``lam`` does not recur: such a solve passes
+``recurring=False`` and is factored afresh without evicting the cached
+factors.  A hit returns the factors ``dpttrf`` would compute again from the
+same input, so reuse cannot change a single bit of the solution.
+
+Overwrite contract: ``solve_diffusion_batch(..., overwrite_rhs=True)``
+lets ``dpttrs`` substitute in place, so the returned solution shares the
+memory of ``rhs`` and the caller must not read ``rhs`` again.  ``hl_step``
+passes its freshly allocated advection result, which nothing else holds.
+By default ``rhs`` is left as it was.
 """
 
 from __future__ import annotations
@@ -49,13 +58,8 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
     return x
 
 
-@lru_cache(maxsize=1)
-def _diffusion_factors(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``dpttrf`` factors (d, e) of the stacked I + lam*L.
-
-    An exception leaves the cache as it was, so a failed factorization is
-    never reused.
-    """
+def _factor(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``dpttrf`` factors (d, e) of the stacked I + lam*L."""
     from scipy.linalg.lapack import dpttrf
     lam = np.frombuffer(lam_bytes)
     diag = np.repeat(1.0 + 2.0 * lam, n)
@@ -68,7 +72,14 @@ def _diffusion_factors(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray
     return d, e
 
 
-def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+# the factors of the recurring lam; an exception leaves the slot as it was,
+# so a failed factorization is never reused
+_diffusion_factors = lru_cache(maxsize=1)(_factor)
+
+
+def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray, *,
+                          recurring: bool = True,
+                          overwrite_rhs: bool = False) -> np.ndarray:
     """Solve (I + lam*L) x = rhs for every row of a batch.
 
     ``L`` is tridiag(-1, 2, -1) with homogeneous Dirichlet closure (the ghost
@@ -79,6 +90,10 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ----------
     lam : (n_rows,) nonnegative diffusion numbers D*dt/d_sigma**2, one per row.
     rhs : (n_rows, n) right-hand sides.
+    recurring : whether this lam is expected back on a later call; only
+        then are its factors cached, in the one slot.
+    overwrite_rhs : let the solve write the solution into rhs (see the
+        module docstring for the contract).
 
     Returns
     -------
@@ -92,8 +107,8 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("negative diffusion number")
     if rhs.size < 2:
         return rhs / (1.0 + 2.0 * lam)[:, None]  # no off-diagonal to pass
-    d, e = _diffusion_factors(n, lam.tobytes())
+    d, e = (_diffusion_factors if recurring else _factor)(n, lam.tobytes())
     from scipy.linalg.lapack import dpttrs
-    x, info = dpttrs(d, e, rhs.ravel())
+    x, info = dpttrs(d, e, rhs.ravel(), overwrite_b=overwrite_rhs)
     _check(info, "dpttrs")
     return x.reshape(n_rows, n)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hlcouette import coupler
 from hlcouette.coupler import (SERIES, CoupledProblem, maxwell_reference_run,
                                refined_space_grid, restrict_nodes,
                                restrict_times, run, run_maxwell)
@@ -232,6 +233,35 @@ def test_recorded_d_is_d_of_the_recorded_state():
             acc = res.snapshots[k - 1].acc_d + 0.5 * dt * (d_prev + d)
             assert snap.acc_d.tobytes() == acc.tobytes()
         d_prev = d
+
+
+@pytest.mark.parametrize("v_max", [1.0, 60.0])  # 60: sub-cycled steps
+def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
+    # run hands every step D of its start state and records the accepted
+    # iterate's tau; a step that recomputes both gives the same bits
+    prob, init, eta = small_problem(n_y=8, t_final=0.01,
+                                    protocol=ShearProtocol.ramp(v_max, 0.002))
+    carried = run(prob, init, eta, snap_every=5)
+    step = coupler.coupled_step
+
+    def recomputing(state, prob, d):
+        new, stats, rep, b, _ = step(state, prob, state.d(SGRID, DP.alpha))
+        return new, stats, rep, b, new.tau(SGRID)
+
+    monkeypatch.setattr(coupler, "coupled_step", recomputing)
+    recomputed = run(prob, init, eta, snap_every=5)
+    if v_max > 1.0:
+        assert carried.b_series.max() * prob.space_grid.dt > SGRID.d_sigma
+    for f in SERIES:
+        assert getattr(carried, f.attr).tobytes() == \
+            getattr(recomputed, f.attr).tobytes(), f.key
+    assert carried.state.p.tobytes() == recomputed.state.p.tobytes()
+    assert carried.state.u.tobytes() == recomputed.state.u.tobytes()
+    for name in ("xi", "acc_d", "grad_sq"):
+        assert getattr(carried.accum, name).tobytes() == \
+            getattr(recomputed.accum, name).tobytes()
+    for a, b in zip(carried.snapshots, recomputed.snapshots, strict=True):
+        assert a.tau.tobytes() == b.tau.tobytes() and a.d.tobytes() == b.d.tobytes()
 
 
 def test_run_does_not_depend_on_the_factor_cache():

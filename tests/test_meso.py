@@ -11,11 +11,12 @@ from hlcouette.errors import CFLError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages, uniform_cell_averages
 from hlcouette.maxwell import maxwell_p
-from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, advance_rows,
+from hlcouette import tridiag
+from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, _scratch, advance_rows,
                             compute_d, compute_tau, hl_solve, hl_step,
                             linf_bound, required_substeps)
 from hlcouette.protocols import PiecewiseLinearForcing
-from hlcouette.tridiag import solve_diffusion_batch
+from hlcouette.tridiag import _diffusion_factors, _factor, solve_diffusion_batch
 
 GRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
 
@@ -164,10 +165,23 @@ COURANT = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
                     st.floats(-1.0, 1.0, allow_subnormal=False))
 ALPHA = st.one_of(st.just(0.0), st.floats(0.0, 20.0, allow_subnormal=False))
 NEAR_ZERO = st.floats(-1e-10, 0.0, allow_subnormal=False)
+# hl_step evaluates each advective term only where its sign occurs
+LOADING_SIGNS = ("any", "nonneg", "nonpos", "zero")
+
+
+def signed(nu, sign):
+    """Courant numbers with the sign pattern `sign` imposed."""
+    if sign == "nonneg":
+        return np.abs(nu)
+    if sign == "nonpos":
+        return -np.abs(nu)
+    if sign == "zero":
+        return np.zeros_like(nu)
+    return nu
 
 
 @st.composite
-def step_inputs(draw, even=False, banded=False, cell=CELL):
+def step_inputs(draw, even=False, banded=False, cell=CELL, sign="any"):
     grids = [g for g in PROPERTY_GRIDS if g.threshold == 1.0] if banded \
         else PROPERTY_GRIDS
     grid = draw(st.sampled_from(grids))
@@ -179,8 +193,8 @@ def step_inputs(draw, even=False, banded=False, cell=CELL):
     if even:
         p = np.hstack([p, p[:, ::-1]])
     dt = 2.0 ** -draw(st.integers(1, 12))
-    nu = np.zeros(n_rows) if even else np.array(
-        draw(st.lists(COURANT, min_size=n_rows, max_size=n_rows)))
+    nu = np.zeros(n_rows) if even else signed(np.array(
+        draw(st.lists(COURANT, min_size=n_rows, max_size=n_rows))), sign)
     return grid, p, nu * (grid.d_sigma / dt), dt, draw(ALPHA)
 
 
@@ -304,23 +318,30 @@ def unfused_hl_step(p, b, dt, grid, alpha, sink_scale=1.0):
     return (q[0] if squeeze else q), report
 
 
-@settings(max_examples=80, deadline=None)
-@given(step_inputs(cell=st.one_of(CELL, NEAR_ZERO)), st.booleans(),
-       st.sampled_from([1.0, 0.0, 0.5]))
-def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, squeeze, sink_scale):
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LOADING_SIGNS).flatmap(
+           lambda sign: step_inputs(cell=st.one_of(CELL, NEAR_ZERO), sign=sign)),
+       st.booleans(), st.sampled_from([1.0, 0.0, 0.5]), st.booleans())
+def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, squeeze, sink_scale,
+                                                         pass_d):
     # tiny negative cells drive the clip branch as well as the clip-free
     # one; a row whose exterior mass is negative has a negative D, which the
-    # solve rejects in both versions
+    # solve rejects in both versions.  Loadings of every sign pattern reach
+    # each combination of skipped advective terms, and the start D is either
+    # passed in, as coupler.run does, or computed by the step.
     grid, p, b, dt, alpha = inputs
     if squeeze:
         p, b = p[0], b[0]
+    d = compute_d(np.atleast_2d(p), grid, alpha) if pass_d else None
     try:
         ref = unfused_hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
     except (SchemeInstabilityError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
+            hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale, d=d)
         return
-    q, rep = hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
+    p_before = p.tobytes()
+    q, rep = hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale, d=d)
+    assert p.tobytes() == p_before
     assert q.shape == ref[0].shape and q.tobytes() == ref[0].tobytes()
     for name in ("sink_mass", "boundary_mass", "outflow_mass", "deposit_mass",
                  "trunc_moment"):
@@ -329,3 +350,44 @@ def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, squeeze, sink_s
     # reports +0.0; they add up to the same totals
     assert np.array_equal(rep.clipped_mass, ref[1].clipped_mass)
     assert rep.min_before_clip == ref[1].min_before_clip
+
+
+def test_hl_step_results_never_share_its_scratch_arrays():
+    # the work arrays are kept per batch shape; a result that were a view of
+    # one would change under the next call
+    rng = np.random.default_rng(5)
+    grid = SigmaGrid(4.0, 32)
+    first_p = rng.uniform(0.0, 1.0, (3, 32))
+    b = np.array([0.5, -0.5, 0.0]) * grid.d_sigma / 2e-3
+    first, _ = hl_step(first_p, b, 1e-3, grid, alpha=1.0)
+    for buf in _scratch(3, 32, grid.n_exterior_side):  # the buffers it used
+        assert not np.shares_memory(first, buf)
+    kept = first.copy()
+    hl_step(rng.uniform(0.0, 1.0, (3, 32)), -b, 1e-3, grid, alpha=1.0)  # same shape
+    hl_step(rng.uniform(0.0, 1.0, (2, 32)), b[:2], 1e-3, grid, alpha=1.0)
+    assert first.tobytes() == kept.tobytes()
+
+
+def test_first_substep_factors_survive_the_later_substeps(monkeypatch):
+    # every Picard iterate restarts from the same rows, so the first
+    # sub-step's matrix recurs; the later sub-steps' matrices depend on the
+    # loading and are factored without evicting it
+    p = np.vstack([gaussian_row(), gaussian_row(width=0.6)])
+    loadings = [np.array([0.4, -0.8]), np.array([0.5, -0.7]), np.array([0.6, -0.6])]
+    one_off = []
+
+    def counting(n, lam_bytes):
+        one_off.append(lam_bytes)
+        return _factor(n, lam_bytes)
+
+    monkeypatch.setattr(tridiag, "_factor", counting)
+    _diffusion_factors.cache_clear()
+    results = [advance_rows(p, b, 3e-3, GRID, alpha=1.0, n_sub=3)[0]
+               for b in loadings]
+    info = _diffusion_factors.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    assert len(one_off) == 6
+    for b, q in zip(loadings, results):  # the cache does not change a bit
+        _diffusion_factors.cache_clear()
+        assert advance_rows(p, b, 3e-3, GRID, alpha=1.0, n_sub=3)[0].tobytes() \
+            == q.tobytes()

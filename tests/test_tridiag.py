@@ -184,3 +184,27 @@ def test_failed_factorization_is_never_cached():
 def test_cached_factors_are_read_only():
     d, e = _diffusion_factors(6, np.array([2.0]).tobytes())
     assert not d.flags.writeable and not e.flags.writeable
+
+
+def test_rhs_is_kept_unless_the_caller_lets_the_solve_overwrite_it():
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(0.0, 5.0, size=3)
+    rhs = rng.uniform(0.0, 1.0, size=(3, 16))
+    kept = rhs.copy()
+    x = solve_diffusion_batch(lam, rhs)
+    assert rhs.tobytes() == kept.tobytes() and not np.shares_memory(x, rhs)
+    x_in_place = solve_diffusion_batch(lam, rhs, overwrite_rhs=True)
+    assert np.shares_memory(x_in_place, rhs)
+    assert x_in_place.tobytes() == x.tobytes() == dptsv_batch(lam, kept).tobytes()
+
+
+def test_a_lam_that_does_not_recur_leaves_the_cached_factors():
+    lam_a, lam_b = np.array([0.5, 3.0]), np.array([1.5, 0.25])
+    rhs = np.linspace(0.0, 1.0, 2 * 12).reshape(2, 12)
+    _diffusion_factors.cache_clear()
+    solve_diffusion_batch(lam_a, rhs)
+    x_b = solve_diffusion_batch(lam_b, rhs, recurring=False)
+    solve_diffusion_batch(lam_a, rhs)
+    info = _diffusion_factors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert x_b.tobytes() == dptsv_batch(lam_b, rhs).tobytes()
