@@ -30,7 +30,7 @@ from .errors import DiagnosticFailure, ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import h1_norm_sq, heat_step, l2_norm
-from .maxwell import offset_kernels
+from .maxwell import offset_kernel
 from .meso import compute_d, compute_tau, linf_bound
 
 NEGATIVITY_FLOOR = -1e-12
@@ -148,12 +148,10 @@ def sub_solution(p0: np.ndarray, grid: SigmaGrid, t: float,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     acc = np.atleast_1d(np.asarray(acc_d, dtype=float))
     n = grid.n_sigma
-    n_rows = p0.shape[0]
-    kernels = offset_kernels(grid, xi[:n_rows], 2.0 * acc[:n_rows])
     out = np.empty_like(p0)
-    # one convolve per row: its summation order is part of the result
-    for i in range(n_rows):
-        out[i] = grid.d_sigma * np.convolve(p0[i], kernels[i])[n - 1:2 * n - 1]
+    for i in range(p0.shape[0]):
+        kern = offset_kernel(grid, float(xi[i]), 2.0 * float(acc[i]))
+        out[i] = grid.d_sigma * np.convolve(p0[i], kern)[n - 1:2 * n - 1]
     return math.exp(-t) * out
 
 

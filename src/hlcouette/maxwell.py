@@ -71,6 +71,7 @@ def offset_kernel(grid: SigmaGrid, shift: float, variance: float) -> np.ndarray:
     """
     n = grid.n_sigma
     ds = grid.d_sigma
+    k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)  # 2n edges
     if variance == 0.0:
         dens = np.zeros(2 * n - 1)
         rel = shift / ds
@@ -84,35 +85,8 @@ def offset_kernel(grid: SigmaGrid, shift: float, variance: float) -> np.ndarray:
         elif -(n - 1) <= j <= n - 1:
             dens[j + n - 1] = 1.0 / ds
         return dens
-    cdf = ndtr((_offset_edges(grid) - shift) / math.sqrt(variance))
+    cdf = ndtr((k_edges - shift) / math.sqrt(variance))
     return np.diff(cdf) / ds
-
-
-def _offset_edges(grid: SigmaGrid) -> np.ndarray:
-    """The 2n cell edges of the offset ladder k*d_sigma, k in [-(n-1), n-1]."""
-    n = grid.n_sigma
-    return grid.d_sigma * (np.arange(-(n - 1), n + 1) - 0.5)
-
-
-def offset_kernels(grid: SigmaGrid, shifts: np.ndarray,
-                   variances: np.ndarray) -> np.ndarray:
-    """offset_kernel of every (shift, variance) pair, one kernel per row.
-
-    The rows with a positive variance share one broadcast ndtr call, which
-    is elementwise, so each row has the bits offset_kernel gives it; the
-    other rows (point masses, or a variance offset_kernel rejects) go
-    through offset_kernel itself.
-    """
-    shifts = np.asarray(shifts, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    out = np.empty((shifts.size, 2 * grid.n_sigma - 1))
-    gauss = variances > 0.0
-    if gauss.any():
-        z = (_offset_edges(grid) - shifts[gauss, None]) / np.sqrt(variances[gauss])[:, None]
-        out[gauss] = np.diff(ndtr(z), axis=1) / grid.d_sigma
-    for i in np.flatnonzero(~gauss):
-        out[i] = offset_kernel(grid, float(shifts[i]), float(variances[i]))
-    return out
 
 
 def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,

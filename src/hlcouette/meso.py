@@ -13,9 +13,9 @@ with b the local elastic loading rate.  One step is IMEX split, in order:
 2. implicit backward-Euler diffusion with the coefficient D frozen at the
    start-of-step row, homogeneous Dirichlet ends at +-sigma_max, all rows
    in one batched tridiagonal solve (the absorbed boundary flux is metered
-   from the column-sum identity of the Dirichlet matrix; the solve keeps
-   the factors of a macro step's first sub-step, whose lam recurs on every
-   Picard iterate),
+   from the column-sum identity of the Dirichlet matrix; the solve reuses
+   its factorization while lam repeats, as it does across the Picard
+   iterates of one macro step),
 3. explicit relaxation sink on the cells beyond the threshold,
 4. re-injection at sigma = 0 of everything removed this step (sink mass
    plus the metered truncation losses), split evenly over the two cells
@@ -37,11 +37,20 @@ that does not change a bit of its result:
   is always a fresh array, never a view of them;
 - the two advective terms are evaluated only for the loading signs present:
   with every b >= 0, as under a positive wall speed, the downwind term is
-  zero and skipped (evaluating it could only turn a -0.0 cell into +0.0,
-  and the rows of a run hold no -0.0);
+  zero and skipped;
 - the sink sum runs over a Fortran-ordered copy of the two exterior ends,
   the layout of the mask gather q[:, exterior], so its row sums add in the
-  same order and give the same bits (a C-ordered copy would not).
+  same order and give the same bits (a C-ordered copy would not);
+- the clip is skipped when nothing is negative.
+
+The skips rest on one invariant: the rows of a run hold no -0.0.  The
+preset initial rows hold none, and hl_step keeps nonnegative rows free of
+it: a sum or difference is -0.0 only when its first operand is, every
+stage updates a cell by adding to or subtracting from it or by scaling a
+value >= 0 by a positive factor, and the clip writes +0.0.  On such rows a
+subtracted all-zero term or a clip of nothing changes no bit; on a row
+that does hold -0.0 either could turn it into +0.0, so there the skips may
+leave the sign of a zero cell different.
 """
 
 from __future__ import annotations
@@ -141,10 +150,8 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     sink_scale : documented fault-injection hook; scales the relaxation
         sink (and only it) so diagnostics can be shown to catch a broken
         scheme. Production value is 1.0.
-    d : (n_rows,) D of p as compute_d gives it, when the caller holds it.
-        Passing it marks p as the start of a macro step, which every Picard
-        iterate restarts from, so the solve keeps the factors of its lam;
-        without it D is computed here and the factors are not kept.
+    d : (n_rows,) D of p as compute_d gives it, when the caller holds it;
+        computed here otherwise.
 
     Returns
     -------
@@ -167,8 +174,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
         raise CFLError(f"explicit sink needs dt < 1, got {eff_dt:.6g}")
 
     # frozen diffusion coefficient from the start-of-step row
-    recurring = d is not None
-    d_coef = d if recurring else compute_d(p2, grid, alpha)
+    d_coef = compute_d(p2, grid, alpha) if d is None else d
     n_ext = grid.n_exterior_side
     diff, flux, ext = _scratch(n_rows, n, n_ext)
 
@@ -176,10 +182,10 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # q = (p - pos*back) - neg*fwd, evaluated in that order (the artifacts
     # depend on its bits), a term only where its sign occurs.  Subtracting
     # a term that is zero in every row would change no bit but the sign of
-    # a -0.0 cell, and no stage makes a -0.0 from rows without one.  One
-    # flat subtract fills diff[1:-1]; back = diff[:-1] once its row-start
-    # column is set, fwd = diff[1:] once its row-end column is set, which
-    # overwrites back's row starts, so back is used first.
+    # a -0.0 cell, which the rows of a run do not hold (module docstring).
+    # One flat subtract fills diff[1:-1]; back = diff[:-1] once its
+    # row-start column is set, fwd = diff[1:] once its row-end column is
+    # set, which overwrites back's row starts, so back is used first.
     pos = np.maximum(nu, 0.0)[:, None]
     neg = np.minimum(nu, 0.0)[:, None]
     has_pos, has_neg = bool(pos.any()), bool(neg.any())
@@ -211,7 +217,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # implicit diffusion; column sums of the Dirichlet matrix meter the
     # absorbed boundary flux exactly: sum(rhs) = sum(q) + lam*(q_0 + q_end)
     lam = d_coef * (dt / (ds * ds))
-    q = solve_diffusion_batch(lam, q, recurring=recurring, overwrite_rhs=True)
+    q = solve_diffusion_batch(lam, q)  # overwrites q, which nothing else holds
     absorbed = lam * (q[:, 0] + q[:, -1]) * ds
     trunc_moment += lam * ds * (q[:, 0] * w_left + q[:, -1] * w_right)
 
@@ -270,13 +276,11 @@ def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     report = StepReport.zeros(p2.shape[0])
     report.min_before_clip = np.inf
     report.n_sub = 0
-    # the first sub-step starts from p, whose D is known or computed once;
-    # the later ones compute their own
+    # only the first sub-step starts from p; the later ones compute their D
     q = p2
-    d_start = compute_d(p2, grid, alpha) if d is None else d
     for i in range(n_sub):
         q, rep = hl_step(q, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale,
-                         d=d_start if i == 0 else None)
+                         d=d if i == 0 else None)
         report.accumulate(rep)
     return (q[0] if p.ndim == 1 else q), report
 

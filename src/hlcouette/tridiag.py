@@ -9,21 +9,18 @@ is exactly those two calls.  For an M-matrix every term of both
 substitutions has the same sign, so a nonnegative right-hand side gives a
 nonnegative solution.
 
-The stress step keeps one factorization in a one-slot cache keyed on the
-exact bytes of ``lam``.  Every Picard iterate of a macro step restarts the
-rows from the same start-of-step state, whose frozen D fixes ``lam`` of the
-first sub-step, so that matrix recurs on every iterate.  The later
-sub-steps of a sub-cycled step start from rows that depend on the
-iterate's loading, so their ``lam`` does not recur: such a solve passes
-``recurring=False`` and is factored afresh without evicting the cached
-factors.  A hit returns the factors ``dpttrf`` would compute again from the
-same input, so reuse cannot change a single bit of the solution.
+The stress step keeps its last factorization in a one-slot cache keyed on
+the exact bytes of ``lam``.  Every Picard iterate of a macro step restarts
+the rows from the same start-of-step state, whose frozen D fixes ``lam``,
+so iterates with the same sub-step count solve with the same matrix.  A
+hit returns the factors ``dpttrf`` would compute again from the same
+input, so reuse cannot change a single bit of the solution.
 
-Overwrite contract: ``solve_diffusion_batch(..., overwrite_rhs=True)``
-lets ``dpttrs`` substitute in place, so the returned solution shares the
-memory of ``rhs`` and the caller must not read ``rhs`` again.  ``hl_step``
-passes its freshly allocated advection result, which nothing else holds.
-By default ``rhs`` is left as it was.
+``solve_diffusion_batch`` consumes its right-hand side: ``dpttrs``
+substitutes in place of ``rhs`` (when it is a C-contiguous float array),
+so the returned solution may share its memory and ``rhs`` must not be read
+again.  ``hl_step`` passes its own advection result, which nothing else
+holds; a caller that needs ``rhs`` afterwards passes a copy.
 """
 
 from __future__ import annotations
@@ -58,8 +55,13 @@ def solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
     return x
 
 
-def _factor(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``dpttrf`` factors (d, e) of the stacked I + lam*L."""
+@lru_cache(maxsize=1)
+def _diffusion_factors(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``dpttrf`` factors (d, e) of the stacked I + lam*L.
+
+    An exception leaves the cache as it was, so a failed factorization is
+    never reused.
+    """
     from scipy.linalg.lapack import dpttrf
     lam = np.frombuffer(lam_bytes)
     diag = np.repeat(1.0 + 2.0 * lam, n)
@@ -72,14 +74,7 @@ def _factor(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-# the factors of the recurring lam; an exception leaves the slot as it was,
-# so a failed factorization is never reused
-_diffusion_factors = lru_cache(maxsize=1)(_factor)
-
-
-def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray, *,
-                          recurring: bool = True,
-                          overwrite_rhs: bool = False) -> np.ndarray:
+def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + lam*L) x = rhs for every row of a batch.
 
     ``L`` is tridiag(-1, 2, -1) with homogeneous Dirichlet closure (the ghost
@@ -89,11 +84,8 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray, *,
     Parameters
     ----------
     lam : (n_rows,) nonnegative diffusion numbers D*dt/d_sigma**2, one per row.
-    rhs : (n_rows, n) right-hand sides.
-    recurring : whether this lam is expected back on a later call; only
-        then are its factors cached, in the one slot.
-    overwrite_rhs : let the solve write the solution into rhs (see the
-        module docstring for the contract).
+    rhs : (n_rows, n) right-hand sides, overwritten by the solve (see the
+        module docstring).
 
     Returns
     -------
@@ -107,8 +99,8 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray, *,
         raise ValueError("negative diffusion number")
     if rhs.size < 2:
         return rhs / (1.0 + 2.0 * lam)[:, None]  # no off-diagonal to pass
-    d, e = (_diffusion_factors if recurring else _factor)(n, lam.tobytes())
+    d, e = _diffusion_factors(n, lam.tobytes())
     from scipy.linalg.lapack import dpttrs
-    x, info = dpttrs(d, e, rhs.ravel(), overwrite_b=overwrite_rhs)
+    x, info = dpttrs(d, e, rhs.ravel(), overwrite_b=1)
     _check(info, "dpttrs")
     return x.reshape(n_rows, n)

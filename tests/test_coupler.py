@@ -264,6 +264,19 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
         assert a.tau.tobytes() == b.tau.tobytes() and a.d.tobytes() == b.d.tobytes()
 
 
+@pytest.mark.parametrize("protocol", [ShearProtocol.sinusoid(20.0, 0.01),  # b of both signs
+                                      ShearProtocol.ramp(60.0, 0.002)])  # sub-cycled
+def test_run_rows_hold_no_negative_zero(protocol):
+    # the invariant behind hl_step's skipped terms and clip (meso docstring)
+    prob, init, eta = small_problem(n_y=8, t_final=0.02, protocol=protocol)
+    res = run(prob, init, eta, snap_every=1)
+    b = res.b_series
+    both_signs = (b > 0).any() and (b < 0).any()
+    assert both_signs or b.max() * prob.space_grid.dt > SGRID.d_sigma
+    for snap in res.snapshots:
+        assert not np.any((snap.p == 0.0) & np.signbit(snap.p)), snap.index
+
+
 def test_run_does_not_depend_on_the_factor_cache():
     prob, init, eta = small_problem(n_y=8, t_final=0.01)
     _diffusion_factors.cache_clear()
@@ -272,7 +285,7 @@ def test_run_does_not_depend_on_the_factor_cache():
     # warm the cache with the first step's matrix, so that solve hits
     dt = prob.space_grid.dt
     solve_diffusion_batch(compute_d(init.p0, SGRID, DP.alpha) * (dt / SGRID.d_sigma ** 2),
-                          init.p0)
+                          init.p0.copy())
     before = _diffusion_factors.cache_info().hits
     warm = run(prob, init, eta)
     assert _diffusion_factors.cache_info().hits - before == cold_hits + 1

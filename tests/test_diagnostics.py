@@ -17,7 +17,6 @@ from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_comparison,
 from hlcouette.errors import DiagnosticFailure, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta, gaussian_cell_averages
-from hlcouette.maxwell import offset_kernel
 from hlcouette.params import DimensionlessParams
 from hlcouette.protocols import ShearProtocol
 
@@ -158,19 +157,6 @@ def test_sub_solution_identity_and_mass():
     barrier = sub_solution(p0, SGRID, t, np.array([0.05]), np.array([0.04]))
     # widening leaks ~5e-5 of the 4-sigma tails off-grid, nothing more
     assert float(SGRID.mass(barrier[0])) == pytest.approx(math.exp(-t), abs=1e-4)
-
-
-def test_sub_solution_matches_the_per_row_kernels_bitwise():
-    # the kernels of all rows come from one broadcast ndtr; rows with
-    # acc_d = 0 (a point-mass kernel) take the scalar branch
-    p0 = np.vstack([gaussian_cell_averages(SGRID, m, 1.0) for m in (0.0, 0.3, -0.2)])
-    xi, acc = np.array([0.05, 0.0, -0.4]), np.array([0.04, 0.0, 0.3])
-    t, n = 0.3, SGRID.n_sigma
-    barrier = sub_solution(p0, SGRID, t, xi, acc)
-    for i in range(3):
-        kern = offset_kernel(SGRID, float(xi[i]), 2.0 * float(acc[i]))
-        row = SGRID.d_sigma * np.convolve(p0[i], kern)[n - 1:2 * n - 1]
-        assert barrier[i].tobytes() == (math.exp(-t) * row).tobytes()
 
 
 def test_sub_solution_matches_gaussian_widening():

@@ -11,8 +11,7 @@ from hlcouette.errors import ValidationError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages
 from hlcouette.maxwell import (kernel_cell_averages, kernel_mass_check,
-                               maxwell_p, maxwell_tau, offset_kernel,
-                               offset_kernels)
+                               maxwell_p, maxwell_tau, offset_kernel)
 from hlcouette.protocols import PiecewiseLinearForcing, ShearProtocol
 
 GRID = SigmaGrid(sigma_max=8.0, n_sigma=256, threshold=0.0)
@@ -51,20 +50,6 @@ def test_offset_kernel_matches_per_pair_cell_averages():
         brute = (ndtr((GRID.edges[i + 1] - mean) / std)
                  - ndtr((GRID.edges[i] - mean) / std)) / ds
         assert kern[i - j + n - 1] == pytest.approx(brute, rel=1e-13, abs=1e-300)
-
-
-def test_offset_kernels_match_the_scalar_kernel_bitwise():
-    # Gaussian rows share one broadcast ndtr; point masses (variance 0, on a
-    # cell, on an offset-cell edge, off the ladder) take the scalar path
-    ds, n = GRID.d_sigma, GRID.n_sigma
-    shifts = np.array([0.37, -1.2, 3.2 * ds, 3.5 * ds, (n + 2) * ds, 0.0, 5.0])
-    variances = np.array([0.8, 1e-6, 0.0, 0.0, 0.0, 0.0, 40.0])
-    kernels = offset_kernels(GRID, shifts, variances)
-    assert kernels.shape == (len(shifts), 2 * n - 1)
-    for row, shift, var in zip(kernels, shifts, variances):
-        assert row.tobytes() == offset_kernel(GRID, float(shift), float(var)).tobytes()
-    with pytest.raises(ValueError):  # as offset_kernel rejects it
-        offset_kernels(GRID, np.array([0.1]), np.array([-1.0]))
 
 
 def test_offset_kernel_point_mass_cases():

@@ -53,7 +53,7 @@ def test_solve_diffusion_batch_matches_dense(n):
     rng = np.random.default_rng(77 + n)
     lam = rng.uniform(0.0, 50.0, size=6)
     rhs = rng.standard_normal((6, n))
-    x = solve_diffusion_batch(lam, rhs)
+    x = solve_diffusion_batch(lam, rhs.copy())
     for i in range(6):
         x_ref = np.linalg.solve(diffusion_matrix(lam[i], n), rhs[i])
         assert np.allclose(x[i], x_ref, rtol=1e-12, atol=1e-14)
@@ -62,7 +62,7 @@ def test_solve_diffusion_batch_matches_dense(n):
 def test_zero_lambda_is_identity():
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal((3, 12))
-    x = solve_diffusion_batch(np.zeros(3), rhs)
+    x = solve_diffusion_batch(np.zeros(3), rhs.copy())
     assert np.array_equal(x, rhs)
 
 
@@ -72,7 +72,7 @@ def test_diffusion_preserves_positivity_and_shrinks_mass():
     rng = np.random.default_rng(11)
     rhs = rng.uniform(0.0, 1.0, size=(4, 40))
     lam = np.array([0.1, 1.0, 10.0, 500.0])
-    x = solve_diffusion_batch(lam, rhs)
+    x = solve_diffusion_batch(lam, rhs.copy())
     assert x.min() >= 0.0
     assert np.all(x.sum(axis=1) <= rhs.sum(axis=1) + 1e-12)
 
@@ -110,7 +110,7 @@ def diffusion_batches(draw, low=-1.0):
 @given(diffusion_batches())
 def test_diffusion_batch_rows_match_dense_property(batch):
     lam, rhs = batch
-    x = solve_diffusion_batch(lam, rhs)
+    x = solve_diffusion_batch(lam, rhs.copy())
     assert x.shape == rhs.shape
     for i in range(len(lam)):
         x_ref = np.linalg.solve(diffusion_matrix(lam[i], rhs.shape[1]), rhs[i])
@@ -124,7 +124,7 @@ def test_diffusion_batch_positivity_and_column_sums_property(batch):
     # positivity holds exactly; the column sums of I + lam L are 1 inside
     # and 1 + lam at both ends, which is how hl_step meters absorbed mass
     lam, rhs = batch
-    x = solve_diffusion_batch(lam, rhs)
+    x = solve_diffusion_batch(lam, rhs.copy())
     assert x.min() >= 0.0
     balance = x.sum(axis=1) + lam * (x[:, 0] + x[:, -1])
     assert np.all(np.abs(rhs.sum(axis=1) - balance) <= 1e-12 * rhs.sum(axis=1))
@@ -148,7 +148,7 @@ def test_factor_cache_hits_reproduce_a_fresh_solve_bitwise():
     rhs = rng.uniform(0.0, 1.0, size=(4, 5, 32))
     _diffusion_factors.cache_clear()
     for lam, r in zip((lam_a, lam_b, lam_a, lam_a), rhs):
-        x = solve_diffusion_batch(lam, r)
+        x = solve_diffusion_batch(lam, r.copy())
         assert x.tobytes() == dptsv_batch(lam, r).tobytes()
     info = _diffusion_factors.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
@@ -159,7 +159,7 @@ def test_factor_cache_key_includes_the_row_length():
     rhs = np.ones((2, 9))
     _diffusion_factors.cache_clear()
     solve_diffusion_batch(lam, rhs[:, :8])
-    x = solve_diffusion_batch(lam, rhs)
+    x = solve_diffusion_batch(lam, rhs.copy())
     assert _diffusion_factors.cache_info().misses == 2
     assert x.tobytes() == dptsv_batch(lam, rhs).tobytes()
 
@@ -173,10 +173,10 @@ def test_failed_factorization_is_never_cached():
         _diffusion_factors(4, bad)
     assert _diffusion_factors.cache_info().currsize == 0
     lam, rhs = np.array([1.5]), np.ones((1, 4))
-    solve_diffusion_batch(lam, rhs)
+    solve_diffusion_batch(lam, rhs.copy())
     with pytest.raises(SchemeInstabilityError):
         _diffusion_factors(4, bad)
-    x = solve_diffusion_batch(lam, rhs)  # the good factors are still cached
+    x = solve_diffusion_batch(lam, rhs.copy())  # the good factors are still cached
     assert _diffusion_factors.cache_info().hits == 1
     assert x.tobytes() == dptsv_batch(lam, rhs).tobytes()
 
@@ -186,25 +186,13 @@ def test_cached_factors_are_read_only():
     assert not d.flags.writeable and not e.flags.writeable
 
 
-def test_rhs_is_kept_unless_the_caller_lets_the_solve_overwrite_it():
+def test_the_solve_writes_its_solution_into_rhs():
+    # the overwrite contract: the solution takes the memory of a C-contiguous
+    # rhs and has the bits a fresh dptsv gives
     rng = np.random.default_rng(11)
     lam = rng.uniform(0.0, 5.0, size=3)
     rhs = rng.uniform(0.0, 1.0, size=(3, 16))
     kept = rhs.copy()
     x = solve_diffusion_batch(lam, rhs)
-    assert rhs.tobytes() == kept.tobytes() and not np.shares_memory(x, rhs)
-    x_in_place = solve_diffusion_batch(lam, rhs, overwrite_rhs=True)
-    assert np.shares_memory(x_in_place, rhs)
-    assert x_in_place.tobytes() == x.tobytes() == dptsv_batch(lam, kept).tobytes()
-
-
-def test_a_lam_that_does_not_recur_leaves_the_cached_factors():
-    lam_a, lam_b = np.array([0.5, 3.0]), np.array([1.5, 0.25])
-    rhs = np.linspace(0.0, 1.0, 2 * 12).reshape(2, 12)
-    _diffusion_factors.cache_clear()
-    solve_diffusion_batch(lam_a, rhs)
-    x_b = solve_diffusion_batch(lam_b, rhs, recurring=False)
-    solve_diffusion_batch(lam_a, rhs)
-    info = _diffusion_factors.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert x_b.tobytes() == dptsv_batch(lam_b, rhs).tobytes()
+    assert np.shares_memory(x, rhs) and rhs.tobytes() == x.tobytes()
+    assert x.tobytes() == dptsv_batch(lam, kept).tobytes()
