@@ -147,11 +147,10 @@ def sub_solution(p0: np.ndarray, grid: SigmaGrid, t: float,
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     acc = np.atleast_1d(np.asarray(acc_d, dtype=float))
-    n = grid.n_sigma
     out = np.empty_like(p0)
     for i in range(p0.shape[0]):
         kern = offset_kernel(grid, float(xi[i]), 2.0 * float(acc[i]))
-        out[i] = grid.d_sigma * np.convolve(p0[i], kern)[n - 1:2 * n - 1]
+        out[i] = grid.d_sigma * np.convolve(p0[i], kern, mode="valid")
     return math.exp(-t) * out
 
 

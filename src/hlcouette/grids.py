@@ -119,7 +119,7 @@ class SpaceTimeGrid:
         if self.t_final > 0:
             _as_int_ratio(self.t_final / self.dt, "t_final/dt")
 
-    @property
+    @cached_property
     def dy(self) -> float:
         return 1.0 / (self.n_y + 1)
 

@@ -8,14 +8,20 @@ satisfies, between homogeneous Dirichlet walls,
 One step is backward Euler with the stress divergence and wall acceleration
 evaluated at the end-of-step time; the tridiagonal system is symmetric
 positive definite for every dt, so the step is unconditionally stable.
+Its matrix depends only on n_y, rho, mu, dt and dy, which are fixed for a
+run, so it is factored once (a one-slot cache) and every step, Picard
+iterate and diagnostics replay only substitutes (see ``tridiag``).
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .grids import SpaceTimeGrid
-from .tridiag import solve_tridiagonal
+from .tridiag import factor_tridiagonal, solve_tridiagonal
 
 
 def dtau_dy(tau: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
@@ -60,13 +66,22 @@ def staggered_gradient(u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
 
 def l2_norm(f: np.ndarray, grid: SpaceTimeGrid) -> float:
     """Discrete L2 norm over the gap (interior nodes, weight dy)."""
-    return float(np.sqrt(np.dot(f, f) * grid.dy))
+    return math.sqrt(float(np.dot(f, f)) * grid.dy)
 
 
 def h1_norm_sq(u: np.ndarray, grid: SpaceTimeGrid) -> float:
     """Discrete squared H1 norm: node values plus staggered gradient energy."""
     grad = staggered_gradient(u, grid)
     return float(np.dot(u, u) * grid.dy + np.dot(grad, grad) * grid.dy)
+
+
+@lru_cache(maxsize=1)
+def _momentum_factors(n: int, rho: float, mu: float, dt: float,
+                      dy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of (rho/dt) I - mu L on n nodes spaced dy apart."""
+    diag = np.full(n, rho / dt + 2.0 * mu / dy ** 2)
+    off = np.full(max(n - 1, 0), -mu / dy ** 2)
+    return factor_tridiagonal(diag, off)
 
 
 def heat_step(u: np.ndarray, tau: np.ndarray, vdot: float, rho: float,
@@ -77,9 +92,6 @@ def heat_step(u: np.ndarray, tau: np.ndarray, vdot: float, rho: float,
     Dirichlet Laplacian L; mu = 0 degenerates gracefully to pointwise decay
     of the inertial balance.
     """
-    n = u.shape[0]
-    dy = grid.dy
     rhs = (rho / dt) * u + dtau_dy(tau, grid) - rho * vdot * grid.y
-    diag = np.full(n, rho / dt + 2.0 * mu / dy ** 2)
-    off = np.full(max(n - 1, 0), -mu / dy ** 2)
-    return solve_tridiagonal(diag, off, rhs)
+    factors = _momentum_factors(u.shape[0], rho, mu, dt, grid.dy)
+    return solve_tridiagonal(factors, rhs)

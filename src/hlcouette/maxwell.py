@@ -107,8 +107,7 @@ def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
 
     chi_t = forcing.integral(t)
     kern = offset_kernel(grid, chi_t, 2.0 * alpha * t)
-    n = grid.n_sigma
-    decayed = math.exp(-t) * grid.d_sigma * np.convolve(p0, kern)[n - 1:2 * n - 1]
+    decayed = math.exp(-t) * grid.d_sigma * np.convolve(p0, kern, mode="valid")
 
     # memory term via w = sqrt(t - s): int_0^sqrt(t) 2 w e^{-w^2} K_{alpha w^2}(.) dw
     x, wts = np.polynomial.legendre.leggauss(n_quad)

@@ -1,26 +1,33 @@
-"""The one tridiagonal solve behind both implicit diffusion steps.
+"""The one tridiagonal factor-and-substitute path behind both implicit steps.
 
 Every system here is symmetric positive definite with a nonpositive
 off-diagonal (an M-matrix): ``(rho/dt) I + mu L`` in the momentum step and
 ``I + lam L`` in the stress step, ``L`` being the 1-D Dirichlet Laplacian
-``tridiag(-1, 2, -1)``.  LAPACK factors such a matrix as ``L D L^T``
-(``dpttrf``) and substitutes through the factors (``dpttrs``); ``dptsv``
-is exactly those two calls.  For an M-matrix every term of both
+``tridiag(-1, 2, -1)``.  ``factor_tridiagonal`` factors such a matrix as
+``L D L^T`` (LAPACK ``dpttrf``) and ``solve_tridiagonal`` substitutes
+through the factors (``dpttrs``); ``dptsv`` is exactly those two calls, so
+splitting them changes no bit.  For an M-matrix every term of both
 substitutions has the same sign, so a nonnegative right-hand side gives a
 nonnegative solution.
 
-The stress step keeps its last factorization in a one-slot cache keyed on
-the exact bytes of ``lam``.  Every Picard iterate of a macro step restarts
-the rows from the same start-of-step state, whose frozen D fixes ``lam``,
-so iterates with the same sub-step count solve with the same matrix.  A
-hit returns the factors ``dpttrf`` would compute again from the same
-input, so reuse cannot change a single bit of the solution.
+Both steps keep their factors in a one-slot cache, so a matrix is factored
+again only when it changes:
+- the stress step (``solve_diffusion_batch``) keys its cache on the exact
+  bytes of ``lam``.  Every Picard iterate of a macro step restarts the rows
+  from the same start-of-step state, whose frozen D fixes ``lam``, so
+  iterates with the same sub-step count solve with the same matrix;
+- the momentum step (``macro.heat_step``) keys its cache on n_y, rho, mu,
+  dt and dy, which are fixed for a whole run, so a run factors it once.
 
-``solve_diffusion_batch`` consumes its right-hand side: ``dpttrs``
-substitutes in place of ``rhs`` (when it is a C-contiguous float array),
-so the returned solution may share its memory and ``rhs`` must not be read
-again.  ``hl_step`` passes its own advection result, which nothing else
-holds; a caller that needs ``rhs`` afterwards passes a copy.
+A hit returns the factors ``dpttrf`` would compute again from the same
+input, so reuse cannot change a single bit of a solution.  A failed
+factorization raises and is never cached.
+
+``solve_tridiagonal`` consumes its right-hand side: ``dpttrs`` substitutes
+in place of ``rhs`` (when it is a C-contiguous float array), so the
+returned solution may share its memory and ``rhs`` must not be read again.
+Both callers pass an array they built for the solve and nothing else holds;
+a caller that needs ``rhs`` afterwards passes a copy.
 """
 
 from __future__ import annotations
@@ -39,39 +46,49 @@ def _check(info: int, routine: str) -> None:
             "the matrix is not positive definite")
 
 
-def solve_tridiagonal(diag: np.ndarray, off: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for a symmetric positive definite tridiagonal A.
+def factor_tridiagonal(diag: np.ndarray,
+                       off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``L D L^T`` factors (d, e) of a symmetric tridiagonal matrix.
 
-    diag is the (n,) main diagonal, off the (n-1,) off-diagonal on both
-    sides, rhs the (n,) right-hand side.
+    diag is the (n,) main diagonal and off the (n-1,) off-diagonal on both
+    sides.  Float arrays are factored in place, so the caller passes
+    temporaries of its own.  Raises SchemeInstabilityError when the matrix
+    is not positive definite.
     """
     if diag.shape[0] < 2:
-        return rhs / diag  # the LAPACK wrappers reject an empty off-diagonal
-    # deferred: start-up never solves anything, so it need not load LAPACK
-    from scipy.linalg.lapack import dptsv
-    _, _, x, info = dptsv(diag, off, rhs)
-    _check(info, "dptsv")
+        # the LAPACK wrappers reject an empty off-diagonal; for n = 1
+        # dpttrf only checks that the one pivot is positive
+        d, e, info = diag, off, 0 if np.all(diag > 0) else 1
+    else:
+        # deferred: start-up never solves anything, so it need not load LAPACK
+        from scipy.linalg.lapack import dpttrf
+        d, e, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
+    _check(info, "dpttrf")
+    d.flags.writeable = False
+    e.flags.writeable = False
+    return d, e
+
+
+def solve_tridiagonal(factors: tuple[np.ndarray, np.ndarray],
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs through the factors (d, e) of A; consumes rhs."""
+    d, e = factors
+    if d.shape[0] < 2:
+        return rhs / d
+    from scipy.linalg.lapack import dpttrs
+    x, info = dpttrs(d, e, rhs, overwrite_b=1)
+    _check(info, "dpttrs")
     return x
 
 
 @lru_cache(maxsize=1)
 def _diffusion_factors(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``dpttrf`` factors (d, e) of the stacked I + lam*L.
-
-    An exception leaves the cache as it was, so a failed factorization is
-    never reused.
-    """
-    from scipy.linalg.lapack import dpttrf
+    """Factors of the stacked I + lam*L, one (n,) block per entry of lam."""
     lam = np.frombuffer(lam_bytes)
     diag = np.repeat(1.0 + 2.0 * lam, n)
     off = np.repeat(-lam, n)[:-1]
     off[n - 1::n] = 0.0
-    d, e, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)  # factor in place
-    _check(info, "dpttrf")
-    d.flags.writeable = False
-    e.flags.writeable = False
-    return d, e
+    return factor_tridiagonal(diag, off)
 
 
 def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -97,10 +114,5 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"lam shape {lam.shape} does not match {n_rows} rows")
     if np.any(lam < 0):
         raise ValueError("negative diffusion number")
-    if rhs.size < 2:
-        return rhs / (1.0 + 2.0 * lam)[:, None]  # no off-diagonal to pass
-    d, e = _diffusion_factors(n, lam.tobytes())
-    from scipy.linalg.lapack import dpttrs
-    x, info = dpttrs(d, e, rhs.ravel(), overwrite_b=1)
-    _check(info, "dpttrs")
+    x = solve_tridiagonal(_diffusion_factors(n, lam.tobytes()), rhs.ravel())
     return x.reshape(n_rows, n)

@@ -17,6 +17,7 @@ from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_comparison,
 from hlcouette.errors import DiagnosticFailure, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta, gaussian_cell_averages
+from hlcouette.maxwell import offset_kernel
 from hlcouette.params import DimensionlessParams
 from hlcouette.protocols import ShearProtocol
 
@@ -165,6 +166,35 @@ def test_sub_solution_matches_gaussian_widening():
     barrier = sub_solution(p0, SGRID, 0.0, np.zeros(1), np.array([nu]))
     widened = gaussian_cell_averages(SGRID, 0.0, math.sqrt(w * w + 2 * nu))
     assert np.max(np.abs(barrier[0] - widened)) < 1e-3
+
+
+@pytest.mark.parametrize("n_sigma", [8, 256])
+def test_valid_mode_barrier_matches_the_full_convolution_slice(n_sigma):
+    # the barrier convolves with mode="valid"; it must keep the bits of the
+    # full convolution's middle slice [n-1, 2n-1) it replaced
+    grid = SigmaGrid(sigma_max=4.0, n_sigma=n_sigma)
+    n, ds = n_sigma, grid.d_sigma
+    rng = np.random.default_rng(n_sigma)
+    edge_shifts = [(j - 0.5) * ds for j in (-(n - 1), -2, 0, 1, 3, n // 2)]
+    shifts = np.array(list(rng.uniform(-3.0, 3.0, size=6)) + edge_shifts + [0.0])
+    variances = [0.0, 0.37, 1e-6]
+    for shift in shifts:
+        for variance in variances:
+            kern = offset_kernel(grid, float(shift), variance)
+            row = rng.uniform(0.0, 1.0, size=n)
+            full = np.convolve(row, kern)[n - 1:2 * n - 1]
+            assert np.convolve(row, kern, mode="valid").tobytes() == full.tobytes()
+    # the whole barrier, row by row, with point kernels (acc_d = 0) among them
+    p0 = rng.uniform(0.0, 1.0, size=(shifts.size, n))
+    acc = np.where(np.arange(shifts.size) % 2 == 0, 0.0,
+                   rng.uniform(0.0, 0.5, size=shifts.size))
+    t = 0.3
+    ref = np.empty_like(p0)
+    for i in range(shifts.size):
+        kern = offset_kernel(grid, float(shifts[i]), 2.0 * float(acc[i]))
+        ref[i] = ds * np.convolve(p0[i], kern)[n - 1:2 * n - 1]
+    ref = math.exp(-t) * ref
+    assert sub_solution(p0, grid, t, shifts, acc).tobytes() == ref.tobytes()
 
 
 def test_checkpoint_rebuild_supports_full_battery(healthy):

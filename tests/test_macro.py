@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg.lapack import dptsv
+
+from hlcouette.errors import SchemeInstabilityError
 from hlcouette.grids import SpaceTimeGrid
-from hlcouette.macro import (dtau_dy, h1_norm_sq, heat_step, l2_norm,
-                             staggered_gradient, velocity_gradient)
+from hlcouette.macro import (_momentum_factors, dtau_dy, h1_norm_sq, heat_step,
+                             l2_norm, staggered_gradient, velocity_gradient)
 
 GRID = SpaceTimeGrid(n_y=64, dt=1e-3, t_final=1.0)
 
@@ -142,3 +145,42 @@ def test_heat_step_matches_dense_solve_property(n, rho, mu, dt, vdot, seed):
     # row sums of a_mat are >= rho/dt, so |x| <= |rhs| dt/rho bounds the scale
     scale = np.max(np.abs(rhs)) * dt / rho
     assert np.max(np.abs(heat_step(u, tau, vdot, rho, mu, dt, g) - ref)) <= 1e-10 * scale
+
+
+# The momentum factors are cached once per run: every step must give the
+# bits a fresh dptsv solve of its own matrix gives.
+def dptsv_heat_step(u, tau, vdot, rho, mu, dt, g):
+    n = g.n_y
+    rhs = (rho / dt) * u + dtau_dy(tau, g) - rho * vdot * g.y
+    diag = np.full(n, rho / dt + 2.0 * mu / g.dy ** 2)
+    off = np.full(n - 1, -mu / g.dy ** 2)
+    _, _, x, info = dptsv(diag, off, rhs)
+    assert info == 0
+    return x
+
+
+def test_momentum_factor_cache_never_serves_stale_factors():
+    rng = np.random.default_rng(23)
+    g33 = SpaceTimeGrid(n_y=33, dt=1e-3, t_final=0.0)
+    g40 = SpaceTimeGrid(n_y=40, dt=1e-3, t_final=0.0)
+    # (rho, mu, dt, grid): a second dt, a changed mu, a changed n_y, and a
+    # repeat of the last matrix, which must hit
+    calls = [(1.3, 0.7, 1e-3, g33), (1.3, 0.7, 2e-3, g33),
+             (1.3, 0.2, 2e-3, g33), (1.3, 0.2, 2e-3, g40),
+             (1.3, 0.2, 2e-3, g40)]
+    _momentum_factors.cache_clear()
+    for rho, mu, dt, g in calls:
+        u, tau = rng.normal(size=(2, g.n_y))
+        vdot = float(rng.normal())
+        x = heat_step(u, tau, vdot, rho, mu, dt, g)
+        assert x.tobytes() == dptsv_heat_step(u, tau, vdot, rho, mu, dt, g).tobytes()
+    info = _momentum_factors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
+
+
+def test_indefinite_momentum_matrix_raises_and_is_never_cached():
+    u = np.ones(GRID.n_y)
+    _momentum_factors.cache_clear()
+    with pytest.raises(SchemeInstabilityError):
+        heat_step(u, u, 0.0, -1.0, 1.0, 1e-3, GRID)  # rho < 0: indefinite
+    assert _momentum_factors.cache_info().currsize == 0

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dptsv
 
 from hlcouette.errors import SchemeInstabilityError
-from hlcouette.tridiag import (_diffusion_factors, solve_diffusion_batch,
-                               solve_tridiagonal)
+from hlcouette.tridiag import (_diffusion_factors, factor_tridiagonal,
+                               solve_diffusion_batch, solve_tridiagonal)
 
 
 def random_system(rng, n):
@@ -33,14 +33,17 @@ def test_solve_tridiagonal_matches_dense(n):
     rng = np.random.default_rng(1234 + n)
     for _ in range(5):
         diag, off, rhs = random_system(rng, n)
-        x = solve_tridiagonal(diag, off, rhs)
+        # the factorization and the solve consume their inputs
+        x = solve_tridiagonal(factor_tridiagonal(diag.copy(), off.copy()),
+                              rhs.copy())
         x_ref = np.linalg.solve(dense(diag, off), rhs)
         assert np.allclose(x, x_ref, rtol=1e-12, atol=1e-14)
 
 
 def test_solve_tridiagonal_rejects_indefinite_matrix():
     with pytest.raises(SchemeInstabilityError):
-        solve_tridiagonal(np.array([1.0, -1.0, 2.0]), np.zeros(2), np.ones(3))
+        solve_tridiagonal(factor_tridiagonal(np.array([1.0, -1.0, 2.0]),
+                                             np.zeros(2)), np.ones(3))
 
 
 def diffusion_matrix(lam, n):
@@ -84,7 +87,7 @@ def test_diffusion_batch_single_row_matches_general_solver():
     rhs = rng.standard_normal(n)
     lower = np.full(n - 1, -lam)
     diag = np.full(n, 1.0 + 2.0 * lam)
-    x_gen = solve_tridiagonal(diag, lower, rhs)
+    x_gen = solve_tridiagonal(factor_tridiagonal(diag, lower), rhs.copy())
     x_bat = solve_diffusion_batch(np.array([lam]), rhs[None, :])[0]
     assert np.allclose(x_gen, x_bat, rtol=1e-13, atol=1e-15)
 
@@ -196,3 +199,62 @@ def test_the_solve_writes_its_solution_into_rhs():
     x = solve_diffusion_batch(lam, rhs)
     assert np.shares_memory(x, rhs) and rhs.tobytes() == x.tobytes()
     assert x.tobytes() == dptsv_batch(lam, kept).tobytes()
+
+
+# The factor path itself: factor + substitute is dptsv, bit for bit.
+@st.composite
+def spd_tridiagonals(draw):
+    """Strictly diagonally dominant symmetric tridiagonals, n in [1, 64].
+
+    Half of them have an all-zero off-diagonal, the momentum matrix of an
+    inviscid (mu = 0) run.  Returns diag, off, rhs and the least margin by
+    which a row's diagonal exceeds the rest of the row.
+    """
+    n = draw(st.integers(1, 64))
+    floats = st.floats(-1e3, 1e3, allow_subnormal=False)
+    if draw(st.booleans()):
+        off = np.zeros(n - 1)
+    else:
+        off = draw(arrays(np.float64, n - 1, elements=floats))
+    excess = draw(arrays(np.float64, n, elements=st.floats(0.1, 1e3)))
+    reach = np.zeros(n)
+    reach[:-1] += np.abs(off)
+    reach[1:] += np.abs(off)
+    rhs = draw(arrays(np.float64, n, elements=floats))
+    return reach + excess, off, rhs, float(excess.min())
+
+
+def dptsv_solve(diag, off, rhs):
+    """One uncached dptsv call; its wrapper rejects n = 1, whose solve is rhs/diag."""
+    if diag.shape[0] < 2:
+        return rhs / diag
+    _, _, x, info = dptsv(diag, off, rhs)
+    assert info == 0
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(spd_tridiagonals())
+def test_factor_and_solve_is_dptsv_bitwise_property(system):
+    diag, off, rhs, margin = system
+    ref = dptsv_solve(diag, off, rhs)
+    x = solve_tridiagonal(factor_tridiagonal(diag.copy(), off.copy()), rhs.copy())
+    assert x.tobytes() == ref.tobytes()
+    x_dense = np.linalg.solve(dense(diag, off), rhs)
+    # diagonal dominance by margin bounds max|x| by max|rhs| / margin
+    scale = np.max(np.abs(rhs)) / margin
+    assert np.max(np.abs(x - x_dense)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_factors_are_read_only(n):
+    diag, off, _ = random_system(np.random.default_rng(n), n)
+    d, e = factor_tridiagonal(diag, off)
+    assert not d.flags.writeable and not e.flags.writeable
+
+
+@pytest.mark.parametrize("pivot", [-1.0, 0.0])
+def test_factoring_a_nonpositive_single_pivot_raises(pivot):
+    # n = 1 never reaches LAPACK; it must still reject what dpttrf rejects
+    with pytest.raises(SchemeInstabilityError):
+        factor_tridiagonal(np.array([pivot]), np.zeros(0))
