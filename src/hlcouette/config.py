@@ -287,6 +287,14 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     mode = values["model"]["mode"]
     if mode not in ("dimensionless", "dimensional"):
         raise ConfigError(f"model.mode must be dimensionless or dimensional, got {mode!r}")
+    run = values["run"]
+    for key in ("snapshot_every", "checkpoint_every"):
+        if run[key] < 0:
+            raise ConfigError(f"run.{key} must be >= 0 (0 disables), got {run[key]}")
+    if run["picard_max"] < 1:
+        raise ConfigError(f"run.picard_max must be >= 1, got {run['picard_max']}")
+    if run["picard_tol"] <= 0:
+        raise ConfigError(f"run.picard_tol must be > 0, got {run['picard_tol']!r}")
 
     canonical = io.StringIO()
     for section in sorted(DEFAULTS):

@@ -269,7 +269,9 @@ class ResumePayload:
     u: np.ndarray
     p: np.ndarray
     accum: Accumulators
-    series: dict  # SERIES records up to and including `step`, plus "warnings"
+    # SERIES records up to and including `step`, plus "warnings"; in the
+    # payloads of a run they are read-only views of the run's own records
+    series: dict
 
 
 def run(prob: CoupledProblem, init: InitialData, eta: float,
@@ -279,7 +281,8 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
 
     snap_every / checkpoint_every are step counts (0 disables; snapshots
     always include t = 0 and the final time).  checkpoint_sink, when given,
-    receives a ResumePayload at every checkpoint step.
+    receives a ResumePayload at every checkpoint step; its series are
+    read-only views of this run's records, valid after the run ends.
     """
     grid, sgrid, dp = prob.sigma_grid, prob.space_grid, prob.dp
     n_y, n_steps = sgrid.n_y, sgrid.n_steps
@@ -339,6 +342,13 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
                 tau=series["tau"][k].copy(), d=d,
                 p=state.p.copy(), xi=accum.xi.copy(), acc_d=accum.acc_d.copy()))
 
+    def _prefix(key: str, length: int) -> np.ndarray:
+        # no later step writes into the prefix, so a read-only view of it
+        # stays valid without the quadratic cost of copying it each time
+        view = series[key][:length]
+        view.flags.writeable = False
+        return view
+
     def _payload(k: int) -> ResumePayload:
         return ResumePayload(
             step=k, u=state.u.copy(), p=state.p.copy(),
@@ -347,7 +357,7 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
                                clipped_total=accum.clipped_total,
                                min_before_clip=accum.min_before_clip,
                                truncation_steps=accum.truncation_steps),
-            series={**{f.key: series[f.key][:f.length(k)].copy() for f in SERIES},
+            series={**{f.key: _prefix(f.key, f.length(k)) for f in SERIES},
                     "warnings": list(warnings)})
 
     # D of the current state, computed once per step: it feeds the next

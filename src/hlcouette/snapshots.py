@@ -8,13 +8,43 @@ before any state is trusted.
 
 All writes go through a temporary file and an atomic rename, so a killed
 run never leaves a truncated artifact behind.
+
+Formatting the snapshot CSVs as %.17g text is pure Python work that one
+core cannot speed up, so write_snapshots splits the snapshots into
+contiguous shares of about equal value counts, one per usable CPU.  The
+calling process writes the first share; every other share is written by
+a child that os.fork starts, and the caller reaps all children before it
+returns.
+- Why fork: a forked child already holds the snapshot arrays, so nothing
+  is pickled.  Process pools pickle every job through a feeder thread that
+  waits for the interpreter lock, which the caller holds through each
+  multi-millisecond format call, and importing multiprocessing costs
+  resident memory even in runs that never fork.
+- A child only builds tables and formats text.  It calls no BLAS or
+  LAPACK routine, so the BLAS threads of the caller, which a forked child
+  does not inherit, are never waited for: forking here is safe although
+  the caller has threads.  It runs no code of the caller either: whatever
+  happens, it leaves through os._exit.  The caller flushes stdout and
+  stderr before forking, so buffered output is not written twice.
+- MIN_SHARE_VALUES is the fewest values that repay a share: forking and
+  reaping a run-sized process costs about 10 ms.  Shares are
+  min(usable CPUs, values // MIN_SHARE_VALUES, snapshots), at least one,
+  so small outputs (the standard scenario's 11 snapshots) never fork, and
+  `taskset -c 0` makes every run serial.  Without os.fork there is one
+  share.
+- A child that fails sends its message back through a pipe.  The caller
+  reaps every child, then raises ArtifactIOError (exit code 6) naming the
+  file that failed; _atomic_write leaves no temporary file behind.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 import zipfile
 from pathlib import Path
@@ -26,20 +56,22 @@ from .errors import ArtifactIOError
 from .params import rescale_fields
 
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
+MIN_SHARE_VALUES = 200_000  # about 0.12 s of formatting: repays a fork
 
 
 def _atomic_write(path: Path, write) -> None:
     """Call write(fh) on a temporary file, then rename it over path."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=path.suffix)
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=path.suffix)
         with os.fdopen(fd, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 
@@ -137,33 +169,118 @@ def _maybe_rescale(snap: Snapshot, scales: tuple[float, float, float] | None,
     return float(out["t"]), out["y"], {k: out[k] for k in fields}
 
 
+def _write_share(share: list, y: np.ndarray, centers: np.ndarray,
+                 fingerprint: str, scales) -> None:
+    """Write the files of one share of (snapshot, fields path, density path)."""
+    for snap, path, dpath in share:
+        t_out, y_out, fields = _maybe_rescale(snap, scales, y)
+        write_fields_csv(path, t_out, y_out, fields, fingerprint)
+        if dpath is not None:
+            p_out, c_out = snap.p, centers
+            if scales is not None:
+                scaled = rescale_fields({"p": snap.p, "sigma": centers},
+                                        *scales, to_dimensionless=False)
+                p_out, c_out = scaled["p"], scaled["sigma"]
+            write_density_csv(dpath, t_out, y_out, c_out, p_out, fingerprint)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(items: list, values: list[int]) -> list[list]:
+    """Contiguous shares of items whose value counts are about equal."""
+    total = sum(values)
+    n = min(_usable_cpus(), total // MIN_SHARE_VALUES, len(items))
+    if n < 2 or not hasattr(os, "fork"):
+        return [items]
+    ends = list(itertools.accumulate(values))
+    cuts = [0, *(bisect.bisect_left(ends, total * k / n) + 1 for k in range(1, n)),
+            len(items)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _fork(write, share: list) -> tuple[int, int]:
+    """Start a child that calls write(share); returns its pid and error pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child: write the share, report a failure, never return
+        code = 1
+        try:
+            os.close(read_end)
+            write(share)
+            code = 0
+        except BaseException as exc:
+            message = str(exc) if isinstance(exc, ArtifactIOError) else (
+                f"cannot write {share[0][1]} and after: {exc!r}")
+            os.write(write_end, message.encode(errors="replace"))
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(pid: int, read_end: int, share: list) -> str | None:
+    """Wait for a child; None when it wrote its share, else why it did not."""
+    with os.fdopen(read_end, "rb") as pipe:  # read to EOF first: no deadlock
+        message = pipe.read().decode(errors="replace")
+    _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return None
+    return message or (f"cannot write {share[0][1]} and after: "
+                       f"writer process exited with code {code}")
+
+
+def _write_shares(shares: list[list], write) -> None:
+    """Call write on every share: the first here, each other in a forked child."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    children = []
+    try:
+        for share in shares[1:]:
+            try:
+                children.append((*_fork(write, share), share))
+            except OSError:  # no process to spare: write the share here
+                write(share)
+        write(shares[0])
+    finally:
+        failures = [_reap(*child) for child in children]
+    for message in failures:
+        if message is not None:
+            raise ArtifactIOError(message)
+
+
 def write_snapshots(out_dir: str | Path, result: RunResult, fingerprint: str,
                     scales: tuple[float, float, float] | None = None,
                     dump_density: bool = False) -> list[Path]:
     """Write one fields CSV per snapshot (plus density matrices on request).
 
     scales, when given, maps outputs back to dimensional units; solver
-    state inside checkpoints is never rescaled.
+    state inside checkpoints is never rescaled.  Large outputs are written
+    by forked processes, one share each (see the module docstring); the
+    files and their bytes do not depend on the split.
     """
     out_dir = Path(out_dir)
     y = result.problem.space_grid.y
     centers = result.problem.sigma_grid.centers
-    written: list[Path] = []
-    for snap in result.snapshots:
-        t_out, y_out, fields = _maybe_rescale(snap, scales, y)
-        path = out_dir / f"snapshot_{snap.index:06d}.csv"
-        write_fields_csv(path, t_out, y_out, fields, fingerprint)
-        written.append(path)
-        if dump_density and snap.p is not None:
-            p_out, c_out = snap.p, centers
-            if scales is not None:
-                scaled = rescale_fields({"p": snap.p, "sigma": centers},
-                                        *scales, to_dimensionless=False)
-                p_out, c_out = scaled["p"], scaled["sigma"]
-            dpath = out_dir / f"density_{snap.index:06d}.csv"
-            write_density_csv(dpath, t_out, y_out, c_out, p_out, fingerprint)
-            written.append(dpath)
-    return written
+    files = [(snap, out_dir / f"snapshot_{snap.index:06d}.csv",
+              out_dir / f"density_{snap.index:06d}.csv"
+              if dump_density and snap.p is not None else None)
+             for snap in result.snapshots]
+    values = [4 * y.size + (0 if dpath is None else snap.p.size)  # y, u, tau, d; p
+              for snap, _, dpath in files]
+    _write_shares(_split(files, values),
+                  lambda share: _write_share(share, y, centers, fingerprint, scales))
+    return [p for _, path, dpath in files for p in (path, dpath) if p is not None]
 
 
 def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:

@@ -52,6 +52,16 @@ def test_config_errors_exit_3(capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("override", [
+    "run.snapshot_every=-1", "run.checkpoint_every=-1", "run.picard_max=0",
+    "run.picard_tol=0", "run.picard_tol=-1",
+])
+def test_out_of_range_run_settings_exit_3(command, override, capsys):
+    assert main([command, *TINY, "--set", override]) == 3
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "artifacts"
     assert main(["run", *TINY, "--out", str(out)]) == 0

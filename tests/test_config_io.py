@@ -1,14 +1,22 @@
 """Config parsing, fingerprints, and artifact round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import hlcouette
+from hlcouette import snapshots
 from hlcouette.config import load_config, standard_config
-from hlcouette.coupler import SERIES, CoupledProblem, run
+from hlcouette.coupler import SERIES, CoupledProblem, Snapshot, run
 from hlcouette.errors import ArtifactIOError, ConfigError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
-from hlcouette.params import DimensionlessParams
+from hlcouette.params import DimensionlessParams, rescale_fields
 from hlcouette.protocols import ShearProtocol
 from hlcouette.snapshots import (_atomic_write, _npz, load_checkpoint,
                                  read_fields_csv, read_series, read_summary,
@@ -286,6 +294,9 @@ def test_atomic_write_makes_parents_and_rejects_directories(tmp_path):
     clash.mkdir()
     with pytest.raises(ArtifactIOError):
         write_fields_csv(clash, 0.0, np.array([0.5]), {"u": np.array([1.0])}, "f")
+    under_a_file = tmp_path / "a" / "b" / "snap.csv" / "inner.csv"
+    with pytest.raises(ArtifactIOError):
+        write_fields_csv(under_a_file, 0.0, np.array([0.5]), {"u": np.array([1.0])}, "f")
 
 
 def test_write_snapshots_names_and_rescaling(tmp_path):
@@ -306,3 +317,146 @@ def test_write_snapshots_names_and_rescaling(tmp_path):
     assert np.allclose(dim["tau"], 4.0 * data["tau"])      # sigma_c = 4
     assert np.allclose(dim["u"], 0.5 * data["u"])          # length / t0
     assert np.allclose(dim["d"], 8.0 * data["d"])          # sigma_c^2 / t0
+
+
+def per_file_snapshots(out, res, fingerprint, scales):
+    """Reference writer: every snapshot's files in turn, in this process."""
+    y = res.problem.space_grid.y
+    centers = res.problem.sigma_grid.centers
+    written = []
+    for snap in res.snapshots:
+        t, y_out, c_out, p_out = snap.t, y, centers, snap.p
+        fields = {"u": snap.u, "tau": snap.tau, "d": snap.d}
+        if scales is not None:
+            dim = rescale_fields({"t": snap.t, "y": y, "sigma": centers,
+                                  "p": snap.p, **fields},
+                                 *scales, to_dimensionless=False)
+            t, y_out, c_out, p_out = dim["t"], dim["y"], dim["sigma"], dim["p"]
+            fields = {k: dim[k] for k in fields}
+        written.append(out / f"snapshot_{snap.index:06d}.csv")
+        write_fields_csv(written[-1], t, y_out, fields, fingerprint)
+        written.append(out / f"density_{snap.index:06d}.csv")
+        write_density_csv(written[-1], t, y_out, c_out, p_out, fingerprint)
+    return written
+
+
+def forcing_shares(monkeypatch, cpus=3):
+    """Split even tiny outputs over `cpus` writers; returns the fork count."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(snapshots, "MIN_SHARE_VALUES", 1)
+    monkeypatch.setattr(snapshots, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("scales", [None, (2.0, 1.0, 4.0)])
+def test_split_writer_is_byte_identical_to_a_per_file_loop(tmp_path, monkeypatch,
+                                                          scales):
+    res, _ = micro_run()
+    ref = per_file_snapshots(tmp_path / "ref", res, "a" * 64, scales)
+    forks = forcing_shares(monkeypatch)
+    written = write_snapshots(tmp_path / "split", res, "a" * 64, scales=scales,
+                              dump_density=True)
+    assert len(forks) == 2  # three snapshots, three shares, two children
+    assert [p.name for p in written] == [p.name for p in ref]
+    for path, expected in zip(written, ref):
+        assert path.read_bytes() == expected.read_bytes(), path.name
+    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == \
+        sorted(p.name for p in ref)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_failing_child_share_raises_in_the_caller(tmp_path, monkeypatch):
+    res, _ = micro_run()
+    clash = tmp_path / "density_000010.csv"  # written by the last child
+    clash.mkdir()
+    forcing_shares(monkeypatch)
+    pid = os.getpid()
+    with pytest.raises(ArtifactIOError, match=str(clash)):
+        write_snapshots(tmp_path, res, "a" * 64, dump_density=True)
+    assert os.getpid() == pid
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "density_000000.csv", "density_000005.csv", "density_000010.csv",
+        "snapshot_000000.csv", "snapshot_000005.csv", "snapshot_000010.csv"]
+    assert clash.is_dir() and not any(clash.iterdir())
+
+
+@pytest.mark.parametrize("n_y,n_sigma,dump_density", [
+    (64, 256, False),    # the standard scenario
+    (64, 256, True),     # the same with --dump-density, still serial
+    (511, 512, False),   # the fully relaxing n_y = 511 run
+])
+def test_small_outputs_do_not_fork(tmp_path, monkeypatch, n_y, n_sigma,
+                                   dump_density):
+    def fork():
+        raise AssertionError("write_snapshots forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.setattr(snapshots, "_usable_cpus", lambda: 64)
+    y = (np.arange(n_y) + 0.5) / n_y
+    snaps = [Snapshot(index=100 * k, t=0.1 * k, u=y, tau=y, d=y,
+                      p=np.full((n_y, n_sigma), 0.5), xi=y, acc_d=y)
+             for k in range(11)]
+    result = SimpleNamespace(
+        snapshots=snaps,
+        problem=SimpleNamespace(space_grid=SimpleNamespace(y=y),
+                                sigma_grid=SimpleNamespace(
+                                    centers=np.linspace(-4, 4, n_sigma))))
+    written = write_snapshots(tmp_path, result, "a" * 64,
+                              dump_density=dump_density)
+    assert len(written) == 11 * (2 if dump_density else 1)
+
+
+def test_fork_failure_writes_the_share_in_the_caller(tmp_path, monkeypatch):
+    res, _ = micro_run()
+    ref = per_file_snapshots(tmp_path / "ref", res, "a" * 64, None)
+
+    def fork():
+        raise OSError("no process to spare")
+
+    forcing_shares(monkeypatch)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    written = write_snapshots(tmp_path / "split", res, "a" * 64, dump_density=True)
+    for path, expected in zip(written, ref, strict=True):
+        assert path.read_bytes() == expected.read_bytes(), path.name
+
+
+SPLIT_CLI_LAUNCHER = """
+import os, sys
+from hlcouette import cli, snapshots
+snapshots._usable_cpus = lambda: 2
+forks = []
+real_fork = os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+code = cli.main(sys.argv[1:])
+print(f"forks = {len(forks)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_cli_output_is_written_once_when_the_writer_forks(tmp_path):
+    """101 standard-sized density snapshots cross the split threshold."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # keep the piped stdout block-buffered
+    package_root = str(Path(hlcouette.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPLIT_CLI_LAUNCHER, "run", "--out",
+         str(tmp_path / "o"), "--dump-density", "--set", "run.t_final=0.1",
+         "--set", "run.snapshot_every=1", "--set", "run.checkpoint_every=10"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "forks = 1" in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "all checks passed" in lines and lines[-1].startswith("wrote 202 ")
+    assert len(lines) == len(set(lines))

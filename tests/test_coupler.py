@@ -103,6 +103,28 @@ def test_checkpoint_resume_is_bit_exact():
     assert resumed.accum.grad_sq.tobytes() == straight.accum.grad_sq.tobytes()
 
 
+def test_checkpoint_payload_series_are_read_only_prefixes():
+    prob, init, eta = small_problem()
+    payloads, at_sink = [], []
+
+    def sink(payload):
+        with pytest.raises(ValueError):
+            payload.series["tau"][0, 0] = 1.0
+        payloads.append(payload)
+        at_sink.append({f.key: payload.series[f.key].copy() for f in SERIES})
+
+    res = run(prob, init, eta, checkpoint_every=5, checkpoint_sink=sink)
+    assert [p.step for p in payloads] == [5, 10, 15, 20]
+    final = res.series()
+    for payload, seen in zip(payloads, at_sink):
+        for f in SERIES:
+            prefix = final[f.key][:f.length(payload.step)]
+            assert payload.series[f.key].dtype == prefix.dtype
+            # later steps left the prefix as the sink saw it
+            assert payload.series[f.key].tobytes() == seen[f.key].tobytes()
+            assert prefix.tobytes() == seen[f.key].tobytes()
+
+
 def test_truncation_monitor_warns_once_for_fat_tails():
     prob, init, eta = small_problem()
     res = run(prob, init, eta)
