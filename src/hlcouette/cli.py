@@ -79,7 +79,24 @@ def cmd_run(args) -> int:
     scales = cfg.scales if cfg.mode == "dimensional" else None
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"eta = {eta:.17g}")
+    stream = None  # formats the snapshot CSVs in forked children as the run goes
+    if out is not None:
+        stream = snapshots.SnapshotStream(out, prob, cfg.fingerprint, scales=scales,
+                                          dump_density=args.dump_density)
+    try:
+        return _run(args, cfg, prob, init, eta, out, stream)
+    except BaseException:
+        # every snapshot taken is written whole and no writer outlives the
+        # command; a writer error must not mask the run's own
+        message = stream.abort() if stream is not None else None
+        if message is not None:
+            print(f"error: {message}", file=sys.stderr)
+        raise
 
+
+def _run(args, cfg: RunConfig, prob, init, eta: float, out: Path | None,
+         stream: snapshots.SnapshotStream | None) -> int:
+    """The body of cmd_run, which finishes the stream whatever ends it."""
     sink = None
     if out is not None and cfg.checkpoint_every:
         def sink(payload):
@@ -104,14 +121,15 @@ def cmd_run(args) -> int:
         print(f"integrating {prob.space_grid.n_steps} steps (relaxation closed form)")
         result = coupler.run_maxwell(
             prob, tau0=np.asarray(compute_tau(init.p0, prob.sigma_grid)),
-            u0=init.u0, snap_every=cfg.snapshot_every)
+            u0=init.u0, snap_every=cfg.snapshot_every, snapshot_sink=stream)
     else:
         print(f"integrating {prob.space_grid.n_steps} steps (kinetic path)")
         try:
             result = coupler.run(prob, init, eta,
                                  snap_every=cfg.snapshot_every,
                                  checkpoint_every=cfg.checkpoint_every,
-                                 checkpoint_sink=sink, resume=resume)
+                                 checkpoint_sink=sink, resume=resume,
+                                 snapshot_sink=stream)
         except HlCouetteError as exc:
             payload = getattr(exc, "payload", None)
             if payload is not None and out is not None:
@@ -120,6 +138,8 @@ def cmd_run(args) -> int:
                 print(f"state dumped to {dump}", file=sys.stderr)
             raise
     elapsed = time.perf_counter() - t_start
+    if stream is not None:
+        stream.end_of_run()  # the children format while the checks run
     print(f"done in {elapsed:.2f} s; max fixed-point iterations = "
           f"{int(result.picard_iters.max()) if result.picard_iters.size else 0}")
     for msg in result.warnings:
@@ -133,8 +153,9 @@ def cmd_run(args) -> int:
 
     if out is not None:
         written = snapshots.write_snapshots(out, result, cfg.fingerprint,
-                                            scales=scales,
-                                            dump_density=args.dump_density)
+                                            scales=stream.scales,
+                                            dump_density=args.dump_density,
+                                            stream=stream)
         snapshots.write_series(out / "series.npz", result, cfg.fingerprint)
         if result.kind == "general":
             final = coupler.ResumePayload(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .coupler import CoupledProblem, PICARD_MAX, PICARD_TOL
+from .coupler import CoupledProblem, PICARD_MAX, PICARD_TOL, check_series_budget
 from .diagnostics import C_COMPARISON, C_MOMENT
 from .errors import ConfigError
 from .grids import SigmaGrid, SpaceTimeGrid
@@ -188,9 +188,11 @@ class RunConfig:
 
     def problem(self) -> CoupledProblem:
         r = self.values["run"]
+        space_grid = self.space_grid()
+        check_series_budget(space_grid)
         return CoupledProblem(dp=self.dimensionless_params(),
                               sigma_grid=self.sigma_grid(),
-                              space_grid=self.space_grid(),
+                              space_grid=space_grid,
                               protocol=self.protocol(),
                               picard_tol=r["picard_tol"],
                               picard_max=r["picard_max"])

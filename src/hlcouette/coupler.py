@@ -48,6 +48,7 @@ PICARD_TOL = 1e-8
 PICARD_MAX = 50
 MASS_TOL = 1e-10
 TRUNCATION_TOL = 1e-8  # mass allowed in the outermost stress cells
+SERIES_MAX_BYTES = 2**30  # per-step records of one run; standard needs 2.6 MB
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,16 @@ SERIES = (
 )
 
 
+def check_series_budget(sgrid: SpaceTimeGrid) -> None:
+    """Reject, before anything is allocated, a run whose records exceed the budget."""
+    need = sum(f.length(sgrid.n_steps) * (sgrid.n_y if f.per_y else 1)
+               * np.dtype(f.dtype).itemsize for f in SERIES)
+    if need > SERIES_MAX_BYTES:
+        raise ValidationError(
+            f"run.dt and run.t_final give {sgrid.n_steps} steps, whose per-step "
+            f"records need {need:.3g} bytes (budget {SERIES_MAX_BYTES:.3g})")
+
+
 def _new_series(n_steps: int, n_y: int) -> dict[str, np.ndarray]:
     """Zeroed per-step records for a run of n_steps, keyed like SERIES."""
     return {f.key: np.zeros((f.length(n_steps),) + ((n_y,) if f.per_y else ()),
@@ -180,9 +191,6 @@ class RunResult:
     accum: Accumulators
     state: CoupledState
     warnings: list[str] = field(default_factory=list)
-
-    def snapshot_times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
 
     def series(self) -> dict:
         """The per-step records keyed as in ResumePayload.series."""
@@ -276,13 +284,17 @@ class ResumePayload:
 
 def run(prob: CoupledProblem, init: InitialData, eta: float,
         snap_every: int = 0, checkpoint_every: int = 0,
-        checkpoint_sink=None, resume: ResumePayload | None = None) -> RunResult:
+        checkpoint_sink=None, resume: ResumePayload | None = None,
+        snapshot_sink=None) -> RunResult:
     """Integrate the coupled system to the horizon.
 
     snap_every / checkpoint_every are step counts (0 disables; snapshots
     always include t = 0 and the final time).  checkpoint_sink, when given,
     receives a ResumePayload at every checkpoint step; its series are
     read-only views of this run's records, valid after the run ends.
+    snapshot_sink, when given, receives each Snapshot as soon as it is
+    taken (it also goes into RunResult.snapshots); nothing later changes
+    its arrays.
     """
     grid, sgrid, dp = prob.sigma_grid, prob.space_grid, prob.dp
     n_y, n_steps = sgrid.n_y, sgrid.n_steps
@@ -341,6 +353,8 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
                 index=k, t=sgrid.time(k), u=state.u.copy(),
                 tau=series["tau"][k].copy(), d=d,
                 p=state.p.copy(), xi=accum.xi.copy(), acc_d=accum.acc_d.copy()))
+            if snapshot_sink is not None:
+                snapshot_sink(snapshots[-1])
 
     def _prefix(key: str, length: int) -> np.ndarray:
         # no later step writes into the prefix, so a read-only view of it
@@ -402,12 +416,13 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
 
 
 def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
-                snap_every: int = 0) -> RunResult:
+                snap_every: int = 0, snapshot_sink=None) -> RunResult:
     """Integrate the fully relaxing variant (linear coupled system).
 
     The per-node stress balance tau' + tau = b is integrated exactly per
     step with b frozen at the Picard iterate, inside the same backward-Euler
-    fixed point as the general path.
+    fixed point as the general path.  snapshot_sink, when given, receives
+    each Snapshot as soon as it is taken, as in run.
     """
     sgrid, dp = prob.space_grid, prob.dp
     n_y, n_steps = sgrid.n_y, sgrid.n_steps
@@ -437,6 +452,8 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
             snapshots.append(Snapshot(index=k, t=sgrid.time(k), u=u.copy(),
                                       tau=tau.copy(), d=np.full(n_y, dp.alpha),
                                       p=None, xi=zero.copy(), acc_d=zero.copy()))
+            if snapshot_sink is not None:
+                snapshot_sink(snapshots[-1])
 
     _snap(0)
     for k in range(n_steps):

@@ -125,8 +125,3 @@ def maxwell_tau(tau0: float, forcing: Forcing, t: float) -> float:
     if t < 0:
         raise ValidationError("t must be nonnegative")
     return tau0 * math.exp(-t) + forcing.exp_integral(t)
-
-
-def kernel_mass_check(grid: SigmaGrid, variance: float) -> float:
-    """Total cell-average mass of a centered kernel (grid truncation probe)."""
-    return float(grid.mass(kernel_cell_averages(grid, 0.0, variance)))

@@ -10,37 +10,50 @@ All writes go through a temporary file and an atomic rename, so a killed
 run never leaves a truncated artifact behind.
 
 Formatting the snapshot CSVs as %.17g text is pure Python work that one
-core cannot speed up, so write_snapshots splits the snapshots into
-contiguous shares of about equal value counts, one per usable CPU.  The
-calling process writes the first share; every other share is written by
-a child that os.fork starts, and the caller reaps all children before it
-returns.
+core cannot speed up, so it is streamed to other cores while the run
+integrates.  A SnapshotStream is the run's snapshot_sink: it takes each
+snapshot as the run takes it and collects them into a pending batch.
+- Batches: a snapshot counts 4 * n_y values (y, u, tau, d), plus the
+  n_y * n_sigma of its density when one is dumped.  Once the pending
+  batch holds MIN_SHARE_VALUES and a writer slot is free, a child that
+  os.fork starts writes the batch.  There are usable CPUs - 1 slots,
+  none without os.fork, and a slot is checked without blocking
+  (waitpid with WNOHANG): nothing the run calls waits for a child.
+  MIN_SHARE_VALUES is the fewest values that repay a fork (about 10 ms
+  for a run-sized process), so small outputs (the standard scenario's
+  11 snapshots) never fork and `taskset -c 0` makes every run serial.
+- end_of_run hands the rest of the batch to a child once the run has
+  returned, if the stream has forked before, whether or not a slot is
+  free, so the children format while the caller evaluates.  close
+  (called by write_snapshots) writes what is still pending in the
+  caller, reaps every child and returns every path in snapshot order.
+  The files and their bytes do not depend on which process wrote them.
 - Why fork: a forked child already holds the snapshot arrays, so nothing
   is pickled.  Process pools pickle every job through a feeder thread that
   waits for the interpreter lock, which the caller holds through each
-  multi-millisecond format call, and importing multiprocessing costs
-  resident memory even in runs that never fork.
+  multi-millisecond step, and importing multiprocessing costs resident
+  memory even in runs that never fork.
 - A child only builds tables and formats text.  It calls no BLAS or
   LAPACK routine, so the BLAS threads of the caller, which a forked child
   does not inherit, are never waited for: forking here is safe although
   the caller has threads.  It runs no code of the caller either: whatever
   happens, it leaves through os._exit.  The caller flushes stdout and
-  stderr before forking, so buffered output is not written twice.
-- MIN_SHARE_VALUES is the fewest values that repay a share: forking and
-  reaping a run-sized process costs about 10 ms.  Shares are
-  min(usable CPUs, values // MIN_SHARE_VALUES, snapshots), at least one,
-  so small outputs (the standard scenario's 11 snapshots) never fork, and
-  `taskset -c 0` makes every run serial.  Without os.fork there is one
-  share.
-- A child that fails sends its message back through a pipe.  The caller
-  reaps every child, then raises ArtifactIOError (exit code 6) naming the
-  file that failed; _atomic_write leaves no temporary file behind.
+  stderr before every fork, so output still buffered mid-run is not
+  written twice.
+- A child that fails sends its message back through a pipe.  close
+  reaps every child, then raises ArtifactIOError (exit code 6) naming
+  the file that failed; _atomic_write leaves no temporary file behind.
+  A fork that fails leaves the batch pending for the caller to write,
+  and no later fork is tried.
+  abort is close for a run that failed: it writes every snapshot taken
+  so far and reaps every child without masking the run's own error.
+- Checkpoints are not streamed: save_checkpoint writes each one in the
+  caller before the run goes on, so a checkpoint file is complete the
+  moment its sink call returns.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 import math
 import os
@@ -57,6 +70,7 @@ from .params import rescale_fields
 
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 MIN_SHARE_VALUES = 200_000  # about 0.12 s of formatting: repays a fork
+_MESSAGE_MAX = 4096  # bytes of a child's error message (one atomic pipe write)
 
 
 def _atomic_write(path: Path, write) -> None:
@@ -169,41 +183,14 @@ def _maybe_rescale(snap: Snapshot, scales: tuple[float, float, float] | None,
     return float(out["t"]), out["y"], {k: out[k] for k in fields}
 
 
-def _write_share(share: list, y: np.ndarray, centers: np.ndarray,
-                 fingerprint: str, scales) -> None:
-    """Write the files of one share of (snapshot, fields path, density path)."""
-    for snap, path, dpath in share:
-        t_out, y_out, fields = _maybe_rescale(snap, scales, y)
-        write_fields_csv(path, t_out, y_out, fields, fingerprint)
-        if dpath is not None:
-            p_out, c_out = snap.p, centers
-            if scales is not None:
-                scaled = rescale_fields({"p": snap.p, "sigma": centers},
-                                        *scales, to_dimensionless=False)
-                p_out, c_out = scaled["p"], scaled["sigma"]
-            write_density_csv(dpath, t_out, y_out, c_out, p_out, fingerprint)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _split(items: list, values: list[int]) -> list[list]:
-    """Contiguous shares of items whose value counts are about equal."""
-    total = sum(values)
-    n = min(_usable_cpus(), total // MIN_SHARE_VALUES, len(items))
-    if n < 2 or not hasattr(os, "fork"):
-        return [items]
-    ends = list(itertools.accumulate(values))
-    cuts = [0, *(bisect.bisect_left(ends, total * k / n) + 1 for k in range(1, n)),
-            len(items)]
-    return [items[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
-def _fork(write, share: list) -> tuple[int, int]:
-    """Start a child that calls write(share); returns its pid and error pipe."""
+def _fork(write, batch: list) -> tuple[int, int]:
+    """Start a child that calls write(batch); returns its pid and error pipe."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -211,76 +198,155 @@ def _fork(write, share: list) -> tuple[int, int]:
         os.close(read_end)
         os.close(write_end)
         raise
-    if pid == 0:  # the child: write the share, report a failure, never return
+    if pid == 0:  # the child: write the batch, report a failure, never return
         code = 1
         try:
             os.close(read_end)
-            write(share)
+            write(batch)
             code = 0
         except BaseException as exc:
             message = str(exc) if isinstance(exc, ArtifactIOError) else (
-                f"cannot write {share[0][1]} and after: {exc!r}")
-            os.write(write_end, message.encode(errors="replace"))
+                f"cannot write {batch[0][1]} and after: {exc!r}")
+            # within the pipe's capacity, so the write never waits for a reader
+            os.write(write_end, message.encode(errors="replace")[:_MESSAGE_MAX])
         finally:
             os._exit(code)
     os.close(write_end)
     return pid, read_end
 
 
-def _reap(pid: int, read_end: int, share: list) -> str | None:
-    """Wait for a child; None when it wrote its share, else why it did not."""
-    with os.fdopen(read_end, "rb") as pipe:  # read to EOF first: no deadlock
-        message = pipe.read().decode(errors="replace")
-    _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
+class SnapshotStream:
+    """Snapshot sink that writes a run's CSVs in forked children as it goes.
+
+    Call it with each Snapshot the run takes, call end_of_run once the run
+    has returned, then close (or abort) it; see the module docstring.
+    """
+
+    def __init__(self, out_dir: str | Path, problem, fingerprint: str,
+                 scales: tuple[float, float, float] | None = None,
+                 dump_density: bool = False):
+        self.out_dir = Path(out_dir)
+        self.y = problem.space_grid.y
+        self.centers = problem.sigma_grid.centers
+        self.fingerprint = fingerprint
+        self.scales = scales
+        self.dump_density = dump_density
+        self.files: list = []    # (snapshot, fields path, density path), in order
+        self._pending: list = []  # files no child has been given
+        self._pending_values = 0
+        self._slots = _usable_cpus() - 1 if hasattr(os, "fork") else 0
+        self._children: list = []  # (pid, error pipe, batch) not reaped yet
+        self._failures: list[str] = []
+        self._forked = False
+
+    def __call__(self, snap: Snapshot) -> None:
+        dpath = (self.out_dir / f"density_{snap.index:06d}.csv"
+                 if self.dump_density and snap.p is not None else None)
+        item = (snap, self.out_dir / f"snapshot_{snap.index:06d}.csv", dpath)
+        self.files.append(item)
+        self._pending.append(item)
+        self._pending_values += 4 * self.y.size + (0 if dpath is None else snap.p.size)
+        if self._pending_values >= MIN_SHARE_VALUES and self._free_slot():
+            self._hand_off()
+
+    def end_of_run(self) -> None:
+        """Hand the pending batch to a child, if this stream has forked."""
+        if self._forked and self._pending:
+            self._hand_off()
+
+    def close(self) -> list[Path]:
+        """Write what is pending here, reap every child, return every path.
+
+        Raises ArtifactIOError naming the file that failed, once every
+        child is reaped.
+        """
+        pending, self._pending, self._pending_values = self._pending, [], 0
+        try:
+            self._write(pending)
+        finally:
+            for child in self._children:
+                self._reap(child)
+            self._children = []
+        failures, self._failures = self._failures, []
+        if failures:
+            raise ArtifactIOError(failures[0])
+        return [p for _, path, dpath in self.files for p in (path, dpath)
+                if p is not None]
+
+    def abort(self) -> str | None:
+        """close for a run that failed: returns a writer error, never raises it."""
+        try:
+            self.close()
+        except ArtifactIOError as exc:
+            return str(exc)
         return None
-    return message or (f"cannot write {share[0][1]} and after: "
-                       f"writer process exited with code {code}")
 
+    def _write(self, batch: list) -> None:
+        for snap, path, dpath in batch:
+            t_out, y_out, fields = _maybe_rescale(snap, self.scales, self.y)
+            write_fields_csv(path, t_out, y_out, fields, self.fingerprint)
+            if dpath is not None:
+                p_out, c_out = snap.p, self.centers
+                if self.scales is not None:
+                    scaled = rescale_fields({"p": snap.p, "sigma": self.centers},
+                                            *self.scales, to_dimensionless=False)
+                    p_out, c_out = scaled["p"], scaled["sigma"]
+                write_density_csv(dpath, t_out, y_out, c_out, p_out,
+                                  self.fingerprint)
 
-def _write_shares(shares: list[list], write) -> None:
-    """Call write on every share: the first here, each other in a forked child."""
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
-    children = []
-    try:
-        for share in shares[1:]:
-            try:
-                children.append((*_fork(write, share), share))
-            except OSError:  # no process to spare: write the share here
-                write(share)
-        write(shares[0])
-    finally:
-        failures = [_reap(*child) for child in children]
-    for message in failures:
-        if message is not None:
-            raise ArtifactIOError(message)
+    def _free_slot(self) -> bool:
+        self._children = [c for c in self._children if not self._reap(c, os.WNOHANG)]
+        return len(self._children) < self._slots
+
+    def _hand_off(self) -> None:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        try:
+            pid, pipe = _fork(self._write, self._pending)
+        except OSError:  # no process to spare: close writes the batch here
+            self._slots = 0
+            return
+        self._children.append((pid, pipe, self._pending))
+        self._forked = True
+        self._pending, self._pending_values = [], 0
+
+    def _reap(self, child: tuple, flags: int = 0) -> bool:
+        """Reap a child that has ended (waiting for it unless flags say not)."""
+        pid, pipe, batch = child
+        done, status = os.waitpid(pid, flags)
+        if not done:
+            return False
+        with os.fdopen(pipe, "rb") as fh:
+            message = fh.read().decode(errors="replace")
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            self._failures.append(message or (
+                f"cannot write {batch[0][1]} and after: "
+                f"writer process exited with code {code}"))
+        return True
 
 
 def write_snapshots(out_dir: str | Path, result: RunResult, fingerprint: str,
                     scales: tuple[float, float, float] | None = None,
-                    dump_density: bool = False) -> list[Path]:
+                    dump_density: bool = False,
+                    stream: SnapshotStream | None = None) -> list[Path]:
     """Write one fields CSV per snapshot (plus density matrices on request).
 
     scales, when given, maps outputs back to dimensional units; solver
-    state inside checkpoints is never rescaled.  Large outputs are written
-    by forked processes, one share each (see the module docstring); the
-    files and their bytes do not depend on the split.
+    state inside checkpoints is never rescaled.  stream, when given, is the
+    SnapshotStream the run handed its snapshots to, made with these same
+    arguments; the snapshots it has not taken are fed to it, and it is
+    closed.  Returns every path in snapshot order; large outputs are
+    written by forked children (see the module docstring), and the bytes
+    do not depend on which process wrote them.
     """
-    out_dir = Path(out_dir)
-    y = result.problem.space_grid.y
-    centers = result.problem.sigma_grid.centers
-    files = [(snap, out_dir / f"snapshot_{snap.index:06d}.csv",
-              out_dir / f"density_{snap.index:06d}.csv"
-              if dump_density and snap.p is not None else None)
-             for snap in result.snapshots]
-    values = [4 * y.size + (0 if dpath is None else snap.p.size)  # y, u, tau, d; p
-              for snap, _, dpath in files]
-    _write_shares(_split(files, values),
-                  lambda share: _write_share(share, y, centers, fingerprint, scales))
-    return [p for _, path, dpath in files for p in (path, dpath) if p is not None]
+    if stream is None:
+        stream = SnapshotStream(out_dir, result.problem, fingerprint, scales,
+                                dump_density)
+    for snap in result.snapshots[len(stream.files):]:
+        stream(snap)
+    return stream.close()
 
 
 def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:

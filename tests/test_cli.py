@@ -56,6 +56,7 @@ def test_config_errors_exit_3(capsys):
 @pytest.mark.parametrize("override", [
     "run.snapshot_every=-1", "run.checkpoint_every=-1", "run.picard_max=0",
     "run.picard_tol=0", "run.picard_tol=-1",
+    "run.dt=1e-300",  # 1e298 steps: over the series budget before any allocation
 ])
 def test_out_of_range_run_settings_exit_3(command, override, capsys):
     assert main([command, *TINY, "--set", override]) == 3

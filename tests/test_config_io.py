@@ -1,6 +1,7 @@
 """Config parsing, fingerprints, and artifact round trips."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import hlcouette
-from hlcouette import snapshots
+from hlcouette import cli, coupler, snapshots
 from hlcouette.config import load_config, standard_config
 from hlcouette.coupler import SERIES, CoupledProblem, Snapshot, run
 from hlcouette.errors import ArtifactIOError, ConfigError, ValidationError
@@ -23,6 +24,10 @@ from hlcouette.snapshots import (_atomic_write, _npz, load_checkpoint,
                                  save_checkpoint, write_density_csv,
                                  write_fields_csv, write_series,
                                  write_snapshots, write_summary)
+
+
+TINY_RUN = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
+            "--set", "run.t_final=0.01", "--set", "run.snapshot_every=2"]
 
 
 def micro_run(snap_every=5, checkpoint_every=5):
@@ -341,7 +346,10 @@ def per_file_snapshots(out, res, fingerprint, scales):
 
 
 def forcing_shares(monkeypatch, cpus=3):
-    """Split even tiny outputs over `cpus` writers; returns the fork count."""
+    """Fork a writer for every snapshot while one of `cpus` - 1 slots is free.
+
+    Returns the list that each fork appends to.
+    """
     forks = []
     real_fork = os.fork
 
@@ -364,7 +372,7 @@ def test_split_writer_is_byte_identical_to_a_per_file_loop(tmp_path, monkeypatch
     forks = forcing_shares(monkeypatch)
     written = write_snapshots(tmp_path / "split", res, "a" * 64, scales=scales,
                               dump_density=True)
-    assert len(forks) == 2  # three snapshots, three shares, two children
+    assert len(forks) >= 2  # the first two snapshots always find a free slot
     assert [p.name for p in written] == [p.name for p in ref]
     for path, expected in zip(written, ref):
         assert path.read_bytes() == expected.read_bytes(), path.name
@@ -375,7 +383,7 @@ def test_split_writer_is_byte_identical_to_a_per_file_loop(tmp_path, monkeypatch
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_failing_child_share_raises_in_the_caller(tmp_path, monkeypatch):
     res, _ = micro_run()
-    clash = tmp_path / "density_000010.csv"  # written by the last child
+    clash = tmp_path / "density_000000.csv"  # written by the first child
     clash.mkdir()
     forcing_shares(monkeypatch)
     pid = os.getpid()
@@ -414,6 +422,14 @@ def test_small_outputs_do_not_fork(tmp_path, monkeypatch, n_y, n_sigma,
     assert len(written) == 11 * (2 if dump_density else 1)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_one_usable_cpu_writes_everything_in_the_caller(tmp_path, monkeypatch):
+    res, _ = micro_run()
+    forks = forcing_shares(monkeypatch, cpus=1)
+    written = write_snapshots(tmp_path, res, "a" * 64, dump_density=True)
+    assert forks == [] and len(written) == 6
+
+
 def test_fork_failure_writes_the_share_in_the_caller(tmp_path, monkeypatch):
     res, _ = micro_run()
     ref = per_file_snapshots(tmp_path / "ref", res, "a" * 64, None)
@@ -428,13 +444,76 @@ def test_fork_failure_writes_the_share_in_the_caller(tmp_path, monkeypatch):
         assert path.read_bytes() == expected.read_bytes(), path.name
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_cli_streams_snapshots_to_children_during_the_run(tmp_path, monkeypatch):
+    forks = forcing_shares(monkeypatch, cpus=2)
+    results, forks_at_return = [], []
+    real_run = coupler.run
+
+    def run(*args, **kwargs):
+        results.append(real_run(*args, **kwargs))
+        forks_at_return.append(len(forks))
+        return results[-1]
+
+    monkeypatch.setattr(coupler, "run", run)
+    out = tmp_path / "o"
+    assert cli.main(["run", *TINY_RUN, "--dump-density", "--out", str(out)]) == 0
+    assert forks_at_return[0] >= 1
+    with pytest.raises(ChildProcessError):  # every writer has been reaped
+        os.waitpid(-1, os.WNOHANG)
+    fingerprint = read_summary(out / "summary.json")["fingerprint"]
+    ref = per_file_snapshots(tmp_path / "ref", results[0], fingerprint, None)
+    for expected in ref:
+        assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+
+
+# the ramp starts at t = 0.005, where one Picard iterate no longer converges
+FAILING_RUN = [*TINY_RUN, "--set", "run.picard_max=1", "--set", "protocol.kind=table",
+               "--set", "protocol.times=0,0.005,0.006", "--set", "protocol.values=0,0,1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_failed_run_leaves_whole_csvs_of_the_snapshots_it_took(tmp_path,
+                                                                 monkeypatch):
+    assert cli.main(["run", *FAILING_RUN]) == 4
+    forks = forcing_shares(monkeypatch, cpus=2)
+    out = tmp_path / "o"
+    assert cli.main(["run", *FAILING_RUN, "--dump-density", "--out", str(out)]) == 4
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    taken = [0, 2, 4]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{kind}_{k:06d}.csv" for kind in ("density", "snapshot") for k in taken)
+    for k in taken:
+        t, fields = read_fields_csv(out / f"snapshot_{k:06d}.csv")
+        assert t == pytest.approx(1e-3 * k) and list(fields) == ["y", "u", "tau", "d"]
+        assert all(v.shape == (6,) for v in fields.values())
+        _, density = read_fields_csv(out / f"density_{k:06d}.csv")
+        assert len(density) == 1 + 64 and density["y"].shape == (6,)
+
+
+def test_a_writer_failure_does_not_mask_the_run_failure(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "snapshot_000002.csv").mkdir(parents=True)
+    assert cli.main(["run", *FAILING_RUN, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "snapshot_000002.csv" in err and "fixed-point" in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "snapshot_000000.csv", "snapshot_000002.csv"]
+
+
 SPLIT_CLI_LAUNCHER = """
 import os, sys
 from hlcouette import cli, snapshots
 snapshots._usable_cpus = lambda: 2
 forks = []
-real_fork = os.fork
+real_fork, real_exit = os.fork, os._exit
 os.fork = lambda: forks.append(1) or real_fork()
+def child_exit(code):  # a writer that flushes what it inherited, as sys.exit would
+    sys.stdout.flush()
+    real_exit(code)
+os._exit = child_exit
 code = cli.main(sys.argv[1:])
 print(f"forks = {len(forks)}", file=sys.stderr)
 sys.exit(code)
@@ -443,7 +522,7 @@ sys.exit(code)
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_cli_output_is_written_once_when_the_writer_forks(tmp_path):
-    """101 standard-sized density snapshots cross the split threshold."""
+    """101 standard-sized density snapshots cross the batch threshold mid-run."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)  # keep the piped stdout block-buffered
     package_root = str(Path(hlcouette.__file__).resolve().parents[1])
@@ -456,7 +535,8 @@ def test_cli_output_is_written_once_when_the_writer_forks(tmp_path):
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "forks = 1" in proc.stderr
+    forks = re.search(r"^forks = (\d+)$", proc.stderr, re.MULTILINE)
+    assert forks and int(forks.group(1)) >= 1, proc.stderr
     lines = proc.stdout.splitlines()
     assert "all checks passed" in lines and lines[-1].startswith("wrote 202 ")
     assert len(lines) == len(set(lines))

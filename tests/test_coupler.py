@@ -137,7 +137,7 @@ def test_snapshot_cadence_and_isolation():
     prob, init, eta = small_problem()
     res = run(prob, init, eta, snap_every=8)
     assert [s.index for s in res.snapshots] == [0, 8, 16, 20]
-    assert np.allclose(res.snapshot_times(), [0.0, 0.008, 0.016, 0.020])
+    assert np.allclose([s.t for s in res.snapshots], [0.0, 0.008, 0.016, 0.020])
     assert np.array_equal(res.snapshots[0].p, init.p0)
     assert res.snapshots[0].p is not init.p0
     assert not np.array_equal(res.snapshots[-1].p, res.snapshots[0].p)

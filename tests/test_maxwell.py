@@ -10,8 +10,8 @@ from scipy.special import ndtr
 from hlcouette.errors import ValidationError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages
-from hlcouette.maxwell import (kernel_cell_averages, kernel_mass_check,
-                               maxwell_p, maxwell_tau, offset_kernel)
+from hlcouette.maxwell import (kernel_cell_averages, maxwell_p, maxwell_tau,
+                               offset_kernel)
 from hlcouette.protocols import PiecewiseLinearForcing, ShearProtocol
 
 GRID = SigmaGrid(sigma_max=8.0, n_sigma=256, threshold=0.0)
@@ -163,11 +163,3 @@ def test_memory_quadrature_is_converged():
     b = maxwell_p(p0, f, 1.0, GRID, 1.0, n_quad=192)
     assert np.max(np.abs(a - b)) < 1e-7
     assert abs(float(GRID.mass(a - b))) < 1e-12
-
-
-def test_kernel_mass_check_reports_truncation():
-    assert kernel_mass_check(GRID, 0.01) == pytest.approx(1.0, abs=1e-14)
-    wide = kernel_mass_check(GRID, 16.0)   # std 4 against sigma_max 8
-    expected = 1.0 - 2.0 * ndtr(-GRID.sigma_max / 4.0)
-    assert wide == pytest.approx(expected, abs=1e-14)
-    assert wide < 1.0 - 1e-5
