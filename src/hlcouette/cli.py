@@ -24,7 +24,6 @@ import numpy as np
 from . import coupler, diagnostics, snapshots
 from .config import RunConfig, load_config
 from .errors import ConfigError, HlCouetteError
-from .initial import compute_eta, validate_initial
 from .meso import compute_tau, hl_solve
 from .maxwell import maxwell_p, maxwell_tau
 from .params import (DimensionlessParams, PhysicalParams, nondimensionalize,
@@ -43,20 +42,16 @@ def _load(args) -> RunConfig:
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
-    prob = cfg.problem()
-    init = cfg.initial()
-    report = validate_initial(init, prob.sigma_grid, prob.dp.alpha, prob.dp.mu,
-                              protocol=prob.protocol,
-                              allow_degenerate=cfg.values["model"]["allow_degenerate"])
+    prob, _, report = cfg.build()
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"mode: {cfg.mode}" + (" (fully relaxing)" if cfg.fully_relaxing else ""))
     sg, tg = prob.sigma_grid, prob.space_grid
     print(f"grids: n_y = {tg.n_y}, n_sigma = {sg.n_sigma}, "
           f"sigma_max = {sg.sigma_max:g}, dt = {tg.dt:g}, "
           f"t_final = {tg.t_final:g} ({tg.n_steps} steps)")
-    eta, details = compute_eta(init.p0, prob.sigma_grid, prob.dp.alpha)
-    print(f"eta = {eta:.17g}")
-    if prob.sigma_grid.threshold > 0:
+    print(f"eta = {report.eta:.17g}")
+    details = report.eta_details
+    if prob.sigma_grid.threshold > 0 and details is not None:
         print(f"  attained at row {details.y_index}, band shift chi = {details.chi:g}")
     for msg in report.messages:
         print(f"note: {msg}")
@@ -74,17 +69,18 @@ def _print_report(report: diagnostics.DiagnosticsReport) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    prob, init, eta, _ = cfg.build()
+    prob, init, report = cfg.build()
+    report.raise_if_failed()
     out = Path(args.out) if args.out else None
     scales = cfg.scales if cfg.mode == "dimensional" else None
     print(f"fingerprint: {cfg.fingerprint}")
-    print(f"eta = {eta:.17g}")
+    print(f"eta = {report.eta:.17g}")
     stream = None  # formats the snapshot CSVs in forked children as the run goes
     if out is not None:
         stream = snapshots.SnapshotStream(out, prob, cfg.fingerprint, scales=scales,
                                           dump_density=args.dump_density)
     try:
-        return _run(args, cfg, prob, init, eta, out, stream)
+        return _run(args, cfg, prob, init, report.eta, out, stream)
     except BaseException:
         # every snapshot taken is written whole and no writer outlives the
         # command; a writer error must not mask the run's own
@@ -232,6 +228,8 @@ def cmd_oracle(args) -> int:
     alpha = cfg.values["model"]["alpha"]
     loading = cfg.protocol()
     t = args.t
+    if not np.isfinite(t):
+        raise ConfigError(f"--t must be finite, got {t!r}")
     if t < 0:
         raise ConfigError("--t must be nonnegative")
     p0 = init.p0[0]
@@ -254,11 +252,12 @@ def cmd_oracle(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _load(args)
-    prob, init, eta, _ = cfg.build()
+    prob, init, report = cfg.build()
+    report.raise_if_failed()
     payload = snapshots.load_checkpoint(args.checkpoint,
                                         expect_fingerprint=cfg.fingerprint
                                         if not args.any_config else None)
-    result = diagnostics.result_from_checkpoint(prob, init, eta, payload)
+    result = diagnostics.result_from_checkpoint(prob, init, report.eta, payload)
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"checkpoint step {payload.step} "
           f"(t = {prob.space_grid.time(payload.step):g})")

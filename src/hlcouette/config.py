@@ -23,7 +23,7 @@ from .coupler import CoupledProblem, PICARD_MAX, PICARD_TOL, check_series_budget
 from .diagnostics import C_COMPARISON, C_MOMENT
 from .errors import ConfigError
 from .grids import SigmaGrid, SpaceTimeGrid
-from .initial import InitialData, ValidationReport, compute_eta, validate_initial
+from .initial import InitialData, ValidationReport, validate_initial
 from .params import DimensionlessParams, PhysicalParams, nondimensionalize
 from .protocols import ShearProtocol
 
@@ -197,17 +197,20 @@ class RunConfig:
                               picard_tol=r["picard_tol"],
                               picard_max=r["picard_max"])
 
-    def build(self) -> tuple[CoupledProblem, InitialData, float, ValidationReport]:
-        """Assemble and validate everything needed to start a run."""
+    def build(self) -> tuple[CoupledProblem, InitialData, ValidationReport]:
+        """Assemble and validate everything needed to start a run.
+
+        The one assembly path of every command.  A failed validation is
+        returned, not raised: the report carries eta and its messages, and
+        the caller decides whether to print it or raise_if_failed().
+        """
         prob = self.problem()
         init = self.initial()
         report = validate_initial(
             init, prob.sigma_grid, prob.dp.alpha, prob.dp.mu,
             protocol=prob.protocol,
             allow_degenerate=self.values["model"]["allow_degenerate"])
-        report.raise_if_failed()
-        eta, _ = compute_eta(init.p0, prob.sigma_grid, prob.dp.alpha)
-        return prob, init, eta, report
+        return prob, init, report
 
 
 _CASTS: dict[tuple[str, str], Callable] = {

@@ -216,17 +216,6 @@ def _grade_induced_d_floor(result: RunResult, deficits: Deficits,
                  f"at t = {worst_t:.4g} (slack {slack:.1e})")
 
 
-def check_comparison(result: RunResult, c_comp: float = C_COMPARISON) -> CheckResult:
-    return _grade_comparison(result, _barrier_deficits(result)[0], c_comp)
-
-
-def check_induced_d_floor(result: RunResult, c_comp: float = C_COMPARISON) -> CheckResult:
-    """Re-derive the diffusivity floor from the barrier instead of the
-    recorded minimum: D = alpha * exterior mass must dominate the
-    barrier's exterior mass up to the pointwise comparison slack."""
-    return _grade_induced_d_floor(result, _barrier_deficits(result)[1], c_comp)
-
-
 def moment_residuals(result: RunResult) -> np.ndarray:
     """Residual of the stress balance tau' + tau = b + banded moment,
     evaluated on the recorded series with backward differences.

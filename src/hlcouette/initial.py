@@ -53,7 +53,6 @@ class InitialData:
 
     p0: np.ndarray           # (n_y, n_sigma) cell-averaged densities
     u0: np.ndarray           # (n_y,) lifted velocity at interior nodes
-    provenance: dict = field(default_factory=dict)
 
     @classmethod
     def from_preset(cls, sigma_grid: SigmaGrid, space_grid: SpaceTimeGrid,
@@ -83,9 +82,7 @@ class InitialData:
             u0 = u0_amplitude * np.sin(np.pi * space_grid.y)
         else:
             raise ValidationError(f"unknown u0 preset {u0_kind!r}")
-        return cls(p0=p0, u0=u0,
-                   provenance={"p0": {"kind": p0_kind, **p0_args},
-                               "u0": {"kind": u0_kind, "amplitude": u0_amplitude}})
+        return cls(p0=p0, u0=u0)
 
 
 @dataclass
@@ -137,7 +134,6 @@ class ValidationReport:
     eta_details: EtaDetails | None
     theory_backed: bool
     renormalized_rows: int
-    max_mass_deviation: float
     clipped_negative_mass: float
     messages: list[str] = field(default_factory=list)
 
@@ -214,5 +210,5 @@ def validate_initial(data: InitialData, sigma_grid: SigmaGrid, alpha: float,
 
     return ValidationReport(ok=ok, eta=eta, eta_details=details,
                             theory_backed=theory_backed, renormalized_rows=renorm,
-                            max_mass_deviation=max_dev, clipped_negative_mass=clipped,
+                            clipped_negative_mass=clipped,
                             messages=msgs)

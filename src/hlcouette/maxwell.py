@@ -35,33 +35,6 @@ from .protocols import Forcing
 MEMORY_QUAD_POINTS = 96
 
 
-def kernel_cell_averages(grid: SigmaGrid, mean: float, variance: float) -> np.ndarray:
-    """Cell averages of a Gaussian with given mean and variance.
-
-    variance = 0 returns the exact cell averages of a point mass: all mass
-    in the containing cell, split evenly when the mean sits on an edge.
-    """
-    if variance < 0:
-        raise ValidationError("variance must be nonnegative")
-    out = np.zeros(grid.n_sigma)
-    if variance == 0.0:
-        e = grid.edges
-        if mean <= e[0] or mean >= e[-1]:
-            return out
-        j = int(np.searchsorted(e, mean))
-        # searchsorted(left): e[j-1] < mean <= e[j]
-        if mean == e[j]:
-            out[j - 1] += 0.5 / grid.d_sigma
-            if j < grid.n_sigma:
-                out[j] += 0.5 / grid.d_sigma
-        else:
-            out[j - 1] = 1.0 / grid.d_sigma
-        return out
-    std = math.sqrt(variance)
-    cdf = ndtr((grid.edges - mean) / std)
-    return np.diff(cdf) / grid.d_sigma
-
-
 def offset_kernel(grid: SigmaGrid, shift: float, variance: float) -> np.ndarray:
     """Cell-averaged kernel on the offset ladder k*d_sigma, k in [-(n-1), n-1].
 

@@ -306,7 +306,6 @@ class MesoTrajectory:
     tau: np.ndarray            # (n_steps+1, n_rows)
     d: np.ndarray              # (n_steps+1, n_rows)
     mass: np.ndarray           # (n_steps+1, n_rows)
-    b_used: np.ndarray         # (n_steps, n_rows)
     p: np.ndarray | None       # (n_steps+1, n_rows, n_sigma) when recorded
     p_final: np.ndarray        # (n_rows, n_sigma)
     clipped_total: float
@@ -336,7 +335,6 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
     tau = np.empty((n_steps + 1, n_rows))
     d = np.empty((n_steps + 1, n_rows))
     mass = np.empty((n_steps + 1, n_rows))
-    b_used = np.empty((n_steps, n_rows))
     p_hist = np.empty((n_steps + 1, n_rows, grid.n_sigma)) if record_p else None
 
     clipped = 0.0
@@ -355,7 +353,6 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
         b_k = forcing.value(times[k + 1])
         p2, rep = advance_rows(p2, b_k, dt, grid, alpha, sink_scale=sink_scale)
         p2 = np.atleast_2d(p2)
-        b_used[k] = b_k
         clipped += float(rep.clipped_mass.sum())
         min_pre = min(min_pre, rep.min_before_clip)
         step_max = float(p2.max())
@@ -368,9 +365,9 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
         _record(k + 1)
 
     if squeeze:
-        tau, d, mass, b_used = tau[:, 0], d[:, 0], mass[:, 0], b_used[:, 0]
+        tau, d, mass = tau[:, 0], d[:, 0], mass[:, 0]
         p2 = p2[0]
         p_hist = p_hist[:, 0] if p_hist is not None else None
-    return MesoTrajectory(times=times, tau=tau, d=d, mass=mass, b_used=b_used,
-                          p=p_hist, p_final=p2, clipped_total=clipped,
+    return MesoTrajectory(times=times, tau=tau, d=d, mass=mass, p=p_hist,
+                          p_final=p2, clipped_total=clipped,
                           min_before_clip=float(min_pre), max_density=max_den)

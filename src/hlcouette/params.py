@@ -19,13 +19,22 @@ for dyadic scale factors and within 1 ulp otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ScalingUndefinedError, ValidationError
 
 _LD = np.longdouble
+
+
+def _require_finite(params) -> None:
+    """nan slips through every ordered comparison, so test it first."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,7 @@ class PhysicalParams:
     length: float   # gap width
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("rho", "g0", "alpha", "t0", "length"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -62,6 +72,7 @@ class DimensionlessParams:
     sigma_c: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.rho <= 0 or self.alpha <= 0 or self.g0 <= 0:
             raise ValidationError("rho, alpha and g0 must be positive")
         if self.mu < 0:

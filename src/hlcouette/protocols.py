@@ -8,8 +8,7 @@ exposing the three integrals every consumer needs:
 * ``exp_integral(t)``  int_0^t e^{s-t} b ds  (relaxation memory integral).
 
 Piecewise-linear and sinusoidal forcings evaluate those in closed form, so
-oracle results built on them carry no quadrature error.  Sampled histories
-(recorded from a run) fall back to trapezoid sums on their sample ladder.
+oracle results built on them carry no quadrature error.
 
 ``ShearProtocol`` wraps a forcing as the moving-wall velocity V(t) and
 enforces the start-from-rest constraint V(0) = 0.
@@ -134,73 +133,6 @@ class SinusoidForcing(Forcing):
         w = self.omega
         return self.amplitude * (math.sin(w * t) - w * math.cos(w * t)
                                  + w * math.exp(-t)) / (1.0 + w * w)
-
-
-class SampledForcing(Forcing):
-    """History known only at sample times; integrals use trapezoid sums."""
-
-    def __init__(self, times, values):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValidationError("sampled forcing needs >= 2 samples")
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("sample times must be strictly increasing")
-        self.times = t
-        self.values = v
-
-    def value(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values))
-
-    def derivative(self, t: float) -> float:
-        i = min(max(bisect_right(self.times, t) - 1, 0), self.times.size - 2)
-        return float((self.values[i + 1] - self.values[i])
-                     / (self.times[i + 1] - self.times[i]))
-
-    def _upto(self, t: float):
-        i = bisect_right(self.times, t)
-        ts = self.times[:i]
-        vs = self.values[:i]
-        if ts.size == 0 or ts[-1] < t:
-            ts = np.append(ts, t)
-            vs = np.append(vs, self.value(t))
-        return ts, vs
-
-    def integral(self, t: float) -> float:
-        ts, vs = self._upto(t)
-        return float(np.trapezoid(vs, ts))
-
-    def exp_integral(self, t: float) -> float:
-        ts, vs = self._upto(t)
-        return float(np.trapezoid(np.exp(ts - t) * vs, ts))
-
-    def trapezoid_error_estimate(self, t: float) -> float:
-        """Crude bound on the exp_integral quadrature error: t/12 * h^2 * max|b''|."""
-        ts, vs = self._upto(t)
-        if ts.size < 3:
-            return 0.0
-        h = np.diff(ts)
-        second = np.abs(np.diff(vs, 2)) / (h[:-1] * h[1:])
-        return float(t / 12.0 * np.max(h) ** 2 * (np.max(second) + np.max(np.abs(vs))))
-
-
-class CompositeForcing(Forcing):
-    """Weighted sum of forcings; every integral is linear in the parts."""
-
-    def __init__(self, parts: list[tuple[float, Forcing]]):
-        self.parts = list(parts)
-
-    def value(self, t: float) -> float:
-        return sum(c * f.value(t) for c, f in self.parts)
-
-    def derivative(self, t: float) -> float:
-        return sum(c * f.derivative(t) for c, f in self.parts)
-
-    def integral(self, t: float) -> float:
-        return sum(c * f.integral(t) for c, f in self.parts)
-
-    def exp_integral(self, t: float) -> float:
-        return sum(c * f.exp_integral(t) for c, f in self.parts)
 
 
 class ShearProtocol:

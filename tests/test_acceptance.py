@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from hlcouette.config import standard_config
-from hlcouette.coupler import (CoupledProblem, maxwell_reference_run,
-                               restrict_nodes, restrict_times, run,
-                               run_maxwell)
+from hlcouette.coupler import CoupledProblem, run, run_maxwell
 from hlcouette.diagnostics import (C_MOMENT, evaluate, measure_f2_ratio,
                                    moment_residuals)
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
@@ -25,6 +23,7 @@ from hlcouette.params import (PhysicalParams, nondimensionalize,
                               redimensionalize, rescale_fields)
 from hlcouette.protocols import (PiecewiseLinearForcing, ShearProtocol,
                                  SinusoidForcing)
+from reference_runs import maxwell_reference_run, restrict_nodes, restrict_times
 
 DIMENSIONAL_OVERRIDES = dict(
     model__mode="dimensional", model__rho="16.0", model__alpha="16.0",
@@ -44,7 +43,8 @@ def report(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def standard():
     cfg = standard_config()
-    prob, init, eta, _ = cfg.build()
+    prob, init, checked = cfg.build()
+    eta = checked.eta
     payloads = []
     t0 = time.perf_counter()
     res = run(prob, init, eta, snap_every=100, checkpoint_every=500,
@@ -190,7 +190,8 @@ def test_criterion_08_moment_identity(standard):
     coarse = float(np.max(np.abs(moment_residuals(res))))
     slack = C_MOMENT * (dt + grid.d_sigma)
     cfg = standard_config(run__dt="0.0005", grid__n_sigma="512")
-    prob_f, init_f, eta_f, _ = cfg.build()
+    prob_f, init_f, checked_f = cfg.build()
+    eta_f = checked_f.eta
     res_f = run(prob_f, init_f, eta_f)
     refined = float(np.max(np.abs(moment_residuals(res_f))))
     ratio = coarse / refined
@@ -223,7 +224,8 @@ def test_criterion_10_picard_contraction(standard):
     iters = int(res.picard_iters.max())
     ratio = float(np.nanmax(res.picard_ratios))
     cfg = standard_config(run__dt="0.0005")
-    prob_h, init_h, eta_h, _ = cfg.build()
+    prob_h, init_h, checked_h = cfg.build()
+    eta_h = checked_h.eta
     res_h = run(prob_h, init_h, eta_h)
     ratio_h = float(np.nanmax(res_h.picard_ratios))
     ok = iters <= 10 and ratio < 0.5 and ratio_h < ratio
@@ -261,7 +263,8 @@ def test_criterion_12_rescaling(standard):
             worst_ulp = max(worst_ulp, gap)
 
     cfg = standard_config(**DIMENSIONAL_OVERRIDES)
-    prob_d, init_d, eta_d, _ = cfg.build()
+    prob_d, init_d, checked_d = cfg.build()
+    eta_d = checked_d.eta
     res_d = run(prob_d, init_d, eta_d)
     t0, length, sigma_c = cfg.scales
     fields = {"u": res_d.u_series, "tau": res_d.tau_series,

@@ -36,13 +36,37 @@ def test_validate_reports_eta(capsys):
     assert "eta = 0.317" in out
 
 
+DEGENERATE = ["--set", "initial.p0=uniform",
+              "--set", "initial.lo=-0.5", "--set", "initial.hi=0.5"]
+
+
 def test_validate_rejects_degenerate(capsys):
-    rc = main(["validate", "--set", "initial.p0=uniform",
-               "--set", "initial.lo=-0.5", "--set", "initial.hi=0.5"])
+    rc = main(["validate", *DEGENERATE])
     assert rc == 3
     captured = capsys.readouterr()
     assert "validation FAILED" in captured.err
     assert "eta = 0" in captured.out
+
+
+TINY_VALIDATE_LINES = [
+    "fingerprint: 99a0799ac1a3551f78cbd1daf48f06ce924cddab585f6042b3287f88602306d1",
+    "mode: dimensionless",
+    "grids: n_y = 6, n_sigma = 64, sigma_max = 4, dt = 0.001, t_final = 0.01 (10 steps)",
+    "eta = 0.31726726187560117",
+    "  attained at row 0, band shift chi = 0",
+]
+
+
+@pytest.mark.parametrize("argv,code,lines", [
+    (TINY, 0, TINY_VALIDATE_LINES),
+    (DEGENERATE, 3, None),
+], ids=["tiny", "degenerate"])
+def test_validate_and_run_agree(argv, code, lines, capsys):
+    assert main(["validate", *argv]) == code
+    out = capsys.readouterr().out
+    if lines is not None:
+        assert out.splitlines()[:len(lines)] == lines
+    assert main(["run", *argv]) == code
 
 
 def test_config_errors_exit_3(capsys):
@@ -193,6 +217,13 @@ def test_oracle_writes_density(tmp_path, capsys):
                  "--set", "model.fully_relaxing=true"]) == 3
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_oracle_rejects_non_finite_time(t, capsys):
+    assert main(["oracle", f"--t={t}", "--set", "model.fully_relaxing=true"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--t must be finite" in captured.err
+
+
 def test_fully_relaxing_run_uses_the_closed_form(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["run", *TINY, "--set", "model.fully_relaxing=true",
@@ -236,6 +267,19 @@ def test_nondim_conversion(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "rho = 2" in out and "mu = 16" in out
+
+
+@pytest.mark.parametrize("invert", [False, True], ids=["forward", "invert"])
+@pytest.mark.parametrize("name,value", [("rho", "nan"), ("alpha", "inf"),
+                                        ("mu", "nan"), ("t0", "-inf")])
+def test_nondim_rejects_non_finite(invert, name, value, capsys):
+    args = {"rho": "2", "mu": "16", "g0": "2", "alpha": "8", "t0": "2",
+            "sigma-c": "4", "length": "3", name: value}
+    argv = ["nondim", *(["--invert"] if invert else [])]
+    argv += [f"--{key}={val}" for key, val in args.items()]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{name} must be finite" in captured.err
 
 
 # What the generated console-script wrapper does: resolve the declared

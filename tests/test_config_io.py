@@ -108,9 +108,9 @@ def test_file_and_overrides_compose(tmp_path):
 
 
 def test_build_standard_scenario():
-    prob, init, eta, report = standard_config().build()
+    prob, init, report = standard_config().build()
     assert report.ok and report.theory_backed
-    assert eta == pytest.approx(0.31726726187560095, abs=1e-14)
+    assert report.eta == pytest.approx(0.31726726187560095, abs=1e-14)
     assert prob.space_grid.n_y == 64 and prob.sigma_grid.n_sigma == 256
     assert init.p0.shape == (64, 256)
     assert prob.protocol.value(0.5) == pytest.approx(1.0)
@@ -119,12 +119,14 @@ def test_build_standard_scenario():
 def test_build_rejects_degenerate_unless_allowed():
     bad = standard_config(initial__p0="uniform", initial__lo="-0.5",
                           initial__hi="0.5")
+    report = bad.build()[2]
+    assert not report.ok
     with pytest.raises(ValidationError):
-        bad.build()
+        report.raise_if_failed()
     forced = standard_config(initial__p0="uniform", initial__lo="-0.5",
                              initial__hi="0.5", model__allow_degenerate="true")
-    _, _, eta, report = forced.build()
-    assert eta == 0.0 and not report.theory_backed
+    report = forced.build()[2]
+    assert report.ok and report.eta == 0.0 and not report.theory_backed
 
 
 def test_fully_relaxing_grid_and_dimensional_conflict():
@@ -154,9 +156,9 @@ def test_dimensional_config_scales_to_the_standard_scenario():
     assert proto.value(0.5) == pytest.approx(1.0, abs=1e-15)
     assert proto.value(0.25) == pytest.approx(0.5, abs=1e-15)
     ref = standard_config().build()
-    prob, init, eta, _ = cfg.build()
+    prob, init, report = cfg.build()
     assert np.array_equal(init.p0, ref[1].p0)
-    assert eta == ref[2]
+    assert report.eta == ref[2].eta
 
 
 def test_fields_csv_round_trip(tmp_path):

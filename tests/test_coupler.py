@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from hlcouette import coupler
-from hlcouette.coupler import (SERIES, CoupledProblem, maxwell_reference_run,
-                               refined_space_grid, restrict_nodes,
-                               restrict_times, run, run_maxwell)
+from hlcouette.config import standard_config
+from hlcouette.coupler import SERIES, CoupledProblem, run, run_maxwell
 from hlcouette.errors import DiagnosticFailure, NonContractionError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
@@ -17,6 +16,8 @@ from hlcouette.meso import compute_d, compute_tau
 from hlcouette.params import DimensionlessParams
 from hlcouette.protocols import ShearProtocol
 from hlcouette.tridiag import _diffusion_factors, solve_diffusion_batch
+from reference_runs import (maxwell_reference_run, refined_space_grid,
+                            restrict_nodes, restrict_times)
 
 DP = DimensionlessParams(rho=1.0, alpha=1.0, g0=1.0, mu=1.0)
 SGRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
@@ -316,3 +317,27 @@ def test_run_does_not_depend_on_the_factor_cache():
     assert cold.warnings == warm.warnings
     assert cold.state.p.tobytes() == warm.state.p.tobytes()
     assert cold.state.u.tobytes() == warm.state.u.tobytes()
+
+
+def _final_fields(n_sigma: int, dt: float) -> dict[str, np.ndarray]:
+    """tau, u and D at t = 0.5 of the standard physics on n_y = 8."""
+    cfg = standard_config(grid__n_y="8", grid__n_sigma=str(n_sigma),
+                          run__dt=repr(dt), run__t_final="0.5")
+    prob, init, report = cfg.build()
+    report.raise_if_failed()
+    res = run(prob, init, report.eta)
+    return {"tau": res.tau_series[-1], "u": res.u_series[-1],
+            "d": compute_d(res.state.p, prob.sigma_grid, prob.dp.alpha)}
+
+
+@pytest.mark.parametrize("ladder", [
+    [(64, 4e-3), (128, 4e-3), (256, 4e-3)],       # halve d_sigma
+    [(128, 1e-2), (128, 5e-3), (128, 2.5e-3)],    # halve dt
+], ids=["n_sigma", "dt"])
+def test_kinetic_path_self_converges_at_first_order(ladder):
+    coarse, mid, fine = (_final_fields(*level) for level in ladder)
+    for name in coarse:
+        e_coarse = np.abs(coarse[name] - mid[name]).max()
+        e_fine = np.abs(mid[name] - fine[name]).max()
+        # first order halves the gap per halving: 2; measured 1.74-2.30
+        assert 1.6 < e_coarse / e_fine < 2.6, (name, e_coarse, e_fine)

@@ -9,8 +9,8 @@ import pytest
 
 import hlcouette.diagnostics as diag
 from hlcouette.coupler import CoupledProblem, ResumePayload, run, run_maxwell
-from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_comparison,
-                                   check_f2, check_induced_d_floor, evaluate, gradient_energy_bound,
+from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_f2, evaluate,
+                                   gradient_energy_bound,
                                    measure_f2_ratio, moment_residuals,
                                    result_from_checkpoint, sub_solution,
                                    verify_resume)
@@ -233,7 +233,8 @@ def test_verify_resume_accepts_and_rejects(healthy):
 
 def test_evaluate_builds_each_barrier_once(healthy, monkeypatch):
     res = healthy[3]
-    expected = [check_comparison(res), check_induced_d_floor(res)]
+    expected = [*evaluate(res, checks=("comparison",)).results,
+                *evaluate(res, checks=("induced_d_floor",)).results]
     built = []
 
     def counting(*args):

@@ -10,8 +10,7 @@ from scipy.special import ndtr
 from hlcouette.errors import ValidationError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages
-from hlcouette.maxwell import (kernel_cell_averages, maxwell_p, maxwell_tau,
-                               offset_kernel)
+from hlcouette.maxwell import maxwell_p, maxwell_tau, offset_kernel
 from hlcouette.protocols import PiecewiseLinearForcing, ShearProtocol
 
 GRID = SigmaGrid(sigma_max=8.0, n_sigma=256, threshold=0.0)
@@ -19,24 +18,6 @@ GRID = SigmaGrid(sigma_max=8.0, n_sigma=256, threshold=0.0)
 
 def constant_forcing(value):
     return PiecewiseLinearForcing([0.0, 1.0], [value, value])
-
-
-def test_kernel_cell_averages_gaussian_and_point_mass():
-    k = kernel_cell_averages(GRID, 0.3, 0.5)
-    ref = np.diff(ndtr((GRID.edges - 0.3) / math.sqrt(0.5))) / GRID.d_sigma
-    assert np.array_equal(k, ref)
-    assert float(GRID.mass(k)) == pytest.approx(1.0, abs=1e-12)
-
-    ds = GRID.d_sigma
-    inside = kernel_cell_averages(GRID, GRID.centers[40] + 0.2 * ds, 0.0)
-    assert inside[40] == pytest.approx(1.0 / ds) and np.count_nonzero(inside) == 1
-    on_edge = kernel_cell_averages(GRID, GRID.edges[41], 0.0)
-    assert on_edge[40] == pytest.approx(0.5 / ds)
-    assert on_edge[41] == pytest.approx(0.5 / ds)
-    assert np.count_nonzero(on_edge) == 2
-    assert not kernel_cell_averages(GRID, 9.0, 0.0).any()
-    with pytest.raises(ValidationError):
-        kernel_cell_averages(GRID, 0.0, -1.0)
 
 
 def test_offset_kernel_matches_per_pair_cell_averages():

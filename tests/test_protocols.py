@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from hlcouette.errors import ValidationError
-from hlcouette.protocols import (CompositeForcing, PiecewiseLinearForcing,
-                                 SampledForcing, ShearProtocol, SinusoidForcing)
+from hlcouette.protocols import (PiecewiseLinearForcing, ShearProtocol,
+                                 SinusoidForcing)
 
 TIMES = [0.0, 0.07, 0.25, 0.5, 1.0, 1.7, 3.0]
 
@@ -57,28 +57,6 @@ def test_sinusoid_integrals_exact(amplitude, omega):
         assert f.integral(t) == pytest.approx(plain, abs=1e-10)
         assert f.exp_integral(t) == pytest.approx(weighted, abs=1e-10)
         assert f.derivative(t) == pytest.approx(amplitude * omega * math.cos(omega * t))
-
-
-def test_sampled_forcing_trapezoid():
-    ts = np.linspace(0.0, 2.0, 41)
-    f = SampledForcing(ts, 3.0 * ts - 1.0)       # linear: trapezoid exact
-    assert f.integral(2.0) == pytest.approx(3.0 * 2.0 - 2.0, abs=1e-13)
-    g = SampledForcing(ts, np.sin(ts))
-    plain, weighted = quad_oracle(g, 2.0, breakpoints=ts)
-    h = ts[1] - ts[0]
-    assert g.integral(2.0) == pytest.approx(plain, abs=h * h)
-    assert g.exp_integral(2.0) == pytest.approx(weighted, abs=h * h)
-    assert g.trapezoid_error_estimate(2.0) >= abs(g.exp_integral(2.0) - weighted)
-
-
-def test_composite_is_linear():
-    a = SinusoidForcing(1.0, 3.0)
-    b = PiecewiseLinearForcing([0.0, 1.0], [0.5, 1.5])
-    c = CompositeForcing([(2.0, a), (-1.0, b)])
-    for t in TIMES:
-        assert c.value(t) == pytest.approx(2 * a.value(t) - b.value(t), abs=1e-15)
-        assert c.exp_integral(t) == pytest.approx(
-            2 * a.exp_integral(t) - b.exp_integral(t), abs=1e-14)
 
 
 def test_ramp_protocol():
