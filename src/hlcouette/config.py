@@ -208,7 +208,6 @@ class RunConfig:
         init = self.initial()
         report = validate_initial(
             init, prob.sigma_grid, prob.dp.alpha, prob.dp.mu,
-            protocol=prob.protocol,
             allow_degenerate=self.values["model"]["allow_degenerate"])
         return prob, init, report
 

@@ -13,7 +13,9 @@ The comparison check rebuilds the explicit Gaussian sub-solution
 per row from the accumulated dissipation and drift, and requires the
 computed density to dominate it up to O(d_sigma + dt).  The induced floor
 check then re-derives the diffusivity lower bound from that sub-solution
-instead of trusting the recorded minimum.
+instead of trusting the recorded minimum.  sub_solution takes the kernels
+of all rows from one maxwell.offset_kernel call, then convolves row by
+row with np.convolve(..., mode="valid"), whose bits the tests pin.
 """
 
 from __future__ import annotations
@@ -147,10 +149,10 @@ def sub_solution(p0: np.ndarray, grid: SigmaGrid, t: float,
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     acc = np.atleast_1d(np.asarray(acc_d, dtype=float))
+    kern = offset_kernel(grid, xi, 2.0 * acc)  # every row's kernel in one call
     out = np.empty_like(p0)
     for i in range(p0.shape[0]):
-        kern = offset_kernel(grid, float(xi[i]), 2.0 * float(acc[i]))
-        out[i] = grid.d_sigma * np.convolve(p0[i], kern, mode="valid")
+        out[i] = grid.d_sigma * np.convolve(p0[i], kern[i], mode="valid")
     return math.exp(-t) * out
 
 

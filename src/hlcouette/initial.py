@@ -23,7 +23,6 @@ from scipy.special import ndtr
 
 from .errors import ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
-from .protocols import ShearProtocol
 
 # Row mass may drift this far from 1 before renormalization turns into rejection.
 RENORM_TOL = 1e-6
@@ -143,8 +142,7 @@ class ValidationReport:
 
 
 def validate_initial(data: InitialData, sigma_grid: SigmaGrid, alpha: float,
-                     mu: float, protocol: ShearProtocol | None = None,
-                     allow_degenerate: bool = False) -> ValidationReport:
+                     mu: float, allow_degenerate: bool = False) -> ValidationReport:
     """Validate and normalize initial data in place.
 
     Rows whose mass deviates from 1 by at most RENORM_TOL are renormalized
@@ -203,10 +201,6 @@ def validate_initial(data: InitialData, sigma_grid: SigmaGrid, alpha: float,
             else:
                 ok = False
                 msgs.append(f"outside proven well-posedness: {why}; set allow_degenerate to force")
-
-    if protocol is not None and protocol.value(0.0) != 0.0:
-        ok = False
-        msgs.append("wall protocol must start from rest")
 
     return ValidationReport(ok=ok, eta=eta, eta_details=details,
                             theory_backed=theory_backed, renormalized_rows=renorm,

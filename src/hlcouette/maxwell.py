@@ -16,7 +16,15 @@ exact cell averages of Gaussians (normal CDF differences), so the kernels
 degenerate gracefully to point deposits as their variance goes to zero; the
 memory integral is regularized by the substitution w = sqrt(t - s), under
 which the delta endpoint becomes a smooth integrand for Gauss-Legendre
-quadrature.
+quadrature.  Its weight 2 w e^{-w^2} leaves mass e^{-W^2} beyond w = W, so
+the nodes stop at MEMORY_W_MAX, where that is double epsilon: at long
+times they stay where the integrand is, and for t <= MEMORY_W_MAX^2 they
+are the nodes of the whole range [0, sqrt(t)].
+
+offset_kernel is the one Gaussian kernel on the offset ladder.  The
+comparison barrier in diagnostics asks it for all rows of a snapshot at
+once (per-row shifts and variances), and it builds them with one
+broadcast ndtr, each row bitwise the kernel of its own scalar call.
 """
 
 from __future__ import annotations
@@ -33,33 +41,57 @@ from .protocols import Forcing
 # Gauss-Legendre points for the memory integral; enough for mass errors
 # far below the 1e-8 contract on this smooth integrand.
 MEMORY_QUAD_POINTS = 96
+# Upper end of the memory nodes, about 6.0036: e^{-W^2}, the mass the weight
+# 2 w e^{-w^2} holds beyond it, is double epsilon.
+MEMORY_W_MAX = math.sqrt(-math.log(np.finfo(float).eps))
 
 
-def offset_kernel(grid: SigmaGrid, shift: float, variance: float) -> np.ndarray:
+def _point_kernel(n: int, ds: float, shift: float) -> np.ndarray:
+    """Zero-variance offset kernel: a point deposit at shift, split evenly
+    between two offset cells when it sits on their common edge."""
+    dens = np.zeros(2 * n - 1)
+    rel = shift / ds
+    j = math.floor(rel + 0.5)
+    if abs(rel - (j - 0.5)) < 1e-12:  # shift sits on an offset-cell edge
+        lo = j - 1 + (n - 1)
+        if 0 <= lo < dens.size:
+            dens[lo] += 0.5 / ds
+        if 0 <= lo + 1 < dens.size:
+            dens[lo + 1] += 0.5 / ds
+    elif -(n - 1) <= j <= n - 1:
+        dens[j + n - 1] = 1.0 / ds
+    return dens
+
+
+def offset_kernel(grid: SigmaGrid, shift: float | np.ndarray,
+                  variance: float | np.ndarray) -> np.ndarray:
     """Cell-averaged kernel on the offset ladder k*d_sigma, k in [-(n-1), n-1].
 
     Entry k equals the average over cell i of a Gaussian centered at
     sigma_j + shift whenever k = i - j, which turns the p0 convolution into
     a single 1-d convolution.
+
+    shift and variance are scalars (one kernel, shape (2n-1,)) or arrays of
+    per-row values (one kernel per row, shape (m, 2n-1)).  Every row of
+    positive variance comes from one broadcast ndtr; each row is bitwise the
+    kernel of its own scalar call.
     """
     n = grid.n_sigma
     ds = grid.d_sigma
-    k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)  # 2n edges
-    if variance == 0.0:
-        dens = np.zeros(2 * n - 1)
-        rel = shift / ds
-        j = math.floor(rel + 0.5)
-        if abs(rel - (j - 0.5)) < 1e-12:  # shift sits on an offset-cell edge
-            lo = j - 1 + (n - 1)
-            if 0 <= lo < dens.size:
-                dens[lo] += 0.5 / ds
-            if 0 <= lo + 1 < dens.size:
-                dens[lo + 1] += 0.5 / ds
-        elif -(n - 1) <= j <= n - 1:
-            dens[j + n - 1] = 1.0 / ds
-        return dens
-    cdf = ndtr((k_edges - shift) / math.sqrt(variance))
-    return np.diff(cdf) / ds
+    shifts, variances = np.broadcast_arrays(np.asarray(shift, dtype=float),
+                                            np.asarray(variance, dtype=float))
+    rows_shift, rows_var = shifts.reshape(-1), variances.reshape(-1)
+    kern = np.empty((rows_shift.size, 2 * n - 1))
+    point = rows_var == 0.0
+    if not point.all():
+        k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)  # 2n edges
+        spread = ~point
+        cdf = ndtr((k_edges - rows_shift[spread, None])
+                   / np.sqrt(rows_var[spread])[:, None])
+        kern[spread] = np.diff(cdf, axis=1) / ds
+    for i in np.flatnonzero(point):
+        kern[i] = _point_kernel(n, ds, float(rows_shift[i]))
+    return kern.reshape(*shifts.shape, 2 * n - 1)
 
 
 def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
@@ -82,10 +114,12 @@ def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
     kern = offset_kernel(grid, chi_t, 2.0 * alpha * t)
     decayed = math.exp(-t) * grid.d_sigma * np.convolve(p0, kern, mode="valid")
 
-    # memory term via w = sqrt(t - s): int_0^sqrt(t) 2 w e^{-w^2} K_{alpha w^2}(.) dw
+    # memory term via w = sqrt(t - s): int_0^sqrt(t) 2 w e^{-w^2} K_{alpha w^2}(.) dw,
+    # cut at MEMORY_W_MAX
+    w_max = min(math.sqrt(t), MEMORY_W_MAX)
     x, wts = np.polynomial.legendre.leggauss(n_quad)
-    w = 0.5 * math.sqrt(t) * (x + 1.0)
-    scale = 0.5 * math.sqrt(t) * wts * 2.0 * w * np.exp(-w * w)
+    w = 0.5 * w_max * (x + 1.0)
+    scale = 0.5 * w_max * wts * 2.0 * w * np.exp(-w * w)
     shifts = np.array([chi_t - forcing.integral(t - wi * wi) for wi in w])
     stds = w * math.sqrt(2.0 * alpha)
     args = (grid.edges[None, :] - shifts[:, None]) / stds[:, None]

@@ -9,6 +9,24 @@ before any state is trusted.
 All writes go through a temporary file and an atomic rename, so a killed
 run never leaves a truncated artifact behind.
 
+Checkpoints, series.npz and failure_dump.npz are npz archives written by
+_npz, the one npz writer.  It writes the zip by hand, with every field the
+value Python's zipfile would write, for three reasons: the timestamps are
+fixed (reruns of one config give byte-identical files), each member is
+written in one pass (its CRC and size are known before its local header,
+so nothing seeks back), and array data goes to the file from the array's
+own buffer, with no bytes copy.  The layout is a stored zip:
+- per array, in keyword order: a local header (version 20, no flags,
+  ZIP_STORED, 1980-01-01 00:00, CRC-32, sizes, the name "<key>.npy"),
+  then the npy 1.0 header and the raw data, as np.save writes them;
+- a central directory entry per member (create_system 3, version 20,
+  external_attr 0o600 << 16, the local header's offset);
+- the end-of-central-directory record.
+A member whose array holds more than ZIP64_LIMIT / 1.05 bytes carries a
+zip64 extra field in its local header (version 45, sizes 0xFFFFFFFF);
+sizes and offsets above ZIP64_LIMIT move to a zip64 extra in the central
+directory, and a directory past the limits gets the zip64 end records.
+
 Formatting the snapshot CSVs as %.17g text is pure Python work that one
 core cannot speed up, so it is streamed to other cores while the run
 integrates.  A SnapshotStream is the run's snapshot_sink: it takes each
@@ -54,12 +72,14 @@ snapshot as the run takes it and collects them into a pending batch.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
-import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +91,14 @@ from .params import rescale_fields
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 MIN_SHARE_VALUES = 200_000  # about 0.12 s of formatting: repays a fork
 _MESSAGE_MAX = 4096  # bytes of a child's error message (one atomic pipe write)
+
+# The npz archive fields, each the value Python's zipfile writes.
+ZIP64_LIMIT = (1 << 31) - 1  # sizes and offsets above it go to zip64 fields
+_VERSION, _ZIP64_VERSION = 20, 45  # "version needed to extract"
+_DOS_DATE = (1 << 5) | 1  # 1980-01-01; the DOS time field is 0
+_EXTERNAL_ATTR = 0o600 << 16  # -rw-------
+_LOCAL = "<4s2B4HL2L2H"
+_CENTRAL = "<4s4B4HL2L5H2L"
 
 
 def _atomic_write(path: Path, write) -> None:
@@ -155,20 +183,75 @@ def write_density_csv(path: str | Path, t: float, y: np.ndarray,
     _atomic_write(Path(path), _text(_csv(fingerprint, t, header, table)))
 
 
-def _npz(**arrays):
-    """Writer of an npz archive whose members stream straight into the file.
+def _npy(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The npy 1.0 header of arr and its data as bytes in file order.
 
-    Hand-rolled so the zip member timestamps are fixed: reruns of the same
-    config must produce byte-identical artifacts.
+    The data is a uint8 view of arr whenever arr is contiguous; like
+    np.save, a Fortran-ordered array is stored in Fortran order and any
+    other non-contiguous array is copied once into C order.
+    """
+    header = io.BytesIO()
+    meta = np.lib.format.header_data_from_array_1_0(arr)
+    np.lib.format.write_array_header_1_0(header, meta)
+    data = arr.ravel(order="F" if meta["fortran_order"] else "C")
+    return header.getvalue(), data.view(np.uint8)
+
+
+def _npz(**arrays):
+    """Writer of an npz archive: one stored npy member per keyword, in order.
+
+    Each member is written in one pass, local header first, since its CRC
+    and size are known before a byte is written; see the module docstring
+    for the layout.
     """
     def write(fh) -> None:
-        with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-            for name, arr in arrays.items():
-                arr = np.asarray(arr)
-                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-                info.file_size = arr.nbytes  # sizes the zip64 choice up front
-                with zf.open(info, "w") as member:
-                    np.lib.format.write_array(member, arr, allow_pickle=False)
+        members = []  # (name, crc, size, offset, zip64) in archive order
+        offset = 0
+        for key, arr in arrays.items():
+            arr = np.asarray(arr)
+            name = (key + ".npy").encode("ascii")
+            header, data = _npy(arr)
+            size = len(header) + data.nbytes
+            crc = zlib.crc32(data, zlib.crc32(header))
+            # zipfile's choice, made from the array's bytes alone; where the
+            # npy header tips the member over the limit, zipfile raises
+            zip64 = arr.nbytes * 1.05 > ZIP64_LIMIT or size > ZIP64_LIMIT
+            if zip64:
+                version, stored = _ZIP64_VERSION, 0xFFFFFFFF
+                extra = struct.pack("<HHQQ", 1, 16, size, size)
+            else:
+                version, stored, extra = _VERSION, size, b""
+            local = struct.pack(_LOCAL, b"PK\x03\x04", version, 0, 0, 0, 0, _DOS_DATE,
+                                crc, stored, stored, len(name), len(extra)) + name + extra
+            fh.write(local + header)
+            fh.write(data)
+            members.append((name, crc, size, offset, zip64))
+            offset += len(local) + size
+
+        start = offset
+        for name, crc, size, at, zip64 in members:
+            big = [size, size] if size > ZIP64_LIMIT else []
+            if at > ZIP64_LIMIT:
+                big.append(at)
+            extra = struct.pack(f"<HH{len(big)}Q", 1, 8 * len(big), *big) if big else b""
+            version = _ZIP64_VERSION if zip64 or big else _VERSION
+            stored = 0xFFFFFFFF if size > ZIP64_LIMIT else size
+            entry = struct.pack(_CENTRAL, b"PK\x01\x02", version, 3, version, 0, 0,
+                                0, 0, _DOS_DATE, crc, stored, stored, len(name),
+                                len(extra), 0, 0, 0, _EXTERNAL_ATTR,
+                                0xFFFFFFFF if at > ZIP64_LIMIT else at)
+            fh.write(entry + name + extra)
+            offset += len(entry) + len(name) + len(extra)
+
+        count, length = len(members), offset - start
+        if count > 0xFFFF or start > ZIP64_LIMIT or length > ZIP64_LIMIT:
+            fh.write(struct.pack("<4sQ2H2L4Q", b"PK\x06\x06", 44, _ZIP64_VERSION,
+                                 _ZIP64_VERSION, 0, 0, count, count, length, start))
+            fh.write(struct.pack("<4sLQL", b"PK\x06\x07", 0, offset, 1))
+            count, length, start = (min(count, 0xFFFF), min(length, 0xFFFFFFFF),
+                                    min(start, 0xFFFFFFFF))
+        fh.write(struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, count, count,
+                             length, start, 0))
     return write
 
 

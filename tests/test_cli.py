@@ -217,6 +217,21 @@ def test_oracle_writes_density(tmp_path, capsys):
                  "--set", "model.fully_relaxing=true"]) == 3
 
 
+def test_oracle_mass_holds_at_long_times(capsys):
+    # the memory term decays like e^{-(t - s)}: by t = 100 the density mass
+    # inside sigma_max has settled, and it must stay put however long after
+    def mass(t):
+        assert main(["oracle", "--t", t, "--set", "model.fully_relaxing=true",
+                     "--set", "grid.sigma_max=8.0"]) == 0
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("density mass = ")]
+        return float(line.split("=")[1])
+
+    settled = mass("100")
+    for t in ("1e4", "1e6"):
+        assert abs(mass(t) - settled) < 1e-8
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
 def test_oracle_rejects_non_finite_time(t, capsys):
     assert main(["oracle", f"--t={t}", "--set", "model.fully_relaxing=true"]) == 3

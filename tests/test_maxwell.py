@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -42,6 +44,52 @@ def test_offset_kernel_point_mass_cases():
     assert k2[3 + n - 1] == pytest.approx(0.5 / ds)
     assert k2[4 + n - 1] == pytest.approx(0.5 / ds)
     assert not offset_kernel(GRID, (n + 2) * ds, 0.0).any()
+
+
+def scalar_offset_kernel(grid, shift, variance):
+    """offset_kernel as it was before it took per-row arrays: one row, one
+    ndtr call, math.sqrt.  Batched rows must keep these bits."""
+    n = grid.n_sigma
+    ds = grid.d_sigma
+    k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)
+    if variance == 0.0:
+        dens = np.zeros(2 * n - 1)
+        rel = shift / ds
+        j = math.floor(rel + 0.5)
+        if abs(rel - (j - 0.5)) < 1e-12:
+            lo = j - 1 + (n - 1)
+            if 0 <= lo < dens.size:
+                dens[lo] += 0.5 / ds
+            if 0 <= lo + 1 < dens.size:
+                dens[lo + 1] += 0.5 / ds
+        elif -(n - 1) <= j <= n - 1:
+            dens[j + n - 1] = 1.0 / ds
+        return dens
+    cdf = ndtr((k_edges - shift) / math.sqrt(variance))
+    return np.diff(cdf) / ds
+
+
+SMALL = SigmaGrid(sigma_max=4.0, n_sigma=32)
+# anywhere on the ladder and past both of its ends, on offset-cell edges and
+# on offset-cell centres
+SHIFTS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.integers(-34, 34).map(lambda j: (j - 0.5) * SMALL.d_sigma),
+    st.integers(-34, 34).map(lambda j: j * SMALL.d_sigma))
+VARIANCES = st.one_of(st.just(0.0), st.floats(1e-12, 50.0))
+
+
+@settings(deadline=None)
+@given(rows=st.lists(st.tuples(SHIFTS, VARIANCES), min_size=1, max_size=8))
+def test_batched_offset_kernel_rows_equal_scalar_calls(rows):
+    shifts = np.array([s for s, _ in rows])
+    variances = np.array([v for _, v in rows])
+    kern = offset_kernel(SMALL, shifts, variances)
+    assert kern.shape == (len(rows), 2 * SMALL.n_sigma - 1)
+    for row, (shift, variance) in zip(kern, rows):
+        ref = scalar_offset_kernel(SMALL, shift, variance)
+        assert row.tobytes() == ref.tobytes()
+        assert offset_kernel(SMALL, shift, variance).tobytes() == ref.tobytes()
 
 
 def test_mean_stress_constant_loading_is_saturating_exponential():
