@@ -63,131 +63,100 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _print_report(report: diagnostics.DiagnosticsReport) -> None:
-    print(report.format())
-
-
 def cmd_run(args) -> int:
     cfg = _load(args)
     prob, init, report = cfg.build()
     report.raise_if_failed()
-    out = Path(args.out) if args.out else None
-    scales = cfg.scales if cfg.mode == "dimensional" else None
+    eta = report.eta
     print(f"fingerprint: {cfg.fingerprint}")
-    print(f"eta = {report.eta:.17g}")
-    stream = None  # formats the snapshot CSVs in forked children as the run goes
-    if out is not None:
-        stream = snapshots.SnapshotStream(out, prob, cfg.fingerprint, scales=scales,
-                                          dump_density=args.dump_density)
+    print(f"eta = {eta:.17g}")
+    directory = None  # writes every artifact; formats the CSVs as the run goes
+    if args.out:
+        directory = snapshots.RunDirectory(
+            args.out, prob, cfg.fingerprint,
+            scales=cfg.scales if cfg.mode == "dimensional" else None,
+            dump_density=args.dump_density)
     try:
-        return _run(args, cfg, prob, init, report.eta, out, stream)
-    except BaseException:
+        resume = None
+        if args.resume:
+            resume = snapshots.load_checkpoint(args.resume,
+                                               expect_fingerprint=cfg.fingerprint)
+            check = diagnostics.verify_resume(resume, prob.sigma_grid,
+                                              prob.space_grid.dt, init.p0,
+                                              prob.dp.alpha, cfg.c_comparison)
+            print(check.format())
+            check.raise_if_failed()
+            print(f"resuming at step {resume.step} "
+                  f"(t = {prob.space_grid.time(resume.step):g})")
+
+        t_start = time.perf_counter()
+        if cfg.fully_relaxing and not args.force_general:
+            print(f"integrating {prob.space_grid.n_steps} steps (relaxation closed form)")
+            result = coupler.run_maxwell(
+                prob, tau0=np.asarray(compute_tau(init.p0, prob.sigma_grid)),
+                u0=init.u0, snap_every=cfg.snapshot_every, snapshot_sink=directory)
+        else:
+            print(f"integrating {prob.space_grid.n_steps} steps (kinetic path)")
+            result = coupler.run(
+                prob, init, eta, snap_every=cfg.snapshot_every,
+                checkpoint_every=cfg.checkpoint_every,
+                checkpoint_sink=directory.checkpoint if directory else None,
+                resume=resume,
+                snapshot_sink=directory)
+        elapsed = time.perf_counter() - t_start
+        if directory is not None:
+            directory.end_of_run()  # the children format while the checks run
+        max_iters = int(result.picard_iters.max()) if result.picard_iters.size else 0
+        print(f"done in {elapsed:.2f} s; max fixed-point iterations = {max_iters}")
+        for msg in result.warnings:
+            print(f"warning: {msg}")
+
+        report = None
+        if not args.skip_checks:
+            report = diagnostics.evaluate(result, c_comp=cfg.c_comparison,
+                                          c_mom=cfg.c_moment)
+            print(report.format())
+
+        if directory is not None:
+            ratios = result.picard_ratios
+            finite = ratios[np.isfinite(ratios)]
+            summary = {
+                "fingerprint": cfg.fingerprint,
+                "kind": result.kind,
+                "mode": cfg.mode,
+                "eta": eta,
+                "params": {"rho": prob.dp.rho, "alpha": prob.dp.alpha,
+                           "g0": prob.dp.g0, "mu": prob.dp.mu},
+                "grid": {"n_y": prob.space_grid.n_y,
+                         "n_sigma": prob.sigma_grid.n_sigma,
+                         "sigma_max": prob.sigma_grid.sigma_max,
+                         "threshold": prob.sigma_grid.threshold},
+                "run": {"dt": prob.space_grid.dt, "t_final": prob.space_grid.t_final,
+                        "n_steps": prob.space_grid.n_steps,
+                        "snapshot_every": cfg.snapshot_every},
+                "protocol": {"kind": prob.protocol.kind, **prob.protocol.spec},
+                "picard": {"max_iterations": max_iters,
+                           "max_ratio": float(finite.max()) if finite.size else None},
+                "warnings": result.warnings,
+                "diagnostics": [vars(r).copy() for r in report.results] if report else [],
+            }
+            written = directory.finish(result, summary)
+            print(f"wrote {len(written)} snapshot file(s) and series to "
+                  f"{directory.out_dir}")
+
+        if report is not None:
+            report.raise_if_failed()
+        return 0
+    except BaseException as exc:
         # every snapshot taken is written whole and no writer outlives the
         # command; a writer error must not mask the run's own
-        message = stream.abort() if stream is not None else None
-        if message is not None:
-            print(f"error: {message}", file=sys.stderr)
-        raise
-
-
-def _run(args, cfg: RunConfig, prob, init, eta: float, out: Path | None,
-         stream: snapshots.SnapshotStream | None) -> int:
-    """The body of cmd_run, which finishes the stream whatever ends it."""
-    sink = None
-    if out is not None and cfg.checkpoint_every:
-        def sink(payload):
-            snapshots.save_checkpoint(out / f"checkpoint_{payload.step:06d}.npz",
-                                      payload, cfg.fingerprint)
-
-    resume = None
-    if args.resume:
-        resume = snapshots.load_checkpoint(args.resume,
-                                           expect_fingerprint=cfg.fingerprint)
-        check = diagnostics.verify_resume(resume, prob.sigma_grid,
-                                          prob.space_grid.dt, init.p0,
-                                          prob.dp.alpha, cfg.c_comparison)
-        _print_report(check)
-        check.raise_if_failed()
-        print(f"resuming at step {resume.step} "
-              f"(t = {prob.space_grid.time(resume.step):g})")
-
-    use_maxwell = cfg.fully_relaxing and not args.force_general
-    t_start = time.perf_counter()
-    if use_maxwell:
-        print(f"integrating {prob.space_grid.n_steps} steps (relaxation closed form)")
-        result = coupler.run_maxwell(
-            prob, tau0=np.asarray(compute_tau(init.p0, prob.sigma_grid)),
-            u0=init.u0, snap_every=cfg.snapshot_every, snapshot_sink=stream)
-    else:
-        print(f"integrating {prob.space_grid.n_steps} steps (kinetic path)")
-        try:
-            result = coupler.run(prob, init, eta,
-                                 snap_every=cfg.snapshot_every,
-                                 checkpoint_every=cfg.checkpoint_every,
-                                 checkpoint_sink=sink, resume=resume,
-                                 snapshot_sink=stream)
-        except HlCouetteError as exc:
-            payload = getattr(exc, "payload", None)
-            if payload is not None and out is not None:
-                dump = out / "failure_dump.npz"
-                snapshots.save_checkpoint(dump, payload, cfg.fingerprint)
+        if directory is not None:
+            dump, errors = directory.abort(getattr(exc, "payload", None))
+            if dump is not None:
                 print(f"state dumped to {dump}", file=sys.stderr)
-            raise
-    elapsed = time.perf_counter() - t_start
-    if stream is not None:
-        stream.end_of_run()  # the children format while the checks run
-    print(f"done in {elapsed:.2f} s; max fixed-point iterations = "
-          f"{int(result.picard_iters.max()) if result.picard_iters.size else 0}")
-    for msg in result.warnings:
-        print(f"warning: {msg}")
-
-    report = None
-    if not args.skip_checks:
-        report = diagnostics.evaluate(result, c_comp=cfg.c_comparison,
-                                      c_mom=cfg.c_moment)
-        _print_report(report)
-
-    if out is not None:
-        written = snapshots.write_snapshots(out, result, cfg.fingerprint,
-                                            scales=stream.scales,
-                                            dump_density=args.dump_density,
-                                            stream=stream)
-        snapshots.write_series(out / "series.npz", result, cfg.fingerprint)
-        if result.kind == "general":
-            final = coupler.ResumePayload(
-                step=result.state.step, u=result.state.u, p=result.state.p,
-                accum=result.accum, series=result.series())
-            snapshots.save_checkpoint(out / "checkpoint_final.npz", final,
-                                      cfg.fingerprint)
-        ratios = result.picard_ratios
-        finite = ratios[np.isfinite(ratios)]
-        summary = {
-            "fingerprint": cfg.fingerprint,
-            "kind": result.kind,
-            "mode": cfg.mode,
-            "eta": eta,
-            "params": {"rho": prob.dp.rho, "alpha": prob.dp.alpha,
-                       "g0": prob.dp.g0, "mu": prob.dp.mu},
-            "grid": {"n_y": prob.space_grid.n_y,
-                     "n_sigma": prob.sigma_grid.n_sigma,
-                     "sigma_max": prob.sigma_grid.sigma_max,
-                     "threshold": prob.sigma_grid.threshold},
-            "run": {"dt": prob.space_grid.dt, "t_final": prob.space_grid.t_final,
-                    "n_steps": prob.space_grid.n_steps,
-                    "snapshot_every": cfg.snapshot_every},
-            "protocol": {"kind": prob.protocol.kind, **prob.protocol.spec},
-            "picard": {"max_iterations": int(result.picard_iters.max())
-                       if result.picard_iters.size else 0,
-                       "max_ratio": float(finite.max()) if finite.size else None},
-            "warnings": result.warnings,
-            "diagnostics": [vars(r).copy() for r in report.results] if report else [],
-        }
-        snapshots.write_summary(out / "summary.json", summary)
-        print(f"wrote {len(written)} snapshot file(s) and series to {out}")
-
-    if report is not None:
-        report.raise_if_failed()
-    return 0
+            for message in errors:
+                print(f"error: {message}", file=sys.stderr)
+        raise
 
 
 def cmd_hl_run(args) -> int:
@@ -263,7 +232,7 @@ def cmd_diagnose(args) -> int:
           f"(t = {prob.space_grid.time(payload.step):g})")
     report = diagnostics.evaluate(result, c_comp=cfg.c_comparison,
                                   c_mom=cfg.c_moment)
-    _print_report(report)
+    print(report.format())
     report.raise_if_failed()
     return 0
 

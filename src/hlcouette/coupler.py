@@ -61,7 +61,6 @@ class CoupledProblem:
     protocol: ShearProtocol
     picard_tol: float = PICARD_TOL
     picard_max: int = PICARD_MAX
-    mass_tol: float = MASS_TOL
     sink_scale: float = 1.0  # fault-injection hook, production value 1.0
 
 
@@ -192,10 +191,12 @@ class RunResult:
     state: CoupledState
     warnings: list[str] = field(default_factory=list)
 
-    def series(self) -> dict:
-        """The per-step records keyed as in ResumePayload.series."""
-        return {**{f.key: getattr(self, f.attr) for f in SERIES},
-                "warnings": self.warnings}
+    def payload(self) -> ResumePayload:
+        """The run's final state, to continue it or to checkpoint it."""
+        return ResumePayload(
+            step=self.state.step, u=self.state.u, p=self.state.p, accum=self.accum,
+            series={**{f.key: getattr(self, f.attr) for f in SERIES},
+                    "warnings": self.warnings})
 
 
 def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
@@ -329,11 +330,11 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
         series["inner"][k] = np.asarray(grid.inner_moment(state.p))
         series["min_d"][k] = float(d.min())
         series["max_p"][k] = float(state.p.max())
-        if mass_err[k] > prob.mass_tol:
+        if mass_err[k] > MASS_TOL:
             row = int(np.abs(masses - 1.0).argmax())
             exc = DiagnosticFailure(
                 f"mass conservation failed at step {k}, row {row}: "
-                f"|mass - 1| = {mass_err[k]:.3e} > {prob.mass_tol:.1e}")
+                f"|mass - 1| = {mass_err[k]:.3e} > {MASS_TOL:.1e}")
             exc.payload = _payload(k)  # full state dump for post-mortems
             raise exc
         outer = np.asarray(grid.outermost_mass(state.p))

@@ -41,6 +41,7 @@ C_COMPARISON = 0.3    # comparison slack per unit (d_sigma + dt)
 C_MOMENT = 1.0        # moment-identity residual per unit (dt + d_sigma)
 D_FLOOR_REL_SLACK = 1e-3
 SUP_REL_SLACK = 1e-6
+GRADIENT_REL_SLACK = 1e-6
 F2_SLACK = 1.05
 
 
@@ -96,48 +97,47 @@ def _soft(name: str, violation: float, slack: float, message: str) -> CheckResul
                        bound=slack, message=message)
 
 
-def check_mass(result: RunResult, tol: float = MASS_TOL) -> CheckResult:
+def check_mass(result: RunResult) -> CheckResult:
     worst = float(result.mass_err_series.max())
     step = int(result.mass_err_series.argmax())
-    ok = worst <= tol
+    ok = worst <= MASS_TOL
     return CheckResult(
         name="mass_conservation", status="pass" if ok else "fail",
-        measured=worst, bound=tol,
-        message=f"max |row mass - 1| = {worst:.3e} at step {step} (tol {tol:.1e})")
+        measured=worst, bound=MASS_TOL,
+        message=f"max |row mass - 1| = {worst:.3e} at step {step} (tol {MASS_TOL:.1e})")
 
 
-def check_positivity(result: RunResult, floor: float = NEGATIVITY_FLOOR,
-                     clip_tol: float = CLIP_TOL) -> CheckResult:
+def check_positivity(result: RunResult) -> CheckResult:
     pre = result.accum.min_before_clip
     pre = 0.0 if not math.isfinite(pre) else min(pre, 0.0)
     clipped = result.accum.clipped_total
-    ok = pre >= floor and clipped <= clip_tol
+    ok = pre >= NEGATIVITY_FLOOR and clipped <= CLIP_TOL
     return CheckResult(
         name="positivity", status="pass" if ok else "fail",
-        measured=min(pre, -clipped), bound=floor,
-        message=(f"min pre-clip value = {pre:.3e} (floor {floor:.1e}), "
-                 f"total clipped mass = {clipped:.3e} (tol {clip_tol:.1e})"))
+        measured=min(pre, -clipped), bound=NEGATIVITY_FLOOR,
+        message=(f"min pre-clip value = {pre:.3e} (floor {NEGATIVITY_FLOOR:.1e}), "
+                 f"total clipped mass = {clipped:.3e} (tol {CLIP_TOL:.1e})"))
 
 
-def check_sup_norm(result: RunResult, rel_slack: float = SUP_REL_SLACK) -> CheckResult:
+def check_sup_norm(result: RunResult) -> CheckResult:
     alpha = result.problem.dp.alpha
     bounds = np.array([linf_bound(result.p0_max, alpha, t) for t in result.times])
     excess = result.max_p_series - bounds
     k = int(excess.argmax())
     violation = float(excess[k])
-    slack = rel_slack * (1.0 + float(bounds[k]))
+    slack = SUP_REL_SLACK * (1.0 + float(bounds[k]))
     return _soft("sup_norm_growth", violation, slack,
                  f"max density excess over p0_max + sqrt(alpha t / pi) is "
                  f"{violation:.3e} at t = {result.times[k]:.4g} (slack {slack:.1e})")
 
 
-def check_d_floor(result: RunResult, rel_slack: float = D_FLOOR_REL_SLACK) -> CheckResult:
+def check_d_floor(result: RunResult) -> CheckResult:
     eta = result.eta
     floors = 0.5 * eta * np.exp(-result.times)
     deficit = floors - result.min_d_series
     k = int(deficit.argmax())
     violation = float(deficit[k])
-    slack = rel_slack * eta if eta > 0 else rel_slack
+    slack = D_FLOOR_REL_SLACK * eta if eta > 0 else D_FLOOR_REL_SLACK
     return _soft("diffusivity_floor", violation, slack,
                  f"max deficit below (eta/2) e^(-t) is {violation:.3e} "
                  f"at t = {result.times[k]:.4g} (slack {slack:.1e}, eta = {eta:.6g})")
@@ -252,13 +252,13 @@ def gradient_energy_bound(p0_max: float, alpha: float, eta: float, t: float) -> 
                                         + (alpha / math.sqrt(math.pi)) * t ** 1.5)
 
 
-def check_gradient_bound(result: RunResult, rel_slack: float = 1e-6) -> CheckResult:
+def check_gradient_bound(result: RunResult) -> CheckResult:
     t_final = result.problem.space_grid.t_final
     dp = result.problem.dp
     bound = gradient_energy_bound(result.p0_max, dp.alpha, result.eta, t_final)
     measured = float(result.accum.grad_sq.max())
     violation = measured - bound
-    slack = rel_slack * (1.0 + abs(bound)) if math.isfinite(bound) else math.inf
+    slack = GRADIENT_REL_SLACK * (1.0 + abs(bound)) if math.isfinite(bound) else math.inf
     msg = (f"max row gradient energy = {measured:.4g}, bound = {bound:.4g} "
            f"(slack {slack:.1e})")
     if not math.isfinite(bound):
@@ -299,7 +299,7 @@ def measure_f2_ratio(tau_series: np.ndarray, sgrid: SpaceTimeGrid,
     return math.sqrt(energy) / sup
 
 
-def check_f2(result: RunResult, slack: float = F2_SLACK) -> CheckResult:
+def check_f2(result: RunResult) -> CheckResult:
     sgrid = result.problem.space_grid
     dp = result.problem.dp
     t = sgrid.t_final
@@ -309,7 +309,7 @@ def check_f2(result: RunResult, slack: float = F2_SLACK) -> CheckResult:
         return CheckResult("velocity_map_lipschitz", "pass", 0.0, bound,
                            "stress identically zero; map trivially bounded")
     violation = ratio - bound
-    return _soft("velocity_map_lipschitz", violation, (slack - 1.0) * bound,
+    return _soft("velocity_map_lipschitz", violation, (F2_SLACK - 1.0) * bound,
                  f"measured ratio {ratio:.4g} vs bound 2 sqrt(T)/mu = {bound:.4g}")
 
 

@@ -27,10 +27,30 @@ zip64 extra field in its local header (version 45, sizes 0xFFFFFFFF);
 sizes and offsets above ZIP64_LIMIT move to a zip64 extra in the central
 directory, and a directory past the limits gets the zip64 end records.
 
+A run's --out directory has one writer, a RunDirectory, which names
+every file in it:
+- snapshot_<index>.csv (y, u, tau, d) per snapshot and, with
+  --dump-density, density_<index>.csv (general runs only);
+- checkpoint_<step>.npz every checkpoint_every steps;
+- when the run returns: series.npz, checkpoint_final.npz (general runs
+  only) and summary.json;
+- when it fails: failure_dump.npz, if the failure carries the state of
+  its step (the mass guard's does).
+Indices and steps are zero-padded to six digits.  The CSVs are mapped
+back to dimensional units when the directory has scales; the npz
+archives always hold the solver's scaled state.  The directory's
+lifecycle: the run calls it with each Snapshot (its snapshot_sink) and
+calls its checkpoint with each ResumePayload (its checkpoint_sink);
+end_of_run follows once the run has returned; then finish writes the
+rest, or, if anything raised, abort writes the failure dump and the CSVs.
+A writer error in abort is returned, not raised, so the run's own error
+is the one that exits.  The four writers (write_snapshots, write_series,
+write_summary, save_checkpoint) are module functions looked up at each
+call, so a wrapper set on the module attribute sees every call.
+
 Formatting the snapshot CSVs as %.17g text is pure Python work that one
 core cannot speed up, so it is streamed to other cores while the run
-integrates.  A SnapshotStream is the run's snapshot_sink: it takes each
-snapshot as the run takes it and collects them into a pending batch.
+integrates: the directory collects each snapshot into a pending batch.
 - Batches: a snapshot counts 4 * n_y values (y, u, tau, d), plus the
   n_y * n_sigma of its density when one is dumped.  Once the pending
   batch holds MIN_SHARE_VALUES and a writer slot is free, a child that
@@ -41,11 +61,12 @@ snapshot as the run takes it and collects them into a pending batch.
   for a run-sized process), so small outputs (the standard scenario's
   11 snapshots) never fork and `taskset -c 0` makes every run serial.
 - end_of_run hands the rest of the batch to a child once the run has
-  returned, if the stream has forked before, whether or not a slot is
-  free, so the children format while the caller evaluates.  close
-  (called by write_snapshots) writes what is still pending in the
-  caller, reaps every child and returns every path in snapshot order.
-  The files and their bytes do not depend on which process wrote them.
+  returned, if the directory has forked before, whether or not a slot is
+  free, so the children format while the caller evaluates.
+  write_snapshots (called by finish and abort) writes what is still
+  pending in the caller, reaps every child and returns every path in
+  snapshot order.  The files and their bytes do not depend on which
+  process wrote them.
 - Why fork: a forked child already holds the snapshot arrays, so nothing
   is pickled.  Process pools pickle every job through a feeder thread that
   waits for the interpreter lock, which the caller holds through each
@@ -58,13 +79,11 @@ snapshot as the run takes it and collects them into a pending batch.
   happens, it leaves through os._exit.  The caller flushes stdout and
   stderr before every fork, so output still buffered mid-run is not
   written twice.
-- A child that fails sends its message back through a pipe.  close
-  reaps every child, then raises ArtifactIOError (exit code 6) naming
-  the file that failed; _atomic_write leaves no temporary file behind.
-  A fork that fails leaves the batch pending for the caller to write,
-  and no later fork is tried.
-  abort is close for a run that failed: it writes every snapshot taken
-  so far and reaps every child without masking the run's own error.
+- A child that fails sends its message back through a pipe.
+  write_snapshots reaps every child, then raises ArtifactIOError (exit
+  code 6) naming the file that failed; _atomic_write leaves no temporary
+  file behind.  A fork that fails leaves the batch pending for the
+  caller to write, and no later fork is tried.
 - Checkpoints are not streamed: save_checkpoint writes each one in the
   caller before the run goes on, so a checkpoint file is complete the
   moment its sink call returns.
@@ -255,17 +274,6 @@ def _npz(**arrays):
     return write
 
 
-def _maybe_rescale(snap: Snapshot, scales: tuple[float, float, float] | None,
-                   y: np.ndarray) -> tuple[float, np.ndarray, dict]:
-    fields = {"u": snap.u, "tau": snap.tau, "d": snap.d}
-    if scales is None:
-        return snap.t, y, fields
-    t0, length, sigma_c = scales
-    out = rescale_fields({"t": snap.t, "y": y, **fields},
-                         t0, length, sigma_c, to_dimensionless=False)
-    return float(out["t"]), out["y"], {k: out[k] for k in fields}
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -298,12 +306,8 @@ def _fork(write, batch: list) -> tuple[int, int]:
     return pid, read_end
 
 
-class SnapshotStream:
-    """Snapshot sink that writes a run's CSVs in forked children as it goes.
-
-    Call it with each Snapshot the run takes, call end_of_run once the run
-    has returned, then close (or abort) it; see the module docstring.
-    """
+class RunDirectory:
+    """The one writer of a run's --out directory; see the module docstring."""
 
     def __init__(self, out_dir: str | Path, problem, fingerprint: str,
                  scales: tuple[float, float, float] | None = None,
@@ -332,50 +336,63 @@ class SnapshotStream:
         if self._pending_values >= MIN_SHARE_VALUES and self._free_slot():
             self._hand_off()
 
+    def checkpoint(self, payload: ResumePayload) -> None:
+        """Write checkpoint_<step>.npz before the run goes on."""
+        save_checkpoint(self.out_dir / f"checkpoint_{payload.step:06d}.npz",
+                        payload, self.fingerprint)
+
     def end_of_run(self) -> None:
-        """Hand the pending batch to a child, if this stream has forked."""
+        """Hand the pending batch to a child, if this directory has forked."""
         if self._forked and self._pending:
             self._hand_off()
 
-    def close(self) -> list[Path]:
-        """Write what is pending here, reap every child, return every path.
+    def finish(self, result: RunResult, summary: dict) -> list[Path]:
+        """Write the artifacts of a run that returned; returns the CSV paths.
 
-        Raises ArtifactIOError naming the file that failed, once every
-        child is reaped.
+        Raises ArtifactIOError naming the first file that failed.
         """
-        pending, self._pending, self._pending_values = self._pending, [], 0
-        try:
-            self._write(pending)
-        finally:
-            for child in self._children:
-                self._reap(child)
-            self._children = []
-        failures, self._failures = self._failures, []
-        if failures:
-            raise ArtifactIOError(failures[0])
-        return [p for _, path, dpath in self.files for p in (path, dpath)
-                if p is not None]
+        written = write_snapshots(self)
+        write_series(self.out_dir / "series.npz", result, self.fingerprint)
+        if result.kind == "general":
+            save_checkpoint(self.out_dir / "checkpoint_final.npz", result.payload(),
+                            self.fingerprint)
+        write_summary(self.out_dir / "summary.json", summary)
+        return written
 
-    def abort(self) -> str | None:
-        """close for a run that failed: returns a writer error, never raises it."""
+    def abort(self, payload: ResumePayload | None = None
+              ) -> tuple[Path | None, list[str]]:
+        """Write what a failed run leaves; never raises a writer error.
+
+        Dumps payload, the state of the failure, when there is one, then
+        writes every snapshot taken and reaps every child.  Returns the
+        dump's path (None if none was written) and the writer errors.
+        """
+        errors = []
+        dump = None if payload is None else self.out_dir / "failure_dump.npz"
+        if dump is not None:
+            try:
+                save_checkpoint(dump, payload, self.fingerprint)
+            except ArtifactIOError as exc:
+                dump, errors = None, [str(exc)]
         try:
-            self.close()
+            write_snapshots(self)
         except ArtifactIOError as exc:
-            return str(exc)
-        return None
+            errors.append(str(exc))
+        return dump, errors
 
     def _write(self, batch: list) -> None:
         for snap, path, dpath in batch:
-            t_out, y_out, fields = _maybe_rescale(snap, self.scales, self.y)
-            write_fields_csv(path, t_out, y_out, fields, self.fingerprint)
+            t, y, centers, p = snap.t, self.y, self.centers, snap.p
+            fields = {"u": snap.u, "tau": snap.tau, "d": snap.d}
+            if self.scales is not None:
+                density = {} if dpath is None else {"sigma": centers, "p": p}
+                dim = rescale_fields({"t": t, "y": y, **fields, **density},
+                                     *self.scales, to_dimensionless=False)
+                t, y, centers, p = dim["t"], dim["y"], dim.get("sigma"), dim.get("p")
+                fields = {k: dim[k] for k in fields}
+            write_fields_csv(path, t, y, fields, self.fingerprint)
             if dpath is not None:
-                p_out, c_out = snap.p, self.centers
-                if self.scales is not None:
-                    scaled = rescale_fields({"p": snap.p, "sigma": self.centers},
-                                            *self.scales, to_dimensionless=False)
-                    p_out, c_out = scaled["p"], scaled["sigma"]
-                write_density_csv(dpath, t_out, y_out, c_out, p_out,
-                                  self.fingerprint)
+                write_density_csv(dpath, t, y, centers, p, self.fingerprint)
 
     def _free_slot(self) -> bool:
         self._children = [c for c in self._children if not self._reap(c, os.WNOHANG)]
@@ -387,7 +404,7 @@ class SnapshotStream:
                 stream.flush()
         try:
             pid, pipe = _fork(self._write, self._pending)
-        except OSError:  # no process to spare: close writes the batch here
+        except OSError:  # no process to spare: write_snapshots writes the batch here
             self._slots = 0
             return
         self._children.append((pid, pipe, self._pending))
@@ -410,26 +427,26 @@ class SnapshotStream:
         return True
 
 
-def write_snapshots(out_dir: str | Path, result: RunResult, fingerprint: str,
-                    scales: tuple[float, float, float] | None = None,
-                    dump_density: bool = False,
-                    stream: SnapshotStream | None = None) -> list[Path]:
-    """Write one fields CSV per snapshot (plus density matrices on request).
+def write_snapshots(directory: RunDirectory) -> list[Path]:
+    """Write the snapshot CSVs still pending here, reap every child.
 
-    scales, when given, maps outputs back to dimensional units; solver
-    state inside checkpoints is never rescaled.  stream, when given, is the
-    SnapshotStream the run handed its snapshots to, made with these same
-    arguments; the snapshots it has not taken are fed to it, and it is
-    closed.  Returns every path in snapshot order; large outputs are
-    written by forked children (see the module docstring), and the bytes
-    do not depend on which process wrote them.
+    Returns every CSV path of the directory in snapshot order; the bytes
+    do not depend on which process wrote them.  Raises ArtifactIOError
+    naming the file that failed, once every child is reaped.
     """
-    if stream is None:
-        stream = SnapshotStream(out_dir, result.problem, fingerprint, scales,
-                                dump_density)
-    for snap in result.snapshots[len(stream.files):]:
-        stream(snap)
-    return stream.close()
+    pending = directory._pending
+    directory._pending, directory._pending_values = [], 0
+    try:
+        directory._write(pending)
+    finally:
+        for child in directory._children:
+            directory._reap(child)
+        directory._children = []
+    failures, directory._failures = directory._failures, []
+    if failures:
+        raise ArtifactIOError(failures[0])
+    return [p for _, path, dpath in directory.files for p in (path, dpath)
+            if p is not None]
 
 
 def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:

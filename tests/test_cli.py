@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import hlcouette
+from hlcouette import coupler
 from hlcouette.cli import main
-from hlcouette.snapshots import read_series, read_summary
+from hlcouette.snapshots import load_checkpoint, read_series, read_summary
 
 TINY = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
         "--set", "run.t_final=0.01", "--set", "run.snapshot_every=5",
@@ -174,6 +175,32 @@ def test_diagnostic_failure_exits_5_but_artifacts_survive(tmp_path, capsys):
     assert statuses["stress_moment_identity"] == "fail"
 
 
+@pytest.mark.parametrize("dump_is_a_directory", [False, True])
+def test_mass_guard_trip_dumps_the_state_of_its_step(tmp_path, monkeypatch, capsys,
+                                                     dump_is_a_directory):
+    straight = tmp_path / "straight"
+    assert main(["run", *TINY, "--out", str(straight)]) == 0
+    fingerprint = read_summary(straight / "summary.json")["fingerprint"]
+    capsys.readouterr()
+    out = tmp_path / "o"
+    dump = out / "failure_dump.npz"
+    if dump_is_a_directory:
+        dump.mkdir(parents=True)
+    monkeypatch.setattr(coupler, "MASS_TOL", 1e-16)  # TINY drifts 2.2e-16 at step 1
+    assert main(["run", *TINY, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    # the run's own error exits, whatever the dump's fate
+    assert "mass conservation failed at step 1" in err
+    if dump_is_a_directory:
+        assert f"error: cannot write {dump}" in err and "state dumped" not in err
+    else:
+        assert f"state dumped to {dump}" in err
+        assert load_checkpoint(dump, expect_fingerprint=fingerprint).step == 1
+    assert (out / "snapshot_000000.csv").read_bytes() == \
+        (straight / "snapshot_000000.csv").read_bytes()
+    assert not (out / "series.npz").exists() and not (out / "summary.json").exists()
+
+
 def test_artifact_errors_exit_6(tmp_path, capsys):
     rc = main(["run", *TINY, "--resume", str(tmp_path / "missing.npz")])
     assert rc == 6
@@ -249,6 +276,17 @@ def test_fully_relaxing_run_uses_the_closed_form(tmp_path, capsys):
     summary = read_summary(out / "summary.json")
     assert summary["kind"] == "maxwell"
     assert not (out / "checkpoint_final.npz").exists()
+
+
+def test_force_general_runs_a_fully_relaxing_config_on_the_kinetic_path(tmp_path,
+                                                                        capsys):
+    out = tmp_path / "o"
+    rc = main(["run", *TINY, "--force-general", "--set", "model.fully_relaxing=true",
+               "--set", "grid.sigma_max=8.0", "--out", str(out)])
+    assert rc == 0
+    assert "kinetic path" in capsys.readouterr().out
+    assert read_summary(out / "summary.json")["kind"] == "general"
+    assert (out / "checkpoint_final.npz").exists()
 
 
 def test_diagnose_checkpoint(tmp_path, capsys):

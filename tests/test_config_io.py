@@ -19,11 +19,11 @@ from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
 from hlcouette.params import DimensionlessParams, rescale_fields
 from hlcouette.protocols import ShearProtocol
-from hlcouette.snapshots import (_atomic_write, _npz, load_checkpoint,
-                                 read_fields_csv, read_series, read_summary,
-                                 save_checkpoint, write_density_csv,
-                                 write_fields_csv, write_series,
-                                 write_snapshots, write_summary)
+from hlcouette.snapshots import (RunDirectory, _atomic_write, _npz,
+                                 load_checkpoint, read_fields_csv, read_series,
+                                 read_summary, save_checkpoint,
+                                 write_density_csv, write_fields_csv,
+                                 write_series, write_snapshots, write_summary)
 
 
 TINY_RUN = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
@@ -306,9 +306,17 @@ def test_atomic_write_makes_parents_and_rejects_directories(tmp_path):
         write_fields_csv(under_a_file, 0.0, np.array([0.5]), {"u": np.array([1.0])}, "f")
 
 
+def snapshot_csvs(out, res, fingerprint, scales=None, dump_density=False):
+    """Hand every snapshot of res to a RunDirectory, then write its CSVs."""
+    directory = RunDirectory(out, res.problem, fingerprint, scales, dump_density)
+    for snap in res.snapshots:
+        directory(snap)
+    return write_snapshots(directory)
+
+
 def test_write_snapshots_names_and_rescaling(tmp_path):
     res, _ = micro_run()
-    written = write_snapshots(tmp_path, res, "a" * 64, dump_density=True)
+    written = snapshot_csvs(tmp_path, res, "a" * 64, dump_density=True)
     names = sorted(p.name for p in written)
     assert names == ["density_000000.csv", "density_000005.csv",
                      "density_000010.csv", "snapshot_000000.csv",
@@ -318,7 +326,7 @@ def test_write_snapshots_names_and_rescaling(tmp_path):
     assert np.array_equal(data["tau"], res.snapshots[-1].tau)
 
     scaled_dir = tmp_path / "scaled"
-    write_snapshots(scaled_dir, res, "a" * 64, scales=(2.0, 1.0, 4.0))
+    snapshot_csvs(scaled_dir, res, "a" * 64, scales=(2.0, 1.0, 4.0))
     t_dim, dim = read_fields_csv(scaled_dir / "snapshot_000010.csv")
     assert t_dim == pytest.approx(0.02)                    # t0 = 2
     assert np.allclose(dim["tau"], 4.0 * data["tau"])      # sigma_c = 4
@@ -372,8 +380,8 @@ def test_split_writer_is_byte_identical_to_a_per_file_loop(tmp_path, monkeypatch
     res, _ = micro_run()
     ref = per_file_snapshots(tmp_path / "ref", res, "a" * 64, scales)
     forks = forcing_shares(monkeypatch)
-    written = write_snapshots(tmp_path / "split", res, "a" * 64, scales=scales,
-                              dump_density=True)
+    written = snapshot_csvs(tmp_path / "split", res, "a" * 64, scales=scales,
+                            dump_density=True)
     assert len(forks) >= 2  # the first two snapshots always find a free slot
     assert [p.name for p in written] == [p.name for p in ref]
     for path, expected in zip(written, ref):
@@ -390,7 +398,7 @@ def test_a_failing_child_share_raises_in_the_caller(tmp_path, monkeypatch):
     forcing_shares(monkeypatch)
     pid = os.getpid()
     with pytest.raises(ArtifactIOError, match=str(clash)):
-        write_snapshots(tmp_path, res, "a" * 64, dump_density=True)
+        snapshot_csvs(tmp_path, res, "a" * 64, dump_density=True)
     assert os.getpid() == pid
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
         "density_000000.csv", "density_000005.csv", "density_000010.csv",
@@ -406,7 +414,7 @@ def test_a_failing_child_share_raises_in_the_caller(tmp_path, monkeypatch):
 def test_small_outputs_do_not_fork(tmp_path, monkeypatch, n_y, n_sigma,
                                    dump_density):
     def fork():
-        raise AssertionError("write_snapshots forked")
+        raise AssertionError("the snapshot writer forked")
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
     monkeypatch.setattr(snapshots, "_usable_cpus", lambda: 64)
@@ -419,8 +427,8 @@ def test_small_outputs_do_not_fork(tmp_path, monkeypatch, n_y, n_sigma,
         problem=SimpleNamespace(space_grid=SimpleNamespace(y=y),
                                 sigma_grid=SimpleNamespace(
                                     centers=np.linspace(-4, 4, n_sigma))))
-    written = write_snapshots(tmp_path, result, "a" * 64,
-                              dump_density=dump_density)
+    written = snapshot_csvs(tmp_path, result, "a" * 64,
+                            dump_density=dump_density)
     assert len(written) == 11 * (2 if dump_density else 1)
 
 
@@ -428,7 +436,7 @@ def test_small_outputs_do_not_fork(tmp_path, monkeypatch, n_y, n_sigma,
 def test_one_usable_cpu_writes_everything_in_the_caller(tmp_path, monkeypatch):
     res, _ = micro_run()
     forks = forcing_shares(monkeypatch, cpus=1)
-    written = write_snapshots(tmp_path, res, "a" * 64, dump_density=True)
+    written = snapshot_csvs(tmp_path, res, "a" * 64, dump_density=True)
     assert forks == [] and len(written) == 6
 
 
@@ -441,7 +449,7 @@ def test_fork_failure_writes_the_share_in_the_caller(tmp_path, monkeypatch):
 
     forcing_shares(monkeypatch)
     monkeypatch.setattr(os, "fork", fork, raising=False)
-    written = write_snapshots(tmp_path / "split", res, "a" * 64, dump_density=True)
+    written = snapshot_csvs(tmp_path / "split", res, "a" * 64, dump_density=True)
     for path, expected in zip(written, ref, strict=True):
         assert path.read_bytes() == expected.read_bytes(), path.name
 

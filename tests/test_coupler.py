@@ -116,7 +116,7 @@ def test_checkpoint_payload_series_are_read_only_prefixes():
 
     res = run(prob, init, eta, checkpoint_every=5, checkpoint_sink=sink)
     assert [p.step for p in payloads] == [5, 10, 15, 20]
-    final = res.series()
+    final = res.payload().series
     for payload, seen in zip(payloads, at_sink):
         for f in SERIES:
             prefix = final[f.key][:f.length(payload.step)]

@@ -2,12 +2,15 @@
 
 perfbench/child.py wraps package functions by module attribute.  Deleting
 or renaming one of them breaks traced benchmark runs with an
-AttributeError; this catches it without running a workload.
+AttributeError; this catches it without running a workload.  A caller
+that reaches a writer other than through its module attribute (a bound
+method, a name imported or kept before the wrapping) bypasses the
+wrapper and reads as zero; the traced run below catches that.
 """
 
 from pathlib import Path
 
-from hlcouette import config, coupler, diagnostics
+from hlcouette import cli, config, coupler, diagnostics
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,3 +28,30 @@ def test_perfbench_hooks_install_and_restore(monkeypatch):
     finally:
         tracer.restore()
     assert (coupler.run, diagnostics.evaluate, config.RunConfig.build) == originals
+
+
+def test_traced_run_counts_every_artifact_write(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from child import install
+    from spans import Tracer
+
+    out = tmp_path / "o"
+    tracer = Tracer()
+    try:
+        install(tracer, True, [], [])
+        assert cli.main(["run", "--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
+                         "--set", "run.t_final=0.01", "--set", "run.snapshot_every=5",
+                         "--set", "run.checkpoint_every=5", "--out", str(out)]) == 0
+    finally:
+        tracer.restore()
+    layers = tracer.layers()
+    writers = ("write_snapshots", "write_series", "write_summary", "save_checkpoint")
+    calls = {name: layers.get(f"snapshots.{name}", {}).get("calls", 0)
+             for name in writers}
+    # checkpoints at steps 5 and 10, then checkpoint_final
+    assert calls == {"write_snapshots": 1, "write_series": 1, "write_summary": 1,
+                     "save_checkpoint": 3}
+    assert tracer.counters["snapshots.save_checkpoint.bytes"] == sum(
+        p.stat().st_size for p in out.glob("checkpoint_*.npz"))
+    assert tracer.counters["snapshots.write_snapshots.bytes"] == sum(
+        p.stat().st_size for p in out.glob("*.csv"))
