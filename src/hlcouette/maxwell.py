@@ -19,7 +19,9 @@ which the delta endpoint becomes a smooth integrand for Gauss-Legendre
 quadrature.  Its weight 2 w e^{-w^2} leaves mass e^{-W^2} beyond w = W, so
 the nodes stop at MEMORY_W_MAX, where that is double epsilon: at long
 times they stay where the integrand is, and for t <= MEMORY_W_MAX^2 they
-are the nodes of the whole range [0, sqrt(t)].
+are the nodes of the whole range [0, sqrt(t)].  Each node's shift
+chi(t) - chi(t - w^2) is the forcing's window integral over the last w^2,
+which keeps its digits where t - w^2 rounds.
 
 offset_kernel is the one Gaussian kernel on the offset ladder.  The
 comparison barrier in diagnostics asks it for all rows of a snapshot at
@@ -120,7 +122,7 @@ def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
     x, wts = np.polynomial.legendre.leggauss(n_quad)
     w = 0.5 * w_max * (x + 1.0)
     scale = 0.5 * w_max * wts * 2.0 * w * np.exp(-w * w)
-    shifts = np.array([chi_t - forcing.integral(t - wi * wi) for wi in w])
+    shifts = np.array([forcing.window_integral(t, wi * wi) for wi in w])
     stds = w * math.sqrt(2.0 * alpha)
     args = (grid.edges[None, :] - shifts[:, None]) / stds[:, None]
     memory = scale @ (np.diff(ndtr(args), axis=1) / grid.d_sigma)

@@ -15,7 +15,9 @@ with b the local elastic loading rate.  One step is IMEX split, in order:
    in one batched tridiagonal solve (the absorbed boundary flux is metered
    from the column-sum identity of the Dirichlet matrix; the solve reuses
    its factorization while lam repeats, as it does across the Picard
-   iterates of one macro step),
+   iterates of one macro step, and factors a new lam from the first
+   pivots of each row, which settle after a few entries because D is
+   constant along the row; see tridiag),
 3. explicit relaxation sink on the cells beyond the threshold,
 4. re-injection at sigma = 0 of everything removed this step (sink mass
    plus the metered truncation losses), split evenly over the two cells
@@ -272,6 +274,16 @@ def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     b_arr = _per_row(b, p2.shape[0])
     if n_sub is None:
         n_sub = required_substeps(b_arr, dt, grid)
+    if n_sub == 1:
+        # hl_step's report is the step's.  Adding it to zeros would only turn
+        # a -0.0 into +0.0, and no caller sees that: trunc_moment is never
+        # -0.0, because a sum is -0.0 only when both terms are and its first
+        # term out_right * w_right never is (np.maximum(-0.0, 0.0) is +0.0
+        # and the rows hold no -0.0); clipped_mass, -0.0 on the unclipped
+        # rows of a clipping step, is only summed into totals that start at
+        # +0.0; and the callers read no other mass field.
+        q, report = hl_step(p2, b_arr, dt, grid, alpha, sink_scale=sink_scale, d=d)
+        return (q[0] if p.ndim == 1 else q), report
     sub_dt = dt / n_sub
     report = StepReport.zeros(p2.shape[0])
     report.min_before_clip = np.inf

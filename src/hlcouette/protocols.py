@@ -5,7 +5,9 @@ exposing the three integrals every consumer needs:
 
 * ``value(t)``         the forcing itself,
 * ``integral(t)``      int_0^t b ds          (accumulated shear),
-* ``exp_integral(t)``  int_0^t e^{s-t} b ds  (relaxation memory integral).
+* ``exp_integral(t)``  int_0^t e^{s-t} b ds  (relaxation memory integral),
+* ``window_integral(t, s)``  int_{t-s}^t b  (shear over the last s), which
+  does not cancel as integral(t) - integral(t - s) does once t >> s.
 
 Piecewise-linear and sinusoidal forcings evaluate those in closed form, so
 oracle results built on them carry no quadrature error.
@@ -37,6 +39,9 @@ class Forcing:
         raise NotImplementedError
 
     def exp_integral(self, t: float) -> float:
+        raise NotImplementedError
+
+    def window_integral(self, t: float, s: float) -> float:
         raise NotImplementedError
 
 
@@ -110,6 +115,11 @@ class PiecewiseLinearForcing(Forcing):
                       - math.exp(a - t) * (va - m))
         return total
 
+    def window_integral(self, t: float, s: float) -> float:
+        if t - s >= self.times[-1]:  # inside the constant tail
+            return float(self.values[-1] * s)
+        return self.integral(t) - self.integral(t - s)
+
 
 class SinusoidForcing(Forcing):
     """b(t) = amplitude * sin(omega t); all integrals closed form."""
@@ -133,6 +143,12 @@ class SinusoidForcing(Forcing):
         w = self.omega
         return self.amplitude * (math.sin(w * t) - w * math.cos(w * t)
                                  + w * math.exp(-t)) / (1.0 + w * w)
+
+    def window_integral(self, t: float, s: float) -> float:
+        # cos(w (t - s)) - cos(w t) as a product, which does not cancel
+        w = self.omega
+        return (2.0 * self.amplitude / w * math.sin(w * (t - 0.5 * s))
+                * math.sin(0.5 * w * s))
 
 
 class ShearProtocol:
@@ -182,6 +198,9 @@ class ShearProtocol:
 
     def exp_integral(self, t: float) -> float:
         return self.forcing.exp_integral(t)
+
+    def window_integral(self, t: float, s: float) -> float:
+        return self.forcing.window_integral(t, s)
 
     def scaled(self, time_scale: float, velocity_scale: float) -> "ShearProtocol":
         """Protocol seen in rescaled variables: V'(t') = velocity_scale * V(time_scale * t')."""

@@ -1,5 +1,6 @@
 """Coupled stepping: fixed point, bookkeeping, checkpointing, both variants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -341,3 +342,62 @@ def test_kinetic_path_self_converges_at_first_order(ladder):
         e_fine = np.abs(mid[name] - fine[name]).max()
         # first order halves the gap per halving: 2; measured 1.74-2.30
         assert 1.6 < e_coarse / e_fine < 2.6, (name, e_coarse, e_fine)
+
+
+# SHA-256 digests (first 16 hex digits) of a run's SERIES arrays and final
+# u and p, recorded from the plain full-matrix factorization on x86-64 with
+# numpy 2.4 and scipy 1.17's OpenBLAS LAPACK.  A change that keeps every
+# bit of the kinetic path keeps them; another platform's libm or LAPACK
+# may round differently and need digests of its own.
+PINNED_DIGESTS = {
+    "ramp": {
+        "tau": "00a3a40a23301d3c", "u": "cb4a71adfe5c3107",
+        "b": "4eadcb8d0b17cf45", "trunc": "ddd65cbeb1f633bb",
+        "inner": "eba4d66b3c3a27f7", "mass_err": "76b999a61701cde2",
+        "min_d": "94d139ecc1387957", "max_p": "df66a3b452ac4b78",
+        "iters": "10cc127785670308", "ratios": "1f7aa9678ddde019",
+        "u_final": "2089e2dee3b12c58", "p_final": "20cb3d7777d838f7",
+    },
+    "sinusoid": {
+        "tau": "d211b1723e9d6912", "u": "e7ab186b225b1d75",
+        "b": "0b9508fc089faa90", "trunc": "3427972dd2f74184",
+        "inner": "4a919c28745eddf8", "mass_err": "d4d30879023d274c",
+        "min_d": "4ca214e669c609de", "max_p": "e6b926856f31143c",
+        "iters": "9e98c99a49489387", "ratios": "c814772ff988b2df",
+        "u_final": "06cd3c1bf9564761", "p_final": "3d1fc651cd25fcb2",
+    },
+}
+
+
+def _pinned_run(case: str):
+    if case == "ramp":
+        # the default ramp, 50 steps on rows longer than the 32 pivots the
+        # stress solve factors first
+        cfg = standard_config(grid__n_y="8", grid__n_sigma="256",
+                              run__t_final="0.05")
+        prob, init, report = cfg.build()
+        report.raise_if_failed()
+        return prob, run(prob, init, report.eta)
+    # loading of both signs, sub-cycled where it is large
+    prob, init, eta = small_problem(n_y=8, t_final=0.02,
+                                    protocol=ShearProtocol.sinusoid(60.0, 0.01))
+    return prob, run(prob, init, eta)
+
+
+def _digests(res) -> dict[str, str]:
+    arrays = {f.key: getattr(res, f.attr) for f in SERIES}
+    arrays.update(u_final=res.state.u, p_final=res.state.p)
+    return {k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()[:16]
+            for k, v in arrays.items()}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+def test_kinetic_runs_keep_their_pinned_bits(case):
+    prob, res = _pinned_run(case)
+    if case == "ramp":
+        assert prob.sigma_grid.n_sigma == 256 and res.state.step == 50
+    else:
+        b = res.b_series
+        assert (b > 0).any() and (b < 0).any()
+        assert np.abs(b).max() * prob.space_grid.dt > prob.sigma_grid.d_sigma
+    assert _digests(res) == PINNED_DIGESTS[case]

@@ -33,6 +33,24 @@ def test_piecewise_linear_integrals_exact(seed):
         assert f.exp_integral(t) == pytest.approx(weighted, abs=1e-10)
 
 
+@pytest.mark.parametrize("forcing", [
+    PiecewiseLinearForcing([0.0, 0.3, 1.0], [0.0, 2.0, -1.5]),
+    SinusoidForcing(1.3, 2.0 * math.pi / 0.7)])
+def test_window_integral_is_the_difference_of_integrals(forcing):
+    for t in TIMES[1:]:
+        for s in (0.0, 0.01, 0.5 * t, t):
+            assert forcing.window_integral(t, s) == pytest.approx(
+                forcing.integral(t) - forcing.integral(t - s), abs=1e-13)
+
+
+def test_window_integral_does_not_cancel_in_the_constant_tail():
+    # integral(t) - integral(t - s) has lost s whole once t - s rounds
+    f = PiecewiseLinearForcing([0.0, 1.0], [0.0, 2.0])
+    for t in (1e4, 1e13, 1e16):
+        assert f.window_integral(t, 0.3) == 2.0 * 0.3
+    assert ShearProtocol.ramp(2.0, 1.0).window_integral(1e16, 0.3) == 2.0 * 0.3
+
+
 def test_piecewise_linear_constant_extension():
     f = PiecewiseLinearForcing([0.0, 1.0], [0.0, 2.0])
     assert f.value(4.0) == 2.0

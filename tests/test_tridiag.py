@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from scipy.linalg.lapack import dptsv
 
+from hlcouette import tridiag
 from hlcouette.errors import SchemeInstabilityError
 from hlcouette.tridiag import (_diffusion_factors, factor_tridiagonal,
                                solve_diffusion_batch, solve_tridiagonal)
@@ -134,13 +135,18 @@ def test_diffusion_batch_positivity_and_column_sums_property(batch):
 
 
 # The one-slot factor cache: a hit must give the bits a fresh dptsv gives.
-def dptsv_batch(lam, rhs):
-    """The stacked system solved by one uncached dptsv call."""
-    n_rows, n = rhs.shape
+def stacked_matrix(lam, n):
+    """Diagonal and off-diagonal of the stacked I + lam*L, zero at the seams."""
     diag = np.repeat(1.0 + 2.0 * lam, n)
     off = np.repeat(-lam, n)[:-1]
     off[n - 1::n] = 0.0
-    _, _, x, info = dptsv(diag, off, rhs.ravel())
+    return diag, off
+
+
+def dptsv_batch(lam, rhs):
+    """The stacked system solved by one uncached dptsv call."""
+    n_rows, n = rhs.shape
+    _, _, x, info = dptsv(*stacked_matrix(lam, n), rhs.ravel())
     assert info == 0
     return x.reshape(n_rows, n)
 
@@ -199,6 +205,51 @@ def test_the_solve_writes_its_solution_into_rhs():
     x = solve_diffusion_batch(lam, rhs)
     assert np.shares_memory(x, rhs) and rhs.tobytes() == x.tobytes()
     assert x.tobytes() == dptsv_batch(lam, kept).tobytes()
+
+
+# The prefix factorization: the factors of a block's first pivots, filled out
+# once they settle, are the factors of the whole stacked matrix.
+def whole_stacked_factors(lam, n):
+    """One factor_tridiagonal call on the whole stacked I + lam*L."""
+    return factor_tridiagonal(*stacked_matrix(lam, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 80).flatmap(lambda rows: st.lists(
+           st.one_of(st.just(0.0), st.floats(0.0, 1e7, allow_subnormal=False)),
+           min_size=rows, max_size=rows)),
+       st.integers(2, 600))
+def test_prefix_factors_are_the_whole_factors_bitwise_property(lams, n):
+    # a large lam settles later than the block ends, so it reaches the
+    # whole-matrix call; a small one settles within the first prefix
+    lam = np.array(lams)
+    _diffusion_factors.cache_clear()
+    d, e = _diffusion_factors(n, lam.tobytes())
+    d_ref, e_ref = whole_stacked_factors(lam, n)
+    assert d.shape == d_ref.shape and d.tobytes() == d_ref.tobytes()
+    assert e.shape == e_ref.shape and e.tobytes() == e_ref.tobytes()
+    assert not d.flags.writeable and not e.flags.writeable
+
+
+@pytest.mark.parametrize("lam, prefixes", [
+    (np.linspace(0.27, 0.36, 64), [32]),        # the standard batch: settled
+    (np.full(3, 5.0), [32, 64]),                 # settles at pivot 42
+    (np.full(3, 100.0), [32, 64, 128, 256])])    # settles past 256: whole
+def test_settled_rows_factor_only_a_prefix(monkeypatch, lam, prefixes):
+    # rows of 256; the first prefix is FACTOR_PREFIX = 32 pivots, doubled
+    # until the last two pivots of every row are equal
+    sizes = []
+
+    def recording(diag, off):
+        sizes.append(diag.shape[0])
+        return factor_tridiagonal(diag, off)
+
+    monkeypatch.setattr(tridiag, "factor_tridiagonal", recording)
+    _diffusion_factors.cache_clear()
+    d, e = _diffusion_factors(256, lam.tobytes())
+    assert sizes == [lam.size * m for m in prefixes]
+    d_ref, e_ref = whole_stacked_factors(lam, 256)
+    assert d.tobytes() == d_ref.tobytes() and e.tobytes() == e_ref.tobytes()
 
 
 # The factor path itself: factor + substitute is dptsv, bit for bit.
