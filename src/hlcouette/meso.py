@@ -100,11 +100,6 @@ class StepReport:
     min_before_clip: float
     n_sub: int = 1
 
-    @classmethod
-    def zeros(cls, n_rows: int) -> "StepReport":
-        z = lambda: np.zeros(n_rows)
-        return cls(z(), z(), z(), z(), z(), z(), 0.0, 0)
-
     def accumulate(self, other: "StepReport"):
         self.sink_mass += other.sink_mass
         self.boundary_mass += other.boundary_mass
@@ -274,25 +269,17 @@ def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     b_arr = _per_row(b, p2.shape[0])
     if n_sub is None:
         n_sub = required_substeps(b_arr, dt, grid)
-    if n_sub == 1:
-        # hl_step's report is the step's.  Adding it to zeros would only turn
-        # a -0.0 into +0.0, and no caller sees that: trunc_moment is never
-        # -0.0, because a sum is -0.0 only when both terms are and its first
-        # term out_right * w_right never is (np.maximum(-0.0, 0.0) is +0.0
-        # and the rows hold no -0.0); clipped_mass, -0.0 on the unclipped
-        # rows of a clipping step, is only summed into totals that start at
-        # +0.0; and the callers read no other mass field.
-        q, report = hl_step(p2, b_arr, dt, grid, alpha, sink_scale=sink_scale, d=d)
-        return (q[0] if p.ndim == 1 else q), report
     sub_dt = dt / n_sub
-    report = StepReport.zeros(p2.shape[0])
-    report.min_before_clip = np.inf
-    report.n_sub = 0
-    # only the first sub-step starts from p; the later ones compute their D
-    q = p2
-    for i in range(n_sub):
-        q, rep = hl_step(q, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale,
-                         d=d if i == 0 else None)
+    # the first sub-step's report seeds the sum (seeding with zeros would
+    # only turn a -0.0 into +0.0, and no caller sees that: trunc_moment is
+    # never -0.0, because its first term out_right * w_right never is;
+    # clipped_mass, -0.0 on the unclipped rows of a clipping step, is only
+    # summed into totals that start at +0.0; the callers read no other mass
+    # field).  Only the first sub-step starts from p; the later ones
+    # compute their D.
+    q, report = hl_step(p2, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale, d=d)
+    for _ in range(n_sub - 1):
+        q, rep = hl_step(q, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale)
         report.accumulate(rep)
     return (q[0] if p.ndim == 1 else q), report
 

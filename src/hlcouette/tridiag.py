@@ -35,15 +35,15 @@ restarts each block at d = a, whatever the block before it left, so the
 blocks factor independently.  ``_diffusion_factors`` therefore factors the
 first FACTOR_PREFIX pivots of every block, stacked with zero seams as in
 the whole matrix; when every block's last two pivots are equal it repeats
-each block's last d and e to the end of the block, and otherwise it
-doubles the prefix, up to the whole matrix, which is the full call.  The
-preconditions are constant a and c per block, the causal recurrence and
-zero seams; a NaN pivot never compares equal, so it reaches the full call,
-and so does a lam so large that the pivots settle later than a block ends.
-At the standard scenario's lam = 0.27-0.36 they settle after 12-13 pivots
-and a 64 x 256 batch factors in about a third of the full call's time.
-A failure inside the prefix raises with an ``info`` that counts pivots of
-the stacked prefix.
+each block's last d and e to the end of the block, and otherwise it makes
+the full call on the whole matrix.  The preconditions are constant a and c
+per block, the causal recurrence and zero seams; a NaN pivot never
+compares equal, so it reaches the full call, and so does any lam whose
+pivots settle after the prefix (lam above about 3).  At the standard
+scenario's lam = 0.27-0.36 they settle after 12-13 pivots and a 64 x 256
+batch factors in about a third of the full call's time; a batch that
+reaches the full call pays the prefix on top of it.  A failure inside the
+prefix raises with an ``info`` that counts pivots of the stacked prefix.
 
 ``solve_tridiagonal`` consumes its right-hand side: ``dpttrs`` substitutes
 in place of ``rhs`` (when it is a C-contiguous float array), so the
@@ -60,8 +60,8 @@ import numpy as np
 
 from .errors import SchemeInstabilityError
 
-# Pivots per block factored first by _diffusion_factors; doubled until every
-# block's last two pivots agree, or the blocks are whole.
+# Pivots per block that _diffusion_factors factors first; when some block's
+# last two pivots still differ, it factors the whole blocks instead.
 FACTOR_PREFIX = 32
 
 
@@ -122,14 +122,12 @@ def _diffusion_factors(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray
     Bitwise the factors of the whole stacked matrix (module docstring).
     """
     lam = np.frombuffer(lam_bytes)
-    m = min(FACTOR_PREFIX, n)
-    while True:
-        d, e = _stacked_factors(lam, m)
-        if m == n:
-            return d, e
-        if (d[m - 1::m] == d[m - 2::m]).all():
-            break
-        m = min(2 * m, n)
+    m = FACTOR_PREFIX
+    if n <= m:
+        return _stacked_factors(lam, n)
+    d, e = _stacked_factors(lam, m)
+    if not (d[m - 1::m] == d[m - 2::m]).all():
+        return _stacked_factors(lam, n)
     # every block's pivots have settled: its last d, and its last e inside
     # the prefix (e_{m-2}, before the zero seam e_{m-1}), repeat to fill it
     counts_d = np.ones((lam.size, m), dtype=np.intp)

@@ -233,11 +233,11 @@ def test_prefix_factors_are_the_whole_factors_bitwise_property(lams, n):
 
 @pytest.mark.parametrize("lam, prefixes", [
     (np.linspace(0.27, 0.36, 64), [32]),        # the standard batch: settled
-    (np.full(3, 5.0), [32, 64]),                 # settles at pivot 42
-    (np.full(3, 100.0), [32, 64, 128, 256])])    # settles past 256: whole
+    (np.full(3, 5.0), [32, 256]),                # settles at pivot 42: whole
+    (np.full(3, 100.0), [32, 256])])             # settles past 256: whole
 def test_settled_rows_factor_only_a_prefix(monkeypatch, lam, prefixes):
-    # rows of 256; the first prefix is FACTOR_PREFIX = 32 pivots, doubled
-    # until the last two pivots of every row are equal
+    # rows of 256; the prefix is FACTOR_PREFIX = 32 pivots, and the whole
+    # rows are factored when the last two pivots of some row differ
     sizes = []
 
     def recording(diag, off):
