@@ -65,11 +65,18 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
+    closed_form = cfg.fully_relaxing and not args.force_general
+    if closed_form and args.resume:
+        raise ConfigError("the relaxation closed form cannot resume a checkpoint; "
+                          "add --force-general to resume on the kinetic path")
     prob, init, report = cfg.build()
     report.raise_if_failed()
     eta = report.eta
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"eta = {eta:.17g}")
+    if closed_form and cfg.checkpoint_every:
+        print("warning: the relaxation closed form writes no checkpoints; "
+              "run.checkpoint_every is ignored without --force-general")
     directory = None  # writes every artifact; formats the CSVs as the run goes
     if args.out:
         directory = snapshots.RunDirectory(
@@ -90,7 +97,7 @@ def cmd_run(args) -> int:
                   f"(t = {prob.space_grid.time(resume.step):g})")
 
         t_start = time.perf_counter()
-        if cfg.fully_relaxing and not args.force_general:
+        if closed_form:
             print(f"integrating {prob.space_grid.n_steps} steps (relaxation closed form)")
             result = coupler.run_maxwell(
                 prob, tau0=np.asarray(compute_tau(init.p0, prob.sigma_grid)),
@@ -106,7 +113,8 @@ def cmd_run(args) -> int:
         elapsed = time.perf_counter() - t_start
         if directory is not None:
             directory.end_of_run()  # the children format while the checks run
-        max_iters = int(result.picard_iters.max()) if result.picard_iters.size else 0
+        iters = result.series["iters"]
+        max_iters = int(iters.max()) if iters.size else 0
         print(f"done in {elapsed:.2f} s; max fixed-point iterations = {max_iters}")
         for msg in result.warnings:
             print(f"warning: {msg}")
@@ -118,7 +126,7 @@ def cmd_run(args) -> int:
             print(report.format())
 
         if directory is not None:
-            ratios = result.picard_ratios
+            ratios = result.series["ratios"]
             finite = ratios[np.isfinite(ratios)]
             summary = {
                 "fingerprint": cfg.fingerprint,
@@ -163,13 +171,12 @@ def cmd_hl_run(args) -> int:
     cfg = _load(args)
     if cfg.mode != "dimensionless":
         raise ConfigError("hl-run works in scaled units; set model.mode = dimensionless")
-    grid = cfg.sigma_grid()
-    tgrid = cfg.space_grid()
-    init = cfg.initial()
-    alpha = cfg.values["model"]["alpha"]
-    loading = cfg.protocol()  # interpreted directly as the loading b(t)
+    prob, init, report = cfg.build()
+    report.raise_if_failed()
+    grid, tgrid = prob.sigma_grid, prob.space_grid
     print(f"fingerprint: {cfg.fingerprint}")
-    traj = hl_solve(init.p0[0], loading, grid, alpha,
+    # the protocol is interpreted directly as the loading b(t)
+    traj = hl_solve(init.p0[0], prob.protocol, grid, prob.dp.alpha,
                     dt=tgrid.dt, t_final=tgrid.t_final, record_p=False)
     print(f"t = {traj.times[-1]:g}: tau = {traj.tau[-1]:.10g}, "
           f"D = {traj.d[-1]:.10g}, mass = {traj.mass[-1]:.12g}, "
@@ -223,13 +230,13 @@ def cmd_diagnose(args) -> int:
     cfg = _load(args)
     prob, init, report = cfg.build()
     report.raise_if_failed()
-    payload = snapshots.load_checkpoint(args.checkpoint,
-                                        expect_fingerprint=cfg.fingerprint
-                                        if not args.any_config else None)
-    result = diagnostics.result_from_checkpoint(prob, init, report.eta, payload)
+    state = snapshots.load_checkpoint(args.checkpoint,
+                                      expect_fingerprint=cfg.fingerprint
+                                      if not args.any_config else None)
+    result = diagnostics.result_from_checkpoint(prob, init, report.eta, state)
     print(f"fingerprint: {cfg.fingerprint}")
-    print(f"checkpoint step {payload.step} "
-          f"(t = {prob.space_grid.time(payload.step):g})")
+    print(f"checkpoint step {state.step} "
+          f"(t = {prob.space_grid.time(state.step):g})")
     report = diagnostics.evaluate(result, c_comp=cfg.c_comparison,
                                   c_mom=cfg.c_moment)
     print(report.format())

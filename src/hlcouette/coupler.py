@@ -20,8 +20,11 @@ tau' = e^{-dt} tau + (1 - e^{-dt}) b (integrating factor, b frozen per
 step) and is used both as a production path for sigma_c = 0 runs and as
 the cross-validation partner for the general solver.
 
-The per-step records of a run are named once, in the SERIES table: it
-drives allocation, resume, checkpoints and the series archive alike.
+A run after any step is one RunState, which a checkpoint holds and run
+resumes from; a RunResult is the final one plus what the run was run on.
+The per-step records are named once, by their SERIES key, in RunState.series
+and every archive alike: a new meter is one SERIES row plus the line of run
+that fills it.
 
 run computes D of each accepted state once: it feeds the next step's first
 sub-step as well as the records.  The stress recorded for a step is the tau
@@ -32,7 +35,7 @@ end is reused at the next step's start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,21 +68,9 @@ class CoupledProblem:
 
 
 @dataclass
-class CoupledState:
-    step: int
-    u: np.ndarray            # (n_y,)
-    p: np.ndarray            # (n_y, n_sigma)
-
-    def tau(self, grid: SigmaGrid) -> np.ndarray:
-        return np.asarray(compute_tau(self.p, grid))
-
-    def d(self, grid: SigmaGrid, alpha: float) -> np.ndarray:
-        return np.asarray(compute_d(self.p, grid, alpha))
-
-
-@dataclass
 class Accumulators:
-    """Running integrals the diagnostics need (resumed exactly on restart)."""
+    """Running integrals the diagnostics need (resumed exactly on restart);
+    checkpoints hold one member per field, in declaration order."""
 
     xi: np.ndarray           # G0 int_0^t (dy u + V) ds per row
     acc_d: np.ndarray        # int_0^t D ds per row
@@ -91,6 +82,10 @@ class Accumulators:
     @classmethod
     def zeros(cls, n_y: int) -> "Accumulators":
         return cls(xi=np.zeros(n_y), acc_d=np.zeros(n_y), grad_sq=np.zeros(n_y))
+
+    def copy(self) -> "Accumulators":
+        return replace(self, xi=self.xi.copy(), acc_d=self.acc_d.copy(),
+                       grad_sq=self.grad_sq.copy())
 
 
 @dataclass
@@ -115,16 +110,11 @@ class Snapshot:
 class SeriesField:
     """One per-step record of a run and how it is laid out and stored."""
 
-    key: str                 # ResumePayload.series key
-    attr: str                # RunResult attribute
+    key: str                 # RunState.series key
     per_node: bool           # one entry per time node (n_steps+1), else per step
     per_y: bool              # one value per gap node in each entry, else a scalar
     dtype: type = float
-
-    @property
-    def archive_key(self) -> str:
-        """Member name in series.npz: the attribute without "_series"."""
-        return self.attr.removesuffix("_series")
+    archive: str = ""        # member name in series.npz, when not the key
 
     @property
     def checkpoint_key(self) -> str:
@@ -138,16 +128,16 @@ class SeriesField:
 
 # the per-step records, in the member order of every archive that holds them
 SERIES = (
-    SeriesField("tau", "tau_series", per_node=True, per_y=True),
-    SeriesField("u", "u_series", per_node=True, per_y=True),
-    SeriesField("b", "b_series", per_node=False, per_y=True),       # loading frozen per step
-    SeriesField("trunc", "trunc_series", per_node=False, per_y=True),  # boundary moment flux
-    SeriesField("inner", "inner_series", per_node=True, per_y=True),   # banded first moment
-    SeriesField("mass_err", "mass_err_series", per_node=True, per_y=False),  # max |mass - 1|
-    SeriesField("min_d", "min_d_series", per_node=True, per_y=False),
-    SeriesField("max_p", "max_p_series", per_node=True, per_y=False),
-    SeriesField("iters", "picard_iters", per_node=False, per_y=False, dtype=int),
-    SeriesField("ratios", "picard_ratios", per_node=False, per_y=False),
+    SeriesField("tau", per_node=True, per_y=True),
+    SeriesField("u", per_node=True, per_y=True),
+    SeriesField("b", per_node=False, per_y=True),        # loading frozen per step
+    SeriesField("trunc", per_node=False, per_y=True),    # boundary moment flux
+    SeriesField("inner", per_node=True, per_y=True),     # banded first moment
+    SeriesField("mass_err", per_node=True, per_y=False),  # max |mass - 1|
+    SeriesField("min_d", per_node=True, per_y=False),
+    SeriesField("max_p", per_node=True, per_y=False),
+    SeriesField("iters", per_node=False, per_y=False, dtype=int, archive="picard_iters"),
+    SeriesField("ratios", per_node=False, per_y=False, archive="picard_ratios"),
 )
 
 
@@ -168,7 +158,23 @@ def _new_series(n_steps: int, n_y: int) -> dict[str, np.ndarray]:
 
 
 @dataclass
-class RunResult:
+class RunState:
+    """A run after `step` steps: exactly what continues it bit-for-bit."""
+
+    step: int
+    u: np.ndarray            # (n_y,)
+    p: np.ndarray            # (n_y, n_sigma)
+    accum: Accumulators
+    # the SERIES records by key, covering `step` steps; in the checkpoints
+    # of a run they are read-only views of the run's own records
+    series: dict[str, np.ndarray]
+    warnings: list[str]
+
+
+@dataclass
+class RunResult(RunState):
+    """A finished run: its final state and what it was run on."""
+
     kind: str                      # "general" or "maxwell"
     problem: CoupledProblem
     eta: float
@@ -176,27 +182,12 @@ class RunResult:
     p0: np.ndarray
     u0: np.ndarray
     times: np.ndarray
-    tau_series: np.ndarray         # per-step records, laid out as in SERIES
-    u_series: np.ndarray
-    b_series: np.ndarray
-    trunc_series: np.ndarray
-    inner_series: np.ndarray
-    mass_err_series: np.ndarray
-    min_d_series: np.ndarray
-    max_p_series: np.ndarray
-    picard_iters: np.ndarray
-    picard_ratios: np.ndarray
     snapshots: list[Snapshot]
-    accum: Accumulators
-    state: CoupledState
-    warnings: list[str] = field(default_factory=list)
 
-    def payload(self) -> ResumePayload:
-        """The run's final state, to continue it or to checkpoint it."""
-        return ResumePayload(
-            step=self.state.step, u=self.state.u, p=self.state.p, accum=self.accum,
-            series={**{f.key: getattr(self, f.attr) for f in SERIES},
-                    "warnings": self.warnings})
+    @property
+    def picard_iters(self) -> np.ndarray:
+        # read by perfbench/child.py
+        return self.series["iters"]
 
 
 def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
@@ -243,26 +234,27 @@ def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
     return u_iter, b, kept, PicardStats(iterations=len(changes), ratio=ratio)
 
 
-def coupled_step(state: CoupledState, prob: CoupledProblem, d: np.ndarray
-                 ) -> tuple[CoupledState, PicardStats, StepReport, np.ndarray, np.ndarray]:
-    """One Picard-coupled macro step from state, whose D is d.
+def coupled_step(u: np.ndarray, p: np.ndarray, t_next: float, prob: CoupledProblem,
+                 d: np.ndarray) -> tuple[np.ndarray, np.ndarray, PicardStats,
+                                         StepReport, np.ndarray, np.ndarray]:
+    """One Picard-coupled macro step to t_next from velocity u and rows p,
+    whose D is d.
 
-    Returns the new state, iteration stats, the meso step report, the
-    loading field actually used, and tau of the new state (the accepted
-    iterate's stress).
+    Returns the new velocity and rows, iteration stats, the meso step
+    report, the loading field actually used, and tau of the new rows (the
+    accepted iterate's stress).
     """
     grid, dp, dt = prob.sigma_grid, prob.dp, prob.space_grid.dt
 
     def kinetic(b):
         n_sub = required_substeps(b, dt, grid)
-        p_new, rep = advance_rows(state.p, b, dt, grid, dp.alpha, n_sub=n_sub,
+        p_new, rep = advance_rows(p, b, dt, grid, dp.alpha, n_sub=n_sub,
                                   sink_scale=prob.sink_scale, d=d)
         tau = np.asarray(compute_tau(p_new, grid))
         return tau, (p_new, rep, tau)
 
-    u, b, (p_new, rep, tau), stats = _picard(state.u, kinetic, prob,
-                                             prob.space_grid.time(state.step + 1))
-    return CoupledState(step=state.step + 1, u=u, p=p_new), stats, rep, b, tau
+    u_new, b, (p_new, rep, tau), stats = _picard(u, kinetic, prob, t_next)
+    return u_new, p_new, stats, rep, b, tau
 
 
 def _sigma_gradient_energy(p: np.ndarray, grid: SigmaGrid) -> np.ndarray:
@@ -270,29 +262,16 @@ def _sigma_gradient_energy(p: np.ndarray, grid: SigmaGrid) -> np.ndarray:
     return (diff * diff).sum(axis=1) * grid.d_sigma
 
 
-@dataclass
-class ResumePayload:
-    """Exact state needed to continue a run bit-for-bit."""
-
-    step: int
-    u: np.ndarray
-    p: np.ndarray
-    accum: Accumulators
-    # SERIES records up to and including `step`, plus "warnings"; in the
-    # payloads of a run they are read-only views of the run's own records
-    series: dict
-
-
 def run(prob: CoupledProblem, init: InitialData, eta: float,
         snap_every: int = 0, checkpoint_every: int = 0,
-        checkpoint_sink=None, resume: ResumePayload | None = None,
+        checkpoint_sink=None, resume: RunState | None = None,
         snapshot_sink=None) -> RunResult:
     """Integrate the coupled system to the horizon.
 
     snap_every / checkpoint_every are step counts (0 disables; snapshots
     always include t = 0 and the final time).  checkpoint_sink, when given,
-    receives a ResumePayload at every checkpoint step; its series are
-    read-only views of this run's records, valid after the run ends.
+    receives a RunState at every checkpoint step; its series are read-only
+    views of this run's records, valid after the run ends.
     snapshot_sink, when given, receives each Snapshot as soon as it is
     taken (it also goes into RunResult.snapshots); nothing later changes
     its arrays.
@@ -308,19 +287,13 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
 
     series = _new_series(n_steps, n_y)
     mass_err = series["mass_err"]
-    warnings: list[str] = []
-
-    if resume is None:
-        state = CoupledState(step=0, u=u0.copy(), p=p0.copy())
-        accum = Accumulators.zeros(n_y)
-        start = 0
-    else:
-        state = CoupledState(step=resume.step, u=resume.u.copy(), p=resume.p.copy())
-        accum = resume.accum
-        start = resume.step
-        for f in SERIES:
-            series[f.key][:f.length(start)] = resume.series[f.key]
-        warnings.extend(resume.series.get("warnings", []))
+    start = resume or RunState(step=0, u=u0, p=p0, accum=Accumulators.zeros(n_y),
+                               series=_new_series(0, n_y), warnings=[])
+    state = RunState(step=start.step, u=start.u.copy(), p=start.p.copy(),
+                     accum=start.accum.copy(), series=series, warnings=list(start.warnings))
+    for f in SERIES:
+        series[f.key][:f.length(state.step)] = start.series[f.key]
+    accum, warnings = state.accum, state.warnings
 
     def _observe(k: int, d: np.ndarray, tau: np.ndarray):
         masses = np.asarray(grid.mass(state.p))
@@ -335,7 +308,7 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
             exc = DiagnosticFailure(
                 f"mass conservation failed at step {k}, row {row}: "
                 f"|mass - 1| = {mass_err[k]:.3e} > {MASS_TOL:.1e}")
-            exc.payload = _payload(k)  # full state dump for post-mortems
+            exc.payload = _payload()  # full state dump for post-mortems
             raise exc
         outer = np.asarray(grid.outermost_mass(state.p))
         if float(outer.max()) > TRUNCATION_TOL:
@@ -364,32 +337,29 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
         view.flags.writeable = False
         return view
 
-    def _payload(k: int) -> ResumePayload:
-        return ResumePayload(
-            step=k, u=state.u.copy(), p=state.p.copy(),
-            accum=Accumulators(xi=accum.xi.copy(), acc_d=accum.acc_d.copy(),
-                               grad_sq=accum.grad_sq.copy(),
-                               clipped_total=accum.clipped_total,
-                               min_before_clip=accum.min_before_clip,
-                               truncation_steps=accum.truncation_steps),
-            series={**{f.key: _prefix(f.key, f.length(k)) for f in SERIES},
-                    "warnings": list(warnings)})
+    def _payload() -> RunState:
+        k = state.step
+        return RunState(step=k, u=state.u.copy(), p=state.p.copy(), accum=accum.copy(),
+                        series={f.key: _prefix(f.key, f.length(k)) for f in SERIES},
+                        warnings=list(warnings))
 
     # D of the current state, computed once per step: it feeds the next
     # step's first sub-step, the observation, the snapshot and both ends of
     # the acc_d trapezoid.  Tau comes from the step's accepted iterate and
     # the velocity gradient is carried to the next step's trapezoid.
-    d = state.d(grid, dp.alpha)
+    d = np.asarray(compute_d(state.p, grid, dp.alpha))
     grad = velocity_gradient(state.u, sgrid)
     if resume is None:
-        _observe(0, d, state.tau(grid))
+        _observe(0, d, np.asarray(compute_tau(state.p, grid)))
         _snap(0, d)
 
-    for k in range(start, n_steps):
+    for k in range(state.step, n_steps):
         grad_prev, d_prev = grad, d
         t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
 
-        state, stats, rep, b_used, tau = coupled_step(state, prob, d)
+        state.u, state.p, stats, rep, b_used, tau = coupled_step(
+            state.u, state.p, t_next, prob, d)
+        state.step = k + 1
 
         series["iters"][k] = stats.iterations
         series["ratios"][k] = stats.ratio
@@ -400,20 +370,18 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
         grad = velocity_gradient(state.u, sgrid)
         accum.xi += dp.g0 * (0.5 * sgrid.dt * (grad_prev + grad)
                              + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
-        d = state.d(grid, dp.alpha)
+        d = np.asarray(compute_d(state.p, grid, dp.alpha))
         accum.acc_d += 0.5 * sgrid.dt * (d_prev + d)
         accum.grad_sq += sgrid.dt * _sigma_gradient_energy(state.p, grid)
 
         _observe(k + 1, d, tau)
         _snap(k + 1, d)
         if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
-            checkpoint_sink(_payload(k + 1))
+            checkpoint_sink(_payload())
 
-    return RunResult(kind="general", problem=prob, eta=eta, p0_max=p0_max,
-                     p0=p0, u0=u0, times=sgrid.times,
-                     **{f.attr: series[f.key] for f in SERIES},
-                     snapshots=snapshots, accum=accum, state=state,
-                     warnings=warnings)
+    return RunResult(**vars(state), kind="general", problem=prob, eta=eta,
+                     p0_max=p0_max, p0=p0, u0=u0, times=sgrid.times,
+                     snapshots=snapshots)
 
 
 def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
@@ -466,11 +434,8 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
         series["ratios"][k] = stats.ratio
         _snap(k + 1)
 
-    n_sigma_dummy = prob.sigma_grid.n_sigma
-    return RunResult(kind="maxwell", problem=prob, eta=dp.alpha, p0_max=math.nan,
-                     p0=np.zeros((0, n_sigma_dummy)), u0=series["u"][0].copy(),
-                     times=sgrid.times, **{f.attr: series[f.key] for f in SERIES},
-                     snapshots=snapshots,
-                     accum=Accumulators.zeros(n_y),
-                     state=CoupledState(step=n_steps, u=u, p=np.zeros((0, n_sigma_dummy))),
-                     warnings=[])
+    no_rows = np.zeros((0, prob.sigma_grid.n_sigma))
+    return RunResult(step=n_steps, u=u, p=no_rows, accum=Accumulators.zeros(n_y),
+                     series=series, warnings=[], kind="maxwell", problem=prob,
+                     eta=dp.alpha, p0_max=math.nan, p0=no_rows,
+                     u0=series["u"][0].copy(), times=sgrid.times, snapshots=snapshots)

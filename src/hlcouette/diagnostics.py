@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupler import (MASS_TOL, SERIES, CoupledProblem, CoupledState, ResumePayload,
-                      RunResult, Snapshot, TRUNCATION_TOL)
+from .coupler import (MASS_TOL, CoupledProblem, RunResult, RunState, Snapshot,
+                      TRUNCATION_TOL)
 from .errors import DiagnosticFailure, ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
@@ -98,8 +98,8 @@ def _soft(name: str, violation: float, slack: float, message: str) -> CheckResul
 
 
 def check_mass(result: RunResult) -> CheckResult:
-    worst = float(result.mass_err_series.max())
-    step = int(result.mass_err_series.argmax())
+    worst = float(result.series["mass_err"].max())
+    step = int(result.series["mass_err"].argmax())
     ok = worst <= MASS_TOL
     return CheckResult(
         name="mass_conservation", status="pass" if ok else "fail",
@@ -122,7 +122,7 @@ def check_positivity(result: RunResult) -> CheckResult:
 def check_sup_norm(result: RunResult) -> CheckResult:
     alpha = result.problem.dp.alpha
     bounds = np.array([linf_bound(result.p0_max, alpha, t) for t in result.times])
-    excess = result.max_p_series - bounds
+    excess = result.series["max_p"] - bounds
     k = int(excess.argmax())
     violation = float(excess[k])
     slack = SUP_REL_SLACK * (1.0 + float(bounds[k]))
@@ -134,7 +134,7 @@ def check_sup_norm(result: RunResult) -> CheckResult:
 def check_d_floor(result: RunResult) -> CheckResult:
     eta = result.eta
     floors = 0.5 * eta * np.exp(-result.times)
-    deficit = floors - result.min_d_series
+    deficit = floors - result.series["min_d"]
     k = int(deficit.argmax())
     violation = float(deficit[k])
     slack = D_FLOOR_REL_SLACK * eta if eta > 0 else D_FLOOR_REL_SLACK
@@ -227,10 +227,10 @@ def moment_residuals(result: RunResult) -> np.ndarray:
     remains measures genuine discretization error of the identity.
     """
     dt = result.problem.space_grid.dt
-    tau = result.tau_series
+    s = result.series
+    tau = s["tau"]
     r = ((tau[1:] - tau[:-1]) / dt + tau[1:]
-         - result.b_series - result.inner_series[1:]
-         + result.trunc_series / dt)
+         - s["b"] - s["inner"][1:] + s["trunc"] / dt)
     return r
 
 
@@ -303,7 +303,7 @@ def check_f2(result: RunResult) -> CheckResult:
     sgrid = result.problem.space_grid
     dp = result.problem.dp
     t = sgrid.t_final
-    ratio = measure_f2_ratio(result.tau_series, sgrid, dp.rho, dp.mu, t)
+    ratio = measure_f2_ratio(result.series["tau"], sgrid, dp.rho, dp.mu, t)
     bound = 2.0 * math.sqrt(t) / dp.mu
     if math.isnan(ratio):
         return CheckResult("velocity_map_lipschitz", "pass", 0.0, bound,
@@ -344,46 +344,41 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
 
 
 def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
-                           payload: ResumePayload) -> RunResult:
+                           state: RunState) -> RunResult:
     """Rebuild a result view from a checkpoint so the full check battery
     can run on a stored state (horizon truncated at the checkpoint step)."""
-    if payload.step < 1:
+    if state.step < 1:
         raise ValidationError("checkpoint holds no completed steps to diagnose")
     sg = prob.space_grid
-    tgrid = SpaceTimeGrid(n_y=sg.n_y, dt=sg.dt, t_final=payload.step * sg.dt)
-    s = payload.series
+    tgrid = SpaceTimeGrid(n_y=sg.n_y, dt=sg.dt, t_final=state.step * sg.dt)
     snap = Snapshot(
-        index=payload.step, t=tgrid.time(payload.step), u=payload.u.copy(),
-        tau=np.asarray(compute_tau(payload.p, prob.sigma_grid)),
-        d=np.asarray(compute_d(payload.p, prob.sigma_grid, prob.dp.alpha)),
-        p=payload.p.copy(), xi=payload.accum.xi.copy(),
-        acc_d=payload.accum.acc_d.copy())
+        index=state.step, t=tgrid.time(state.step), u=state.u.copy(),
+        tau=np.asarray(compute_tau(state.p, prob.sigma_grid)),
+        d=np.asarray(compute_d(state.p, prob.sigma_grid, prob.dp.alpha)),
+        p=state.p.copy(), xi=state.accum.xi.copy(), acc_d=state.accum.acc_d.copy())
     return RunResult(
-        kind="general", problem=replace(prob, space_grid=tgrid), eta=eta,
-        p0_max=float(init.p0.max()), p0=init.p0.copy(), u0=init.u0.copy(),
-        times=tgrid.times, **{f.attr: s[f.key] for f in SERIES},
-        snapshots=[snap], accum=payload.accum,
-        state=CoupledState(step=payload.step, u=payload.u, p=payload.p),
-        warnings=list(s.get("warnings", [])))
+        **vars(state), kind="general", problem=replace(prob, space_grid=tgrid),
+        eta=eta, p0_max=float(init.p0.max()), p0=init.p0.copy(), u0=init.u0.copy(),
+        times=tgrid.times, snapshots=[snap])
 
 
-def verify_resume(payload: ResumePayload, grid: SigmaGrid, dt: float,
+def verify_resume(state: RunState, grid: SigmaGrid, dt: float,
                   p0: np.ndarray, alpha: float,
                   c_comp: float = C_COMPARISON) -> DiagnosticsReport:
     """Re-validate a restored state before continuing a run."""
     report = DiagnosticsReport()
-    masses = np.asarray(grid.mass(payload.p))
+    masses = np.asarray(grid.mass(state.p))
     worst = float(np.abs(masses - 1.0).max())
     report.results.append(CheckResult(
         "resume_mass", "pass" if worst <= MASS_TOL else "fail", worst, MASS_TOL,
         f"max |row mass - 1| = {worst:.3e}"))
-    pmin = float(payload.p.min())
+    pmin = float(state.p.min())
     report.results.append(CheckResult(
         "resume_positivity", "pass" if pmin >= NEGATIVITY_FLOOR else "fail",
         pmin, NEGATIVITY_FLOOR, f"min restored value = {pmin:.3e}"))
-    t0 = payload.step * dt
-    barrier = sub_solution(p0, grid, t0, payload.accum.xi, payload.accum.acc_d)
-    deficit = float((barrier - payload.p).max())
+    t0 = state.step * dt
+    barrier = sub_solution(p0, grid, t0, state.accum.xi, state.accum.acc_d)
+    deficit = float((barrier - state.p).max())
     slack = c_comp * (grid.d_sigma + dt)
     report.results.append(_soft(
         "resume_comparison", deficit, slack,

@@ -350,7 +350,8 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
     _record(0)
     for k in range(n_steps):
         b_k = forcing.value(times[k + 1])
-        p2, rep = advance_rows(p2, b_k, dt, grid, alpha, sink_scale=sink_scale)
+        # D of the start rows, as recorded, feeds the first sub-step
+        p2, rep = advance_rows(p2, b_k, dt, grid, alpha, sink_scale=sink_scale, d=d[k])
         p2 = np.atleast_2d(p2)
         clipped += float(rep.clipped_mass.sum())
         min_pre = min(min_pre, rep.min_before_clip)

@@ -40,9 +40,11 @@ Indices and steps are zero-padded to six digits.  The CSVs are mapped
 back to dimensional units when the directory has scales; the npz
 archives always hold the solver's scaled state.  The directory's
 lifecycle: the run calls it with each Snapshot (its snapshot_sink) and
-calls its checkpoint with each ResumePayload (its checkpoint_sink);
+calls its checkpoint with each RunState (its checkpoint_sink);
 end_of_run follows once the run has returned; then finish writes the
-rest, or, if anything raised, abort writes the failure dump and the CSVs.
+rest, with the result itself as the final checkpoint, or, if anything
+raised, abort writes the failure dump (the RunState of the failed step)
+and the CSVs.
 A writer error in abort is returned, not raised, so the run's own error
 is the one that exits.  The four writers (write_snapshots, write_series,
 write_summary, save_checkpoint) are module functions looked up at each
@@ -99,11 +101,12 @@ import struct
 import sys
 import tempfile
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .coupler import SERIES, Accumulators, ResumePayload, RunResult, Snapshot
+from .coupler import SERIES, Accumulators, RunResult, RunState, Snapshot
 from .errors import ArtifactIOError
 from .params import rescale_fields
 
@@ -336,10 +339,10 @@ class RunDirectory:
         if self._pending_values >= MIN_SHARE_VALUES and self._free_slot():
             self._hand_off()
 
-    def checkpoint(self, payload: ResumePayload) -> None:
+    def checkpoint(self, state: RunState) -> None:
         """Write checkpoint_<step>.npz before the run goes on."""
-        save_checkpoint(self.out_dir / f"checkpoint_{payload.step:06d}.npz",
-                        payload, self.fingerprint)
+        save_checkpoint(self.out_dir / f"checkpoint_{state.step:06d}.npz",
+                        state, self.fingerprint)
 
     def end_of_run(self) -> None:
         """Hand the pending batch to a child, if this directory has forked."""
@@ -354,24 +357,24 @@ class RunDirectory:
         written = write_snapshots(self)
         write_series(self.out_dir / "series.npz", result, self.fingerprint)
         if result.kind == "general":
-            save_checkpoint(self.out_dir / "checkpoint_final.npz", result.payload(),
+            save_checkpoint(self.out_dir / "checkpoint_final.npz", result,
                             self.fingerprint)
         write_summary(self.out_dir / "summary.json", summary)
         return written
 
-    def abort(self, payload: ResumePayload | None = None
+    def abort(self, state: RunState | None = None
               ) -> tuple[Path | None, list[str]]:
         """Write what a failed run leaves; never raises a writer error.
 
-        Dumps payload, the state of the failure, when there is one, then
+        Dumps state, the state of the failure, when there is one, then
         writes every snapshot taken and reaps every child.  Returns the
         dump's path (None if none was written) and the writer errors.
         """
         errors = []
-        dump = None if payload is None else self.out_dir / "failure_dump.npz"
+        dump = None if state is None else self.out_dir / "failure_dump.npz"
         if dump is not None:
             try:
-                save_checkpoint(dump, payload, self.fingerprint)
+                save_checkpoint(dump, state, self.fingerprint)
             except ArtifactIOError as exc:
                 dump, errors = None, [str(exc)]
         try:
@@ -455,13 +458,19 @@ def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:
         fingerprint=np.array(fingerprint),
         kind=np.array(result.kind),
         times=result.times,
-        **{f.archive_key: getattr(result, f.attr) for f in SERIES}))
+        **{f.archive or f.key: result.series[f.key] for f in SERIES}))
+
+
+def _member(z, name: str):
+    """An npz member as a fresh array, or a 0-d one as its Python scalar."""
+    value = z[name]
+    return value.item() if value.ndim == 0 else value
 
 
 def read_series(path: str | Path) -> dict:
     try:
         with np.load(Path(path)) as z:
-            return {k: (z[k].item() if z[k].ndim == 0 else z[k].copy()) for k in z.files}
+            return {k: _member(z, k) for k in z.files}
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
 
@@ -479,24 +488,19 @@ def read_summary(path: str | Path) -> dict:
         raise ArtifactIOError(f"corrupt summary {path}: {exc}") from exc
 
 
-def save_checkpoint(path: str | Path, payload: ResumePayload, fingerprint: str) -> None:
+def save_checkpoint(path: str | Path, state: RunState, fingerprint: str) -> None:
     """Persist exact solver state for a bit-for-bit resume."""
-    s = payload.series
     _atomic_write(Path(path), _npz(
         fingerprint=np.array(fingerprint),
-        step=np.array(payload.step),
-        u=payload.u, p=payload.p,
-        xi=payload.accum.xi, acc_d=payload.accum.acc_d,
-        grad_sq=payload.accum.grad_sq,
-        clipped_total=np.array(payload.accum.clipped_total),
-        min_before_clip=np.array(payload.accum.min_before_clip),
-        truncation_steps=np.array(payload.accum.truncation_steps),
-        **{f.checkpoint_key: s[f.key] for f in SERIES},
-        warnings=np.array(json.dumps(s.get("warnings", [])))))
+        step=np.array(state.step),
+        u=state.u, p=state.p,
+        **{f.name: getattr(state.accum, f.name) for f in fields(Accumulators)},
+        **{f.checkpoint_key: state.series[f.key] for f in SERIES},
+        warnings=np.array(json.dumps(state.warnings))))
 
 
 def load_checkpoint(path: str | Path,
-                    expect_fingerprint: str | None = None) -> ResumePayload:
+                    expect_fingerprint: str | None = None) -> RunState:
     """Restore a checkpoint, verifying it matches the current config."""
     path = Path(path)
     try:
@@ -506,16 +510,12 @@ def load_checkpoint(path: str | Path,
                 raise ArtifactIOError(
                     f"checkpoint {path} was produced by a different config "
                     f"(fingerprint {fingerprint[:12]}... vs {expect_fingerprint[:12]}...)")
-            accum = Accumulators(
-                xi=z["xi"].copy(), acc_d=z["acc_d"].copy(),
-                grad_sq=z["grad_sq"].copy(),
-                clipped_total=float(z["clipped_total"]),
-                min_before_clip=float(z["min_before_clip"]),
-                truncation_steps=int(z["truncation_steps"]))
-            series = {f.key: z[f.checkpoint_key].copy() for f in SERIES}
-            series["warnings"] = json.loads(z["warnings"].item())
-            return ResumePayload(step=int(z["step"]), u=z["u"].copy(),
-                                 p=z["p"].copy(), accum=accum, series=series)
+            return RunState(
+                step=_member(z, "step"), u=z["u"], p=z["p"],
+                accum=Accumulators(**{f.name: _member(z, f.name)
+                                      for f in fields(Accumulators)}),
+                series={f.key: z[f.checkpoint_key] for f in SERIES},
+                warnings=json.loads(_member(z, "warnings")))
     except OSError as exc:
         raise ArtifactIOError(f"cannot read checkpoint {path}: {exc}") from exc
     except KeyError as exc:

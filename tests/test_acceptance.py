@@ -70,14 +70,14 @@ def relax_pairs():
         mx = run_maxwell(prob, tau0=np.zeros(64), u0=np.zeros(64))
         ref = maxwell_reference_run(prob, lambda y: 0.0, lambda y: 0.0,
                                     refine=4)
-        tau_ref = restrict_nodes(restrict_times(ref.tau_series, 4), 4)
+        tau_ref = restrict_nodes(restrict_times(ref.series["tau"], 4), 4)
 
         def rel(a, b):
             return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
-        return (rel(gen.tau_series, mx.tau_series),
-                rel(gen.tau_series, tau_ref),
-                rel(mx.tau_series, tau_ref))
+        return (rel(gen.series["tau"], mx.series["tau"]),
+                rel(gen.series["tau"], tau_ref),
+                rel(mx.series["tau"], tau_ref))
 
     return trio(256, 1e-3), trio(512, 5e-4)
 
@@ -91,7 +91,7 @@ def test_scenario_runtime(standard):
 
 
 def test_criterion_01_mass_conservation(standard):
-    worst = float(np.max(standard["res"].mass_err_series))
+    worst = float(np.max(standard["res"].series["mass_err"]))
     report(1, "mass conservation", worst <= 1e-10,
            f"max row-mass deviation {worst:.3e} (limit 1e-10)")
 
@@ -109,7 +109,7 @@ def test_criterion_03_sup_norm_bound(standard):
     res = standard["res"]
     alpha = standard["prob"].dp.alpha
     allowed = res.p0_max + np.sqrt(alpha / math.pi * res.times) + 1e-6
-    worst = float(np.max(res.max_p_series - allowed))
+    worst = float(np.max(res.series["max_p"] - allowed))
     report(3, "density sup bound", worst <= 0.0,
            f"worst excess over p0_max + sqrt(alpha t / pi) + 1e-6 is "
            f"{worst:.3e}")
@@ -119,7 +119,7 @@ def test_criterion_04_diffusivity_floor(standard):
     eta = standard["eta"]
     floor = 0.5 * eta * math.exp(-1.0) - 1e-3 * eta
     assert abs(0.5 * eta * math.exp(-1.0) - 0.05836) < 1e-4
-    observed = float(np.min(standard["res"].min_d_series))
+    observed = float(np.min(standard["res"].series["min_d"]))
     report(4, "diffusivity floor", observed >= floor,
            f"min D {observed:.4f} vs (eta/2) e^-1 - 1e-3 eta = {floor:.5f}")
 
@@ -221,13 +221,13 @@ def test_criterion_09_velocity_map_lipschitz():
 
 def test_criterion_10_picard_contraction(standard):
     res = standard["res"]
-    iters = int(res.picard_iters.max())
-    ratio = float(np.nanmax(res.picard_ratios))
+    iters = int(res.series["iters"].max())
+    ratio = float(np.nanmax(res.series["ratios"]))
     cfg = standard_config(run__dt="0.0005")
     prob_h, init_h, checked_h = cfg.build()
     eta_h = checked_h.eta
     res_h = run(prob_h, init_h, eta_h)
-    ratio_h = float(np.nanmax(res_h.picard_ratios))
+    ratio_h = float(np.nanmax(res_h.series["ratios"]))
     ok = iters <= 10 and ratio < 0.5 and ratio_h < ratio
     report(10, "fixed-point contraction", ok,
            f"max iterations {iters} (limit 10), max ratio {ratio:.2e} "
@@ -238,12 +238,12 @@ def test_criterion_11_determinism_and_restart(standard):
     prob, init, eta = standard["prob"], standard["init"], standard["eta"]
     res = standard["res"]
     rerun = run(prob, init, eta, snap_every=100, checkpoint_every=500)
-    identical = (res.tau_series.tobytes() == rerun.tau_series.tobytes()
-                 and res.u_series.tobytes() == rerun.u_series.tobytes()
-                 and res.state.p.tobytes() == rerun.state.p.tobytes())
+    identical = (res.series["tau"].tobytes() == rerun.series["tau"].tobytes()
+                 and res.series["u"].tobytes() == rerun.series["u"].tobytes()
+                 and res.p.tobytes() == rerun.p.tobytes())
     resumed = run(prob, init, eta, resume=standard["payloads"][0])
-    resume_gap = float(np.max(np.abs(resumed.tau_series[-1]
-                                     - res.tau_series[-1])))
+    resume_gap = float(np.max(np.abs(resumed.series["tau"][-1]
+                                     - res.series["tau"][-1])))
     ok = identical and resume_gap <= 1e-12
     report(11, "determinism and restart", ok,
            f"rerun byte-identical: {identical}; resume-vs-straight final "
@@ -267,15 +267,15 @@ def test_criterion_12_rescaling(standard):
     eta_d = checked_d.eta
     res_d = run(prob_d, init_d, eta_d)
     t0, length, sigma_c = cfg.scales
-    fields = {"u": res_d.u_series, "tau": res_d.tau_series,
-              "p": res_d.state.p, "t": res_d.times}
+    fields = {"u": res_d.series["u"], "tau": res_d.series["tau"],
+              "p": res_d.p, "t": res_d.times}
     physical = rescale_fields(fields, t0, length, sigma_c,
                               to_dimensionless=False)
     recovered = rescale_fields(physical, t0, length, sigma_c,
                                to_dimensionless=True)
     res_s = standard["res"]
-    reference = {"u": res_s.u_series, "tau": res_s.tau_series,
-                 "p": res_s.state.p, "t": res_s.times}
+    reference = {"u": res_s.series["u"], "tau": res_s.series["tau"],
+                 "p": res_s.p, "t": res_s.times}
     field_gap = max(float(np.max(np.abs(recovered[k] - reference[k])))
                     for k in fields)
     ok = worst_ulp <= 1.0 and field_gap <= 1e-10

@@ -68,6 +68,7 @@ def test_validate_and_run_agree(argv, code, lines, capsys):
     if lines is not None:
         assert out.splitlines()[:len(lines)] == lines
     assert main(["run", *argv]) == code
+    assert main(["hl-run", *argv]) == code
 
 
 def test_config_errors_exit_3(capsys):
@@ -77,7 +78,7 @@ def test_config_errors_exit_3(capsys):
     assert "error: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "hl-run"])
 @pytest.mark.parametrize("override", [
     "run.snapshot_every=-1", "run.checkpoint_every=-1", "run.picard_max=0",
     "run.picard_tol=0", "run.picard_tol=-1",
@@ -287,6 +288,29 @@ def test_force_general_runs_a_fully_relaxing_config_on_the_kinetic_path(tmp_path
     assert "kinetic path" in capsys.readouterr().out
     assert read_summary(out / "summary.json")["kind"] == "general"
     assert (out / "checkpoint_final.npz").exists()
+
+
+def test_closed_form_refuses_to_resume_and_warns_of_no_checkpoints(tmp_path, capsys):
+    relaxing = [*TINY, "--set", "model.fully_relaxing=true", "--set", "grid.sigma_max=8.0"]
+    general = tmp_path / "general"
+    assert main(["run", *relaxing, "--force-general", "--out", str(general)]) == 0
+    capsys.readouterr()
+    # the closed form has no density to continue, so it refuses before
+    # loading anything: a missing checkpoint exits 3 too, not 6
+    for ckpt in (general / "checkpoint_000005.npz", tmp_path / "missing.npz"):
+        assert main(["run", *relaxing, "--resume", str(ckpt)]) == 3
+        captured = capsys.readouterr()
+        assert "--force-general" in captured.err and "resuming" not in captured.out
+    assert main(["run", *relaxing, "--force-general",
+                 "--resume", str(general / "checkpoint_000005.npz")]) == 0
+    assert "resuming at step 5" in capsys.readouterr().out
+
+    out = tmp_path / "o"
+    assert main(["run", *relaxing, "--out", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning: ")]
+    assert len(warnings) == 1 and "checkpoint_every" in warnings[0]
+    assert not list(out.glob("checkpoint_*.npz"))
 
 
 def test_diagnose_checkpoint(tmp_path, capsys):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -240,9 +241,9 @@ def test_series_round_trip(tmp_path):
                           "inner", "mass_err", "min_d", "max_p", "picard_iters",
                           "picard_ratios"]
     assert data["fingerprint"] == "b" * 64 and data["kind"] == "general"
-    assert np.array_equal(data["tau"], res.tau_series)
-    assert np.array_equal(data["trunc"], res.trunc_series)
-    assert np.array_equal(data["picard_ratios"], res.picard_ratios,
+    assert np.array_equal(data["tau"], res.series["tau"])
+    assert np.array_equal(data["trunc"], res.series["trunc"])
+    assert np.array_equal(data["picard_ratios"], res.series["ratios"],
                           equal_nan=True)
     write_series(tmp_path / "again.npz", res, "b" * 64)
     assert path.read_bytes() == (tmp_path / "again.npz").read_bytes()
@@ -261,11 +262,31 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.p.tobytes() == payload.p.tobytes()
     assert back.accum.xi.tobytes() == payload.accum.xi.tobytes()
     assert back.accum.truncation_steps == payload.accum.truncation_steps
-    assert back.series["warnings"] == payload.series["warnings"]
+    assert back.warnings == payload.warnings
     for f in SERIES:
         assert back.series[f.key].dtype == payload.series[f.key].dtype
         assert back.series[f.key].tobytes() == payload.series[f.key].tobytes()
         assert len(back.series[f.key]) == f.length(payload.step)
+
+
+def test_checkpoint_layout_is_pinned(tmp_path):
+    # a checkpoint's member order comes from Accumulators and SERIES, and
+    # its bytes from that order and the scalar dtypes
+    assert cli.main(["run", *TINY_RUN, "--out", str(tmp_path)]) == 0
+    path = tmp_path / "checkpoint_final.npz"
+    with zipfile.ZipFile(path) as z:
+        names = z.namelist()
+    assert names == [f"{name}.npy" for name in (
+        "fingerprint", "step", "u", "p", "xi", "acc_d", "grad_sq",
+        "clipped_total", "min_before_clip", "truncation_steps",
+        "series_tau", "series_u", "series_b", "series_trunc", "series_inner",
+        "series_mass_err", "series_min_d", "series_max_p", "series_iters",
+        "series_ratios", "warnings")]
+    with np.load(path) as z:
+        scalars = {k: (z[k].shape, z[k].dtype.str) for k in
+                   ("step", "clipped_total", "min_before_clip", "truncation_steps")}
+    assert scalars == {"step": ((), "<i8"), "clipped_total": ((), "<f8"),
+                       "min_before_clip": ((), "<f8"), "truncation_steps": ((), "<i8")}
 
 
 def test_checkpoint_fingerprint_and_corruption_guards(tmp_path):

@@ -38,11 +38,11 @@ def small_problem(n_y=16, dt=1e-3, t_final=0.02, protocol=None, **knobs):
 def test_rest_protocol_is_a_fixed_point():
     prob, init, eta = small_problem(protocol=ShearProtocol.ramp(0.0, 1.0))
     res = run(prob, init, eta)
-    assert np.max(np.abs(res.u_series)) <= 1e-13
-    assert np.max(np.abs(res.tau_series)) <= 1e-13
-    assert np.all(res.picard_iters == 1)
-    assert np.max(res.mass_err_series) <= 1e-13
-    assert np.allclose(res.state.p, res.state.p[:, ::-1], atol=1e-13)
+    assert np.max(np.abs(res.series["u"])) <= 1e-13
+    assert np.max(np.abs(res.series["tau"])) <= 1e-13
+    assert np.all(res.series["iters"] == 1)
+    assert np.max(res.series["mass_err"]) <= 1e-13
+    assert np.allclose(res.p, res.p[:, ::-1], atol=1e-13)
     assert res.kind == "general"
 
 
@@ -52,7 +52,7 @@ def test_accepted_step_satisfies_the_implicit_momentum_balance():
     sg = prob.space_grid
     dy2 = sg.dy ** 2
     for k in [0, 5, 19]:
-        u0, u1 = res.u_series[k], res.u_series[k + 1]
+        u0, u1 = res.series["u"][k], res.series["u"][k + 1]
         lap = np.empty_like(u1)
         lap[:] = 2.0 * u1
         lap[:-1] -= u1[1:]
@@ -60,7 +60,7 @@ def test_accepted_step_satisfies_the_implicit_momentum_balance():
         lap /= dy2
         t1 = sg.time(k + 1)
         residual = ((DP.rho / sg.dt) * (u1 - u0) + DP.mu * lap
-                    - dtau_dy(res.tau_series[k + 1], sg)
+                    - dtau_dy(res.series["tau"][k + 1], sg)
                     + DP.rho * prob.protocol.derivative(t1) * sg.y)
         assert np.max(np.abs(residual)) < 1e-10
 
@@ -73,19 +73,19 @@ def test_loading_field_matches_the_accepted_velocity():
     from hlcouette.macro import velocity_gradient
     for k in [3, 12]:
         t1 = prob.space_grid.time(k + 1)
-        b_ref = DP.g0 * (velocity_gradient(res.u_series[k + 1], prob.space_grid)
+        b_ref = DP.g0 * (velocity_gradient(res.series["u"][k + 1], prob.space_grid)
                          + prob.protocol.value(t1))
-        assert np.allclose(res.b_series[k], b_ref, atol=1e-7)
+        assert np.allclose(res.series["b"][k], b_ref, atol=1e-7)
 
 
 def test_reruns_are_bit_identical():
     prob, init, eta = small_problem()
     a = run(prob, init, eta)
     b = run(prob, init, eta)
-    assert a.tau_series.tobytes() == b.tau_series.tobytes()
-    assert a.u_series.tobytes() == b.u_series.tobytes()
-    assert a.state.p.tobytes() == b.state.p.tobytes()
-    assert np.array_equal(a.picard_ratios, b.picard_ratios, equal_nan=True)
+    assert a.series["tau"].tobytes() == b.series["tau"].tobytes()
+    assert a.series["u"].tobytes() == b.series["u"].tobytes()
+    assert a.p.tobytes() == b.p.tobytes()
+    assert np.array_equal(a.series["ratios"], b.series["ratios"], equal_nan=True)
 
 
 def test_checkpoint_resume_is_bit_exact():
@@ -95,14 +95,19 @@ def test_checkpoint_resume_is_bit_exact():
     run(prob, init, eta, checkpoint_every=10, checkpoint_sink=payloads.append)
     assert [p.step for p in payloads] == [10, 20]
     resumed = run(prob, init, eta, resume=payloads[0])
-    assert resumed.tau_series.tobytes() == straight.tau_series.tobytes()
-    assert resumed.u_series.tobytes() == straight.u_series.tobytes()
-    assert resumed.state.p.tobytes() == straight.state.p.tobytes()
-    assert np.array_equal(resumed.picard_iters, straight.picard_iters)
+    assert resumed.series["tau"].tobytes() == straight.series["tau"].tobytes()
+    assert resumed.series["u"].tobytes() == straight.series["u"].tobytes()
+    assert resumed.p.tobytes() == straight.p.tobytes()
+    assert np.array_equal(resumed.series["iters"], straight.series["iters"])
     assert resumed.warnings == straight.warnings
     assert resumed.accum.truncation_steps == straight.accum.truncation_steps
     assert resumed.accum.xi.tobytes() == straight.accum.xi.tobytes()
     assert resumed.accum.grad_sq.tobytes() == straight.accum.grad_sq.tobytes()
+    # a resumed run leaves the state it started from as it was
+    again = run(prob, init, eta, resume=payloads[0])
+    assert again.accum.xi.tobytes() == straight.accum.xi.tobytes()
+    assert resumed.accum.xi.tobytes() == straight.accum.xi.tobytes()
+    assert again.accum.truncation_steps == straight.accum.truncation_steps
 
 
 def test_checkpoint_payload_series_are_read_only_prefixes():
@@ -117,7 +122,7 @@ def test_checkpoint_payload_series_are_read_only_prefixes():
 
     res = run(prob, init, eta, checkpoint_every=5, checkpoint_sink=sink)
     assert [p.step for p in payloads] == [5, 10, 15, 20]
-    final = res.payload().series
+    final = res.series
     for payload, seen in zip(payloads, at_sink):
         for f in SERIES:
             prefix = final[f.key][:f.length(payload.step)]
@@ -194,19 +199,19 @@ def test_maxwell_variant_recursion_and_momentum():
     decay = math.exp(-prob.space_grid.dt)
     gain = -math.expm1(-prob.space_grid.dt)
     for k in [0, 20, 49]:
-        assert np.allclose(res.tau_series[k + 1],
-                           decay * res.tau_series[k] + gain * res.b_series[k],
+        assert np.allclose(res.series["tau"][k + 1],
+                           decay * res.series["tau"][k] + gain * res.series["b"][k],
                            rtol=1e-13, atol=1e-16)
     sg = prob.space_grid
     for k in [10, 40]:
-        u0, u1 = res.u_series[k], res.u_series[k + 1]
+        u0, u1 = res.series["u"][k], res.series["u"][k + 1]
         lap = 2.0 * u1
         lap[:-1] -= u1[1:]
         lap[1:] -= u1[:-1]
         lap /= sg.dy ** 2
         t1 = sg.time(k + 1)
         residual = ((DP.rho / sg.dt) * (u1 - u0) + DP.mu * lap
-                    - dtau_dy(res.tau_series[k + 1], sg)
+                    - dtau_dy(res.series["tau"][k + 1], sg)
                     + DP.rho * prob.protocol.derivative(t1) * sg.y)
         assert np.max(np.abs(residual)) < 1e-10
     # rest stays at rest
@@ -214,7 +219,7 @@ def test_maxwell_variant_recursion_and_momentum():
                                        space_grid=prob.space_grid,
                                        protocol=ShearProtocol.ramp(0.0, 1.0)),
                         tau0=np.zeros(n_y), u0=np.zeros(n_y))
-    assert not quiet.tau_series.any() and not quiet.u_series.any()
+    assert not quiet.series["tau"].any() and not quiet.series["u"].any()
 
 
 def test_refinement_helpers_nest_exactly():
@@ -234,9 +239,9 @@ def test_reference_run_tracks_the_coarse_maxwell_path():
     ref = maxwell_reference_run(prob, tau0_fn=lambda y: 0.0,
                                 u0_fn=lambda y: 0.0, refine=4)
     assert ref.problem.space_grid.n_y == 67
-    tau_ref = restrict_nodes(restrict_times(ref.tau_series, 4), 4)
+    tau_ref = restrict_nodes(restrict_times(ref.series["tau"], 4), 4)
     denom = np.sqrt(np.mean(tau_ref ** 2))
-    diff = np.sqrt(np.mean((coarse.tau_series - tau_ref) ** 2))
+    diff = np.sqrt(np.mean((coarse.series["tau"] - tau_ref) ** 2))
     assert diff / denom < 0.02
 
 
@@ -252,7 +257,7 @@ def test_recorded_d_is_d_of_the_recorded_state():
         d = compute_d(snap.p, SGRID, alpha)
         assert snap.d.tobytes() == d.tobytes()
         assert snap.tau.tobytes() == compute_tau(snap.p, SGRID).tobytes()
-        assert res.min_d_series[k] == d.min()
+        assert res.series["min_d"][k] == d.min()
         if d_prev is not None:
             acc = res.snapshots[k - 1].acc_d + 0.5 * dt * (d_prev + d)
             assert snap.acc_d.tobytes() == acc.tobytes()
@@ -268,19 +273,20 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
     carried = run(prob, init, eta, snap_every=5)
     step = coupler.coupled_step
 
-    def recomputing(state, prob, d):
-        new, stats, rep, b, _ = step(state, prob, state.d(SGRID, DP.alpha))
-        return new, stats, rep, b, new.tau(SGRID)
+    def recomputing(u, p, t_next, prob, d):
+        u, p, stats, rep, b, _ = step(u, p, t_next, prob,
+                                      np.asarray(compute_d(p, SGRID, DP.alpha)))
+        return u, p, stats, rep, b, np.asarray(compute_tau(p, SGRID))
 
     monkeypatch.setattr(coupler, "coupled_step", recomputing)
     recomputed = run(prob, init, eta, snap_every=5)
     if v_max > 1.0:
-        assert carried.b_series.max() * prob.space_grid.dt > SGRID.d_sigma
+        assert carried.series["b"].max() * prob.space_grid.dt > SGRID.d_sigma
     for f in SERIES:
-        assert getattr(carried, f.attr).tobytes() == \
-            getattr(recomputed, f.attr).tobytes(), f.key
-    assert carried.state.p.tobytes() == recomputed.state.p.tobytes()
-    assert carried.state.u.tobytes() == recomputed.state.u.tobytes()
+        assert carried.series[f.key].tobytes() == \
+            recomputed.series[f.key].tobytes(), f.key
+    assert carried.p.tobytes() == recomputed.p.tobytes()
+    assert carried.u.tobytes() == recomputed.u.tobytes()
     for name in ("xi", "acc_d", "grad_sq"):
         assert getattr(carried.accum, name).tobytes() == \
             getattr(recomputed.accum, name).tobytes()
@@ -294,7 +300,7 @@ def test_run_rows_hold_no_negative_zero(protocol):
     # the invariant behind hl_step's skipped terms and clip (meso docstring)
     prob, init, eta = small_problem(n_y=8, t_final=0.02, protocol=protocol)
     res = run(prob, init, eta, snap_every=1)
-    b = res.b_series
+    b = res.series["b"]
     both_signs = (b > 0).any() and (b < 0).any()
     assert both_signs or b.max() * prob.space_grid.dt > SGRID.d_sigma
     for snap in res.snapshots:
@@ -314,10 +320,10 @@ def test_run_does_not_depend_on_the_factor_cache():
     warm = run(prob, init, eta)
     assert _diffusion_factors.cache_info().hits - before == cold_hits + 1
     for f in SERIES:
-        assert getattr(cold, f.attr).tobytes() == getattr(warm, f.attr).tobytes(), f.key
+        assert cold.series[f.key].tobytes() == warm.series[f.key].tobytes(), f.key
     assert cold.warnings == warm.warnings
-    assert cold.state.p.tobytes() == warm.state.p.tobytes()
-    assert cold.state.u.tobytes() == warm.state.u.tobytes()
+    assert cold.p.tobytes() == warm.p.tobytes()
+    assert cold.u.tobytes() == warm.u.tobytes()
 
 
 def _final_fields(n_sigma: int, dt: float) -> dict[str, np.ndarray]:
@@ -327,8 +333,8 @@ def _final_fields(n_sigma: int, dt: float) -> dict[str, np.ndarray]:
     prob, init, report = cfg.build()
     report.raise_if_failed()
     res = run(prob, init, report.eta)
-    return {"tau": res.tau_series[-1], "u": res.u_series[-1],
-            "d": compute_d(res.state.p, prob.sigma_grid, prob.dp.alpha)}
+    return {"tau": res.series["tau"][-1], "u": res.series["u"][-1],
+            "d": compute_d(res.p, prob.sigma_grid, prob.dp.alpha)}
 
 
 @pytest.mark.parametrize("ladder", [
@@ -386,8 +392,8 @@ def _pinned_run(case: str):
 
 
 def _digests(res) -> dict[str, str]:
-    arrays = {f.key: getattr(res, f.attr) for f in SERIES}
-    arrays.update(u_final=res.state.u, p_final=res.state.p)
+    arrays = {f.key: res.series[f.key] for f in SERIES}
+    arrays.update(u_final=res.u, p_final=res.p)
     return {k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()[:16]
             for k, v in arrays.items()}
 
@@ -396,9 +402,9 @@ def _digests(res) -> dict[str, str]:
 def test_kinetic_runs_keep_their_pinned_bits(case):
     prob, res = _pinned_run(case)
     if case == "ramp":
-        assert prob.sigma_grid.n_sigma == 256 and res.state.step == 50
+        assert prob.sigma_grid.n_sigma == 256 and res.step == 50
     else:
-        b = res.b_series
+        b = res.series["b"]
         assert (b > 0).any() and (b < 0).any()
         assert np.abs(b).max() * prob.space_grid.dt > prob.sigma_grid.d_sigma
     changed = {k: v for k, v in _digests(res).items()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hlcouette.diagnostics as diag
-from hlcouette.coupler import CoupledProblem, ResumePayload, run, run_maxwell
+from hlcouette.coupler import CoupledProblem, RunState, run, run_maxwell
 from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_f2, evaluate,
                                    gradient_energy_bound,
                                    measure_f2_ratio, moment_residuals,
@@ -76,7 +76,7 @@ def test_soft_grading_boundaries():
 
 
 def test_raise_if_failed(fresh):
-    fresh.mass_err_series[3] = 1e-6
+    fresh.series["mass_err"][3] = 1e-6
     report = evaluate(fresh)
     assert not report.ok
     with pytest.raises(DiagnosticFailure):
@@ -84,15 +84,15 @@ def test_raise_if_failed(fresh):
 
 
 @pytest.mark.parametrize("doctor,check,expect", [
-    (lambda r: r.mass_err_series.__setitem__(3, 1e-6), "mass", "fail"),
+    (lambda r: r.series["mass_err"].__setitem__(3, 1e-6), "mass", "fail"),
     (lambda r: setattr(r.accum, "min_before_clip", -1e-9), "positivity", "fail"),
     (lambda r: setattr(r.accum, "clipped_total", 1e-6), "positivity", "fail"),
-    (lambda r: r.max_p_series.__setitem__(5, r.p0_max + 1.0), "sup_norm", "fail"),
-    (lambda r: r.min_d_series.__setitem__(2, 0.0), "d_floor", "fail"),
+    (lambda r: r.series["max_p"].__setitem__(5, r.p0_max + 1.0), "sup_norm", "fail"),
+    (lambda r: r.series["min_d"].__setitem__(2, 0.0), "d_floor", "fail"),
     (lambda r: [s.p.__imul__(0.9) for s in r.snapshots], "comparison", "fail"),
     (lambda r: [s.d.__imul__(0.0) for s in r.snapshots],
      "induced_d_floor", "fail"),
-    (lambda r: r.b_series.__iadd__(0.2), "moment", "fail"),
+    (lambda r: r.series["b"].__iadd__(0.2), "moment", "fail"),
     (lambda r: r.accum.grad_sq.__setitem__(
         0, 3.0 * gradient_energy_bound(r.p0_max, 1.0, r.eta, 0.1)),
      "gradient", "fail"),
@@ -127,9 +127,9 @@ def test_f2_trivial_for_zero_stress():
     r = check_f2(res)
     assert r.status == "pass" and "trivially" in r.message
     with pytest.raises(ValueError):
-        measure_f2_ratio(res.tau_series, SPACE, 1.0, 1.0, 0.0)
+        measure_f2_ratio(res.series["tau"], SPACE, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        measure_f2_ratio(res.tau_series, SPACE, 1.0, 1.0, 0.05 + 0.3 * SPACE.dt)
+        measure_f2_ratio(res.series["tau"], SPACE, 1.0, 1.0, 0.05 + 0.3 * SPACE.dt)
 
 
 def test_rest_run_has_vanishing_moment_residuals():
@@ -201,13 +201,13 @@ def test_checkpoint_rebuild_supports_full_battery(healthy):
     prob, init, eta, res, payloads = healthy
     view = result_from_checkpoint(prob, init, eta, payloads[0])
     assert view.problem.space_grid.t_final == pytest.approx(0.05)
-    assert view.tau_series.shape == (51, SPACE.n_y)
+    assert view.series["tau"].shape == (51, SPACE.n_y)
     report = evaluate(view, checks=GENERAL_CHECKS)
     assert report.ok
     with pytest.raises(ValidationError):
         result_from_checkpoint(prob, init, eta,
-                               ResumePayload(step=0, u=init.u0, p=init.p0,
-                                             accum=res.accum, series={}))
+                               RunState(step=0, u=init.u0, p=init.p0,
+                                        accum=res.accum, series={}, warnings=[]))
 
 
 def test_verify_resume_accepts_and_rejects(healthy):

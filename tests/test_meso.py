@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlcouette import meso
 from hlcouette.errors import CFLError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages, uniform_cell_averages
@@ -121,6 +122,23 @@ def test_solver_shapes_and_recording():
     assert np.array_equal(tb.tau[:, 0], tb.tau[:, 1])
     # batch and single runs agree to rounding (BLAS blocking may differ)
     assert np.allclose(tb.tau[:, 0], traj.tau, rtol=0.0, atol=1e-14)
+
+
+def test_hl_solve_computes_d_once_per_recorded_state(monkeypatch):
+    # the D recorded for each state feeds the step that starts from it
+    calls = []
+    compute = meso.compute_d
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(meso, "compute_d", counting)
+    n_steps, dt = 5, 1e-2
+    assert required_substeps(0.5, dt, GRID) == 1
+    hl_solve(gaussian_row(), constant_forcing(0.5), GRID, 1.0, dt=dt,
+             t_final=n_steps * dt, record_p=False)
+    assert len(calls) == n_steps + 1
 
 
 def maxwell_limit_error(n_sigma, dt, t_final=0.25, b=0.7, alpha=4.0):

@@ -10,6 +10,8 @@ wrapper and reads as zero; the traced run below catches that.
 
 from pathlib import Path
 
+import pytest
+
 from hlcouette import cli, config, coupler, diagnostics
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,3 +57,27 @@ def test_traced_run_counts_every_artifact_write(monkeypatch, tmp_path):
         p.stat().st_size for p in out.glob("checkpoint_*.npz"))
     assert tracer.counters["snapshots.write_snapshots.bytes"] == sum(
         p.stat().st_size for p in out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("relaxing", [False, True], ids=["kinetic", "closed_form"])
+def test_layer_metrics_read_a_traced_result(monkeypatch, relaxing):
+    # layer_metrics reads the RunResult itself, not only the wrapped names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from child import LAYER_METRICS, install, layer_metrics
+    from spans import Tracer
+
+    sets = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
+            "--set", "run.t_final=0.01"]
+    if relaxing:
+        sets += ["--set", "model.fully_relaxing=true", "--set", "grid.sigma_max=8.0"]
+    tracer, results = Tracer(), []
+    try:
+        install(tracer, True, results, [])
+        assert cli.main(["run", *sets]) == 0
+    finally:
+        tracer.restore()
+    [result] = results
+    values = layer_metrics(tracer, result, {})
+    assert set(values) == set(LAYER_METRICS)
+    assert values["coupler.picard_iters_max"] == result.series["iters"].max() >= 1
+    assert values["coupler.coupled_step.calls"] == (0 if relaxing else 10)
