@@ -77,12 +77,15 @@ def cmd_run(args) -> int:
     if closed_form and cfg.checkpoint_every:
         print("warning: the relaxation closed form writes no checkpoints; "
               "run.checkpoint_every is ignored without --force-general")
-    directory = None  # writes every artifact; formats the CSVs as the run goes
+    if closed_form and args.dump_density:
+        print("warning: the relaxation closed form carries no density; "
+              "--dump-density is ignored without --force-general")
+    directory = None  # writes every artifact
     if args.out:
         directory = snapshots.RunDirectory(
             args.out, prob, cfg.fingerprint,
             scales=cfg.scales if cfg.mode == "dimensional" else None,
-            dump_density=args.dump_density)
+            dump_density=args.dump_density and not closed_form)
     try:
         resume = None
         if args.resume:
@@ -111,8 +114,6 @@ def cmd_run(args) -> int:
                 resume=resume,
                 snapshot_sink=directory)
         elapsed = time.perf_counter() - t_start
-        if directory is not None:
-            directory.end_of_run()  # the children format while the checks run
         iters = result.series["iters"]
         max_iters = int(iters.max()) if iters.size else 0
         print(f"done in {elapsed:.2f} s; max fixed-point iterations = {max_iters}")
@@ -156,8 +157,8 @@ def cmd_run(args) -> int:
             report.raise_if_failed()
         return 0
     except BaseException as exc:
-        # every snapshot taken is written whole and no writer outlives the
-        # command; a writer error must not mask the run's own
+        # every snapshot taken is written whole; a writer error must not
+        # mask the run's own
         if directory is not None:
             dump, errors = directory.abort(getattr(exc, "payload", None))
             if dump is not None:
@@ -277,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for snapshots, series, checkpoints")
     p.add_argument("--resume", help="continue from a checkpoint file")
     p.add_argument("--dump-density", action="store_true",
-                   help="also write density matrices at snapshot times")
+                   help="also write each snapshot's density matrix as "
+                        "density_<index>.npz")
     p.add_argument("--force-general", action="store_true",
                    help="use the kinetic path even for fully relaxing runs")
     p.add_argument("--skip-checks", action="store_true",

@@ -9,13 +9,14 @@ before any state is trusted.
 All writes go through a temporary file and an atomic rename, so a killed
 run never leaves a truncated artifact behind.
 
-Checkpoints, series.npz and failure_dump.npz are npz archives written by
-_npz, the one npz writer.  It writes the zip by hand, with every field the
-value Python's zipfile would write, for three reasons: the timestamps are
-fixed (reruns of one config give byte-identical files), each member is
-written in one pass (its CRC and size are known before its local header,
-so nothing seeks back), and array data goes to the file from the array's
-own buffer, with no bytes copy.  The layout is a stored zip:
+Checkpoints, series.npz, failure_dump.npz and the density dumps are npz
+archives written by _npz, the one npz writer.  It writes the zip by hand,
+with every field the value Python's zipfile would write, for three
+reasons: the timestamps are fixed (reruns of one config give
+byte-identical files), each member is written in one pass (its CRC and
+size are known before its local header, so nothing seeks back), and array
+data goes to the file from the array's own buffer, with no bytes copy.
+The layout is a stored zip:
 - per array, in keyword order: a local header (version 20, no flags,
   ZIP_STORED, 1980-01-01 00:00, CRC-32, sizes, the name "<key>.npy"),
   then the npy 1.0 header and the raw data, as np.save writes them;
@@ -30,65 +31,30 @@ directory, and a directory past the limits gets the zip64 end records.
 A run's --out directory has one writer, a RunDirectory, which names
 every file in it:
 - snapshot_<index>.csv (y, u, tau, d) per snapshot and, with
-  --dump-density, density_<index>.csv (general runs only);
+  --dump-density, density_<index>.npz (general runs only);
 - checkpoint_<step>.npz every checkpoint_every steps;
 - when the run returns: series.npz, checkpoint_final.npz (general runs
   only) and summary.json;
 - when it fails: failure_dump.npz, if the failure carries the state of
   its step (the mass guard's does).
-Indices and steps are zero-padded to six digits.  The CSVs are mapped
-back to dimensional units when the directory has scales; the npz
-archives always hold the solver's scaled state.  The directory's
-lifecycle: the run calls it with each Snapshot (its snapshot_sink) and
-calls its checkpoint with each RunState (its checkpoint_sink);
-end_of_run follows once the run has returned; then finish writes the
-rest, with the result itself as the final checkpoint, or, if anything
-raised, abort writes the failure dump (the RunState of the failed step)
-and the CSVs.
+Indices and steps are zero-padded to six digits.  A density archive holds
+the members fingerprint, t, y, sigma and p, in that order; p[i, j] is the
+density at gap node y[i] and stress cell centre sigma[j].  The snapshot
+CSVs and the density archives are mapped back to dimensional units when
+the directory has scales, so a density is in the units of the CSV beside
+it; the other npz archives always hold the solver's scaled state.
+The directory's lifecycle: the run calls it with each Snapshot (its
+snapshot_sink), which it records, and calls its checkpoint with each
+RunState (its checkpoint_sink), which it writes before the run goes on,
+so a checkpoint file is complete the moment its sink call returns.  Once
+the run has returned, finish writes the snapshots and the rest, with the
+result itself as the final checkpoint; if anything raised, abort writes
+the failure dump (the RunState of the failed step) and the snapshots.
+Every file is written in the calling process.
 A writer error in abort is returned, not raised, so the run's own error
 is the one that exits.  The four writers (write_snapshots, write_series,
 write_summary, save_checkpoint) are module functions looked up at each
 call, so a wrapper set on the module attribute sees every call.
-
-Formatting the snapshot CSVs as %.17g text is pure Python work that one
-core cannot speed up, so it is streamed to other cores while the run
-integrates: the directory collects each snapshot into a pending batch.
-- Batches: a snapshot counts 4 * n_y values (y, u, tau, d), plus the
-  n_y * n_sigma of its density when one is dumped.  Once the pending
-  batch holds MIN_SHARE_VALUES and a writer slot is free, a child that
-  os.fork starts writes the batch.  There are usable CPUs - 1 slots,
-  none without os.fork, and a slot is checked without blocking
-  (waitpid with WNOHANG): nothing the run calls waits for a child.
-  MIN_SHARE_VALUES is the fewest values that repay a fork (about 10 ms
-  for a run-sized process), so small outputs (the standard scenario's
-  11 snapshots) never fork and `taskset -c 0` makes every run serial.
-- end_of_run hands the rest of the batch to a child once the run has
-  returned, if the directory has forked before, whether or not a slot is
-  free, so the children format while the caller evaluates.
-  write_snapshots (called by finish and abort) writes what is still
-  pending in the caller, reaps every child and returns every path in
-  snapshot order.  The files and their bytes do not depend on which
-  process wrote them.
-- Why fork: a forked child already holds the snapshot arrays, so nothing
-  is pickled.  Process pools pickle every job through a feeder thread that
-  waits for the interpreter lock, which the caller holds through each
-  multi-millisecond step, and importing multiprocessing costs resident
-  memory even in runs that never fork.
-- A child only builds tables and formats text.  It calls no BLAS or
-  LAPACK routine, so the BLAS threads of the caller, which a forked child
-  does not inherit, are never waited for: forking here is safe although
-  the caller has threads.  It runs no code of the caller either: whatever
-  happens, it leaves through os._exit.  The caller flushes stdout and
-  stderr before every fork, so output still buffered mid-run is not
-  written twice.
-- A child that fails sends its message back through a pipe.
-  write_snapshots reaps every child, then raises ArtifactIOError (exit
-  code 6) naming the file that failed; _atomic_write leaves no temporary
-  file behind.  A fork that fails leaves the batch pending for the
-  caller to write, and no later fork is tried.
-- Checkpoints are not streamed: save_checkpoint writes each one in the
-  caller before the run goes on, so a checkpoint file is complete the
-  moment its sink call returns.
 """
 
 from __future__ import annotations
@@ -98,7 +64,6 @@ import json
 import math
 import os
 import struct
-import sys
 import tempfile
 import zlib
 from dataclasses import fields
@@ -111,8 +76,6 @@ from .errors import ArtifactIOError
 from .params import rescale_fields
 
 FLOAT_FMT = "%.17g"  # round-trips float64 exactly
-MIN_SHARE_VALUES = 200_000  # about 0.12 s of formatting: repays a fork
-_MESSAGE_MAX = 4096  # bytes of a child's error message (one atomic pipe write)
 
 # The npz archive fields, each the value Python's zipfile writes.
 ZIP64_LIMIT = (1 << 31) - 1  # sizes and offsets above it go to zip64 fields
@@ -197,14 +160,6 @@ def read_fields_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
     return t, out
 
 
-def write_density_csv(path: str | Path, t: float, y: np.ndarray,
-                      centers: np.ndarray, p: np.ndarray, fingerprint: str) -> None:
-    """Density matrix (rows = gap nodes, columns = stress cells) as CSV."""
-    header = "y," + _fmt_rows(np.asarray(centers, dtype=float)[None, :])[:-1]
-    table = np.column_stack([np.asarray(y, dtype=float), np.asarray(p, dtype=float)])
-    _atomic_write(Path(path), _text(_csv(fingerprint, t, header, table)))
-
-
 def _npy(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The npy 1.0 header of arr and its data as bytes in file order.
 
@@ -277,38 +232,6 @@ def _npz(**arrays):
     return write
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork(write, batch: list) -> tuple[int, int]:
-    """Start a child that calls write(batch); returns its pid and error pipe."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:  # the child: write the batch, report a failure, never return
-        code = 1
-        try:
-            os.close(read_end)
-            write(batch)
-            code = 0
-        except BaseException as exc:
-            message = str(exc) if isinstance(exc, ArtifactIOError) else (
-                f"cannot write {batch[0][1]} and after: {exc!r}")
-            # within the pipe's capacity, so the write never waits for a reader
-            os.write(write_end, message.encode(errors="replace")[:_MESSAGE_MAX])
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
-
-
 class RunDirectory:
     """The one writer of a run's --out directory; see the module docstring."""
 
@@ -321,36 +244,18 @@ class RunDirectory:
         self.fingerprint = fingerprint
         self.scales = scales
         self.dump_density = dump_density
-        self.files: list = []    # (snapshot, fields path, density path), in order
-        self._pending: list = []  # files no child has been given
-        self._pending_values = 0
-        self._slots = _usable_cpus() - 1 if hasattr(os, "fork") else 0
-        self._children: list = []  # (pid, error pipe, batch) not reaped yet
-        self._failures: list[str] = []
-        self._forked = False
+        self.taken: list[Snapshot] = []  # snapshots whose files are not written
 
     def __call__(self, snap: Snapshot) -> None:
-        dpath = (self.out_dir / f"density_{snap.index:06d}.csv"
-                 if self.dump_density and snap.p is not None else None)
-        item = (snap, self.out_dir / f"snapshot_{snap.index:06d}.csv", dpath)
-        self.files.append(item)
-        self._pending.append(item)
-        self._pending_values += 4 * self.y.size + (0 if dpath is None else snap.p.size)
-        if self._pending_values >= MIN_SHARE_VALUES and self._free_slot():
-            self._hand_off()
+        self.taken.append(snap)
 
     def checkpoint(self, state: RunState) -> None:
         """Write checkpoint_<step>.npz before the run goes on."""
         save_checkpoint(self.out_dir / f"checkpoint_{state.step:06d}.npz",
                         state, self.fingerprint)
 
-    def end_of_run(self) -> None:
-        """Hand the pending batch to a child, if this directory has forked."""
-        if self._forked and self._pending:
-            self._hand_off()
-
     def finish(self, result: RunResult, summary: dict) -> list[Path]:
-        """Write the artifacts of a run that returned; returns the CSV paths.
+        """Write the artifacts of a run that returned; returns the snapshot paths.
 
         Raises ArtifactIOError naming the first file that failed.
         """
@@ -367,8 +272,8 @@ class RunDirectory:
         """Write what a failed run leaves; never raises a writer error.
 
         Dumps state, the state of the failure, when there is one, then
-        writes every snapshot taken and reaps every child.  Returns the
-        dump's path (None if none was written) and the writer errors.
+        writes every snapshot taken.  Returns the dump's path (None if none
+        was written) and the writer errors.
         """
         errors = []
         dump = None if state is None else self.out_dir / "failure_dump.npz"
@@ -383,73 +288,35 @@ class RunDirectory:
             errors.append(str(exc))
         return dump, errors
 
-    def _write(self, batch: list) -> None:
-        for snap, path, dpath in batch:
-            t, y, centers, p = snap.t, self.y, self.centers, snap.p
-            fields = {"u": snap.u, "tau": snap.tau, "d": snap.d}
-            if self.scales is not None:
-                density = {} if dpath is None else {"sigma": centers, "p": p}
-                dim = rescale_fields({"t": t, "y": y, **fields, **density},
-                                     *self.scales, to_dimensionless=False)
-                t, y, centers, p = dim["t"], dim["y"], dim.get("sigma"), dim.get("p")
-                fields = {k: dim[k] for k in fields}
-            write_fields_csv(path, t, y, fields, self.fingerprint)
-            if dpath is not None:
-                write_density_csv(dpath, t, y, centers, p, self.fingerprint)
-
-    def _free_slot(self) -> bool:
-        self._children = [c for c in self._children if not self._reap(c, os.WNOHANG)]
-        return len(self._children) < self._slots
-
-    def _hand_off(self) -> None:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-        try:
-            pid, pipe = _fork(self._write, self._pending)
-        except OSError:  # no process to spare: write_snapshots writes the batch here
-            self._slots = 0
-            return
-        self._children.append((pid, pipe, self._pending))
-        self._forked = True
-        self._pending, self._pending_values = [], 0
-
-    def _reap(self, child: tuple, flags: int = 0) -> bool:
-        """Reap a child that has ended (waiting for it unless flags say not)."""
-        pid, pipe, batch = child
-        done, status = os.waitpid(pid, flags)
-        if not done:
-            return False
-        with os.fdopen(pipe, "rb") as fh:
-            message = fh.read().decode(errors="replace")
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            self._failures.append(message or (
-                f"cannot write {batch[0][1]} and after: "
-                f"writer process exited with code {code}"))
-        return True
+    def _write(self, snap: Snapshot) -> list[Path]:
+        """Write one snapshot's files; returns their paths."""
+        t, y, centers, p = snap.t, self.y, self.centers, snap.p
+        fields = {"u": snap.u, "tau": snap.tau, "d": snap.d}
+        if self.scales is not None:
+            density = {"sigma": centers, "p": p} if self.dump_density else {}
+            dim = rescale_fields({"t": t, "y": y, **fields, **density},
+                                 *self.scales, to_dimensionless=False)
+            t, y, centers, p = dim["t"], dim["y"], dim.get("sigma"), dim.get("p")
+            fields = {k: dim[k] for k in fields}
+        path = self.out_dir / f"snapshot_{snap.index:06d}.csv"
+        write_fields_csv(path, t, y, fields, self.fingerprint)
+        if not self.dump_density:
+            return [path]
+        dpath = self.out_dir / f"density_{snap.index:06d}.npz"
+        _atomic_write(dpath, _npz(fingerprint=np.array(self.fingerprint),
+                                  t=np.array(t), y=y, sigma=centers, p=p))
+        return [path, dpath]
 
 
 def write_snapshots(directory: RunDirectory) -> list[Path]:
-    """Write the snapshot CSVs still pending here, reap every child.
+    """Write the files of every snapshot taken and not yet written.
 
-    Returns every CSV path of the directory in snapshot order; the bytes
-    do not depend on which process wrote them.  Raises ArtifactIOError
-    naming the file that failed, once every child is reaped.
+    Returns their paths in snapshot order.  Raises ArtifactIOError naming
+    the first file that failed; the snapshots after it are not written,
+    and none is written again by a later call.
     """
-    pending = directory._pending
-    directory._pending, directory._pending_values = [], 0
-    try:
-        directory._write(pending)
-    finally:
-        for child in directory._children:
-            directory._reap(child)
-        directory._children = []
-    failures, directory._failures = directory._failures, []
-    if failures:
-        raise ArtifactIOError(failures[0])
-    return [p for _, path, dpath in directory.files for p in (path, dpath)
-            if p is not None]
+    taken, directory.taken = directory.taken, []
+    return [path for snap in taken for path in directory._write(snap)]
 
 
 def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:

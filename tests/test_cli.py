@@ -152,8 +152,8 @@ def test_skip_checks_suppresses_the_battery(tmp_path, capsys):
 def test_dump_density_writes_matrices(tmp_path):
     out = tmp_path / "o"
     assert main(["run", *TINY, "--dump-density", "--out", str(out)]) == 0
-    assert (out / "density_000000.csv").exists()
-    assert (out / "density_000010.csv").exists()
+    assert sorted(q.name for q in out.glob("density_*")) == [
+        "density_000000.npz", "density_000005.npz", "density_000010.npz"]
 
 
 def test_numerical_failure_exits_4(capsys):
@@ -311,6 +311,17 @@ def test_closed_form_refuses_to_resume_and_warns_of_no_checkpoints(tmp_path, cap
                 if line.startswith("warning: ")]
     assert len(warnings) == 1 and "checkpoint_every" in warnings[0]
     assert not list(out.glob("checkpoint_*.npz"))
+
+
+def test_closed_form_warns_that_it_dumps_no_density(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", *TINY, "--set", "model.fully_relaxing=true",
+                 "--set", "grid.sigma_max=8.0", "--set", "run.checkpoint_every=0",
+                 "--dump-density", "--skip-checks", "--out", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning: ")]
+    assert len(warnings) == 1 and "--dump-density" in warnings[0]
+    assert not list(out.glob("density_*")) and list(out.glob("snapshot_*.csv"))
 
 
 def test_diagnose_checkpoint(tmp_path, capsys):

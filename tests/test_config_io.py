@@ -1,20 +1,13 @@
 """Config parsing, fingerprints, and artifact round trips."""
 
-import os
-import re
-import subprocess
-import sys
 import zipfile
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import hlcouette
-from hlcouette import cli, coupler, snapshots
+from hlcouette import cli
 from hlcouette.config import load_config, standard_config
-from hlcouette.coupler import SERIES, CoupledProblem, Snapshot, run
+from hlcouette.coupler import SERIES, CoupledProblem, run
 from hlcouette.errors import ArtifactIOError, ConfigError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
@@ -22,8 +15,7 @@ from hlcouette.params import DimensionlessParams, rescale_fields
 from hlcouette.protocols import ShearProtocol
 from hlcouette.snapshots import (RunDirectory, _atomic_write, _npz,
                                  load_checkpoint, read_fields_csv, read_series,
-                                 read_summary, save_checkpoint,
-                                 write_density_csv, write_fields_csv,
+                                 read_summary, save_checkpoint, write_fields_csv,
                                  write_series, write_snapshots, write_summary)
 
 
@@ -187,18 +179,6 @@ def test_fields_csv_rejects_empty(tmp_path):
         read_fields_csv(tmp_path / "absent.csv")
 
 
-def test_density_csv_layout(tmp_path):
-    y = np.array([0.25, 0.5, 0.75])
-    centers = np.array([-0.5, 0.5])
-    p = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    path = tmp_path / "density.csv"
-    write_density_csv(path, 0.5, y, centers, p, "a" * 64)
-    lines = path.read_text().splitlines()
-    assert lines[2] == "y,-0.5,0.5"
-    assert [float(x) for x in lines[3].split(",")] == [0.25, 1.0, 2.0]
-    assert len(lines) == 6
-
-
 def per_value_csv(fingerprint, t, header, rows):
     """Reference layout: every value through its own "{:.17g}" call."""
     fmt = "{:.17g}".format
@@ -216,13 +196,6 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
     write_fields_csv(path, 0.1, y, fields, "c" * 64)
     assert path.read_text() == per_value_csv(
         "c" * 64, 0.1, "y,u,tau,n", zip(y, special, special[::-1], range(12)))
-    centers = special[:6]
-    p = special.reshape(2, 6)
-    path = tmp_path / "density.csv"
-    write_density_csv(path, 1.0 / 7.0, y[:2], centers, p, "d" * 64)
-    header = "y," + ",".join("{:.17g}".format(c) for c in centers)
-    assert path.read_text() == per_value_csv(
-        "d" * 64, 1.0 / 7.0, header, [[yi, *row] for yi, row in zip(y[:2], p)])
 
 
 def test_npz_bytes_deterministic(tmp_path):
@@ -328,7 +301,7 @@ def test_atomic_write_makes_parents_and_rejects_directories(tmp_path):
 
 
 def snapshot_csvs(out, res, fingerprint, scales=None, dump_density=False):
-    """Hand every snapshot of res to a RunDirectory, then write its CSVs."""
+    """Hand every snapshot of res to a RunDirectory, then write their files."""
     directory = RunDirectory(out, res.problem, fingerprint, scales, dump_density)
     for snap in res.snapshots:
         directory(snap)
@@ -339,8 +312,8 @@ def test_write_snapshots_names_and_rescaling(tmp_path):
     res, _ = micro_run()
     written = snapshot_csvs(tmp_path, res, "a" * 64, dump_density=True)
     names = sorted(p.name for p in written)
-    assert names == ["density_000000.csv", "density_000005.csv",
-                     "density_000010.csv", "snapshot_000000.csv",
+    assert names == ["density_000000.npz", "density_000005.npz",
+                     "density_000010.npz", "snapshot_000000.csv",
                      "snapshot_000005.csv", "snapshot_000010.csv"]
     t, data = read_fields_csv(tmp_path / "snapshot_000010.csv")
     assert t == pytest.approx(0.01)
@@ -355,147 +328,29 @@ def test_write_snapshots_names_and_rescaling(tmp_path):
     assert np.allclose(dim["d"], 8.0 * data["d"])          # sigma_c^2 / t0
 
 
-def per_file_snapshots(out, res, fingerprint, scales):
-    """Reference writer: every snapshot's files in turn, in this process."""
-    y = res.problem.space_grid.y
-    centers = res.problem.sigma_grid.centers
-    written = []
-    for snap in res.snapshots:
-        t, y_out, c_out, p_out = snap.t, y, centers, snap.p
-        fields = {"u": snap.u, "tau": snap.tau, "d": snap.d}
-        if scales is not None:
-            dim = rescale_fields({"t": snap.t, "y": y, "sigma": centers,
-                                  "p": snap.p, **fields},
-                                 *scales, to_dimensionless=False)
-            t, y_out, c_out, p_out = dim["t"], dim["y"], dim["sigma"], dim["p"]
-            fields = {k: dim[k] for k in fields}
-        written.append(out / f"snapshot_{snap.index:06d}.csv")
-        write_fields_csv(written[-1], t, y_out, fields, fingerprint)
-        written.append(out / f"density_{snap.index:06d}.csv")
-        write_density_csv(written[-1], t, y_out, c_out, p_out, fingerprint)
-    return written
-
-
-def forcing_shares(monkeypatch, cpus=3):
-    """Fork a writer for every snapshot while one of `cpus` - 1 slots is free.
-
-    Returns the list that each fork appends to.
-    """
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(snapshots, "MIN_SHARE_VALUES", 1)
-    monkeypatch.setattr(snapshots, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("scales", [None, (2.0, 1.0, 4.0)])
-def test_split_writer_is_byte_identical_to_a_per_file_loop(tmp_path, monkeypatch,
-                                                          scales):
+def test_density_csv_layout(tmp_path):
+    """A density archive holds fingerprint, t, y, sigma and p, bit for bit,
+    in the units of the snapshot CSV beside it."""
     res, _ = micro_run()
-    ref = per_file_snapshots(tmp_path / "ref", res, "a" * 64, scales)
-    forks = forcing_shares(monkeypatch)
-    written = snapshot_csvs(tmp_path / "split", res, "a" * 64, scales=scales,
-                            dump_density=True)
-    assert len(forks) >= 2  # the first two snapshots always find a free slot
-    assert [p.name for p in written] == [p.name for p in ref]
-    for path, expected in zip(written, ref):
-        assert path.read_bytes() == expected.read_bytes(), path.name
-    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == \
-        sorted(p.name for p in ref)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_failing_child_share_raises_in_the_caller(tmp_path, monkeypatch):
-    res, _ = micro_run()
-    clash = tmp_path / "density_000000.csv"  # written by the first child
-    clash.mkdir()
-    forcing_shares(monkeypatch)
-    pid = os.getpid()
-    with pytest.raises(ArtifactIOError, match=str(clash)):
-        snapshot_csvs(tmp_path, res, "a" * 64, dump_density=True)
-    assert os.getpid() == pid
-    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
-        "density_000000.csv", "density_000005.csv", "density_000010.csv",
-        "snapshot_000000.csv", "snapshot_000005.csv", "snapshot_000010.csv"]
-    assert clash.is_dir() and not any(clash.iterdir())
-
-
-@pytest.mark.parametrize("n_y,n_sigma,dump_density", [
-    (64, 256, False),    # the standard scenario
-    (64, 256, True),     # the same with --dump-density, still serial
-    (511, 512, False),   # the fully relaxing n_y = 511 run
-])
-def test_small_outputs_do_not_fork(tmp_path, monkeypatch, n_y, n_sigma,
-                                   dump_density):
-    def fork():
-        raise AssertionError("the snapshot writer forked")
-
-    monkeypatch.setattr(os, "fork", fork, raising=False)
-    monkeypatch.setattr(snapshots, "_usable_cpus", lambda: 64)
-    y = (np.arange(n_y) + 0.5) / n_y
-    snaps = [Snapshot(index=100 * k, t=0.1 * k, u=y, tau=y, d=y,
-                      p=np.full((n_y, n_sigma), 0.5), xi=y, acc_d=y)
-             for k in range(11)]
-    result = SimpleNamespace(
-        snapshots=snaps,
-        problem=SimpleNamespace(space_grid=SimpleNamespace(y=y),
-                                sigma_grid=SimpleNamespace(
-                                    centers=np.linspace(-4, 4, n_sigma))))
-    written = snapshot_csvs(tmp_path, result, "a" * 64,
-                            dump_density=dump_density)
-    assert len(written) == 11 * (2 if dump_density else 1)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_one_usable_cpu_writes_everything_in_the_caller(tmp_path, monkeypatch):
-    res, _ = micro_run()
-    forks = forcing_shares(monkeypatch, cpus=1)
-    written = snapshot_csvs(tmp_path, res, "a" * 64, dump_density=True)
-    assert forks == [] and len(written) == 6
-
-
-def test_fork_failure_writes_the_share_in_the_caller(tmp_path, monkeypatch):
-    res, _ = micro_run()
-    ref = per_file_snapshots(tmp_path / "ref", res, "a" * 64, None)
-
-    def fork():
-        raise OSError("no process to spare")
-
-    forcing_shares(monkeypatch)
-    monkeypatch.setattr(os, "fork", fork, raising=False)
-    written = snapshot_csvs(tmp_path / "split", res, "a" * 64, dump_density=True)
-    for path, expected in zip(written, ref, strict=True):
-        assert path.read_bytes() == expected.read_bytes(), path.name
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_cli_streams_snapshots_to_children_during_the_run(tmp_path, monkeypatch):
-    forks = forcing_shares(monkeypatch, cpus=2)
-    results, forks_at_return = [], []
-    real_run = coupler.run
-
-    def run(*args, **kwargs):
-        results.append(real_run(*args, **kwargs))
-        forks_at_return.append(len(forks))
-        return results[-1]
-
-    monkeypatch.setattr(coupler, "run", run)
-    out = tmp_path / "o"
-    assert cli.main(["run", *TINY_RUN, "--dump-density", "--out", str(out)]) == 0
-    assert forks_at_return[0] >= 1
-    with pytest.raises(ChildProcessError):  # every writer has been reaped
-        os.waitpid(-1, os.WNOHANG)
-    fingerprint = read_summary(out / "summary.json")["fingerprint"]
-    ref = per_file_snapshots(tmp_path / "ref", results[0], fingerprint, None)
-    for expected in ref:
-        assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+    snap = res.snapshots[-1]
+    scaled = {"t": snap.t, "y": res.problem.space_grid.y,
+              "sigma": res.problem.sigma_grid.centers, "p": snap.p}
+    for scales in (None, (2.0, 1.0, 4.0)):
+        out = tmp_path / ("scaled" if scales is None else "dimensional")
+        snapshot_csvs(out, res, "a" * 64, scales=scales, dump_density=True)
+        with np.load(out / "density_000010.npz") as z:
+            assert z.files == ["fingerprint", "t", "y", "sigma", "p"]
+            back = {k: z[k] for k in z.files}
+        assert back["fingerprint"] == "a" * 64
+        expected = scaled if scales is None else rescale_fields(
+            scaled, *scales, to_dimensionless=False)
+        for name, value in expected.items():
+            value = np.asarray(value, dtype=np.float64)
+            assert back[name].dtype == np.float64 and back[name].shape == value.shape
+            assert back[name].tobytes() == value.tobytes(), name
+        t, fields = read_fields_csv(out / "snapshot_000010.csv")
+        assert t == back["t"] and np.array_equal(fields["y"], back["y"])
+    assert not np.array_equal(back["p"], snap.p)  # the dimensional case rescaled
 
 
 # the ramp starts at t = 0.005, where one Picard iterate no longer converges
@@ -503,25 +358,21 @@ FAILING_RUN = [*TINY_RUN, "--set", "run.picard_max=1", "--set", "protocol.kind=t
                "--set", "protocol.times=0,0.005,0.006", "--set", "protocol.values=0,0,1"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_failed_run_leaves_whole_csvs_of_the_snapshots_it_took(tmp_path,
-                                                                 monkeypatch):
+def test_a_failed_run_leaves_whole_csvs_of_the_snapshots_it_took(tmp_path):
     assert cli.main(["run", *FAILING_RUN]) == 4
-    forks = forcing_shares(monkeypatch, cpus=2)
     out = tmp_path / "o"
     assert cli.main(["run", *FAILING_RUN, "--dump-density", "--out", str(out)]) == 4
-    assert forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
     taken = [0, 2, 4]
     assert sorted(p.name for p in out.iterdir()) == sorted(
-        f"{kind}_{k:06d}.csv" for kind in ("density", "snapshot") for k in taken)
+        [f"density_{k:06d}.npz" for k in taken]
+        + [f"snapshot_{k:06d}.csv" for k in taken])
     for k in taken:
         t, fields = read_fields_csv(out / f"snapshot_{k:06d}.csv")
         assert t == pytest.approx(1e-3 * k) and list(fields) == ["y", "u", "tau", "d"]
         assert all(v.shape == (6,) for v in fields.values())
-        _, density = read_fields_csv(out / f"density_{k:06d}.csv")
-        assert len(density) == 1 + 64 and density["y"].shape == (6,)
+        with np.load(out / f"density_{k:06d}.npz") as z:
+            assert z["t"] == t and z["p"].shape == (6, 64)
+            assert np.array_equal(z["y"], fields["y"])
 
 
 def test_a_writer_failure_does_not_mask_the_run_failure(tmp_path, capsys):
@@ -532,42 +383,3 @@ def test_a_writer_failure_does_not_mask_the_run_failure(tmp_path, capsys):
     assert "snapshot_000002.csv" in err and "fixed-point" in err
     assert sorted(p.name for p in out.iterdir()) == [
         "snapshot_000000.csv", "snapshot_000002.csv"]
-
-
-SPLIT_CLI_LAUNCHER = """
-import os, sys
-from hlcouette import cli, snapshots
-snapshots._usable_cpus = lambda: 2
-forks = []
-real_fork, real_exit = os.fork, os._exit
-os.fork = lambda: forks.append(1) or real_fork()
-def child_exit(code):  # a writer that flushes what it inherited, as sys.exit would
-    sys.stdout.flush()
-    real_exit(code)
-os._exit = child_exit
-code = cli.main(sys.argv[1:])
-print(f"forks = {len(forks)}", file=sys.stderr)
-sys.exit(code)
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_cli_output_is_written_once_when_the_writer_forks(tmp_path):
-    """101 standard-sized density snapshots cross the batch threshold mid-run."""
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)  # keep the piped stdout block-buffered
-    package_root = str(Path(hlcouette.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SPLIT_CLI_LAUNCHER, "run", "--out",
-         str(tmp_path / "o"), "--dump-density", "--set", "run.t_final=0.1",
-         "--set", "run.snapshot_every=1", "--set", "run.checkpoint_every=10"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    forks = re.search(r"^forks = (\d+)$", proc.stderr, re.MULTILINE)
-    assert forks and int(forks.group(1)) >= 1, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert "all checks passed" in lines and lines[-1].startswith("wrote 202 ")
-    assert len(lines) == len(set(lines))

@@ -326,9 +326,9 @@ def test_run_does_not_depend_on_the_factor_cache():
     assert cold.u.tobytes() == warm.u.tobytes()
 
 
-def _final_fields(n_sigma: int, dt: float) -> dict[str, np.ndarray]:
-    """tau, u and D at t = 0.5 of the standard physics on n_y = 8."""
-    cfg = standard_config(grid__n_y="8", grid__n_sigma=str(n_sigma),
+def _final_fields(n_sigma: int, dt: float, n_y: int = 8) -> dict[str, np.ndarray]:
+    """tau, u and D at t = 0.5 of the standard physics."""
+    cfg = standard_config(grid__n_y=str(n_y), grid__n_sigma=str(n_sigma),
                           run__dt=repr(dt), run__t_final="0.5")
     prob, init, report = cfg.build()
     report.raise_if_failed()
@@ -348,6 +348,20 @@ def test_kinetic_path_self_converges_at_first_order(ladder):
         e_fine = np.abs(mid[name] - fine[name]).max()
         # first order halves the gap per halving: 2; measured 1.74-2.30
         assert 1.6 < e_coarse / e_fine < 2.6, (name, e_coarse, e_fine)
+
+
+def test_gap_grid_self_converges_at_second_order():
+    # nested gap grids: each n_y = 2 (n_y + 1) - 1 keeps the coarser nodes,
+    # so every level is compared on the nodes of n_y = 7
+    levels = [_final_fields(128, 4e-3, n_y) for n_y in (7, 15, 31, 63)]
+    for name in ("tau", "u"):
+        on_coarse = [restrict_nodes(level[name], 2 ** k)
+                     for k, level in enumerate(levels)]
+        gaps = [np.abs(a - b).max() for a, b in zip(on_coarse, on_coarse[1:])]
+        # second order divides the gap by 4 per halving of dy; measured
+        # 3.92, 3.98 (tau) and 3.58, 3.77 (u)
+        for e_coarse, e_fine in zip(gaps, gaps[1:]):
+            assert 3.4 < e_coarse / e_fine < 4.6, (name, gaps)
 
 
 # SHA-256 digests (first 16 hex digits) of a run's SERIES arrays and final

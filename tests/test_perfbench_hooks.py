@@ -8,6 +8,7 @@ method, a name imported or kept before the wrapping) bypasses the
 wrapper and reads as zero; the traced run below catches that.
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -37,13 +38,19 @@ def test_traced_run_counts_every_artifact_write(monkeypatch, tmp_path):
     from child import install
     from spans import Tracer
 
+    def fork():
+        raise AssertionError("an artifact writer forked")
+
+    # a forked writer's files would escape the caller's spans and byte counts
+    monkeypatch.setattr(os, "fork", fork, raising=False)
     out = tmp_path / "o"
     tracer = Tracer()
     try:
         install(tracer, True, [], [])
         assert cli.main(["run", "--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
                          "--set", "run.t_final=0.01", "--set", "run.snapshot_every=5",
-                         "--set", "run.checkpoint_every=5", "--out", str(out)]) == 0
+                         "--set", "run.checkpoint_every=5", "--dump-density",
+                         "--out", str(out)]) == 0
     finally:
         tracer.restore()
     layers = tracer.layers()
@@ -55,8 +62,10 @@ def test_traced_run_counts_every_artifact_write(monkeypatch, tmp_path):
                      "save_checkpoint": 3}
     assert tracer.counters["snapshots.save_checkpoint.bytes"] == sum(
         p.stat().st_size for p in out.glob("checkpoint_*.npz"))
+    densities = list(out.glob("density_*.npz"))
+    assert len(densities) == 3
     assert tracer.counters["snapshots.write_snapshots.bytes"] == sum(
-        p.stat().st_size for p in out.glob("*.csv"))
+        p.stat().st_size for p in [*out.glob("*.csv"), *densities])
 
 
 @pytest.mark.parametrize("relaxing", [False, True], ids=["kinetic", "closed_form"])
