@@ -66,17 +66,11 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load(args)
     closed_form = cfg.fully_relaxing and not args.force_general
-    if closed_form and args.resume:
-        raise ConfigError("the relaxation closed form cannot resume a checkpoint; "
-                          "add --force-general to resume on the kinetic path")
     prob, init, report = cfg.build()
     report.raise_if_failed()
     eta = report.eta
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"eta = {eta:.17g}")
-    if closed_form and cfg.checkpoint_every:
-        print("warning: the relaxation closed form writes no checkpoints; "
-              "run.checkpoint_every is ignored without --force-general")
     if closed_form and args.dump_density:
         print("warning: the relaxation closed form carries no density; "
               "--dump-density is ignored without --force-general")
@@ -91,28 +85,27 @@ def cmd_run(args) -> int:
         if args.resume:
             resume = snapshots.load_checkpoint(args.resume,
                                                expect_fingerprint=cfg.fingerprint)
-            check = diagnostics.verify_resume(resume, prob.sigma_grid,
-                                              prob.space_grid.dt, init.p0,
-                                              prob.dp.alpha, cfg.c_comparison)
-            print(check.format())
-            check.raise_if_failed()
+            if resume.p.size:  # a closed-form state has no rows to check
+                check = diagnostics.verify_resume(resume, prob.sigma_grid, prob.space_grid.dt,
+                                                  init.p0, prob.dp.alpha, cfg.c_comparison)
+                print(check.format())
+                check.raise_if_failed()
             print(f"resuming at step {resume.step} "
                   f"(t = {prob.space_grid.time(resume.step):g})")
 
+        options = dict(snap_every=cfg.snapshot_every,
+                       checkpoint_every=cfg.checkpoint_every,
+                       checkpoint_sink=directory.checkpoint if directory else None,
+                       resume=resume, snapshot_sink=directory)
         t_start = time.perf_counter()
         if closed_form:
             print(f"integrating {prob.space_grid.n_steps} steps (relaxation closed form)")
             result = coupler.run_maxwell(
                 prob, tau0=np.asarray(compute_tau(init.p0, prob.sigma_grid)),
-                u0=init.u0, snap_every=cfg.snapshot_every, snapshot_sink=directory)
+                u0=init.u0, **options)
         else:
             print(f"integrating {prob.space_grid.n_steps} steps (kinetic path)")
-            result = coupler.run(
-                prob, init, eta, snap_every=cfg.snapshot_every,
-                checkpoint_every=cfg.checkpoint_every,
-                checkpoint_sink=directory.checkpoint if directory else None,
-                resume=resume,
-                snapshot_sink=directory)
+            result = coupler.run(prob, init, eta, **options)
         elapsed = time.perf_counter() - t_start
         iters = result.series["iters"]
         max_iters = int(iters.max()) if iters.size else 0

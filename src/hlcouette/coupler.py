@@ -1,35 +1,35 @@
 """Coupled macro-meso time stepping.
 
-Each macro step advances the stress rows and the velocity together by a
+Each macro step advances the stress and the velocity together by a
 fixed-point (Picard) iteration on the end-of-step velocity:
 
     b^k  = G0 (dy u^k + V(t+dt))          loading from the velocity iterate
-    p^k  = meso advance of the saved rows over [t, t+dt] under frozen b^k
-    tau^k = first moment of p^k
+    tau^k = end-of-step stress of the path under frozen b^k
     u^{k+1} = backward-Euler momentum step driven by dy tau^k
 
 declared converged when the relative L2 change of u falls below picard_tol,
 and abandoned after three non-contracting iterates or picard_max of them.
-Every iterate restarts the meso rows from the saved start-of-step state, so
-the accepted step is a genuine implicit solve, not an accumulation.
 
-One driver, _picard, runs that fixed point for both paths; a path only
-supplies its stress update b -> tau.  The fully relaxing variant replaces
-the meso advance by the exact per-node relaxation update
-tau' = e^{-dt} tau + (1 - e^{-dt}) b (integrating factor, b frozen per
-step) and is used both as a production path for sigma_c = 0 runs and as
-the cross-validation partner for the general solver.
+One loop, _integrate, steps both paths, and one driver, _picard, solves
+each step's fixed point.  The loop owns the start or resume, the step-0
+records, the records both paths share (tau, u, b, iters, ratios), the
+snapshots and the checkpoints.  A path has three methods: start(state);
+step(state, k), which advances the state over step k and returns the
+loading, tau and Picard stats of its accepted iterate; and observe(state,
+k), which records the path's own meters of step k and returns D.
+- _Kinetic (run) advances the density rows by the meso solver.  Every
+  iterate restarts them from the saved start-of-step rows, so the accepted
+  step is a genuine implicit solve, not an accumulation.  It keeps the
+  accumulators, the mass guard and the truncation monitor.
+- _Relaxation (run_maxwell) integrates tau' + tau = b exactly per node.
+  It is a production path for sigma_c = 0 runs and the cross-validation
+  partner of the general solver; its states have no density rows.
 
-A run after any step is one RunState, which a checkpoint holds and run
+A run after any step is one RunState, which a checkpoint holds and a run
 resumes from; a RunResult is the final one plus what the run was run on.
 The per-step records are named once, by their SERIES key, in RunState.series
-and every archive alike: a new meter is one SERIES row plus the line of run
-that fills it.
-
-run computes D of each accepted state once: it feeds the next step's first
-sub-step as well as the records.  The stress recorded for a step is the tau
-its accepted iterate already took, and the velocity gradient of a step's
-end is reused at the next step's start.
+and every archive alike: a new meter is one SERIES row plus the line of the
+loop or of a path that fills it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DiagnosticFailure, NonContractionError, ValidationError
+from .errors import ConfigError, DiagnosticFailure, NonContractionError, ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import heat_step, l2_norm, velocity_gradient
@@ -101,7 +101,7 @@ class Snapshot:
     u: np.ndarray
     tau: np.ndarray
     d: np.ndarray
-    p: np.ndarray | None
+    p: np.ndarray            # (0, n_sigma) on the closed form
     xi: np.ndarray
     acc_d: np.ndarray
 
@@ -170,6 +170,15 @@ class RunState:
     series: dict[str, np.ndarray]
     warnings: list[str]
 
+    def checkpoint(self) -> "RunState":
+        """A copy of this state whose series are read-only views of its own:
+        no later step writes into them, so nothing is copied quadratically."""
+        series = {f.key: self.series[f.key][:f.length(self.step)] for f in SERIES}
+        for view in series.values():
+            view.flags.writeable = False
+        return RunState(step=self.step, u=self.u.copy(), p=self.p.copy(),
+                        accum=self.accum.copy(), series=series, warnings=list(self.warnings))
+
 
 @dataclass
 class RunResult(RunState):
@@ -180,9 +189,11 @@ class RunResult(RunState):
     eta: float
     p0_max: float
     p0: np.ndarray
-    u0: np.ndarray
-    times: np.ndarray
     snapshots: list[Snapshot]
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.problem.space_grid.times
 
     @property
     def picard_iters(self) -> np.ndarray:
@@ -257,16 +268,153 @@ def coupled_step(u: np.ndarray, p: np.ndarray, t_next: float, prob: CoupledProbl
     return u_new, p_new, stats, rep, b, tau
 
 
-def _sigma_gradient_energy(p: np.ndarray, grid: SigmaGrid) -> np.ndarray:
-    diff = np.diff(p, axis=1) / grid.d_sigma
-    return (diff * diff).sum(axis=1) * grid.d_sigma
+class _Kinetic:
+    """The general path: each step advances the density rows by coupled_step.
+
+    D of each accepted state is computed once: it feeds the next step's
+    first sub-step, the observation, the snapshot and both ends of the
+    acc_d trapezoid.  The velocity gradient of a step's end is reused at
+    the next step's start.
+    """
+
+    def __init__(self, prob: CoupledProblem):
+        self.prob = prob
+
+    def start(self, state: RunState) -> None:
+        prob = self.prob
+        self.d = np.asarray(compute_d(state.p, prob.sigma_grid, prob.dp.alpha))
+        self.grad = velocity_gradient(state.u, prob.space_grid)
+
+    def step(self, state: RunState, k: int):
+        prob, accum = self.prob, state.accum
+        grid, sgrid, dp = prob.sigma_grid, prob.space_grid, prob.dp
+        t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
+        state.u, state.p, stats, rep, b, tau = coupled_step(
+            state.u, state.p, t_next, prob, self.d)
+        state.series["trunc"][k] = rep.trunc_moment
+        accum.clipped_total += float(rep.clipped_mass.sum())
+        accum.min_before_clip = min(accum.min_before_clip, rep.min_before_clip)
+        grad = velocity_gradient(state.u, sgrid)
+        accum.xi += dp.g0 * (0.5 * sgrid.dt * (self.grad + grad)
+                             + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
+        d = np.asarray(compute_d(state.p, grid, dp.alpha))
+        accum.acc_d += 0.5 * sgrid.dt * (self.d + d)
+        diff = np.diff(state.p, axis=1) / grid.d_sigma
+        accum.grad_sq += sgrid.dt * ((diff * diff).sum(axis=1) * grid.d_sigma)
+        self.grad, self.d = grad, d
+        return b, tau, stats
+
+    def observe(self, state: RunState, k: int) -> np.ndarray:
+        grid, series, p = self.prob.sigma_grid, state.series, state.p
+        masses = np.asarray(grid.mass(p))
+        series["mass_err"][k] = float(np.abs(masses - 1.0).max())
+        series["inner"][k] = np.asarray(grid.inner_moment(p))
+        series["min_d"][k] = float(self.d.min())
+        series["max_p"][k] = float(p.max())
+        if series["mass_err"][k] > MASS_TOL:
+            row = int(np.abs(masses - 1.0).argmax())
+            exc = DiagnosticFailure(
+                f"mass conservation failed at step {k}, row {row}: "
+                f"|mass - 1| = {series['mass_err'][k]:.3e} > {MASS_TOL:.1e}")
+            exc.payload = state.checkpoint()  # full state dump for post-mortems
+            raise exc
+        outer = float(np.asarray(grid.outermost_mass(p)).max())
+        if outer > TRUNCATION_TOL:
+            state.accum.truncation_steps += 1
+            if state.accum.truncation_steps == 1:
+                state.warnings.append(
+                    f"truncation monitor: outermost-cell mass {outer:.3e} exceeds "
+                    f"{TRUNCATION_TOL:.1e} at t = {self.prob.space_grid.time(k):.6g}; "
+                    "consider a larger sigma_max")
+        return self.d
+
+
+class _Relaxation:
+    """The closed form: tau' = e^{-dt} tau + (1 - e^{-dt}) b per step
+    (integrating factor, b frozen at the Picard iterate), tau read from the
+    records.  Without a density, D = alpha and the density maximum is nan."""
+
+    def __init__(self, prob: CoupledProblem):
+        self.prob = prob
+
+    def start(self, state: RunState) -> None:
+        dt = self.prob.space_grid.dt
+        self.decay, self.gain = math.exp(-dt), -math.expm1(-dt)  # accurate for small dt
+        self.d = np.full(state.u.size, self.prob.dp.alpha)
+
+    def step(self, state: RunState, k: int):
+        tau = state.series["tau"][k]
+
+        def relax(b):
+            tau_new = self.decay * tau + self.gain * b
+            return tau_new, tau_new
+
+        state.u, b, tau_new, stats = _picard(state.u, relax, self.prob,
+                                             self.prob.space_grid.time(k + 1))
+        return b, tau_new, stats
+
+    def observe(self, state: RunState, k: int) -> np.ndarray:
+        state.series["min_d"][k] = self.prob.dp.alpha
+        state.series["max_p"][k] = math.nan
+        return self.d
+
+
+def _integrate(prob: CoupledProblem, path, kind: str, eta: float, u0: np.ndarray,
+               p0: np.ndarray, tau0: np.ndarray, snap_every: int, checkpoint_every: int,
+               checkpoint_sink, resume: RunState | None, snapshot_sink) -> RunResult:
+    """Step a path from (u0, p0, tau0), or from resume, to the horizon."""
+    sgrid = prob.space_grid
+    n_y, n_steps = sgrid.n_y, sgrid.n_steps
+    p0 = p0.copy()
+    start = resume or RunState(step=0, u=u0, p=p0, accum=Accumulators.zeros(n_y),
+                               series=_new_series(0, n_y), warnings=[])
+    if start.p.shape != p0.shape:
+        raise ConfigError(
+            f"the checkpoint holds {start.p.shape[0]} density rows, this path {p0.shape[0]}: "
+            "resume the kinetic path with --force-general, the closed form without it")
+    series = _new_series(n_steps, n_y)
+    state = RunState(step=start.step, u=start.u.copy(), p=start.p.copy(),
+                     accum=start.accum.copy(), series=series, warnings=list(start.warnings))
+    for f in SERIES:
+        series[f.key][:f.length(state.step)] = start.series[f.key]
+    snapshots: list[Snapshot] = []
+
+    def _observe(k: int):
+        d = path.observe(state, k)
+        if snap_every and (k % snap_every == 0 or k == n_steps):
+            snapshots.append(Snapshot(
+                index=k, t=sgrid.time(k), u=state.u.copy(), tau=series["tau"][k].copy(), d=d,
+                p=state.p.copy(), xi=state.accum.xi.copy(), acc_d=state.accum.acc_d.copy()))
+            if snapshot_sink is not None:
+                snapshot_sink(snapshots[-1])
+
+    path.start(state)
+    if resume is None:
+        series["tau"][0] = tau0
+        series["u"][0] = state.u
+        _observe(0)
+    for k in range(state.step, n_steps):
+        b, tau, stats = path.step(state, k)
+        state.step = k + 1
+        series["tau"][k + 1] = tau
+        series["u"][k + 1] = state.u
+        series["b"][k] = b
+        series["iters"][k] = stats.iterations
+        series["ratios"][k] = stats.ratio
+        _observe(k + 1)
+        if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
+            checkpoint_sink(state.checkpoint())
+
+    return RunResult(**vars(state), kind=kind, problem=prob, eta=eta,
+                     p0_max=float(p0.max()) if p0.size else math.nan, p0=p0,
+                     snapshots=snapshots)
 
 
 def run(prob: CoupledProblem, init: InitialData, eta: float,
         snap_every: int = 0, checkpoint_every: int = 0,
         checkpoint_sink=None, resume: RunState | None = None,
         snapshot_sink=None) -> RunResult:
-    """Integrate the coupled system to the horizon.
+    """Integrate the coupled system to the horizon on the kinetic path.
 
     snap_every / checkpoint_every are step counts (0 disables; snapshots
     always include t = 0 and the final time).  checkpoint_sink, when given,
@@ -274,168 +422,29 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
     views of this run's records, valid after the run ends.
     snapshot_sink, when given, receives each Snapshot as soon as it is
     taken (it also goes into RunResult.snapshots); nothing later changes
-    its arrays.
+    its arrays.  resume is a RunState of this path to continue bit for bit.
     """
-    grid, sgrid, dp = prob.sigma_grid, prob.space_grid, prob.dp
-    n_y, n_steps = sgrid.n_y, sgrid.n_steps
-    if init.p0.shape != (n_y, grid.n_sigma):
+    if init.p0.shape != (prob.space_grid.n_y, prob.sigma_grid.n_sigma):
         raise ValidationError("initial rows do not match the grids")
-
-    p0 = init.p0.copy()
-    u0 = init.u0.copy()
-    p0_max = float(p0.max())
-
-    series = _new_series(n_steps, n_y)
-    mass_err = series["mass_err"]
-    start = resume or RunState(step=0, u=u0, p=p0, accum=Accumulators.zeros(n_y),
-                               series=_new_series(0, n_y), warnings=[])
-    state = RunState(step=start.step, u=start.u.copy(), p=start.p.copy(),
-                     accum=start.accum.copy(), series=series, warnings=list(start.warnings))
-    for f in SERIES:
-        series[f.key][:f.length(state.step)] = start.series[f.key]
-    accum, warnings = state.accum, state.warnings
-
-    def _observe(k: int, d: np.ndarray, tau: np.ndarray):
-        masses = np.asarray(grid.mass(state.p))
-        mass_err[k] = float(np.abs(masses - 1.0).max())
-        series["tau"][k] = tau
-        series["u"][k] = state.u
-        series["inner"][k] = np.asarray(grid.inner_moment(state.p))
-        series["min_d"][k] = float(d.min())
-        series["max_p"][k] = float(state.p.max())
-        if mass_err[k] > MASS_TOL:
-            row = int(np.abs(masses - 1.0).argmax())
-            exc = DiagnosticFailure(
-                f"mass conservation failed at step {k}, row {row}: "
-                f"|mass - 1| = {mass_err[k]:.3e} > {MASS_TOL:.1e}")
-            exc.payload = _payload()  # full state dump for post-mortems
-            raise exc
-        outer = np.asarray(grid.outermost_mass(state.p))
-        if float(outer.max()) > TRUNCATION_TOL:
-            accum.truncation_steps += 1
-            if accum.truncation_steps == 1:
-                warnings.append(
-                    f"truncation monitor: outermost-cell mass {float(outer.max()):.3e} "
-                    f"exceeds {TRUNCATION_TOL:.1e} at t = {sgrid.time(k):.6g}; "
-                    "consider a larger sigma_max")
-
-    snapshots: list[Snapshot] = []
-
-    def _snap(k: int, d: np.ndarray):
-        if snap_every and (k % snap_every == 0 or k == n_steps):
-            snapshots.append(Snapshot(
-                index=k, t=sgrid.time(k), u=state.u.copy(),
-                tau=series["tau"][k].copy(), d=d,
-                p=state.p.copy(), xi=accum.xi.copy(), acc_d=accum.acc_d.copy()))
-            if snapshot_sink is not None:
-                snapshot_sink(snapshots[-1])
-
-    def _prefix(key: str, length: int) -> np.ndarray:
-        # no later step writes into the prefix, so a read-only view of it
-        # stays valid without the quadratic cost of copying it each time
-        view = series[key][:length]
-        view.flags.writeable = False
-        return view
-
-    def _payload() -> RunState:
-        k = state.step
-        return RunState(step=k, u=state.u.copy(), p=state.p.copy(), accum=accum.copy(),
-                        series={f.key: _prefix(f.key, f.length(k)) for f in SERIES},
-                        warnings=list(warnings))
-
-    # D of the current state, computed once per step: it feeds the next
-    # step's first sub-step, the observation, the snapshot and both ends of
-    # the acc_d trapezoid.  Tau comes from the step's accepted iterate and
-    # the velocity gradient is carried to the next step's trapezoid.
-    d = np.asarray(compute_d(state.p, grid, dp.alpha))
-    grad = velocity_gradient(state.u, sgrid)
-    if resume is None:
-        _observe(0, d, np.asarray(compute_tau(state.p, grid)))
-        _snap(0, d)
-
-    for k in range(state.step, n_steps):
-        grad_prev, d_prev = grad, d
-        t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
-
-        state.u, state.p, stats, rep, b_used, tau = coupled_step(
-            state.u, state.p, t_next, prob, d)
-        state.step = k + 1
-
-        series["iters"][k] = stats.iterations
-        series["ratios"][k] = stats.ratio
-        series["b"][k] = b_used
-        series["trunc"][k] = rep.trunc_moment
-        accum.clipped_total += float(rep.clipped_mass.sum())
-        accum.min_before_clip = min(accum.min_before_clip, rep.min_before_clip)
-        grad = velocity_gradient(state.u, sgrid)
-        accum.xi += dp.g0 * (0.5 * sgrid.dt * (grad_prev + grad)
-                             + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
-        d = np.asarray(compute_d(state.p, grid, dp.alpha))
-        accum.acc_d += 0.5 * sgrid.dt * (d_prev + d)
-        accum.grad_sq += sgrid.dt * _sigma_gradient_energy(state.p, grid)
-
-        _observe(k + 1, d, tau)
-        _snap(k + 1, d)
-        if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
-            checkpoint_sink(_payload())
-
-    return RunResult(**vars(state), kind="general", problem=prob, eta=eta,
-                     p0_max=p0_max, p0=p0, u0=u0, times=sgrid.times,
-                     snapshots=snapshots)
+    tau0 = np.asarray(compute_tau(init.p0, prob.sigma_grid))
+    return _integrate(prob, _Kinetic(prob), "general", eta, init.u0, init.p0, tau0,
+                      snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)
 
 
 def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
-                snap_every: int = 0, snapshot_sink=None) -> RunResult:
+                snap_every: int = 0, checkpoint_every: int = 0,
+                checkpoint_sink=None, resume: RunState | None = None,
+                snapshot_sink=None) -> RunResult:
     """Integrate the fully relaxing variant (linear coupled system).
 
     The per-node stress balance tau' + tau = b is integrated exactly per
     step with b frozen at the Picard iterate, inside the same backward-Euler
-    fixed point as the general path.  snapshot_sink, when given, receives
-    each Snapshot as soon as it is taken, as in run.
+    fixed point as the general path.  The options are run's; the states
+    hold no density rows (shape (0, n_sigma)).
     """
-    sgrid, dp = prob.space_grid, prob.dp
-    n_y, n_steps = sgrid.n_y, sgrid.n_steps
-    tau = np.asarray(tau0, dtype=float).copy()
-    u = np.asarray(u0, dtype=float).copy()
-    if tau.shape != (n_y,) or u.shape != (n_y,):
+    tau0, u0 = np.asarray(tau0, dtype=float), np.asarray(u0, dtype=float)
+    if tau0.shape != (prob.space_grid.n_y,) or u0.shape != tau0.shape:
         raise ValidationError("tau0/u0 do not match the space grid")
-
-    decay = math.exp(-sgrid.dt)
-    gain = -math.expm1(-sgrid.dt)  # 1 - e^{-dt}, accurate for small dt
-
-    def relax(b):
-        tau_new = decay * tau + gain * b
-        return tau_new, tau_new
-
-    # no density: no mass error, D = alpha everywhere, no density maximum
-    series = _new_series(n_steps, n_y)
-    series["min_d"].fill(dp.alpha)
-    series["max_p"].fill(math.nan)
-    series["tau"][0] = tau
-    series["u"][0] = u
-    snapshots: list[Snapshot] = []
-    zero = np.zeros(n_y)
-
-    def _snap(k: int):
-        if snap_every and (k % snap_every == 0 or k == n_steps):
-            snapshots.append(Snapshot(index=k, t=sgrid.time(k), u=u.copy(),
-                                      tau=tau.copy(), d=np.full(n_y, dp.alpha),
-                                      p=None, xi=zero.copy(), acc_d=zero.copy()))
-            if snapshot_sink is not None:
-                snapshot_sink(snapshots[-1])
-
-    _snap(0)
-    for k in range(n_steps):
-        u, b, tau, stats = _picard(u, relax, prob, sgrid.time(k + 1))
-        series["tau"][k + 1] = tau
-        series["u"][k + 1] = u
-        series["b"][k] = b
-        series["iters"][k] = stats.iterations
-        series["ratios"][k] = stats.ratio
-        _snap(k + 1)
-
-    no_rows = np.zeros((0, prob.sigma_grid.n_sigma))
-    return RunResult(step=n_steps, u=u, p=no_rows, accum=Accumulators.zeros(n_y),
-                     series=series, warnings=[], kind="maxwell", problem=prob,
-                     eta=dp.alpha, p0_max=math.nan, p0=no_rows,
-                     u0=series["u"][0].copy(), times=sgrid.times, snapshots=snapshots)
+    return _integrate(prob, _Relaxation(prob), "maxwell", prob.dp.alpha, u0,
+                      np.zeros((0, prob.sigma_grid.n_sigma)), tau0,
+                      snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)

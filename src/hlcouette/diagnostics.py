@@ -170,8 +170,6 @@ def _barrier_deficits(result: RunResult) -> tuple[Deficits, Deficits]:
     comparison: Deficits = []
     induced: Deficits = []
     for snap in result.snapshots:
-        if snap.p is None:
-            continue
         barrier = sub_solution(result.p0, grid, snap.t, snap.xi, snap.acc_d)
         comparison.append((snap.t, float((barrier - snap.p).max())))
         d_barrier = alpha * np.asarray(grid.exterior_mass(barrier))
@@ -357,9 +355,9 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
         d=np.asarray(compute_d(state.p, prob.sigma_grid, prob.dp.alpha)),
         p=state.p.copy(), xi=state.accum.xi.copy(), acc_d=state.accum.acc_d.copy())
     return RunResult(
-        **vars(state), kind="general", problem=replace(prob, space_grid=tgrid),
-        eta=eta, p0_max=float(init.p0.max()), p0=init.p0.copy(), u0=init.u0.copy(),
-        times=tgrid.times, snapshots=[snap])
+        **vars(state), kind="general" if state.p.size else "maxwell",
+        problem=replace(prob, space_grid=tgrid), eta=eta,
+        p0_max=float(init.p0.max()), p0=init.p0.copy(), snapshots=[snap])
 
 
 def verify_resume(state: RunState, grid: SigmaGrid, dt: float,

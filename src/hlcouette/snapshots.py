@@ -32,7 +32,7 @@ A run's --out directory has one writer, a RunDirectory, which names
 every file in it:
 - snapshot_<index>.csv (y, u, tau, d) per snapshot and, with
   --dump-density, density_<index>.npz (general runs only);
-- checkpoint_<step>.npz every checkpoint_every steps;
+- checkpoint_<step>.npz every checkpoint_every steps, on both paths;
 - when the run returns: series.npz, checkpoint_final.npz (general runs
   only) and summary.json;
 - when it fails: failure_dump.npz, if the failure carries the state of

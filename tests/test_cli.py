@@ -290,27 +290,39 @@ def test_force_general_runs_a_fully_relaxing_config_on_the_kinetic_path(tmp_path
     assert (out / "checkpoint_final.npz").exists()
 
 
-def test_closed_form_refuses_to_resume_and_warns_of_no_checkpoints(tmp_path, capsys):
-    relaxing = [*TINY, "--set", "model.fully_relaxing=true", "--set", "grid.sigma_max=8.0"]
-    general = tmp_path / "general"
-    assert main(["run", *relaxing, "--force-general", "--out", str(general)]) == 0
-    capsys.readouterr()
-    # the closed form has no density to continue, so it refuses before
-    # loading anything: a missing checkpoint exits 3 too, not 6
-    for ckpt in (general / "checkpoint_000005.npz", tmp_path / "missing.npz"):
-        assert main(["run", *relaxing, "--resume", str(ckpt)]) == 3
-        captured = capsys.readouterr()
-        assert "--force-general" in captured.err and "resuming" not in captured.out
-    assert main(["run", *relaxing, "--force-general",
-                 "--resume", str(general / "checkpoint_000005.npz")]) == 0
-    assert "resuming at step 5" in capsys.readouterr().out
+RELAXING = [*TINY, "--set", "model.fully_relaxing=true", "--set", "grid.sigma_max=8.0"]
 
-    out = tmp_path / "o"
-    assert main(["run", *relaxing, "--out", str(out)]) == 0
-    warnings = [line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("warning: ")]
-    assert len(warnings) == 1 and "checkpoint_every" in warnings[0]
-    assert not list(out.glob("checkpoint_*.npz"))
+
+def test_closed_form_checkpoints_and_resumes_bit_for_bit(tmp_path, capsys):
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    assert main(["run", *RELAXING, "--out", str(straight)]) == 0
+    assert "warning" not in capsys.readouterr().out
+    names = sorted(p.name for p in straight.glob("checkpoint_*.npz"))
+    assert names == ["checkpoint_000005.npz", "checkpoint_000010.npz"]
+    ckpt = load_checkpoint(straight / "checkpoint_000005.npz")
+    assert ckpt.step == 5 and ckpt.p.shape == (0, 64)
+    assert main(["run", *RELAXING, "--resume", str(straight / "checkpoint_000005.npz"),
+                 "--out", str(resumed)]) == 0
+    assert "resuming at step 5" in capsys.readouterr().out
+    for name in ("series.npz", "summary.json", "checkpoint_000010.npz",
+                 "snapshot_000010.csv"):
+        assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def test_a_checkpoint_of_the_other_path_is_refused(tmp_path, capsys):
+    general = tmp_path / "general"
+    closed = tmp_path / "closed"
+    assert main(["run", *RELAXING, "--force-general", "--out", str(general)]) == 0
+    assert main(["run", *RELAXING, "--out", str(closed)]) == 0
+    capsys.readouterr()
+    # both paths share the fingerprint, so only the rows tell them apart
+    for flags, ckpt in (([], general), (["--force-general"], closed)):
+        out = tmp_path / f"o{len(flags)}"
+        assert main(["run", *RELAXING, *flags, "--out", str(out),
+                     "--resume", str(ckpt / "checkpoint_000005.npz")]) == 3
+        err = capsys.readouterr().err
+        assert "--force-general" in err and "Traceback" not in err
+        assert not list(out.glob("*.npz"))
 
 
 def test_closed_form_warns_that_it_dumps_no_density(tmp_path, capsys):
@@ -322,6 +334,17 @@ def test_closed_form_warns_that_it_dumps_no_density(tmp_path, capsys):
                 if line.startswith("warning: ")]
     assert len(warnings) == 1 and "--dump-density" in warnings[0]
     assert not list(out.glob("density_*")) and list(out.glob("snapshot_*.csv"))
+
+
+def test_diagnose_a_closed_form_checkpoint(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", *RELAXING, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--checkpoint", str(out / "checkpoint_000005.npz"),
+                 *RELAXING]) == 0
+    checks = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith(("PASS", "WARN", "FAIL"))]
+    assert checks == ["velocity_map_lipschitz:"]
 
 
 def test_diagnose_checkpoint(tmp_path, capsys):

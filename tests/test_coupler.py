@@ -326,10 +326,11 @@ def test_run_does_not_depend_on_the_factor_cache():
     assert cold.u.tobytes() == warm.u.tobytes()
 
 
-def _final_fields(n_sigma: int, dt: float, n_y: int = 8) -> dict[str, np.ndarray]:
+def _final_fields(n_sigma: int, dt: float, n_y: int = 8,
+                  **overrides: str) -> dict[str, np.ndarray]:
     """tau, u and D at t = 0.5 of the standard physics."""
     cfg = standard_config(grid__n_y=str(n_y), grid__n_sigma=str(n_sigma),
-                          run__dt=repr(dt), run__t_final="0.5")
+                          run__dt=repr(dt), run__t_final="0.5", **overrides)
     prob, init, report = cfg.build()
     report.raise_if_failed()
     res = run(prob, init, report.eta)
@@ -362,6 +363,23 @@ def test_gap_grid_self_converges_at_second_order():
         # 3.92, 3.98 (tau) and 3.58, 3.77 (u)
         for e_coarse, e_fine in zip(gaps, gaps[1:]):
             assert 3.4 < e_coarse / e_fine < 4.6, (name, gaps)
+
+
+def test_the_solution_depends_linearly_on_small_changes_of_the_data():
+    # a well-posed problem moves its solution in proportion to a small change
+    # of the data, so |change| / eps stays put as eps halves; measured at
+    # eps = 4e-2 ... 5e-3: 0.66017-0.66045 (tau, initial.mean), 0.35727-0.35742
+    # (tau, protocol.v_max) and 0.092429-0.092419 (u, protocol.v_max), a
+    # relative spread of at most 4.2e-4, the O(eps) remainder.  u barely
+    # feels a mean shift (quotient 8e-4), so it is graded under v_max only.
+    eps = (4e-2, 2e-2, 1e-2, 5e-3)
+    base = _final_fields(128, 4e-3)
+    for key, at, names in (("initial__mean", 0.0, ("tau",)),
+                           ("protocol__v_max", 1.0, ("tau", "u"))):
+        moved = [_final_fields(128, 4e-3, **{key: repr(at + e)}) for e in eps]
+        for name in names:
+            q = [np.abs(m[name] - base[name]).max() / e for m, e in zip(moved, eps)]
+            assert min(q) > 0.05 and max(q) / min(q) < 1 + 2e-3, (key, name, q)
 
 
 # SHA-256 digests (first 16 hex digits) of a run's SERIES arrays and final

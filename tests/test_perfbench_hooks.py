@@ -69,7 +69,7 @@ def test_traced_run_counts_every_artifact_write(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("relaxing", [False, True], ids=["kinetic", "closed_form"])
-def test_layer_metrics_read_a_traced_result(monkeypatch, relaxing):
+def test_layer_metrics_read_a_traced_result(monkeypatch, tmp_path, relaxing):
     # layer_metrics reads the RunResult itself, not only the wrapped names
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from child import LAYER_METRICS, install, layer_metrics
@@ -78,7 +78,10 @@ def test_layer_metrics_read_a_traced_result(monkeypatch, relaxing):
     sets = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
             "--set", "run.t_final=0.01"]
     if relaxing:
-        sets += ["--set", "model.fully_relaxing=true", "--set", "grid.sigma_max=8.0"]
+        # the closed form checkpoints through the one loop, but writes no
+        # final checkpoint and never reaches coupled_step
+        sets += ["--set", "model.fully_relaxing=true", "--set", "grid.sigma_max=8.0",
+                 "--set", "run.checkpoint_every=5", "--out", str(tmp_path / "o")]
     tracer, results = Tracer(), []
     try:
         install(tracer, True, results, [])
@@ -90,3 +93,6 @@ def test_layer_metrics_read_a_traced_result(monkeypatch, relaxing):
     assert set(values) == set(LAYER_METRICS)
     assert values["coupler.picard_iters_max"] == result.series["iters"].max() >= 1
     assert values["coupler.coupled_step.calls"] == (0 if relaxing else 10)
+    if relaxing:
+        assert values["snapshots.save_checkpoint.calls"] == 2
+        assert not (tmp_path / "o" / "checkpoint_final.npz").exists()
