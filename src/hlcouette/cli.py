@@ -85,6 +85,8 @@ def cmd_run(args) -> int:
         if args.resume:
             resume = snapshots.load_checkpoint(args.resume,
                                                expect_fingerprint=cfg.fingerprint)
+            coupler.check_resume_path(
+                resume, (0, prob.sigma_grid.n_sigma) if closed_form else init.p0.shape)
             if resume.p.size:  # a closed-form state has no rows to check
                 check = diagnostics.verify_resume(resume, prob.sigma_grid, prob.space_grid.dt,
                                                   init.p0, prob.dp.alpha, cfg.c_comparison)
@@ -97,14 +99,17 @@ def cmd_run(args) -> int:
                        checkpoint_every=cfg.checkpoint_every,
                        checkpoint_sink=directory.checkpoint if directory else None,
                        resume=resume, snapshot_sink=directory)
+        steps_left = prob.space_grid.n_steps - (resume.step if resume else 0)
         t_start = time.perf_counter()
         if closed_form:
-            print(f"integrating {prob.space_grid.n_steps} steps (relaxation closed form)")
+            print(f"integrating {steps_left} steps (relaxation closed form)")
+            # the grid's quadrature, not compute_tau: the closed form never
+            # steps the rows, so it keeps no meso scratch for them
             result = coupler.run_maxwell(
-                prob, tau0=np.asarray(compute_tau(init.p0, prob.sigma_grid)),
+                prob, tau0=np.asarray(prob.sigma_grid.first_moment(init.p0)),
                 u0=init.u0, **options)
         else:
-            print(f"integrating {prob.space_grid.n_steps} steps (kinetic path)")
+            print(f"integrating {steps_left} steps (kinetic path)")
             result = coupler.run(prob, init, eta, **options)
         elapsed = time.perf_counter() - t_start
         iters = result.series["iters"]

@@ -188,10 +188,10 @@ class RunConfig:
 
     def problem(self) -> CoupledProblem:
         r = self.values["run"]
-        space_grid = self.space_grid()
-        check_series_budget(space_grid)
+        space_grid, sigma_grid = self.space_grid(), self.sigma_grid()
+        check_series_budget(space_grid, sigma_grid.n_sigma, self.snapshot_every)
         return CoupledProblem(dp=self.dimensionless_params(),
-                              sigma_grid=self.sigma_grid(),
+                              sigma_grid=sigma_grid,
                               space_grid=space_grid,
                               protocol=self.protocol(),
                               picard_tol=r["picard_tol"],

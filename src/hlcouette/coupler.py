@@ -43,7 +43,8 @@ from .errors import ConfigError, DiagnosticFailure, NonContractionError, Validat
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import heat_step, l2_norm, velocity_gradient
-from .meso import StepReport, advance_rows, compute_d, compute_tau, required_substeps
+from .meso import (StepReport, advance_rows, compute_d, compute_gradient_energy,
+                   compute_inner_moment, compute_tau, required_substeps)
 from .params import DimensionlessParams
 from .protocols import ShearProtocol
 
@@ -51,7 +52,7 @@ PICARD_TOL = 1e-8
 PICARD_MAX = 50
 MASS_TOL = 1e-10
 TRUNCATION_TOL = 1e-8  # mass allowed in the outermost stress cells
-SERIES_MAX_BYTES = 2**30  # per-step records of one run; standard needs 2.6 MB
+SERIES_MAX_BYTES = 2**30  # per-step records and snapshots of one run; standard needs 4 MB
 
 
 @dataclass(frozen=True)
@@ -141,14 +142,22 @@ SERIES = (
 )
 
 
-def check_series_budget(sgrid: SpaceTimeGrid) -> None:
-    """Reject, before anything is allocated, a run whose records exceed the budget."""
-    need = sum(f.length(sgrid.n_steps) * (sgrid.n_y if f.per_y else 1)
-               * np.dtype(f.dtype).itemsize for f in SERIES)
+def check_series_budget(sgrid: SpaceTimeGrid, n_sigma: int, snap_every: int) -> None:
+    """Reject, before anything is allocated, a run whose records exceed the budget.
+
+    The records are the per-step series and the snapshots a run keeps in
+    RunResult.snapshots, each n_y density rows plus five (n_y,) fields.
+    """
+    series = sum(f.length(sgrid.n_steps) * (sgrid.n_y if f.per_y else 1)
+                 * np.dtype(f.dtype).itemsize for f in SERIES)
+    n_steps = sgrid.n_steps  # a snapshot every snap_every-th step and at the last
+    snaps = n_steps // snap_every + 1 + (n_steps % snap_every > 0) if snap_every else 0
+    need = series + snaps * (sgrid.n_y * n_sigma + 5 * sgrid.n_y) * 8
     if need > SERIES_MAX_BYTES:
         raise ValidationError(
-            f"run.dt and run.t_final give {sgrid.n_steps} steps, whose per-step "
-            f"records need {need:.3g} bytes (budget {SERIES_MAX_BYTES:.3g})")
+            f"run.dt and run.t_final give {sgrid.n_steps} steps and run.snapshot_every "
+            f"keeps {snaps} snapshots of {sgrid.n_y} x {n_sigma} rows, whose records "
+            f"need {need:.3g} bytes (budget {SERIES_MAX_BYTES:.3g})")
 
 
 def _new_series(n_steps: int, n_y: int) -> dict[str, np.ndarray]:
@@ -199,6 +208,15 @@ class RunResult(RunState):
     def picard_iters(self) -> np.ndarray:
         # read by perfbench/child.py
         return self.series["iters"]
+
+
+def check_resume_path(state: RunState, rows: tuple[int, ...]) -> None:
+    """Refuse a state of the other path: the closed form and --force-general
+    share a fingerprint, so only the shape of the density rows tells them apart."""
+    if state.p.shape != rows:
+        raise ConfigError(
+            f"the checkpoint holds {state.p.shape[0]} density rows, this path {rows[0]}: "
+            "resume the kinetic path with --force-general, the closed form without it")
 
 
 def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
@@ -299,8 +317,7 @@ class _Kinetic:
                              + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
         d = np.asarray(compute_d(state.p, grid, dp.alpha))
         accum.acc_d += 0.5 * sgrid.dt * (self.d + d)
-        diff = np.diff(state.p, axis=1) / grid.d_sigma
-        accum.grad_sq += sgrid.dt * ((diff * diff).sum(axis=1) * grid.d_sigma)
+        accum.grad_sq += sgrid.dt * compute_gradient_energy(state.p, grid)
         self.grad, self.d = grad, d
         return b, tau, stats
 
@@ -308,7 +325,7 @@ class _Kinetic:
         grid, series, p = self.prob.sigma_grid, state.series, state.p
         masses = np.asarray(grid.mass(p))
         series["mass_err"][k] = float(np.abs(masses - 1.0).max())
-        series["inner"][k] = np.asarray(grid.inner_moment(p))
+        series["inner"][k] = compute_inner_moment(p, grid)
         series["min_d"][k] = float(self.d.min())
         series["max_p"][k] = float(p.max())
         if series["mass_err"][k] > MASS_TOL:
@@ -368,10 +385,7 @@ def _integrate(prob: CoupledProblem, path, kind: str, eta: float, u0: np.ndarray
     p0 = p0.copy()
     start = resume or RunState(step=0, u=u0, p=p0, accum=Accumulators.zeros(n_y),
                                series=_new_series(0, n_y), warnings=[])
-    if start.p.shape != p0.shape:
-        raise ConfigError(
-            f"the checkpoint holds {start.p.shape[0]} density rows, this path {p0.shape[0]}: "
-            "resume the kinetic path with --force-general, the closed form without it")
+    check_resume_path(start, p0.shape)
     series = _new_series(n_steps, n_y)
     state = RunState(step=start.step, u=start.u.copy(), p=start.p.copy(),
                      accum=start.accum.copy(), series=series, warnings=list(start.warnings))

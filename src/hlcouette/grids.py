@@ -27,6 +27,11 @@ def _as_int_ratio(value: float, what: str) -> int:
     return n
 
 
+def _per_input(total: np.ndarray, p: np.ndarray) -> np.ndarray | float:
+    """Sums over the rows of p shaped as p without its last axis."""
+    return total[0] if p.ndim == 1 else total.reshape(p.shape[:-1])
+
+
 @dataclass(frozen=True)
 class SigmaGrid:
     """Cell-centered stress grid on [-sigma_max, sigma_max].
@@ -80,23 +85,63 @@ class SigmaGrid:
         """The two cells flanking sigma = 0 that receive the re-injection."""
         return self.n_sigma // 2 - 1, self.n_sigma // 2
 
-    # quadratures (midpoint rule on cell values)
+    # quadratures (midpoint rule on cell values) of a (n_sigma,) row, which
+    # gives a scalar, or of (n_rows, n_sigma) rows.  The exterior and banded
+    # sums copy their cells, which are contiguous (two ends, or the band),
+    # into a Fortran-ordered array: that is the layout of the mask gathers
+    # p[:, exterior] and p[:, ~exterior], so each row adds its cells in
+    # sequence, as the gather did (a C-ordered copy would add them pairwise
+    # and change bits).  work, when given, is the array the cells go into
+    # (the caller's scratch), shaped and ordered as each method states;
+    # every method returns a fresh array.
 
     def mass(self, p: np.ndarray) -> np.ndarray | float:
         return p.sum(axis=-1) * self.d_sigma
 
-    def exterior_mass(self, p: np.ndarray) -> np.ndarray | float:
-        return p[..., self.exterior].sum(axis=-1) * self.d_sigma
+    def exterior_sum(self, p: np.ndarray,
+                     work: np.ndarray | None = None) -> np.ndarray | float:
+        """Sum of the cells beyond the threshold; work is Fortran-ordered
+        (n_rows, 2*n_exterior_side)."""
+        rows, n, n_ext = p.reshape(-1, self.n_sigma), self.n_sigma, self.n_exterior_side
+        if work is None:
+            work = np.empty((rows.shape[0], 2 * n_ext), order="F")
+        work[:, :n_ext] = rows[:, :n_ext]
+        work[:, n_ext:] = rows[:, n - n_ext:]
+        return _per_input(work.sum(axis=1), p)
 
-    def first_moment(self, p: np.ndarray) -> np.ndarray | float:
-        return (p * self.centers).sum(axis=-1) * self.d_sigma
+    def exterior_mass(self, p: np.ndarray,
+                      work: np.ndarray | None = None) -> np.ndarray | float:
+        """Mass beyond the threshold; work as for exterior_sum."""
+        return self.exterior_sum(p, work) * self.d_sigma
 
-    def inner_moment(self, p: np.ndarray) -> np.ndarray | float:
-        """First moment restricted to the non-relaxing band |sigma| <= threshold."""
-        inner = ~self.exterior
-        if not inner.any():
+    def first_moment(self, p: np.ndarray,
+                     work: np.ndarray | None = None) -> np.ndarray | float:
+        """Mean stress; work is C-ordered (n_rows, n_sigma)."""
+        rows = p.reshape(-1, self.n_sigma)
+        return _per_input(np.multiply(rows, self.centers, out=work).sum(axis=1)
+                          * self.d_sigma, p)
+
+    def inner_moment(self, p: np.ndarray,
+                     work: np.ndarray | None = None) -> np.ndarray | float:
+        """First moment restricted to the non-relaxing band |sigma| <= threshold;
+        work is Fortran-ordered (n_rows, n_sigma - 2*n_exterior_side)."""
+        rows, n, n_ext = p.reshape(-1, self.n_sigma), self.n_sigma, self.n_exterior_side
+        if 2 * n_ext == n:
             return np.zeros(p.shape[:-1]) if p.ndim > 1 else 0.0
-        return (p[..., inner] * self.centers[inner]).sum(axis=-1) * self.d_sigma
+        if work is None:
+            work = np.empty((rows.shape[0], n - 2 * n_ext), order="F")
+        np.multiply(rows[:, n_ext:n - n_ext], self.centers[n_ext:n - n_ext], out=work)
+        return _per_input(work.sum(axis=1) * self.d_sigma, p)
+
+    def gradient_energy(self, p: np.ndarray,
+                        work: np.ndarray | None = None) -> np.ndarray | float:
+        """int |dsigma p|^2 dsigma by forward differences; work is C-ordered
+        (n_rows, n_sigma - 1)."""
+        rows = p.reshape(-1, self.n_sigma)
+        grad = np.subtract(rows[:, 1:], rows[:, :-1], out=work)
+        np.divide(grad, self.d_sigma, out=grad)
+        np.multiply(grad, grad, out=grad)
+        return _per_input(grad.sum(axis=1) * self.d_sigma, p)
 
     def outermost_mass(self, p: np.ndarray) -> np.ndarray | float:
         """Mass sitting in the first and last cell (truncation monitor)."""

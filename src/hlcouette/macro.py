@@ -92,6 +92,10 @@ def heat_step(u: np.ndarray, tau: np.ndarray, vdot: float, rho: float,
     Dirichlet Laplacian L; mu = 0 degenerates gracefully to pointwise decay
     of the inertial balance.
     """
-    rhs = (rho / dt) * u + dtau_dy(tau, grid) - rho * vdot * grid.y
+    # (rho/dt) u + dy tau - (rho vdot) y, added in that order in place
+    rhs = np.multiply(u, rho / dt)
+    div = dtau_dy(tau, grid)
+    rhs += div
+    rhs -= np.multiply(grid.y, rho * vdot, out=div)
     factors = _momentum_factors(u.shape[0], rho, mu, dt, grid.dy)
     return solve_tridiagonal(factors, rhs)

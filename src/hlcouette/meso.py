@@ -34,16 +34,27 @@ hl_step runs once per sub-step of every Picard iterate, so it avoids work
 that does not change a bit of its result:
 
 - the caller may pass D of the start rows, which coupler.run already holds;
+- rows that already are a 2-D float array are taken as they are;
 - the upwind differences, the advective flux and the exterior ends are
   written into scratch arrays kept per batch shape (_scratch); the result
   is always a fresh array, never a view of them;
 - the two advective terms are evaluated only for the loading signs present:
   with every b >= 0, as under a positive wall speed, the downwind term is
   zero and skipped;
-- the sink sum runs over a Fortran-ordered copy of the two exterior ends,
-  the layout of the mask gather q[:, exterior], so its row sums add in the
-  same order and give the same bits (a C-ordered copy would not);
+- the sink scales the whole batch by one keep row, kept in the scratch,
+  which holds 1 - dt beyond the threshold and 1.0 inside the band, where
+  the product is exact;
 - the clip is skipped when nothing is negative.
+
+The meters the coupler reads every iterate or step (compute_d,
+compute_tau, compute_inner_moment, compute_gradient_energy) share that
+scratch, so the kinetic path allocates no work array of its own.  One
+exterior sum serves both compute_d and the sink: SigmaGrid.exterior_sum
+copies the two exterior ends into the Fortran-ordered ext, the layout of
+the mask gather p[:, exterior], so its row sums add in the same order and
+give the same bits (a C-ordered copy would not).  The banded moment sums
+a Fortran-ordered view of diff the same way; tau and the gradient energy
+sum C-ordered views, as their allocating forms did.
 
 The skips rest on one invariant: the rows of a run hold no -0.0.  The
 preset initial rows hold none, and hl_step keeps nonnegative rows free of
@@ -77,14 +88,30 @@ LINF_ASSERT_TOL = 1e-6
 def compute_d(p: np.ndarray, grid: SigmaGrid, alpha: float):
     """Stress diffusion coefficient alpha * exterior mass, midpoint quadrature.
 
-    Shares the exterior-cell quadrature with the relaxation sink so the
-    sink/source balance is the same object the coefficient sees.
+    Sums the exterior cells as the relaxation sink does (SigmaGrid.exterior_sum
+    over the scratch ext), so the sink/source balance is the same object the
+    coefficient sees.
     """
-    return alpha * grid.exterior_mass(p)
+    return alpha * grid.exterior_mass(p, _work(p, grid)[2])
+
 
 def compute_tau(p: np.ndarray, grid: SigmaGrid):
     """Mean stress: first moment of the row(s)."""
-    return grid.first_moment(p)
+    return grid.first_moment(p, _work(p, grid)[1])
+
+
+def compute_inner_moment(p: np.ndarray, grid: SigmaGrid):
+    """First moment over the non-relaxing band, summed in the scratch diff."""
+    n_rows, n_in = _n_rows(p), grid.n_sigma - 2 * grid.n_exterior_side
+    diff = _work(p, grid)[0]
+    return grid.inner_moment(p, diff[:n_rows * n_in].reshape((n_rows, n_in), order="F"))
+
+
+def compute_gradient_energy(p: np.ndarray, grid: SigmaGrid):
+    """int |dsigma p|^2 dsigma of the row(s), differenced in the scratch diff."""
+    n_rows, n = _n_rows(p), grid.n_sigma
+    diff = _work(p, grid)[0]
+    return grid.gradient_energy(p, diff[:n_rows * (n - 1)].reshape(n_rows, n - 1))
 
 
 @dataclass
@@ -111,6 +138,13 @@ class StepReport:
         self.n_sub += other.n_sub
 
 
+def _as_rows(p) -> np.ndarray:
+    """p as (n_rows, n_sigma) float rows; no call or copy when it is such an array."""
+    if isinstance(p, np.ndarray) and p.ndim == 2 and p.dtype == np.float64:
+        return p
+    return np.atleast_2d(np.asarray(p, dtype=float))
+
+
 def _per_row(b, n_rows: int) -> np.ndarray:
     """The loading as a read-only (n_rows,) float array; no copy when it is one."""
     if isinstance(b, np.ndarray) and b.shape == (n_rows,) and b.dtype == np.float64:
@@ -120,17 +154,30 @@ def _per_row(b, n_rows: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _scratch(n_rows: int, n: int, n_ext: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hl_step's work arrays for one batch shape, reused call after call.
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The work arrays of one batch shape, reused call after call.
 
-    diff (n_rows*n + 1,) holds the flat upwind differences, of which the
-    backward and forward ones are (n_rows, n) views; flux (n_rows, n) one
-    advective term; ext (n_rows, 2*n_ext), Fortran-ordered, the exterior
-    ends.  Every call overwrites what it reads, so nothing carries over
-    between calls (the program steps in one thread).
+    diff (n_rows*n + 1,) holds hl_step's flat upwind differences, of which
+    the backward and forward ones are (n_rows, n) views, and the banded
+    cells and the differences of the meters; flux (n_rows, n) one advective
+    term, and the products of compute_tau; ext (n_rows, 2*n_ext),
+    Fortran-ordered, the exterior ends; keep (n,) the factor of each cell
+    under the sink, 1.0 inside the band.  Every user overwrites what it
+    reads, except keep, whose ends hold the last factor and are rewritten
+    when it changes; nothing else carries over between calls (the program
+    steps in one thread).
     """
     return (np.empty(n_rows * n + 1), np.empty((n_rows, n)),
-            np.empty((n_rows, 2 * n_ext), order="F"))
+            np.empty((n_rows, 2 * n_ext), order="F"), np.ones(n))
+
+
+def _n_rows(p: np.ndarray) -> int:
+    return p.shape[0] if p.ndim == 2 else 1
+
+
+def _work(p: np.ndarray, grid: SigmaGrid):
+    """The scratch of p's batch shape."""
+    return _scratch(_n_rows(p), grid.n_sigma, grid.n_exterior_side)
 
 
 def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
@@ -155,13 +202,16 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     (p_next, StepReport); p_next has the shape of p.
     """
     squeeze = p.ndim == 1
-    p2 = np.atleast_2d(np.asarray(p, dtype=float))
+    p2 = _as_rows(p)
     n_rows, n = p2.shape
     b_arr = _per_row(b, n_rows)
     ds = grid.d_sigma
 
     nu = b_arr * (dt / ds)
-    worst = float(np.abs(nu).max()) if n_rows else 0.0
+    # the extremes give the CFL number and the loading signs that occur (a
+    # NaN propagates to both and counts as either sign, as it would in any())
+    nu_max, nu_min = (float(nu.max()), float(nu.min())) if n_rows else (0.0, 0.0)
+    worst = max(abs(nu_max), abs(nu_min))
     if worst > 1.0 + 1e-12:
         raise CFLError(
             f"advection CFL violated: max |b| dt / d_sigma = {worst:.6g} > 1; "
@@ -173,7 +223,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # frozen diffusion coefficient from the start-of-step row
     d_coef = compute_d(p2, grid, alpha) if d is None else d
     n_ext = grid.n_exterior_side
-    diff, flux, ext = _scratch(n_rows, n, n_ext)
+    diff, flux, ext, keep = _scratch(n_rows, n, n_ext)
 
     # explicit upwind advection, zero inflow, metered outflow:
     # q = (p - pos*back) - neg*fwd, evaluated in that order (the artifacts
@@ -185,7 +235,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # set, which overwrites back's row starts, so back is used first.
     pos = np.maximum(nu, 0.0)[:, None]
     neg = np.minimum(nu, 0.0)[:, None]
-    has_pos, has_neg = bool(pos.any()), bool(neg.any())
+    has_pos, has_neg = not nu_max <= 0.0, not nu_min >= 0.0
     if has_pos or has_neg:
         p_flat = p2.ravel()
         np.subtract(p_flat[1:], p_flat[:-1], out=diff[1:-1])
@@ -218,17 +268,14 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     absorbed = lam * (q[:, 0] + q[:, -1]) * ds
     trunc_moment += lam * ds * (q[:, 0] * w_left + q[:, -1] * w_right)
 
-    # explicit relaxation sink beyond the threshold.  The sum runs over the
-    # exterior ends copied into the Fortran-ordered ext, the layout of the
-    # mask gather q[:, exterior], so each row adds in the same sequence
-    # (its summation order is part of the result); the scaling touches the
-    # two contiguous exterior ends in place
-    ext[:, :n_ext] = q[:, :n_ext]
-    ext[:, n_ext:] = q[:, n - n_ext:]
-    sink = eff_dt * ext.sum(axis=1) * ds
-    keep = 1.0 - eff_dt
-    q[:, :n_ext] *= keep
-    q[:, n - n_ext:] *= keep
+    # explicit relaxation sink beyond the threshold.  The sum is compute_d's,
+    # over the exterior ends copied into ext (its summation order is part of
+    # the result); the scaling is one contiguous multiply by the keep row,
+    # whose 1.0 inside the band changes no bit there
+    sink = eff_dt * grid.exterior_sum(q, ext) * ds
+    if n_ext and keep[0] != 1.0 - eff_dt:
+        keep[:n_ext] = keep[n - n_ext:] = 1.0 - eff_dt
+    q *= keep
 
     # re-injection at sigma = 0 restores every metered removal
     deposit = sink + absorbed + outflow
@@ -265,7 +312,7 @@ def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     sub-step count so the batch stays a single vectorized solve.  d, when
     given, is D of p (compute_d), used by the first sub-step.
     """
-    p2 = np.atleast_2d(np.asarray(p, dtype=float))
+    p2 = _as_rows(p)
     b_arr = _per_row(b, p2.shape[0])
     if n_sub is None:
         n_sub = required_substeps(b_arr, dt, grid)

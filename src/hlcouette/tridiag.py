@@ -21,7 +21,13 @@ again only when it changes:
 
 A hit returns the factors ``dpttrf`` would compute again from the same
 input, so reuse cannot change a single bit of a solution.  A failed
-factorization raises and is never cached.
+factorization raises and is never cached.  The stress step checks that
+``lam`` is nonnegative on a miss only, before it factors: a hit reuses a
+``lam`` that was checked when it was factored.
+
+The LAPACK wrappers are resolved once, on first use (``_lapack``), so
+start-up does not load ``scipy.linalg`` and a solve runs no import
+statement.
 
 A miss of the stress cache factors only the first pivots of each block.
 ``dpttrf`` runs one causal recurrence, ``e_i = c_i / d_i`` then
@@ -65,6 +71,14 @@ from .errors import SchemeInstabilityError
 FACTOR_PREFIX = 32
 
 
+@lru_cache(maxsize=1)
+def _lapack():
+    """The wrappers (dpttrf, dpttrs), resolved on first use: start-up never
+    solves anything, so it need not load scipy.linalg."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    return dpttrf, dpttrs
+
+
 def _check(info: int, routine: str) -> None:
     if info != 0:
         raise SchemeInstabilityError(
@@ -86,9 +100,7 @@ def factor_tridiagonal(diag: np.ndarray,
         # dpttrf only checks that the one pivot is positive
         d, e, info = diag, off, 0 if np.all(diag > 0) else 1
     else:
-        # deferred: start-up never solves anything, so it need not load LAPACK
-        from scipy.linalg.lapack import dpttrf
-        d, e, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
+        d, e, info = _lapack()[0](diag, off, overwrite_d=1, overwrite_e=1)
     _check(info, "dpttrf")
     d.flags.writeable = False
     e.flags.writeable = False
@@ -101,8 +113,7 @@ def solve_tridiagonal(factors: tuple[np.ndarray, np.ndarray],
     d, e = factors
     if d.shape[0] < 2:
         return rhs / d
-    from scipy.linalg.lapack import dpttrs
-    x, info = dpttrs(d, e, rhs, overwrite_b=1)
+    x, info = _lapack()[1](d, e, rhs, overwrite_b=1)
     _check(info, "dpttrs")
     return x
 
@@ -116,12 +127,17 @@ def _stacked_factors(lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _diffusion_factors(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _diffusion_factors(n: int, lam_bytes: bytes,
+                       validate: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Factors of the stacked I + lam*L, built from the first pivots of each block.
 
     Bitwise the factors of the whole stacked matrix (module docstring).
+    validate, which the public solve passes, first rejects a negative lam
+    with ValueError, so a lam is checked once, on the miss that factors it.
     """
     lam = np.frombuffer(lam_bytes)
+    if validate and np.any(lam < 0):
+        raise ValueError("negative diffusion number")
     m = FACTOR_PREFIX
     if n <= m:
         return _stacked_factors(lam, n)
@@ -162,7 +178,5 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (n_rows,):
         raise ValueError(f"lam shape {lam.shape} does not match {n_rows} rows")
-    if np.any(lam < 0):
-        raise ValueError("negative diffusion number")
-    x = solve_tridiagonal(_diffusion_factors(n, lam.tobytes()), rhs.ravel())
+    x = solve_tridiagonal(_diffusion_factors(n, lam.tobytes(), True), rhs.ravel())
     return x.reshape(n_rows, n)

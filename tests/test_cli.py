@@ -89,6 +89,19 @@ def test_out_of_range_run_settings_exit_3(command, override, capsys):
     assert override.split("=")[0] in capsys.readouterr().err
 
 
+SNAPSHOT_HEAVY = ["--set", "grid.n_y=255", "--set", "grid.n_sigma=2048"]
+
+
+def test_validate_counts_the_snapshots_in_the_record_budget(capsys):
+    # 1 001 snapshots of 255 x 2048 rows would keep 4.2 GB; validate only,
+    # never run it
+    assert main(["validate", *SNAPSHOT_HEAVY, "--set", "run.snapshot_every=1"]) == 3
+    err = capsys.readouterr().err
+    assert "run.snapshot_every keeps 1001 snapshots" in err and "4.2e+09 bytes" in err
+    assert main(["validate", *SNAPSHOT_HEAVY, "--set", "run.snapshot_every=100"]) == 0
+    assert "validation passed" in capsys.readouterr().out
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "artifacts"
     assert main(["run", *TINY, "--out", str(out)]) == 0
@@ -127,13 +140,17 @@ def test_rerun_is_byte_identical(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
-def test_resume_reproduces_the_straight_run(tmp_path):
+def test_resume_reproduces_the_straight_run(tmp_path, capsys):
     straight = tmp_path / "straight"
     assert main(["run", *TINY, "--out", str(straight)]) == 0
+    assert "integrating 10 steps (kinetic path)" in capsys.readouterr().out
     resumed = tmp_path / "resumed"
     rc = main(["run", *TINY, "--out", str(resumed),
                "--resume", str(straight / "checkpoint_000005.npz")])
     assert rc == 0
+    # the log counts the steps left, not the whole horizon
+    out = capsys.readouterr().out
+    assert "resuming at step 5" in out and "integrating 5 steps (kinetic path)" in out
     assert filecmp.cmp(straight / "series.npz", resumed / "series.npz",
                        shallow=False)
     assert filecmp.cmp(straight / "checkpoint_final.npz",
@@ -303,7 +320,9 @@ def test_closed_form_checkpoints_and_resumes_bit_for_bit(tmp_path, capsys):
     assert ckpt.step == 5 and ckpt.p.shape == (0, 64)
     assert main(["run", *RELAXING, "--resume", str(straight / "checkpoint_000005.npz"),
                  "--out", str(resumed)]) == 0
-    assert "resuming at step 5" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "resuming at step 5" in out
+    assert "integrating 5 steps (relaxation closed form)" in out
     for name in ("series.npz", "summary.json", "checkpoint_000010.npz",
                  "snapshot_000010.csv"):
         assert (resumed / name).read_bytes() == (straight / name).read_bytes(), name
@@ -320,8 +339,11 @@ def test_a_checkpoint_of_the_other_path_is_refused(tmp_path, capsys):
         out = tmp_path / f"o{len(flags)}"
         assert main(["run", *RELAXING, *flags, "--out", str(out),
                      "--resume", str(ckpt / "checkpoint_000005.npz")]) == 3
-        err = capsys.readouterr().err
-        assert "--force-general" in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert "--force-general" in captured.err and "Traceback" not in captured.err
+        # refused before the resume checks report on it or the run starts
+        assert "PASS" not in captured.out and "resuming" not in captured.out
+        assert "integrating" not in captured.out
         assert not list(out.glob("*.npz"))
 
 

@@ -1,19 +1,24 @@
 """Stress-space relaxation solver: conservation, CFL, and the linear limit."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hlcouette import meso
+import hlcouette
+from hlcouette import config, coupler, meso
 from hlcouette.errors import CFLError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages, uniform_cell_averages
 from hlcouette.maxwell import maxwell_p
 from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, _scratch, advance_rows,
-                            compute_d, compute_tau, hl_solve, hl_step,
+                            compute_d, compute_gradient_energy, compute_inner_moment,
+                            compute_tau, hl_solve, hl_step,
                             linf_bound, required_substeps)
 from hlcouette.protocols import PiecewiseLinearForcing
 from hlcouette.tridiag import solve_diffusion_batch
@@ -403,3 +408,84 @@ def test_hl_step_keeps_nonnegative_rows_free_of_negative_zero(inputs, sink_scale
     q, rep = hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
     assert q.min() >= 0.0 and not has_negative_zero(q)
     assert rep.min_before_clip >= 0.0
+
+
+def unchecked_grid(sigma_max, n_sigma, threshold):
+    """A SigmaGrid past its checks.  The quadratures read only n_sigma, the
+    centers and the exterior count, so an odd n_sigma or a threshold beyond
+    sigma_max (no exterior cell) exercises them as well as a valid grid."""
+    grid = object.__new__(SigmaGrid)
+    for name, value in (("sigma_max", sigma_max), ("n_sigma", n_sigma),
+                        ("threshold", threshold)):
+        object.__setattr__(grid, name, value)
+    return grid
+
+
+@st.composite
+def quadrature_inputs(draw):
+    grid = unchecked_grid(draw(st.sampled_from([0.75, 1.5, 2.0, 4.0])),
+                          draw(st.integers(1, 41)),
+                          draw(st.sampled_from([0.0, 1.0, 5.0])))
+    n, n_ext = grid.n_sigma, grid.n_exterior_side
+    # the exterior the quadratures copy: two contiguous ends of n_ext cells
+    assume(int(grid.exterior.sum()) == 2 * n_ext
+           and grid.exterior[:n_ext].all() and grid.exterior[n - n_ext:].all())
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                       st.floats(-1e3, 1e3, allow_subnormal=False))
+    p = draw(arrays(np.float64, (draw(st.integers(1, 5)), n), elements=values))
+    return grid, (p[0] if draw(st.booleans()) else p)
+
+
+def mask_gather_quadratures(p, grid):
+    """The allocating forms the scratch meters replace, kept verbatim."""
+    ds, ext = grid.d_sigma, grid.exterior
+    inner = ~ext
+    if not inner.any():
+        banded = np.zeros(p.shape[:-1]) if p.ndim > 1 else 0.0
+    else:
+        banded = (p[..., inner] * grid.centers[inner]).sum(axis=-1) * ds
+    diff = np.diff(p, axis=-1) / ds
+    return {"exterior_mass": p[..., ext].sum(axis=-1) * ds,
+            "first_moment": (p * grid.centers).sum(axis=-1) * ds,
+            "inner_moment": banded,
+            "gradient_energy": (diff * diff).sum(axis=-1) * ds}
+
+
+def same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadrature_inputs(), st.sampled_from([1.0, 0.75]))
+def test_scratch_meters_match_the_mask_gathers_bitwise_property(inputs, alpha):
+    # odd n_sigma, no exterior cell (n_exterior_side = 0), every cell
+    # exterior (threshold 0) and single rows, 1-D or (1, n_sigma)
+    grid, p = inputs
+    ref = mask_gather_quadratures(p, grid)
+    for name, value in ref.items():
+        assert same_bits(getattr(grid, name)(p), value), name
+    assert same_bits(compute_d(p, grid, alpha), alpha * ref["exterior_mass"])
+    assert same_bits(compute_tau(p, grid), ref["first_moment"])
+    assert same_bits(compute_inner_moment(p, grid), ref["inner_moment"])
+    assert same_bits(compute_gradient_energy(p, grid), ref["gradient_energy"])
+
+
+def test_a_run_keeps_one_scratch_slot_and_no_module_array():
+    modules = [importlib.import_module(f"hlcouette.{info.name}")
+               for info in pkgutil.iter_modules(hlcouette.__path__)]
+
+    def module_arrays():
+        return {(m.__name__, name) for m in modules for name, value in vars(m).items()
+                if isinstance(value, np.ndarray)}
+
+    before = module_arrays()
+    prob, init, report = config.standard_config(
+        grid__n_y="6", grid__n_sigma="64", run__t_final="0.01").build()
+    _scratch.cache_clear()
+    result = coupler.run(prob, init, report.eta, snap_every=5)
+    assert result.step == 10
+    info = _scratch.cache_info()
+    assert info.currsize == 1
+    _scratch(6, 64, prob.sigma_grid.n_exterior_side)  # the run's shape holds the slot
+    assert _scratch.cache_info().hits == info.hits + 1
+    assert module_arrays() == before == set()
