@@ -54,7 +54,7 @@ copies the two exterior ends into the Fortran-ordered ext, the layout of
 the mask gather p[:, exterior], so its row sums add in the same order and
 give the same bits (a C-ordered copy would not).  The banded moment sums
 a Fortran-ordered view of diff the same way; tau and the gradient energy
-sum C-ordered views, as their allocating forms did.
+sum the rows of flux, as their allocating forms summed theirs.
 
 The skips rest on one invariant: the rows of a run hold no -0.0.  The
 preset initial rows hold none, and hl_step keeps nonnegative rows free of
@@ -108,10 +108,8 @@ def compute_inner_moment(p: np.ndarray, grid: SigmaGrid):
 
 
 def compute_gradient_energy(p: np.ndarray, grid: SigmaGrid):
-    """int |dsigma p|^2 dsigma of the row(s), differenced in the scratch diff."""
-    n_rows, n = _n_rows(p), grid.n_sigma
-    diff = _work(p, grid)[0]
-    return grid.gradient_energy(p, diff[:n_rows * (n - 1)].reshape(n_rows, n - 1))
+    """int |dsigma p|^2 dsigma of the row(s), differenced in the scratch flux."""
+    return grid.gradient_energy(p, _work(p, grid)[1])
 
 
 @dataclass
@@ -159,10 +157,10 @@ def _scratch(n_rows: int, n: int, n_ext: int
 
     diff (n_rows*n + 1,) holds hl_step's flat upwind differences, of which
     the backward and forward ones are (n_rows, n) views, and the banded
-    cells and the differences of the meters; flux (n_rows, n) one advective
-    term, and the products of compute_tau; ext (n_rows, 2*n_ext),
-    Fortran-ordered, the exterior ends; keep (n,) the factor of each cell
-    under the sink, 1.0 inside the band.  Every user overwrites what it
+    cells of compute_inner_moment; flux (n_rows, n) one advective term,
+    and the products of compute_tau and compute_gradient_energy; ext
+    (n_rows, 2*n_ext), Fortran-ordered, the exterior ends; keep (n,) the
+    factor of each cell under the sink, 1.0 inside the band.  Every user overwrites what it
     reads, except keep, whose ends hold the last factor and are rewritten
     when it changes; nothing else carries over between calls (the program
     steps in one thread).
