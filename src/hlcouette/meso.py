@@ -160,10 +160,10 @@ def _scratch(n_rows: int, n: int, n_ext: int
     cells of compute_inner_moment; flux (n_rows, n) one advective term,
     and the products of compute_tau and compute_gradient_energy; ext
     (n_rows, 2*n_ext), Fortran-ordered, the exterior ends; keep (n,) the
-    factor of each cell under the sink, 1.0 inside the band.  Every user overwrites what it
-    reads, except keep, whose ends hold the last factor and are rewritten
-    when it changes; nothing else carries over between calls (the program
-    steps in one thread).
+    factor of each cell under the sink, 1.0 inside the band.  Every user
+    overwrites what it reads, except keep, whose ends hold the last factor
+    and are rewritten when it changes; nothing else carries over between
+    calls (the program steps in one thread).
     """
     return (np.empty(n_rows * n + 1), np.empty((n_rows, n)),
             np.empty((n_rows, 2 * n_ext), order="F"), np.ones(n))
