@@ -85,8 +85,7 @@ def cmd_run(args) -> int:
         if args.resume:
             resume = snapshots.load_checkpoint(args.resume,
                                                expect_fingerprint=cfg.fingerprint)
-            coupler.check_resume_path(
-                resume, (0, prob.sigma_grid.n_sigma) if closed_form else init.p0.shape)
+            coupler.check_resume_path(resume, coupler.path_rows(prob, closed_form))
             if resume.p.size:  # a closed-form state has no rows to check
                 check = diagnostics.verify_resume(resume, prob.sigma_grid, prob.space_grid.dt,
                                                   init.p0, prob.dp.alpha, cfg.c_comparison)

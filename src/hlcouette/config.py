@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .coupler import CoupledProblem, PICARD_MAX, PICARD_TOL, check_series_budget
+from .coupler import (CoupledProblem, PICARD_MAX, PICARD_TOL, check_series_budget,
+                      path_rows)
 from .diagnostics import C_COMPARISON, C_MOMENT
 from .errors import ConfigError
 from .grids import SigmaGrid, SpaceTimeGrid
@@ -188,14 +189,17 @@ class RunConfig:
 
     def problem(self) -> CoupledProblem:
         r = self.values["run"]
-        space_grid, sigma_grid = self.space_grid(), self.sigma_grid()
-        check_series_budget(space_grid, sigma_grid.n_sigma, self.snapshot_every)
-        return CoupledProblem(dp=self.dimensionless_params(),
-                              sigma_grid=sigma_grid,
-                              space_grid=space_grid,
+        prob = CoupledProblem(dp=self.dimensionless_params(),
+                              sigma_grid=self.sigma_grid(),
+                              space_grid=self.space_grid(),
                               protocol=self.protocol(),
                               picard_tol=r["picard_tol"],
                               picard_max=r["picard_max"])
+        # the rows of this config's own path; --force-general on a fully
+        # relaxing config keeps rows too, which its run checks (_integrate)
+        check_series_budget(prob.space_grid, path_rows(prob, self.fully_relaxing),
+                            self.snapshot_every)
+        return prob
 
     def build(self) -> tuple[CoupledProblem, InitialData, ValidationReport]:
         """Assemble and validate everything needed to start a run.

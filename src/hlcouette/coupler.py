@@ -142,21 +142,28 @@ SERIES = (
 )
 
 
-def check_series_budget(sgrid: SpaceTimeGrid, n_sigma: int, snap_every: int) -> None:
+def path_rows(prob: CoupledProblem, closed_form: bool) -> tuple[int, int]:
+    """Shape of the density rows a path steps and keeps: the closed form
+    integrates the stress balance alone and holds none."""
+    return (0 if closed_form else prob.space_grid.n_y, prob.sigma_grid.n_sigma)
+
+
+def check_series_budget(sgrid: SpaceTimeGrid, rows: tuple[int, int], snap_every: int) -> None:
     """Reject, before anything is allocated, a run whose records exceed the budget.
 
     The records are the per-step series and the snapshots a run keeps in
-    RunResult.snapshots, each n_y density rows plus five (n_y,) fields.
+    RunResult.snapshots, each a copy of the path's density rows (shape
+    rows, see path_rows) plus five (n_y,) fields.
     """
     series = sum(f.length(sgrid.n_steps) * (sgrid.n_y if f.per_y else 1)
                  * np.dtype(f.dtype).itemsize for f in SERIES)
     n_steps = sgrid.n_steps  # a snapshot every snap_every-th step and at the last
     snaps = n_steps // snap_every + 1 + (n_steps % snap_every > 0) if snap_every else 0
-    need = series + snaps * (sgrid.n_y * n_sigma + 5 * sgrid.n_y) * 8
+    need = series + snaps * (rows[0] * rows[1] + 5 * sgrid.n_y) * 8
     if need > SERIES_MAX_BYTES:
         raise ValidationError(
             f"run.dt and run.t_final give {sgrid.n_steps} steps and run.snapshot_every "
-            f"keeps {snaps} snapshots of {sgrid.n_y} x {n_sigma} rows, whose records "
+            f"keeps {snaps} snapshots of {rows[0]} x {rows[1]} rows, whose records "
             f"need {need:.3g} bytes (budget {SERIES_MAX_BYTES:.3g})")
 
 
@@ -386,6 +393,7 @@ def _integrate(prob: CoupledProblem, path, kind: str, eta: float, u0: np.ndarray
     start = resume or RunState(step=0, u=u0, p=p0, accum=Accumulators.zeros(n_y),
                                series=_new_series(0, n_y), warnings=[])
     check_resume_path(start, p0.shape)
+    check_series_budget(sgrid, p0.shape, snap_every)
     series = _new_series(n_steps, n_y)
     state = RunState(step=start.step, u=start.u.copy(), p=start.p.copy(),
                      accum=start.accum.copy(), series=series, warnings=list(start.warnings))
@@ -460,5 +468,5 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
     if tau0.shape != (prob.space_grid.n_y,) or u0.shape != tau0.shape:
         raise ValidationError("tau0/u0 do not match the space grid")
     return _integrate(prob, _Relaxation(prob), "maxwell", prob.dp.alpha, u0,
-                      np.zeros((0, prob.sigma_grid.n_sigma)), tau0,
+                      np.zeros(path_rows(prob, closed_form=True)), tau0,
                       snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)

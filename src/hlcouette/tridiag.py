@@ -127,16 +127,15 @@ def _stacked_factors(lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _diffusion_factors(n: int, lam_bytes: bytes,
-                       validate: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _diffusion_factors(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Factors of the stacked I + lam*L, built from the first pivots of each block.
 
     Bitwise the factors of the whole stacked matrix (module docstring).
-    validate, which the public solve passes, first rejects a negative lam
-    with ValueError, so a lam is checked once, on the miss that factors it.
+    A negative lam raises ValueError first, so a lam is checked once, on
+    the miss that factors it.
     """
     lam = np.frombuffer(lam_bytes)
-    if validate and np.any(lam < 0):
+    if np.any(lam < 0):
         raise ValueError("negative diffusion number")
     m = FACTOR_PREFIX
     if n <= m:
@@ -178,5 +177,5 @@ def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (n_rows,):
         raise ValueError(f"lam shape {lam.shape} does not match {n_rows} rows")
-    x = solve_tridiagonal(_diffusion_factors(n, lam.tobytes(), True), rhs.ravel())
+    x = solve_tridiagonal(_diffusion_factors(n, lam.tobytes()), rhs.ravel())
     return x.reshape(n_rows, n)

@@ -102,6 +102,20 @@ def test_validate_counts_the_snapshots_in_the_record_budget(capsys):
     assert "validation passed" in capsys.readouterr().out
 
 
+def test_the_record_budget_counts_the_rows_of_the_path_that_runs(capsys):
+    # the closed form keeps no rows: 1 001 snapshots of five 511-node fields
+    # fit; the kinetic path would also keep 1 001 copies of 511 x 256 rows
+    # (1.07e9 bytes), which its run refuses before it allocates a record
+    fine = ["--set", "model.fully_relaxing=true", "--set", "grid.sigma_max=8.0",
+            "--set", "grid.n_y=511", "--set", "run.snapshot_every=1"]
+    assert main(["validate", *fine]) == 0
+    assert "validation passed" in capsys.readouterr().out
+    assert main(["run", *fine, "--force-general", "--skip-checks"]) == 3
+    captured = capsys.readouterr()
+    assert "1001 snapshots of 511 x 256 rows" in captured.err
+    assert "integrating" in captured.out and "done in" not in captured.out
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "artifacts"
     assert main(["run", *TINY, "--out", str(out)]) == 0

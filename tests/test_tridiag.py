@@ -174,17 +174,20 @@ def test_factor_cache_key_includes_the_row_length():
 
 
 def test_failed_factorization_is_never_cached():
-    # lam = -0.75 puts -0.5 on the diagonal; the public solve rejects a
-    # negative lam before it reaches the factorization
-    bad = np.array([-0.75]).tobytes()
+    # lam = -0.75 puts -0.5 on the diagonal: dpttrf fails on the stacked
+    # matrix, and the cached factorization rejects that lam before it
+    # factors; neither outcome is cached
+    bad = np.array([-0.75])
+    with pytest.raises(SchemeInstabilityError, match="dpttrf info = 1"):
+        tridiag._stacked_factors(bad, 4)
     _diffusion_factors.cache_clear()
-    with pytest.raises(SchemeInstabilityError):
-        _diffusion_factors(4, bad)
+    with pytest.raises(ValueError, match="negative diffusion number"):
+        _diffusion_factors(4, bad.tobytes())
     assert _diffusion_factors.cache_info().currsize == 0
     lam, rhs = np.array([1.5]), np.ones((1, 4))
     solve_diffusion_batch(lam, rhs.copy())
-    with pytest.raises(SchemeInstabilityError):
-        _diffusion_factors(4, bad)
+    with pytest.raises(ValueError, match="negative diffusion number"):
+        solve_diffusion_batch(bad, rhs.copy())
     x = solve_diffusion_batch(lam, rhs.copy())  # the good factors are still cached
     assert _diffusion_factors.cache_info().hits == 1
     assert x.tobytes() == dptsv_batch(lam, rhs).tobytes()
