@@ -100,9 +100,6 @@ def test_validate_counts_the_snapshots_in_the_record_budget(capsys):
     assert "run.snapshot_every keeps 1001 snapshots" in err and "4.2e+09 bytes" in err
     assert main(["validate", *SNAPSHOT_HEAVY, "--set", "run.snapshot_every=100"]) == 0
     assert "validation passed" in capsys.readouterr().out
-
-
-def test_the_record_budget_counts_the_rows_of_the_path_that_runs(capsys):
     # the closed form keeps no rows: 1 001 snapshots of five 511-node fields
     # fit; the kinetic path would also keep 1 001 copies of 511 x 256 rows
     # (1.07e9 bytes), which its run refuses before it allocates a record
