@@ -24,7 +24,7 @@ import numpy as np
 from . import coupler, diagnostics, snapshots
 from .config import RunConfig, load_config
 from .errors import ConfigError, HlCouetteError
-from .meso import compute_tau, hl_solve
+from .meso import hl_solve
 from .maxwell import maxwell_p, maxwell_tau
 from .params import (DimensionlessParams, PhysicalParams, nondimensionalize,
                      redimensionalize)
@@ -105,7 +105,7 @@ def cmd_run(args) -> int:
             # the grid's quadrature, not compute_tau: the closed form never
             # steps the rows, so it keeps no meso scratch for them
             result = coupler.run_maxwell(
-                prob, tau0=np.asarray(prob.sigma_grid.first_moment(init.p0)),
+                prob, tau0=prob.sigma_grid.first_moment(init.p0),
                 u0=init.u0, **options)
         else:
             print(f"integrating {steps_left} steps (kinetic path)")
@@ -173,21 +173,22 @@ def cmd_hl_run(args) -> int:
     report.raise_if_failed()
     grid, tgrid = prob.sigma_grid, prob.space_grid
     print(f"fingerprint: {cfg.fingerprint}")
-    # the protocol is interpreted directly as the loading b(t)
-    traj = hl_solve(init.p0[0], prob.protocol, grid, prob.dp.alpha,
+    # the protocol is interpreted directly as the loading b(t) of the first row
+    traj = hl_solve(init.p0[:1], prob.protocol, grid, prob.dp.alpha,
                     dt=tgrid.dt, t_final=tgrid.t_final, record_p=False)
-    print(f"t = {traj.times[-1]:g}: tau = {traj.tau[-1]:.10g}, "
-          f"D = {traj.d[-1]:.10g}, mass = {traj.mass[-1]:.12g}, "
+    tau, d, mass = traj.tau[:, 0], traj.d[:, 0], traj.mass[:, 0]
+    print(f"t = {traj.times[-1]:g}: tau = {tau[-1]:.10g}, "
+          f"D = {d[-1]:.10g}, mass = {mass[-1]:.12g}, "
           f"max p = {traj.max_density:.6g}")
     if args.out:
         out = Path(args.out)
         snapshots.write_fields_csv(
             out / "point_series.csv", tgrid.t_final, traj.times,
-            {"tau": traj.tau, "d": traj.d, "mass": traj.mass},
+            {"tau": tau, "d": d, "mass": mass},
             cfg.fingerprint, index_name="t")
         snapshots.write_fields_csv(
             out / "point_density.csv", tgrid.t_final, grid.centers,
-            {"p": traj.p_final}, cfg.fingerprint, index_name="sigma")
+            {"p": traj.p_final[0]}, cfg.fingerprint, index_name="sigma")
         print(f"wrote point series and final density to {out}")
     return 0
 
@@ -206,16 +207,16 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"--t must be finite, got {t!r}")
     if t < 0:
         raise ConfigError("--t must be nonnegative")
-    p0 = init.p0[0]
-    tau0 = float(compute_tau(p0, grid))
-    p_t = maxwell_p(p0, loading, t, grid, alpha)
+    p0 = init.p0[:1]
+    tau0 = float(grid.first_moment(p0)[0])
+    p_t = maxwell_p(p0[0], loading, t, grid, alpha)
     tau_t = maxwell_tau(tau0, loading, t)
     mass = float(grid.mass(p_t))
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"t = {t:.17g}")
     print(f"tau = {tau_t:.17g}")
     print(f"density mass = {mass:.17g}")
-    print(f"density first moment = {float(grid.first_moment(p_t)):.17g}")
+    print(f"density first moment = {float(grid.first_moment(p_t[None])[0]):.17g}")
     if args.out:
         snapshots.write_fields_csv(Path(args.out), t, grid.centers,
                                    {"p": p_t}, cfg.fingerprint,

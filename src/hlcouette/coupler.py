@@ -286,7 +286,7 @@ def coupled_step(u: np.ndarray, p: np.ndarray, t_next: float, prob: CoupledProbl
         n_sub = required_substeps(b, dt, grid)
         p_new, rep = advance_rows(p, b, dt, grid, dp.alpha, n_sub=n_sub,
                                   sink_scale=prob.sink_scale, d=d)
-        tau = np.asarray(compute_tau(p_new, grid))
+        tau = compute_tau(p_new, grid)
         return tau, (p_new, rep, tau)
 
     u_new, b, (p_new, rep, tau), stats = _picard(u, kinetic, prob, t_next)
@@ -307,7 +307,7 @@ class _Kinetic:
 
     def start(self, state: RunState) -> None:
         prob = self.prob
-        self.d = np.asarray(compute_d(state.p, prob.sigma_grid, prob.dp.alpha))
+        self.d = compute_d(state.p, prob.sigma_grid, prob.dp.alpha)
         self.grad = velocity_gradient(state.u, prob.space_grid)
 
     def step(self, state: RunState, k: int):
@@ -322,7 +322,7 @@ class _Kinetic:
         grad = velocity_gradient(state.u, sgrid)
         accum.xi += dp.g0 * (0.5 * sgrid.dt * (self.grad + grad)
                              + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
-        d = np.asarray(compute_d(state.p, grid, dp.alpha))
+        d = compute_d(state.p, grid, dp.alpha)
         accum.acc_d += 0.5 * sgrid.dt * (self.d + d)
         accum.grad_sq += sgrid.dt * compute_gradient_energy(state.p, grid)
         self.grad, self.d = grad, d
@@ -330,7 +330,7 @@ class _Kinetic:
 
     def observe(self, state: RunState, k: int) -> np.ndarray:
         grid, series, p = self.prob.sigma_grid, state.series, state.p
-        masses = np.asarray(grid.mass(p))
+        masses = grid.mass(p)
         series["mass_err"][k] = float(np.abs(masses - 1.0).max())
         series["inner"][k] = compute_inner_moment(p, grid)
         series["min_d"][k] = float(self.d.min())
@@ -342,7 +342,7 @@ class _Kinetic:
                 f"|mass - 1| = {series['mass_err'][k]:.3e} > {MASS_TOL:.1e}")
             exc.payload = state.checkpoint()  # full state dump for post-mortems
             raise exc
-        outer = float(np.asarray(grid.outermost_mass(p)).max())
+        outer = float(grid.outermost_mass(p).max())
         if outer > TRUNCATION_TOL:
             state.accum.truncation_steps += 1
             if state.accum.truncation_steps == 1:
@@ -448,7 +448,7 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
     """
     if init.p0.shape != (prob.space_grid.n_y, prob.sigma_grid.n_sigma):
         raise ValidationError("initial rows do not match the grids")
-    tau0 = np.asarray(compute_tau(init.p0, prob.sigma_grid))
+    tau0 = compute_tau(init.p0, prob.sigma_grid)
     return _integrate(prob, _Kinetic(prob), "general", eta, init.u0, init.p0, tau0,
                       snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)
 

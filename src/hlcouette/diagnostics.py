@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupler import (MASS_TOL, CoupledProblem, RunResult, RunState, Snapshot,
+from .coupler import (MASS_TOL, SERIES, CoupledProblem, RunResult, RunState, Snapshot,
                       TRUNCATION_TOL)
-from .errors import DiagnosticFailure, ValidationError
+from .errors import ConfigError, DiagnosticFailure, ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import h1_norm_sq, heat_step, l2_norm
@@ -145,11 +145,9 @@ def check_d_floor(result: RunResult) -> CheckResult:
 
 def sub_solution(p0: np.ndarray, grid: SigmaGrid, t: float,
                  xi: np.ndarray, acc_d: np.ndarray) -> np.ndarray:
-    """Explicit lower barrier exp(-t) (p0 * G_nu)(sigma - xi) per row."""
-    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    acc = np.atleast_1d(np.asarray(acc_d, dtype=float))
-    kern = offset_kernel(grid, xi, 2.0 * acc)  # every row's kernel in one call
+    """Explicit lower barrier exp(-t) (p0 * G_nu)(sigma - xi) of each of the
+    (n_rows, n_sigma) rows p0, with xi and acc_d (n_rows,) arrays."""
+    kern = offset_kernel(grid, xi, 2.0 * acc_d)  # every row's kernel in one call
     out = np.empty_like(p0)
     for i in range(p0.shape[0]):
         out[i] = grid.d_sigma * np.convolve(p0[i], kern[i], mode="valid")
@@ -172,7 +170,7 @@ def _barrier_deficits(result: RunResult) -> tuple[Deficits, Deficits]:
     for snap in result.snapshots:
         barrier = sub_solution(result.p0, grid, snap.t, snap.xi, snap.acc_d)
         comparison.append((snap.t, float((barrier - snap.p).max())))
-        d_barrier = alpha * np.asarray(grid.exterior_mass(barrier))
+        d_barrier = alpha * grid.exterior_mass(barrier)
         induced.append((snap.t, float((d_barrier - snap.d).max())))
     return comparison, induced
 
@@ -341,18 +339,34 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
     return report
 
 
+def _check_state_shapes(state: RunState, prob: CoupledProblem) -> None:
+    """Refuse a state of other grids: diagnose --any-config reads checkpoints
+    of any config, and a state meets a problem only here."""
+    n_y, n_sigma = prob.space_grid.n_y, prob.sigma_grid.n_sigma
+    shapes = [("u", state.u.shape, [(n_y,)]),
+              ("p", state.p.shape, [(n_y, n_sigma), (0, n_sigma)])]
+    shapes += [(f"series {f.key!r}", state.series[f.key].shape,
+                [(f.length(state.step),) + ((n_y,) if f.per_y else ())]) for f in SERIES]
+    for name, found, wanted in shapes:
+        if found not in wanted:
+            raise ConfigError(
+                f"the checkpoint's {name} has shape {found}, but the config's grids "
+                f"(n_y = {n_y}, n_sigma = {n_sigma}) need {' or '.join(map(str, wanted))}")
+
+
 def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
                            state: RunState) -> RunResult:
     """Rebuild a result view from a checkpoint so the full check battery
     can run on a stored state (horizon truncated at the checkpoint step)."""
     if state.step < 1:
         raise ValidationError("checkpoint holds no completed steps to diagnose")
+    _check_state_shapes(state, prob)
     sg = prob.space_grid
     tgrid = SpaceTimeGrid(n_y=sg.n_y, dt=sg.dt, t_final=state.step * sg.dt)
     snap = Snapshot(
         index=state.step, t=tgrid.time(state.step), u=state.u.copy(),
-        tau=np.asarray(compute_tau(state.p, prob.sigma_grid)),
-        d=np.asarray(compute_d(state.p, prob.sigma_grid, prob.dp.alpha)),
+        tau=compute_tau(state.p, prob.sigma_grid),
+        d=compute_d(state.p, prob.sigma_grid, prob.dp.alpha),
         p=state.p.copy(), xi=state.accum.xi.copy(), acc_d=state.accum.acc_d.copy())
     return RunResult(
         **vars(state), kind="general" if state.p.size else "maxwell",
@@ -365,7 +379,7 @@ def verify_resume(state: RunState, grid: SigmaGrid, dt: float,
                   c_comp: float = C_COMPARISON) -> DiagnosticsReport:
     """Re-validate a restored state before continuing a run."""
     report = DiagnosticsReport()
-    masses = np.asarray(grid.mass(state.p))
+    masses = grid.mass(state.p)
     worst = float(np.abs(masses - 1.0).max())
     report.results.append(CheckResult(
         "resume_mass", "pass" if worst <= MASS_TOL else "fail", worst, MASS_TOL,

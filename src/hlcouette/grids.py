@@ -3,8 +3,10 @@
 The stress grid is cell centered on [-Sigma, Sigma].  Cell edges must land
 exactly on the relaxation thresholds +-1 and on 0 (so the relaxation
 indicator and the zero-stress deposit are unambiguous), which pins
-``n_sigma/(2*sigma_max)`` to an integer.  The gap grid holds the interior
-nodes of (0, 1) with homogeneous Dirichlet walls.
+``n_sigma/(2*sigma_max)`` to an integer.  The stress quadratures take
+densities as (n_rows, n_sigma) rows, a single row as a batch of one, and
+return one value per row.  The gap grid holds the interior nodes of (0, 1)
+with homogeneous Dirichlet walls.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ def _as_int_ratio(value: float, what: str) -> int:
     if n < 1 or abs(value - n) > _INT_TOL * max(1.0, abs(value)):
         raise ConfigError(f"{what} = {value} must be a positive integer")
     return n
-
-
-def _per_input(total: np.ndarray, p: np.ndarray) -> np.ndarray | float:
-    """Sums over the rows of p shaped as p without its last axis."""
-    return total[0] if p.ndim == 1 else total.reshape(p.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -85,72 +82,62 @@ class SigmaGrid:
         """The two cells flanking sigma = 0 that receive the re-injection."""
         return self.n_sigma // 2 - 1, self.n_sigma // 2
 
-    # quadratures (midpoint rule on cell values) of a (n_sigma,) row, which
-    # gives a scalar, or of (n_rows, n_sigma) rows.  The exterior and banded
-    # sums copy their cells, which are contiguous (two ends, or the band),
-    # into a Fortran-ordered array: that is the layout of the mask gathers
-    # p[:, exterior] and p[:, ~exterior], so each row adds its cells in
-    # sequence, as the gather did (a C-ordered copy would add them pairwise
-    # and change bits).  work, when given, is the array the cells go into
-    # (the caller's scratch), shaped and ordered as each method states;
-    # every method returns a fresh array.
+    # quadratures (midpoint rule on cell values) of (n_rows, n_sigma) rows,
+    # one value per row; mass alone also takes any shape.  The exterior and
+    # banded sums copy their cells, which are contiguous (two ends, or the
+    # band), into a Fortran-ordered array: that is the layout of the mask
+    # gathers p[:, exterior] and p[:, ~exterior], so each row adds its cells
+    # in sequence, as the gather did (a C-ordered copy would add them
+    # pairwise and change bits).  work, when given, is the array the cells
+    # go into (the caller's scratch), shaped and ordered as each method
+    # states; every method returns a fresh array.
 
     def mass(self, p: np.ndarray) -> np.ndarray | float:
         return p.sum(axis=-1) * self.d_sigma
 
-    def exterior_sum(self, p: np.ndarray,
-                     work: np.ndarray | None = None) -> np.ndarray | float:
+    def exterior_sum(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """Sum of the cells beyond the threshold; work is Fortran-ordered
         (n_rows, 2*n_exterior_side)."""
-        rows, n, n_ext = p.reshape(-1, self.n_sigma), self.n_sigma, self.n_exterior_side
+        n, n_ext = self.n_sigma, self.n_exterior_side
         if work is None:
-            work = np.empty((rows.shape[0], 2 * n_ext), order="F")
-        work[:, :n_ext] = rows[:, :n_ext]
-        work[:, n_ext:] = rows[:, n - n_ext:]
-        return _per_input(work.sum(axis=1), p)
+            work = np.empty((p.shape[0], 2 * n_ext), order="F")
+        work[:, :n_ext] = p[:, :n_ext]
+        work[:, n_ext:] = p[:, n - n_ext:]
+        return work.sum(axis=1)
 
-    def exterior_mass(self, p: np.ndarray,
-                      work: np.ndarray | None = None) -> np.ndarray | float:
+    def exterior_mass(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """Mass beyond the threshold; work as for exterior_sum."""
         return self.exterior_sum(p, work) * self.d_sigma
 
-    def first_moment(self, p: np.ndarray,
-                     work: np.ndarray | None = None) -> np.ndarray | float:
+    def first_moment(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """Mean stress; work is C-ordered (n_rows, n_sigma)."""
-        rows = p.reshape(-1, self.n_sigma)
-        return _per_input(np.multiply(rows, self.centers, out=work).sum(axis=1)
-                          * self.d_sigma, p)
+        return np.multiply(p, self.centers, out=work).sum(axis=1) * self.d_sigma
 
-    def inner_moment(self, p: np.ndarray,
-                     work: np.ndarray | None = None) -> np.ndarray | float:
+    def inner_moment(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """First moment restricted to the non-relaxing band |sigma| <= threshold;
         work is Fortran-ordered (n_rows, n_sigma - 2*n_exterior_side)."""
-        rows, n, n_ext = p.reshape(-1, self.n_sigma), self.n_sigma, self.n_exterior_side
-        if 2 * n_ext == n:
-            return np.zeros(p.shape[:-1]) if p.ndim > 1 else 0.0
+        n, n_ext = self.n_sigma, self.n_exterior_side
         if work is None:
-            work = np.empty((rows.shape[0], n - 2 * n_ext), order="F")
-        np.multiply(rows[:, n_ext:n - n_ext], self.centers[n_ext:n - n_ext], out=work)
-        return _per_input(work.sum(axis=1) * self.d_sigma, p)
+            work = np.empty((p.shape[0], n - 2 * n_ext), order="F")
+        np.multiply(p[:, n_ext:n - n_ext], self.centers[n_ext:n - n_ext], out=work)
+        return work.sum(axis=1) * self.d_sigma
 
-    def gradient_energy(self, p: np.ndarray,
-                        work: np.ndarray | None = None) -> np.ndarray | float:
+    def gradient_energy(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """int |dsigma p|^2 dsigma by forward differences; work is C-ordered
         (n_rows, n_sigma).  The squared quotients are formed over the
         flattened rows in one pass each, which is faster than row by row; the
         one that straddles each row seam is never summed."""
-        rows = p.reshape(-1, self.n_sigma)
         if work is None:
-            work = np.empty(rows.shape)
-        flat, grad = rows.reshape(-1), work.reshape(-1)[:-1]
+            work = np.empty(p.shape)
+        flat, grad = p.reshape(-1), work.reshape(-1)[:-1]
         np.subtract(flat[1:], flat[:-1], out=grad)
         np.divide(grad, self.d_sigma, out=grad)
         np.multiply(grad, grad, out=grad)
-        return _per_input(work[:, :-1].sum(axis=1) * self.d_sigma, p)
+        return work[:, :-1].sum(axis=1) * self.d_sigma
 
-    def outermost_mass(self, p: np.ndarray) -> np.ndarray | float:
+    def outermost_mass(self, p: np.ndarray) -> np.ndarray:
         """Mass sitting in the first and last cell (truncation monitor)."""
-        return (p[..., 0] + p[..., -1]) * self.d_sigma
+        return (p[:, 0] + p[:, -1]) * self.d_sigma
 
 
 @dataclass(frozen=True)

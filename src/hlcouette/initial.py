@@ -93,13 +93,13 @@ class EtaDetails:
 
 
 def compute_eta(p0: np.ndarray, grid: SigmaGrid, alpha: float) -> tuple[float, EtaDetails]:
-    """Sliding-window evaluation of the non-degeneracy constant.
+    """Sliding-window evaluation of the non-degeneracy constant of the
+    (n_y, n_sigma) rows p0.
 
     Returns (eta, details) where details point at the minimizing row and the
     band shift chi realizing the worst capture.  For the fully relaxing
     variant the band is empty and eta = alpha * min row mass.
     """
-    p0 = np.atleast_2d(p0)
     masses = grid.mass(p0)
     if grid.threshold == 0.0:
         j = int(np.argmin(masses))
@@ -175,7 +175,7 @@ def validate_initial(data: InitialData, sigma_grid: SigmaGrid, alpha: float,
     renorm = 0
     max_dev = 0.0
     if ok:
-        masses = np.asarray(sigma_grid.mass(p0))
+        masses = sigma_grid.mass(p0)
         max_dev = float(np.abs(masses - 1.0).max())
         bad = np.abs(masses - 1.0) > RENORM_TOL
         if bad.any():

@@ -23,10 +23,10 @@ are the nodes of the whole range [0, sqrt(t)].  Each node's shift
 chi(t) - chi(t - w^2) is the forcing's window integral over the last w^2,
 which keeps its digits where t - w^2 rounds.
 
-offset_kernel is the one Gaussian kernel on the offset ladder.  The
-comparison barrier in diagnostics asks it for all rows of a snapshot at
-once (per-row shifts and variances), and it builds them with one
-broadcast ndtr, each row bitwise the kernel of its own scalar call.
+offset_kernel is the one Gaussian kernel on the offset ladder.  It takes
+per-row shifts and variances and builds every kernel of positive variance
+with one broadcast ndtr: the comparison barrier in diagnostics asks it for
+all rows of a snapshot at once, maxwell_p for a batch of one.
 """
 
 from __future__ import annotations
@@ -65,35 +65,30 @@ def _point_kernel(n: int, ds: float, shift: float) -> np.ndarray:
     return dens
 
 
-def offset_kernel(grid: SigmaGrid, shift: float | np.ndarray,
-                  variance: float | np.ndarray) -> np.ndarray:
+def offset_kernel(grid: SigmaGrid, shifts: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Cell-averaged kernel on the offset ladder k*d_sigma, k in [-(n-1), n-1].
 
     Entry k equals the average over cell i of a Gaussian centered at
     sigma_j + shift whenever k = i - j, which turns the p0 convolution into
     a single 1-d convolution.
 
-    shift and variance are scalars (one kernel, shape (2n-1,)) or arrays of
-    per-row values (one kernel per row, shape (m, 2n-1)).  Every row of
-    positive variance comes from one broadcast ndtr; each row is bitwise the
-    kernel of its own scalar call.
+    shifts and variances are (m,) float arrays of per-row values; the
+    result holds one kernel per row, shape (m, 2n-1).  Every row of positive
+    variance comes from one broadcast ndtr; each row is bitwise the kernel
+    of a batch of one with its values.
     """
     n = grid.n_sigma
     ds = grid.d_sigma
-    shifts, variances = np.broadcast_arrays(np.asarray(shift, dtype=float),
-                                            np.asarray(variance, dtype=float))
-    rows_shift, rows_var = shifts.reshape(-1), variances.reshape(-1)
-    kern = np.empty((rows_shift.size, 2 * n - 1))
-    point = rows_var == 0.0
+    kern = np.empty((shifts.size, 2 * n - 1))
+    point = variances == 0.0
     if not point.all():
         k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)  # 2n edges
         spread = ~point
-        cdf = ndtr((k_edges - rows_shift[spread, None])
-                   / np.sqrt(rows_var[spread])[:, None])
+        cdf = ndtr((k_edges - shifts[spread, None]) / np.sqrt(variances[spread])[:, None])
         kern[spread] = np.diff(cdf, axis=1) / ds
     for i in np.flatnonzero(point):
-        kern[i] = _point_kernel(n, ds, float(rows_shift[i]))
-    return kern.reshape(*shifts.shape, 2 * n - 1)
+        kern[i] = _point_kernel(n, ds, float(shifts[i]))
+    return kern
 
 
 def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
@@ -113,7 +108,7 @@ def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
         return p0.copy()
 
     chi_t = forcing.integral(t)
-    kern = offset_kernel(grid, chi_t, 2.0 * alpha * t)
+    kern = offset_kernel(grid, np.array([chi_t]), np.array([2.0 * alpha * t]))[0]
     decayed = math.exp(-t) * grid.d_sigma * np.convolve(p0, kern, mode="valid")
 
     # memory term via w = sqrt(t - s): int_0^sqrt(t) 2 w e^{-w^2} K_{alpha w^2}(.) dw,

@@ -6,7 +6,9 @@ relaxation equation
     dt p + b dsigma p - D(p) d2sigma p + 1_{|sigma|>thr} p = (D/alpha) delta_0,
     D(p) = alpha * int_{|sigma|>thr} p dsigma,
 
-with b the local elastic loading rate.  One step is IMEX split, in order:
+with b the local elastic loading rate.  Every function here takes the
+rows as an (n_rows, n_sigma) float batch, a single row as a batch of one,
+and returns one value (or row) per row.  One step is IMEX split, in order:
 
 1. explicit first-order upwind advection (CFL |b| dt <= d_sigma, zero
    inflow ghosts, outflow through the downwind end is metered),
@@ -34,7 +36,6 @@ hl_step runs once per sub-step of every Picard iterate, so it avoids work
 that does not change a bit of its result:
 
 - the caller may pass D of the start rows, which coupler.run already holds;
-- rows that already are a 2-D float array are taken as they are;
 - the upwind differences, the advective flux and the exterior ends are
   written into scratch arrays kept per batch shape (_scratch); the result
   is always a fresh array, never a view of them;
@@ -96,19 +97,19 @@ def compute_d(p: np.ndarray, grid: SigmaGrid, alpha: float):
 
 
 def compute_tau(p: np.ndarray, grid: SigmaGrid):
-    """Mean stress: first moment of the row(s)."""
+    """Mean stress: first moment of each row."""
     return grid.first_moment(p, _work(p, grid)[1])
 
 
 def compute_inner_moment(p: np.ndarray, grid: SigmaGrid):
     """First moment over the non-relaxing band, summed in the scratch diff."""
-    n_rows, n_in = _n_rows(p), grid.n_sigma - 2 * grid.n_exterior_side
+    n_rows, n_in = p.shape[0], grid.n_sigma - 2 * grid.n_exterior_side
     diff = _work(p, grid)[0]
     return grid.inner_moment(p, diff[:n_rows * n_in].reshape((n_rows, n_in), order="F"))
 
 
 def compute_gradient_energy(p: np.ndarray, grid: SigmaGrid):
-    """int |dsigma p|^2 dsigma of the row(s), differenced in the scratch flux."""
+    """int |dsigma p|^2 dsigma of each row, differenced in the scratch flux."""
     return grid.gradient_energy(p, _work(p, grid)[1])
 
 
@@ -134,13 +135,6 @@ class StepReport:
         self.trunc_moment += other.trunc_moment
         self.min_before_clip = min(self.min_before_clip, other.min_before_clip)
         self.n_sub += other.n_sub
-
-
-def _as_rows(p) -> np.ndarray:
-    """p as (n_rows, n_sigma) float rows; no call or copy when it is such an array."""
-    if isinstance(p, np.ndarray) and p.ndim == 2 and p.dtype == np.float64:
-        return p
-    return np.atleast_2d(np.asarray(p, dtype=float))
 
 
 def _per_row(b, n_rows: int) -> np.ndarray:
@@ -169,13 +163,9 @@ def _scratch(n_rows: int, n: int, n_ext: int
             np.empty((n_rows, 2 * n_ext), order="F"), np.ones(n))
 
 
-def _n_rows(p: np.ndarray) -> int:
-    return p.shape[0] if p.ndim == 2 else 1
-
-
 def _work(p: np.ndarray, grid: SigmaGrid):
     """The scratch of p's batch shape."""
-    return _scratch(_n_rows(p), grid.n_sigma, grid.n_exterior_side)
+    return _scratch(p.shape[0], grid.n_sigma, grid.n_exterior_side)
 
 
 def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
@@ -185,7 +175,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
 
     Parameters
     ----------
-    p : (n_rows, n_sigma) or (n_sigma,) start-of-step densities.
+    p : (n_rows, n_sigma) float start-of-step densities.
     b : per-row loading rate, scalar or (n_rows,). Constant in sigma.
     dt : step size; must satisfy |b| dt <= d_sigma (else CFLError) and
         dt < 1 for the explicit sink.
@@ -197,11 +187,9 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
 
     Returns
     -------
-    (p_next, StepReport); p_next has the shape of p.
+    (p_next, StepReport); p_next is a fresh (n_rows, n_sigma) array.
     """
-    squeeze = p.ndim == 1
-    p2 = _as_rows(p)
-    n_rows, n = p2.shape
+    n_rows, n = p.shape
     b_arr = _per_row(b, n_rows)
     ds = grid.d_sigma
 
@@ -219,7 +207,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
         raise CFLError(f"explicit sink needs dt < 1, got {eff_dt:.6g}")
 
     # frozen diffusion coefficient from the start-of-step row
-    d_coef = compute_d(p2, grid, alpha) if d is None else d
+    d_coef = compute_d(p, grid, alpha) if d is None else d
     n_ext = grid.n_exterior_side
     diff, flux, ext, keep = _scratch(n_rows, n, n_ext)
 
@@ -235,24 +223,24 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     neg = np.minimum(nu, 0.0)[:, None]
     has_pos, has_neg = not nu_max <= 0.0, not nu_min >= 0.0
     if has_pos or has_neg:
-        p_flat = p2.ravel()
+        p_flat = p.ravel()
         np.subtract(p_flat[1:], p_flat[:-1], out=diff[1:-1])
     if has_pos:
         back = diff[:-1].reshape(n_rows, n)
-        back[:, 0] = p2[:, 0]
+        back[:, 0] = p[:, 0]
         np.multiply(pos, back, out=flux)
-        q = p2 - flux
+        q = p - flux
     else:
-        q = p2.copy()  # the solve overwrites its right-hand side
+        q = p.copy()  # the solve overwrites its right-hand side
     if has_neg:
         fwd = diff[1:].reshape(n_rows, n)
         # an assignment, not np.negative(..., out=fwd[:, -1]): numpy 2.4
         # has written wrong values through such a strided out=
-        fwd[:, -1] = -p2[:, -1]
+        fwd[:, -1] = -p[:, -1]
         np.multiply(neg, fwd, out=flux)
         q -= flux
-    out_right = pos[:, 0] * p2[:, -1] * ds
-    out_left = -neg[:, 0] * p2[:, 0] * ds
+    out_right = pos[:, 0] * p[:, -1] * ds
+    out_left = -neg[:, 0] * p[:, 0] * ds
     outflow = out_right + out_left
     # stress carried by the outflow; the sigma weights fall out of the same
     # telescoping that makes the interior moment gain exactly b*dt*mass
@@ -297,7 +285,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
                         deposit_mass=deposit, clipped_mass=clipped,
                         trunc_moment=trunc_moment,
                         min_before_clip=min_before, n_sub=1)
-    return (q[0] if squeeze else q), report
+    return q, report
 
 
 def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
@@ -310,8 +298,7 @@ def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     sub-step count so the batch stays a single vectorized solve.  d, when
     given, is D of p (compute_d), used by the first sub-step.
     """
-    p2 = _as_rows(p)
-    b_arr = _per_row(b, p2.shape[0])
+    b_arr = _per_row(b, p.shape[0])
     if n_sub is None:
         n_sub = required_substeps(b_arr, dt, grid)
     sub_dt = dt / n_sub
@@ -322,11 +309,11 @@ def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # summed into totals that start at +0.0; the callers read no other mass
     # field).  Only the first sub-step starts from p; the later ones
     # compute their D.
-    q, report = hl_step(p2, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale, d=d)
+    q, report = hl_step(p, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale, d=d)
     for _ in range(n_sub - 1):
         q, rep = hl_step(q, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale)
         report.accumulate(rep)
-    return (q[0] if p.ndim == 1 else q), report
+    return q, report
 
 
 def required_substeps(b, dt: float, grid: SigmaGrid) -> int:
@@ -344,7 +331,7 @@ def linf_bound(p0_max: float, alpha: float, t: float) -> float:
 
 @dataclass
 class MesoTrajectory:
-    """Recorded single-row (or small batch) solve."""
+    """Recorded solve of a batch of rows."""
 
     times: np.ndarray          # (n_steps+1,)
     tau: np.ndarray            # (n_steps+1, n_rows)
@@ -360,21 +347,20 @@ class MesoTrajectory:
 def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
              dt: float, t_final: float, record_p: bool = True,
              sink_scale: float = 1.0) -> MesoTrajectory:
-    """Integrate rows under a prescribed loading history b(t).
+    """Integrate (n_rows, n_sigma) rows p0 under a prescribed loading history b(t).
 
     The loading for each macro step is frozen at its end-of-step value
     (matching the implicit convention of the coupled solver).  The a-priori
     sup-norm bound is asserted every step; violating it raises, because a
     stable consistent step cannot cross it.
     """
-    squeeze = np.asarray(p0).ndim == 1
-    p2 = np.atleast_2d(np.asarray(p0, dtype=float)).copy()
-    n_rows = p2.shape[0]
+    p = np.array(p0, dtype=float)  # a copy: p_final never aliases p0
+    n_rows = p.shape[0]
     n_steps = round(t_final / dt)
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise CFLError("t_final must be an integer number of steps")
 
-    p0_max = float(p2.max())
+    p0_max = float(p.max())
     times = dt * np.arange(n_steps + 1)
     tau = np.empty((n_steps + 1, n_rows))
     d = np.empty((n_steps + 1, n_rows))
@@ -386,21 +372,20 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
     max_den = p0_max
 
     def _record(k: int):
-        tau[k] = compute_tau(p2, grid)
-        d[k] = compute_d(p2, grid, alpha)
-        mass[k] = grid.mass(p2)
+        tau[k] = compute_tau(p, grid)
+        d[k] = compute_d(p, grid, alpha)
+        mass[k] = grid.mass(p)
         if p_hist is not None:
-            p_hist[k] = p2
+            p_hist[k] = p
 
     _record(0)
     for k in range(n_steps):
         b_k = forcing.value(times[k + 1])
         # D of the start rows, as recorded, feeds the first sub-step
-        p2, rep = advance_rows(p2, b_k, dt, grid, alpha, sink_scale=sink_scale, d=d[k])
-        p2 = np.atleast_2d(p2)
+        p, rep = advance_rows(p, b_k, dt, grid, alpha, sink_scale=sink_scale, d=d[k])
         clipped += float(rep.clipped_mass.sum())
         min_pre = min(min_pre, rep.min_before_clip)
-        step_max = float(p2.max())
+        step_max = float(p.max())
         max_den = max(max_den, step_max)
         bound = linf_bound(p0_max, alpha, times[k + 1])
         if step_max > bound + LINF_ASSERT_TOL * (1.0 + bound):
@@ -409,10 +394,6 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
                 f"max p = {step_max:.6g} > {bound:.6g}")
         _record(k + 1)
 
-    if squeeze:
-        tau, d, mass = tau[:, 0], d[:, 0], mass[:, 0]
-        p2 = p2[0]
-        p_hist = p_hist[:, 0] if p_hist is not None else None
     return MesoTrajectory(times=times, tau=tau, d=d, mass=mass, p=p_hist,
-                          p_final=p2, clipped_total=clipped,
+                          p_final=p, clipped_total=clipped,
                           min_before_clip=float(min_pre), max_density=max_den)

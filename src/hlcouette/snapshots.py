@@ -65,6 +65,7 @@ import math
 import os
 import struct
 import tempfile
+import zipfile
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -334,12 +335,20 @@ def _member(z, name: str):
     return value.item() if value.ndim == 0 else value
 
 
+# what np.load raises on a file that is not an intact npz archive: a
+# truncated one or a flipped byte (BadZipFile), a text file (ValueError),
+# an empty one (EOFError)
+_CORRUPT = (zipfile.BadZipFile, ValueError, EOFError)
+
+
 def read_series(path: str | Path) -> dict:
     try:
         with np.load(Path(path)) as z:
             return {k: _member(z, k) for k in z.files}
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+    except _CORRUPT as exc:
+        raise ArtifactIOError(f"corrupt series {path}: {exc}") from exc
 
 
 def write_summary(path: str | Path, payload: dict) -> None:
@@ -387,3 +396,5 @@ def load_checkpoint(path: str | Path,
         raise ArtifactIOError(f"cannot read checkpoint {path}: {exc}") from exc
     except KeyError as exc:
         raise ArtifactIOError(f"checkpoint {path} is missing field {exc}") from exc
+    except _CORRUPT as exc:
+        raise ArtifactIOError(f"corrupt checkpoint {path}: {exc}") from exc

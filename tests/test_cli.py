@@ -14,6 +14,7 @@ import pytest
 import hlcouette
 from hlcouette import coupler
 from hlcouette.cli import main
+from hlcouette.errors import ArtifactIOError
 from hlcouette.snapshots import load_checkpoint, read_series, read_summary
 
 TINY = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
@@ -242,6 +243,36 @@ def test_artifact_errors_exit_6(tmp_path, capsys):
     assert "different config" in capsys.readouterr().err
 
 
+def damaged_copy(path, damage, to):
+    """A copy of the archive at path, cut in half, with one byte of the p
+    member flipped, or replaced by a text file."""
+    data = path.read_bytes()
+    if damage == "truncated":
+        to.write_bytes(data[:len(data) // 2])
+    elif damage == "flipped byte":
+        at = data.index(b"p.npy") + 200  # inside p's array bytes
+        to.write_bytes(data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:])
+    else:
+        to.write_text("not an archive\n")
+    return to
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped byte", "text"])
+def test_an_unreadable_checkpoint_exits_6(damage, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", *TINY, "--out", str(out)]) == 0
+    bad = damaged_copy(out / "checkpoint_000005.npz", damage, tmp_path / "bad.npz")
+    capsys.readouterr()
+    for argv in (["diagnose", "--checkpoint", str(bad), *TINY],
+                 ["run", *TINY, "--resume", str(bad)]):
+        assert main(argv) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+    series = damaged_copy(out / "series.npz", damage, tmp_path / "series.npz")
+    with pytest.raises(ArtifactIOError, match="series.npz"):
+        read_series(series)
+
+
 def test_hl_run_point_ensemble(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["hl-run", "--set", "grid.n_sigma=64",
@@ -395,6 +426,26 @@ def test_diagnose_checkpoint(tmp_path, capsys):
                  *other]) == 0
     assert main(["diagnose", "--checkpoint", ckpt, "--any-config", *TINY,
                  "--set", "tolerances.c_moment=1e-9"]) == 5
+
+
+N_Y4 = ["--set", "grid.n_y=4", "--set", "grid.n_sigma=64",
+        "--set", "run.t_final=0.01", "--set", "run.checkpoint_every=5"]
+
+
+@pytest.mark.parametrize("grids, shapes", [
+    (["--set", "grid.n_y=8"], "u has shape (4,), but the config's grids (n_y = 8, n_sigma = 64) "
+                              "need (8,)"),
+    (["--set", "grid.n_sigma=128"], "p has shape (4, 64), but the config's grids (n_y = 4, "
+                                    "n_sigma = 128) need (4, 128) or (0, 128)"),
+], ids=["n_y", "n_sigma"])
+def test_diagnose_any_config_refuses_a_checkpoint_of_other_grids(grids, shapes, tmp_path,
+                                                                 capsys):
+    out = tmp_path / "o"
+    assert main(["run", *N_Y4, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--checkpoint", str(out / "checkpoint_000005.npz"),
+                 "--any-config", *N_Y4, *grids]) == 3
+    assert shapes in capsys.readouterr().err
 
 
 def test_nondim_conversion(capsys):

@@ -180,7 +180,7 @@ def test_valid_mode_barrier_matches_the_full_convolution_slice(n_sigma):
     variances = [0.0, 0.37, 1e-6]
     for shift in shifts:
         for variance in variances:
-            kern = offset_kernel(grid, float(shift), variance)
+            kern = offset_kernel(grid, np.array([shift]), np.array([variance]))[0]
             row = rng.uniform(0.0, 1.0, size=n)
             full = np.convolve(row, kern)[n - 1:2 * n - 1]
             assert np.convolve(row, kern, mode="valid").tobytes() == full.tobytes()
@@ -191,7 +191,7 @@ def test_valid_mode_barrier_matches_the_full_convolution_slice(n_sigma):
     t = 0.3
     ref = np.empty_like(p0)
     for i in range(shifts.size):
-        kern = offset_kernel(grid, float(shifts[i]), 2.0 * float(acc[i]))
+        kern = offset_kernel(grid, shifts[i:i + 1], 2.0 * acc[i:i + 1])[0]
         ref[i] = ds * np.convolve(p0[i], kern)[n - 1:2 * n - 1]
     ref = math.exp(-t) * ref
     assert sub_solution(p0, grid, t, shifts, acc).tobytes() == ref.tobytes()

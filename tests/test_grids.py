@@ -43,17 +43,20 @@ def test_quadratures_match_direct_sums():
     assert np.allclose(g.outermost_mass(p), (p[:, 0] + p[:, -1]) * g.d_sigma, atol=0.0)
 
 
-def test_single_row_quadratures_return_scalars():
+def test_one_row_batch_quadratures_return_one_value():
     g = SigmaGrid(sigma_max=2.0, n_sigma=16)
-    p = np.ones(16)
-    assert float(g.mass(p)) == pytest.approx(4.0, rel=1e-15)
-    assert float(g.first_moment(p)) == pytest.approx(0.0, abs=1e-15)
+    p = np.ones((1, 16))
+    for quadrature in (g.mass, g.exterior_sum, g.exterior_mass, g.first_moment,
+                       g.inner_moment, g.gradient_energy, g.outermost_mass):
+        assert quadrature(p).shape == (1,)
+    assert g.mass(p)[0] == pytest.approx(4.0, rel=1e-15)
+    assert g.first_moment(p)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fully_relaxing_grid():
     g = SigmaGrid(sigma_max=0.75, n_sigma=6, threshold=0.0)
     assert g.exterior.all()
-    assert np.asarray(g.inner_moment(np.ones((2, 6)))).tolist() == [0.0, 0.0]
+    assert g.inner_moment(np.ones((2, 6))).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -50,7 +50,7 @@ def test_uniform_cell_averages_partial_overlap():
 def test_eta_standard_gaussian():
     p0 = gaussian_cell_averages(GRID, 0.0, 1.0)
     p0 = p0 / GRID.mass(p0)
-    eta, details = compute_eta(p0, GRID, alpha=1.0)
+    eta, details = compute_eta(p0[None], GRID, alpha=1.0)
     assert eta == pytest.approx(ETA_STANDARD_GRID, abs=1e-15)
     assert eta == pytest.approx(brute_force_eta(p0, GRID, 1.0), abs=1e-14)
     assert eta == pytest.approx(ETA_CONTINUUM, abs=1e-3)
@@ -60,7 +60,7 @@ def test_eta_standard_gaussian():
 
 
 def test_eta_uniform_half_in_band():
-    p0 = uniform_cell_averages(GRID, -2.0, 2.0)
+    p0 = uniform_cell_averages(GRID, -2.0, 2.0)[None]
     eta, _ = compute_eta(p0, GRID, alpha=1.0)
     assert eta == pytest.approx(0.5, abs=1e-14)
     eta2, _ = compute_eta(p0, GRID, alpha=3.0)
@@ -68,7 +68,7 @@ def test_eta_uniform_half_in_band():
 
 
 def test_eta_zero_for_band_supported_data():
-    p0 = uniform_cell_averages(GRID, -0.5, 0.5)
+    p0 = uniform_cell_averages(GRID, -0.5, 0.5)[None]
     eta, details = compute_eta(p0, GRID, alpha=1.0)
     assert eta == 0.0
     assert details.capture == pytest.approx(1.0, rel=1e-14)
@@ -78,8 +78,8 @@ def test_eta_shift_invariance_on_grid_multiples():
     shift = 8 * GRID.d_sigma
     a = gaussian_cell_averages(GRID, 0.0, 0.7)
     b = gaussian_cell_averages(GRID, shift, 0.7)
-    eta_a, _ = compute_eta(a / GRID.mass(a), GRID, 1.0)
-    eta_b, det_b = compute_eta(b / GRID.mass(b), GRID, 1.0)
+    eta_a, _ = compute_eta((a / GRID.mass(a))[None], GRID, 1.0)
+    eta_b, det_b = compute_eta((b / GRID.mass(b))[None], GRID, 1.0)
     assert eta_b == pytest.approx(eta_a, abs=1e-6)   # same up to grid tails
     assert det_b.chi == pytest.approx(-shift, abs=1e-12)
 

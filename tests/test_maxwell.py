@@ -22,10 +22,16 @@ def constant_forcing(value):
     return PiecewiseLinearForcing([0.0, 1.0], [value, value])
 
 
+def one_kernel(grid, shift, variance):
+    """The kernel of a batch of one row."""
+    return offset_kernel(grid, np.array([shift]), np.array([variance]))[0]
+
+
 def test_offset_kernel_matches_per_pair_cell_averages():
     shift, var = 0.37, 0.8
-    kern = offset_kernel(GRID, shift, var)
-    assert kern.shape == (2 * GRID.n_sigma - 1,)
+    kern = offset_kernel(GRID, np.array([shift]), np.array([var]))
+    assert kern.shape == (1, 2 * GRID.n_sigma - 1)
+    kern = kern[0]
     n, ds = GRID.n_sigma, GRID.d_sigma
     std = math.sqrt(var)
     for i, j in [(0, 0), (130, 128), (100, 140), (255, 0), (0, 255)]:
@@ -38,12 +44,12 @@ def test_offset_kernel_matches_per_pair_cell_averages():
 def test_offset_kernel_point_mass_cases():
     ds = GRID.d_sigma
     n = GRID.n_sigma
-    k = offset_kernel(GRID, 3.2 * ds, 0.0)
+    k = one_kernel(GRID, 3.2 * ds, 0.0)
     assert k[3 + n - 1] == pytest.approx(1.0 / ds) and np.count_nonzero(k) == 1
-    k2 = offset_kernel(GRID, 3.5 * ds, 0.0)
+    k2 = one_kernel(GRID, 3.5 * ds, 0.0)
     assert k2[3 + n - 1] == pytest.approx(0.5 / ds)
     assert k2[4 + n - 1] == pytest.approx(0.5 / ds)
-    assert not offset_kernel(GRID, (n + 2) * ds, 0.0).any()
+    assert not one_kernel(GRID, (n + 2) * ds, 0.0).any()
 
 
 def scalar_offset_kernel(grid, shift, variance):
@@ -89,7 +95,7 @@ def test_batched_offset_kernel_rows_equal_scalar_calls(rows):
     for row, (shift, variance) in zip(kern, rows):
         ref = scalar_offset_kernel(SMALL, shift, variance)
         assert row.tobytes() == ref.tobytes()
-        assert offset_kernel(SMALL, shift, variance).tobytes() == ref.tobytes()
+        assert one_kernel(SMALL, shift, variance).tobytes() == ref.tobytes()
 
 
 def test_mean_stress_constant_loading_is_saturating_exponential():

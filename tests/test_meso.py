@@ -15,20 +15,23 @@ from hlcouette import config, coupler, meso
 from hlcouette.errors import CFLError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages, uniform_cell_averages
-from hlcouette.maxwell import maxwell_p
+from hlcouette.diagnostics import sub_solution
+from hlcouette.maxwell import maxwell_p, offset_kernel
 from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, _scratch, advance_rows,
                             compute_d, compute_gradient_energy, compute_inner_moment,
                             compute_tau, hl_solve, hl_step,
                             linf_bound, required_substeps)
 from hlcouette.protocols import PiecewiseLinearForcing
 from hlcouette.tridiag import solve_diffusion_batch
+from test_maxwell import scalar_offset_kernel
 
 GRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
 
 
-def gaussian_row(grid=GRID, width=1.0):
+def gaussian_batch(grid=GRID, width=1.0):
+    """A one-row batch holding a normalized Gaussian."""
     row = gaussian_cell_averages(grid, 0.0, width)
-    return row / float(grid.mass(row))
+    return (row / float(grid.mass(row)))[None]
 
 
 def constant_forcing(value):
@@ -36,9 +39,10 @@ def constant_forcing(value):
 
 
 def test_step_conserves_mass_exactly_with_full_bookkeeping():
-    p = gaussian_row()
+    p = gaussian_batch()
     q, rep = hl_step(p, 0.3, 1e-3, GRID, alpha=1.0)
-    assert float(GRID.mass(q)) == pytest.approx(float(GRID.mass(p)), abs=1e-14)
+    assert q.shape == p.shape
+    assert GRID.mass(q)[0] == pytest.approx(GRID.mass(p)[0], abs=1e-14)
     assert rep.deposit_mass == pytest.approx(
         rep.sink_mass + rep.boundary_mass + rep.outflow_mass, rel=1e-15)
     assert rep.sink_mass[0] > 0 and rep.boundary_mass[0] > 0
@@ -51,28 +55,28 @@ def test_step_conserves_mass_exactly_with_full_bookkeeping():
 def test_advection_moment_gain_is_exact_for_band_supported_data(b):
     # Support inside the band: no sink, no diffusion (D = 0), no outflow,
     # so the only moment change is the telescoping advective gain b*dt*mass.
-    p = uniform_cell_averages(GRID, -0.5, 0.5)
+    p = uniform_cell_averages(GRID, -0.5, 0.5)[None]
     dt = 1e-3
     q, rep = hl_step(p, b, dt, GRID, alpha=1.0)
-    gain = float(compute_tau(q, GRID)) - float(compute_tau(p, GRID))
-    assert gain == pytest.approx(b * dt * float(GRID.mass(p)), rel=1e-12)
+    gain = compute_tau(q, GRID)[0] - compute_tau(p, GRID)[0]
+    assert gain == pytest.approx(b * dt * GRID.mass(p)[0], rel=1e-12)
     assert rep.sink_mass[0] == 0.0 and rep.boundary_mass[0] == 0.0
     assert rep.outflow_mass[0] == 0.0 and rep.trunc_moment[0] == 0.0
-    assert float(compute_d(q, GRID, 1.0)) == 0.0
+    assert compute_d(q, GRID, 1.0).tolist() == [0.0]
 
 
 def test_zero_loading_preserves_evenness_and_centering():
-    traj = hl_solve(gaussian_row(), constant_forcing(0.0), GRID, alpha=1.0,
+    traj = hl_solve(gaussian_batch(), constant_forcing(0.0), GRID, alpha=1.0,
                     dt=1e-3, t_final=0.2)
     assert np.max(np.abs(traj.tau)) <= 1e-13
     assert np.max(np.abs(traj.mass - 1.0)) <= 1e-13
-    assert np.allclose(traj.p_final, traj.p_final[::-1], atol=1e-15)
+    assert np.allclose(traj.p_final, traj.p_final[:, ::-1], atol=1e-15)
     assert traj.min_before_clip >= 0.0
     assert traj.max_density <= linf_bound(float(traj.p[0].max()), 1.0, 0.2)
 
 
 def test_cfl_guards():
-    p = gaussian_row()
+    p = gaussian_batch()
     with pytest.raises(CFLError):
         hl_step(p, 32.0, 1e-3, GRID, alpha=1.0)       # |b| dt / d_sigma > 1
     with pytest.raises(CFLError):
@@ -89,7 +93,7 @@ def test_required_substeps():
 
 
 def test_subcycling_matches_manual_lockstep():
-    p = np.vstack([gaussian_row(), gaussian_row(width=0.6)])
+    p = np.vstack([gaussian_batch(), gaussian_batch(width=0.6)])
     b = np.array([0.4, -0.8])
     q, rep = advance_rows(p, b, 4e-3, GRID, alpha=1.0, n_sub=4)
     manual = p
@@ -100,8 +104,8 @@ def test_subcycling_matches_manual_lockstep():
 
 
 def test_instability_guard_trips_on_garbage_input():
-    p = gaussian_row().copy()
-    p[10] = -0.1
+    p = gaussian_batch()
+    p[0, 10] = -0.1
     with pytest.raises(SchemeInstabilityError):
         hl_step(p, 0.0, 1e-3, GRID, alpha=1.0)
 
@@ -110,23 +114,25 @@ def test_doubled_sink_breaks_the_sup_norm_safeguard():
     # The fault hook feeds the re-injection more mass than the true source
     # rate; the a-priori sup bound is then crossed and the solver aborts.
     with pytest.raises(SchemeInstabilityError):
-        hl_solve(gaussian_row(), constant_forcing(0.0), GRID, alpha=1.0,
+        hl_solve(gaussian_batch(), constant_forcing(0.0), GRID, alpha=1.0,
                  dt=1e-3, t_final=1.0, sink_scale=2.0)
 
 
 def test_solver_shapes_and_recording():
-    p0 = gaussian_row()
+    p0 = gaussian_batch()
     traj = hl_solve(p0, constant_forcing(0.5), GRID, 1.0, dt=1e-2, t_final=0.05)
-    assert traj.times.shape == (6,) and traj.tau.shape == (6,)
-    assert traj.p.shape == (6, 256) and traj.p_final.shape == (256,)
+    assert traj.times.shape == (6,) and traj.tau.shape == (6, 1)
+    assert traj.d.shape == (6, 1) and traj.mass.shape == (6, 1)
+    assert traj.p.shape == (6, 1, 256) and traj.p_final.shape == (1, 256)
     assert np.array_equal(traj.p[0], p0)
+    assert not np.shares_memory(traj.p_final, p0)
     batch = np.vstack([p0, p0])
     tb = hl_solve(batch, constant_forcing(0.5), GRID, 1.0, dt=1e-2,
                   t_final=0.05, record_p=False)
     assert tb.tau.shape == (6, 2) and tb.p is None
     assert np.array_equal(tb.tau[:, 0], tb.tau[:, 1])
-    # batch and single runs agree to rounding (BLAS blocking may differ)
-    assert np.allclose(tb.tau[:, 0], traj.tau, rtol=0.0, atol=1e-14)
+    # two-row and one-row batches agree to rounding (BLAS blocking may differ)
+    assert np.allclose(tb.tau[:, 0], traj.tau[:, 0], rtol=0.0, atol=1e-14)
 
 
 def test_hl_solve_computes_d_once_per_recorded_state(monkeypatch):
@@ -141,7 +147,7 @@ def test_hl_solve_computes_d_once_per_recorded_state(monkeypatch):
     monkeypatch.setattr(meso, "compute_d", counting)
     n_steps, dt = 5, 1e-2
     assert required_substeps(0.5, dt, GRID) == 1
-    hl_solve(gaussian_row(), constant_forcing(0.5), GRID, 1.0, dt=dt,
+    hl_solve(gaussian_batch(), constant_forcing(0.5), GRID, 1.0, dt=dt,
              t_final=n_steps * dt, record_p=False)
     assert len(calls) == n_steps + 1
 
@@ -155,15 +161,14 @@ def maxwell_limit_error(n_sigma, dt, t_final=0.25, b=0.7, alpha=4.0):
     untruncated closed forms apply.
     """
     grid = SigmaGrid(sigma_max=8.0, n_sigma=n_sigma, threshold=0.0)
-    p0 = gaussian_cell_averages(grid, 0.0, 0.8)
-    p0 = p0 / float(grid.mass(p0))
+    p0 = gaussian_batch(grid, width=0.8)
     forcing = constant_forcing(b)
     traj = hl_solve(p0, forcing, grid, alpha, dt=dt, t_final=t_final,
                     record_p=False)
     exact_tau = b * -np.expm1(-traj.times)
-    err_tau = np.max(np.abs(traj.tau - exact_tau))
-    exact_p = maxwell_p(p0, forcing, t_final, grid, alpha)
-    err_p = float(np.sum(np.abs(traj.p_final - exact_p))) * grid.d_sigma
+    err_tau = np.max(np.abs(traj.tau[:, 0] - exact_tau))
+    exact_p = maxwell_p(p0[0], forcing, t_final, grid, alpha)
+    err_p = float(np.sum(np.abs(traj.p_final[0] - exact_p))) * grid.d_sigma
     assert np.max(np.abs(traj.mass - 1.0)) <= 1e-12
     return err_tau, err_p
 
@@ -348,17 +353,18 @@ def unfused_hl_step(p, b, dt, grid, alpha, sink_scale=1.0):
 @given(st.sampled_from(LOADING_SIGNS).flatmap(
            lambda sign: step_inputs(cell=st.one_of(CELL, NEAR_ZERO), sign=sign)),
        st.booleans(), st.sampled_from([1.0, 0.0, 0.5]), st.booleans())
-def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, squeeze, sink_scale,
+def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, first_row, sink_scale,
                                                          pass_d):
     # tiny negative cells drive the clip branch as well as the clip-free
     # one; a row whose exterior mass is negative has a negative D, which the
     # solve rejects in both versions.  Loadings of every sign pattern reach
     # each combination of skipped advective terms, and the start D is either
-    # passed in, as coupler.run does, or computed by the step.
+    # passed in, as coupler.run does, or computed by the step.  first_row
+    # steps a one-row batch under a scalar loading.
     grid, p, b, dt, alpha = inputs
-    if squeeze:
-        p, b = p[0], b[0]
-    d = compute_d(np.atleast_2d(p), grid, alpha) if pass_d else None
+    if first_row:
+        p, b = p[:1], b[0]
+    d = compute_d(p, grid, alpha) if pass_d else None
     try:
         ref = unfused_hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
     except (SchemeInstabilityError, ValueError) as exc:
@@ -432,12 +438,14 @@ def quadrature_inputs(draw):
            and grid.exterior[:n_ext].all() and grid.exterior[n - n_ext:].all())
     values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
                        st.floats(-1e3, 1e3, allow_subnormal=False))
-    p = draw(arrays(np.float64, (draw(st.integers(1, 5)), n), elements=values))
-    return grid, (p[0] if draw(st.booleans()) else p)
+    return grid, draw(arrays(np.float64, (draw(st.integers(1, 5)), n), elements=values))
 
 
 def mask_gather_quadratures(p, grid):
-    """The allocating forms the scratch meters replace, kept verbatim."""
+    """The allocating forms the scratch meters replace, kept verbatim, plus
+    the sums that never had a scratch form.  On a lone (n_sigma,) row each
+    gives the bits the quadratures gave such a row when they still took one
+    (the form that reshaped it to a batch of one)."""
     ds, ext = grid.d_sigma, grid.exterior
     inner = ~ext
     if not inner.any():
@@ -445,10 +453,13 @@ def mask_gather_quadratures(p, grid):
     else:
         banded = (p[..., inner] * grid.centers[inner]).sum(axis=-1) * ds
     diff = np.diff(p, axis=-1) / ds
-    return {"exterior_mass": p[..., ext].sum(axis=-1) * ds,
+    return {"mass": p.sum(axis=-1) * ds,
+            "exterior_sum": p[..., ext].sum(axis=-1),
+            "exterior_mass": p[..., ext].sum(axis=-1) * ds,
             "first_moment": (p * grid.centers).sum(axis=-1) * ds,
             "inner_moment": banded,
-            "gradient_energy": (diff * diff).sum(axis=-1) * ds}
+            "gradient_energy": (diff * diff).sum(axis=-1) * ds,
+            "outermost_mass": (p[..., 0] + p[..., -1]) * ds}
 
 
 def same_bits(a, b):
@@ -459,7 +470,7 @@ def same_bits(a, b):
 @given(quadrature_inputs(), st.sampled_from([1.0, 0.75]))
 def test_scratch_meters_match_the_mask_gathers_bitwise_property(inputs, alpha):
     # odd n_sigma, no exterior cell (n_exterior_side = 0), every cell
-    # exterior (threshold 0) and single rows, 1-D or (1, n_sigma)
+    # exterior (threshold 0) and one-row batches
     grid, p = inputs
     ref = mask_gather_quadratures(p, grid)
     for name, value in ref.items():
@@ -468,6 +479,66 @@ def test_scratch_meters_match_the_mask_gathers_bitwise_property(inputs, alpha):
     assert same_bits(compute_tau(p, grid), ref["first_moment"])
     assert same_bits(compute_inner_moment(p, grid), ref["inner_moment"])
     assert same_bits(compute_gradient_energy(p, grid), ref["gradient_energy"])
+
+
+# every function that steps, sums or bounds density rows takes an
+# (n_rows, n_sigma) batch; a batch of one must give the bits a lone
+# (n_sigma,) row gave when they still took one.  The references are those
+# lone-row forms: mask_gather_quadratures and unfused_hl_step on a 1-D row,
+# the scalar offset kernel, and the barrier's convolution of one row.
+CONVENTION_GRIDS = (SigmaGrid(2.0, 8), SigmaGrid(4.0, 32), SigmaGrid(2.0, 8, threshold=0.0),
+                    unchecked_grid(2.0, 8, 5.0))  # the last has n_exterior_side = 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_row_batches_keep_the_bits_of_lone_rows_property(data):
+    grid = data.draw(st.sampled_from(CONVENTION_GRIDS))
+    n, ds = grid.n_sigma, grid.d_sigma
+    row = np.array(data.draw(st.lists(st.one_of(CELL, NEAR_ZERO), min_size=n, max_size=n)))
+    batch = row[None]
+    alpha = data.draw(ALPHA)
+
+    def same(out, ref):
+        return out.shape == (1,) + np.shape(ref) and out[0].tobytes() == np.float64(ref).tobytes()
+
+    ref = mask_gather_quadratures(row, grid)
+    for name, value in ref.items():
+        assert same(getattr(grid, name)(batch), value), name
+    assert same(compute_d(batch, grid, alpha), alpha * ref["exterior_mass"])
+    assert same(compute_tau(batch, grid), ref["first_moment"])
+    assert same(compute_inner_moment(batch, grid), ref["inner_moment"])
+    assert same(compute_gradient_energy(batch, grid), ref["gradient_energy"])
+
+    # the step under a scalar loading, as a lone row took it
+    dt = 2.0 ** -data.draw(st.integers(1, 12))
+    b = data.draw(COURANT) * (ds / dt)
+    sink_scale = data.draw(st.sampled_from([1.0, 0.0, 0.5]))
+    try:
+        ref_q, ref_rep = unfused_hl_step(row, b, dt, grid, alpha, sink_scale=sink_scale)
+    except (SchemeInstabilityError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            hl_step(batch, b, dt, grid, alpha, sink_scale=sink_scale)
+    else:
+        q, rep = hl_step(batch, b, dt, grid, alpha, sink_scale=sink_scale)
+        assert q.shape == (1, n) and q[0].tobytes() == ref_q.tobytes()
+        for name in ("sink_mass", "boundary_mass", "outflow_mass", "deposit_mass",
+                     "trunc_moment"):
+            assert getattr(rep, name).tobytes() == getattr(ref_rep, name).tobytes()
+        assert np.array_equal(rep.clipped_mass, ref_rep.clipped_mass)
+        assert rep.min_before_clip == ref_rep.min_before_clip
+
+    # the kernel and the comparison barrier, point kernels and cell edges included
+    shift = data.draw(st.one_of(st.floats(-10.0, 10.0),
+                                st.integers(-n - 2, n + 2).map(lambda j: (j - 0.5) * ds)))
+    acc = data.draw(st.one_of(st.just(0.0), st.floats(1e-12, 25.0)))
+    t = data.draw(st.floats(0.0, 2.0))
+    kern = scalar_offset_kernel(grid, shift, 2.0 * acc)
+    batch_kern = offset_kernel(grid, np.array([shift]), np.array([2.0 * acc]))
+    assert batch_kern.shape == (1, 2 * n - 1) and batch_kern[0].tobytes() == kern.tobytes()
+    barrier = sub_solution(batch, grid, t, np.array([shift]), np.array([acc]))
+    ref_barrier = math.exp(-t) * (ds * np.convolve(row, kern, mode="valid"))
+    assert barrier.shape == (1, n) and barrier[0].tobytes() == ref_barrier.tobytes()
 
 
 def test_a_run_keeps_one_scratch_slot_and_no_module_array():
