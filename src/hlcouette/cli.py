@@ -175,7 +175,7 @@ def cmd_hl_run(args) -> int:
     print(f"fingerprint: {cfg.fingerprint}")
     # the protocol is interpreted directly as the loading b(t) of the first row
     traj = hl_solve(init.p0[:1], prob.protocol, grid, prob.dp.alpha,
-                    dt=tgrid.dt, t_final=tgrid.t_final, record_p=False)
+                    dt=tgrid.dt, t_final=tgrid.t_final)
     tau, d, mass = traj.tau[:, 0], traj.d[:, 0], traj.mass[:, 0]
     print(f"t = {traj.times[-1]:g}: tau = {tau[-1]:.10g}, "
           f"D = {d[-1]:.10g}, mass = {mass[-1]:.12g}, "

@@ -81,9 +81,6 @@ class RunConfig:
     values: dict
     fingerprint: str
 
-    def __getitem__(self, key: tuple[str, str]):
-        return self.values[key[0]][key[1]]
-
     # model ----------------------------------------------------------
     @property
     def mode(self) -> str:
@@ -133,22 +130,24 @@ class RunConfig:
 
     # protocol -------------------------------------------------------
     def protocol(self) -> ShearProtocol:
+        """The wall protocol in scaled variables, V'(t') = (t0/length) V(t0 t')
+        in dimensional mode."""
         p = self.values["protocol"]
         kind = p["kind"]
-        if kind == "zero":
-            proto = ShearProtocol.ramp(0.0, 1.0)
-        elif kind == "ramp":
-            proto = ShearProtocol.ramp(p["v_max"], p["t_ramp"])
-        elif kind == "sinusoid":
-            proto = ShearProtocol.sinusoid(p["amplitude"], p["period"])
-        elif kind == "table":
-            proto = ShearProtocol.table(p["times"], p["values"])
-        else:
-            raise ConfigError(f"unknown protocol kind {kind!r}")
+        ts, vs = 1.0, 1.0
         if self.mode == "dimensional":
             t0, length, _ = self.scales
-            proto = proto.scaled(time_scale=t0, velocity_scale=t0 / length)
-        return proto
+            ts, vs = t0, t0 / length
+        if kind == "zero":
+            return ShearProtocol.ramp(0.0 * vs, 1.0 / ts)
+        if kind == "ramp":
+            return ShearProtocol.ramp(p["v_max"] * vs, p["t_ramp"] / ts)
+        if kind == "sinusoid":
+            return ShearProtocol.sinusoid(p["amplitude"] * vs, p["period"] / ts)
+        if kind == "table":
+            return ShearProtocol.table([t / ts for t in p["times"]],
+                                       [v * vs for v in p["values"]])
+        raise ConfigError(f"unknown protocol kind {kind!r}")
 
     # initial data ---------------------------------------------------
     def initial(self) -> InitialData:
@@ -218,8 +217,6 @@ class RunConfig:
 
 _CASTS: dict[tuple[str, str], Callable] = {
     ("model", "mode"): str,
-    ("model", "fully_relaxing"): None,          # boolean, handled below
-    ("model", "allow_degenerate"): None,
     ("protocol", "kind"): str,
     ("protocol", "times"): _parse_floats,
     ("protocol", "values"): _parse_floats,

@@ -26,7 +26,8 @@ k), which records the path's own meters of step k and returns D.
   partner of the general solver; its states have no density rows.
 
 A run after any step is one RunState, which a checkpoint holds and a run
-resumes from; a RunResult is the final one plus what the run was run on.
+resumes from; a RunResult is the final one plus what the run was run on,
+and reads its path and initial maximum from its rows.
 The per-step records are named once, by their SERIES key, in RunState.series
 and every archive alike: a new meter is one SERIES row plus the line of the
 loop or of a path that fills it.
@@ -44,7 +45,7 @@ from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import heat_step, l2_norm, velocity_gradient
 from .meso import (StepReport, advance_rows, compute_d, compute_gradient_energy,
-                   compute_inner_moment, compute_tau, required_substeps)
+                   compute_inner_moment, compute_tau)
 from .params import DimensionlessParams
 from .protocols import ShearProtocol
 
@@ -200,12 +201,20 @@ class RunState:
 class RunResult(RunState):
     """A finished run: its final state and what it was run on."""
 
-    kind: str                      # "general" or "maxwell"
     problem: CoupledProblem
     eta: float
-    p0_max: float
     p0: np.ndarray
     snapshots: list[Snapshot]
+
+    @property
+    def kind(self) -> str:
+        """The path that ran, told by its rows: "general" or "maxwell"."""
+        return "general" if self.p.shape[0] else "maxwell"
+
+    @property
+    def p0_max(self) -> float:
+        """Largest initial density (nan without rows)."""
+        return float(self.p0.max()) if self.p0.size else math.nan
 
     @property
     def times(self) -> np.ndarray:
@@ -283,8 +292,7 @@ def coupled_step(u: np.ndarray, p: np.ndarray, t_next: float, prob: CoupledProbl
     grid, dp, dt = prob.sigma_grid, prob.dp, prob.space_grid.dt
 
     def kinetic(b):
-        n_sub = required_substeps(b, dt, grid)
-        p_new, rep = advance_rows(p, b, dt, grid, dp.alpha, n_sub=n_sub,
+        p_new, rep = advance_rows(p, b, dt, grid, dp.alpha,
                                   sink_scale=prob.sink_scale, d=d)
         tau = compute_tau(p_new, grid)
         return tau, (p_new, rep, tau)
@@ -383,7 +391,7 @@ class _Relaxation:
         return self.d
 
 
-def _integrate(prob: CoupledProblem, path, kind: str, eta: float, u0: np.ndarray,
+def _integrate(prob: CoupledProblem, path, eta: float, u0: np.ndarray,
                p0: np.ndarray, tau0: np.ndarray, snap_every: int, checkpoint_every: int,
                checkpoint_sink, resume: RunState | None, snapshot_sink) -> RunResult:
     """Step a path from (u0, p0, tau0), or from resume, to the horizon."""
@@ -427,9 +435,7 @@ def _integrate(prob: CoupledProblem, path, kind: str, eta: float, u0: np.ndarray
         if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
             checkpoint_sink(state.checkpoint())
 
-    return RunResult(**vars(state), kind=kind, problem=prob, eta=eta,
-                     p0_max=float(p0.max()) if p0.size else math.nan, p0=p0,
-                     snapshots=snapshots)
+    return RunResult(**vars(state), problem=prob, eta=eta, p0=p0, snapshots=snapshots)
 
 
 def run(prob: CoupledProblem, init: InitialData, eta: float,
@@ -449,7 +455,7 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
     if init.p0.shape != (prob.space_grid.n_y, prob.sigma_grid.n_sigma):
         raise ValidationError("initial rows do not match the grids")
     tau0 = compute_tau(init.p0, prob.sigma_grid)
-    return _integrate(prob, _Kinetic(prob), "general", eta, init.u0, init.p0, tau0,
+    return _integrate(prob, _Kinetic(prob), eta, init.u0, init.p0, tau0,
                       snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)
 
 
@@ -467,6 +473,6 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
     tau0, u0 = np.asarray(tau0, dtype=float), np.asarray(u0, dtype=float)
     if tau0.shape != (prob.space_grid.n_y,) or u0.shape != tau0.shape:
         raise ValidationError("tau0/u0 do not match the space grid")
-    return _integrate(prob, _Relaxation(prob), "maxwell", prob.dp.alpha, u0,
+    return _integrate(prob, _Relaxation(prob), prob.dp.alpha, u0,
                       np.zeros(path_rows(prob, closed_form=True)), tau0,
                       snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)

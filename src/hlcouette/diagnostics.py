@@ -13,9 +13,11 @@ The comparison check rebuilds the explicit Gaussian sub-solution
 per row from the accumulated dissipation and drift, and requires the
 computed density to dominate it up to O(d_sigma + dt).  The induced floor
 check then re-derives the diffusivity lower bound from that sub-solution
-instead of trusting the recorded minimum.  sub_solution takes the kernels
-of all rows from one maxwell.offset_kernel call, then convolves row by
-row with np.convolve(..., mode="valid"), whose bits the tests pin.
+instead of trusting the recorded minimum.  Both checks, and the comparison
+that verify_resume makes on a restored state, grade their largest deficit
+alike (_grade_barrier).  sub_solution takes the kernels of all rows from
+one maxwell.offset_kernel call, then convolves row by row with
+np.convolve(..., mode="valid"), whose bits the tests pin.
 """
 
 from __future__ import annotations
@@ -175,43 +177,15 @@ def _barrier_deficits(result: RunResult) -> tuple[Deficits, Deficits]:
     return comparison, induced
 
 
-def _worst(deficits: Deficits) -> tuple[float, float]:
-    """Largest deficit and its time (the earliest one on ties)."""
-    worst, worst_t = -math.inf, 0.0
-    for t, deficit in deficits:
-        if deficit > worst:
-            worst, worst_t = deficit, t
-    return worst, worst_t
-
-
-def _grade_comparison(result: RunResult, deficits: Deficits,
-                      c_comp: float) -> CheckResult:
-    grid = result.problem.sigma_grid
-    dt = result.problem.space_grid.dt
-    slack = c_comp * (grid.d_sigma + dt)
-    worst, worst_t = _worst(deficits)
-    if worst == -math.inf:
-        return CheckResult("comparison_barrier", "pass", 0.0, slack,
+def _grade_barrier(name: str, deficits: Deficits, slack: float, what: str) -> CheckResult:
+    """Grade the largest deficit as `what`: the earliest one on ties, a NaN
+    before any number."""
+    if not deficits:
+        return CheckResult(name, "pass", 0.0, slack,
                            "no density snapshots recorded; nothing to compare")
-    return _soft("comparison_barrier", worst, slack,
-                 f"max (barrier - p) = {worst:.3e} at t = {worst_t:.4g} "
-                 f"(slack {slack:.1e})")
-
-
-def _grade_induced_d_floor(result: RunResult, deficits: Deficits,
-                           c_comp: float) -> CheckResult:
-    grid = result.problem.sigma_grid
-    dp = result.problem.dp
-    dt = result.problem.space_grid.dt
-    window = 2.0 * (grid.sigma_max - grid.threshold)
-    slack = dp.alpha * (window * c_comp * (grid.d_sigma + dt) + 1e-12)
-    worst, worst_t = _worst(deficits)
-    if worst == -math.inf:
-        return CheckResult("induced_diffusivity_floor", "pass", 0.0, slack,
-                           "no density snapshots recorded; nothing to compare")
-    return _soft("induced_diffusivity_floor", worst, slack,
-                 f"max (barrier-induced D - recorded D) = {worst:.3e} "
-                 f"at t = {worst_t:.4g} (slack {slack:.1e})")
+    t, worst = deficits[int(np.argmax([deficit for _, deficit in deficits]))]
+    return _soft(name, worst, slack,
+                 f"max ({what}) = {worst:.3e} at t = {t:.4g} (slack {slack:.1e})")
 
 
 def moment_residuals(result: RunResult) -> np.ndarray:
@@ -296,17 +270,24 @@ def measure_f2_ratio(tau_series: np.ndarray, sgrid: SpaceTimeGrid,
 
 
 def check_f2(result: RunResult) -> CheckResult:
+    # no steps leave nothing to measure; mu = 0 leaves the bound undefined,
+    # which warns as the gradient check does for eta = 0
     sgrid = result.problem.space_grid
     dp = result.problem.dp
     t = sgrid.t_final
+    bound = 2.0 * math.sqrt(t) / dp.mu if dp.mu > 0 else math.inf
+    if sgrid.n_steps == 0:
+        return CheckResult("velocity_map_lipschitz", "pass", 0.0, bound,
+                           "no steps; nothing to measure")
     ratio = measure_f2_ratio(result.series["tau"], sgrid, dp.rho, dp.mu, t)
-    bound = 2.0 * math.sqrt(t) / dp.mu
     if math.isnan(ratio):
         return CheckResult("velocity_map_lipschitz", "pass", 0.0, bound,
                            "stress identically zero; map trivially bounded")
-    violation = ratio - bound
-    return _soft("velocity_map_lipschitz", violation, (F2_SLACK - 1.0) * bound,
-                 f"measured ratio {ratio:.4g} vs bound 2 sqrt(T)/mu = {bound:.4g}")
+    msg = f"measured ratio {ratio:.4g} vs bound 2 sqrt(T)/mu = {bound:.4g}"
+    if not math.isfinite(bound):
+        return CheckResult("velocity_map_lipschitz", "warn", ratio, bound,
+                           msg + "; bound undefined for mu = 0")
+    return _soft("velocity_map_lipschitz", ratio - bound, (F2_SLACK - 1.0) * bound, msg)
 
 
 GENERAL_CHECKS = ("mass", "positivity", "sup_norm", "d_floor", "comparison",
@@ -321,13 +302,20 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
     if checks is None:
         checks = GENERAL_CHECKS if result.kind == "general" else MAXWELL_CHECKS
     deficits = functools.cache(lambda: _barrier_deficits(result))  # one pass, on demand
+    grid, dt = result.problem.sigma_grid, result.problem.space_grid.dt
+    window = 2.0 * (grid.sigma_max - grid.threshold)
     dispatch = {
         "mass": lambda: check_mass(result),
         "positivity": lambda: check_positivity(result),
         "sup_norm": lambda: check_sup_norm(result),
         "d_floor": lambda: check_d_floor(result),
-        "comparison": lambda: _grade_comparison(result, deficits()[0], c_comp),
-        "induced_d_floor": lambda: _grade_induced_d_floor(result, deficits()[1], c_comp),
+        "comparison": lambda: _grade_barrier(
+            "comparison_barrier", deficits()[0], c_comp * (grid.d_sigma + dt),
+            "barrier - p"),
+        "induced_d_floor": lambda: _grade_barrier(
+            "induced_diffusivity_floor", deficits()[1],
+            result.problem.dp.alpha * (window * c_comp * (grid.d_sigma + dt) + 1e-12),
+            "barrier-induced D - recorded D"),
         "moment": lambda: check_moment_identity(result, c_mom),
         "gradient": lambda: check_gradient_bound(result),
         "truncation": lambda: check_truncation(result),
@@ -369,9 +357,8 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
         d=compute_d(state.p, prob.sigma_grid, prob.dp.alpha),
         p=state.p.copy(), xi=state.accum.xi.copy(), acc_d=state.accum.acc_d.copy())
     return RunResult(
-        **vars(state), kind="general" if state.p.size else "maxwell",
-        problem=replace(prob, space_grid=tgrid), eta=eta,
-        p0_max=float(init.p0.max()), p0=init.p0.copy(), snapshots=[snap])
+        **vars(state), problem=replace(prob, space_grid=tgrid), eta=eta,
+        p0=init.p0.copy(), snapshots=[snap])
 
 
 def verify_resume(state: RunState, grid: SigmaGrid, dt: float,
@@ -390,9 +377,7 @@ def verify_resume(state: RunState, grid: SigmaGrid, dt: float,
         pmin, NEGATIVITY_FLOOR, f"min restored value = {pmin:.3e}"))
     t0 = state.step * dt
     barrier = sub_solution(p0, grid, t0, state.accum.xi, state.accum.acc_d)
-    deficit = float((barrier - state.p).max())
-    slack = c_comp * (grid.d_sigma + dt)
-    report.results.append(_soft(
-        "resume_comparison", deficit, slack,
-        f"max (barrier - p) = {deficit:.3e} at t = {t0:.4g} (slack {slack:.1e})"))
+    report.results.append(_grade_barrier(
+        "resume_comparison", [(t0, float((barrier - state.p).max()))],
+        c_comp * (grid.d_sigma + dt), "barrier - p"))
     return report

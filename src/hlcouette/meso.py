@@ -289,18 +289,18 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
 
 
 def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
-                 n_sub: int | None = None, sink_scale: float = 1.0,
-                 d: np.ndarray | None = None) -> tuple[np.ndarray, StepReport]:
+                 sink_scale: float = 1.0, d: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, StepReport]:
     """Advance rows over one macro step of size dt, sub-cycling for the CFL.
 
     b is held constant over the whole macro step (the caller freezes it at
     its fixed-point iterate).  All rows advance in lockstep with the same
-    sub-step count so the batch stays a single vectorized solve.  d, when
-    given, is D of p (compute_d), used by the first sub-step.
+    sub-step count, required_substeps of b, so the batch stays a single
+    vectorized solve.  d, when given, is D of p (compute_d), used by the
+    first sub-step.
     """
     b_arr = _per_row(b, p.shape[0])
-    if n_sub is None:
-        n_sub = required_substeps(b_arr, dt, grid)
+    n_sub = required_substeps(b_arr, dt, grid)
     sub_dt = dt / n_sub
     # the first sub-step's report seeds the sum (seeding with zeros would
     # only turn a -0.0 into +0.0, and no caller sees that: trunc_moment is
@@ -331,22 +331,19 @@ def linf_bound(p0_max: float, alpha: float, t: float) -> float:
 
 @dataclass
 class MesoTrajectory:
-    """Recorded solve of a batch of rows."""
+    """Recorded solve of a batch of rows: per-state meters, final rows."""
 
     times: np.ndarray          # (n_steps+1,)
     tau: np.ndarray            # (n_steps+1, n_rows)
     d: np.ndarray              # (n_steps+1, n_rows)
     mass: np.ndarray           # (n_steps+1, n_rows)
-    p: np.ndarray | None       # (n_steps+1, n_rows, n_sigma) when recorded
     p_final: np.ndarray        # (n_rows, n_sigma)
-    clipped_total: float
     min_before_clip: float
     max_density: float
 
 
 def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
-             dt: float, t_final: float, record_p: bool = True,
-             sink_scale: float = 1.0) -> MesoTrajectory:
+             dt: float, t_final: float, sink_scale: float = 1.0) -> MesoTrajectory:
     """Integrate (n_rows, n_sigma) rows p0 under a prescribed loading history b(t).
 
     The loading for each macro step is frozen at its end-of-step value
@@ -365,9 +362,7 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
     tau = np.empty((n_steps + 1, n_rows))
     d = np.empty((n_steps + 1, n_rows))
     mass = np.empty((n_steps + 1, n_rows))
-    p_hist = np.empty((n_steps + 1, n_rows, grid.n_sigma)) if record_p else None
 
-    clipped = 0.0
     min_pre = np.inf
     max_den = p0_max
 
@@ -375,15 +370,12 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
         tau[k] = compute_tau(p, grid)
         d[k] = compute_d(p, grid, alpha)
         mass[k] = grid.mass(p)
-        if p_hist is not None:
-            p_hist[k] = p
 
     _record(0)
     for k in range(n_steps):
         b_k = forcing.value(times[k + 1])
         # D of the start rows, as recorded, feeds the first sub-step
         p, rep = advance_rows(p, b_k, dt, grid, alpha, sink_scale=sink_scale, d=d[k])
-        clipped += float(rep.clipped_mass.sum())
         min_pre = min(min_pre, rep.min_before_clip)
         step_max = float(p.max())
         max_den = max(max_den, step_max)
@@ -394,6 +386,5 @@ def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
                 f"max p = {step_max:.6g} > {bound:.6g}")
         _record(k + 1)
 
-    return MesoTrajectory(times=times, tau=tau, d=d, mass=mass, p=p_hist,
-                          p_final=p, clipped_total=clipped,
+    return MesoTrajectory(times=times, tau=tau, d=d, mass=mass, p_final=p,
                           min_before_clip=float(min_pre), max_density=max_den)

@@ -13,7 +13,8 @@ Piecewise-linear and sinusoidal forcings evaluate those in closed form, so
 oracle results built on them carry no quadrature error.
 
 ``ShearProtocol`` wraps a forcing as the moving-wall velocity V(t) and
-enforces the start-from-rest constraint V(0) = 0.
+enforces the start-from-rest constraint V(0) = 0.  Its presets know no
+units: config.RunConfig.protocol passes them arguments already scaled.
 """
 
 from __future__ import annotations
@@ -201,15 +202,3 @@ class ShearProtocol:
 
     def window_integral(self, t: float, s: float) -> float:
         return self.forcing.window_integral(t, s)
-
-    def scaled(self, time_scale: float, velocity_scale: float) -> "ShearProtocol":
-        """Protocol seen in rescaled variables: V'(t') = velocity_scale * V(time_scale * t')."""
-        if self.kind == "ramp":
-            return ShearProtocol.ramp(self.spec["v_max"] * velocity_scale,
-                                      self.spec["t_ramp"] / time_scale)
-        if self.kind == "sinusoid":
-            return ShearProtocol.sinusoid(self.spec["amplitude"] * velocity_scale,
-                                          self.spec["period"] / time_scale)
-        times = [t / time_scale for t in self.spec["times"]]
-        values = [v * velocity_scale for v in self.spec["values"]]
-        return ShearProtocol.table(times, values)

@@ -205,6 +205,34 @@ def test_diagnostic_failure_exits_5_but_artifacts_survive(tmp_path, capsys):
     assert statuses["stress_moment_identity"] == "fail"
 
 
+def test_a_zero_viscosity_run_warns_that_its_velocity_bound_is_undefined(tmp_path,
+                                                                          capsys):
+    # mu = 0 is a valid config outside the theory-backed regime; the
+    # velocity-map bound 2 sqrt(T)/mu is undefined there, as the gradient
+    # bound is for eta = 0
+    out = tmp_path / "o"
+    assert main(["run", *TINY, "--set", "model.mu=0",
+                 "--set", "model.allow_degenerate=true", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("WARN velocity_map_lipschitz: ")
+               and line.endswith("; bound undefined for mu = 0") for line in lines)
+    checks = {d["name"]: d for d in read_summary(out / "summary.json")["diagnostics"]}
+    assert checks["velocity_map_lipschitz"]["status"] == "warn"
+    assert checks["velocity_map_lipschitz"]["bound"] == float("inf")
+
+
+@pytest.mark.parametrize("path", [[], ["--set", "model.fully_relaxing=true",
+                                       "--set", "grid.sigma_max=8.0"]],
+                         ids=["kinetic", "closed form"])
+def test_a_zero_step_run_has_nothing_to_measure(path, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", *TINY, "--set", "run.t_final=0", *path, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "integrating 0 steps" in stdout and "all checks passed" in stdout
+    assert "PASS velocity_map_lipschitz: no steps; nothing to measure" in stdout
+    assert read_summary(out / "summary.json")["run"]["n_steps"] == 0
+
+
 @pytest.mark.parametrize("dump_is_a_directory", [False, True])
 def test_mass_guard_trip_dumps_the_state_of_its_step(tmp_path, monkeypatch, capsys,
                                                      dump_is_a_directory):

@@ -42,7 +42,8 @@ def micro_run(snap_every=5, checkpoint_every=5):
 def test_defaults_and_types():
     cfg = standard_config()
     assert cfg.mode == "dimensionless" and not cfg.fully_relaxing
-    assert cfg[("run", "dt")] == 0.001 and isinstance(cfg[("grid", "n_y")], int)
+    assert cfg.values["run"]["dt"] == 0.001
+    assert isinstance(cfg.values["grid"]["n_y"], int)
     assert len(cfg.fingerprint) == 64
     assert cfg.snapshot_every == 100 and cfg.checkpoint_every == 0
     assert cfg.sigma_grid().threshold == 1.0
@@ -52,7 +53,7 @@ def test_defaults_and_types():
 def test_fingerprint_tracks_effective_values():
     base = standard_config()
     tweaked = standard_config(run__dt="0.0005")
-    assert tweaked[("run", "dt")] == 0.0005
+    assert tweaked.values["run"]["dt"] == 0.0005
     assert tweaked.fingerprint != base.fingerprint
     assert standard_config(run__dt="0.0005").fingerprint == tweaked.fingerprint
     # surrounding whitespace is canonicalized away
@@ -96,8 +97,8 @@ def test_file_and_overrides_compose(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\ndt = 0.002\nt_final = 0.5\n")
     cfg = load_config(path=str(path), overrides=["run.t_final=0.25"])
-    assert cfg[("run", "dt")] == 0.002
-    assert cfg[("run", "t_final")] == 0.25
+    assert cfg.values["run"]["dt"] == 0.002
+    assert cfg.values["run"]["t_final"] == 0.25
 
 
 def test_build_standard_scenario():

@@ -66,13 +66,13 @@ def test_advection_moment_gain_is_exact_for_band_supported_data(b):
 
 
 def test_zero_loading_preserves_evenness_and_centering():
-    traj = hl_solve(gaussian_batch(), constant_forcing(0.0), GRID, alpha=1.0,
-                    dt=1e-3, t_final=0.2)
+    p0 = gaussian_batch()
+    traj = hl_solve(p0, constant_forcing(0.0), GRID, alpha=1.0, dt=1e-3, t_final=0.2)
     assert np.max(np.abs(traj.tau)) <= 1e-13
     assert np.max(np.abs(traj.mass - 1.0)) <= 1e-13
     assert np.allclose(traj.p_final, traj.p_final[:, ::-1], atol=1e-15)
     assert traj.min_before_clip >= 0.0
-    assert traj.max_density <= linf_bound(float(traj.p[0].max()), 1.0, 0.2)
+    assert traj.max_density <= linf_bound(float(p0.max()), 1.0, 0.2)
 
 
 def test_cfl_guards():
@@ -94,8 +94,9 @@ def test_required_substeps():
 
 def test_subcycling_matches_manual_lockstep():
     p = np.vstack([gaussian_batch(), gaussian_batch(width=0.6)])
-    b = np.array([0.4, -0.8])
-    q, rep = advance_rows(p, b, 4e-3, GRID, alpha=1.0, n_sub=4)
+    b = np.array([10.0, -30.0])  # |b| dt / d_sigma = 3.84 over the macro step
+    assert required_substeps(b, 4e-3, GRID) == 4
+    q, rep = advance_rows(p, b, 4e-3, GRID, alpha=1.0)
     manual = p
     for _ in range(4):
         manual, _ = hl_step(manual, b, 1e-3, GRID, alpha=1.0)
@@ -123,13 +124,13 @@ def test_solver_shapes_and_recording():
     traj = hl_solve(p0, constant_forcing(0.5), GRID, 1.0, dt=1e-2, t_final=0.05)
     assert traj.times.shape == (6,) and traj.tau.shape == (6, 1)
     assert traj.d.shape == (6, 1) and traj.mass.shape == (6, 1)
-    assert traj.p.shape == (6, 1, 256) and traj.p_final.shape == (1, 256)
-    assert np.array_equal(traj.p[0], p0)
+    assert traj.p_final.shape == (1, 256)
+    assert np.array_equal(traj.tau[0], compute_tau(p0, GRID))
+    assert traj.max_density >= float(p0.max())
     assert not np.shares_memory(traj.p_final, p0)
     batch = np.vstack([p0, p0])
-    tb = hl_solve(batch, constant_forcing(0.5), GRID, 1.0, dt=1e-2,
-                  t_final=0.05, record_p=False)
-    assert tb.tau.shape == (6, 2) and tb.p is None
+    tb = hl_solve(batch, constant_forcing(0.5), GRID, 1.0, dt=1e-2, t_final=0.05)
+    assert tb.tau.shape == (6, 2)
     assert np.array_equal(tb.tau[:, 0], tb.tau[:, 1])
     # two-row and one-row batches agree to rounding (BLAS blocking may differ)
     assert np.allclose(tb.tau[:, 0], traj.tau[:, 0], rtol=0.0, atol=1e-14)
@@ -148,7 +149,7 @@ def test_hl_solve_computes_d_once_per_recorded_state(monkeypatch):
     n_steps, dt = 5, 1e-2
     assert required_substeps(0.5, dt, GRID) == 1
     hl_solve(gaussian_batch(), constant_forcing(0.5), GRID, 1.0, dt=dt,
-             t_final=n_steps * dt, record_p=False)
+             t_final=n_steps * dt)
     assert len(calls) == n_steps + 1
 
 
@@ -163,8 +164,7 @@ def maxwell_limit_error(n_sigma, dt, t_final=0.25, b=0.7, alpha=4.0):
     grid = SigmaGrid(sigma_max=8.0, n_sigma=n_sigma, threshold=0.0)
     p0 = gaussian_batch(grid, width=0.8)
     forcing = constant_forcing(b)
-    traj = hl_solve(p0, forcing, grid, alpha, dt=dt, t_final=t_final,
-                    record_p=False)
+    traj = hl_solve(p0, forcing, grid, alpha, dt=dt, t_final=t_final)
     exact_tau = b * -np.expm1(-traj.times)
     err_tau = np.max(np.abs(traj.tau[:, 0] - exact_tau))
     exact_p = maxwell_p(p0[0], forcing, t_final, grid, alpha)
@@ -187,6 +187,12 @@ def test_general_stepper_converges_to_the_relaxing_limit():
 # without rounding; the fully relaxing grid has no interior band.
 PROPERTY_GRIDS = (SigmaGrid(2.0, 8), SigmaGrid(2.0, 16), SigmaGrid(4.0, 32),
                   SigmaGrid(2.0, 8, threshold=0.0))
+DYADIC_DT = st.integers(1, 12).map(lambda k: 2.0 ** -k)
+# On these every scaling by d_sigma or dt is exact, so a reordered one keeps
+# every bit; the bit-equality properties also draw a cell width and a step
+# that are not powers of two, the standard dt among them
+NON_DYADIC_GRID = SigmaGrid(4.0, 192)  # d_sigma = 1/24
+ANY_DT = st.one_of(DYADIC_DT, st.just(1e-3))
 CELL = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False))
 COURANT = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
                     st.floats(-1.0, 1.0, allow_subnormal=False))
@@ -198,6 +204,16 @@ NEAR_ZERO = st.one_of(st.floats(-1e-10, -np.finfo(float).tiny,
                                 allow_subnormal=False), st.just(0.0))
 # hl_step evaluates each advective term only where its sign occurs
 LOADING_SIGNS = ("any", "nonneg", "nonpos", "zero")
+
+
+def loading(nu, grid, dt):
+    """Loadings of Courant numbers nu: b * (dt / d_sigma) gives nu back
+    exactly on a power-of-two grid and dt; elsewhere b is shrunk by the ulps
+    that keep |b| dt / d_sigma <= 1 after rounding."""
+    b = nu * (grid.d_sigma / dt)
+    while (over := np.abs(b * (dt / grid.d_sigma)) > 1.0).any():
+        b[over] = np.nextafter(b[over], 0.0)
+    return b
 
 
 def signed(nu, sign):
@@ -212,21 +228,25 @@ def signed(nu, sign):
 
 
 @st.composite
-def step_inputs(draw, even=False, banded=False, cell=CELL, sign="any"):
-    grids = [g for g in PROPERTY_GRIDS if g.threshold == 1.0] if banded \
-        else PROPERTY_GRIDS
+def step_inputs(draw, even=False, banded=False, cell=CELL, sign="any", non_dyadic=False):
+    grids = PROPERTY_GRIDS + (NON_DYADIC_GRID,) if non_dyadic else PROPERTY_GRIDS
+    if banded:
+        grids = [g for g in grids if g.threshold == 1.0]
     grid = draw(st.sampled_from(grids))
     n_rows = draw(st.integers(1, 4))
     n = grid.n_sigma
     width = n // 2 if even else n
-    p = np.array(draw(st.lists(st.lists(cell, min_size=width, max_size=width),
-                               min_size=n_rows, max_size=n_rows)))
+    if grid is NON_DYADIC_GRID:  # arrays fills wide rows faster than lists draws them
+        p = draw(arrays(np.float64, (n_rows, width), elements=cell))
+    else:
+        p = np.array(draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                                   min_size=n_rows, max_size=n_rows)))
     if even:
         p = np.hstack([p, p[:, ::-1]])
-    dt = 2.0 ** -draw(st.integers(1, 12))
+    dt = draw(ANY_DT if non_dyadic else DYADIC_DT)
     nu = np.zeros(n_rows) if even else signed(np.array(
         draw(st.lists(COURANT, min_size=n_rows, max_size=n_rows))), sign)
-    return grid, p, nu * (grid.d_sigma / dt), dt, draw(ALPHA)
+    return grid, p, loading(nu, grid, dt), dt, draw(ALPHA)
 
 
 @settings(max_examples=80, deadline=None)
@@ -351,7 +371,8 @@ def unfused_hl_step(p, b, dt, grid, alpha, sink_scale=1.0):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(LOADING_SIGNS).flatmap(
-           lambda sign: step_inputs(cell=st.one_of(CELL, NEAR_ZERO), sign=sign)),
+           lambda sign: step_inputs(cell=st.one_of(CELL, NEAR_ZERO), sign=sign,
+                                    non_dyadic=True)),
        st.booleans(), st.sampled_from([1.0, 0.0, 0.5]), st.booleans())
 def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, first_row, sink_scale,
                                                          pass_d):
@@ -487,7 +508,8 @@ def test_scratch_meters_match_the_mask_gathers_bitwise_property(inputs, alpha):
 # lone-row forms: mask_gather_quadratures and unfused_hl_step on a 1-D row,
 # the scalar offset kernel, and the barrier's convolution of one row.
 CONVENTION_GRIDS = (SigmaGrid(2.0, 8), SigmaGrid(4.0, 32), SigmaGrid(2.0, 8, threshold=0.0),
-                    unchecked_grid(2.0, 8, 5.0))  # the last has n_exterior_side = 0
+                    unchecked_grid(2.0, 8, 5.0),  # n_exterior_side = 0
+                    NON_DYADIC_GRID)
 
 
 @settings(max_examples=200, deadline=None)
@@ -495,7 +517,9 @@ CONVENTION_GRIDS = (SigmaGrid(2.0, 8), SigmaGrid(4.0, 32), SigmaGrid(2.0, 8, thr
 def test_one_row_batches_keep_the_bits_of_lone_rows_property(data):
     grid = data.draw(st.sampled_from(CONVENTION_GRIDS))
     n, ds = grid.n_sigma, grid.d_sigma
-    row = np.array(data.draw(st.lists(st.one_of(CELL, NEAR_ZERO), min_size=n, max_size=n)))
+    cell = st.one_of(CELL, NEAR_ZERO)
+    row = data.draw(arrays(np.float64, (n,), elements=cell)) if grid is NON_DYADIC_GRID \
+        else np.array(data.draw(st.lists(cell, min_size=n, max_size=n)))
     batch = row[None]
     alpha = data.draw(ALPHA)
 
@@ -511,8 +535,8 @@ def test_one_row_batches_keep_the_bits_of_lone_rows_property(data):
     assert same(compute_gradient_energy(batch, grid), ref["gradient_energy"])
 
     # the step under a scalar loading, as a lone row took it
-    dt = 2.0 ** -data.draw(st.integers(1, 12))
-    b = data.draw(COURANT) * (ds / dt)
+    dt = data.draw(ANY_DT)
+    b = loading(np.array([data.draw(COURANT)]), grid, dt)[0]
     sink_scale = data.draw(st.sampled_from([1.0, 0.0, 0.5]))
     try:
         ref_q, ref_rep = unfused_hl_step(row, b, dt, grid, alpha, sink_scale=sink_scale)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hlcouette.config import load_config
 from hlcouette.errors import ValidationError
 from hlcouette.protocols import (PiecewiseLinearForcing, ShearProtocol,
                                  SinusoidForcing)
@@ -99,15 +100,28 @@ def test_protocol_start_from_rest_enforced():
     assert p.value(0.125) == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ShearProtocol.ramp(1.0, 0.5),
-    lambda: ShearProtocol.sinusoid(1.5, 0.8),
-    lambda: ShearProtocol.table([0.0, 0.2, 1.0], [0.0, 1.0, 0.5]),
+# (overrides, preset hand-scaled by time_scale ts and velocity_scale vs)
+@pytest.mark.parametrize("case", [
+    lambda ts, vs: (["protocol.v_max=1.0", "protocol.t_ramp=0.5"],
+                    ShearProtocol.ramp(1.0 * vs, 0.5 / ts)),
+    lambda ts, vs: (["protocol.kind=sinusoid", "protocol.amplitude=1.5",
+                     "protocol.period=0.8"],
+                    ShearProtocol.sinusoid(1.5 * vs, 0.8 / ts)),
+    lambda ts, vs: (["protocol.kind=table", "protocol.times=0,0.2,1",
+                     "protocol.values=0,1,0.5"],
+                    ShearProtocol.table([0.0, 0.2 / ts, 1.0 / ts], [0.0, 1.0 * vs, 0.5 * vs])),
+    lambda ts, vs: (["protocol.kind=zero"], ShearProtocol.ramp(0.0 * vs, 1.0 / ts)),
 ])
-def test_protocol_rescaling(make):
-    p = make()
+def test_protocol_rescaling(case):
+    # a dimensional config sees V'(t') = vs V(ts t') with ts = t0 and
+    # vs = t0/length, V being the protocol the same keys give in scaled units
     time_scale, velocity_scale = 2.0, 0.25
-    q = p.scaled(time_scale, velocity_scale)
+    overrides, expected = case(time_scale, velocity_scale)
+    q = load_config(overrides=["model.mode=dimensional", "model.t0=2.0", "model.length=8.0",
+                               *overrides]).protocol()
+    assert (q.kind, q.spec) == (expected.kind, expected.spec)
+    p = load_config(overrides=overrides).protocol()
     for t_new in [0.0, 0.05, 0.1, 0.3, 0.6]:
+        assert q.value(t_new) == expected.value(t_new)
         assert q.value(t_new) == pytest.approx(
             velocity_scale * p.value(time_scale * t_new), abs=1e-14)
