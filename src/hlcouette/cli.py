@@ -4,6 +4,7 @@ Subcommands:
     validate   check a config and its initial data, report eta
     run        integrate the coupled gap problem, write artifacts
     hl-run     integrate a single stress ensemble under a given loading
+               (coupler's prescribed-loading path) and grade it
     oracle     closed-form fully relaxing solution at one time
     diagnose   run the check battery on a stored checkpoint
     nondim     convert parameters between dimensional and scaled form
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from . import coupler, diagnostics, snapshots
 from .config import RunConfig, load_config
 from .errors import ConfigError, HlCouetteError
-from .meso import hl_solve
+from .grids import SpaceTimeGrid
 from .maxwell import maxwell_p, maxwell_tau
 from .params import (DimensionlessParams, PhysicalParams, nondimensionalize,
                      redimensionalize)
@@ -174,22 +176,31 @@ def cmd_hl_run(args) -> int:
     grid, tgrid = prob.sigma_grid, prob.space_grid
     print(f"fingerprint: {cfg.fingerprint}")
     # the protocol is interpreted directly as the loading b(t) of the first row
-    traj = hl_solve(init.p0[:1], prob.protocol, grid, prob.dp.alpha,
-                    dt=tgrid.dt, t_final=tgrid.t_final)
-    tau, d, mass = traj.tau[:, 0], traj.d[:, 0], traj.mass[:, 0]
-    print(f"t = {traj.times[-1]:g}: tau = {tau[-1]:.10g}, "
+    result = coupler.run_prescribed(
+        replace(prob, space_grid=SpaceTimeGrid(1, tgrid.dt, tgrid.t_final)),
+        init.p0[:1], report.eta)
+    tau = result.series["tau"][:, 0]
+    d = np.concatenate([snap.d for snap in result.snapshots])
+    mass = np.concatenate([grid.mass(snap.p) for snap in result.snapshots])
+    print(f"t = {result.times[-1]:g}: tau = {tau[-1]:.10g}, "
           f"D = {d[-1]:.10g}, mass = {mass[-1]:.12g}, "
-          f"max p = {traj.max_density:.6g}")
+          f"max p = {result.series['max_p'].max():.6g}")
+    for msg in result.warnings:
+        print(f"warning: {msg}")
+    report = diagnostics.evaluate(result, checks=diagnostics.MESO_CHECKS,
+                                  c_comp=cfg.c_comparison, c_mom=cfg.c_moment)
+    print(report.format())
     if args.out:
         out = Path(args.out)
         snapshots.write_fields_csv(
-            out / "point_series.csv", tgrid.t_final, traj.times,
+            out / "point_series.csv", tgrid.t_final, result.times,
             {"tau": tau, "d": d, "mass": mass},
             cfg.fingerprint, index_name="t")
         snapshots.write_fields_csv(
             out / "point_density.csv", tgrid.t_final, grid.centers,
-            {"p": traj.p_final[0]}, cfg.fingerprint, index_name="sigma")
+            {"p": result.p[0]}, cfg.fingerprint, index_name="sigma")
         print(f"wrote point series and final density to {out}")
+    report.raise_if_failed()
     return 0
 
 

@@ -10,10 +10,10 @@ fixed-point (Picard) iteration on the end-of-step velocity:
 declared converged when the relative L2 change of u falls below picard_tol,
 and abandoned after three non-contracting iterates or picard_max of them.
 
-One loop, _integrate, steps both paths, and one driver, _picard, solves
-each step's fixed point.  The loop owns the start or resume, the step-0
-records, the records both paths share (tau, u, b, iters, ratios), the
-snapshots and the checkpoints.  A path has three methods: start(state);
+One loop, _integrate, steps every path, and one driver, _picard, solves
+each coupled step's fixed point.  The loop owns the start or resume, the
+step-0 records, the records every path shares (tau, u, b, iters, ratios),
+the snapshots and the checkpoints.  A path has three methods: start(state);
 step(state, k), which advances the state over step k and returns the
 loading, tau and Picard stats of its accepted iterate; and observe(state,
 k), which records the path's own meters of step k and returns D.
@@ -21,6 +21,10 @@ k), which records the path's own meters of step k and returns D.
   iterate restarts them from the saved start-of-step rows, so the accepted
   step is a genuine implicit solve, not an accumulation.  It keeps the
   accumulators, the mass guard and the truncation monitor.
+- _Prescribed (run_prescribed, hl-run) is _Kinetic with the Picard solve
+  replaced by one advance under a given loading b(t): the single-ensemble
+  equation the coupled problem extends.  It shares _Kinetic's start,
+  observe and per-step bookkeeping; the velocity stays at rest.
 - _Relaxation (run_maxwell) integrates tau' + tau = b exactly per node.
   It is a production path for sigma_c = 0 runs and the cross-validation
   partner of the general solver; its states have no density rows.
@@ -320,21 +324,30 @@ class _Kinetic:
 
     def step(self, state: RunState, k: int):
         prob, accum = self.prob, state.accum
-        grid, sgrid, dp = prob.sigma_grid, prob.space_grid, prob.dp
-        t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
-        state.u, state.p, stats, rep, b, tau = coupled_step(
-            state.u, state.p, t_next, prob, self.d)
+        grid, dt, alpha = prob.sigma_grid, prob.space_grid.dt, prob.dp.alpha
+        b, tau, stats, rep, dxi = self._advance(state, k)
         state.series["trunc"][k] = rep.trunc_moment
         accum.clipped_total += float(rep.clipped_mass.sum())
         accum.min_before_clip = min(accum.min_before_clip, rep.min_before_clip)
-        grad = velocity_gradient(state.u, sgrid)
-        accum.xi += dp.g0 * (0.5 * sgrid.dt * (self.grad + grad)
-                             + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
-        d = compute_d(state.p, grid, dp.alpha)
-        accum.acc_d += 0.5 * sgrid.dt * (self.d + d)
-        accum.grad_sq += sgrid.dt * compute_gradient_energy(state.p, grid)
-        self.grad, self.d = grad, d
+        accum.xi += dxi
+        d = compute_d(state.p, grid, alpha)
+        accum.acc_d += 0.5 * dt * (self.d + d)
+        accum.grad_sq += dt * compute_gradient_energy(state.p, grid)
+        self.d = d
         return b, tau, stats
+
+    def _advance(self, state: RunState, k: int):
+        """Advance u and the rows over step k; return the loading, tau, the
+        Picard stats, the meso report and the step's growth of xi."""
+        prob, sgrid = self.prob, self.prob.space_grid
+        t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
+        state.u, state.p, stats, rep, b, tau = coupled_step(
+            state.u, state.p, t_next, prob, self.d)
+        grad = velocity_gradient(state.u, sgrid)
+        dxi = prob.dp.g0 * (0.5 * sgrid.dt * (self.grad + grad)
+                            + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
+        self.grad = grad
+        return b, tau, stats, rep, dxi
 
     def observe(self, state: RunState, k: int) -> np.ndarray:
         grid, series, p = self.prob.sigma_grid, state.series, state.p
@@ -359,6 +372,22 @@ class _Kinetic:
                     f"{TRUNCATION_TOL:.1e} at t = {self.prob.space_grid.time(k):.6g}; "
                     "consider a larger sigma_max")
         return self.d
+
+
+class _Prescribed(_Kinetic):
+    """The kinetic path under a prescribed loading b(t) = prob.protocol, any
+    Forcing: each step advances the rows by advance_rows with b frozen at
+    the step's end, as one iterate; the velocity stays at rest."""
+
+    def _advance(self, state: RunState, k: int):
+        prob, sgrid, loading = self.prob, self.prob.space_grid, self.prob.protocol
+        t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
+        b = loading.value(t_next)
+        state.p, rep = advance_rows(state.p, b, sgrid.dt, prob.sigma_grid, prob.dp.alpha,
+                                    sink_scale=prob.sink_scale, d=self.d)
+        tau = compute_tau(state.p, prob.sigma_grid)
+        return (b, tau, PicardStats(1, math.nan), rep,
+                loading.integral(t_next) - loading.integral(t_prev))
 
 
 class _Relaxation:
@@ -476,3 +505,16 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
     return _integrate(prob, _Relaxation(prob), prob.dp.alpha, u0,
                       np.zeros(path_rows(prob, closed_form=True)), tau0,
                       snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)
+
+
+def run_prescribed(prob: CoupledProblem, p0: np.ndarray, eta: float) -> RunResult:
+    """Integrate the rows p0, one per gap node, under the prescribed loading
+    b(t) = prob.protocol (any Forcing), keeping a snapshot of every state.
+
+    This is the single-ensemble equation under a given shear rate that the
+    coupled problem extends; the velocity stays at rest.
+    """
+    if p0.shape != path_rows(prob, closed_form=False):
+        raise ValidationError("initial rows do not match the grids")
+    return _integrate(prob, _Prescribed(prob), eta, np.zeros(prob.space_grid.n_y), p0,
+                      compute_tau(p0, prob.sigma_grid), 1, 0, None, None, None)

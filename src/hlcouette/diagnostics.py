@@ -35,7 +35,7 @@ from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import h1_norm_sq, heat_step, l2_norm
 from .maxwell import offset_kernel
-from .meso import compute_d, compute_tau, linf_bound
+from .meso import compute_d, compute_tau
 
 NEGATIVITY_FLOOR = -1e-12
 CLIP_TOL = 1e-10
@@ -214,6 +214,11 @@ def check_moment_identity(result: RunResult, c_mom: float = C_MOMENT) -> CheckRe
                  f"max |moment residual| = {worst:.3e} (slack {slack:.1e})")
 
 
+def linf_bound(p0_max: float, alpha: float, t: float) -> float:
+    """A-priori sup-norm bound max p <= max p0 + sqrt(alpha t / pi)."""
+    return p0_max + math.sqrt(alpha * max(t, 0.0) / math.pi)
+
+
 def gradient_energy_bound(p0_max: float, alpha: float, eta: float, t: float) -> float:
     """A-priori bound on int_0^t int |dsigma p|^2 dsigma ds (per row)."""
     if eta <= 0:
@@ -293,6 +298,7 @@ def check_f2(result: RunResult) -> CheckResult:
 GENERAL_CHECKS = ("mass", "positivity", "sup_norm", "d_floor", "comparison",
                   "induced_d_floor", "moment", "gradient", "truncation", "f2")
 MAXWELL_CHECKS = ("f2",)
+MESO_CHECKS = tuple(c for c in GENERAL_CHECKS if c != "f2")  # no velocity is solved
 
 
 def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,

@@ -41,8 +41,8 @@ class CFLError(HlCouetteError):
 
 
 class SchemeInstabilityError(HlCouetteError):
-    """The scheme produced values a stable run cannot produce (deep negativity,
-    sup-norm bound violation). Signals a bug or a broken step size."""
+    """The scheme produced values a stable run cannot produce (deep
+    negativity). Signals a bug or a broken step size."""
 
     exit_code = 4
 

@@ -6,7 +6,9 @@ relaxation equation
     dt p + b dsigma p - D(p) d2sigma p + 1_{|sigma|>thr} p = (D/alpha) delta_0,
     D(p) = alpha * int_{|sigma|>thr} p dsigma,
 
-with b the local elastic loading rate.  Every function here takes the
+with b the local elastic loading rate.  This module advances rows over
+one macro step; coupler steps them through time on every path, the
+prescribed loading of hl-run included.  Every function here takes the
 rows as an (n_rows, n_sigma) float batch, a single row as a batch of one,
 and returns one value (or row) per row.  One step is IMEX split, in order:
 
@@ -77,13 +79,10 @@ import numpy as np
 
 from .errors import CFLError, SchemeInstabilityError
 from .grids import SigmaGrid
-from .protocols import Forcing
 from .tridiag import solve_diffusion_batch
 
 # A pre-clip density below this signals a broken scheme, not rounding noise.
 INSTABILITY_FLOOR = -1e-8
-# Slack on the sup-norm safeguard inside hl_solve.
-LINF_ASSERT_TOL = 1e-6
 
 
 def compute_d(p: np.ndarray, grid: SigmaGrid, alpha: float):
@@ -322,69 +321,3 @@ def required_substeps(b, dt: float, grid: SigmaGrid) -> int:
     n_cfl = max(1, math.ceil(worst * dt / grid.d_sigma))
     n_sink = max(1, math.ceil(dt / 0.5))
     return max(n_cfl, n_sink)
-
-
-def linf_bound(p0_max: float, alpha: float, t: float) -> float:
-    """A-priori sup-norm bound max p <= max p0 + sqrt(alpha t / pi)."""
-    return p0_max + math.sqrt(alpha * max(t, 0.0) / math.pi)
-
-
-@dataclass
-class MesoTrajectory:
-    """Recorded solve of a batch of rows: per-state meters, final rows."""
-
-    times: np.ndarray          # (n_steps+1,)
-    tau: np.ndarray            # (n_steps+1, n_rows)
-    d: np.ndarray              # (n_steps+1, n_rows)
-    mass: np.ndarray           # (n_steps+1, n_rows)
-    p_final: np.ndarray        # (n_rows, n_sigma)
-    min_before_clip: float
-    max_density: float
-
-
-def hl_solve(p0: np.ndarray, forcing: Forcing, grid: SigmaGrid, alpha: float,
-             dt: float, t_final: float, sink_scale: float = 1.0) -> MesoTrajectory:
-    """Integrate (n_rows, n_sigma) rows p0 under a prescribed loading history b(t).
-
-    The loading for each macro step is frozen at its end-of-step value
-    (matching the implicit convention of the coupled solver).  The a-priori
-    sup-norm bound is asserted every step; violating it raises, because a
-    stable consistent step cannot cross it.
-    """
-    p = np.array(p0, dtype=float)  # a copy: p_final never aliases p0
-    n_rows = p.shape[0]
-    n_steps = round(t_final / dt)
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise CFLError("t_final must be an integer number of steps")
-
-    p0_max = float(p.max())
-    times = dt * np.arange(n_steps + 1)
-    tau = np.empty((n_steps + 1, n_rows))
-    d = np.empty((n_steps + 1, n_rows))
-    mass = np.empty((n_steps + 1, n_rows))
-
-    min_pre = np.inf
-    max_den = p0_max
-
-    def _record(k: int):
-        tau[k] = compute_tau(p, grid)
-        d[k] = compute_d(p, grid, alpha)
-        mass[k] = grid.mass(p)
-
-    _record(0)
-    for k in range(n_steps):
-        b_k = forcing.value(times[k + 1])
-        # D of the start rows, as recorded, feeds the first sub-step
-        p, rep = advance_rows(p, b_k, dt, grid, alpha, sink_scale=sink_scale, d=d[k])
-        min_pre = min(min_pre, rep.min_before_clip)
-        step_max = float(p.max())
-        max_den = max(max_den, step_max)
-        bound = linf_bound(p0_max, alpha, times[k + 1])
-        if step_max > bound + LINF_ASSERT_TOL * (1.0 + bound):
-            raise SchemeInstabilityError(
-                f"sup-norm bound violated at t = {times[k + 1]:.6g}: "
-                f"max p = {step_max:.6g} > {bound:.6g}")
-        _record(k + 1)
-
-    return MesoTrajectory(times=times, tau=tau, d=d, mass=mass, p_final=p,
-                          min_before_clip=float(min_pre), max_density=max_den)

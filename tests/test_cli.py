@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, artifact wiring."""
 
 import filecmp
+import hashlib
 import json
 import os
 import shutil
@@ -301,15 +302,44 @@ def test_an_unreadable_checkpoint_exits_6(damage, tmp_path, capsys):
         read_series(series)
 
 
+HL_RUN_CSV_SHA256 = {
+    "point_series.csv": "b5a6baf2ee080beb5935b70199bd6c3e3de5e0ec8c2739ed8af99f80752d97dd",
+    "point_density.csv": "39ef1bc07e102d62b8cc70fd352ea6941d4455c9d91e487affd0b61dd9845b6f",
+}
+
+
 def test_hl_run_point_ensemble(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["hl-run", "--set", "grid.n_sigma=64",
                "--set", "run.t_final=0.01", "--out", str(out)])
     assert rc == 0
     assert "tau = " in capsys.readouterr().out
-    assert (out / "point_series.csv").exists()
-    assert (out / "point_density.csv").exists()
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in HL_RUN_CSV_SHA256} == HL_RUN_CSV_SHA256
     assert main(["hl-run", "--set", "model.mode=dimensional"]) == 3
+
+
+@pytest.mark.parametrize("argv,line", [
+    ([], "t = 1: tau = 0.5617310656, D = 0.3231397129, mass = 1, max p = 0.539015"),
+    (["--set", "grid.n_sigma=64"],
+     "t = 1: tau = 0.5571658219, D = 0.3304840246, mass = 1, max p = 0.51517"),
+], ids=["default", "n_sigma_64"])
+def test_hl_run_prints_its_pinned_line(argv, line, capsys):
+    assert main(["hl-run", *argv]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_hl_run_grades_its_run_and_still_writes(tmp_path, capsys):
+    # a comparison slack far below the scheme's deficit fails the graded
+    # barrier; the point CSVs are written before the run is failed
+    out = tmp_path / "o"
+    assert main(["hl-run", "--set", "grid.n_sigma=64", "--set", "run.t_final=0.01",
+                 "--set", "tolerances.c_comparison=1e-6", "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert "FAIL comparison_barrier" in captured.out
+    assert "error: diagnostics failed" in captured.err
+    assert sorted(q.name for q in out.iterdir()) == ["point_density.csv",
+                                                      "point_series.csv"]
 
 
 def test_oracle_requires_fully_relaxing(capsys):

@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hlcouette
-from hlcouette import config, coupler, meso
-from hlcouette.errors import CFLError, SchemeInstabilityError
-from hlcouette.grids import SigmaGrid
-from hlcouette.initial import gaussian_cell_averages, uniform_cell_averages
-from hlcouette.diagnostics import sub_solution
+from hlcouette import config, coupler
+from hlcouette.errors import CFLError, ConfigError, SchemeInstabilityError
+from hlcouette.grids import SigmaGrid, SpaceTimeGrid
+from hlcouette.initial import compute_eta, gaussian_cell_averages, uniform_cell_averages
+from hlcouette.diagnostics import MESO_CHECKS, evaluate, linf_bound, sub_solution
 from hlcouette.maxwell import maxwell_p, offset_kernel
 from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, _scratch, advance_rows,
                             compute_d, compute_gradient_energy, compute_inner_moment,
-                            compute_tau, hl_solve, hl_step,
-                            linf_bound, required_substeps)
-from hlcouette.protocols import PiecewiseLinearForcing
+                            compute_tau, hl_step, required_substeps)
+from hlcouette.params import DimensionlessParams
+from hlcouette.protocols import PiecewiseLinearForcing, ShearProtocol
 from hlcouette.tridiag import solve_diffusion_batch
 from test_maxwell import scalar_offset_kernel
 
@@ -36,6 +36,22 @@ def gaussian_batch(grid=GRID, width=1.0):
 
 def constant_forcing(value):
     return PiecewiseLinearForcing([0.0, 1.0], [value, value])
+
+
+def prescribed(p0, forcing, grid, alpha, dt, t_final, sink_scale=1.0):
+    """Run the rows p0 under the loading forcing on the prescribed path."""
+    prob = coupler.CoupledProblem(
+        dp=DimensionlessParams(rho=1.0, alpha=alpha, g0=1.0, mu=1.0), sigma_grid=grid,
+        space_grid=SpaceTimeGrid(p0.shape[0], dt, t_final), protocol=forcing,
+        sink_scale=sink_scale)
+    return coupler.run_prescribed(prob, p0, compute_eta(p0, grid, alpha)[0])
+
+
+def recorded(result):
+    """tau, D and mass of every state of a prescribed run, (n_steps+1, n_rows) each."""
+    grid = result.problem.sigma_grid
+    return (result.series["tau"], np.array([snap.d for snap in result.snapshots]),
+            np.array([grid.mass(snap.p) for snap in result.snapshots]))
 
 
 def test_step_conserves_mass_exactly_with_full_bookkeeping():
@@ -67,12 +83,13 @@ def test_advection_moment_gain_is_exact_for_band_supported_data(b):
 
 def test_zero_loading_preserves_evenness_and_centering():
     p0 = gaussian_batch()
-    traj = hl_solve(p0, constant_forcing(0.0), GRID, alpha=1.0, dt=1e-3, t_final=0.2)
-    assert np.max(np.abs(traj.tau)) <= 1e-13
-    assert np.max(np.abs(traj.mass - 1.0)) <= 1e-13
-    assert np.allclose(traj.p_final, traj.p_final[:, ::-1], atol=1e-15)
-    assert traj.min_before_clip >= 0.0
-    assert traj.max_density <= linf_bound(float(p0.max()), 1.0, 0.2)
+    res = prescribed(p0, constant_forcing(0.0), GRID, alpha=1.0, dt=1e-3, t_final=0.2)
+    tau, _, mass = recorded(res)
+    assert np.max(np.abs(tau)) <= 1e-13
+    assert np.max(np.abs(mass - 1.0)) <= 1e-13
+    assert np.allclose(res.p, res.p[:, ::-1], atol=1e-15)
+    assert res.accum.min_before_clip >= 0.0
+    assert res.series["max_p"].max() <= linf_bound(float(p0.max()), 1.0, 0.2)
 
 
 def test_cfl_guards():
@@ -81,8 +98,8 @@ def test_cfl_guards():
         hl_step(p, 32.0, 1e-3, GRID, alpha=1.0)       # |b| dt / d_sigma > 1
     with pytest.raises(CFLError):
         hl_step(p, 0.0, 1.0, GRID, alpha=1.0)         # explicit sink needs dt < 1
-    with pytest.raises(CFLError):
-        hl_solve(p, constant_forcing(0.0), GRID, 1.0, dt=3e-3, t_final=0.01)
+    with pytest.raises(ConfigError):  # the horizon is no whole number of steps
+        prescribed(p, constant_forcing(0.0), GRID, 1.0, dt=3e-3, t_final=0.01)
 
 
 def test_required_substeps():
@@ -113,43 +130,53 @@ def test_instability_guard_trips_on_garbage_input():
 
 def test_doubled_sink_breaks_the_sup_norm_safeguard():
     # The fault hook feeds the re-injection more mass than the true source
-    # rate; the a-priori sup bound is then crossed and the solver aborts.
-    with pytest.raises(SchemeInstabilityError):
-        hl_solve(gaussian_batch(), constant_forcing(0.0), GRID, alpha=1.0,
-                 dt=1e-3, t_final=1.0, sink_scale=2.0)
+    # rate; the a-priori sup bound is then crossed and grading fails the run.
+    # Without loading the rows stay even, so tau and the moment residual stay
+    # zero; under a loading the doubled sink also breaks the stress balance.
+    failed = {}
+    for name, loading in (("zero", constant_forcing(0.0)),
+                          ("ramp", ShearProtocol.ramp(1.0, 0.5))):
+        res = prescribed(gaussian_batch(), loading, GRID, alpha=1.0,
+                         dt=1e-3, t_final=1.0, sink_scale=2.0)
+        failed[name] = {r.name for r in evaluate(res, checks=MESO_CHECKS).failures}
+    assert failed == {
+        "zero": {"sup_norm_growth", "comparison_barrier"},
+        "ramp": {"sup_norm_growth", "comparison_barrier", "stress_moment_identity"}}
 
 
 def test_solver_shapes_and_recording():
     p0 = gaussian_batch()
-    traj = hl_solve(p0, constant_forcing(0.5), GRID, 1.0, dt=1e-2, t_final=0.05)
-    assert traj.times.shape == (6,) and traj.tau.shape == (6, 1)
-    assert traj.d.shape == (6, 1) and traj.mass.shape == (6, 1)
-    assert traj.p_final.shape == (1, 256)
-    assert np.array_equal(traj.tau[0], compute_tau(p0, GRID))
-    assert traj.max_density >= float(p0.max())
-    assert not np.shares_memory(traj.p_final, p0)
+    res = prescribed(p0, constant_forcing(0.5), GRID, 1.0, dt=1e-2, t_final=0.05)
+    tau, d, mass = recorded(res)
+    assert res.times.shape == (6,) and tau.shape == (6, 1)
+    assert d.shape == (6, 1) and mass.shape == (6, 1)
+    assert res.p.shape == (1, 256)
+    assert np.array_equal(tau[0], compute_tau(p0, GRID))
+    assert res.series["max_p"].max() >= float(p0.max())
+    assert not np.shares_memory(res.p, p0)
     batch = np.vstack([p0, p0])
-    tb = hl_solve(batch, constant_forcing(0.5), GRID, 1.0, dt=1e-2, t_final=0.05)
-    assert tb.tau.shape == (6, 2)
-    assert np.array_equal(tb.tau[:, 0], tb.tau[:, 1])
+    tb = prescribed(batch, constant_forcing(0.5), GRID, 1.0, dt=1e-2,
+                    t_final=0.05).series["tau"]
+    assert tb.shape == (6, 2)
+    assert np.array_equal(tb[:, 0], tb[:, 1])
     # two-row and one-row batches agree to rounding (BLAS blocking may differ)
-    assert np.allclose(tb.tau[:, 0], traj.tau[:, 0], rtol=0.0, atol=1e-14)
+    assert np.allclose(tb[:, 0], tau[:, 0], rtol=0.0, atol=1e-14)
 
 
-def test_hl_solve_computes_d_once_per_recorded_state(monkeypatch):
+def test_prescribed_path_computes_d_once_per_recorded_state(monkeypatch):
     # the D recorded for each state feeds the step that starts from it
     calls = []
-    compute = meso.compute_d
+    compute = coupler.compute_d
 
     def counting(*args, **kwargs):
         calls.append(1)
         return compute(*args, **kwargs)
 
-    monkeypatch.setattr(meso, "compute_d", counting)
+    monkeypatch.setattr(coupler, "compute_d", counting)
     n_steps, dt = 5, 1e-2
     assert required_substeps(0.5, dt, GRID) == 1
-    hl_solve(gaussian_batch(), constant_forcing(0.5), GRID, 1.0, dt=dt,
-             t_final=n_steps * dt)
+    prescribed(gaussian_batch(), constant_forcing(0.5), GRID, 1.0, dt=dt,
+               t_final=n_steps * dt)
     assert len(calls) == n_steps + 1
 
 
@@ -164,12 +191,13 @@ def maxwell_limit_error(n_sigma, dt, t_final=0.25, b=0.7, alpha=4.0):
     grid = SigmaGrid(sigma_max=8.0, n_sigma=n_sigma, threshold=0.0)
     p0 = gaussian_batch(grid, width=0.8)
     forcing = constant_forcing(b)
-    traj = hl_solve(p0, forcing, grid, alpha, dt=dt, t_final=t_final)
-    exact_tau = b * -np.expm1(-traj.times)
-    err_tau = np.max(np.abs(traj.tau[:, 0] - exact_tau))
+    res = prescribed(p0, forcing, grid, alpha, dt=dt, t_final=t_final)
+    tau, _, mass = recorded(res)
+    exact_tau = b * -np.expm1(-res.times)
+    err_tau = np.max(np.abs(tau[:, 0] - exact_tau))
     exact_p = maxwell_p(p0[0], forcing, t_final, grid, alpha)
-    err_p = float(np.sum(np.abs(traj.p_final[0] - exact_p))) * grid.d_sigma
-    assert np.max(np.abs(traj.mass - 1.0)) <= 1e-12
+    err_p = float(np.sum(np.abs(res.p[0] - exact_p))) * grid.d_sigma
+    assert np.max(np.abs(mass - 1.0)) <= 1e-12
     return err_tau, err_p
 
 
