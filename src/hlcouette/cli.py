@@ -85,9 +85,8 @@ def cmd_run(args) -> int:
     try:
         resume = None
         if args.resume:
-            resume = snapshots.load_checkpoint(args.resume,
-                                               expect_fingerprint=cfg.fingerprint)
-            coupler.check_resume_path(resume, coupler.path_rows(prob, closed_form))
+            resume = snapshots.load_checkpoint(args.resume, expect_fingerprint=cfg.fingerprint)
+            coupler.check_state(resume, prob, (coupler.path_rows(prob, closed_form),))
             if resume.p.size:  # a closed-form state has no rows to check
                 check = diagnostics.verify_resume(resume, prob.sigma_grid, prob.space_grid.dt,
                                                   init.p0, prob.dp.alpha, cfg.c_comparison)
@@ -240,9 +239,8 @@ def cmd_diagnose(args) -> int:
     cfg = _load(args)
     prob, init, report = cfg.build()
     report.raise_if_failed()
-    state = snapshots.load_checkpoint(args.checkpoint,
-                                      expect_fingerprint=cfg.fingerprint
-                                      if not args.any_config else None)
+    state = snapshots.load_checkpoint(
+        args.checkpoint, expect_fingerprint=None if args.any_config else cfg.fingerprint)
     result = diagnostics.result_from_checkpoint(prob, init, report.eta, state)
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"checkpoint step {state.step} "

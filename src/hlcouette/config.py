@@ -152,20 +152,13 @@ class RunConfig:
     # initial data ---------------------------------------------------
     def initial(self) -> InitialData:
         i = self.values["initial"]
-        kind = i["p0"]
         sc = self.values["model"]["sigma_c"] if self.mode == "dimensional" else 1.0
-        if kind == "gaussian":
-            args = {"mean": i["mean"] / sc, "width": i["width"] / sc}
-        elif kind == "uniform":
-            args = {"lo": i["lo"] / sc, "hi": i["hi"] / sc}
-        elif kind == "mixture":
-            args = {"mean1": i["mean1"] / sc, "width1": i["width1"] / sc,
-                    "mean2": i["mean2"] / sc, "width2": i["width2"] / sc,
-                    "weight1": i["weight1"]}
-        else:
-            raise ConfigError(f"unknown initial preset {kind!r}")
+        # every preset's lengths in scaled stress; from_preset picks its own
+        args = {k: i[k] / sc for k in ("mean", "width", "lo", "hi",
+                                        "mean1", "width1", "mean2", "width2")}
         return InitialData.from_preset(self.sigma_grid(), self.space_grid(),
-                                       p0_kind=kind, p0_args=args,
+                                       p0_kind=i["p0"],
+                                       p0_args={**args, "weight1": i["weight1"]},
                                        u0_kind=i["u0"],
                                        u0_amplitude=i["u0_amplitude"])
 

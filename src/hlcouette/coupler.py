@@ -11,12 +11,12 @@ declared converged when the relative L2 change of u falls below picard_tol,
 and abandoned after three non-contracting iterates or picard_max of them.
 
 One loop, _integrate, steps every path, and one driver, _picard, solves
-each coupled step's fixed point.  The loop owns the start or resume, the
-step-0 records, the records every path shares (tau, u, b, iters, ratios),
-the snapshots and the checkpoints.  A path has three methods: start(state);
-step(state, k), which advances the state over step k and returns the
-loading, tau and Picard stats of its accepted iterate; and observe(state,
-k), which records the path's own meters of step k and returns D.
+each coupled step's fixed point.  The loop owns the start state, its step-0
+records, the records every path shares (tau, u, b, iters, ratios), the
+snapshots and the checkpoints.  A path has three methods: start(state)
+returns its tau; step(state, k) advances it over step k and returns the
+loading, tau and Picard stats of its accepted iterate; observe(state, k)
+records the path's meters of step k and returns D.
 - _Kinetic (run) advances the density rows by the meso solver.  Every
   iterate restarts them from the saved start-of-step rows, so the accepted
   step is a genuine implicit solve, not an accumulation.  It keeps the
@@ -31,7 +31,8 @@ k), which records the path's own meters of step k and returns D.
 
 A run after any step is one RunState, which a checkpoint holds and a run
 resumes from; a RunResult is the final one plus what the run was run on,
-and reads its path and initial maximum from its rows.
+and reads its path and initial maximum from its rows.  Every state meets
+its problem at one gate, check_state, which refuses one that does not fit.
 The per-step records are named once, by their SERIES key, in RunState.series
 and every archive alike: a new meter is one SERIES row plus the line of the
 loop or of a path that fills it.
@@ -230,13 +231,32 @@ class RunResult(RunState):
         return self.series["iters"]
 
 
-def check_resume_path(state: RunState, rows: tuple[int, ...]) -> None:
-    """Refuse a state of the other path: the closed form and --force-general
-    share a fingerprint, so only the shape of the density rows tells them apart."""
-    if state.p.shape != rows:
+def check_state(state: RunState, prob: CoupledProblem,
+                rows: tuple[tuple[int, int], ...]) -> None:
+    """Refuse a state whose step, velocity, running integrals, records or rows
+    (of a shape in rows, see path_rows) do not fit prob: the one gate where a
+    state meets a problem, at a fresh start, a resume or a diagnosed checkpoint."""
+    n_y, n_sigma, n_steps = prob.space_grid.n_y, prob.sigma_grid.n_sigma, prob.space_grid.n_steps
+    if not isinstance(state.step, (int, np.integer)) or not 0 <= state.step <= n_steps:
+        raise ConfigError(f"the state's step is {state.step!r}, but the config's horizon "
+                          f"needs an integer in [0, {n_steps}]")
+    shapes = [("u", np.shape(state.u), [(n_y,)]), ("p", np.shape(state.p), list(rows))]
+    shapes += [(f"accumulator {key!r}", np.shape(getattr(state.accum, key)), [(n_y,)])
+               for key in ("xi", "acc_d", "grad_sq")]
+    shapes += [(f"series {f.key!r} at step {state.step}", np.shape(state.series[f.key]),
+                [(f.length(state.step),) + ((n_y,) if f.per_y else ())]) for f in SERIES]
+    for name, found, wanted in shapes:
+        if found in wanted:
+            continue
+        if name == "p" and found in {path_rows(prob, c) for c in (False, True)}:
+            # the closed form and --force-general share a fingerprint, so
+            # only the shape of the density rows tells them apart
+            raise ConfigError(
+                f"the state holds {found[0]} density rows, this path {rows[0][0]}: "
+                "resume the kinetic path with --force-general, the closed form without it")
         raise ConfigError(
-            f"the checkpoint holds {state.p.shape[0]} density rows, this path {rows[0]}: "
-            "resume the kinetic path with --force-general, the closed form without it")
+            f"the state's {name} has shape {found}, but the config's grids "
+            f"(n_y = {n_y}, n_sigma = {n_sigma}) need {' or '.join(map(str, wanted))}")
 
 
 def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
@@ -317,10 +337,11 @@ class _Kinetic:
     def __init__(self, prob: CoupledProblem):
         self.prob = prob
 
-    def start(self, state: RunState) -> None:
+    def start(self, state: RunState) -> np.ndarray:
         prob = self.prob
         self.d = compute_d(state.p, prob.sigma_grid, prob.dp.alpha)
         self.grad = velocity_gradient(state.u, prob.space_grid)
+        return compute_tau(state.p, prob.sigma_grid)
 
     def step(self, state: RunState, k: int):
         prob, accum = self.prob, state.accum
@@ -398,10 +419,11 @@ class _Relaxation:
     def __init__(self, prob: CoupledProblem):
         self.prob = prob
 
-    def start(self, state: RunState) -> None:
+    def start(self, state: RunState) -> np.ndarray:
         dt = self.prob.space_grid.dt
         self.decay, self.gain = math.exp(-dt), -math.expm1(-dt)  # accurate for small dt
         self.d = np.full(state.u.size, self.prob.dp.alpha)
+        return state.series["tau"][state.step]
 
     def step(self, state: RunState, k: int):
         tau = state.series["tau"][k]
@@ -420,17 +442,16 @@ class _Relaxation:
         return self.d
 
 
-def _integrate(prob: CoupledProblem, path, eta: float, u0: np.ndarray,
-               p0: np.ndarray, tau0: np.ndarray, snap_every: int, checkpoint_every: int,
-               checkpoint_sink, resume: RunState | None, snapshot_sink) -> RunResult:
-    """Step a path from (u0, p0, tau0), or from resume, to the horizon."""
+def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: RunState,
+               snap_every: int, checkpoint_every: int, checkpoint_sink,
+               snapshot_sink) -> RunResult:
+    """Step a path from start, a state of the run from rows p0, to the horizon."""
     sgrid = prob.space_grid
     n_y, n_steps = sgrid.n_y, sgrid.n_steps
+    rows = path_rows(prob, closed_form=isinstance(path, _Relaxation))
+    check_state(start, prob, (rows,))
+    check_series_budget(sgrid, rows, snap_every)
     p0 = p0.copy()
-    start = resume or RunState(step=0, u=u0, p=p0, accum=Accumulators.zeros(n_y),
-                               series=_new_series(0, n_y), warnings=[])
-    check_resume_path(start, p0.shape)
-    check_series_budget(sgrid, p0.shape, snap_every)
     series = _new_series(n_steps, n_y)
     state = RunState(step=start.step, u=start.u.copy(), p=start.p.copy(),
                      accum=start.accum.copy(), series=series, warnings=list(start.warnings))
@@ -447,9 +468,9 @@ def _integrate(prob: CoupledProblem, path, eta: float, u0: np.ndarray,
             if snapshot_sink is not None:
                 snapshot_sink(snapshots[-1])
 
-    path.start(state)
-    if resume is None:
-        series["tau"][0] = tau0
+    tau = path.start(state)
+    if state.step == 0:
+        series["tau"][0] = tau
         series["u"][0] = state.u
         _observe(0)
     for k in range(state.step, n_steps):
@@ -467,6 +488,13 @@ def _integrate(prob: CoupledProblem, path, eta: float, u0: np.ndarray,
     return RunResult(**vars(state), problem=prob, eta=eta, p0=p0, snapshots=snapshots)
 
 
+def _first_state(prob: CoupledProblem, u0: np.ndarray, p0: np.ndarray, **records) -> RunState:
+    """Step 0 from velocity u0 and rows p0; the loop fills the records not given."""
+    n_y = prob.space_grid.n_y
+    return RunState(step=0, u=u0, p=p0, accum=Accumulators.zeros(n_y),
+                    series={**_new_series(0, n_y), **records}, warnings=[])
+
+
 def run(prob: CoupledProblem, init: InitialData, eta: float,
         snap_every: int = 0, checkpoint_every: int = 0,
         checkpoint_sink=None, resume: RunState | None = None,
@@ -481,11 +509,9 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
     taken (it also goes into RunResult.snapshots); nothing later changes
     its arrays.  resume is a RunState of this path to continue bit for bit.
     """
-    if init.p0.shape != (prob.space_grid.n_y, prob.sigma_grid.n_sigma):
-        raise ValidationError("initial rows do not match the grids")
-    tau0 = compute_tau(init.p0, prob.sigma_grid)
-    return _integrate(prob, _Kinetic(prob), eta, init.u0, init.p0, tau0,
-                      snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)
+    return _integrate(prob, _Kinetic(prob), eta, init.p0,
+                      resume or _first_state(prob, init.u0, init.p0),
+                      snap_every, checkpoint_every, checkpoint_sink, snapshot_sink)
 
 
 def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
@@ -499,12 +525,10 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
     fixed point as the general path.  The options are run's; the states
     hold no density rows (shape (0, n_sigma)).
     """
-    tau0, u0 = np.asarray(tau0, dtype=float), np.asarray(u0, dtype=float)
-    if tau0.shape != (prob.space_grid.n_y,) or u0.shape != tau0.shape:
-        raise ValidationError("tau0/u0 do not match the space grid")
-    return _integrate(prob, _Relaxation(prob), prob.dp.alpha, u0,
-                      np.zeros(path_rows(prob, closed_form=True)), tau0,
-                      snap_every, checkpoint_every, checkpoint_sink, resume, snapshot_sink)
+    no_rows = np.zeros(path_rows(prob, closed_form=True))
+    return _integrate(prob, _Relaxation(prob), prob.dp.alpha, no_rows,
+                      resume or _first_state(prob, u0, no_rows, tau=tau0[None]),
+                      snap_every, checkpoint_every, checkpoint_sink, snapshot_sink)
 
 
 def run_prescribed(prob: CoupledProblem, p0: np.ndarray, eta: float) -> RunResult:
@@ -514,7 +538,5 @@ def run_prescribed(prob: CoupledProblem, p0: np.ndarray, eta: float) -> RunResul
     This is the single-ensemble equation under a given shear rate that the
     coupled problem extends; the velocity stays at rest.
     """
-    if p0.shape != path_rows(prob, closed_form=False):
-        raise ValidationError("initial rows do not match the grids")
-    return _integrate(prob, _Prescribed(prob), eta, np.zeros(prob.space_grid.n_y), p0,
-                      compute_tau(p0, prob.sigma_grid), 1, 0, None, None, None)
+    return _integrate(prob, _Prescribed(prob), eta, p0,
+                      _first_state(prob, np.zeros(prob.space_grid.n_y), p0), 1, 0, None, None)

@@ -69,13 +69,16 @@ class PiecewiseLinearForcing(Forcing):
         self.times = t
         self.values = v
         self._slopes = np.zeros_like(v)
-        if t.size > 1:
+        with np.errstate(all="ignore"):  # a NaN or overflow is refused just below
             self._slopes[:-1] = np.diff(v) / np.diff(t)
+        for name, entries in (("times", t), ("values", v), ("slopes", self._slopes)):
+            bad = np.flatnonzero(~np.isfinite(entries))
+            if bad.size:
+                raise ValidationError(
+                    f"forcing table {name}[{bad[0]}] = {entries[bad[0]]} is not finite")
         # cumulative exact integrals at the knots
         self._cum = np.zeros_like(v)
-        if t.size > 1:
-            seg = 0.5 * (v[:-1] + v[1:]) * np.diff(t)
-            self._cum[1:] = np.cumsum(seg)
+        self._cum[1:] = np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(t))
 
     def _segment(self, t: float) -> int:
         # index i with times[i] <= t < times[i+1]; last segment extends to inf
@@ -183,8 +186,6 @@ class ShearProtocol:
     @classmethod
     def table(cls, times, values) -> "ShearProtocol":
         f = PiecewiseLinearForcing(times, values)
-        if f.values[0] != 0.0:
-            raise ValidationError("wall protocol table must have V(0) = 0")
         return cls(f, "table", {"times": list(map(float, f.times)),
                                 "values": list(map(float, f.values))})
 

@@ -77,6 +77,7 @@ def test_config_errors_exit_3(capsys):
     assert main(["validate", "--set", "run.dt=oops"]) == 3
     assert main(["validate", "--config", "/nonexistent.ini"]) == 3
     assert main(["run", "--set", "bogus.key=1"]) == 3
+    assert main(["validate", "--set", "initial.p0=bogus"]) == 3
     assert "error: " in capsys.readouterr().err
 
 
@@ -504,6 +505,65 @@ def test_diagnose_any_config_refuses_a_checkpoint_of_other_grids(grids, shapes, 
     assert main(["diagnose", "--checkpoint", str(out / "checkpoint_000005.npz"),
                  "--any-config", *N_Y4, *grids]) == 3
     assert shapes in capsys.readouterr().err
+
+
+N_Y4_20 = [*N_Y4, "--set", "run.t_final=0.02", "--set", "run.checkpoint_every=10"]
+
+
+def _short(name):
+    return lambda members: {**members, name: members[name][:-1]}
+
+
+def _step(value):
+    return lambda members: {**members, "step": np.array(value)}
+
+
+@pytest.mark.parametrize("damage, field", [
+    (_short("series_tau"), "series 'tau' at step 10 has shape (10, 4)"),
+    (_step(50), "step is 50"),
+    (_step(10.0), "step is 10.0"),
+    (_step(-1), "step is -1"),
+    (_step("ten"), "step is 'ten'"),
+    (_short("u"), "u has shape (3,)"),
+    (_short("xi"), "accumulator 'xi' has shape (3,)"),
+], ids=["series_short", "step_past_horizon", "step_float", "step_negative", "step_text",
+        "u_short", "xi_short"])
+def test_a_checkpoint_that_does_not_fit_is_refused_by_resume_and_diagnose(damage, field,
+                                                                          tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", *N_Y4_20, "--out", str(out)]) == 0
+    with np.load(out / "checkpoint_000010.npz") as z:
+        members = damage({name: z[name] for name in z.files})
+    damaged = tmp_path / "damaged.npz"
+    np.savez(damaged, **members)
+    capsys.readouterr()
+    assert main(["run", *N_Y4_20, "--resume", str(damaged)]) == 3
+    captured = capsys.readouterr()
+    assert field in captured.err and "Traceback" not in captured.err
+    # refused before the resume checks report on it or the run starts
+    assert "PASS" not in captured.out and "resuming" not in captured.out
+    assert "integrating" not in captured.out
+    assert main(["diagnose", "--checkpoint", str(damaged), *N_Y4_20]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+TABLE = ["protocol.kind=table", "protocol.times=0,0.005,0.006"]
+
+
+@pytest.mark.parametrize("sets, entry", [
+    ([*TABLE, "protocol.values=0,0,nan"], "values[2] = nan"),
+    ([*TABLE, "protocol.values=0,0,inf"], "values[2] = inf"),
+    ([*TABLE, "protocol.values=0,0,1e308"], "slopes[1] = inf"),
+    (["protocol.kind=table", "protocol.times=0,0.005,nan", "protocol.values=0,0,1"],
+     "times[2] = nan"),
+    (["protocol.kind=ramp", "protocol.v_max=1e308", "protocol.t_ramp=1e-10"], "slopes[0] = inf"),
+], ids=["value_nan", "value_inf", "slope_overflow", "time_nan", "ramp_overflow"])
+def test_a_non_finite_forcing_table_is_refused(sets, entry, capsys):
+    argv = [*N_Y4, *(arg for s in sets for arg in ("--set", s))]
+    for command in ("validate", "run"):
+        assert main([command, *argv]) == 3
+        err = capsys.readouterr().err
+        assert f"forcing table {entry} is not finite" in err and "Traceback" not in err
 
 
 def test_nondim_conversion(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hlcouette import coupler
 from hlcouette.config import standard_config
 from hlcouette.coupler import SERIES, CoupledProblem, run, run_maxwell
-from hlcouette.errors import DiagnosticFailure, NonContractionError, ValidationError
+from hlcouette.errors import ConfigError, DiagnosticFailure, NonContractionError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
 from hlcouette.macro import dtau_dy
@@ -185,9 +185,9 @@ def test_fully_relaxing_divergence_is_detected():
 def test_shape_validation():
     prob, init, eta = small_problem()
     bad = InitialData(p0=init.p0[:, :128].copy(), u0=init.u0.copy())
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         run(prob, bad, eta)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         run_maxwell(prob, tau0=np.zeros(3), u0=np.zeros(prob.space_grid.n_y))
 
 
