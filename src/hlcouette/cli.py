@@ -179,7 +179,7 @@ def cmd_hl_run(args) -> int:
         replace(prob, space_grid=SpaceTimeGrid(1, tgrid.dt, tgrid.t_final)),
         init.p0[:1], report.eta)
     tau = result.series["tau"][:, 0]
-    d = np.concatenate([snap.d for snap in result.snapshots])
+    d = result.series["min_d"]
     mass = np.concatenate([grid.mass(snap.p) for snap in result.snapshots])
     print(f"t = {result.times[-1]:g}: tau = {tau[-1]:.10g}, "
           f"D = {d[-1]:.10g}, mass = {mass[-1]:.12g}, "

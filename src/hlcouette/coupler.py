@@ -30,9 +30,11 @@ records the path's meters of step k and returns D.
   partner of the general solver; its states have no density rows.
 
 A run after any step is one RunState, which a checkpoint holds and a run
-resumes from; a RunResult is the final one plus what the run was run on,
-and reads its path and initial maximum from its rows.  Every state meets
-its problem at one gate, check_state, which refuses one that does not fit.
+resumes from; RunState.checkpoint() is the one copy of a state.  A kept
+Snapshot is that copy at its step plus D of its rows.  A RunResult is the
+final state plus what the run was run on, and reads its path and initial
+maximum from its rows.  Every state meets its problem at one gate,
+check_state, which refuses one that does not fit.
 The per-step records are named once, by their SERIES key, in RunState.series
 and every archive alike: a new meter is one SERIES row plus the line of the
 loop or of a path that fills it.
@@ -101,18 +103,6 @@ class PicardStats:
     ratio: float             # first measured contraction ratio (nan if unobserved)
 
 
-@dataclass
-class Snapshot:
-    index: int
-    t: float
-    u: np.ndarray
-    tau: np.ndarray
-    d: np.ndarray
-    p: np.ndarray            # (0, n_sigma) on the closed form
-    xi: np.ndarray
-    acc_d: np.ndarray
-
-
 @dataclass(frozen=True)
 class SeriesField:
     """One per-step record of a run and how it is laid out and stored."""
@@ -158,8 +148,9 @@ def check_series_budget(sgrid: SpaceTimeGrid, rows: tuple[int, int], snap_every:
     """Reject, before anything is allocated, a run whose records exceed the budget.
 
     The records are the per-step series and the snapshots a run keeps in
-    RunResult.snapshots, each a copy of the path's density rows (shape
-    rows, see path_rows) plus five (n_y,) fields.
+    RunResult.snapshots, each its step's density rows (shape rows, see
+    path_rows) plus five (n_y,) arrays: u, the three running integrals and
+    D; its series are views of the run's own.
     """
     series = sum(f.length(sgrid.n_steps) * (sgrid.n_y if f.per_y else 1)
                  * np.dtype(f.dtype).itemsize for f in SERIES)
@@ -200,6 +191,13 @@ class RunState:
             view.flags.writeable = False
         return RunState(step=self.step, u=self.u.copy(), p=self.p.copy(),
                         accum=self.accum.copy(), series=series, warnings=list(self.warnings))
+
+
+@dataclass
+class Snapshot(RunState):
+    """A kept state of a run: the checkpoint of its step plus D of its rows."""
+
+    d: np.ndarray
 
 
 @dataclass
@@ -453,8 +451,7 @@ def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: Ru
     check_series_budget(sgrid, rows, snap_every)
     p0 = p0.copy()
     series = _new_series(n_steps, n_y)
-    state = RunState(step=start.step, u=start.u.copy(), p=start.p.copy(),
-                     accum=start.accum.copy(), series=series, warnings=list(start.warnings))
+    state = replace(start.checkpoint(), series=series)
     for f in SERIES:
         series[f.key][:f.length(state.step)] = start.series[f.key]
     snapshots: list[Snapshot] = []
@@ -462,9 +459,7 @@ def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: Ru
     def _observe(k: int):
         d = path.observe(state, k)
         if snap_every and (k % snap_every == 0 or k == n_steps):
-            snapshots.append(Snapshot(
-                index=k, t=sgrid.time(k), u=state.u.copy(), tau=series["tau"][k].copy(), d=d,
-                p=state.p.copy(), xi=state.accum.xi.copy(), acc_d=state.accum.acc_d.copy()))
+            snapshots.append(Snapshot(**vars(state.checkpoint()), d=d))
             if snapshot_sink is not None:
                 snapshot_sink(snapshots[-1])
 

@@ -36,7 +36,7 @@ from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import h1_norm_sq, heat_step, l2_norm
 from .maxwell import offset_kernel
-from .meso import compute_d, compute_tau
+from .meso import compute_d
 
 NEGATIVITY_FLOOR = -1e-12
 CLIP_TOL = 1e-10
@@ -171,10 +171,11 @@ def _barrier_deficits(result: RunResult) -> tuple[Deficits, Deficits]:
     comparison: Deficits = []
     induced: Deficits = []
     for snap in result.snapshots:
-        barrier = sub_solution(result.p0, grid, snap.t, snap.xi, snap.acc_d)
-        comparison.append((snap.t, float((barrier - snap.p).max())))
+        t = result.problem.space_grid.time(snap.step)
+        barrier = sub_solution(result.p0, grid, t, snap.accum.xi, snap.accum.acc_d)
+        comparison.append((t, float((barrier - snap.p).max())))
         d_barrier = alpha * grid.exterior_mass(barrier)
-        induced.append((snap.t, float((d_barrier - snap.d).max())))
+        induced.append((t, float((d_barrier - snap.d).max())))
     return comparison, induced
 
 
@@ -343,11 +344,8 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
     sg = prob.space_grid
     prob = replace(prob, space_grid=replace(sg, t_final=state.step * sg.dt))
     check_state(state, prob, (path_rows(prob, False), path_rows(prob, True)))
-    snap = Snapshot(
-        index=state.step, t=prob.space_grid.time(state.step), u=state.u.copy(),
-        tau=compute_tau(state.p, prob.sigma_grid),
-        d=compute_d(state.p, prob.sigma_grid, prob.dp.alpha),
-        p=state.p.copy(), xi=state.accum.xi.copy(), acc_d=state.accum.acc_d.copy())
+    snap = Snapshot(**vars(state.checkpoint()),
+                    d=compute_d(state.p, prob.sigma_grid, prob.dp.alpha))
     return RunResult(**vars(state), problem=prob, eta=eta, p0=init.p0.copy(),
                      snapshots=[snap])
 

@@ -30,21 +30,23 @@ directory, and a directory past the limits gets the zip64 end records.
 
 A run's --out directory has one writer, a RunDirectory, which names
 every file in it:
-- snapshot_<index>.csv (y, u, tau, d) per snapshot and, with
-  --dump-density, density_<index>.npz (general runs only);
+- snapshot_<step>.csv (y, u, tau, d) per snapshot and, with
+  --dump-density, density_<step>.npz (general runs only);
 - checkpoint_<step>.npz every checkpoint_every steps, on both paths;
 - when the run returns: series.npz, checkpoint_final.npz (general runs
   only) and summary.json;
 - when it fails: failure_dump.npz, if the failure carries the state of
   its step (the mass guard's does).
-Indices and steps are zero-padded to six digits.  A density archive holds
-the members fingerprint, t, y, sigma and p, in that order; p[i, j] is the
+Steps are zero-padded to six digits.  A density archive holds the
+members fingerprint, t, y, sigma and p, in that order; p[i, j] is the
 density at gap node y[i] and stress cell centre sigma[j].  The snapshot
 CSVs and the density archives are mapped back to dimensional units when
 the directory has scales, so a density is in the units of the CSV beside
 it; the other npz archives always hold the solver's scaled state.
 The directory's lifecycle: the run calls it with each Snapshot (its
-snapshot_sink), which it records, and calls its checkpoint with each
+snapshot_sink), which it records; a snapshot is the RunState of its step
+plus D, so its time is the grid's time at that step and its tau the
+series' entry there.  The run calls the directory's checkpoint with each
 RunState (its checkpoint_sink), which it writes before the run goes on,
 so a checkpoint file is complete the moment its sink call returns.  Once
 the run has returned, finish writes the snapshots and the rest, with the
@@ -240,7 +242,7 @@ class RunDirectory:
                  scales: tuple[float, float, float] | None = None,
                  dump_density: bool = False):
         self.out_dir = Path(out_dir)
-        self.y = problem.space_grid.y
+        self.space_grid = problem.space_grid
         self.centers = problem.sigma_grid.centers
         self.fingerprint = fingerprint
         self.scales = scales
@@ -291,19 +293,20 @@ class RunDirectory:
 
     def _write(self, snap: Snapshot) -> list[Path]:
         """Write one snapshot's files; returns their paths."""
-        t, y, centers, p = snap.t, self.y, self.centers, snap.p
-        fields = {"u": snap.u, "tau": snap.tau, "d": snap.d}
+        grid = self.space_grid
+        t, y, centers, p = grid.time(snap.step), grid.y, self.centers, snap.p
+        fields = {"u": snap.u, "tau": snap.series["tau"][snap.step], "d": snap.d}
         if self.scales is not None:
             density = {"sigma": centers, "p": p} if self.dump_density else {}
             dim = rescale_fields({"t": t, "y": y, **fields, **density},
                                  *self.scales, to_dimensionless=False)
             t, y, centers, p = dim["t"], dim["y"], dim.get("sigma"), dim.get("p")
             fields = {k: dim[k] for k in fields}
-        path = self.out_dir / f"snapshot_{snap.index:06d}.csv"
+        path = self.out_dir / f"snapshot_{snap.step:06d}.csv"
         write_fields_csv(path, t, y, fields, self.fingerprint)
         if not self.dump_density:
             return [path]
-        dpath = self.out_dir / f"density_{snap.index:06d}.npz"
+        dpath = self.out_dir / f"density_{snap.step:06d}.npz"
         _atomic_write(dpath, _npz(fingerprint=np.array(self.fingerprint),
                                   t=np.array(t), y=y, sigma=centers, p=p))
         return [path, dpath]

@@ -8,14 +8,16 @@ import pytest
 
 from hlcouette import coupler
 from hlcouette.config import standard_config
-from hlcouette.coupler import SERIES, CoupledProblem, run, run_maxwell
-from hlcouette.errors import ConfigError, DiagnosticFailure, NonContractionError
+from hlcouette.coupler import (SERIES, CoupledProblem, check_series_budget, path_rows, run,
+                               run_maxwell)
+from hlcouette.errors import ConfigError, DiagnosticFailure, NonContractionError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
 from hlcouette.macro import dtau_dy
 from hlcouette.meso import compute_d, compute_tau
 from hlcouette.params import DimensionlessParams
 from hlcouette.protocols import ShearProtocol
+from hlcouette.snapshots import save_checkpoint
 from hlcouette.tridiag import _diffusion_factors, solve_diffusion_batch
 from reference_runs import (maxwell_reference_run, refined_space_grid,
                             restrict_nodes, restrict_times)
@@ -143,11 +145,47 @@ def test_truncation_monitor_warns_once_for_fat_tails():
 def test_snapshot_cadence_and_isolation():
     prob, init, eta = small_problem()
     res = run(prob, init, eta, snap_every=8)
-    assert [s.index for s in res.snapshots] == [0, 8, 16, 20]
-    assert np.allclose([s.t for s in res.snapshots], [0.0, 0.008, 0.016, 0.020])
+    assert [s.step for s in res.snapshots] == [0, 8, 16, 20]
+    assert np.allclose([res.times[s.step] for s in res.snapshots], [0.0, 0.008, 0.016, 0.020])
     assert np.array_equal(res.snapshots[0].p, init.p0)
     assert res.snapshots[0].p is not init.p0
     assert not np.array_equal(res.snapshots[-1].p, res.snapshots[0].p)
+
+
+@pytest.mark.parametrize("closed_form", [False, True], ids=["kinetic", "closed_form"])
+def test_a_snapshot_saves_as_the_checkpoint_of_its_step(tmp_path, closed_form):
+    # a kept snapshot is the RunState of its step plus D: both write one file
+    prob, init, eta = small_problem()
+    payloads = []
+    options = dict(snap_every=5, checkpoint_every=5, checkpoint_sink=payloads.append)
+    res = (run_maxwell(prob, tau0=np.zeros(prob.space_grid.n_y), u0=init.u0, **options)
+           if closed_form else run(prob, init, eta, **options))
+    kept = {snap.step: snap for snap in res.snapshots}
+    assert [state.step for state in payloads] == [5, 10, 15, 20]
+    for state in payloads:
+        snap_file, state_file = tmp_path / "snapshot.npz", tmp_path / "checkpoint.npz"
+        save_checkpoint(snap_file, kept[state.step], "f" * 64)
+        save_checkpoint(state_file, state, "f" * 64)
+        assert snap_file.read_bytes() == state_file.read_bytes(), state.step
+
+
+def test_the_record_budget_charges_what_a_snapshot_holds(monkeypatch):
+    prob, init, eta = small_problem(n_y=8, t_final=0.01)
+    res = run(prob, init, eta, snap_every=5)
+    n_y, n_sigma = prob.space_grid.n_y, SGRID.n_sigma
+    per_snapshot = (n_y * n_sigma + 5 * n_y) * 8
+    for snap in res.snapshots:  # its own arrays; its series are views of the run's
+        own = [value for held in (snap, snap.accum) for value in vars(held).values()
+               if isinstance(value, np.ndarray)]
+        assert sum(value.nbytes for value in own) == per_snapshot, snap.step
+    need = sum(record.nbytes for record in res.series.values()) \
+        + len(res.snapshots) * per_snapshot
+    rows = path_rows(prob, closed_form=False)
+    monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need)
+    check_series_budget(prob.space_grid, rows, 5)
+    monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need - 1)
+    with pytest.raises(ValidationError):
+        check_series_budget(prob.space_grid, rows, 5)
 
 
 def test_mass_guard_raises_with_post_mortem_payload():
@@ -256,11 +294,11 @@ def test_recorded_d_is_d_of_the_recorded_state():
     for k, snap in enumerate(res.snapshots):
         d = compute_d(snap.p, SGRID, alpha)
         assert snap.d.tobytes() == d.tobytes()
-        assert snap.tau.tobytes() == compute_tau(snap.p, SGRID).tobytes()
+        assert snap.series["tau"][snap.step].tobytes() == compute_tau(snap.p, SGRID).tobytes()
         assert res.series["min_d"][k] == d.min()
         if d_prev is not None:
-            acc = res.snapshots[k - 1].acc_d + 0.5 * dt * (d_prev + d)
-            assert snap.acc_d.tobytes() == acc.tobytes()
+            acc = res.snapshots[k - 1].accum.acc_d + 0.5 * dt * (d_prev + d)
+            assert snap.accum.acc_d.tobytes() == acc.tobytes()
         d_prev = d
 
 
@@ -291,7 +329,8 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
         assert getattr(carried.accum, name).tobytes() == \
             getattr(recomputed.accum, name).tobytes()
     for a, b in zip(carried.snapshots, recomputed.snapshots, strict=True):
-        assert a.tau.tobytes() == b.tau.tobytes() and a.d.tobytes() == b.d.tobytes()
+        assert a.series["tau"][a.step].tobytes() == b.series["tau"][b.step].tobytes() \
+            and a.d.tobytes() == b.d.tobytes()
 
 
 @pytest.mark.parametrize("protocol", [ShearProtocol.sinusoid(20.0, 0.01),  # b of both signs
@@ -304,7 +343,7 @@ def test_run_rows_hold_no_negative_zero(protocol):
     both_signs = (b > 0).any() and (b < 0).any()
     assert both_signs or b.max() * prob.space_grid.dt > SGRID.d_sigma
     for snap in res.snapshots:
-        assert not np.any((snap.p == 0.0) & np.signbit(snap.p)), snap.index
+        assert not np.any((snap.p == 0.0) & np.signbit(snap.p)), snap.step
 
 
 def test_run_does_not_depend_on_the_factor_cache():

@@ -231,6 +231,21 @@ def test_verify_resume_accepts_and_rejects(healthy):
     assert any(r.name == "resume_comparison" for r in report.failures)
 
 
+def test_a_diagnosed_checkpoint_holds_the_runs_own_snapshot(healthy):
+    # pins the D that diagnose recomputes against the D the loop carried
+    prob, init, eta, res, payloads = healthy
+    assert payloads[0].step == 50
+    diagnosed = result_from_checkpoint(prob, init, eta, payloads[0]).snapshots[0]
+    (kept,) = [snap for snap in res.snapshots if snap.step == 50]
+    assert diagnosed.step == 50
+    for name in ("u", "p", "d"):
+        assert getattr(diagnosed, name).tobytes() == getattr(kept, name).tobytes(), name
+    for name in ("xi", "acc_d"):
+        assert getattr(diagnosed.accum, name).tobytes() == \
+            getattr(kept.accum, name).tobytes(), name
+    assert diagnosed.series["tau"][50].tobytes() == kept.series["tau"][50].tobytes()
+
+
 def test_evaluate_builds_each_barrier_once(healthy, monkeypatch):
     res = healthy[3]
     expected = [*evaluate(res, checks=("comparison",)).results,
@@ -243,5 +258,5 @@ def test_evaluate_builds_each_barrier_once(healthy, monkeypatch):
 
     monkeypatch.setattr(diag, "sub_solution", counting)
     report = evaluate(res)
-    assert built == [s.t for s in res.snapshots]
+    assert built == [res.times[s.step] for s in res.snapshots]
     assert report.results[4:6] == expected
