@@ -28,6 +28,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, HlCouetteError
 from .grids import SpaceTimeGrid
 from .maxwell import maxwell_p, maxwell_tau
+from .meso import compute_tau
 from .params import (DimensionlessParams, PhysicalParams, nondimensionalize,
                      redimensionalize)
 
@@ -103,11 +104,8 @@ def cmd_run(args) -> int:
         t_start = time.perf_counter()
         if closed_form:
             print(f"integrating {steps_left} steps (relaxation closed form)")
-            # the grid's quadrature, not compute_tau: the closed form never
-            # steps the rows, so it keeps no meso scratch for them
             result = coupler.run_maxwell(
-                prob, tau0=prob.sigma_grid.first_moment(init.p0),
-                u0=init.u0, **options)
+                prob, tau0=compute_tau(init.p0, prob.sigma_grid), u0=init.u0, **options)
         else:
             print(f"integrating {steps_left} steps (kinetic path)")
             result = coupler.run(prob, init, eta, **options)
@@ -218,7 +216,7 @@ def cmd_oracle(args) -> int:
     if t < 0:
         raise ConfigError("--t must be nonnegative")
     p0 = init.p0[:1]
-    tau0 = float(grid.first_moment(p0)[0])
+    tau0 = float(compute_tau(p0, grid)[0])
     p_t = maxwell_p(p0[0], loading, t, grid, alpha)
     tau_t = maxwell_tau(tau0, loading, t)
     mass = float(grid.mass(p_t))
@@ -226,7 +224,7 @@ def cmd_oracle(args) -> int:
     print(f"t = {t:.17g}")
     print(f"tau = {tau_t:.17g}")
     print(f"density mass = {mass:.17g}")
-    print(f"density first moment = {float(grid.first_moment(p_t[None])[0]):.17g}")
+    print(f"density first moment = {float(compute_tau(p_t[None], grid)[0]):.17g}")
     if args.out:
         snapshots.write_fields_csv(Path(args.out), t, grid.centers,
                                    {"p": p_t}, cfg.fingerprint,

@@ -19,8 +19,10 @@ loading, tau and Picard stats of its accepted iterate; observe(state, k)
 records the path's meters of step k and returns D.
 - _Kinetic (run) advances the density rows by the meso solver.  Every
   iterate restarts them from the saved start-of-step rows, so the accepted
-  step is a genuine implicit solve, not an accumulation.  It keeps the
-  accumulators, the mass guard and the truncation monitor.
+  step is a genuine implicit solve, not an accumulation.  The moments of
+  each iterate (SigmaGrid.moments) are taken once, and those of the
+  accepted one give the state's tau, D, mass error and banded moment.  It
+  keeps the accumulators, the mass guard and the truncation monitor.
 - _Prescribed (run_prescribed, hl-run) is _Kinetic with the Picard solve
   replaced by one advance under a given loading b(t): the single-ensemble
   equation the coupled problem extends.  It shares _Kinetic's start,
@@ -51,8 +53,7 @@ from .errors import ConfigError, DiagnosticFailure, NonContractionError, Validat
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import heat_step, l2_norm, velocity_gradient
-from .meso import (StepReport, advance_rows, compute_d, compute_gradient_energy,
-                   compute_inner_moment, compute_tau)
+from .meso import StepReport, advance_rows, compute_gradient_energy
 from .params import DimensionlessParams
 from .protocols import ShearProtocol
 
@@ -308,75 +309,79 @@ def coupled_step(u: np.ndarray, p: np.ndarray, t_next: float, prob: CoupledProbl
     whose D is d.
 
     Returns the new velocity and rows, iteration stats, the meso step
-    report, the loading field actually used, and tau of the new rows (the
-    accepted iterate's stress).
+    report, the loading field actually used, and the moments of the new
+    rows (SigmaGrid.moments, taken once per iterate; tau is column 2).
     """
     grid, dp, dt = prob.sigma_grid, prob.dp, prob.space_grid.dt
 
     def kinetic(b):
         p_new, rep = advance_rows(p, b, dt, grid, dp.alpha,
                                   sink_scale=prob.sink_scale, d=d)
-        tau = compute_tau(p_new, grid)
-        return tau, (p_new, rep, tau)
+        moments = grid.moments(p_new)
+        return moments[:, 2], (p_new, rep, moments)
 
-    u_new, b, (p_new, rep, tau), stats = _picard(u, kinetic, prob, t_next)
-    return u_new, p_new, stats, rep, b, tau
+    u_new, b, (p_new, rep, moments), stats = _picard(u, kinetic, prob, t_next)
+    return u_new, p_new, stats, rep, b, moments
 
 
 class _Kinetic:
     """The general path: each step advances the density rows by coupled_step.
 
-    D of each accepted state is computed once: it feeds the next step's
-    first sub-step, the observation, the snapshot and both ends of the
-    acc_d trapezoid.  The velocity gradient of a step's end is reused at
-    the next step's start.
+    The moments of each accepted state (SigmaGrid.moments) are taken once,
+    with its last iterate: they give tau, the mass error, the banded moment
+    and D, which feeds the next step's first sub-step, the observation, the
+    snapshot and both ends of the acc_d trapezoid.  The velocity gradient of
+    a step's end is reused at the next step's start.
     """
 
     def __init__(self, prob: CoupledProblem):
         self.prob = prob
 
+    def _accept(self, moments: np.ndarray) -> np.ndarray:
+        """Keep the moments of the current state and its D; return its tau."""
+        self.moments, self.d = moments, self.prob.dp.alpha * moments[:, 1]
+        return moments[:, 2]
+
     def start(self, state: RunState) -> np.ndarray:
-        prob = self.prob
-        self.d = compute_d(state.p, prob.sigma_grid, prob.dp.alpha)
-        self.grad = velocity_gradient(state.u, prob.space_grid)
-        return compute_tau(state.p, prob.sigma_grid)
+        self.grad = velocity_gradient(state.u, self.prob.space_grid)
+        return self._accept(self.prob.sigma_grid.moments(state.p))
 
     def step(self, state: RunState, k: int):
         prob, accum = self.prob, state.accum
-        grid, dt, alpha = prob.sigma_grid, prob.space_grid.dt, prob.dp.alpha
-        b, tau, stats, rep, dxi = self._advance(state, k)
+        grid, dt, d_prev = prob.sigma_grid, prob.space_grid.dt, self.d
+        b, moments, stats, rep, dxi = self._advance(state, k)
+        tau = self._accept(moments)
         state.series["trunc"][k] = rep.trunc_moment
         accum.clipped_total += float(rep.clipped_mass.sum())
         accum.min_before_clip = min(accum.min_before_clip, rep.min_before_clip)
         accum.xi += dxi
-        d = compute_d(state.p, grid, alpha)
-        accum.acc_d += 0.5 * dt * (self.d + d)
+        accum.acc_d += 0.5 * dt * (d_prev + self.d)
         accum.grad_sq += dt * compute_gradient_energy(state.p, grid)
-        self.d = d
         return b, tau, stats
 
     def _advance(self, state: RunState, k: int):
-        """Advance u and the rows over step k; return the loading, tau, the
-        Picard stats, the meso report and the step's growth of xi."""
+        """Advance u and the rows over step k; return the loading, the
+        moments of the new rows, the Picard stats, the meso report and the
+        step's growth of xi."""
         prob, sgrid = self.prob, self.prob.space_grid
         t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
-        state.u, state.p, stats, rep, b, tau = coupled_step(
+        state.u, state.p, stats, rep, b, moments = coupled_step(
             state.u, state.p, t_next, prob, self.d)
         grad = velocity_gradient(state.u, sgrid)
         dxi = prob.dp.g0 * (0.5 * sgrid.dt * (self.grad + grad)
                             + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
         self.grad = grad
-        return b, tau, stats, rep, dxi
+        return b, moments, stats, rep, dxi
 
     def observe(self, state: RunState, k: int) -> np.ndarray:
         grid, series, p = self.prob.sigma_grid, state.series, state.p
-        masses = grid.mass(p)
-        series["mass_err"][k] = float(np.abs(masses - 1.0).max())
-        series["inner"][k] = compute_inner_moment(p, grid)
+        mass_err = np.abs(self.moments[:, 0] - 1.0)
+        series["mass_err"][k] = float(mass_err.max())
+        series["inner"][k] = self.moments[:, 3]
         series["min_d"][k] = float(self.d.min())
         series["max_p"][k] = float(p.max())
         if series["mass_err"][k] > MASS_TOL:
-            row = int(np.abs(masses - 1.0).argmax())
+            row = int(mass_err.argmax())
             exc = DiagnosticFailure(
                 f"mass conservation failed at step {k}, row {row}: "
                 f"|mass - 1| = {series['mass_err'][k]:.3e} > {MASS_TOL:.1e}")
@@ -404,8 +409,7 @@ class _Prescribed(_Kinetic):
         b = loading.value(t_next)
         state.p, rep = advance_rows(state.p, b, sgrid.dt, prob.sigma_grid, prob.dp.alpha,
                                     sink_scale=prob.sink_scale, d=self.d)
-        tau = compute_tau(state.p, prob.sigma_grid)
-        return (b, tau, PicardStats(1, math.nan), rep,
+        return (b, prob.sigma_grid.moments(state.p), PicardStats(1, math.nan), rep,
                 loading.integral(t_next) - loading.integral(t_prev))
 
 

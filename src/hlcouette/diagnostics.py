@@ -164,7 +164,9 @@ def _barrier_deficits(result: RunResult) -> tuple[Deficits, Deficits]:
     """max(barrier - p) and max(barrier-induced D - recorded D) per snapshot.
 
     Both barrier checks read the same barrier, so it is built once per
-    snapshot, and only one barrier is alive at a time.
+    snapshot, and only one barrier is alive at a time.  The barrier's D is
+    compute_d's, the quadrature of the run's own D, so a barrier equal to
+    the rows induces their D bit for bit.
     """
     grid = result.problem.sigma_grid
     alpha = result.problem.dp.alpha
@@ -174,8 +176,7 @@ def _barrier_deficits(result: RunResult) -> tuple[Deficits, Deficits]:
         t = result.problem.space_grid.time(snap.step)
         barrier = sub_solution(result.p0, grid, t, snap.accum.xi, snap.accum.acc_d)
         comparison.append((t, float((barrier - snap.p).max())))
-        d_barrier = alpha * grid.exterior_mass(barrier)
-        induced.append((t, float((d_barrier - snap.d).max())))
+        induced.append((t, float((compute_d(barrier, grid, alpha) - snap.d).max())))
     return comparison, induced
 
 

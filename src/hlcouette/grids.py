@@ -5,8 +5,11 @@ exactly on the relaxation thresholds +-1 and on 0 (so the relaxation
 indicator and the zero-stress deposit are unambiguous), which pins
 ``n_sigma/(2*sigma_max)`` to an integer.  The stress quadratures take
 densities as (n_rows, n_sigma) rows, a single row as a batch of one, and
-return one value per row.  The gap grid holds the interior nodes of (0, 1)
-with homogeneous Dirichlet walls.
+return one value per row.  The linear functionals the model reads of a row
+(its mass, the exterior mass that fixes D, the stress tau and the banded
+moment) are one quadrature, SigmaGrid.moments: a dot product of the row
+with each row of SigmaGrid.weights.  The gap grid holds the interior nodes
+of (0, 1) with homogeneous Dirichlet walls.
 """
 
 from __future__ import annotations
@@ -82,45 +85,29 @@ class SigmaGrid:
         """The two cells flanking sigma = 0 that receive the re-injection."""
         return self.n_sigma // 2 - 1, self.n_sigma // 2
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The read-only (4, n_sigma) weights of moments: d_sigma times one,
+        the exterior indicator, the centers and the centers on the band."""
+        band = np.where(self.exterior, 0.0, self.centers)
+        w = self.d_sigma * np.stack([np.ones(self.n_sigma), self.exterior, self.centers, band])
+        w.flags.writeable = False
+        return w
+
     # quadratures (midpoint rule on cell values) of (n_rows, n_sigma) rows,
-    # one value per row; mass alone also takes any shape.  The exterior and
-    # banded sums copy their cells, which are contiguous (two ends, or the
-    # band), into a Fortran-ordered array: that is the layout of the mask
-    # gathers p[:, exterior] and p[:, ~exterior], so each row adds its cells
-    # in sequence, as the gather did (a C-ordered copy would add them
-    # pairwise and change bits).  work, when given, is the array the cells
-    # go into (the caller's scratch), shaped and ordered as each method
-    # states; every method returns a fresh array.
+    # one fresh value per row; mass alone also takes any shape.
 
     def mass(self, p: np.ndarray) -> np.ndarray | float:
         return p.sum(axis=-1) * self.d_sigma
 
-    def exterior_sum(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        """Sum of the cells beyond the threshold; work is Fortran-ordered
-        (n_rows, 2*n_exterior_side)."""
-        n, n_ext = self.n_sigma, self.n_exterior_side
-        if work is None:
-            work = np.empty((p.shape[0], 2 * n_ext), order="F")
-        work[:, :n_ext] = p[:, :n_ext]
-        work[:, n_ext:] = p[:, n - n_ext:]
-        return work.sum(axis=1)
-
-    def exterior_mass(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        """Mass beyond the threshold; work as for exterior_sum."""
-        return self.exterior_sum(p, work) * self.d_sigma
-
-    def first_moment(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        """Mean stress; work is C-ordered (n_rows, n_sigma)."""
-        return np.multiply(p, self.centers, out=work).sum(axis=1) * self.d_sigma
-
-    def inner_moment(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-        """First moment restricted to the non-relaxing band |sigma| <= threshold;
-        work is Fortran-ordered (n_rows, n_sigma - 2*n_exterior_side)."""
-        n, n_ext = self.n_sigma, self.n_exterior_side
-        if work is None:
-            work = np.empty((p.shape[0], n - 2 * n_ext), order="F")
-        np.multiply(p[:, n_ext:n - n_ext], self.centers[n_ext:n - n_ext], out=work)
-        return work.sum(axis=1) * self.d_sigma
+    def moments(self, p: np.ndarray) -> np.ndarray:
+        """Mass, exterior mass, first moment and banded first moment of each
+        row, (n_rows, 4): one dot product of the row with each row of
+        weights.  np.vecdot makes each dot alone (one BLAS ddot), so a row
+        gets the same bits in any batch, at any offset, and from the
+        one-weight form np.vecdot(p, weights[j]); a matrix product (@,
+        np.dot) blocks rows together and would not."""
+        return np.vecdot(p[:, None, :], self.weights)
 
     def gradient_energy(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """int |dsigma p|^2 dsigma by forward differences; work is C-ordered

@@ -38,9 +38,9 @@ hl_step runs once per sub-step of every Picard iterate, so it avoids work
 that does not change a bit of its result:
 
 - the caller may pass D of the start rows, which coupler.run already holds;
-- the upwind differences, the advective flux and the exterior ends are
-  written into scratch arrays kept per batch shape (_scratch); the result
-  is always a fresh array, never a view of them;
+- the upwind differences and the advective flux are written into scratch
+  arrays kept per batch shape (_scratch); the result is always a fresh
+  array, never a view of them;
 - the two advective terms are evaluated only for the loading signs present:
   with every b >= 0, as under a positive wall speed, the downwind term is
   zero and skipped;
@@ -49,15 +49,13 @@ that does not change a bit of its result:
   the product is exact;
 - the clip is skipped when nothing is negative.
 
-The meters the coupler reads every iterate or step (compute_d,
-compute_tau, compute_inner_moment, compute_gradient_energy) share that
-scratch, so the kinetic path allocates no work array of its own.  One
-exterior sum serves both compute_d and the sink: SigmaGrid.exterior_sum
-copies the two exterior ends into the Fortran-ordered ext, the layout of
-the mask gather p[:, exterior], so its row sums add in the same order and
-give the same bits (a C-ordered copy would not).  The banded moment sums
-a Fortran-ordered view of diff the same way; tau and the gradient energy
-sum the rows of flux, as their allocating forms summed theirs.
+The nonlocal coefficients are one quadrature, SigmaGrid.moments: compute_d
+and compute_tau are its exterior-mass and first-moment dots, and the sink
+takes the exterior mass of the solved rows by the same dot, so the
+sink/source balance is the object the coefficient sees.  Each dot is made
+per row (np.vecdot), so a row's value does not depend on its batch.
+compute_gradient_energy differences the rows in the scratch flux, so the
+kinetic path allocates no work array of its own.
 
 The skips rest on one invariant: the rows of a run hold no -0.0.  The
 preset initial rows hold none, and hl_step keeps nonnegative rows free of
@@ -86,30 +84,20 @@ INSTABILITY_FLOOR = -1e-8
 
 
 def compute_d(p: np.ndarray, grid: SigmaGrid, alpha: float):
-    """Stress diffusion coefficient alpha * exterior mass, midpoint quadrature.
-
-    Sums the exterior cells as the relaxation sink does (SigmaGrid.exterior_sum
-    over the scratch ext), so the sink/source balance is the same object the
-    coefficient sees.
-    """
-    return alpha * grid.exterior_mass(p, _work(p, grid)[2])
+    """Stress diffusion coefficient alpha * exterior mass: the exterior dot of
+    SigmaGrid.moments, the sum the relaxation sink takes."""
+    return alpha * np.vecdot(p, grid.weights[1])
 
 
 def compute_tau(p: np.ndarray, grid: SigmaGrid):
-    """Mean stress: first moment of each row."""
-    return grid.first_moment(p, _work(p, grid)[1])
-
-
-def compute_inner_moment(p: np.ndarray, grid: SigmaGrid):
-    """First moment over the non-relaxing band, summed in the scratch diff."""
-    n_rows, n_in = p.shape[0], grid.n_sigma - 2 * grid.n_exterior_side
-    diff = _work(p, grid)[0]
-    return grid.inner_moment(p, diff[:n_rows * n_in].reshape((n_rows, n_in), order="F"))
+    """Mean stress: the first-moment dot of SigmaGrid.moments."""
+    return np.vecdot(p, grid.weights[2])
 
 
 def compute_gradient_energy(p: np.ndarray, grid: SigmaGrid):
     """int |dsigma p|^2 dsigma of each row, differenced in the scratch flux."""
-    return grid.gradient_energy(p, _work(p, grid)[1])
+    work = _scratch(p.shape[0], grid.n_sigma, grid.n_exterior_side)[1]
+    return grid.gradient_energy(p, work)
 
 
 @dataclass
@@ -144,27 +132,19 @@ def _per_row(b, n_rows: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _scratch(n_rows: int, n: int, n_ext: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _scratch(n_rows: int, n: int, n_ext: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The work arrays of one batch shape, reused call after call.
 
     diff (n_rows*n + 1,) holds hl_step's flat upwind differences, of which
-    the backward and forward ones are (n_rows, n) views, and the banded
-    cells of compute_inner_moment; flux (n_rows, n) one advective term,
-    and the products of compute_tau and compute_gradient_energy; ext
-    (n_rows, 2*n_ext), Fortran-ordered, the exterior ends; keep (n,) the
-    factor of each cell under the sink, 1.0 inside the band.  Every user
-    overwrites what it reads, except keep, whose ends hold the last factor
-    and are rewritten when it changes; nothing else carries over between
-    calls (the program steps in one thread).
+    the backward and forward ones are (n_rows, n) views; flux (n_rows, n)
+    one advective term, and the differences of compute_gradient_energy;
+    keep (n,) the factor of each cell under the sink, 1.0 inside the band.
+    Every user overwrites what it reads, except keep, whose ends of n_ext
+    cells hold the last factor and are rewritten when it changes (so n_ext
+    keys the slot); nothing else carries over between calls (the program
+    steps in one thread).
     """
-    return (np.empty(n_rows * n + 1), np.empty((n_rows, n)),
-            np.empty((n_rows, 2 * n_ext), order="F"), np.ones(n))
-
-
-def _work(p: np.ndarray, grid: SigmaGrid):
-    """The scratch of p's batch shape."""
-    return _scratch(p.shape[0], grid.n_sigma, grid.n_exterior_side)
+    return np.empty(n_rows * n + 1), np.empty((n_rows, n)), np.ones(n)
 
 
 def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
@@ -208,7 +188,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # frozen diffusion coefficient from the start-of-step row
     d_coef = compute_d(p, grid, alpha) if d is None else d
     n_ext = grid.n_exterior_side
-    diff, flux, ext, keep = _scratch(n_rows, n, n_ext)
+    diff, flux, keep = _scratch(n_rows, n, n_ext)
 
     # explicit upwind advection, zero inflow, metered outflow:
     # q = (p - pos*back) - neg*fwd, evaluated in that order (the artifacts
@@ -253,11 +233,10 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     absorbed = lam * (q[:, 0] + q[:, -1]) * ds
     trunc_moment += lam * ds * (q[:, 0] * w_left + q[:, -1] * w_right)
 
-    # explicit relaxation sink beyond the threshold.  The sum is compute_d's,
-    # over the exterior ends copied into ext (its summation order is part of
-    # the result); the scaling is one contiguous multiply by the keep row,
-    # whose 1.0 inside the band changes no bit there
-    sink = eff_dt * grid.exterior_sum(q, ext) * ds
+    # explicit relaxation sink beyond the threshold.  The mass is compute_d's
+    # dot; the scaling is one contiguous multiply by the keep row, whose 1.0
+    # inside the band changes no bit there
+    sink = eff_dt * np.vecdot(q, grid.weights[1])
     if n_ext and keep[0] != 1.0 - eff_dt:
         keep[:n_ext] = keep[n - n_ext:] = 1.0 - eff_dt
     q *= keep

@@ -231,6 +231,16 @@ def test_verify_resume_accepts_and_rejects(healthy):
     assert any(r.name == "resume_comparison" for r in report.failures)
 
 
+def test_the_barrier_reads_the_runs_own_quadrature(healthy):
+    # at t = 0 the barrier is p0, and its D is read by the dot the run read
+    # the recorded D with, so neither check sees a deficit, not even a last bit
+    res = healthy[3]
+    assert res.snapshots[0].step == 0
+    comparison, induced = diag._barrier_deficits(res)
+    assert comparison[0] == (0.0, 0.0)
+    assert induced[0] == (0.0, 0.0)
+
+
 def test_a_diagnosed_checkpoint_holds_the_runs_own_snapshot(healthy):
     # pins the D that diagnose recomputes against the D the loop carried
     prob, init, eta, res, payloads = healthy

@@ -35,28 +35,32 @@ def test_quadratures_match_direct_sums():
     rng = np.random.default_rng(3)
     p = rng.uniform(0.0, 1.0, size=(5, 32))
     assert np.allclose(g.mass(p), p.sum(axis=1) * g.d_sigma, atol=0.0)
+    mass, ext_mass, moment, inner = g.moments(p).T
+    assert np.allclose(mass, p.sum(axis=1) * g.d_sigma, atol=0.0)
+    assert np.allclose(ext_mass, p[:, g.exterior].sum(axis=1) * g.d_sigma, atol=0.0)
     ref_moment = (p * g.centers).sum(axis=1) * g.d_sigma
-    assert np.allclose(g.first_moment(p), ref_moment, atol=0.0)
+    assert np.allclose(moment, ref_moment, atol=0.0)
     # moment splits into the banded and relaxing contributions
     ext_moment = (p[:, g.exterior] * g.centers[g.exterior]).sum(axis=1) * g.d_sigma
-    assert np.allclose(g.inner_moment(p) + ext_moment, ref_moment, rtol=1e-14)
+    assert np.allclose(inner + ext_moment, ref_moment, rtol=1e-14)
     assert np.allclose(g.outermost_mass(p), (p[:, 0] + p[:, -1]) * g.d_sigma, atol=0.0)
 
 
 def test_one_row_batch_quadratures_return_one_value():
     g = SigmaGrid(sigma_max=2.0, n_sigma=16)
     p = np.ones((1, 16))
-    for quadrature in (g.mass, g.exterior_sum, g.exterior_mass, g.first_moment,
-                       g.inner_moment, g.gradient_energy, g.outermost_mass):
+    for quadrature in (g.mass, g.gradient_energy, g.outermost_mass):
         assert quadrature(p).shape == (1,)
+    assert g.moments(p).shape == (1, 4)
     assert g.mass(p)[0] == pytest.approx(4.0, rel=1e-15)
-    assert g.first_moment(p)[0] == pytest.approx(0.0, abs=1e-15)
+    assert g.moments(p)[0, 0] == pytest.approx(4.0, rel=1e-15)
+    assert g.moments(p)[0, 2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fully_relaxing_grid():
     g = SigmaGrid(sigma_max=0.75, n_sigma=6, threshold=0.0)
     assert g.exterior.all()
-    assert g.inner_moment(np.ones((2, 6))).tolist() == [0.0, 0.0]
+    assert g.moments(np.ones((2, 6)))[:, 3].tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("kwargs", [

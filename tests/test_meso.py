@@ -6,20 +6,20 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hlcouette
-from hlcouette import config, coupler
+from hlcouette import config, coupler, meso
 from hlcouette.errors import CFLError, ConfigError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import compute_eta, gaussian_cell_averages, uniform_cell_averages
 from hlcouette.diagnostics import MESO_CHECKS, evaluate, linf_bound, sub_solution
 from hlcouette.maxwell import maxwell_p, offset_kernel
 from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, _scratch, advance_rows,
-                            compute_d, compute_gradient_energy, compute_inner_moment,
-                            compute_tau, hl_step, required_substeps)
+                            compute_d, compute_gradient_energy, compute_tau, hl_step,
+                            required_substeps)
 from hlcouette.params import DimensionlessParams
 from hlcouette.protocols import PiecewiseLinearForcing, ShearProtocol
 from hlcouette.tridiag import solve_diffusion_batch
@@ -164,20 +164,26 @@ def test_solver_shapes_and_recording():
 
 
 def test_prescribed_path_computes_d_once_per_recorded_state(monkeypatch):
-    # the D recorded for each state feeds the step that starts from it
-    calls = []
-    compute = coupler.compute_d
+    # D of each state is read from its moments, taken once; the step that
+    # starts from the state is handed that D and computes none of its own
+    calls = {"moments": 0, "compute_d": 0}
+    moments, compute = SigmaGrid.moments, meso.compute_d
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting_moments(*args):
+        calls["moments"] += 1
+        return moments(*args)
+
+    def counting_d(*args, **kwargs):
+        calls["compute_d"] += 1
         return compute(*args, **kwargs)
 
-    monkeypatch.setattr(coupler, "compute_d", counting)
+    monkeypatch.setattr(SigmaGrid, "moments", counting_moments)
+    monkeypatch.setattr(meso, "compute_d", counting_d)
     n_steps, dt = 5, 1e-2
     assert required_substeps(0.5, dt, GRID) == 1
     prescribed(gaussian_batch(), constant_forcing(0.5), GRID, 1.0, dt=dt,
                t_final=n_steps * dt)
-    assert len(calls) == n_steps + 1
+    assert calls == {"moments": n_steps + 1, "compute_d": 0}
 
 
 def maxwell_limit_error(n_sigma, dt, t_final=0.25, b=0.7, alpha=4.0):
@@ -324,8 +330,25 @@ def test_hl_step_moment_gain_property(inputs):
     assert np.all(np.abs(gain - expected) <= 1e-12 * scale)
 
 
+def reference_weights(grid):
+    """The weights of SigmaGrid.moments from their definition: d_sigma times
+    one, the exterior indicator, the centers and the centers on the band."""
+    ds, ext, centers = grid.d_sigma, grid.exterior, grid.centers
+    return [ds * np.ones(grid.n_sigma), ds * ext, ds * centers,
+            ds * np.where(ext, 0.0, centers)]
+
+
+def row_dots(p, w):
+    """np.dot(row, w) of each row of the (n_rows, n) batch p, one at a time,
+    summed from +0.0: np.dot takes a one-cell row as a scalar, whose product
+    keeps the -0.0 that a sum of products started at +0.0 drops."""
+    return np.array([0.0 + np.dot(row, w) for row in p])
+
+
 def unfused_hl_step(p, b, dt, grid, alpha, sink_scale=1.0):
-    """Reference: the step before its numpy ops were fused, kept verbatim."""
+    """Reference: the step before its numpy ops were fused, kept verbatim but
+    for D and the sink, which are np.dot(row, w) of each row with the
+    exterior weights."""
     squeeze = p.ndim == 1
     p2 = np.atleast_2d(np.asarray(p, dtype=float))
     n_rows, n = p2.shape
@@ -343,7 +366,8 @@ def unfused_hl_step(p, b, dt, grid, alpha, sink_scale=1.0):
         raise CFLError(f"explicit sink needs dt < 1, got {eff_dt:.6g}")
 
     # frozen diffusion coefficient from the start-of-step row
-    d_coef = compute_d(p2, grid, alpha)
+    w_ext = reference_weights(grid)[1]
+    d_coef = alpha * row_dots(p2, w_ext)
 
     # explicit upwind advection, zero inflow, metered outflow
     pos = np.maximum(nu, 0.0)[:, None]
@@ -372,7 +396,7 @@ def unfused_hl_step(p, b, dt, grid, alpha, sink_scale=1.0):
 
     # explicit relaxation sink beyond the threshold
     ext = grid.exterior
-    sink = eff_dt * q[:, ext].sum(axis=1) * ds
+    sink = eff_dt * row_dots(q, w_ext)
     q[:, ext] *= (1.0 - eff_dt)
 
     # re-injection at sigma = 0 restores every metered removal
@@ -481,32 +505,23 @@ def quadrature_inputs(draw):
     grid = unchecked_grid(draw(st.sampled_from([0.75, 1.5, 2.0, 4.0])),
                           draw(st.integers(1, 41)),
                           draw(st.sampled_from([0.0, 1.0, 5.0])))
-    n, n_ext = grid.n_sigma, grid.n_exterior_side
-    # the exterior the quadratures copy: two contiguous ends of n_ext cells
-    assume(int(grid.exterior.sum()) == 2 * n_ext
-           and grid.exterior[:n_ext].all() and grid.exterior[n - n_ext:].all())
     values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
                        st.floats(-1e3, 1e3, allow_subnormal=False))
-    return grid, draw(arrays(np.float64, (draw(st.integers(1, 5)), n), elements=values))
+    return grid, draw(arrays(np.float64, (draw(st.integers(1, 5)), grid.n_sigma),
+                             elements=values))
 
 
-def mask_gather_quadratures(p, grid):
-    """The allocating forms the scratch meters replace, kept verbatim, plus
-    the sums that never had a scratch form.  On a lone (n_sigma,) row each
+def reference_quadratures(p, grid):
+    """The per-row references of the quadratures: the moments as np.dot(row,
+    w) of each row with each reference weight, and the sums that are no dot
+    as their allocating forms, kept verbatim.  On a lone (n_sigma,) row each
     gives the bits the quadratures gave such a row when they still took one
     (the form that reshaped it to a batch of one)."""
-    ds, ext = grid.d_sigma, grid.exterior
-    inner = ~ext
-    if not inner.any():
-        banded = np.zeros(p.shape[:-1]) if p.ndim > 1 else 0.0
-    else:
-        banded = (p[..., inner] * grid.centers[inner]).sum(axis=-1) * ds
+    ds = grid.d_sigma
     diff = np.diff(p, axis=-1) / ds
+    moments = np.array([row_dots(np.atleast_2d(p), w) for w in reference_weights(grid)]).T
     return {"mass": p.sum(axis=-1) * ds,
-            "exterior_sum": p[..., ext].sum(axis=-1),
-            "exterior_mass": p[..., ext].sum(axis=-1) * ds,
-            "first_moment": (p * grid.centers).sum(axis=-1) * ds,
-            "inner_moment": banded,
+            "moments": moments.reshape(p.shape[:-1] + (4,)),
             "gradient_energy": (diff * diff).sum(axis=-1) * ds,
             "outermost_mass": (p[..., 0] + p[..., -1]) * ds}
 
@@ -517,23 +532,50 @@ def same_bits(a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(quadrature_inputs(), st.sampled_from([1.0, 0.75]))
-def test_scratch_meters_match_the_mask_gathers_bitwise_property(inputs, alpha):
+def test_quadratures_match_per_row_references_bitwise_property(inputs, alpha):
     # odd n_sigma, no exterior cell (n_exterior_side = 0), every cell
     # exterior (threshold 0) and one-row batches
     grid, p = inputs
-    ref = mask_gather_quadratures(p, grid)
+    ref = reference_quadratures(p, grid)
+    assert same_bits(grid.weights, np.array(reference_weights(grid)))
     for name, value in ref.items():
         assert same_bits(getattr(grid, name)(p), value), name
-    assert same_bits(compute_d(p, grid, alpha), alpha * ref["exterior_mass"])
-    assert same_bits(compute_tau(p, grid), ref["first_moment"])
-    assert same_bits(compute_inner_moment(p, grid), ref["inner_moment"])
+    assert same_bits(compute_d(p, grid, alpha), alpha * ref["moments"][:, 1])
+    assert same_bits(compute_tau(p, grid), ref["moments"][:, 2])
     assert same_bits(compute_gradient_energy(p, grid), ref["gradient_energy"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_rows_moments_do_not_depend_on_its_batch_property(data):
+    # one row shape: a row's moments, D, tau and sink have the bits of the
+    # row alone in any batch and at any offset of its memory.  np.vecdot
+    # makes each dot alone; a matrix product (p @ w.T) blocks rows together
+    grid = data.draw(st.sampled_from(PROPERTY_GRIDS + (NON_DYADIC_GRID,)))
+    n_rows, n = data.draw(st.sampled_from([1, 2, 3, 5, 64])), grid.n_sigma
+    p = data.draw(arrays(np.float64, (n_rows, n), elements=CELL))
+    alpha, dt = data.draw(ALPHA), data.draw(ANY_DT)
+    b = loading(data.draw(arrays(np.float64, (n_rows,), elements=COURANT)), grid, dt)
+    offset = data.draw(st.integers(1, 7))  # in cells of 8 bytes
+
+    def values(rows, loading_rate):
+        return (grid.moments(rows), compute_d(rows, grid, alpha), compute_tau(rows, grid),
+                hl_step(rows, loading_rate, dt, grid, alpha)[1].sink_mass)
+
+    batch = values(p, b)
+    for i in range(n_rows):
+        moved = np.empty(n + offset)[offset:]
+        moved[:] = p[i]
+        for row in (p[i:i + 1].copy(), moved[None]):
+            for name, alone, within in zip(("moments", "d", "tau", "sink_mass"),
+                                           values(row, b[i:i + 1]), batch):
+                assert alone[0].tobytes() == within[i].tobytes(), (name, i, n_rows)
 
 
 # every function that steps, sums or bounds density rows takes an
 # (n_rows, n_sigma) batch; a batch of one must give the bits a lone
 # (n_sigma,) row gave when they still took one.  The references are those
-# lone-row forms: mask_gather_quadratures and unfused_hl_step on a 1-D row,
+# lone-row forms: reference_quadratures and unfused_hl_step on a 1-D row,
 # the scalar offset kernel, and the barrier's convolution of one row.
 CONVENTION_GRIDS = (SigmaGrid(2.0, 8), SigmaGrid(4.0, 32), SigmaGrid(2.0, 8, threshold=0.0),
                     unchecked_grid(2.0, 8, 5.0),  # n_exterior_side = 0
@@ -554,12 +596,11 @@ def test_one_row_batches_keep_the_bits_of_lone_rows_property(data):
     def same(out, ref):
         return out.shape == (1,) + np.shape(ref) and out[0].tobytes() == np.float64(ref).tobytes()
 
-    ref = mask_gather_quadratures(row, grid)
+    ref = reference_quadratures(row, grid)
     for name, value in ref.items():
         assert same(getattr(grid, name)(batch), value), name
-    assert same(compute_d(batch, grid, alpha), alpha * ref["exterior_mass"])
-    assert same(compute_tau(batch, grid), ref["first_moment"])
-    assert same(compute_inner_moment(batch, grid), ref["inner_moment"])
+    assert same(compute_d(batch, grid, alpha), alpha * ref["moments"][1])
+    assert same(compute_tau(batch, grid), ref["moments"][2])
     assert same(compute_gradient_energy(batch, grid), ref["gradient_energy"])
 
     # the step under a scalar loading, as a lone row took it
