@@ -90,7 +90,7 @@ def cmd_run(args) -> int:
             coupler.check_state(resume, prob, (coupler.path_rows(prob, closed_form),))
             if resume.p.size:  # a closed-form state has no rows to check
                 check = diagnostics.verify_resume(resume, prob.sigma_grid, prob.space_grid.dt,
-                                                  init.p0, prob.dp.alpha, cfg.c_comparison)
+                                                  init.p0, cfg.c_comparison)
                 print(check.format())
                 check.raise_if_failed()
             print(f"resuming at step {resume.step} "
@@ -217,17 +217,17 @@ def cmd_oracle(args) -> int:
         raise ConfigError("--t must be nonnegative")
     p0 = init.p0[:1]
     tau0 = float(compute_tau(p0, grid)[0])
-    p_t = maxwell_p(p0[0], loading, t, grid, alpha)
+    p_t = maxwell_p(p0, loading, t, grid, alpha)
     tau_t = maxwell_tau(tau0, loading, t)
-    mass = float(grid.mass(p_t))
+    mass = float(grid.mass(p_t)[0])
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"t = {t:.17g}")
     print(f"tau = {tau_t:.17g}")
     print(f"density mass = {mass:.17g}")
-    print(f"density first moment = {float(compute_tau(p_t[None], grid)[0]):.17g}")
+    print(f"density first moment = {float(compute_tau(p_t, grid)[0]):.17g}")
     if args.out:
         snapshots.write_fields_csv(Path(args.out), t, grid.centers,
-                                   {"p": p_t}, cfg.fingerprint,
+                                   {"p": p_t[0]}, cfg.fingerprint,
                                    index_name="sigma")
         print(f"wrote density to {args.out}")
     return 0

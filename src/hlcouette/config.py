@@ -190,7 +190,7 @@ class RunConfig:
         # the rows of this config's own path; --force-general on a fully
         # relaxing config keeps rows too, which its run checks (_integrate)
         check_series_budget(prob.space_grid, path_rows(prob, self.fully_relaxing),
-                            self.snapshot_every)
+                            self.snapshot_every, "run.snapshot_every")
         return prob
 
     def build(self) -> tuple[CoupledProblem, InitialData, ValidationReport]:

@@ -62,6 +62,9 @@ PICARD_MAX = 50
 MASS_TOL = 1e-10
 TRUNCATION_TOL = 1e-8  # mass allowed in the outermost stress cells
 SERIES_MAX_BYTES = 2**30  # per-step records and snapshots of one run; standard needs 4 MB
+# objects of a kept snapshot beyond its array data (Snapshot, Accumulators, array
+# headers, series views); tracemalloc: 2 610-2 800 B on 1 x 16 to 64 x 16 rows
+SNAPSHOT_OBJECT_BYTES = 3072
 
 
 @dataclass(frozen=True)
@@ -145,22 +148,23 @@ def path_rows(prob: CoupledProblem, closed_form: bool) -> tuple[int, int]:
     return (0 if closed_form else prob.space_grid.n_y, prob.sigma_grid.n_sigma)
 
 
-def check_series_budget(sgrid: SpaceTimeGrid, rows: tuple[int, int], snap_every: int) -> None:
+def check_series_budget(sgrid: SpaceTimeGrid, rows: tuple[int, int], snap_every: int,
+                        schedule: str) -> None:
     """Reject, before anything is allocated, a run whose records exceed the budget.
 
     The records are the per-step series and the snapshots a run keeps in
     RunResult.snapshots, each its step's density rows (shape rows, see
-    path_rows) plus five (n_y,) arrays: u, the three running integrals and
-    D; its series are views of the run's own.
-    """
+    path_rows), five (n_y,) arrays (u, the three running integrals and D)
+    and SNAPSHOT_OBJECT_BYTES; its series are views of the run's own.
+    schedule names what keeps the snapshots, for the refusal."""
     series = sum(f.length(sgrid.n_steps) * (sgrid.n_y if f.per_y else 1)
                  * np.dtype(f.dtype).itemsize for f in SERIES)
     n_steps = sgrid.n_steps  # a snapshot every snap_every-th step and at the last
     snaps = n_steps // snap_every + 1 + (n_steps % snap_every > 0) if snap_every else 0
-    need = series + snaps * (rows[0] * rows[1] + 5 * sgrid.n_y) * 8
+    need = series + snaps * ((rows[0] * rows[1] + 5 * sgrid.n_y) * 8 + SNAPSHOT_OBJECT_BYTES)
     if need > SERIES_MAX_BYTES:
         raise ValidationError(
-            f"run.dt and run.t_final give {sgrid.n_steps} steps and run.snapshot_every "
+            f"run.dt and run.t_final give {sgrid.n_steps} steps and {schedule} "
             f"keeps {snaps} snapshots of {rows[0]} x {rows[1]} rows, whose records "
             f"need {need:.3g} bytes (budget {SERIES_MAX_BYTES:.3g})")
 
@@ -452,7 +456,8 @@ def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: Ru
     n_y, n_steps = sgrid.n_y, sgrid.n_steps
     rows = path_rows(prob, closed_form=isinstance(path, _Relaxation))
     check_state(start, prob, (rows,))
-    check_series_budget(sgrid, rows, snap_every)
+    check_series_budget(sgrid, rows, snap_every, "hl-run, with a snapshot at every step,"
+                        if isinstance(path, _Prescribed) else "run.snapshot_every")
     p0 = p0.copy()
     series = _new_series(n_steps, n_y)
     state = replace(start.checkpoint(), series=series)

@@ -15,10 +15,10 @@ computed density to dominate it up to O(d_sigma + dt).  The induced floor
 check then re-derives the diffusivity lower bound from that sub-solution
 instead of trusting the recorded minimum.  Both checks, and the comparison
 that verify_resume makes on a restored state, grade their largest deficit
-alike (_grade_barrier).  sub_solution takes the kernels of all rows from
-one maxwell.offset_kernel call, then convolves row by row with
-np.convolve(..., mode="valid"), whose bits the tests pin.  A checkpoint of
-either path is graded up to its step, once coupler.check_state admits it.
+alike (_grade_barrier).  The sub-solution is maxwell.sub_solution, the
+decayed term of the fully relaxing closed form, so this module defines no
+convolution of its own.  A checkpoint of either path is graded up to its
+step, once coupler.check_state admits it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import DiagnosticFailure, ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import h1_norm_sq, heat_step, l2_norm
-from .maxwell import offset_kernel
+from .maxwell import sub_solution
 from .meso import compute_d
 
 NEGATIVITY_FLOOR = -1e-12
@@ -144,17 +144,6 @@ def check_d_floor(result: RunResult) -> CheckResult:
     return _soft("diffusivity_floor", violation, slack,
                  f"max deficit below (eta/2) e^(-t) is {violation:.3e} "
                  f"at t = {result.times[k]:.4g} (slack {slack:.1e}, eta = {eta:.6g})")
-
-
-def sub_solution(p0: np.ndarray, grid: SigmaGrid, t: float,
-                 xi: np.ndarray, acc_d: np.ndarray) -> np.ndarray:
-    """Explicit lower barrier exp(-t) (p0 * G_nu)(sigma - xi) of each of the
-    (n_rows, n_sigma) rows p0, with xi and acc_d (n_rows,) arrays."""
-    kern = offset_kernel(grid, xi, 2.0 * acc_d)  # every row's kernel in one call
-    out = np.empty_like(p0)
-    for i in range(p0.shape[0]):
-        out[i] = grid.d_sigma * np.convolve(p0[i], kern[i], mode="valid")
-    return math.exp(-t) * out
 
 
 Deficits = list[tuple[float, float]]  # (t, deficit) per density snapshot
@@ -351,8 +340,7 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
                      snapshots=[snap])
 
 
-def verify_resume(state: RunState, grid: SigmaGrid, dt: float,
-                  p0: np.ndarray, alpha: float,
+def verify_resume(state: RunState, grid: SigmaGrid, dt: float, p0: np.ndarray,
                   c_comp: float = C_COMPARISON) -> DiagnosticsReport:
     """Re-validate a restored state before continuing a run."""
     report = DiagnosticsReport()

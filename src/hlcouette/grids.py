@@ -109,13 +109,11 @@ class SigmaGrid:
         np.dot) blocks rows together and would not."""
         return np.vecdot(p[:, None, :], self.weights)
 
-    def gradient_energy(self, p: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    def gradient_energy(self, p: np.ndarray, work: np.ndarray) -> np.ndarray:
         """int |dsigma p|^2 dsigma by forward differences; work is C-ordered
-        (n_rows, n_sigma).  The squared quotients are formed over the
+        (n_rows, n_sigma) scratch.  The squared quotients are formed over the
         flattened rows in one pass each, which is faster than row by row; the
         one that straddles each row seam is never summed."""
-        if work is None:
-            work = np.empty(p.shape)
         flat, grad = p.reshape(-1), work.reshape(-1)[:-1]
         np.subtract(flat[1:], flat[:-1], out=grad)
         np.divide(grad, self.d_sigma, out=grad)

@@ -23,10 +23,10 @@ are the nodes of the whole range [0, sqrt(t)].  Each node's shift
 chi(t) - chi(t - w^2) is the forcing's window integral over the last w^2,
 which keeps its digits where t - w^2 rounds.
 
-offset_kernel is the one Gaussian kernel on the offset ladder.  It takes
-per-row shifts and variances and builds every kernel of positive variance
-with one broadcast ndtr: the comparison barrier in diagnostics asks it for
-all rows of a snapshot at once, maxwell_p for a batch of one.
+The decayed term, sub_solution, is also the comparison barrier of the
+general equation (xi = chi, int D = alpha t).  It takes (n_rows, n_sigma)
+rows and every row's kernel from one offset_kernel call (one broadcast
+ndtr), then convolves row by row, in an order whose bits the tests pin.
 """
 
 from __future__ import annotations
@@ -91,25 +91,34 @@ def offset_kernel(grid: SigmaGrid, shifts: np.ndarray, variances: np.ndarray) ->
     return kern
 
 
+def sub_solution(p0: np.ndarray, grid: SigmaGrid, t: float,
+                 xi: np.ndarray, acc_d: np.ndarray) -> np.ndarray:
+    """Explicit lower barrier exp(-t) (p0 * G_nu)(sigma - xi) of each of the
+    (n_rows, n_sigma) rows p0, with xi and acc_d (n_rows,) arrays."""
+    kern = offset_kernel(grid, xi, 2.0 * acc_d)  # every row's kernel in one call
+    out = np.empty(p0.shape)  # float rows, whatever the dtype of p0
+    for i in range(p0.shape[0]):
+        out[i] = grid.d_sigma * np.convolve(p0[i], kern[i], mode="valid")
+    return math.exp(-t) * out
+
+
 def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
               alpha: float, n_quad: int = MEMORY_QUAD_POINTS) -> np.ndarray:
     """Closed-form stress density of the fully relaxing variant at time t.
 
-    p0 are cell values on the grid (treated as point masses at cell
-    centers, exact to second order in d_sigma); forcing supplies the
-    loading history b whose running integral is the accumulated shear chi.
+    p0 are (n_rows, n_sigma) cell values, treated as point masses at cell
+    centers (exact to second order in d_sigma); forcing supplies the loading
+    b whose running integral is the accumulated shear chi.
     """
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (grid.n_sigma,):
-        raise ValidationError("p0 must be a single grid row")
+    if not (isinstance(p0, np.ndarray) and p0.ndim == 2 and p0.shape[1] == grid.n_sigma):
+        raise ValidationError(f"p0 must be (n_rows, {grid.n_sigma}) rows, got {np.shape(p0)}")
     if t < 0:
         raise ValidationError("t must be nonnegative")
     if t == 0.0:
-        return p0.copy()
+        return p0.astype(float)
 
-    chi_t = forcing.integral(t)
-    kern = offset_kernel(grid, np.array([chi_t]), np.array([2.0 * alpha * t]))[0]
-    decayed = math.exp(-t) * grid.d_sigma * np.convolve(p0, kern, mode="valid")
+    n = p0.shape[0]
+    decayed = sub_solution(p0, grid, t, np.full(n, forcing.integral(t)), np.full(n, alpha * t))
 
     # memory term via w = sqrt(t - s): int_0^sqrt(t) 2 w e^{-w^2} K_{alpha w^2}(.) dw,
     # cut at MEMORY_W_MAX

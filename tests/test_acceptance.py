@@ -152,7 +152,7 @@ def test_criterion_06_relaxation_closed_forms():
     mass_err = 0.0
     for forcing in forcings.values():
         for t in (0.25, 1.0, 2.0):
-            p = maxwell_p(p0, forcing, t, grid, alpha=1.0)
+            p = maxwell_p(p0[None], forcing, t, grid, alpha=1.0)
             mass_err = max(mass_err, abs(float(np.sum(p)) * grid.d_sigma - 1.0))
     ok = tau_err <= 1e-12 and mass_err <= 1e-8
     report(6, "relaxation closed forms", ok,

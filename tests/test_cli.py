@@ -100,7 +100,7 @@ def test_validate_counts_the_snapshots_in_the_record_budget(capsys):
     # never run it
     assert main(["validate", *SNAPSHOT_HEAVY, "--set", "run.snapshot_every=1"]) == 3
     err = capsys.readouterr().err
-    assert "run.snapshot_every keeps 1001 snapshots" in err and "4.2e+09 bytes" in err
+    assert "run.snapshot_every keeps 1001 snapshots" in err and "4.21e+09 bytes" in err
     assert main(["validate", *SNAPSHOT_HEAVY, "--set", "run.snapshot_every=100"]) == 0
     assert "validation passed" in capsys.readouterr().out
     # the closed form keeps no rows: 1 001 snapshots of five 511-node fields
@@ -114,6 +114,20 @@ def test_validate_counts_the_snapshots_in_the_record_budget(capsys):
     captured = capsys.readouterr()
     assert "1001 snapshots of 511 x 256 rows" in captured.err
     assert "integrating" in captured.out and "done in" not in captured.out
+
+
+def test_a_budget_refusal_names_the_schedule_that_keeps_the_snapshots(capsys):
+    # hl-run keeps a snapshot at every step whatever run.snapshot_every says
+    # (its default, 100, fits); refused before any record is allocated
+    grid = ["--set", "grid.n_y=1", "--set", "grid.n_sigma=2048", "--set", "run.dt=1e-5"]
+    assert main(["hl-run", *grid]) == 3
+    err = capsys.readouterr().err
+    assert "hl-run, with a snapshot at every step, keeps 100001 snapshots of 1 x 2048" in err
+    assert "run.snapshot_every" not in err
+    for command in ("validate", "run"):
+        assert main([command, *grid, "--set", "run.snapshot_every=1"]) == 3
+        assert "run.snapshot_every keeps 100001 snapshots of 1 x 2048" in \
+            capsys.readouterr().err
 
 
 def test_run_writes_artifacts(tmp_path, capsys):

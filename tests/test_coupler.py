@@ -1,7 +1,9 @@
 """Coupled stepping: fixed point, bookkeeping, checkpointing, both variants."""
 
+import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,13 +181,38 @@ def test_the_record_budget_charges_what_a_snapshot_holds(monkeypatch):
                if isinstance(value, np.ndarray)]
         assert sum(value.nbytes for value in own) == per_snapshot, snap.step
     need = sum(record.nbytes for record in res.series.values()) \
-        + len(res.snapshots) * per_snapshot
+        + len(res.snapshots) * (per_snapshot + coupler.SNAPSHOT_OBJECT_BYTES)
     rows = path_rows(prob, closed_form=False)
     monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need)
-    check_series_budget(prob.space_grid, rows, 5)
+    check_series_budget(prob.space_grid, rows, 5, "run.snapshot_every")
     monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need - 1)
     with pytest.raises(ValidationError):
-        check_series_budget(prob.space_grid, rows, 5)
+        check_series_budget(prob.space_grid, rows, 5, "run.snapshot_every")
+
+
+@pytest.mark.parametrize("n_y, n_sigma", [(1, 16), (8, 64)])
+def test_a_kept_snapshot_holds_no_more_than_the_budget_charges(n_y, n_sigma):
+    # the prescribed path keeps a snapshot at every step, the most a run keeps
+    grid = SigmaGrid(sigma_max=4.0, n_sigma=n_sigma)
+    space = SpaceTimeGrid(n_y=n_y, dt=1e-3, t_final=0.4)
+    prob = CoupledProblem(dp=DP, sigma_grid=grid, space_grid=space,
+                          protocol=ShearProtocol.ramp(1.0, 0.5))
+    init = InitialData.from_preset(grid, space, "gaussian", {"mean": 0.0, "width": 1.0})
+    eta, _ = compute_eta(init.p0, grid, DP.alpha)
+    coupler.run_prescribed(prob, init.p0, eta)  # first-use caches are not the run's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = coupler.run_prescribed(prob, init.p0, eta)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    per_snapshot = (held - sum(record.nbytes for record in res.series.values())) \
+        / len(res.snapshots)
+    arrays = (n_y * n_sigma + 5 * n_y) * 8
+    assert arrays < per_snapshot <= arrays + coupler.SNAPSHOT_OBJECT_BYTES
 
 
 def test_mass_guard_raises_with_post_mortem_payload():

@@ -212,22 +212,22 @@ def test_checkpoint_rebuild_supports_full_battery(healthy):
 
 def test_verify_resume_accepts_and_rejects(healthy):
     prob, init, eta, res, payloads = healthy
-    good = verify_resume(payloads[0], SGRID, SPACE.dt, init.p0, DP.alpha)
+    good = verify_resume(payloads[0], SGRID, SPACE.dt, init.p0)
     assert good.ok
 
     bad = copy.deepcopy(payloads[0])
     bad.p *= 1.01
-    report = verify_resume(bad, SGRID, SPACE.dt, init.p0, DP.alpha)
+    report = verify_resume(bad, SGRID, SPACE.dt, init.p0)
     assert {r.name for r in report.failures} >= {"resume_mass"}
 
     neg = copy.deepcopy(payloads[0])
     neg.p[0, 0] = -1e-6
-    report = verify_resume(neg, SGRID, SPACE.dt, init.p0, DP.alpha)
+    report = verify_resume(neg, SGRID, SPACE.dt, init.p0)
     assert any(r.name == "resume_positivity" for r in report.failures)
 
     hollow = copy.deepcopy(payloads[0])
     hollow.p *= 0.5
-    report = verify_resume(hollow, SGRID, SPACE.dt, init.p0, DP.alpha)
+    report = verify_resume(hollow, SGRID, SPACE.dt, init.p0)
     assert any(r.name == "resume_comparison" for r in report.failures)
 
 

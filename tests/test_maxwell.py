@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from hlcouette import maxwell
 from hlcouette.errors import ValidationError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages
-from hlcouette.maxwell import maxwell_p, maxwell_tau, offset_kernel
+from hlcouette.maxwell import maxwell_p, maxwell_tau, offset_kernel, sub_solution
 from hlcouette.protocols import PiecewiseLinearForcing, ShearProtocol
 
 GRID = SigmaGrid(sigma_max=8.0, n_sigma=256, threshold=0.0)
@@ -125,31 +126,31 @@ def normalized_gaussian(grid, width):
 
 
 def test_density_time_zero_is_identity():
-    p0 = normalized_gaussian(GRID, 1.0)
+    p0 = normalized_gaussian(GRID, 1.0)[None]
     out = maxwell_p(p0, constant_forcing(0.3), 0.0, GRID, alpha=1.0)
     assert np.array_equal(out, p0) and out is not p0
     with pytest.raises(ValidationError):
-        maxwell_p(p0[:10], constant_forcing(0.3), 1.0, GRID, 1.0)
+        maxwell_p(p0[:, :10], constant_forcing(0.3), 1.0, GRID, 1.0)
     with pytest.raises(ValidationError):
         maxwell_p(p0, constant_forcing(0.3), -0.5, GRID, 1.0)
 
 
 def test_density_conserves_mass_and_symmetry():
-    p0 = normalized_gaussian(GRID, 1.0)
+    p0 = normalized_gaussian(GRID, 1.0)[None]
     for t in [0.1, 0.5]:
-        out = maxwell_p(p0, constant_forcing(0.0), t, GRID, alpha=1.0)
+        out = maxwell_p(p0, constant_forcing(0.0), t, GRID, alpha=1.0)[0]
         assert float(GRID.mass(out)) == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(out, out[::-1], atol=1e-15)
         assert out.min() >= 0.0
     # the only mass leak is grid truncation of the spreading tails; by t = 1
     # the spread reaches 4.6 sigma here (~1e-6 clipped), while a doubled
     # sigma_max restores conservation to rounding even with a net shift
-    late = maxwell_p(p0, constant_forcing(0.0), 1.0, GRID, alpha=1.0)
+    late = maxwell_p(p0, constant_forcing(0.0), 1.0, GRID, alpha=1.0)[0]
     assert 1e-7 < 1.0 - float(GRID.mass(late)) < 1e-5
     ramp = ShearProtocol.ramp(1.0, 0.5).forcing
     wide = SigmaGrid(sigma_max=16.0, n_sigma=512, threshold=0.0)
-    w0 = normalized_gaussian(wide, 1.0)
-    assert float(wide.mass(maxwell_p(w0, ramp, 1.0, wide, 1.0))) == \
+    w0 = normalized_gaussian(wide, 1.0)[None]
+    assert float(wide.mass(maxwell_p(w0, ramp, 1.0, wide, 1.0))[0]) == \
         pytest.approx(1.0, abs=1e-12)
 
 
@@ -162,7 +163,7 @@ def test_density_against_direct_quadrature():
     alpha, t = 0.8, 0.6
     f = ShearProtocol.sinusoid(0.9, 2.0).forcing
     chi_t = f.integral(t)
-    out = maxwell_p(p0, f, t, grid, alpha)
+    out = maxwell_p(p0[None], f, t, grid, alpha)[0]
 
     std0 = math.sqrt(2.0 * alpha * t)
     for i in [30, 48, 60]:
@@ -186,7 +187,7 @@ def test_density_against_direct_quadrature():
 
 
 def test_memory_quadrature_is_converged():
-    p0 = normalized_gaussian(GRID, 1.0)
+    p0 = normalized_gaussian(GRID, 1.0)[None]
     smooth = ShearProtocol.sinusoid(0.9, 2.0).forcing
     a = maxwell_p(p0, smooth, 1.0, GRID, 1.0, n_quad=96)
     b = maxwell_p(p0, smooth, 1.0, GRID, 1.0, n_quad=192)
@@ -197,4 +198,50 @@ def test_memory_quadrature_is_converged():
     a = maxwell_p(p0, f, 1.0, GRID, 1.0, n_quad=96)
     b = maxwell_p(p0, f, 1.0, GRID, 1.0, n_quad=192)
     assert np.max(np.abs(a - b)) < 1e-7
-    assert abs(float(GRID.mass(a - b))) < 1e-12
+    assert abs(float(GRID.mass(a - b)[0])) < 1e-12
+
+
+# fully relaxing grids whose d_sigma is a power of two, where a reordered
+# product by d_sigma keeps every bit, and grids where it is not
+D_SIGMAS = st.one_of(st.integers(1, 5).map(lambda k: 2.0 ** -k),
+                     st.floats(0.04, 0.5).filter(lambda d: math.frexp(d)[0] != 0.5))
+
+
+@settings(deadline=None)
+@given(d_sigma=D_SIGMAS, half=st.integers(4, 32), n_rows=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), b=st.floats(-2.0, 2.0),
+       t=st.floats(1e-3, 5.0), alpha=st.floats(0.1, 4.0))
+def test_each_row_of_a_batch_is_the_closed_form_of_that_row_property(
+        d_sigma, half, n_rows, seed, b, t, alpha):
+    grid = SigmaGrid(sigma_max=d_sigma * half, n_sigma=2 * half, threshold=0.0)
+    rows = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n_rows, grid.n_sigma))
+    f = constant_forcing(b)
+    batch = maxwell_p(rows, f, t, grid, alpha)
+    assert batch.shape == rows.shape
+    for i in range(n_rows):
+        assert batch[i].tobytes() == maxwell_p(rows[i:i + 1], f, t, grid, alpha)[0].tobytes()
+    at0 = maxwell_p(rows, f, 0.0, grid, alpha)
+    assert at0.tobytes() == rows.tobytes() and at0 is not rows
+    counts = np.floor(4.0 * rows)  # whole numbers, held as floats and as ints
+    for time in (0.0, t):
+        assert maxwell_p(counts.astype(int), f, time, grid, alpha).tobytes() == \
+            maxwell_p(counts, f, time, grid, alpha).tobytes()
+    with pytest.raises(ValidationError):
+        maxwell_p(rows[0], f, t, grid, alpha)
+
+
+def test_the_decayed_term_is_one_sub_solution(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sub_solution(*args)
+
+    monkeypatch.setattr(maxwell, "sub_solution", counting)
+    rows = np.repeat(normalized_gaussian(GRID, 1.0)[None], 3, axis=0)
+    f = constant_forcing(0.3)
+    maxwell_p(rows, f, 0.5, GRID, alpha=2.0)
+    assert len(calls) == 1
+    _, grid, t, xi, acc_d = calls[0]
+    assert grid is GRID and t == 0.5
+    assert xi.tolist() == [f.integral(0.5)] * 3 and acc_d.tolist() == [1.0] * 3
