@@ -89,8 +89,7 @@ def cmd_run(args) -> int:
             resume = snapshots.load_checkpoint(args.resume, expect_fingerprint=cfg.fingerprint)
             coupler.check_state(resume, prob, (coupler.path_rows(prob, closed_form),))
             if resume.p.size:  # a closed-form state has no rows to check
-                check = diagnostics.verify_resume(resume, prob.sigma_grid, prob.space_grid.dt,
-                                                  init.p0, cfg.c_comparison)
+                check = diagnostics.verify_resume(resume, prob, init.p0, cfg.c_comparison)
                 print(check.format())
                 check.raise_if_failed()
             print(f"resuming at step {resume.step} "
@@ -108,7 +107,7 @@ def cmd_run(args) -> int:
                 prob, tau0=compute_tau(init.p0, prob.sigma_grid), u0=init.u0, **options)
         else:
             print(f"integrating {steps_left} steps (kinetic path)")
-            result = coupler.run(prob, init, eta, **options)
+            result = coupler.run(prob, init, eta, grade=not args.skip_checks, **options)
         elapsed = time.perf_counter() - t_start
         iters = result.series["iters"]
         max_iters = int(iters.max()) if iters.size else 0
@@ -153,8 +152,8 @@ def cmd_run(args) -> int:
             report.raise_if_failed()
         return 0
     except BaseException as exc:
-        # every snapshot taken is written whole; a writer error must not
-        # mask the run's own
+        # the CSV of every snapshot taken is written whole; a writer error
+        # must not mask the run's own
         if directory is not None:
             dump, errors = directory.abort(getattr(exc, "payload", None))
             if dump is not None:
@@ -178,7 +177,7 @@ def cmd_hl_run(args) -> int:
         init.p0[:1], report.eta)
     tau = result.series["tau"][:, 0]
     d = result.series["min_d"]
-    mass = np.concatenate([grid.mass(snap.p) for snap in result.snapshots])
+    mass = result.row_records["mass"][:, 0]
     print(f"t = {result.times[-1]:g}: tau = {tau[-1]:.10g}, "
           f"D = {d[-1]:.10g}, mass = {mass[-1]:.12g}, "
           f"max p = {result.series['max_p'].max():.6g}")
@@ -288,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-general", action="store_true",
                    help="use the kinetic path even for fully relaxing runs")
     p.add_argument("--skip-checks", action="store_true",
-                   help="skip the post-run diagnostic battery")
+                   help="skip the diagnostic battery and the barrier "
+                        "grading of each snapshot")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("hl-run", help="single stress ensemble under a loading")

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .coupler import (CoupledProblem, PICARD_MAX, PICARD_TOL, check_series_budget,
-                      path_rows)
+from .coupler import CoupledProblem, PICARD_MAX, PICARD_TOL, check_series_budget
 from .diagnostics import C_COMPARISON, C_MOMENT
 from .errors import ConfigError
 from .grids import SigmaGrid, SpaceTimeGrid
@@ -187,10 +186,7 @@ class RunConfig:
                               protocol=self.protocol(),
                               picard_tol=r["picard_tol"],
                               picard_max=r["picard_max"])
-        # the rows of this config's own path; --force-general on a fully
-        # relaxing config keeps rows too, which its run checks (_integrate)
-        check_series_budget(prob.space_grid, path_rows(prob, self.fully_relaxing),
-                            self.snapshot_every, "run.snapshot_every")
+        check_series_budget(prob.space_grid, self.snapshot_every)
         return prob
 
     def build(self) -> tuple[CoupledProblem, InitialData, ValidationReport]:

@@ -13,10 +13,14 @@ and abandoned after three non-contracting iterates or picard_max of them.
 One loop, _integrate, steps every path, and one driver, _picard, solves
 each coupled step's fixed point.  The loop owns the start state, its step-0
 records, the records every path shares (tau, u, b, iters, ratios), the
-snapshots and the checkpoints.  A path has three methods: start(state)
-returns its tau; step(state, k) advances it over step k and returns the
-loading, tau and Picard stats of its accepted iterate; observe(state, k)
-records the path's meters of step k and returns D.
+snapshots and the checkpoints.  A snapshot is graded when it is taken:
+the loop records the two barrier deficits of the state and its D
+(barrier_deficits) and hands both to the snapshot sink, which reads what
+it keeps at once, so no density row outlives its step.  A path has three
+methods: start(state) returns its tau; step(state, k) advances it over
+step k and returns the loading, tau and Picard stats of its accepted
+iterate; observe(state, k) records the path's meters of step k and
+returns D.
 - _Kinetic (run) advances the density rows by the meso solver.  Every
   iterate restarts them from the saved start-of-step rows, so the accepted
   step is a genuine implicit solve, not an accumulation.  The moments of
@@ -26,17 +30,18 @@ records the path's meters of step k and returns D.
 - _Prescribed (run_prescribed, hl-run) is _Kinetic with the Picard solve
   replaced by one advance under a given loading b(t): the single-ensemble
   equation the coupled problem extends.  It shares _Kinetic's start,
-  observe and per-step bookkeeping; the velocity stays at rest.
+  observe and per-step bookkeeping, and records each row's mass and D at
+  every step (RunResult.row_records); the velocity stays at rest.
 - _Relaxation (run_maxwell) integrates tau' + tau = b exactly per node.
   It is a production path for sigma_c = 0 runs and the cross-validation
   partner of the general solver; its states have no density rows.
 
 A run after any step is one RunState, which a checkpoint holds and a run
-resumes from; RunState.checkpoint() is the one copy of a state.  A kept
-Snapshot is that copy at its step plus D of its rows.  A RunResult is the
-final state plus what the run was run on, and reads its path and initial
-maximum from its rows.  Every state meets its problem at one gate,
-check_state, which refuses one that does not fit.
+resumes from; RunState.checkpoint() is the one copy of a state.  A
+RunResult is the final state plus what the run was run on and what it
+recorded of its snapshots, and reads its path and initial maximum from
+its rows.  Every state meets its problem at one gate, check_state, which
+refuses one that does not fit.
 The per-step records are named once, by their SERIES key, in RunState.series
 and every archive alike: a new meter is one SERIES row plus the line of the
 loop or of a path that fills it.
@@ -53,7 +58,8 @@ from .errors import ConfigError, DiagnosticFailure, NonContractionError, Validat
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import heat_step, l2_norm, velocity_gradient
-from .meso import StepReport, advance_rows, compute_gradient_energy
+from .maxwell import sub_solution
+from .meso import StepReport, advance_rows, compute_d, compute_gradient_energy
 from .params import DimensionlessParams
 from .protocols import ShearProtocol
 
@@ -61,10 +67,7 @@ PICARD_TOL = 1e-8
 PICARD_MAX = 50
 MASS_TOL = 1e-10
 TRUNCATION_TOL = 1e-8  # mass allowed in the outermost stress cells
-SERIES_MAX_BYTES = 2**30  # per-step records and snapshots of one run; standard needs 4 MB
-# objects of a kept snapshot beyond its array data (Snapshot, Accumulators, array
-# headers, series views); tracemalloc: 2 610-2 800 B on 1 x 16 to 64 x 16 rows
-SNAPSHOT_OBJECT_BYTES = 3072
+SERIES_MAX_BYTES = 2**30  # per-step and per-snapshot records of one run; standard needs 2.6 MB
 
 
 @dataclass(frozen=True)
@@ -148,25 +151,31 @@ def path_rows(prob: CoupledProblem, closed_form: bool) -> tuple[int, int]:
     return (0 if closed_form else prob.space_grid.n_y, prob.sigma_grid.n_sigma)
 
 
-def check_series_budget(sgrid: SpaceTimeGrid, rows: tuple[int, int], snap_every: int,
-                        schedule: str) -> None:
+def snapshot_count(n_steps: int, snap_every: int, first: int = 0) -> int:
+    """Snapshots taken at steps first..n_steps: every snap_every-th step and
+    the last (0 disables)."""
+    if not snap_every or first > n_steps:
+        return 0
+    return n_steps // snap_every - (first - 1) // snap_every + (n_steps % snap_every > 0)
+
+
+def check_series_budget(sgrid: SpaceTimeGrid, snap_every: int, row_records: bool = False
+                        ) -> None:
     """Reject, before anything is allocated, a run whose records exceed the budget.
 
-    The records are the per-step series and the snapshots a run keeps in
-    RunResult.snapshots, each its step's density rows (shape rows, see
-    path_rows), five (n_y,) arrays (u, the three running integrals and D)
-    and SNAPSHOT_OBJECT_BYTES; its series are views of the run's own.
-    schedule names what keeps the snapshots, for the refusal."""
-    series = sum(f.length(sgrid.n_steps) * (sgrid.n_y if f.per_y else 1)
-                 * np.dtype(f.dtype).itemsize for f in SERIES)
-    n_steps = sgrid.n_steps  # a snapshot every snap_every-th step and at the last
-    snaps = n_steps // snap_every + 1 + (n_steps % snap_every > 0) if snap_every else 0
-    need = series + snaps * ((rows[0] * rows[1] + 5 * sgrid.n_y) * 8 + SNAPSHOT_OBJECT_BYTES)
+    The records are the per-step series, the three floats that grade each
+    snapshot (RunResult.deficits) and, when row_records, the mass and D of
+    every row at every step (RunResult.row_records).  No density row is kept."""
+    n_steps, n_y = sgrid.n_steps, sgrid.n_y
+    series = sum(f.length(n_steps) * (n_y if f.per_y else 1) * np.dtype(f.dtype).itemsize
+                 for f in SERIES)
+    need = series + 3 * 8 * snapshot_count(n_steps, snap_every)
+    if row_records:
+        need += 2 * 8 * (n_steps + 1) * n_y
     if need > SERIES_MAX_BYTES:
         raise ValidationError(
-            f"run.dt and run.t_final give {sgrid.n_steps} steps and {schedule} "
-            f"keeps {snaps} snapshots of {rows[0]} x {rows[1]} rows, whose records "
-            f"need {need:.3g} bytes (budget {SERIES_MAX_BYTES:.3g})")
+            f"run.dt and run.t_final give {n_steps} steps; with n_y = {n_y} their "
+            f"records need {need:.3g} bytes (budget {SERIES_MAX_BYTES:.3g})")
 
 
 def _new_series(n_steps: int, n_y: int) -> dict[str, np.ndarray]:
@@ -199,20 +208,18 @@ class RunState:
 
 
 @dataclass
-class Snapshot(RunState):
-    """A kept state of a run: the checkpoint of its step plus D of its rows."""
-
-    d: np.ndarray
-
-
-@dataclass
 class RunResult(RunState):
-    """A finished run: its final state and what it was run on."""
+    """A finished run: its final state, what it was run on and its records."""
 
     problem: CoupledProblem
     eta: float
     p0: np.ndarray
-    snapshots: list[Snapshot]
+    # (t, comparison deficit, induced deficit) of each snapshot the run graded,
+    # in step order (barrier_deficits), shape (n_graded, 3)
+    deficits: np.ndarray
+    # "mass" and "d" of every row at every step, (n_steps + 1, n_y) each, on
+    # the prescribed path (run_prescribed); empty on the others
+    row_records: dict[str, np.ndarray]
 
     @property
     def kind(self) -> str:
@@ -260,6 +267,23 @@ def check_state(state: RunState, prob: CoupledProblem,
         raise ConfigError(
             f"the state's {name} has shape {found}, but the config's grids "
             f"(n_y = {n_y}, n_sigma = {n_sigma}) need {' or '.join(map(str, wanted))}")
+
+
+def barrier_deficits(prob: CoupledProblem, p0: np.ndarray, state: RunState,
+                     d: np.ndarray) -> tuple[float, float, float]:
+    """(t, max(barrier - p), max(barrier-induced D - d)) of a state with rows
+    of a run from rows p0, d the D of its rows.
+
+    The barrier is maxwell.sub_solution under the state's drift and
+    accumulated D.  Both barrier checks read it, so it is built once.  Its
+    D is compute_d's, the quadrature of the run's own D, so a barrier equal
+    to the rows induces their D bit for bit.
+    """
+    grid = prob.sigma_grid
+    t = prob.space_grid.time(state.step)
+    barrier = sub_solution(p0, grid, t, state.accum.xi, state.accum.acc_d)
+    return (t, float((barrier - state.p).max()),
+            float((compute_d(barrier, grid, prob.dp.alpha) - d).max()))
 
 
 def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
@@ -340,6 +364,7 @@ class _Kinetic:
 
     def __init__(self, prob: CoupledProblem):
         self.prob = prob
+        self.row_records: dict[str, np.ndarray] = {}
 
     def _accept(self, moments: np.ndarray) -> np.ndarray:
         """Keep the moments of the current state and its D; return its tau."""
@@ -405,7 +430,19 @@ class _Kinetic:
 class _Prescribed(_Kinetic):
     """The kinetic path under a prescribed loading b(t) = prob.protocol, any
     Forcing: each step advances the rows by advance_rows with b frozen at
-    the step's end, as one iterate; the velocity stays at rest."""
+    the step's end, as one iterate; the velocity stays at rest.  It records
+    each row's mass (SigmaGrid.mass) and D at every step."""
+
+    def start(self, state: RunState) -> np.ndarray:
+        shape = (self.prob.space_grid.n_steps + 1, self.prob.space_grid.n_y)
+        self.row_records = {"mass": np.empty(shape), "d": np.empty(shape)}
+        return super().start(state)
+
+    def observe(self, state: RunState, k: int) -> np.ndarray:
+        d = super().observe(state, k)
+        self.row_records["mass"][k] = self.prob.sigma_grid.mass(state.p)
+        self.row_records["d"][k] = d
+        return d
 
     def _advance(self, state: RunState, k: int):
         prob, sgrid, loading = self.prob, self.prob.space_grid, self.prob.protocol
@@ -424,6 +461,7 @@ class _Relaxation:
 
     def __init__(self, prob: CoupledProblem):
         self.prob = prob
+        self.row_records: dict[str, np.ndarray] = {}
 
     def start(self, state: RunState) -> np.ndarray:
         dt = self.prob.space_grid.dt
@@ -450,27 +488,32 @@ class _Relaxation:
 
 def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: RunState,
                snap_every: int, checkpoint_every: int, checkpoint_sink,
-               snapshot_sink) -> RunResult:
-    """Step a path from start, a state of the run from rows p0, to the horizon."""
+               snapshot_sink, grade: bool) -> RunResult:
+    """Step a path from start, a state of the run from rows p0, to the horizon;
+    grade each snapshot by barrier_deficits when grade."""
     sgrid = prob.space_grid
     n_y, n_steps = sgrid.n_y, sgrid.n_steps
-    rows = path_rows(prob, closed_form=isinstance(path, _Relaxation))
-    check_state(start, prob, (rows,))
-    check_series_budget(sgrid, rows, snap_every, "hl-run, with a snapshot at every step,"
-                        if isinstance(path, _Prescribed) else "run.snapshot_every")
+    check_state(start, prob, (path_rows(prob, closed_form=isinstance(path, _Relaxation)),))
+    check_series_budget(sgrid, snap_every, row_records=isinstance(path, _Prescribed))
     p0 = p0.copy()
     series = _new_series(n_steps, n_y)
     state = replace(start.checkpoint(), series=series)
     for f in SERIES:
         series[f.key][:f.length(state.step)] = start.series[f.key]
-    snapshots: list[Snapshot] = []
+    # a resumed run observes the steps after its start
+    first = state.step + (state.step > 0)
+    deficits = np.empty((snapshot_count(n_steps, snap_every, first) if grade else 0, 3))
+    graded = 0
 
     def _observe(k: int):
+        nonlocal graded
         d = path.observe(state, k)
         if snap_every and (k % snap_every == 0 or k == n_steps):
-            snapshots.append(Snapshot(**vars(state.checkpoint()), d=d))
+            if grade:
+                deficits[graded] = barrier_deficits(prob, p0, state, d)
+                graded += 1
             if snapshot_sink is not None:
-                snapshot_sink(snapshots[-1])
+                snapshot_sink(state, d)
 
     tau = path.start(state)
     if state.step == 0:
@@ -489,7 +532,8 @@ def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: Ru
         if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
             checkpoint_sink(state.checkpoint())
 
-    return RunResult(**vars(state), problem=prob, eta=eta, p0=p0, snapshots=snapshots)
+    return RunResult(**vars(state), problem=prob, eta=eta, p0=p0, deficits=deficits,
+                     row_records=path.row_records)
 
 
 def _first_state(prob: CoupledProblem, u0: np.ndarray, p0: np.ndarray, **records) -> RunState:
@@ -502,20 +546,23 @@ def _first_state(prob: CoupledProblem, u0: np.ndarray, p0: np.ndarray, **records
 def run(prob: CoupledProblem, init: InitialData, eta: float,
         snap_every: int = 0, checkpoint_every: int = 0,
         checkpoint_sink=None, resume: RunState | None = None,
-        snapshot_sink=None) -> RunResult:
+        snapshot_sink=None, grade: bool = True) -> RunResult:
     """Integrate the coupled system to the horizon on the kinetic path.
 
     snap_every / checkpoint_every are step counts (0 disables; snapshots
     always include t = 0 and the final time).  checkpoint_sink, when given,
     receives a RunState at every checkpoint step; its series are read-only
     views of this run's records, valid after the run ends.
-    snapshot_sink, when given, receives each Snapshot as soon as it is
-    taken (it also goes into RunResult.snapshots); nothing later changes
-    its arrays.  resume is a RunState of this path to continue bit for bit.
+    snapshot_sink, when given, is called as sink(state, d) at each
+    snapshot, with the live state of its step and D of its rows: it must
+    read what it keeps before it returns, since the run goes on in them.
+    grade records the barrier deficits of each snapshot (RunResult.deficits);
+    without it none are recorded.  resume is a RunState of this path to
+    continue bit for bit; the run grades only the snapshots it takes.
     """
     return _integrate(prob, _Kinetic(prob), eta, init.p0,
                       resume or _first_state(prob, init.u0, init.p0),
-                      snap_every, checkpoint_every, checkpoint_sink, snapshot_sink)
+                      snap_every, checkpoint_every, checkpoint_sink, snapshot_sink, grade)
 
 
 def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
@@ -527,20 +574,22 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
     The per-node stress balance tau' + tau = b is integrated exactly per
     step with b frozen at the Picard iterate, inside the same backward-Euler
     fixed point as the general path.  The options are run's; the states
-    hold no density rows (shape (0, n_sigma)).
+    hold no density rows (shape (0, n_sigma)), so no barrier grades them.
     """
     no_rows = np.zeros(path_rows(prob, closed_form=True))
     return _integrate(prob, _Relaxation(prob), prob.dp.alpha, no_rows,
                       resume or _first_state(prob, u0, no_rows, tau=tau0[None]),
-                      snap_every, checkpoint_every, checkpoint_sink, snapshot_sink)
+                      snap_every, checkpoint_every, checkpoint_sink, snapshot_sink, False)
 
 
 def run_prescribed(prob: CoupledProblem, p0: np.ndarray, eta: float) -> RunResult:
     """Integrate the rows p0, one per gap node, under the prescribed loading
-    b(t) = prob.protocol (any Forcing), keeping a snapshot of every state.
+    b(t) = prob.protocol (any Forcing), grading a snapshot of every state and
+    recording each row's mass and D at every step (RunResult.row_records).
 
     This is the single-ensemble equation under a given shear rate that the
     coupled problem extends; the velocity stays at rest.
     """
     return _integrate(prob, _Prescribed(prob), eta, p0,
-                      _first_state(prob, np.zeros(prob.space_grid.n_y), p0), 1, 0, None, None)
+                      _first_state(prob, np.zeros(prob.space_grid.n_y), p0), 1, 0, None, None,
+                      True)

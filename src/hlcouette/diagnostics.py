@@ -13,29 +13,29 @@ The comparison check rebuilds the explicit Gaussian sub-solution
 per row from the accumulated dissipation and drift, and requires the
 computed density to dominate it up to O(d_sigma + dt).  The induced floor
 check then re-derives the diffusivity lower bound from that sub-solution
-instead of trusting the recorded minimum.  Both checks, and the comparison
-that verify_resume makes on a restored state, grade their largest deficit
-alike (_grade_barrier).  The sub-solution is maxwell.sub_solution, the
-decayed term of the fully relaxing closed form, so this module defines no
-convolution of its own.  A checkpoint of either path is graded up to its
-step, once coupler.check_state admits it.
+instead of trusting the recorded minimum.  The run measures both deficits
+of each snapshot when it takes it (coupler.barrier_deficits, on
+maxwell.sub_solution, the decayed term of the fully relaxing closed form),
+so no density row outlives its step; evaluate grades the recorded
+deficits.  Both checks, and the comparison that verify_resume makes on a
+restored state, grade their largest deficit alike (_grade_barrier).  A
+checkpoint of either path is graded up to its step, once
+coupler.check_state admits it; a checkpoint with rows is its one snapshot.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupler import (MASS_TOL, TRUNCATION_TOL, CoupledProblem, RunResult, RunState, Snapshot,
-                      check_state, path_rows)
+from .coupler import (MASS_TOL, TRUNCATION_TOL, CoupledProblem, RunResult, RunState,
+                      barrier_deficits, check_state, path_rows)
 from .errors import DiagnosticFailure, ValidationError
-from .grids import SigmaGrid, SpaceTimeGrid
+from .grids import SpaceTimeGrid
 from .initial import InitialData
 from .macro import h1_norm_sq, heat_step, l2_norm
-from .maxwell import sub_solution
 from .meso import compute_d
 
 NEGATIVITY_FLOOR = -1e-12
@@ -147,26 +147,6 @@ def check_d_floor(result: RunResult) -> CheckResult:
 
 
 Deficits = list[tuple[float, float]]  # (t, deficit) per density snapshot
-
-
-def _barrier_deficits(result: RunResult) -> tuple[Deficits, Deficits]:
-    """max(barrier - p) and max(barrier-induced D - recorded D) per snapshot.
-
-    Both barrier checks read the same barrier, so it is built once per
-    snapshot, and only one barrier is alive at a time.  The barrier's D is
-    compute_d's, the quadrature of the run's own D, so a barrier equal to
-    the rows induces their D bit for bit.
-    """
-    grid = result.problem.sigma_grid
-    alpha = result.problem.dp.alpha
-    comparison: Deficits = []
-    induced: Deficits = []
-    for snap in result.snapshots:
-        t = result.problem.space_grid.time(snap.step)
-        barrier = sub_solution(result.p0, grid, t, snap.accum.xi, snap.accum.acc_d)
-        comparison.append((t, float((barrier - snap.p).max())))
-        induced.append((t, float((compute_d(barrier, grid, alpha) - snap.d).max())))
-    return comparison, induced
 
 
 def _grade_barrier(name: str, deficits: Deficits, slack: float, what: str) -> CheckResult:
@@ -299,7 +279,7 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
     """Run the applicable checks for a finished run."""
     if checks is None:
         checks = GENERAL_CHECKS if result.kind == "general" else MAXWELL_CHECKS
-    deficits = functools.cache(lambda: _barrier_deficits(result))  # one pass, on demand
+    graded = result.deficits.tolist()  # (t, comparison, induced) per snapshot
     grid, dt = result.problem.sigma_grid, result.problem.space_grid.dt
     window = 2.0 * (grid.sigma_max - grid.threshold)
     dispatch = {
@@ -308,10 +288,10 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
         "sup_norm": lambda: check_sup_norm(result),
         "d_floor": lambda: check_d_floor(result),
         "comparison": lambda: _grade_barrier(
-            "comparison_barrier", deficits()[0], c_comp * (grid.d_sigma + dt),
-            "barrier - p"),
+            "comparison_barrier", [(t, c) for t, c, _ in graded],
+            c_comp * (grid.d_sigma + dt), "barrier - p"),
         "induced_d_floor": lambda: _grade_barrier(
-            "induced_diffusivity_floor", deficits()[1],
+            "induced_diffusivity_floor", [(t, i) for t, _, i in graded],
             result.problem.dp.alpha * (window * c_comp * (grid.d_sigma + dt) + 1e-12),
             "barrier-induced D - recorded D"),
         "moment": lambda: check_moment_identity(result, c_mom),
@@ -334,15 +314,18 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
     sg = prob.space_grid
     prob = replace(prob, space_grid=replace(sg, t_final=state.step * sg.dt))
     check_state(state, prob, (path_rows(prob, False), path_rows(prob, True)))
-    snap = Snapshot(**vars(state.checkpoint()),
-                    d=compute_d(state.p, prob.sigma_grid, prob.dp.alpha))
+    graded = [barrier_deficits(prob, init.p0, state,
+                               compute_d(state.p, prob.sigma_grid, prob.dp.alpha))
+              ] if state.p.shape[0] else []
     return RunResult(**vars(state), problem=prob, eta=eta, p0=init.p0.copy(),
-                     snapshots=[snap])
+                     deficits=np.array(graded).reshape(-1, 3), row_records={})
 
 
-def verify_resume(state: RunState, grid: SigmaGrid, dt: float, p0: np.ndarray,
+def verify_resume(state: RunState, prob: CoupledProblem, p0: np.ndarray,
                   c_comp: float = C_COMPARISON) -> DiagnosticsReport:
-    """Re-validate a restored state before continuing a run."""
+    """Re-validate a restored state of the kinetic path of prob, a run from
+    rows p0, before continuing it."""
+    grid, dt = prob.sigma_grid, prob.space_grid.dt
     report = DiagnosticsReport()
     masses = grid.mass(state.p)
     worst = float(np.abs(masses - 1.0).max())
@@ -353,9 +336,8 @@ def verify_resume(state: RunState, grid: SigmaGrid, dt: float, p0: np.ndarray,
     report.results.append(CheckResult(
         "resume_positivity", "pass" if pmin >= NEGATIVITY_FLOOR else "fail",
         pmin, NEGATIVITY_FLOOR, f"min restored value = {pmin:.3e}"))
-    t0 = state.step * dt
-    barrier = sub_solution(p0, grid, t0, state.accum.xi, state.accum.acc_d)
+    t0, comparison, _ = barrier_deficits(prob, p0, state,
+                                         compute_d(state.p, grid, prob.dp.alpha))
     report.results.append(_grade_barrier(
-        "resume_comparison", [(t0, float((barrier - state.p).max()))],
-        c_comp * (grid.d_sigma + dt), "barrier - p"))
+        "resume_comparison", [(t0, comparison)], c_comp * (grid.d_sigma + dt), "barrier - p"))
     return report

@@ -73,20 +73,19 @@ def offset_kernel(grid: SigmaGrid, shifts: np.ndarray, variances: np.ndarray) ->
     a single 1-d convolution.
 
     shifts and variances are (m,) float arrays of per-row values; the
-    result holds one kernel per row, shape (m, 2n-1).  Every row of positive
-    variance comes from one broadcast ndtr; each row is bitwise the kernel
-    of a batch of one with its values.
+    result holds one kernel per row, shape (m, 2n-1).  Every row comes from
+    one broadcast ndtr; a zero-variance row, whose quotients are infinite
+    or nan there, is then overwritten by its point kernel.  Each row is
+    bitwise the kernel of a batch of one with its values.
     """
     n = grid.n_sigma
     ds = grid.d_sigma
-    kern = np.empty((shifts.size, 2 * n - 1))
-    point = variances == 0.0
-    if not point.all():
-        k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)  # 2n edges
-        spread = ~point
-        cdf = ndtr((k_edges - shifts[spread, None]) / np.sqrt(variances[spread])[:, None])
-        kern[spread] = np.diff(cdf, axis=1) / ds
-    for i in np.flatnonzero(point):
+    k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)  # 2n edges
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = ndtr((k_edges - shifts[:, None]) / np.sqrt(variances)[:, None])
+    kern = np.diff(cdf, axis=1)
+    kern /= ds
+    for i in np.flatnonzero(variances == 0.0):
         kern[i] = _point_kernel(n, ds, float(shifts[i]))
     return kern
 

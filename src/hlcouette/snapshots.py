@@ -43,20 +43,27 @@ density at gap node y[i] and stress cell centre sigma[j].  The snapshot
 CSVs and the density archives are mapped back to dimensional units when
 the directory has scales, so a density is in the units of the CSV beside
 it; the other npz archives always hold the solver's scaled state.
-The directory's lifecycle: the run calls it with each Snapshot (its
-snapshot_sink), which it records; a snapshot is the RunState of its step
-plus D, so its time is the grid's time at that step and its tau the
-series' entry there.  The run calls the directory's checkpoint with each
-RunState (its checkpoint_sink), which it writes before the run goes on,
-so a checkpoint file is complete the moment its sink call returns.  Once
-the run has returned, finish writes the snapshots and the rest, with the
-result itself as the final checkpoint; if anything raised, abort writes
-the failure dump (the RunState of the failed step) and the snapshots.
-Every file is written in the calling process.
+The directory's lifecycle: the run calls it with the state of each
+snapshot step and D of its rows (its snapshot_sink).  It writes the
+density archive at once and keeps only the step's u, tau (the series'
+entry there) and D for the CSV, so no density row outlives its step; the
+time is the grid's time at that step.  The run calls the directory's
+checkpoint with each RunState (its checkpoint_sink), which it writes
+before the run goes on, so a checkpoint file is complete the moment its
+sink call returns.  Once the run has returned, finish writes the
+snapshot CSVs and the rest, with the result itself as the final
+checkpoint; if anything raised, abort writes the failure dump (the
+RunState of the failed step) and the snapshot CSVs.  The CSVs wait
+because a file created inside the step loop costs about 1 ms while
+checkpoints are being written back.  Every file is written in the
+calling process.
 A writer error in abort is returned, not raised, so the run's own error
 is the one that exits.  The four writers (write_snapshots, write_series,
 write_summary, save_checkpoint) are module functions looked up at each
-call, so a wrapper set on the module attribute sees every call.
+call, so a wrapper set on the module attribute sees every call;
+write_snapshots returns the density archives written when their
+snapshots were taken beside the CSVs it writes, so a wrapper that counts
+the bytes of its files counts every snapshot file.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupler import SERIES, Accumulators, RunResult, RunState, Snapshot
+from .coupler import SERIES, Accumulators, RunResult, RunState
 from .errors import ArtifactIOError
 from .params import rescale_fields
 
@@ -247,10 +254,26 @@ class RunDirectory:
         self.fingerprint = fingerprint
         self.scales = scales
         self.dump_density = dump_density
-        self.taken: list[Snapshot] = []  # snapshots whose files are not written
+        # (step, CSV fields, density archive or None) of each snapshot whose
+        # CSV is not written
+        self.taken: list[tuple[int, dict[str, np.ndarray], Path | None]] = []
 
-    def __call__(self, snap: Snapshot) -> None:
-        self.taken.append(snap)
+    def __call__(self, state: RunState, d: np.ndarray) -> None:
+        """Take the snapshot of state, whose rows have D d: write its density
+        archive now, keep copies of its CSV fields."""
+        step = state.step
+        fields = {"u": state.u.copy(), "tau": state.series["tau"][step].copy(), "d": d.copy()}
+        dpath = None
+        if self.dump_density:
+            dpath = self.out_dir / f"density_{step:06d}.npz"
+            t, y, centers, p = self.space_grid.time(step), self.space_grid.y, self.centers, state.p
+            if self.scales is not None:
+                dim = rescale_fields({"t": t, "y": y, "sigma": centers, "p": p},
+                                     *self.scales, to_dimensionless=False)
+                t, y, centers, p = dim["t"], dim["y"], dim["sigma"], dim["p"]
+            _atomic_write(dpath, _npz(fingerprint=np.array(self.fingerprint),
+                                      t=np.array(t), y=y, sigma=centers, p=p))
+        self.taken.append((step, fields, dpath))
 
     def checkpoint(self, state: RunState) -> None:
         """Write checkpoint_<step>.npz before the run goes on."""
@@ -258,7 +281,8 @@ class RunDirectory:
                         state, self.fingerprint)
 
     def finish(self, result: RunResult, summary: dict) -> list[Path]:
-        """Write the artifacts of a run that returned; returns the snapshot paths.
+        """Write the artifacts of a run that returned; returns the snapshot
+        paths (write_snapshots).
 
         Raises ArtifactIOError naming the first file that failed.
         """
@@ -275,8 +299,8 @@ class RunDirectory:
         """Write what a failed run leaves; never raises a writer error.
 
         Dumps state, the state of the failure, when there is one, then
-        writes every snapshot taken.  Returns the dump's path (None if none
-        was written) and the writer errors.
+        writes the CSV of every snapshot taken.  Returns the dump's path
+        (None if none was written) and the writer errors.
         """
         errors = []
         dump = None if state is None else self.out_dir / "failure_dump.npz"
@@ -291,36 +315,30 @@ class RunDirectory:
             errors.append(str(exc))
         return dump, errors
 
-    def _write(self, snap: Snapshot) -> list[Path]:
-        """Write one snapshot's files; returns their paths."""
-        grid = self.space_grid
-        t, y, centers, p = grid.time(snap.step), grid.y, self.centers, snap.p
-        fields = {"u": snap.u, "tau": snap.series["tau"][snap.step], "d": snap.d}
+    def _write(self, step: int, fields: dict[str, np.ndarray], dpath: Path | None
+               ) -> list[Path]:
+        """Write one snapshot's CSV; returns the paths of its files."""
+        t, y = self.space_grid.time(step), self.space_grid.y
         if self.scales is not None:
-            density = {"sigma": centers, "p": p} if self.dump_density else {}
-            dim = rescale_fields({"t": t, "y": y, **fields, **density},
-                                 *self.scales, to_dimensionless=False)
-            t, y, centers, p = dim["t"], dim["y"], dim.get("sigma"), dim.get("p")
+            dim = rescale_fields({"t": t, "y": y, **fields}, *self.scales,
+                                 to_dimensionless=False)
+            t, y = dim["t"], dim["y"]
             fields = {k: dim[k] for k in fields}
-        path = self.out_dir / f"snapshot_{snap.step:06d}.csv"
+        path = self.out_dir / f"snapshot_{step:06d}.csv"
         write_fields_csv(path, t, y, fields, self.fingerprint)
-        if not self.dump_density:
-            return [path]
-        dpath = self.out_dir / f"density_{snap.step:06d}.npz"
-        _atomic_write(dpath, _npz(fingerprint=np.array(self.fingerprint),
-                                  t=np.array(t), y=y, sigma=centers, p=p))
-        return [path, dpath]
+        return [path] if dpath is None else [path, dpath]
 
 
 def write_snapshots(directory: RunDirectory) -> list[Path]:
-    """Write the files of every snapshot taken and not yet written.
+    """Write the CSV of every snapshot taken and not yet written.
 
-    Returns their paths in snapshot order.  Raises ArtifactIOError naming
-    the first file that failed; the snapshots after it are not written,
-    and none is written again by a later call.
+    Returns the paths of those snapshots' files, each CSV followed by the
+    density archive written when it was taken, in snapshot order.  Raises
+    ArtifactIOError naming the first file that failed; the snapshots after
+    it are not written, and none is written again by a later call.
     """
     taken, directory.taken = directory.taken, []
-    return [path for snap in taken for path in directory._write(snap)]
+    return [path for snap in taken for path in directory._write(*snap)]
 
 
 def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:

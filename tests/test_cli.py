@@ -16,6 +16,7 @@ import hlcouette
 from hlcouette import coupler
 from hlcouette.cli import main
 from hlcouette.errors import ArtifactIOError
+from hlcouette.maxwell import sub_solution
 from hlcouette.snapshots import load_checkpoint, read_series, read_summary
 
 TINY = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
@@ -96,38 +97,27 @@ SNAPSHOT_HEAVY = ["--set", "grid.n_y=255", "--set", "grid.n_sigma=2048"]
 
 
 def test_validate_counts_the_snapshots_in_the_record_budget(capsys):
-    # 1 001 snapshots of 255 x 2048 rows would keep 4.2 GB; validate only,
-    # never run it
-    assert main(["validate", *SNAPSHOT_HEAVY, "--set", "run.snapshot_every=1"]) == 3
-    err = capsys.readouterr().err
-    assert "run.snapshot_every keeps 1001 snapshots" in err and "4.21e+09 bytes" in err
-    assert main(["validate", *SNAPSHOT_HEAVY, "--set", "run.snapshot_every=100"]) == 0
+    # a snapshot leaves the three floats that grade it and no density row:
+    # 1 001 snapshots of 255 x 2048 rows fit; validate only, never run it
+    assert main(["validate", *SNAPSHOT_HEAVY, "--set", "run.snapshot_every=1"]) == 0
     assert "validation passed" in capsys.readouterr().out
-    # the closed form keeps no rows: 1 001 snapshots of five 511-node fields
-    # fit; the kinetic path would also keep 1 001 copies of 511 x 256 rows
-    # (1.07e9 bytes), which its run refuses before it allocates a record
-    fine = ["--set", "model.fully_relaxing=true", "--set", "grid.sigma_max=8.0",
-            "--set", "grid.n_y=511", "--set", "run.snapshot_every=1"]
-    assert main(["validate", *fine]) == 0
+    # 12e6 steps of one gap node: the series need 9.6e8 bytes and fit, but
+    # not with 24 bytes for each of 12e6 snapshots
+    many = ["--set", "grid.n_y=1", "--set", "run.dt=1e-7", "--set", "run.t_final=1.2"]
+    assert main(["validate", *many, "--set", "run.snapshot_every=100"]) == 0
     assert "validation passed" in capsys.readouterr().out
-    assert main(["run", *fine, "--force-general", "--skip-checks"]) == 3
-    captured = capsys.readouterr()
-    assert "1001 snapshots of 511 x 256 rows" in captured.err
-    assert "integrating" in captured.out and "done in" not in captured.out
+    assert main(["validate", *many, "--set", "run.snapshot_every=1"]) == 3
+    assert "give 12000000 steps; with n_y = 1 their records need 1.25e+09 bytes" in \
+        capsys.readouterr().err
 
 
-def test_a_budget_refusal_names_the_schedule_that_keeps_the_snapshots(capsys):
-    # hl-run keeps a snapshot at every step whatever run.snapshot_every says
-    # (its default, 100, fits); refused before any record is allocated
+def test_an_every_step_schedule_of_one_long_row_is_admitted(capsys):
+    # hl-run's every-step schedule on 1 x 2048 rows keeps no rows, so the
+    # 100 000 steps fit (coupler's budget test checks hl-run's own records);
+    # validate only, never run it
     grid = ["--set", "grid.n_y=1", "--set", "grid.n_sigma=2048", "--set", "run.dt=1e-5"]
-    assert main(["hl-run", *grid]) == 3
-    err = capsys.readouterr().err
-    assert "hl-run, with a snapshot at every step, keeps 100001 snapshots of 1 x 2048" in err
-    assert "run.snapshot_every" not in err
-    for command in ("validate", "run"):
-        assert main([command, *grid, "--set", "run.snapshot_every=1"]) == 3
-        assert "run.snapshot_every keeps 100001 snapshots of 1 x 2048" in \
-            capsys.readouterr().err
+    assert main(["validate", *grid, "--set", "run.snapshot_every=1"]) == 0
+    assert "(100000 steps)" in capsys.readouterr().out
 
 
 def test_run_writes_artifacts(tmp_path, capsys):
@@ -199,6 +189,33 @@ def test_dump_density_writes_matrices(tmp_path):
     assert main(["run", *TINY, "--dump-density", "--out", str(out)]) == 0
     assert sorted(q.name for q in out.glob("density_*")) == [
         "density_000000.npz", "density_000005.npz", "density_000010.npz"]
+
+
+def test_an_unwritable_density_dump_fails_at_the_first_snapshot(tmp_path, capsys):
+    # the density archive is written when its snapshot is taken, so the run
+    # stops there with exit 6 instead of integrating to the horizon first
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "o"
+    assert main(["run", *TINY, "--set", "run.checkpoint_every=0", "--dump-density",
+                 "--out", str(out)]) == 6
+    captured = capsys.readouterr()
+    assert "integrating 10 steps" in captured.out and "done in" not in captured.out
+    assert captured.err.startswith(f"error: cannot write {out / 'density_000000.npz'}")
+
+
+def test_skip_checks_builds_no_barrier(monkeypatch, capsys):
+    built = []
+
+    def counting(*args):
+        built.append(args[2])
+        return sub_solution(*args)
+
+    monkeypatch.setattr(coupler, "sub_solution", counting)
+    assert main(["run", *TINY, "--skip-checks"]) == 0
+    assert built == []
+    assert main(["run", *TINY]) == 0
+    assert built == [0.0, 0.005, 0.01]  # the snapshots at steps 0, 5 and 10
 
 
 def test_numerical_failure_exits_4(capsys):

@@ -23,19 +23,24 @@ TINY_RUN = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
             "--set", "run.t_final=0.01", "--set", "run.snapshot_every=2"]
 
 
-def micro_run(snap_every=5, checkpoint_every=5):
+def micro_problem():
     dp = DimensionlessParams(rho=1.0, alpha=1.0, g0=1.0, mu=1.0)
     sgrid = SigmaGrid(sigma_max=4.0, n_sigma=64)
     space = SpaceTimeGrid(n_y=6, dt=1e-3, t_final=0.01)
-    prob = CoupledProblem(dp=dp, sigma_grid=sgrid, space_grid=space,
+    return CoupledProblem(dp=dp, sigma_grid=sgrid, space_grid=space,
                           protocol=ShearProtocol.ramp(1.0, 0.5))
+
+
+def micro_run(snap_every=5, checkpoint_every=5, snapshot_sink=None):
+    prob = micro_problem()
+    sgrid, space, dp = prob.sigma_grid, prob.space_grid, prob.dp
     init = InitialData.from_preset(sgrid, space, "gaussian",
                                    {"mean": 0.0, "width": 1.0})
     eta, _ = compute_eta(init.p0, sgrid, dp.alpha)
     payloads = []
     res = run(prob, init, eta, snap_every=snap_every,
               checkpoint_every=checkpoint_every,
-              checkpoint_sink=payloads.append)
+              checkpoint_sink=payloads.append, snapshot_sink=snapshot_sink)
     return res, payloads
 
 
@@ -301,28 +306,28 @@ def test_atomic_write_makes_parents_and_rejects_directories(tmp_path):
         write_fields_csv(under_a_file, 0.0, np.array([0.5]), {"u": np.array([1.0])}, "f")
 
 
-def snapshot_csvs(out, res, fingerprint, scales=None, dump_density=False):
-    """Hand every snapshot of res to a RunDirectory, then write their files."""
-    directory = RunDirectory(out, res.problem, fingerprint, scales, dump_density)
-    for snap in res.snapshots:
-        directory(snap)
-    return write_snapshots(directory)
+def snapshot_csvs(out, fingerprint, scales=None, dump_density=False):
+    """Run micro_run with a RunDirectory as its snapshot sink, then write the
+    snapshot CSVs; returns the run and the paths of the snapshot files."""
+    directory = RunDirectory(out, micro_problem(), fingerprint, scales, dump_density)
+    res, _ = micro_run(snapshot_sink=directory)
+    assert not list(out.glob("*.csv"))  # the CSVs wait for write_snapshots
+    assert len(list(out.glob("density_*.npz"))) == (3 if dump_density else 0)
+    return res, write_snapshots(directory)
 
 
 def test_write_snapshots_names_and_rescaling(tmp_path):
-    res, _ = micro_run()
-    written = snapshot_csvs(tmp_path, res, "a" * 64, dump_density=True)
+    res, written = snapshot_csvs(tmp_path, "a" * 64, dump_density=True)
     names = sorted(p.name for p in written)
     assert names == ["density_000000.npz", "density_000005.npz",
                      "density_000010.npz", "snapshot_000000.csv",
                      "snapshot_000005.csv", "snapshot_000010.csv"]
     t, data = read_fields_csv(tmp_path / "snapshot_000010.csv")
     assert t == pytest.approx(0.01)
-    last = res.snapshots[-1]
-    assert np.array_equal(data["tau"], last.series["tau"][last.step])
+    assert np.array_equal(data["tau"], res.series["tau"][10])
 
     scaled_dir = tmp_path / "scaled"
-    snapshot_csvs(scaled_dir, res, "a" * 64, scales=(2.0, 1.0, 4.0))
+    snapshot_csvs(scaled_dir, "a" * 64, scales=(2.0, 1.0, 4.0))
     t_dim, dim = read_fields_csv(scaled_dir / "snapshot_000010.csv")
     assert t_dim == pytest.approx(0.02)                    # t0 = 2
     assert np.allclose(dim["tau"], 4.0 * data["tau"])      # sigma_c = 4
@@ -333,13 +338,12 @@ def test_write_snapshots_names_and_rescaling(tmp_path):
 def test_density_csv_layout(tmp_path):
     """A density archive holds fingerprint, t, y, sigma and p, bit for bit,
     in the units of the snapshot CSV beside it."""
-    res, _ = micro_run()
-    snap = res.snapshots[-1]
-    scaled = {"t": res.times[snap.step], "y": res.problem.space_grid.y,
-              "sigma": res.problem.sigma_grid.centers, "p": snap.p}
+    res, _ = micro_run()  # its last snapshot is its final state
+    scaled = {"t": res.times[10], "y": res.problem.space_grid.y,
+              "sigma": res.problem.sigma_grid.centers, "p": res.p}
     for scales in (None, (2.0, 1.0, 4.0)):
         out = tmp_path / ("scaled" if scales is None else "dimensional")
-        snapshot_csvs(out, res, "a" * 64, scales=scales, dump_density=True)
+        snapshot_csvs(out, "a" * 64, scales=scales, dump_density=True)
         with np.load(out / "density_000010.npz") as z:
             assert z.files == ["fingerprint", "t", "y", "sigma", "p"]
             back = {k: z[k] for k in z.files}
@@ -352,7 +356,7 @@ def test_density_csv_layout(tmp_path):
             assert back[name].tobytes() == value.tobytes(), name
         t, fields = read_fields_csv(out / "snapshot_000010.csv")
         assert t == back["t"] and np.array_equal(fields["y"], back["y"])
-    assert not np.array_equal(back["p"], snap.p)  # the dimensional case rescaled
+    assert not np.array_equal(back["p"], res.p)  # the dimensional case rescaled
 
 
 # the ramp starts at t = 0.005, where one Picard iterate no longer converges

@@ -10,8 +10,8 @@ import pytest
 
 from hlcouette import coupler
 from hlcouette.config import standard_config
-from hlcouette.coupler import (SERIES, CoupledProblem, check_series_budget, path_rows, run,
-                               run_maxwell)
+from hlcouette.coupler import (SERIES, CoupledProblem, barrier_deficits, check_series_budget,
+                               run, run_maxwell)
 from hlcouette.errors import ConfigError, DiagnosticFailure, NonContractionError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta
@@ -37,6 +37,17 @@ def small_problem(n_y=16, dt=1e-3, t_final=0.02, protocol=None, **knobs):
                                    {"mean": 0.0, "width": 1.0})
     eta, _ = compute_eta(init.p0, SGRID, DP.alpha)
     return prob, init, eta
+
+
+def keeping_sink():
+    """A snapshot sink that keeps a copy of each state it is handed, with D,
+    and the list it keeps them in."""
+    kept = []
+
+    def sink(state, d):
+        kept.append((state.checkpoint(), d.copy()))
+
+    return sink, kept
 
 
 def test_rest_protocol_is_a_fixed_point():
@@ -146,23 +157,33 @@ def test_truncation_monitor_warns_once_for_fat_tails():
 
 def test_snapshot_cadence_and_isolation():
     prob, init, eta = small_problem()
-    res = run(prob, init, eta, snap_every=8)
-    assert [s.step for s in res.snapshots] == [0, 8, 16, 20]
-    assert np.allclose([res.times[s.step] for s in res.snapshots], [0.0, 0.008, 0.016, 0.020])
-    assert np.array_equal(res.snapshots[0].p, init.p0)
-    assert res.snapshots[0].p is not init.p0
-    assert not np.array_equal(res.snapshots[-1].p, res.snapshots[0].p)
+    sink, kept = keeping_sink()
+    res = run(prob, init, eta, snap_every=8, snapshot_sink=sink)
+    assert [state.step for state, _ in kept] == [0, 8, 16, 20]
+    # each snapshot is graded as it is taken, at the time of its step
+    assert res.deficits.shape == (4, 3)
+    assert np.allclose(res.deficits[:, 0], [0.0, 0.008, 0.016, 0.020])
+    assert res.deficits[:, 0].tolist() == [res.times[state.step] for state, _ in kept]
+    assert np.array_equal(kept[0][0].p, init.p0)
+    assert not np.shares_memory(res.p, init.p0) and not np.shares_memory(res.p0, init.p0)
+    assert not np.array_equal(kept[-1][0].p, kept[0][0].p)
+    assert kept[-1][0].p.tobytes() == res.p.tobytes()
 
 
 @pytest.mark.parametrize("closed_form", [False, True], ids=["kinetic", "closed_form"])
 def test_a_snapshot_saves_as_the_checkpoint_of_its_step(tmp_path, closed_form):
-    # a kept snapshot is the RunState of its step plus D: both write one file
+    # the sink is handed the state of its step: its copy writes the file
+    # the checkpoint of that step writes
     prob, init, eta = small_problem()
     payloads = []
-    options = dict(snap_every=5, checkpoint_every=5, checkpoint_sink=payloads.append)
-    res = (run_maxwell(prob, tau0=np.zeros(prob.space_grid.n_y), u0=init.u0, **options)
-           if closed_form else run(prob, init, eta, **options))
-    kept = {snap.step: snap for snap in res.snapshots}
+    sink, kept = keeping_sink()
+    options = dict(snap_every=5, checkpoint_every=5, checkpoint_sink=payloads.append,
+                   snapshot_sink=sink)
+    if closed_form:
+        run_maxwell(prob, tau0=np.zeros(prob.space_grid.n_y), u0=init.u0, **options)
+    else:
+        run(prob, init, eta, **options)
+    kept = {state.step: state for state, _ in kept}
     assert [state.step for state in payloads] == [5, 10, 15, 20]
     for state in payloads:
         snap_file, state_file = tmp_path / "snapshot.npz", tmp_path / "checkpoint.npz"
@@ -172,47 +193,87 @@ def test_a_snapshot_saves_as_the_checkpoint_of_its_step(tmp_path, closed_form):
 
 
 def test_the_record_budget_charges_what_a_snapshot_holds(monkeypatch):
+    # a snapshot leaves three floats, its barrier deficits; the prescribed
+    # path adds the mass and D of every row at every step
     prob, init, eta = small_problem(n_y=8, t_final=0.01)
-    res = run(prob, init, eta, snap_every=5)
-    n_y, n_sigma = prob.space_grid.n_y, SGRID.n_sigma
-    per_snapshot = (n_y * n_sigma + 5 * n_y) * 8
-    for snap in res.snapshots:  # its own arrays; its series are views of the run's
-        own = [value for held in (snap, snap.accum) for value in vars(held).values()
-               if isinstance(value, np.ndarray)]
-        assert sum(value.nbytes for value in own) == per_snapshot, snap.step
-    need = sum(record.nbytes for record in res.series.values()) \
-        + len(res.snapshots) * (per_snapshot + coupler.SNAPSHOT_OBJECT_BYTES)
-    rows = path_rows(prob, closed_form=False)
-    monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need)
-    check_series_budget(prob.space_grid, rows, 5, "run.snapshot_every")
-    monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need - 1)
-    with pytest.raises(ValidationError):
-        check_series_budget(prob.space_grid, rows, 5, "run.snapshot_every")
+    res = run(prob, init, eta, snap_every=4)
+    assert res.deficits.shape == (4, 3) and res.row_records == {}
+    prescribed = coupler.run_prescribed(prob, init.p0, eta)
+    assert prescribed.deficits.shape == (11, 3)
+    assert {key: value.shape for key, value in prescribed.row_records.items()} == \
+        {"mass": (11, 8), "d": (11, 8)}
+    for result, snap_every, row_records in ((res, 4, False), (prescribed, 1, True)):
+        need = sum(record.nbytes for record in result.series.values()) \
+            + result.deficits.nbytes \
+            + sum(record.nbytes for record in result.row_records.values())
+        monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need)
+        check_series_budget(prob.space_grid, snap_every, row_records)
+        monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need - 1)
+        with pytest.raises(ValidationError, match="run.dt and run.t_final give 10 steps"):
+            check_series_budget(prob.space_grid, snap_every, row_records)
+
+
+def test_the_record_budget_admits_an_every_step_schedule_of_one_long_row():
+    # hl-run's schedule on 1 x 2048 rows with dt = 1e-5: 100 000 steps that
+    # used to be refused for their kept rows; checked, never run
+    space = SpaceTimeGrid(n_y=1, dt=1e-5, t_final=1.0)
+    assert space.n_steps == 100_000
+    check_series_budget(space, 1, row_records=True)
+    check_series_budget(space, 1)
 
 
 @pytest.mark.parametrize("n_y, n_sigma", [(1, 16), (8, 64)])
-def test_a_kept_snapshot_holds_no_more_than_the_budget_charges(n_y, n_sigma):
-    # the prescribed path keeps a snapshot at every step, the most a run keeps
+def test_a_run_holds_no_density_row_per_snapshot(n_y, n_sigma):
+    # a run grading a snapshot at every step keeps its records and its final
+    # state once it returns, and no density row of any snapshot
     grid = SigmaGrid(sigma_max=4.0, n_sigma=n_sigma)
     space = SpaceTimeGrid(n_y=n_y, dt=1e-3, t_final=0.4)
     prob = CoupledProblem(dp=DP, sigma_grid=grid, space_grid=space,
                           protocol=ShearProtocol.ramp(1.0, 0.5))
     init = InitialData.from_preset(grid, space, "gaussian", {"mean": 0.0, "width": 1.0})
     eta, _ = compute_eta(init.p0, grid, DP.alpha)
-    coupler.run_prescribed(prob, init.p0, eta)  # first-use caches are not the run's
+    run(prob, init, eta, snap_every=1)  # first-use caches are not the run's
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        res = coupler.run_prescribed(prob, init.p0, eta)
+        res = run(prob, init, eta, snap_every=1)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    per_snapshot = (held - sum(record.nbytes for record in res.series.values())) \
-        / len(res.snapshots)
-    arrays = (n_y * n_sigma + 5 * n_y) * 8
-    assert arrays < per_snapshot <= arrays + coupler.SNAPSHOT_OBJECT_BYTES
+    n_snapshots = space.n_steps + 1
+    assert res.deficits.shape == (n_snapshots, 3)
+    records = [*res.series.values(), res.deficits, res.u, res.p, res.p0,
+               res.accum.xi, res.accum.acc_d, res.accum.grad_sq]
+    beyond = held - sum(record.nbytes for record in records)
+    # what is left is a few objects of the result, far below one density
+    # row (n_sigma floats) a snapshot
+    assert 0 <= beyond < n_snapshots * n_sigma * 8
+
+
+def test_a_resumed_run_grades_the_snapshots_it_takes():
+    prob, init, eta = small_problem()
+    payloads = []
+    straight = run(prob, init, eta, snap_every=4, checkpoint_every=10,
+                   checkpoint_sink=payloads.append)
+    assert straight.deficits[:, 0].tolist() == [prob.space_grid.time(k)
+                                                for k in (0, 4, 8, 12, 16, 20)]
+    # resumed at step 10, the run takes the snapshots at 12, 16 and 20
+    resumed = run(prob, init, eta, snap_every=4, resume=payloads[0])
+    assert resumed.deficits.tobytes() == straight.deficits[3:].tobytes()
+    # and a run that skips the grading records none
+    assert run(prob, init, eta, snap_every=4, grade=False).deficits.shape == (0, 3)
+
+
+def test_snapshot_count_counts_the_snapshot_steps():
+    for n_steps in (0, 1, 19, 20):
+        for snap_every in (0, 1, 3, 4, 7, 20, 25):
+            for first in range(n_steps + 3):
+                steps = [k for k in range(first, n_steps + 1)
+                         if snap_every and (k % snap_every == 0 or k == n_steps)]
+                assert coupler.snapshot_count(n_steps, snap_every, first) == len(steps), \
+                    (n_steps, snap_every, first)
 
 
 def test_mass_guard_raises_with_post_mortem_payload():
@@ -314,17 +375,20 @@ def test_recorded_d_is_d_of_the_recorded_state():
     # D is computed once per step and carried to the series, the snapshot
     # and both ends of the acc_d trapezoid
     prob, init, eta = small_problem(n_y=8, t_final=0.01)
-    res = run(prob, init, eta, snap_every=1)
+    sink, kept = keeping_sink()
+    res = run(prob, init, eta, snap_every=1, snapshot_sink=sink)
     alpha, dt = prob.dp.alpha, prob.space_grid.dt
-    assert len(res.snapshots) == prob.space_grid.n_steps + 1
+    assert len(kept) == prob.space_grid.n_steps + 1
     d_prev = None
-    for k, snap in enumerate(res.snapshots):
+    for k, (snap, snap_d) in enumerate(kept):
         d = compute_d(snap.p, SGRID, alpha)
-        assert snap.d.tobytes() == d.tobytes()
+        assert snap_d.tobytes() == d.tobytes()
         assert snap.series["tau"][snap.step].tobytes() == compute_tau(snap.p, SGRID).tobytes()
         assert res.series["min_d"][k] == d.min()
+        # the graded deficits are those of the state and D the sink saw
+        assert res.deficits[k].tolist() == list(barrier_deficits(prob, res.p0, snap, snap_d))
         if d_prev is not None:
-            acc = res.snapshots[k - 1].accum.acc_d + 0.5 * dt * (d_prev + d)
+            acc = kept[k - 1][0].accum.acc_d + 0.5 * dt * (d_prev + d)
             assert snap.accum.acc_d.tobytes() == acc.tobytes()
         d_prev = d
 
@@ -335,7 +399,8 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
     # iterate's moments; a step that recomputes both gives the same bits
     prob, init, eta = small_problem(n_y=8, t_final=0.01,
                                     protocol=ShearProtocol.ramp(v_max, 0.002))
-    carried = run(prob, init, eta, snap_every=5)
+    sink, carried_kept = keeping_sink()
+    carried = run(prob, init, eta, snap_every=5, snapshot_sink=sink)
     step = coupler.coupled_step
 
     def recomputing(u, p, t_next, prob, d):
@@ -344,7 +409,8 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
         return u, p, stats, rep, b, SGRID.moments(p)
 
     monkeypatch.setattr(coupler, "coupled_step", recomputing)
-    recomputed = run(prob, init, eta, snap_every=5)
+    sink, recomputed_kept = keeping_sink()
+    recomputed = run(prob, init, eta, snap_every=5, snapshot_sink=sink)
     if v_max > 1.0:
         assert carried.series["b"].max() * prob.space_grid.dt > SGRID.d_sigma
     for f in SERIES:
@@ -355,9 +421,10 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
     for name in ("xi", "acc_d", "grad_sq"):
         assert getattr(carried.accum, name).tobytes() == \
             getattr(recomputed.accum, name).tobytes()
-    for a, b in zip(carried.snapshots, recomputed.snapshots, strict=True):
+    for (a, a_d), (b, b_d) in zip(carried_kept, recomputed_kept, strict=True):
         assert a.series["tau"][a.step].tobytes() == b.series["tau"][b.step].tobytes() \
-            and a.d.tobytes() == b.d.tobytes()
+            and a_d.tobytes() == b_d.tobytes()
+    assert carried.deficits.tobytes() == recomputed.deficits.tobytes()
 
 
 @pytest.mark.parametrize("protocol", [ShearProtocol.sinusoid(20.0, 0.01),  # b of both signs
@@ -365,12 +432,16 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
 def test_run_rows_hold_no_negative_zero(protocol):
     # the invariant behind hl_step's skipped terms and clip (meso docstring)
     prob, init, eta = small_problem(n_y=8, t_final=0.02, protocol=protocol)
-    res = run(prob, init, eta, snap_every=1)
+    signed_zeros = []
+
+    def sink(state, d):
+        signed_zeros.append(int(np.count_nonzero((state.p == 0.0) & np.signbit(state.p))))
+
+    res = run(prob, init, eta, snap_every=1, snapshot_sink=sink)
     b = res.series["b"]
     both_signs = (b > 0).any() and (b < 0).any()
     assert both_signs or b.max() * prob.space_grid.dt > SGRID.d_sigma
-    for snap in res.snapshots:
-        assert not np.any((snap.p == 0.0) & np.signbit(snap.p)), snap.step
+    assert signed_zeros == [0] * (prob.space_grid.n_steps + 1)
 
 
 def test_run_does_not_depend_on_the_factor_cache():

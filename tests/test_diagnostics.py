@@ -3,21 +3,26 @@ its own doctored violation."""
 
 import copy
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hlcouette.diagnostics as diag
-from hlcouette.coupler import CoupledProblem, RunState, run, run_maxwell
+from hlcouette import coupler
+from hlcouette.coupler import CoupledProblem, RunState, barrier_deficits, run, run_maxwell
 from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_f2, evaluate,
                                    gradient_energy_bound,
                                    measure_f2_ratio, moment_residuals,
-                                   result_from_checkpoint, sub_solution,
-                                   verify_resume)
+                                   result_from_checkpoint, verify_resume)
 from hlcouette.errors import DiagnosticFailure, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData, compute_eta, gaussian_cell_averages
-from hlcouette.maxwell import offset_kernel
+from hlcouette.maxwell import offset_kernel, sub_solution
+from hlcouette.meso import compute_d
 from hlcouette.params import DimensionlessParams
 from hlcouette.protocols import ShearProtocol
 
@@ -26,7 +31,7 @@ SGRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
 SPACE = SpaceTimeGrid(n_y=16, dt=1e-3, t_final=0.1)
 
 
-def make_run(p0_kind="gaussian", p0_args=None, snap_every=25, **knobs):
+def make_run(p0_kind="gaussian", p0_args=None, snap_every=25, snapshot_sink=None, **knobs):
     prob = CoupledProblem(dp=DP, sigma_grid=SGRID, space_grid=SPACE,
                           protocol=ShearProtocol.ramp(1.0, 0.5), **knobs)
     init = InitialData.from_preset(
@@ -35,8 +40,20 @@ def make_run(p0_kind="gaussian", p0_args=None, snap_every=25, **knobs):
     eta, _ = compute_eta(init.p0, SGRID, DP.alpha)
     payloads = []
     res = run(prob, init, eta, snap_every=snap_every, checkpoint_every=50,
-              checkpoint_sink=payloads.append)
+              checkpoint_sink=payloads.append, snapshot_sink=snapshot_sink)
     return prob, init, eta, res, payloads
+
+
+def regrade(result, rows=1.0, d=1.0):
+    """Run result's run again with every snapshot's rows and D scaled before
+    the barrier grades them, and put that run's deficits on result."""
+    graded = coupler.barrier_deficits
+
+    def doctored(prob, p0, state, state_d):
+        return graded(prob, p0, replace(state, p=rows * state.p), d * state_d)
+
+    with mock.patch.object(coupler, "barrier_deficits", doctored):
+        result.deficits = make_run()[3].deficits
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +106,8 @@ def test_raise_if_failed(fresh):
     (lambda r: setattr(r.accum, "clipped_total", 1e-6), "positivity", "fail"),
     (lambda r: r.series["max_p"].__setitem__(5, r.p0_max + 1.0), "sup_norm", "fail"),
     (lambda r: r.series["min_d"].__setitem__(2, 0.0), "d_floor", "fail"),
-    (lambda r: [s.p.__imul__(0.9) for s in r.snapshots], "comparison", "fail"),
-    (lambda r: [s.d.__imul__(0.0) for s in r.snapshots],
-     "induced_d_floor", "fail"),
+    (lambda r: regrade(r, rows=0.9), "comparison", "fail"),
+    (lambda r: regrade(r, d=0.0), "induced_d_floor", "fail"),
     (lambda r: r.series["b"].__iadd__(0.2), "moment", "fail"),
     (lambda r: r.accum.grad_sq.__setitem__(
         0, 3.0 * gradient_energy_bound(r.p0_max, 1.0, r.eta, 0.1)),
@@ -212,22 +228,22 @@ def test_checkpoint_rebuild_supports_full_battery(healthy):
 
 def test_verify_resume_accepts_and_rejects(healthy):
     prob, init, eta, res, payloads = healthy
-    good = verify_resume(payloads[0], SGRID, SPACE.dt, init.p0)
+    good = verify_resume(payloads[0], prob, init.p0)
     assert good.ok
 
     bad = copy.deepcopy(payloads[0])
     bad.p *= 1.01
-    report = verify_resume(bad, SGRID, SPACE.dt, init.p0)
+    report = verify_resume(bad, prob, init.p0)
     assert {r.name for r in report.failures} >= {"resume_mass"}
 
     neg = copy.deepcopy(payloads[0])
     neg.p[0, 0] = -1e-6
-    report = verify_resume(neg, SGRID, SPACE.dt, init.p0)
+    report = verify_resume(neg, prob, init.p0)
     assert any(r.name == "resume_positivity" for r in report.failures)
 
     hollow = copy.deepcopy(payloads[0])
     hollow.p *= 0.5
-    report = verify_resume(hollow, SGRID, SPACE.dt, init.p0)
+    report = verify_resume(hollow, prob, init.p0)
     assert any(r.name == "resume_comparison" for r in report.failures)
 
 
@@ -235,38 +251,81 @@ def test_the_barrier_reads_the_runs_own_quadrature(healthy):
     # at t = 0 the barrier is p0, and its D is read by the dot the run read
     # the recorded D with, so neither check sees a deficit, not even a last bit
     res = healthy[3]
-    assert res.snapshots[0].step == 0
-    comparison, induced = diag._barrier_deficits(res)
-    assert comparison[0] == (0.0, 0.0)
-    assert induced[0] == (0.0, 0.0)
+    assert res.deficits[0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_a_diagnosed_checkpoint_holds_the_runs_own_snapshot(healthy):
-    # pins the D that diagnose recomputes against the D the loop carried
+    # pins the D that diagnose recomputes against the D the loop carried,
+    # and the deficits it grades against those the run graded at that step
     prob, init, eta, res, payloads = healthy
     assert payloads[0].step == 50
-    diagnosed = result_from_checkpoint(prob, init, eta, payloads[0]).snapshots[0]
-    (kept,) = [snap for snap in res.snapshots if snap.step == 50]
+    kept = []
+    make_run(snapshot_sink=lambda state, d: kept.append((state.checkpoint(), d.copy()))
+             if state.step == 50 else None)
+    ((snap, snap_d),) = kept
+    diagnosed = result_from_checkpoint(prob, init, eta, payloads[0])
     assert diagnosed.step == 50
-    for name in ("u", "p", "d"):
-        assert getattr(diagnosed, name).tobytes() == getattr(kept, name).tobytes(), name
+    for name in ("u", "p"):
+        assert getattr(diagnosed, name).tobytes() == getattr(snap, name).tobytes(), name
+    assert compute_d(diagnosed.p, SGRID, DP.alpha).tobytes() == snap_d.tobytes()
     for name in ("xi", "acc_d"):
         assert getattr(diagnosed.accum, name).tobytes() == \
-            getattr(kept.accum, name).tobytes(), name
-    assert diagnosed.series["tau"][50].tobytes() == kept.series["tau"][50].tobytes()
+            getattr(snap.accum, name).tobytes(), name
+    assert diagnosed.series["tau"][50].tobytes() == snap.series["tau"][50].tobytes()
+    (row,) = [k for k, t in enumerate(res.deficits[:, 0]) if t == res.times[50]]
+    assert diagnosed.deficits.tobytes() == res.deficits[row:row + 1].tobytes()
 
 
-def test_evaluate_builds_each_barrier_once(healthy, monkeypatch):
+def test_the_run_builds_each_barrier_once_and_evaluate_none(healthy, monkeypatch):
     res = healthy[3]
-    expected = [*evaluate(res, checks=("comparison",)).results,
-                *evaluate(res, checks=("induced_d_floor",)).results]
+    expected = evaluate(res).results[4:6]
     built = []
 
     def counting(*args):
         built.append(args[2])
         return sub_solution(*args)
 
-    monkeypatch.setattr(diag, "sub_solution", counting)
-    report = evaluate(res)
-    assert built == [res.times[s.step] for s in res.snapshots]
+    monkeypatch.setattr(coupler, "sub_solution", counting)
+    again = make_run()[3]
+    assert built == [res.times[k] for k in (0, 25, 50, 75, 100)]
+    assert again.deficits.tobytes() == res.deficits.tobytes()
+    report = evaluate(again)
+    assert len(built) == 5
     assert report.results[4:6] == expected
+
+
+def parent_barrier_deficits(result, states):
+    """The barrier deficits as they were graded after the run, from the kept
+    (state, D) of each snapshot: the per-snapshot loop barrier_deficits
+    replaced."""
+    grid = result.problem.sigma_grid
+    alpha = result.problem.dp.alpha
+    comparison, induced = [], []
+    for snap, d in states:
+        t = result.problem.space_grid.time(snap.step)
+        barrier = sub_solution(result.p0, grid, t, snap.accum.xi, snap.accum.acc_d)
+        comparison.append((t, float((barrier - snap.p).max())))
+        induced.append((t, float((compute_d(barrier, grid, alpha) - d).max())))
+    return comparison, induced
+
+
+@settings(deadline=None, max_examples=25)
+@given(n_y=st.integers(1, 4), n_sigma=st.sampled_from([8, 16, 32]),
+       steps=st.integers(1, 6), snap_every=st.integers(1, 4),
+       v_max=st.floats(-20.0, 20.0), width=st.floats(0.3, 1.5),
+       mean=st.floats(-0.5, 0.5), alpha=st.floats(0.25, 4.0))
+def test_the_per_state_barrier_keeps_the_bits_of_the_per_snapshot_loop_property(
+        n_y, n_sigma, steps, snap_every, v_max, width, mean, alpha):
+    grid = SigmaGrid(sigma_max=4.0, n_sigma=n_sigma)
+    space = SpaceTimeGrid(n_y=n_y, dt=1e-3, t_final=steps * 1e-3)
+    dp = DimensionlessParams(rho=1.0, alpha=alpha, g0=1.0, mu=1.0)
+    prob = CoupledProblem(dp=dp, sigma_grid=grid, space_grid=space,
+                          protocol=ShearProtocol.ramp(v_max, 0.002))
+    init = InitialData.from_preset(grid, space, "gaussian", {"mean": mean, "width": width})
+    kept = []
+    res = run(prob, init, 0.1, snap_every=snap_every,
+              snapshot_sink=lambda state, d: kept.append((state.checkpoint(), d.copy())))
+    comparison, induced = parent_barrier_deficits(res, kept)
+    assert res.deficits.tolist() == [[t, c, i] for (t, c), (_, i) in zip(comparison, induced)]
+    for (snap, d), graded in zip(kept, res.deficits):
+        assert np.array(barrier_deficits(prob, res.p0, snap, d)).tobytes() == graded.tobytes()

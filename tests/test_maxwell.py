@@ -99,6 +99,40 @@ def test_batched_offset_kernel_rows_equal_scalar_calls(rows):
         assert one_kernel(SMALL, shift, variance).tobytes() == ref.tobytes()
 
 
+def masked_offset_kernel(grid, shifts, variances):
+    """offset_kernel as it was before it went mask-free: ndtr over the rows
+    of positive variance only, the point kernels written beside them."""
+    n = grid.n_sigma
+    ds = grid.d_sigma
+    kern = np.empty((shifts.size, 2 * n - 1))
+    point = variances == 0.0
+    if not point.all():
+        k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)
+        spread = ~point
+        cdf = ndtr((k_edges - shifts[spread, None]) / np.sqrt(variances[spread])[:, None])
+        kern[spread] = np.diff(cdf, axis=1) / ds
+    for i in np.flatnonzero(point):
+        kern[i] = maxwell._point_kernel(n, ds, float(shifts[i]))
+    return kern
+
+
+@settings(deadline=None)
+@given(data=st.data(), n_sigma=st.sampled_from([8, 16, 32, 64, 128, 256]),
+       n_rows=st.integers(1, 8))
+def test_mask_free_offset_kernel_keeps_the_masked_bits_property(data, n_sigma, n_rows):
+    # every row, zero-variance rows among them, and a point kernel on an
+    # offset-cell edge, keep the masked form's bits, sign bits included
+    grid = SigmaGrid(sigma_max=4.0, n_sigma=n_sigma)
+    edge = st.integers(-(n_sigma + 2), n_sigma + 2).map(lambda j: (j - 0.5) * grid.d_sigma)
+    shifts = np.array(data.draw(st.lists(st.one_of(st.floats(-10.0, 10.0), edge),
+                                         min_size=n_rows, max_size=n_rows)))
+    variances = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 50.0)),
+                                            min_size=n_rows, max_size=n_rows)))
+    with np.errstate(divide="raise", invalid="raise"):  # the masked form divides by no zero
+        ref = masked_offset_kernel(grid, shifts, variances)
+    assert offset_kernel(grid, shifts, variances).tobytes() == ref.tobytes()
+
+
 def test_mean_stress_constant_loading_is_saturating_exponential():
     f = constant_forcing(1.0)
     for t in [0.0, 0.1, 0.5, 1.0, 2.0, 5.0]:

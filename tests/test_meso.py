@@ -15,8 +15,8 @@ from hlcouette import config, coupler, meso
 from hlcouette.errors import CFLError, ConfigError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import compute_eta, gaussian_cell_averages, uniform_cell_averages
-from hlcouette.diagnostics import MESO_CHECKS, evaluate, linf_bound, sub_solution
-from hlcouette.maxwell import maxwell_p, offset_kernel
+from hlcouette.diagnostics import MESO_CHECKS, evaluate, linf_bound
+from hlcouette.maxwell import maxwell_p, offset_kernel, sub_solution
 from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, _scratch, advance_rows,
                             compute_d, compute_gradient_energy, compute_tau, hl_step,
                             required_substeps)
@@ -49,9 +49,7 @@ def prescribed(p0, forcing, grid, alpha, dt, t_final, sink_scale=1.0):
 
 def recorded(result):
     """tau, D and mass of every state of a prescribed run, (n_steps+1, n_rows) each."""
-    grid = result.problem.sigma_grid
-    return (result.series["tau"], np.array([snap.d for snap in result.snapshots]),
-            np.array([grid.mass(snap.p) for snap in result.snapshots]))
+    return result.series["tau"], result.row_records["d"], result.row_records["mass"]
 
 
 def test_step_conserves_mass_exactly_with_full_bookkeeping():
