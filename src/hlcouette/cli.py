@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
                 prob, tau0=compute_tau(init.p0, prob.sigma_grid), u0=init.u0, **options)
         else:
             print(f"integrating {steps_left} steps (kinetic path)")
-            result = coupler.run(prob, init, eta, grade=not args.skip_checks, **options)
+            result = coupler.run(prob, init, grade=not args.skip_checks, **options)
         elapsed = time.perf_counter() - t_start
         iters = result.series["iters"]
         max_iters = int(iters.max()) if iters.size else 0
@@ -173,8 +173,7 @@ def cmd_hl_run(args) -> int:
     print(f"fingerprint: {cfg.fingerprint}")
     # the protocol is interpreted directly as the loading b(t) of the first row
     result = coupler.run_prescribed(
-        replace(prob, space_grid=SpaceTimeGrid(1, tgrid.dt, tgrid.t_final)),
-        init.p0[:1], report.eta)
+        replace(prob, space_grid=SpaceTimeGrid(1, tgrid.dt, tgrid.t_final)), init.p0[:1])
     tau = result.series["tau"][:, 0]
     d = result.series["min_d"]
     mass = result.row_records["mass"][:, 0]
@@ -238,7 +237,7 @@ def cmd_diagnose(args) -> int:
     report.raise_if_failed()
     state = snapshots.load_checkpoint(
         args.checkpoint, expect_fingerprint=None if args.any_config else cfg.fingerprint)
-    result = diagnostics.result_from_checkpoint(prob, init, report.eta, state)
+    result = diagnostics.result_from_checkpoint(prob, init, state)
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"checkpoint step {state.step} "
           f"(t = {prob.space_grid.time(state.step):g})")

@@ -39,9 +39,9 @@ returns D.
 A run after any step is one RunState, which a checkpoint holds and a run
 resumes from; RunState.checkpoint() is the one copy of a state.  A
 RunResult is the final state plus what the run was run on and what it
-recorded of its snapshots, and reads its path and initial maximum from
-its rows.  Every state meets its problem at one gate, check_state, which
-refuses one that does not fit.
+recorded of its snapshots, and reads its path, initial maximum and eta
+from its rows.  Every state meets its problem at one gate, check_state,
+which refuses one that does not fit.
 The per-step records are named once, by their SERIES key, in RunState.series
 and every archive alike: a new meter is one SERIES row plus the line of the
 loop or of a path that fills it.
@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, DiagnosticFailure, NonContractionError, ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
-from .initial import InitialData
+from .initial import InitialData, compute_eta
 from .macro import heat_step, l2_norm, velocity_gradient
 from .maxwell import sub_solution
 from .meso import StepReport, advance_rows, compute_d, compute_gradient_energy
@@ -80,7 +80,6 @@ class CoupledProblem:
     protocol: ShearProtocol
     picard_tol: float = PICARD_TOL
     picard_max: int = PICARD_MAX
-    sink_scale: float = 1.0  # fault-injection hook, production value 1.0
 
 
 @dataclass
@@ -212,11 +211,10 @@ class RunResult(RunState):
     """A finished run: its final state, what it was run on and its records."""
 
     problem: CoupledProblem
-    eta: float
     p0: np.ndarray
     # (t, comparison deficit, induced deficit) of each snapshot the run graded,
-    # in step order (barrier_deficits), shape (n_graded, 3)
-    deficits: np.ndarray
+    # in step order (barrier_deficits), (n_graded, 3); None if it graded none
+    deficits: np.ndarray | None
     # "mass" and "d" of every row at every step, (n_steps + 1, n_y) each, on
     # the prescribed path (run_prescribed); empty on the others
     row_records: dict[str, np.ndarray]
@@ -230,6 +228,13 @@ class RunResult(RunState):
     def p0_max(self) -> float:
         """Largest initial density (nan without rows)."""
         return float(self.p0.max()) if self.p0.size else math.nan
+
+    @property
+    def eta(self) -> float:
+        """Non-degeneracy constant of the initial rows (compute_eta); alpha
+        without rows, whose D is alpha throughout."""
+        grid, alpha = self.problem.sigma_grid, self.problem.dp.alpha
+        return compute_eta(self.p0, grid, alpha)[0] if self.p0.size else alpha
 
     @property
     def times(self) -> np.ndarray:
@@ -343,8 +348,7 @@ def coupled_step(u: np.ndarray, p: np.ndarray, t_next: float, prob: CoupledProbl
     grid, dp, dt = prob.sigma_grid, prob.dp, prob.space_grid.dt
 
     def kinetic(b):
-        p_new, rep = advance_rows(p, b, dt, grid, dp.alpha,
-                                  sink_scale=prob.sink_scale, d=d)
+        p_new, rep = advance_rows(p, b, dt, grid, dp.alpha, d=d)
         moments = grid.moments(p_new)
         return moments[:, 2], (p_new, rep, moments)
 
@@ -448,8 +452,7 @@ class _Prescribed(_Kinetic):
         prob, sgrid, loading = self.prob, self.prob.space_grid, self.prob.protocol
         t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
         b = loading.value(t_next)
-        state.p, rep = advance_rows(state.p, b, sgrid.dt, prob.sigma_grid, prob.dp.alpha,
-                                    sink_scale=prob.sink_scale, d=self.d)
+        state.p, rep = advance_rows(state.p, b, sgrid.dt, prob.sigma_grid, prob.dp.alpha, d=self.d)
         return (b, prob.sigma_grid.moments(state.p), PicardStats(1, math.nan), rep,
                 loading.integral(t_next) - loading.integral(t_prev))
 
@@ -486,7 +489,7 @@ class _Relaxation:
         return self.d
 
 
-def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: RunState,
+def _integrate(prob: CoupledProblem, path, p0: np.ndarray, start: RunState,
                snap_every: int, checkpoint_every: int, checkpoint_sink,
                snapshot_sink, grade: bool) -> RunResult:
     """Step a path from start, a state of the run from rows p0, to the horizon;
@@ -502,7 +505,7 @@ def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: Ru
         series[f.key][:f.length(state.step)] = start.series[f.key]
     # a resumed run observes the steps after its start
     first = state.step + (state.step > 0)
-    deficits = np.empty((snapshot_count(n_steps, snap_every, first) if grade else 0, 3))
+    deficits = np.empty((snapshot_count(n_steps, snap_every, first), 3)) if grade else None
     graded = 0
 
     def _observe(k: int):
@@ -532,7 +535,7 @@ def _integrate(prob: CoupledProblem, path, eta: float, p0: np.ndarray, start: Ru
         if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
             checkpoint_sink(state.checkpoint())
 
-    return RunResult(**vars(state), problem=prob, eta=eta, p0=p0, deficits=deficits,
+    return RunResult(**vars(state), problem=prob, p0=p0, deficits=deficits,
                      row_records=path.row_records)
 
 
@@ -543,7 +546,7 @@ def _first_state(prob: CoupledProblem, u0: np.ndarray, p0: np.ndarray, **records
                     series={**_new_series(0, n_y), **records}, warnings=[])
 
 
-def run(prob: CoupledProblem, init: InitialData, eta: float,
+def run(prob: CoupledProblem, init: InitialData, *,
         snap_every: int = 0, checkpoint_every: int = 0,
         checkpoint_sink=None, resume: RunState | None = None,
         snapshot_sink=None, grade: bool = True) -> RunResult:
@@ -556,11 +559,11 @@ def run(prob: CoupledProblem, init: InitialData, eta: float,
     snapshot_sink, when given, is called as sink(state, d) at each
     snapshot, with the live state of its step and D of its rows: it must
     read what it keeps before it returns, since the run goes on in them.
-    grade records the barrier deficits of each snapshot (RunResult.deficits);
-    without it none are recorded.  resume is a RunState of this path to
+    grade records the barrier deficits of each snapshot (RunResult.deficits),
+    which are None without it.  resume is a RunState of this path to
     continue bit for bit; the run grades only the snapshots it takes.
     """
-    return _integrate(prob, _Kinetic(prob), eta, init.p0,
+    return _integrate(prob, _Kinetic(prob), init.p0,
                       resume or _first_state(prob, init.u0, init.p0),
                       snap_every, checkpoint_every, checkpoint_sink, snapshot_sink, grade)
 
@@ -574,15 +577,15 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
     The per-node stress balance tau' + tau = b is integrated exactly per
     step with b frozen at the Picard iterate, inside the same backward-Euler
     fixed point as the general path.  The options are run's; the states
-    hold no density rows (shape (0, n_sigma)), so no barrier grades them.
+    hold no density rows (shape (0, n_sigma)), so none is graded (deficits None).
     """
     no_rows = np.zeros(path_rows(prob, closed_form=True))
-    return _integrate(prob, _Relaxation(prob), prob.dp.alpha, no_rows,
+    return _integrate(prob, _Relaxation(prob), no_rows,
                       resume or _first_state(prob, u0, no_rows, tau=tau0[None]),
                       snap_every, checkpoint_every, checkpoint_sink, snapshot_sink, False)
 
 
-def run_prescribed(prob: CoupledProblem, p0: np.ndarray, eta: float) -> RunResult:
+def run_prescribed(prob: CoupledProblem, p0: np.ndarray) -> RunResult:
     """Integrate the rows p0, one per gap node, under the prescribed loading
     b(t) = prob.protocol (any Forcing), grading a snapshot of every state and
     recording each row's mass and D at every step (RunResult.row_records).
@@ -590,6 +593,6 @@ def run_prescribed(prob: CoupledProblem, p0: np.ndarray, eta: float) -> RunResul
     This is the single-ensemble equation under a given shear rate that the
     coupled problem extends; the velocity stays at rest.
     """
-    return _integrate(prob, _Prescribed(prob), eta, p0,
+    return _integrate(prob, _Prescribed(prob), p0,
                       _first_state(prob, np.zeros(prob.space_grid.n_y), p0), 1, 0, None, None,
                       True)

@@ -17,10 +17,11 @@ instead of trusting the recorded minimum.  The run measures both deficits
 of each snapshot when it takes it (coupler.barrier_deficits, on
 maxwell.sub_solution, the decayed term of the fully relaxing closed form),
 so no density row outlives its step; evaluate grades the recorded
-deficits.  Both checks, and the comparison that verify_resume makes on a
-restored state, grade their largest deficit alike (_grade_barrier).  A
-checkpoint of either path is graded up to its step, once
-coupler.check_state admits it; a checkpoint with rows is its one snapshot.
+deficits and warns on a run that graded none.  Both checks, and the
+comparison that verify_resume makes on a restored state, grade their
+largest deficit alike (_grade_barrier).  A checkpoint of either path is
+graded up to its step, once coupler.check_state admits it; a checkpoint
+with rows is its one snapshot.
 """
 
 from __future__ import annotations
@@ -146,16 +147,19 @@ def check_d_floor(result: RunResult) -> CheckResult:
                  f"at t = {result.times[k]:.4g} (slack {slack:.1e}, eta = {eta:.6g})")
 
 
-Deficits = list[tuple[float, float]]  # (t, deficit) per density snapshot
-
-
-def _grade_barrier(name: str, deficits: Deficits, slack: float, what: str) -> CheckResult:
-    """Grade the largest deficit as `what`: the earliest one on ties, a NaN
-    before any number."""
-    if not deficits:
+def _grade_barrier(name: str, deficits: np.ndarray | None, column: int, slack: float,
+                   what: str) -> CheckResult:
+    """Grade the largest deficit in column `column` of the (t, comparison,
+    induced) rows deficits as `what`: the earliest one on ties, a NaN before
+    any number.  None, a run that did not grade its snapshots, warns."""
+    if deficits is None:
+        return CheckResult(name, "warn", math.nan, slack,
+                           "the snapshots were not graded; nothing to compare")
+    if not len(deficits):
         return CheckResult(name, "pass", 0.0, slack,
                            "no density snapshots recorded; nothing to compare")
-    t, worst = deficits[int(np.argmax([deficit for _, deficit in deficits]))]
+    k = int(np.argmax(deficits[:, column]))
+    t, worst = float(deficits[k, 0]), float(deficits[k, column])
     return _soft(name, worst, slack,
                  f"max ({what}) = {worst:.3e} at t = {t:.4g} (slack {slack:.1e})")
 
@@ -279,7 +283,6 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
     """Run the applicable checks for a finished run."""
     if checks is None:
         checks = GENERAL_CHECKS if result.kind == "general" else MAXWELL_CHECKS
-    graded = result.deficits.tolist()  # (t, comparison, induced) per snapshot
     grid, dt = result.problem.sigma_grid, result.problem.space_grid.dt
     window = 2.0 * (grid.sigma_max - grid.threshold)
     dispatch = {
@@ -288,10 +291,10 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
         "sup_norm": lambda: check_sup_norm(result),
         "d_floor": lambda: check_d_floor(result),
         "comparison": lambda: _grade_barrier(
-            "comparison_barrier", [(t, c) for t, c, _ in graded],
+            "comparison_barrier", result.deficits, 1,
             c_comp * (grid.d_sigma + dt), "barrier - p"),
         "induced_d_floor": lambda: _grade_barrier(
-            "induced_diffusivity_floor", [(t, i) for t, _, i in graded],
+            "induced_diffusivity_floor", result.deficits, 2,
             result.problem.dp.alpha * (window * c_comp * (grid.d_sigma + dt) + 1e-12),
             "barrier-induced D - recorded D"),
         "moment": lambda: check_moment_identity(result, c_mom),
@@ -305,7 +308,7 @@ def evaluate(result: RunResult, checks: tuple[str, ...] | None = None,
     return report
 
 
-def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
+def result_from_checkpoint(prob: CoupledProblem, init: InitialData,
                            state: RunState) -> RunResult:
     """Rebuild a result view from a checkpoint of either path so the full check
     battery can run on a stored state (horizon truncated at the checkpoint step)."""
@@ -317,7 +320,7 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData, eta: float,
     graded = [barrier_deficits(prob, init.p0, state,
                                compute_d(state.p, prob.sigma_grid, prob.dp.alpha))
               ] if state.p.shape[0] else []
-    return RunResult(**vars(state), problem=prob, eta=eta, p0=init.p0.copy(),
+    return RunResult(**vars(state), problem=prob, p0=init.p0.copy(),
                      deficits=np.array(graded).reshape(-1, 3), row_records={})
 
 
@@ -336,8 +339,7 @@ def verify_resume(state: RunState, prob: CoupledProblem, p0: np.ndarray,
     report.results.append(CheckResult(
         "resume_positivity", "pass" if pmin >= NEGATIVITY_FLOOR else "fail",
         pmin, NEGATIVITY_FLOOR, f"min restored value = {pmin:.3e}"))
-    t0, comparison, _ = barrier_deficits(prob, p0, state,
-                                         compute_d(state.p, grid, prob.dp.alpha))
+    graded = barrier_deficits(prob, p0, state, compute_d(state.p, grid, prob.dp.alpha))
     report.results.append(_grade_barrier(
-        "resume_comparison", [(t0, comparison)], c_comp * (grid.d_sigma + dt), "barrier - p"))
+        "resume_comparison", np.array([graded]), 1, c_comp * (grid.d_sigma + dt), "barrier - p"))
     return report

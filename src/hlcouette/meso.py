@@ -148,8 +148,7 @@ def _scratch(n_rows: int, n: int, n_ext: int) -> tuple[np.ndarray, np.ndarray, n
 
 
 def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
-            sink_scale: float = 1.0, d: np.ndarray | None = None
-            ) -> tuple[np.ndarray, StepReport]:
+            d: np.ndarray | None = None) -> tuple[np.ndarray, StepReport]:
     """One IMEX step for a batch of rows.
 
     Parameters
@@ -158,9 +157,6 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     b : per-row loading rate, scalar or (n_rows,). Constant in sigma.
     dt : step size; must satisfy |b| dt <= d_sigma (else CFLError) and
         dt < 1 for the explicit sink.
-    sink_scale : documented fault-injection hook; scales the relaxation
-        sink (and only it) so diagnostics can be shown to catch a broken
-        scheme. Production value is 1.0.
     d : (n_rows,) D of p as compute_d gives it, when the caller holds it;
         computed here otherwise.
 
@@ -181,9 +177,8 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
         raise CFLError(
             f"advection CFL violated: max |b| dt / d_sigma = {worst:.6g} > 1; "
             f"sub-cycle with at least {math.ceil(worst)} sub-steps")
-    eff_dt = sink_scale * dt
-    if eff_dt >= 1.0:
-        raise CFLError(f"explicit sink needs dt < 1, got {eff_dt:.6g}")
+    if dt >= 1.0:
+        raise CFLError(f"explicit sink needs dt < 1, got {dt:.6g}")
 
     # frozen diffusion coefficient from the start-of-step row
     d_coef = compute_d(p, grid, alpha) if d is None else d
@@ -236,9 +231,9 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # explicit relaxation sink beyond the threshold.  The mass is compute_d's
     # dot; the scaling is one contiguous multiply by the keep row, whose 1.0
     # inside the band changes no bit there
-    sink = eff_dt * np.vecdot(q, grid.weights[1])
-    if n_ext and keep[0] != 1.0 - eff_dt:
-        keep[:n_ext] = keep[n - n_ext:] = 1.0 - eff_dt
+    sink = dt * np.vecdot(q, grid.weights[1])
+    if n_ext and keep[0] != 1.0 - dt:
+        keep[:n_ext] = keep[n - n_ext:] = 1.0 - dt
     q *= keep
 
     # re-injection at sigma = 0 restores every metered removal
@@ -267,8 +262,7 @@ def hl_step(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
 
 
 def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
-                 sink_scale: float = 1.0, d: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, StepReport]:
+                 d: np.ndarray | None = None) -> tuple[np.ndarray, StepReport]:
     """Advance rows over one macro step of size dt, sub-cycling for the CFL.
 
     b is held constant over the whole macro step (the caller freezes it at
@@ -287,9 +281,9 @@ def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
     # summed into totals that start at +0.0; the callers read no other mass
     # field).  Only the first sub-step starts from p; the later ones
     # compute their D.
-    q, report = hl_step(p, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale, d=d)
+    q, report = hl_step(p, b_arr, sub_dt, grid, alpha, d=d)
     for _ in range(n_sub - 1):
-        q, rep = hl_step(q, b_arr, sub_dt, grid, alpha, sink_scale=sink_scale)
+        q, rep = hl_step(q, b_arr, sub_dt, grid, alpha)
         report.accumulate(rep)
     return q, report
 

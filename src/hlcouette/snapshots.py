@@ -266,13 +266,9 @@ class RunDirectory:
         dpath = None
         if self.dump_density:
             dpath = self.out_dir / f"density_{step:06d}.npz"
-            t, y, centers, p = self.space_grid.time(step), self.space_grid.y, self.centers, state.p
-            if self.scales is not None:
-                dim = rescale_fields({"t": t, "y": y, "sigma": centers, "p": p},
-                                     *self.scales, to_dimensionless=False)
-                t, y, centers, p = dim["t"], dim["y"], dim["sigma"], dim["p"]
-            _atomic_write(dpath, _npz(fingerprint=np.array(self.fingerprint),
-                                      t=np.array(t), y=y, sigma=centers, p=p))
+            _atomic_write(dpath, _npz(fingerprint=np.array(self.fingerprint), **self._in_units(
+                {"t": self.space_grid.time(step), "y": self.space_grid.y,
+                 "sigma": self.centers, "p": state.p})))
         self.taken.append((step, fields, dpath))
 
     def checkpoint(self, state: RunState) -> None:
@@ -315,17 +311,20 @@ class RunDirectory:
             errors.append(str(exc))
         return dump, errors
 
+    def _in_units(self, fields: dict) -> dict:
+        """fields mapped back to dimensional units when the directory has
+        scales; fields itself without them."""
+        if self.scales is None:
+            return fields
+        return rescale_fields(fields, *self.scales, to_dimensionless=False)
+
     def _write(self, step: int, fields: dict[str, np.ndarray], dpath: Path | None
                ) -> list[Path]:
         """Write one snapshot's CSV; returns the paths of its files."""
-        t, y = self.space_grid.time(step), self.space_grid.y
-        if self.scales is not None:
-            dim = rescale_fields({"t": t, "y": y, **fields}, *self.scales,
-                                 to_dimensionless=False)
-            t, y = dim["t"], dim["y"]
-            fields = {k: dim[k] for k in fields}
+        fields = self._in_units({"t": self.space_grid.time(step), "y": self.space_grid.y,
+                                 **fields})
         path = self.out_dir / f"snapshot_{step:06d}.csv"
-        write_fields_csv(path, t, y, fields, self.fingerprint)
+        write_fields_csv(path, fields.pop("t"), fields.pop("y"), fields, self.fingerprint)
         return [path] if dpath is None else [path, dpath]
 
 

@@ -12,18 +12,20 @@ import time
 import numpy as np
 import pytest
 
+from hlcouette import meso
 from hlcouette.config import standard_config
 from hlcouette.coupler import CoupledProblem, run, run_maxwell
 from hlcouette.diagnostics import (C_MOMENT, evaluate, measure_f2_ratio,
                                    moment_residuals)
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
-from hlcouette.initial import InitialData, compute_eta, gaussian_cell_averages
+from hlcouette.initial import InitialData, gaussian_cell_averages
 from hlcouette.maxwell import maxwell_p, maxwell_tau
 from hlcouette.params import (PhysicalParams, nondimensionalize,
                               redimensionalize, rescale_fields)
 from hlcouette.protocols import (PiecewiseLinearForcing, ShearProtocol,
                                  SinusoidForcing)
 from reference_runs import maxwell_reference_run, restrict_nodes, restrict_times
+from test_meso import doubled_sink_step
 
 DIMENSIONAL_OVERRIDES = dict(
     model__mode="dimensional", model__rho="16.0", model__alpha="16.0",
@@ -47,7 +49,7 @@ def standard():
     eta = checked.eta
     payloads = []
     t0 = time.perf_counter()
-    res = run(prob, init, eta, snap_every=100, checkpoint_every=500,
+    res = run(prob, init, snap_every=100, checkpoint_every=500,
               checkpoint_sink=payloads.append)
     elapsed = time.perf_counter() - t0
     return dict(prob=prob, init=init, eta=eta, res=res,
@@ -65,8 +67,7 @@ def relax_pairs():
                               protocol=ShearProtocol.ramp(1.0, 0.5))
         init = InitialData.from_preset(sgrid, space, "gaussian",
                                        {"mean": 0.0, "width": 1.0})
-        eta, _ = compute_eta(init.p0, sgrid, prob.dp.alpha)
-        gen = run(prob, init, eta)
+        gen = run(prob, init)
         mx = run_maxwell(prob, tau0=np.zeros(64), u0=np.zeros(64))
         ref = maxwell_reference_run(prob, lambda y: 0.0, lambda y: 0.0,
                                     refine=4)
@@ -163,12 +164,9 @@ def test_criterion_06_relaxation_closed_forms():
 
 @pytest.fixture(scope="module")
 def fault_statuses(standard):
-    prob = standard["prob"]
-    doubled = CoupledProblem(dp=prob.dp, sigma_grid=prob.sigma_grid,
-                             space_grid=prob.space_grid,
-                             protocol=prob.protocol, sink_scale=2.0)
-    res = run(doubled, standard["init"], standard["eta"],
-              snap_every=100)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(meso, "hl_step", doubled_sink_step)
+        res = run(standard["prob"], standard["init"], snap_every=100)
     return {r.name: r.status for r in evaluate(res).results}
 
 
@@ -190,9 +188,8 @@ def test_criterion_08_moment_identity(standard):
     coarse = float(np.max(np.abs(moment_residuals(res))))
     slack = C_MOMENT * (dt + grid.d_sigma)
     cfg = standard_config(run__dt="0.0005", grid__n_sigma="512")
-    prob_f, init_f, checked_f = cfg.build()
-    eta_f = checked_f.eta
-    res_f = run(prob_f, init_f, eta_f)
+    prob_f, init_f, _ = cfg.build()
+    res_f = run(prob_f, init_f)
     refined = float(np.max(np.abs(moment_residuals(res_f))))
     ratio = coarse / refined
     ok = coarse <= slack and ratio >= 1.8
@@ -224,9 +221,8 @@ def test_criterion_10_picard_contraction(standard):
     iters = int(res.series["iters"].max())
     ratio = float(np.nanmax(res.series["ratios"]))
     cfg = standard_config(run__dt="0.0005")
-    prob_h, init_h, checked_h = cfg.build()
-    eta_h = checked_h.eta
-    res_h = run(prob_h, init_h, eta_h)
+    prob_h, init_h, _ = cfg.build()
+    res_h = run(prob_h, init_h)
     ratio_h = float(np.nanmax(res_h.series["ratios"]))
     ok = iters <= 10 and ratio < 0.5 and ratio_h < ratio
     report(10, "fixed-point contraction", ok,
@@ -235,13 +231,13 @@ def test_criterion_10_picard_contraction(standard):
 
 
 def test_criterion_11_determinism_and_restart(standard):
-    prob, init, eta = standard["prob"], standard["init"], standard["eta"]
+    prob, init = standard["prob"], standard["init"]
     res = standard["res"]
-    rerun = run(prob, init, eta, snap_every=100, checkpoint_every=500)
+    rerun = run(prob, init, snap_every=100, checkpoint_every=500)
     identical = (res.series["tau"].tobytes() == rerun.series["tau"].tobytes()
                  and res.series["u"].tobytes() == rerun.series["u"].tobytes()
                  and res.p.tobytes() == rerun.p.tobytes())
-    resumed = run(prob, init, eta, resume=standard["payloads"][0])
+    resumed = run(prob, init, resume=standard["payloads"][0])
     resume_gap = float(np.max(np.abs(resumed.series["tau"][-1]
                                      - res.series["tau"][-1])))
     ok = identical and resume_gap <= 1e-12
@@ -263,9 +259,8 @@ def test_criterion_12_rescaling(standard):
             worst_ulp = max(worst_ulp, gap)
 
     cfg = standard_config(**DIMENSIONAL_OVERRIDES)
-    prob_d, init_d, checked_d = cfg.build()
-    eta_d = checked_d.eta
-    res_d = run(prob_d, init_d, eta_d)
+    prob_d, init_d, _ = cfg.build()
+    res_d = run(prob_d, init_d)
     t0, length, sigma_c = cfg.scales
     fields = {"u": res_d.series["u"], "tau": res_d.series["tau"],
               "p": res_d.p, "t": res_d.times}

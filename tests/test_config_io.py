@@ -10,7 +10,7 @@ from hlcouette.config import load_config, standard_config
 from hlcouette.coupler import SERIES, CoupledProblem, run
 from hlcouette.errors import ArtifactIOError, ConfigError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
-from hlcouette.initial import InitialData, compute_eta
+from hlcouette.initial import InitialData
 from hlcouette.params import DimensionlessParams, rescale_fields
 from hlcouette.protocols import ShearProtocol
 from hlcouette.snapshots import (RunDirectory, _atomic_write, _npz,
@@ -33,12 +33,11 @@ def micro_problem():
 
 def micro_run(snap_every=5, checkpoint_every=5, snapshot_sink=None):
     prob = micro_problem()
-    sgrid, space, dp = prob.sigma_grid, prob.space_grid, prob.dp
+    sgrid, space = prob.sigma_grid, prob.space_grid
     init = InitialData.from_preset(sgrid, space, "gaussian",
                                    {"mean": 0.0, "width": 1.0})
-    eta, _ = compute_eta(init.p0, sgrid, dp.alpha)
     payloads = []
-    res = run(prob, init, eta, snap_every=snap_every,
+    res = run(prob, init, snap_every=snap_every,
               checkpoint_every=checkpoint_every,
               checkpoint_sink=payloads.append, snapshot_sink=snapshot_sink)
     return res, payloads

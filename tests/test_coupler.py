@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from hlcouette import coupler
 from hlcouette.config import standard_config
 from hlcouette.coupler import (SERIES, CoupledProblem, barrier_deficits, check_series_budget,
                                run, run_maxwell)
+from hlcouette.diagnostics import result_from_checkpoint
 from hlcouette.errors import ConfigError, DiagnosticFailure, NonContractionError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
-from hlcouette.initial import InitialData, compute_eta
+from hlcouette.initial import InitialData
 from hlcouette.macro import dtau_dy
 from hlcouette.meso import compute_d, compute_tau
 from hlcouette.params import DimensionlessParams
@@ -35,8 +37,7 @@ def small_problem(n_y=16, dt=1e-3, t_final=0.02, protocol=None, **knobs):
                           protocol=proto, **knobs)
     init = InitialData.from_preset(SGRID, space, "gaussian",
                                    {"mean": 0.0, "width": 1.0})
-    eta, _ = compute_eta(init.p0, SGRID, DP.alpha)
-    return prob, init, eta
+    return prob, init
 
 
 def keeping_sink():
@@ -51,8 +52,8 @@ def keeping_sink():
 
 
 def test_rest_protocol_is_a_fixed_point():
-    prob, init, eta = small_problem(protocol=ShearProtocol.ramp(0.0, 1.0))
-    res = run(prob, init, eta)
+    prob, init = small_problem(protocol=ShearProtocol.ramp(0.0, 1.0))
+    res = run(prob, init)
     assert np.max(np.abs(res.series["u"])) <= 1e-13
     assert np.max(np.abs(res.series["tau"])) <= 1e-13
     assert np.all(res.series["iters"] == 1)
@@ -62,8 +63,8 @@ def test_rest_protocol_is_a_fixed_point():
 
 
 def test_accepted_step_satisfies_the_implicit_momentum_balance():
-    prob, init, eta = small_problem()
-    res = run(prob, init, eta)
+    prob, init = small_problem()
+    res = run(prob, init)
     sg = prob.space_grid
     dy2 = sg.dy ** 2
     for k in [0, 5, 19]:
@@ -81,8 +82,8 @@ def test_accepted_step_satisfies_the_implicit_momentum_balance():
 
 
 def test_loading_field_matches_the_accepted_velocity():
-    prob, init, eta = small_problem()
-    res = run(prob, init, eta)
+    prob, init = small_problem()
+    res = run(prob, init)
     # b is frozen at the last Picard iterate of dy u + V; with the tight
     # default tolerance it agrees with the accepted velocity's loading
     from hlcouette.macro import velocity_gradient
@@ -94,9 +95,9 @@ def test_loading_field_matches_the_accepted_velocity():
 
 
 def test_reruns_are_bit_identical():
-    prob, init, eta = small_problem()
-    a = run(prob, init, eta)
-    b = run(prob, init, eta)
+    prob, init = small_problem()
+    a = run(prob, init)
+    b = run(prob, init)
     assert a.series["tau"].tobytes() == b.series["tau"].tobytes()
     assert a.series["u"].tobytes() == b.series["u"].tobytes()
     assert a.p.tobytes() == b.p.tobytes()
@@ -104,12 +105,12 @@ def test_reruns_are_bit_identical():
 
 
 def test_checkpoint_resume_is_bit_exact():
-    prob, init, eta = small_problem()
-    straight = run(prob, init, eta)
+    prob, init = small_problem()
+    straight = run(prob, init)
     payloads = []
-    run(prob, init, eta, checkpoint_every=10, checkpoint_sink=payloads.append)
+    run(prob, init, checkpoint_every=10, checkpoint_sink=payloads.append)
     assert [p.step for p in payloads] == [10, 20]
-    resumed = run(prob, init, eta, resume=payloads[0])
+    resumed = run(prob, init, resume=payloads[0])
     assert resumed.series["tau"].tobytes() == straight.series["tau"].tobytes()
     assert resumed.series["u"].tobytes() == straight.series["u"].tobytes()
     assert resumed.p.tobytes() == straight.p.tobytes()
@@ -119,14 +120,14 @@ def test_checkpoint_resume_is_bit_exact():
     assert resumed.accum.xi.tobytes() == straight.accum.xi.tobytes()
     assert resumed.accum.grad_sq.tobytes() == straight.accum.grad_sq.tobytes()
     # a resumed run leaves the state it started from as it was
-    again = run(prob, init, eta, resume=payloads[0])
+    again = run(prob, init, resume=payloads[0])
     assert again.accum.xi.tobytes() == straight.accum.xi.tobytes()
     assert resumed.accum.xi.tobytes() == straight.accum.xi.tobytes()
     assert again.accum.truncation_steps == straight.accum.truncation_steps
 
 
 def test_checkpoint_payload_series_are_read_only_prefixes():
-    prob, init, eta = small_problem()
+    prob, init = small_problem()
     payloads, at_sink = [], []
 
     def sink(payload):
@@ -135,7 +136,7 @@ def test_checkpoint_payload_series_are_read_only_prefixes():
         payloads.append(payload)
         at_sink.append({f.key: payload.series[f.key].copy() for f in SERIES})
 
-    res = run(prob, init, eta, checkpoint_every=5, checkpoint_sink=sink)
+    res = run(prob, init, checkpoint_every=5, checkpoint_sink=sink)
     assert [p.step for p in payloads] == [5, 10, 15, 20]
     final = res.series
     for payload, seen in zip(payloads, at_sink):
@@ -148,17 +149,17 @@ def test_checkpoint_payload_series_are_read_only_prefixes():
 
 
 def test_truncation_monitor_warns_once_for_fat_tails():
-    prob, init, eta = small_problem()
-    res = run(prob, init, eta)
+    prob, init = small_problem()
+    res = run(prob, init)
     # the standard Gaussian leaves ~1e-5 in the outermost cells at 4 sigma
     assert res.accum.truncation_steps == prob.space_grid.n_steps + 1
     assert len(res.warnings) == 1 and "sigma_max" in res.warnings[0]
 
 
 def test_snapshot_cadence_and_isolation():
-    prob, init, eta = small_problem()
+    prob, init = small_problem()
     sink, kept = keeping_sink()
-    res = run(prob, init, eta, snap_every=8, snapshot_sink=sink)
+    res = run(prob, init, snap_every=8, snapshot_sink=sink)
     assert [state.step for state, _ in kept] == [0, 8, 16, 20]
     # each snapshot is graded as it is taken, at the time of its step
     assert res.deficits.shape == (4, 3)
@@ -174,7 +175,7 @@ def test_snapshot_cadence_and_isolation():
 def test_a_snapshot_saves_as_the_checkpoint_of_its_step(tmp_path, closed_form):
     # the sink is handed the state of its step: its copy writes the file
     # the checkpoint of that step writes
-    prob, init, eta = small_problem()
+    prob, init = small_problem()
     payloads = []
     sink, kept = keeping_sink()
     options = dict(snap_every=5, checkpoint_every=5, checkpoint_sink=payloads.append,
@@ -182,7 +183,7 @@ def test_a_snapshot_saves_as_the_checkpoint_of_its_step(tmp_path, closed_form):
     if closed_form:
         run_maxwell(prob, tau0=np.zeros(prob.space_grid.n_y), u0=init.u0, **options)
     else:
-        run(prob, init, eta, **options)
+        run(prob, init, **options)
     kept = {state.step: state for state, _ in kept}
     assert [state.step for state in payloads] == [5, 10, 15, 20]
     for state in payloads:
@@ -195,10 +196,10 @@ def test_a_snapshot_saves_as_the_checkpoint_of_its_step(tmp_path, closed_form):
 def test_the_record_budget_charges_what_a_snapshot_holds(monkeypatch):
     # a snapshot leaves three floats, its barrier deficits; the prescribed
     # path adds the mass and D of every row at every step
-    prob, init, eta = small_problem(n_y=8, t_final=0.01)
-    res = run(prob, init, eta, snap_every=4)
+    prob, init = small_problem(n_y=8, t_final=0.01)
+    res = run(prob, init, snap_every=4)
     assert res.deficits.shape == (4, 3) and res.row_records == {}
-    prescribed = coupler.run_prescribed(prob, init.p0, eta)
+    prescribed = coupler.run_prescribed(prob, init.p0)
     assert prescribed.deficits.shape == (11, 3)
     assert {key: value.shape for key, value in prescribed.row_records.items()} == \
         {"mass": (11, 8), "d": (11, 8)}
@@ -231,13 +232,12 @@ def test_a_run_holds_no_density_row_per_snapshot(n_y, n_sigma):
     prob = CoupledProblem(dp=DP, sigma_grid=grid, space_grid=space,
                           protocol=ShearProtocol.ramp(1.0, 0.5))
     init = InitialData.from_preset(grid, space, "gaussian", {"mean": 0.0, "width": 1.0})
-    eta, _ = compute_eta(init.p0, grid, DP.alpha)
-    run(prob, init, eta, snap_every=1)  # first-use caches are not the run's
+    run(prob, init, snap_every=1)  # first-use caches are not the run's
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        res = run(prob, init, eta, snap_every=1)
+        res = run(prob, init, snap_every=1)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -253,17 +253,17 @@ def test_a_run_holds_no_density_row_per_snapshot(n_y, n_sigma):
 
 
 def test_a_resumed_run_grades_the_snapshots_it_takes():
-    prob, init, eta = small_problem()
+    prob, init = small_problem()
     payloads = []
-    straight = run(prob, init, eta, snap_every=4, checkpoint_every=10,
+    straight = run(prob, init, snap_every=4, checkpoint_every=10,
                    checkpoint_sink=payloads.append)
     assert straight.deficits[:, 0].tolist() == [prob.space_grid.time(k)
                                                 for k in (0, 4, 8, 12, 16, 20)]
     # resumed at step 10, the run takes the snapshots at 12, 16 and 20
-    resumed = run(prob, init, eta, snap_every=4, resume=payloads[0])
+    resumed = run(prob, init, snap_every=4, resume=payloads[0])
     assert resumed.deficits.tobytes() == straight.deficits[3:].tobytes()
     # and a run that skips the grading records none
-    assert run(prob, init, eta, snap_every=4, grade=False).deficits.shape == (0, 3)
+    assert run(prob, init, snap_every=4, grade=False).deficits is None
 
 
 def test_snapshot_count_counts_the_snapshot_steps():
@@ -277,10 +277,10 @@ def test_snapshot_count_counts_the_snapshot_steps():
 
 
 def test_mass_guard_raises_with_post_mortem_payload():
-    prob, init, eta = small_problem()
+    prob, init = small_problem()
     init.p0[3] *= 1.001
     with pytest.raises(DiagnosticFailure) as exc_info:
-        run(prob, init, eta)
+        run(prob, init)
     payload = exc_info.value.payload
     assert payload.step == 0
     assert payload.series["tau"].shape == (1, prob.space_grid.n_y)
@@ -294,7 +294,7 @@ def test_non_contraction_raises():
     init = InitialData.from_preset(SGRID, space, "gaussian",
                                    {"mean": 0.0, "width": 1.0})
     with pytest.raises(NonContractionError):
-        run(prob, init, eta=0.3)
+        run(prob, init)
 
 
 def test_fully_relaxing_divergence_is_detected():
@@ -309,16 +309,65 @@ def test_fully_relaxing_divergence_is_detected():
 
 
 def test_shape_validation():
-    prob, init, eta = small_problem()
+    prob, init = small_problem()
     bad = InitialData(p0=init.p0[:, :128].copy(), u0=init.u0.copy())
     with pytest.raises(ConfigError):
-        run(prob, bad, eta)
+        run(prob, bad)
     with pytest.raises(ConfigError):
         run_maxwell(prob, tau0=np.zeros(3), u0=np.zeros(prob.space_grid.n_y))
 
 
+# configs whose initial rows fix eta in different ways, two steps each
+ETA_CONFIGS = {
+    "standard": {},
+    "uniform": dict(initial__p0="uniform", initial__lo="-0.5", initial__hi="0.5",
+                    model__allow_degenerate="true"),  # eta = 0
+    "mixture": dict(initial__p0="mixture", initial__mean1="-1.0", initial__width1="0.5",
+                    initial__mean2="1.5", initial__width2="0.8", initial__weight1="0.3"),
+    "fully_relaxing": dict(model__fully_relaxing="true", grid__sigma_max="8.0"),  # eta = 1
+    "dimensional": dict(model__mode="dimensional", model__rho="16.0", model__alpha="16.0",
+                        model__g0="4.0", model__mu="8.0", model__t0="2.0",
+                        model__sigma_c="4.0", model__length="1.0", grid__sigma_max="16.0",
+                        initial__width="4.0", run__dt="0.002", run__t_final="0.004",
+                        protocol__v_max="0.5", protocol__t_ramp="1.0"),
+    "shifted_7x64": dict(grid__n_y="7", grid__n_sigma="64", initial__mean="0.25",
+                         initial__width="0.8"),
+}
+
+
+@pytest.mark.parametrize("case", ETA_CONFIGS)
+@pytest.mark.parametrize("path", ["run", "one_row", "diagnosed"])
+def test_a_result_reads_the_eta_that_validation_reports(case, path):
+    # eta is a property of the initial rows: a run, hl-run's one-row run and
+    # a diagnosed checkpoint read validate_initial's eta bit for bit
+    prob, init, report = standard_config(**{"run__t_final": "0.002", **ETA_CONFIGS[case]}).build()
+    report.raise_if_failed()
+    if path == "one_row":
+        sgrid = prob.space_grid
+        res = coupler.run_prescribed(
+            replace(prob, space_grid=SpaceTimeGrid(1, sgrid.dt, sgrid.t_final)), init.p0[:1])
+    else:
+        payloads = []
+        res = run(prob, init, checkpoint_every=1, checkpoint_sink=payloads.append)
+        if path == "diagnosed":
+            res = result_from_checkpoint(prob, init, payloads[0])
+    assert res.step == (1 if path == "diagnosed" else 2)
+    assert np.float64(res.eta).tobytes() == np.float64(report.eta).tobytes()
+    if case in ("uniform", "fully_relaxing"):
+        assert res.eta == {"uniform": 0.0, "fully_relaxing": 1.0}[case]
+
+
+def test_a_closed_form_result_reads_alpha_as_eta():
+    prob, _ = small_problem(t_final=0.005)
+    prob = replace(prob, dp=replace(DP, alpha=0.75))
+    n_y = prob.space_grid.n_y
+    res = run_maxwell(prob, tau0=np.zeros(n_y), u0=np.zeros(n_y))
+    assert res.p0.shape == (0, SGRID.n_sigma)
+    assert res.eta == 0.75 and math.isnan(res.p0_max)
+
+
 def test_maxwell_variant_recursion_and_momentum():
-    prob, _, _ = small_problem(t_final=0.05)
+    prob, _ = small_problem(t_final=0.05)
     n_y = prob.space_grid.n_y
     res = run_maxwell(prob, tau0=np.zeros(n_y), u0=np.zeros(n_y))
     assert res.kind == "maxwell"
@@ -359,7 +408,7 @@ def test_refinement_helpers_nest_exactly():
 
 
 def test_reference_run_tracks_the_coarse_maxwell_path():
-    prob, _, _ = small_problem(t_final=0.1)
+    prob, _ = small_problem(t_final=0.1)
     n_y = prob.space_grid.n_y
     coarse = run_maxwell(prob, tau0=np.zeros(n_y), u0=np.zeros(n_y))
     ref = maxwell_reference_run(prob, tau0_fn=lambda y: 0.0,
@@ -374,9 +423,9 @@ def test_reference_run_tracks_the_coarse_maxwell_path():
 def test_recorded_d_is_d_of_the_recorded_state():
     # D is computed once per step and carried to the series, the snapshot
     # and both ends of the acc_d trapezoid
-    prob, init, eta = small_problem(n_y=8, t_final=0.01)
+    prob, init = small_problem(n_y=8, t_final=0.01)
     sink, kept = keeping_sink()
-    res = run(prob, init, eta, snap_every=1, snapshot_sink=sink)
+    res = run(prob, init, snap_every=1, snapshot_sink=sink)
     alpha, dt = prob.dp.alpha, prob.space_grid.dt
     assert len(kept) == prob.space_grid.n_steps + 1
     d_prev = None
@@ -397,10 +446,10 @@ def test_recorded_d_is_d_of_the_recorded_state():
 def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
     # run hands every step D of its start state and reads the accepted
     # iterate's moments; a step that recomputes both gives the same bits
-    prob, init, eta = small_problem(n_y=8, t_final=0.01,
-                                    protocol=ShearProtocol.ramp(v_max, 0.002))
+    prob, init = small_problem(n_y=8, t_final=0.01,
+                               protocol=ShearProtocol.ramp(v_max, 0.002))
     sink, carried_kept = keeping_sink()
-    carried = run(prob, init, eta, snap_every=5, snapshot_sink=sink)
+    carried = run(prob, init, snap_every=5, snapshot_sink=sink)
     step = coupler.coupled_step
 
     def recomputing(u, p, t_next, prob, d):
@@ -410,7 +459,7 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
 
     monkeypatch.setattr(coupler, "coupled_step", recomputing)
     sink, recomputed_kept = keeping_sink()
-    recomputed = run(prob, init, eta, snap_every=5, snapshot_sink=sink)
+    recomputed = run(prob, init, snap_every=5, snapshot_sink=sink)
     if v_max > 1.0:
         assert carried.series["b"].max() * prob.space_grid.dt > SGRID.d_sigma
     for f in SERIES:
@@ -431,13 +480,13 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
                                       ShearProtocol.ramp(60.0, 0.002)])  # sub-cycled
 def test_run_rows_hold_no_negative_zero(protocol):
     # the invariant behind hl_step's skipped terms and clip (meso docstring)
-    prob, init, eta = small_problem(n_y=8, t_final=0.02, protocol=protocol)
+    prob, init = small_problem(n_y=8, t_final=0.02, protocol=protocol)
     signed_zeros = []
 
     def sink(state, d):
         signed_zeros.append(int(np.count_nonzero((state.p == 0.0) & np.signbit(state.p))))
 
-    res = run(prob, init, eta, snap_every=1, snapshot_sink=sink)
+    res = run(prob, init, snap_every=1, snapshot_sink=sink)
     b = res.series["b"]
     both_signs = (b > 0).any() and (b < 0).any()
     assert both_signs or b.max() * prob.space_grid.dt > SGRID.d_sigma
@@ -445,16 +494,16 @@ def test_run_rows_hold_no_negative_zero(protocol):
 
 
 def test_run_does_not_depend_on_the_factor_cache():
-    prob, init, eta = small_problem(n_y=8, t_final=0.01)
+    prob, init = small_problem(n_y=8, t_final=0.01)
     _diffusion_factors.cache_clear()
-    cold = run(prob, init, eta)
+    cold = run(prob, init)
     cold_hits = _diffusion_factors.cache_info().hits
     # warm the cache with the first step's matrix, so that solve hits
     dt = prob.space_grid.dt
     solve_diffusion_batch(compute_d(init.p0, SGRID, DP.alpha) * (dt / SGRID.d_sigma ** 2),
                           init.p0.copy())
     before = _diffusion_factors.cache_info().hits
-    warm = run(prob, init, eta)
+    warm = run(prob, init)
     assert _diffusion_factors.cache_info().hits - before == cold_hits + 1
     for f in SERIES:
         assert cold.series[f.key].tobytes() == warm.series[f.key].tobytes(), f.key
@@ -470,7 +519,7 @@ def _final_fields(n_sigma: int, dt: float, n_y: int = 8,
                           run__dt=repr(dt), run__t_final="0.5", **overrides)
     prob, init, report = cfg.build()
     report.raise_if_failed()
-    res = run(prob, init, report.eta)
+    res = run(prob, init)
     return {"tau": res.series["tau"][-1], "u": res.series["u"][-1],
             "d": compute_d(res.p, prob.sigma_grid, prob.dp.alpha)}
 
@@ -553,11 +602,11 @@ def _pinned_run(case: str):
                               run__t_final="0.05")
         prob, init, report = cfg.build()
         report.raise_if_failed()
-        return prob, run(prob, init, report.eta)
+        return prob, run(prob, init)
     # loading of both signs, sub-cycled where it is large
-    prob, init, eta = small_problem(n_y=8, t_final=0.02,
-                                    protocol=ShearProtocol.sinusoid(60.0, 0.01))
-    return prob, run(prob, init, eta)
+    prob, init = small_problem(n_y=8, t_final=0.02,
+                               protocol=ShearProtocol.sinusoid(60.0, 0.01))
+    return prob, run(prob, init)
 
 
 def _digests(res) -> dict[str, str]:

@@ -20,7 +20,7 @@ from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_f2, evaluate,
                                    result_from_checkpoint, verify_resume)
 from hlcouette.errors import DiagnosticFailure, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
-from hlcouette.initial import InitialData, compute_eta, gaussian_cell_averages
+from hlcouette.initial import InitialData, gaussian_cell_averages
 from hlcouette.maxwell import offset_kernel, sub_solution
 from hlcouette.meso import compute_d
 from hlcouette.params import DimensionlessParams
@@ -37,11 +37,10 @@ def make_run(p0_kind="gaussian", p0_args=None, snap_every=25, snapshot_sink=None
     init = InitialData.from_preset(
         SGRID, SPACE, p0_kind,
         p0_args if p0_args is not None else {"mean": 0.0, "width": 1.0})
-    eta, _ = compute_eta(init.p0, SGRID, DP.alpha)
     payloads = []
-    res = run(prob, init, eta, snap_every=snap_every, checkpoint_every=50,
+    res = run(prob, init, snap_every=snap_every, checkpoint_every=50,
               checkpoint_sink=payloads.append, snapshot_sink=snapshot_sink)
-    return prob, init, eta, res, payloads
+    return prob, init, res, payloads
 
 
 def regrade(result, rows=1.0, d=1.0):
@@ -53,7 +52,7 @@ def regrade(result, rows=1.0, d=1.0):
         return graded(prob, p0, replace(state, p=rows * state.p), d * state_d)
 
     with mock.patch.object(coupler, "barrier_deficits", doctored):
-        result.deficits = make_run()[3].deficits
+        result.deficits = make_run()[2].deficits
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +62,11 @@ def healthy():
 
 @pytest.fixture()
 def fresh(healthy):
-    return copy.deepcopy(healthy[3])
+    return copy.deepcopy(healthy[2])
 
 
 def test_healthy_run_passes_every_check(healthy):
-    res = healthy[3]
+    res = healthy[2]
     report = evaluate(res)
     assert report.ok
     names = [r.name for r in report.results]
@@ -122,8 +121,8 @@ def test_each_check_catches_its_violation(fresh, doctor, check, expect):
 
 
 def test_truncation_check_passes_for_compactly_spread_data():
-    _, _, _, res, _ = make_run(p0_kind="uniform",
-                               p0_args={"lo": -2.0, "hi": 2.0})
+    _, _, res, _ = make_run(p0_kind="uniform",
+                            p0_args={"lo": -2.0, "hi": 2.0})
     report = evaluate(res, checks=("truncation",))
     assert report.results[0].status == "pass"
     assert res.accum.truncation_steps == 0
@@ -153,16 +152,26 @@ def test_rest_run_has_vanishing_moment_residuals():
                           protocol=ShearProtocol.ramp(0.0, 1.0))
     init = InitialData.from_preset(SGRID, SPACE, "gaussian",
                                    {"mean": 0.0, "width": 1.0})
-    res = run(prob, init, eta=0.3)
+    res = run(prob, init)
     assert np.max(np.abs(moment_residuals(res))) < 1e-11
 
 
 def test_comparison_skips_without_density_snapshots():
-    prob, init, eta, _, _ = make_run()
-    res = run(prob, init, eta)          # no snapshots recorded
+    prob, init, _, _ = make_run()
+    res = run(prob, init)  # no snapshots recorded
     report = evaluate(res, checks=("comparison", "induced_d_floor"))
     assert all(r.status == "pass" for r in report.results)
     assert "nothing to compare" in report.results[0].message
+
+
+def test_an_ungraded_run_warns_on_both_barrier_checks():
+    # the run took snapshots and graded none: the checks have nothing to
+    # pass it on
+    prob, init, _, _ = make_run()
+    res = run(prob, init, snap_every=5, grade=False)
+    report = evaluate(res, checks=("comparison", "induced_d_floor"))
+    assert [r.status for r in report.results] == ["warn", "warn"]
+    assert all("not graded" in r.message for r in report.results)
 
 
 def test_sub_solution_identity_and_mass():
@@ -214,20 +223,20 @@ def test_valid_mode_barrier_matches_the_full_convolution_slice(n_sigma):
 
 
 def test_checkpoint_rebuild_supports_full_battery(healthy):
-    prob, init, eta, res, payloads = healthy
-    view = result_from_checkpoint(prob, init, eta, payloads[0])
+    prob, init, res, payloads = healthy
+    view = result_from_checkpoint(prob, init, payloads[0])
     assert view.problem.space_grid.t_final == pytest.approx(0.05)
     assert view.series["tau"].shape == (51, SPACE.n_y)
     report = evaluate(view, checks=GENERAL_CHECKS)
     assert report.ok
     with pytest.raises(ValidationError):
-        result_from_checkpoint(prob, init, eta,
+        result_from_checkpoint(prob, init,
                                RunState(step=0, u=init.u0, p=init.p0,
                                         accum=res.accum, series={}, warnings=[]))
 
 
 def test_verify_resume_accepts_and_rejects(healthy):
-    prob, init, eta, res, payloads = healthy
+    prob, init, res, payloads = healthy
     good = verify_resume(payloads[0], prob, init.p0)
     assert good.ok
 
@@ -250,20 +259,20 @@ def test_verify_resume_accepts_and_rejects(healthy):
 def test_the_barrier_reads_the_runs_own_quadrature(healthy):
     # at t = 0 the barrier is p0, and its D is read by the dot the run read
     # the recorded D with, so neither check sees a deficit, not even a last bit
-    res = healthy[3]
+    res = healthy[2]
     assert res.deficits[0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_a_diagnosed_checkpoint_holds_the_runs_own_snapshot(healthy):
     # pins the D that diagnose recomputes against the D the loop carried,
     # and the deficits it grades against those the run graded at that step
-    prob, init, eta, res, payloads = healthy
+    prob, init, res, payloads = healthy
     assert payloads[0].step == 50
     kept = []
     make_run(snapshot_sink=lambda state, d: kept.append((state.checkpoint(), d.copy()))
              if state.step == 50 else None)
     ((snap, snap_d),) = kept
-    diagnosed = result_from_checkpoint(prob, init, eta, payloads[0])
+    diagnosed = result_from_checkpoint(prob, init, payloads[0])
     assert diagnosed.step == 50
     for name in ("u", "p"):
         assert getattr(diagnosed, name).tobytes() == getattr(snap, name).tobytes(), name
@@ -277,7 +286,7 @@ def test_a_diagnosed_checkpoint_holds_the_runs_own_snapshot(healthy):
 
 
 def test_the_run_builds_each_barrier_once_and_evaluate_none(healthy, monkeypatch):
-    res = healthy[3]
+    res = healthy[2]
     expected = evaluate(res).results[4:6]
     built = []
 
@@ -286,7 +295,7 @@ def test_the_run_builds_each_barrier_once_and_evaluate_none(healthy, monkeypatch
         return sub_solution(*args)
 
     monkeypatch.setattr(coupler, "sub_solution", counting)
-    again = make_run()[3]
+    again = make_run()[2]
     assert built == [res.times[k] for k in (0, 25, 50, 75, 100)]
     assert again.deficits.tobytes() == res.deficits.tobytes()
     report = evaluate(again)
@@ -323,7 +332,7 @@ def test_the_per_state_barrier_keeps_the_bits_of_the_per_snapshot_loop_property(
                           protocol=ShearProtocol.ramp(v_max, 0.002))
     init = InitialData.from_preset(grid, space, "gaussian", {"mean": mean, "width": width})
     kept = []
-    res = run(prob, init, 0.1, snap_every=snap_every,
+    res = run(prob, init, snap_every=snap_every,
               snapshot_sink=lambda state, d: kept.append((state.checkpoint(), d.copy())))
     comparison, induced = parent_barrier_deficits(res, kept)
     assert res.deficits.tolist() == [[t, c, i] for (t, c), (_, i) in zip(comparison, induced)]

@@ -14,7 +14,7 @@ import hlcouette
 from hlcouette import config, coupler, meso
 from hlcouette.errors import CFLError, ConfigError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
-from hlcouette.initial import compute_eta, gaussian_cell_averages, uniform_cell_averages
+from hlcouette.initial import gaussian_cell_averages, uniform_cell_averages
 from hlcouette.diagnostics import MESO_CHECKS, evaluate, linf_bound
 from hlcouette.maxwell import maxwell_p, offset_kernel, sub_solution
 from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, _scratch, advance_rows,
@@ -38,13 +38,12 @@ def constant_forcing(value):
     return PiecewiseLinearForcing([0.0, 1.0], [value, value])
 
 
-def prescribed(p0, forcing, grid, alpha, dt, t_final, sink_scale=1.0):
+def prescribed(p0, forcing, grid, alpha, dt, t_final):
     """Run the rows p0 under the loading forcing on the prescribed path."""
     prob = coupler.CoupledProblem(
         dp=DimensionlessParams(rho=1.0, alpha=alpha, g0=1.0, mu=1.0), sigma_grid=grid,
-        space_grid=SpaceTimeGrid(p0.shape[0], dt, t_final), protocol=forcing,
-        sink_scale=sink_scale)
-    return coupler.run_prescribed(prob, p0, compute_eta(p0, grid, alpha)[0])
+        space_grid=SpaceTimeGrid(p0.shape[0], dt, t_final), protocol=forcing)
+    return coupler.run_prescribed(prob, p0)
 
 
 def recorded(result):
@@ -126,16 +125,17 @@ def test_instability_guard_trips_on_garbage_input():
         hl_step(p, 0.0, 1e-3, GRID, alpha=1.0)
 
 
-def test_doubled_sink_breaks_the_sup_norm_safeguard():
-    # The fault hook feeds the re-injection more mass than the true source
+def test_doubled_sink_breaks_the_sup_norm_safeguard(monkeypatch):
+    # The doubled sink feeds the re-injection more mass than the true source
     # rate; the a-priori sup bound is then crossed and grading fails the run.
     # Without loading the rows stay even, so tau and the moment residual stay
     # zero; under a loading the doubled sink also breaks the stress balance.
+    monkeypatch.setattr(meso, "hl_step", doubled_sink_step)
     failed = {}
     for name, loading in (("zero", constant_forcing(0.0)),
                           ("ramp", ShearProtocol.ramp(1.0, 0.5))):
         res = prescribed(gaussian_batch(), loading, GRID, alpha=1.0,
-                         dt=1e-3, t_final=1.0, sink_scale=2.0)
+                         dt=1e-3, t_final=1.0)
         failed[name] = {r.name for r in evaluate(res, checks=MESO_CHECKS).failures}
     assert failed == {
         "zero": {"sup_norm_growth", "comparison_barrier"},
@@ -315,7 +315,7 @@ def test_hl_step_moment_gain_property(inputs):
     # advection gains exactly b*dt*mass; the metered trunc_moment leaves
     # through +-sigma_max, and the sink takes the first moment of the
     # exterior cells, recovered from the output as
-    # eff_dt/(1 - eff_dt) * moment of the scaled cells (the deposit cells
+    # dt/(1 - dt) * moment of the scaled cells (the deposit cells
     # flank 0, inside the band, and carry no first moment).
     grid, p, b, dt, alpha = inputs
     q, rep = hl_step(p, b, dt, grid, alpha)
@@ -419,13 +419,19 @@ def unfused_hl_step(p, b, dt, grid, alpha, sink_scale=1.0):
     return (q[0] if squeeze else q), report
 
 
+def doubled_sink_step(p, b, dt, grid, alpha, d=None):
+    """A broken hl_step for fault injection: the reference step with its
+    relaxation sink doubled.  It takes hl_step's arguments and computes the
+    start D itself."""
+    return unfused_hl_step(p, b, dt, grid, alpha, sink_scale=2.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(LOADING_SIGNS).flatmap(
            lambda sign: step_inputs(cell=st.one_of(CELL, NEAR_ZERO), sign=sign,
                                     non_dyadic=True)),
-       st.booleans(), st.sampled_from([1.0, 0.0, 0.5]), st.booleans())
-def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, first_row, sink_scale,
-                                                         pass_d):
+       st.booleans(), st.booleans())
+def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, first_row, pass_d):
     # tiny negative cells drive the clip branch as well as the clip-free
     # one; a row whose exterior mass is negative has a negative D, which the
     # solve rejects in both versions.  Loadings of every sign pattern reach
@@ -437,13 +443,13 @@ def test_fused_hl_step_matches_unfused_reference_bitwise(inputs, first_row, sink
         p, b = p[:1], b[0]
     d = compute_d(p, grid, alpha) if pass_d else None
     try:
-        ref = unfused_hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
+        ref = unfused_hl_step(p, b, dt, grid, alpha)
     except (SchemeInstabilityError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale, d=d)
+            hl_step(p, b, dt, grid, alpha, d=d)
         return
     p_before = p.tobytes()
-    q, rep = hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale, d=d)
+    q, rep = hl_step(p, b, dt, grid, alpha, d=d)
     assert p.tobytes() == p_before
     assert q.shape == ref[0].shape and q.tobytes() == ref[0].tobytes()
     for name in ("sink_mass", "boundary_mass", "outflow_mass", "deposit_mass",
@@ -476,13 +482,12 @@ def has_negative_zero(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(LOADING_SIGNS).flatmap(lambda sign: step_inputs(sign=sign)),
-       st.sampled_from([1.0, 0.0, 0.5]))
-def test_hl_step_keeps_nonnegative_rows_free_of_negative_zero(inputs, sink_scale):
+@given(st.sampled_from(LOADING_SIGNS).flatmap(lambda sign: step_inputs(sign=sign)))
+def test_hl_step_keeps_nonnegative_rows_free_of_negative_zero(inputs):
     # the invariant behind hl_step's skipped terms and clip (meso docstring)
     grid, p, b, dt, alpha = inputs
     assert not has_negative_zero(p)
-    q, rep = hl_step(p, b, dt, grid, alpha, sink_scale=sink_scale)
+    q, rep = hl_step(p, b, dt, grid, alpha)
     assert q.min() >= 0.0 and not has_negative_zero(q)
     assert rep.min_before_clip >= 0.0
 
@@ -606,14 +611,13 @@ def test_one_row_batches_keep_the_bits_of_lone_rows_property(data):
     # the step under a scalar loading, as a lone row took it
     dt = data.draw(ANY_DT)
     b = loading(np.array([data.draw(COURANT)]), grid, dt)[0]
-    sink_scale = data.draw(st.sampled_from([1.0, 0.0, 0.5]))
     try:
-        ref_q, ref_rep = unfused_hl_step(row, b, dt, grid, alpha, sink_scale=sink_scale)
+        ref_q, ref_rep = unfused_hl_step(row, b, dt, grid, alpha)
     except (SchemeInstabilityError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            hl_step(batch, b, dt, grid, alpha, sink_scale=sink_scale)
+            hl_step(batch, b, dt, grid, alpha)
     else:
-        q, rep = hl_step(batch, b, dt, grid, alpha, sink_scale=sink_scale)
+        q, rep = hl_step(batch, b, dt, grid, alpha)
         assert q.shape == (1, n) and q[0].tobytes() == ref_q.tobytes()
         for name in ("sink_mass", "boundary_mass", "outflow_mass", "deposit_mass",
                      "trunc_moment"):
@@ -646,7 +650,7 @@ def test_a_run_keeps_one_scratch_slot_and_no_module_array():
     prob, init, report = config.standard_config(
         grid__n_y="6", grid__n_sigma="64", run__t_final="0.01").build()
     _scratch.cache_clear()
-    result = coupler.run(prob, init, report.eta, snap_every=5)
+    result = coupler.run(prob, init, snap_every=5)
     assert result.step == 10
     info = _scratch.cache_info()
     assert info.currsize == 1
