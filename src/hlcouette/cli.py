@@ -155,7 +155,7 @@ def cmd_run(args) -> int:
         # the CSV of every snapshot taken is written whole; a writer error
         # must not mask the run's own
         if directory is not None:
-            dump, errors = directory.abort(getattr(exc, "payload", None))
+            dump, errors = directory.abort(getattr(exc, "state", None))
             if dump is not None:
                 print(f"state dumped to {dump}", file=sys.stderr)
             for message in errors:

@@ -42,6 +42,10 @@ RunResult is the final state plus what the run was run on and what it
 recorded of its snapshots, and reads its path, initial maximum and eta
 from its rows.  Every state meets its problem at one gate, check_state,
 which refuses one that does not fit.
+A failure in the loop carries the state it met as its `state`, attached
+by _integrate alone: a path raises before it assigns u or the rows, so a
+failed step leaves the last accepted state, and the mass guard its own
+step's.  A writer error (ArtifactIOError) carries none.
 The per-step records are named once, by their SERIES key, in RunState.series
 and every archive alike: a new meter is one SERIES row plus the line of the
 loop or of a path that fills it.
@@ -54,7 +58,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DiagnosticFailure, NonContractionError, ValidationError
+from .errors import (ArtifactIOError, ConfigError, DiagnosticFailure, HlCouetteError,
+                     NonContractionError, ValidationError)
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData, compute_eta
 from .macro import heat_step, l2_norm, velocity_gradient
@@ -415,11 +420,9 @@ class _Kinetic:
         series["max_p"][k] = float(p.max())
         if series["mass_err"][k] > MASS_TOL:
             row = int(mass_err.argmax())
-            exc = DiagnosticFailure(
+            raise DiagnosticFailure(
                 f"mass conservation failed at step {k}, row {row}: "
                 f"|mass - 1| = {series['mass_err'][k]:.3e} > {MASS_TOL:.1e}")
-            exc.payload = state.checkpoint()  # full state dump for post-mortems
-            raise exc
         outer = float(grid.outermost_mass(p).max())
         if outer > TRUNCATION_TOL:
             state.accum.truncation_steps += 1
@@ -518,22 +521,29 @@ def _integrate(prob: CoupledProblem, path, p0: np.ndarray, start: RunState,
             if snapshot_sink is not None:
                 snapshot_sink(state, d)
 
-    tau = path.start(state)
-    if state.step == 0:
-        series["tau"][0] = tau
-        series["u"][0] = state.u
-        _observe(0)
-    for k in range(state.step, n_steps):
-        b, tau, stats = path.step(state, k)
-        state.step = k + 1
-        series["tau"][k + 1] = tau
-        series["u"][k + 1] = state.u
-        series["b"][k] = b
-        series["iters"][k] = stats.iterations
-        series["ratios"][k] = stats.ratio
-        _observe(k + 1)
-        if checkpoint_every and checkpoint_sink is not None and (k + 1) % checkpoint_every == 0:
-            checkpoint_sink(state.checkpoint())
+    try:
+        tau = path.start(state)
+        if state.step == 0:
+            series["tau"][0] = tau
+            series["u"][0] = state.u
+            _observe(0)
+        for k in range(state.step, n_steps):
+            b, tau, stats = path.step(state, k)
+            state.step = k + 1
+            series["tau"][k + 1] = tau
+            series["u"][k + 1] = state.u
+            series["b"][k] = b
+            series["iters"][k] = stats.iterations
+            series["ratios"][k] = stats.ratio
+            _observe(k + 1)
+            if (checkpoint_every and checkpoint_sink is not None
+                    and (k + 1) % checkpoint_every == 0):
+                checkpoint_sink(state.checkpoint())
+    except ArtifactIOError:
+        raise  # the disk failed, not the state; a dump would fail the same way
+    except HlCouetteError as exc:
+        exc.state = state.checkpoint()
+        raise
 
     return RunResult(**vars(state), problem=prob, p0=p0, deficits=deficits,
                      row_records=path.row_records)

@@ -7,6 +7,9 @@ Exit code contract (see README):
     4  numerical failure (CFL, instability, fixed point did not contract)
     5  hard diagnostic invariant violated
     6  I/O failure (unreadable/corrupt run artifacts)
+
+A failure in a run's step loop carries the RunState it met as `state`
+(coupler._integrate attaches it) for the driver to dump; any other, None.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ class HlCouetteError(Exception):
     """Base class for all package errors."""
 
     exit_code = 1
+    state = None  # the RunState a failure in the step loop met
 
 
 class ConfigError(HlCouetteError):
@@ -58,14 +62,9 @@ class NonContractionError(HlCouetteError):
 
 
 class DiagnosticFailure(HlCouetteError):
-    """A hard diagnostic check failed on a run.
-
-    When raised mid-run, `payload` carries the offending solver state so
-    the driver can dump it for post-mortems.
-    """
+    """A hard diagnostic check failed on a run."""
 
     exit_code = 5
-    payload = None
 
 
 class ArtifactIOError(HlCouetteError):

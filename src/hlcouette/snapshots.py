@@ -35,8 +35,9 @@ every file in it:
 - checkpoint_<step>.npz every checkpoint_every steps, on both paths;
 - when the run returns: series.npz, checkpoint_final.npz (general runs
   only) and summary.json;
-- when it fails: failure_dump.npz, if the failure carries the state of
-  its step (the mass guard's does).
+- when it fails: failure_dump.npz, if the failure carries the state it
+  met (HlCouetteError.state): every numerical failure in the step loop
+  and the mass guard's do.
 Steps are zero-padded to six digits.  A density archive holds the
 members fingerprint, t, y, sigma and p, in that order; p[i, j] is the
 density at gap node y[i] and stress cell centre sigma[j].  The snapshot
@@ -53,7 +54,7 @@ before the run goes on, so a checkpoint file is complete the moment its
 sink call returns.  Once the run has returned, finish writes the
 snapshot CSVs and the rest, with the result itself as the final
 checkpoint; if anything raised, abort writes the failure dump (the
-RunState of the failed step) and the snapshot CSVs.  The CSVs wait
+RunState the failure met) and the snapshot CSVs.  The CSVs wait
 because a file created inside the step loop costs about 1 ms while
 checkpoints are being written back.  Every file is written in the
 calling process.
@@ -294,8 +295,9 @@ class RunDirectory:
               ) -> tuple[Path | None, list[str]]:
         """Write what a failed run leaves; never raises a writer error.
 
-        Dumps state, the state of the failure, when there is one, then
-        writes the CSV of every snapshot taken.  Returns the dump's path
+        Dumps state, the state the failure met (HlCouetteError.state),
+        when there is one, as a checkpoint that a resume and diagnose read,
+        then writes the CSV of every snapshot taken.  Returns the dump's path
         (None if none was written) and the writer errors.
         """
         errors = []
@@ -371,8 +373,19 @@ def read_series(path: str | Path) -> dict:
         raise ArtifactIOError(f"corrupt series {path}: {exc}") from exc
 
 
-def write_summary(path: str | Path, payload: dict) -> None:
-    _atomic_write(Path(path), _text(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+def _json_safe(value):
+    """value with each non-finite float, which strict JSON cannot hold, as None."""
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def write_summary(path: str | Path, summary: dict) -> None:
+    """summary as strict JSON, a non-finite float (an undefined bound) as null."""
+    _atomic_write(Path(path), _text(json.dumps(_json_safe(summary), indent=2,
+                                               sort_keys=True, allow_nan=False) + "\n"))
 
 
 def read_summary(path: str | Path) -> dict:

@@ -15,9 +15,10 @@ import pytest
 import hlcouette
 from hlcouette import coupler
 from hlcouette.cli import main
-from hlcouette.errors import ArtifactIOError
+from hlcouette.errors import ArtifactIOError, CFLError, SchemeInstabilityError
 from hlcouette.maxwell import sub_solution
 from hlcouette.snapshots import load_checkpoint, read_series, read_summary
+from test_config_io import FAILING_RUN
 
 TINY = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
         "--set", "run.t_final=0.01", "--set", "run.snapshot_every=5",
@@ -251,7 +252,23 @@ def test_a_zero_viscosity_run_warns_that_its_velocity_bound_is_undefined(tmp_pat
                and line.endswith("; bound undefined for mu = 0") for line in lines)
     checks = {d["name"]: d for d in read_summary(out / "summary.json")["diagnostics"]}
     assert checks["velocity_map_lipschitz"]["status"] == "warn"
-    assert checks["velocity_map_lipschitz"]["bound"] == float("inf")
+    assert checks["velocity_map_lipschitz"]["bound"] is None  # inf, written as null
+
+
+def test_summary_json_is_strict_json(tmp_path):
+    # eta = 0 leaves the gradient bound undefined (inf); strict JSON has no
+    # Infinity or NaN, so the summary writes null
+    out = tmp_path / "o"
+    assert main(["run", *TINY, "--set", "initial.p0=uniform", "--set", "initial.lo=-0.5",
+                 "--set", "initial.hi=0.5", "--set", "model.allow_degenerate=true",
+                 "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    checks = {d["name"]: d for d in summary["diagnostics"]}
+    assert checks["gradient_energy"]["bound"] is None
 
 
 @pytest.mark.parametrize("path", [[], ["--set", "model.fully_relaxing=true",
@@ -295,6 +312,95 @@ def test_mass_guard_trip_dumps_the_state_of_its_step(tmp_path, monkeypatch, caps
     assert (out / "snapshot_000000.csv").read_bytes() == \
         (straight / "snapshot_000000.csv").read_bytes()
     assert not (out / "series.npz").exists() and not (out / "summary.json").exists()
+    if not dump_is_a_directory:
+        # the dump is the state of the step the guard observed, so a resume
+        # goes on past that observation and trips at the next drifting step
+        # (bit for bit the straight run's), with the same exit code
+        again = next((k for k in range(step + 1, len(drift)) if drift[k] > mass_tol), None)
+        assert again is not None
+        assert main(["run", *TINY, "--resume", str(dump)]) == 5
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: mass conservation failed at step {again},")
+
+
+def failing_after(t_fail, error):
+    """coupler.coupled_step, raising error once its t_next passes t_fail: a
+    resumed run fails at the same step as the run it resumes."""
+    step = coupler.coupled_step
+
+    def failing(u, p, t_next, prob, d):
+        if t_next > t_fail:
+            raise error(f"injected {error.__name__} at t = {t_next:.6g}")
+        return step(u, p, t_next, prob, d)
+    return failing
+
+
+CLOSED_FORM_DIVERGING = [*TINY, "--set", "model.fully_relaxing=true", "--set",
+                         "grid.sigma_max=8.0", "--set", "model.g0=1000", "--set", "run.dt=0.01"]
+
+
+@pytest.mark.parametrize("argv, injected, step", [
+    (FAILING_RUN, None, 4),
+    (CLOSED_FORM_DIVERGING, None, 0),
+    (TINY, CFLError, 6),
+    (TINY, SchemeInstabilityError, 6),
+], ids=["kinetic non-contraction", "closed-form non-contraction", "CFL", "instability"])
+def test_a_numerical_failure_dumps_the_last_accepted_state(argv, injected, step, tmp_path,
+                                                           monkeypatch, capsys):
+    straight = tmp_path / "straight"
+    if injected is not None:
+        assert main(["run", *argv, "--out", str(straight)]) == 0
+        monkeypatch.setattr(coupler, "coupled_step", failing_after(0.0065, injected))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    dump = out / "failure_dump.npz"
+    assert main(["run", *argv, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    fingerprint = captured.out.split("fingerprint: ")[1].split()[0]
+    error = captured.err.splitlines()[-1]
+    assert f"state dumped to {dump}" in captured.err
+    state = load_checkpoint(dump, expect_fingerprint=fingerprint)
+    assert state.step == step
+    if injected is not None:
+        # the step that failed left no trace: the records are the straight run's
+        series = read_series(straight / "series.npz")
+        for f in coupler.SERIES:
+            assert state.series[f.key].tobytes() == \
+                series[f.archive or f.key][:f.length(step)].tobytes(), f.key
+    if argv is CLOSED_FORM_DIVERGING:
+        assert state.p.shape == (0, 64)  # resumed without --force-general
+    if argv is FAILING_RUN:
+        # the dumped state passes every check: the step broke, not the state
+        assert main(["diagnose", "--checkpoint", str(dump), *argv]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+    assert main(["run", *argv, "--resume", str(dump)]) == 4
+    resumed = capsys.readouterr()
+    assert f"resuming at step {step}" in resumed.out
+    assert resumed.err.splitlines()[-1] == error
+
+
+def test_a_writer_error_in_the_loop_dumps_no_state(tmp_path, capsys):
+    # the disk failed, not the state: a dump would fail the same way
+    out = tmp_path / "o"
+    (out / "checkpoint_000005.npz").mkdir(parents=True)
+    assert main(["run", *TINY, "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'checkpoint_000005.npz'}")
+    assert "state dumped" not in err and not (out / "failure_dump.npz").exists()
+
+
+def test_a_refusal_before_the_first_step_dumps_no_state(tmp_path, capsys):
+    # a closed-form state cannot continue on the kinetic path: there is no
+    # state of this run to dump
+    out = tmp_path / "o"
+    assert main(["run", *CLOSED_FORM_DIVERGING, "--out", str(out)]) == 4
+    capsys.readouterr()
+    refused = tmp_path / "refused"
+    assert main(["run", *CLOSED_FORM_DIVERGING, "--force-general", "--resume",
+                 str(out / "failure_dump.npz"), "--out", str(refused)]) == 3
+    err = capsys.readouterr().err
+    assert "resume the kinetic path with --force-general" in err
+    assert "state dumped" not in err and not (refused / "failure_dump.npz").exists()
 
 
 def test_artifact_errors_exit_6(tmp_path, capsys):

@@ -370,7 +370,7 @@ def test_a_failed_run_leaves_whole_csvs_of_the_snapshots_it_took(tmp_path):
     taken = [0, 2, 4]
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [f"density_{k:06d}.npz" for k in taken]
-        + [f"snapshot_{k:06d}.csv" for k in taken])
+        + [f"snapshot_{k:06d}.csv" for k in taken] + ["failure_dump.npz"])
     for k in taken:
         t, fields = read_fields_csv(out / f"snapshot_{k:06d}.csv")
         assert t == pytest.approx(1e-3 * k) and list(fields) == ["y", "u", "tau", "d"]
@@ -387,4 +387,4 @@ def test_a_writer_failure_does_not_mask_the_run_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "snapshot_000002.csv" in err and "fixed-point" in err
     assert sorted(p.name for p in out.iterdir()) == [
-        "snapshot_000000.csv", "snapshot_000002.csv"]
+        "failure_dump.npz", "snapshot_000000.csv", "snapshot_000002.csv"]

@@ -25,6 +25,7 @@ from hlcouette.snapshots import save_checkpoint
 from hlcouette.tridiag import _diffusion_factors, solve_diffusion_batch
 from reference_runs import (maxwell_reference_run, refined_space_grid,
                             restrict_nodes, restrict_times)
+from test_cli import failing_after
 
 DP = DimensionlessParams(rho=1.0, alpha=1.0, g0=1.0, mu=1.0)
 SGRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
@@ -276,14 +277,46 @@ def test_snapshot_count_counts_the_snapshot_steps():
                     (n_steps, snap_every, first)
 
 
-def test_mass_guard_raises_with_post_mortem_payload():
+def test_mass_guard_raises_with_the_state_of_its_step():
     prob, init = small_problem()
     init.p0[3] *= 1.001
     with pytest.raises(DiagnosticFailure) as exc_info:
         run(prob, init)
-    payload = exc_info.value.payload
-    assert payload.step == 0
-    assert payload.series["tau"].shape == (1, prob.space_grid.n_y)
+    state = exc_info.value.state
+    assert state.step == 0
+    assert state.series["tau"].shape == (1, prob.space_grid.n_y)
+
+
+def test_a_failed_step_leaves_the_last_accepted_state_bit_for_bit(monkeypatch):
+    # the path raises before it assigns u or the rows, and the running
+    # integrals move only after, so the state is the straight run's at step 6
+    prob, init = small_problem(t_final=0.01)
+    kept = []
+    run(prob, init, checkpoint_every=6, checkpoint_sink=kept.append)
+    monkeypatch.setattr(coupler, "coupled_step", failing_after(0.0065, NonContractionError))
+    with pytest.raises(NonContractionError, match="at t = 0.007") as info:
+        run(prob, init)
+    state, straight = info.value.state, kept[0]
+    assert state.step == straight.step == 6
+    for name in ("u", "p"):
+        assert getattr(state, name).tobytes() == getattr(straight, name).tobytes()
+    for key, value in vars(state.accum).items():
+        assert np.asarray(value).tobytes() == np.asarray(getattr(straight.accum, key)).tobytes()
+    for f in SERIES:
+        assert state.series[f.key].tobytes() == straight.series[f.key].tobytes(), f.key
+    assert state.warnings == straight.warnings
+
+
+def test_a_refusal_before_the_first_step_carries_no_state(monkeypatch):
+    prob, init = small_problem()
+    bad = InitialData(p0=init.p0[:, :128].copy(), u0=init.u0.copy())
+    with pytest.raises(ConfigError) as info:
+        run(prob, bad)
+    assert info.value.state is None
+    monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", 0)
+    with pytest.raises(ValidationError) as info:
+        run(prob, init)
+    assert info.value.state is None
 
 
 def test_non_contraction_raises():
