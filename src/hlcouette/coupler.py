@@ -42,10 +42,10 @@ RunResult is the final state plus what the run was run on and what it
 recorded of its snapshots, and reads its path, initial maximum and eta
 from its rows.  Every state meets its problem at one gate, check_state,
 which refuses one that does not fit.
-A failure in the loop carries the state it met as its `state`, attached
-by _integrate alone: a path raises before it assigns u or the rows, so a
-failed step leaves the last accepted state, and the mass guard its own
-step's.  A writer error (ArtifactIOError) carries none.
+A failure in the loop carries the last accepted state as its `state`,
+attached by _integrate alone: a path raises only in start and step,
+before it assigns anything of the state, and observe only records.  A
+writer error (ArtifactIOError) carries none.
 The per-step records are named once, by their SERIES key, in RunState.series
 and every archive alike: a new meter is one SERIES row plus the line of the
 loop or of a path that fills it.
@@ -325,16 +325,15 @@ def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
                 if strikes >= 3:
                     raise NonContractionError(
                         f"fixed-point iteration diverging at t = {t_next:.6g} "
-                        f"(ratio {change / changes[-2]:.3g}); reduce dt",
-                        ratio=change / changes[-2])
+                        f"(ratio {change / changes[-2]:.3g}); reduce dt", tuple(changes))
             else:
                 strikes = 0
     else:
-        ratio = changes[-1] / changes[-2] if len(changes) >= 2 and changes[-2] > 0 else math.nan
+        last = (f"ratio {changes[-1] / changes[-2]:.3g}" if len(changes) >= 2 and changes[-2] > 0
+                else f"change {changes[-1]:.3g}")
         raise NonContractionError(
             f"fixed-point iteration did not converge in {prob.picard_max} "
-            f"iterations at t = {t_next:.6g} (last ratio {ratio:.3g}); reduce dt",
-            ratio=ratio)
+            f"iterations at t = {t_next:.6g} (last {last}); reduce dt", tuple(changes))
 
     ratio = changes[1] / changes[0] if len(changes) >= 2 and changes[0] > 0 else math.nan
     return u_iter, b, kept, PicardStats(iterations=len(changes), ratio=ratio)
@@ -375,20 +374,27 @@ class _Kinetic:
         self.prob = prob
         self.row_records: dict[str, np.ndarray] = {}
 
-    def _accept(self, moments: np.ndarray) -> np.ndarray:
-        """Keep the moments of the current state and its D; return its tau."""
-        self.moments, self.d = moments, self.prob.dp.alpha * moments[:, 1]
+    def _accept(self, moments: np.ndarray, k: int) -> np.ndarray:
+        """Keep the moments of the state at step k, its D and its mass error;
+        return its tau.  The mass guard: raise first if a row's |mass - 1| > MASS_TOL."""
+        mass_err = np.abs(moments[:, 0] - 1.0)
+        if (worst := float(mass_err.max())) > MASS_TOL:
+            raise DiagnosticFailure(
+                f"mass conservation failed at step {k}, row {int(mass_err.argmax())}: "
+                f"|mass - 1| = {worst:.3e} > {MASS_TOL:.1e}")
+        self.moments, self.d, self.mass_err = moments, self.prob.dp.alpha * moments[:, 1], worst
         return moments[:, 2]
 
     def start(self, state: RunState) -> np.ndarray:
         self.grad = velocity_gradient(state.u, self.prob.space_grid)
-        return self._accept(self.prob.sigma_grid.moments(state.p))
+        return self._accept(self.prob.sigma_grid.moments(state.p), state.step)
 
     def step(self, state: RunState, k: int):
         prob, accum = self.prob, state.accum
         grid, dt, d_prev = prob.sigma_grid, prob.space_grid.dt, self.d
-        b, moments, stats, rep, dxi = self._advance(state, k)
-        tau = self._accept(moments)
+        u, p, b, moments, stats, rep, dxi = self._advance(state, k)
+        tau = self._accept(moments, k + 1)
+        state.u, state.p = u, p
         state.series["trunc"][k] = rep.trunc_moment
         accum.clipped_total += float(rep.clipped_mass.sum())
         accum.min_before_clip = min(accum.min_before_clip, rep.min_before_clip)
@@ -398,31 +404,24 @@ class _Kinetic:
         return b, tau, stats
 
     def _advance(self, state: RunState, k: int):
-        """Advance u and the rows over step k; return the loading, the
-        moments of the new rows, the Picard stats, the meso report and the
-        step's growth of xi."""
+        """Advance u and the rows over step k, leaving the state as it is;
+        return the new u and rows, the loading, the moments of the new rows,
+        the Picard stats, the meso report and the step's growth of xi."""
         prob, sgrid = self.prob, self.prob.space_grid
         t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
-        state.u, state.p, stats, rep, b, moments = coupled_step(
-            state.u, state.p, t_next, prob, self.d)
-        grad = velocity_gradient(state.u, sgrid)
+        u, p, stats, rep, b, moments = coupled_step(state.u, state.p, t_next, prob, self.d)
+        grad = velocity_gradient(u, sgrid)
         dxi = prob.dp.g0 * (0.5 * sgrid.dt * (self.grad + grad)
                             + (prob.protocol.integral(t_next) - prob.protocol.integral(t_prev)))
         self.grad = grad
-        return b, moments, stats, rep, dxi
+        return u, p, b, moments, stats, rep, dxi
 
     def observe(self, state: RunState, k: int) -> np.ndarray:
         grid, series, p = self.prob.sigma_grid, state.series, state.p
-        mass_err = np.abs(self.moments[:, 0] - 1.0)
-        series["mass_err"][k] = float(mass_err.max())
+        series["mass_err"][k] = self.mass_err
         series["inner"][k] = self.moments[:, 3]
         series["min_d"][k] = float(self.d.min())
         series["max_p"][k] = float(p.max())
-        if series["mass_err"][k] > MASS_TOL:
-            row = int(mass_err.argmax())
-            raise DiagnosticFailure(
-                f"mass conservation failed at step {k}, row {row}: "
-                f"|mass - 1| = {series['mass_err'][k]:.3e} > {MASS_TOL:.1e}")
         outer = float(grid.outermost_mass(p).max())
         if outer > TRUNCATION_TOL:
             state.accum.truncation_steps += 1
@@ -455,8 +454,8 @@ class _Prescribed(_Kinetic):
         prob, sgrid, loading = self.prob, self.prob.space_grid, self.prob.protocol
         t_prev, t_next = sgrid.time(k), sgrid.time(k + 1)
         b = loading.value(t_next)
-        state.p, rep = advance_rows(state.p, b, sgrid.dt, prob.sigma_grid, prob.dp.alpha, d=self.d)
-        return (b, prob.sigma_grid.moments(state.p), PicardStats(1, math.nan), rep,
+        p, rep = advance_rows(state.p, b, sgrid.dt, prob.sigma_grid, prob.dp.alpha, d=self.d)
+        return (state.u, p, b, prob.sigma_grid.moments(p), PicardStats(1, math.nan), rep,
                 loading.integral(t_next) - loading.integral(t_prev))
 
 

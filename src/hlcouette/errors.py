@@ -8,8 +8,9 @@ Exit code contract (see README):
     5  hard diagnostic invariant violated
     6  I/O failure (unreadable/corrupt run artifacts)
 
-A failure in a run's step loop carries the RunState it met as `state`
-(coupler._integrate attaches it) for the driver to dump; any other, None.
+A failure in a run's step loop carries the last accepted RunState as
+`state` (coupler._integrate attaches it) for the driver to dump; any
+other, None.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class NonContractionError(HlCouetteError):
 
     exit_code = 4
 
-    def __init__(self, msg: str, ratio: float | None = None):
+    def __init__(self, msg: str, changes: tuple[float, ...] = ()):
         super().__init__(msg)
-        self.ratio = ratio
+        self.changes = changes  # the L2 change of each iterate of the failing step
 
 
 class DiagnosticFailure(HlCouetteError):

@@ -35,9 +35,9 @@ every file in it:
 - checkpoint_<step>.npz every checkpoint_every steps, on both paths;
 - when the run returns: series.npz, checkpoint_final.npz (general runs
   only) and summary.json;
-- when it fails: failure_dump.npz, if the failure carries the state it
-  met (HlCouetteError.state): every numerical failure in the step loop
-  and the mass guard's do.
+- when it fails: failure_dump.npz, if the failure carries a state
+  (HlCouetteError.state): every failure in the step loop but a writer's
+  does, and it is the last accepted state.
 Steps are zero-padded to six digits.  A density archive holds the
 members fingerprint, t, y, sigma and p, in that order; p[i, j] is the
 density at gap node y[i] and stress cell centre sigma[j].  The snapshot

@@ -283,44 +283,23 @@ def test_a_zero_step_run_has_nothing_to_measure(path, tmp_path, capsys):
     assert read_summary(out / "summary.json")["run"]["n_steps"] == 0
 
 
-@pytest.mark.parametrize("dump_is_a_directory", [False, True])
-def test_mass_guard_trip_dumps_the_state_of_its_step(tmp_path, monkeypatch, capsys,
-                                                     dump_is_a_directory):
+def test_a_mass_guard_trip_whose_dump_cannot_be_written_exits_5(tmp_path, monkeypatch,
+                                                                  capsys):
     straight = tmp_path / "straight"
     assert main(["run", *TINY, "--out", str(straight)]) == 0
-    fingerprint = read_summary(straight / "summary.json")["fingerprint"]
-    # the guard trips at the first step whose mass drifts past its tolerance
-    mass_tol = 1e-16
-    drift = read_series(straight / "series.npz")["mass_err"]
-    assert drift[0] <= mass_tol < drift.max()
-    step = int(np.argmax(drift > mass_tol))
     capsys.readouterr()
     out = tmp_path / "o"
     dump = out / "failure_dump.npz"
-    if dump_is_a_directory:
-        dump.mkdir(parents=True)
-    monkeypatch.setattr(coupler, "MASS_TOL", mass_tol)
+    dump.mkdir(parents=True)
+    monkeypatch.setattr(coupler, "MASS_TOL", 1e-16)
     assert main(["run", *TINY, "--out", str(out)]) == 5
     err = capsys.readouterr().err
     # the run's own error exits, whatever the dump's fate
-    assert f"mass conservation failed at step {step}," in err
-    if dump_is_a_directory:
-        assert f"error: cannot write {dump}" in err and "state dumped" not in err
-    else:
-        assert f"state dumped to {dump}" in err
-        assert load_checkpoint(dump, expect_fingerprint=fingerprint).step == step
+    assert "mass conservation failed at step 2," in err
+    assert f"error: cannot write {dump}" in err and "state dumped" not in err
     assert (out / "snapshot_000000.csv").read_bytes() == \
         (straight / "snapshot_000000.csv").read_bytes()
     assert not (out / "series.npz").exists() and not (out / "summary.json").exists()
-    if not dump_is_a_directory:
-        # the dump is the state of the step the guard observed, so a resume
-        # goes on past that observation and trips at the next drifting step
-        # (bit for bit the straight run's), with the same exit code
-        again = next((k for k in range(step + 1, len(drift)) if drift[k] > mass_tol), None)
-        assert again is not None
-        assert main(["run", *TINY, "--resume", str(dump)]) == 5
-        assert capsys.readouterr().err.splitlines()[-1].startswith(
-            f"error: mass conservation failed at step {again},")
 
 
 def failing_after(t_fail, error):
@@ -339,41 +318,47 @@ CLOSED_FORM_DIVERGING = [*TINY, "--set", "model.fully_relaxing=true", "--set",
                          "grid.sigma_max=8.0", "--set", "model.g0=1000", "--set", "run.dt=0.01"]
 
 
-@pytest.mark.parametrize("argv, injected, step", [
-    (FAILING_RUN, None, 4),
-    (CLOSED_FORM_DIVERGING, None, 0),
-    (TINY, CFLError, 6),
-    (TINY, SchemeInstabilityError, 6),
-], ids=["kinetic non-contraction", "closed-form non-contraction", "CFL", "instability"])
-def test_a_numerical_failure_dumps_the_last_accepted_state(argv, injected, step, tmp_path,
+@pytest.mark.parametrize("argv, fault, step, code", [
+    (FAILING_RUN, None, 4, 4),
+    (CLOSED_FORM_DIVERGING, None, 0, 4),
+    (TINY, ("coupled_step", failing_after(0.0065, CFLError)), 6, 4),
+    (TINY, ("coupled_step", failing_after(0.0065, SchemeInstabilityError)), 6, 4),
+    # step 2 is the first whose mass drifts past 1e-16
+    (TINY, ("MASS_TOL", 1e-16), 1, 5),
+], ids=["kinetic non-contraction", "closed-form non-contraction", "CFL", "instability",
+        "mass guard"])
+def test_a_numerical_failure_dumps_the_last_accepted_state(argv, fault, step, code, tmp_path,
                                                            monkeypatch, capsys):
     straight = tmp_path / "straight"
-    if injected is not None:
+    if fault is not None:
         assert main(["run", *argv, "--out", str(straight)]) == 0
-        monkeypatch.setattr(coupler, "coupled_step", failing_after(0.0065, injected))
+        monkeypatch.setattr(coupler, *fault)
     capsys.readouterr()
     out = tmp_path / "o"
     dump = out / "failure_dump.npz"
-    assert main(["run", *argv, "--out", str(out)]) == 4
+    assert main(["run", *argv, "--out", str(out)]) == code
     captured = capsys.readouterr()
     fingerprint = captured.out.split("fingerprint: ")[1].split()[0]
     error = captured.err.splitlines()[-1]
     assert f"state dumped to {dump}" in captured.err
     state = load_checkpoint(dump, expect_fingerprint=fingerprint)
     assert state.step == step
-    if injected is not None:
+    if fault is not None:
         # the step that failed left no trace: the records are the straight run's
         series = read_series(straight / "series.npz")
         for f in coupler.SERIES:
             assert state.series[f.key].tobytes() == \
                 series[f.archive or f.key][:f.length(step)].tobytes(), f.key
+    if code == 5:
+        assert error.startswith(f"error: mass conservation failed at step {step + 1},")
     if argv is CLOSED_FORM_DIVERGING:
         assert state.p.shape == (0, 64)  # resumed without --force-general
     if argv is FAILING_RUN:
         # the dumped state passes every check: the step broke, not the state
         assert main(["diagnose", "--checkpoint", str(dump), *argv]) == 0
         assert "all checks passed" in capsys.readouterr().out
-    assert main(["run", *argv, "--resume", str(dump)]) == 4
+    # the resume takes the failed step again and fails the same way
+    assert main(["run", *argv, "--resume", str(dump)]) == code
     resumed = capsys.readouterr()
     assert f"resuming at step {step}" in resumed.out
     assert resumed.err.splitlines()[-1] == error

@@ -288,23 +288,32 @@ def test_mass_guard_raises_with_the_state_of_its_step():
 
 
 def test_a_failed_step_leaves_the_last_accepted_state_bit_for_bit(monkeypatch):
-    # the path raises before it assigns u or the rows, and the running
-    # integrals move only after, so the state is the straight run's at step 6
+    # a path raises before it assigns anything of the state, and the running
+    # integrals move only after, so the state is the straight run's at the
+    # step before the one that failed: step 7 does not contract, or is the
+    # first whose mass drifts past the guard's tolerance
     prob, init = small_problem(t_final=0.01)
     kept = []
-    run(prob, init, checkpoint_every=6, checkpoint_sink=kept.append)
-    monkeypatch.setattr(coupler, "coupled_step", failing_after(0.0065, NonContractionError))
-    with pytest.raises(NonContractionError, match="at t = 0.007") as info:
-        run(prob, init)
-    state, straight = info.value.state, kept[0]
-    assert state.step == straight.step == 6
-    for name in ("u", "p"):
-        assert getattr(state, name).tobytes() == getattr(straight, name).tobytes()
-    for key, value in vars(state.accum).items():
-        assert np.asarray(value).tobytes() == np.asarray(getattr(straight.accum, key)).tobytes()
-    for f in SERIES:
-        assert state.series[f.key].tobytes() == straight.series[f.key].tobytes(), f.key
-    assert state.warnings == straight.warnings
+    straight = run(prob, init, checkpoint_every=1, checkpoint_sink=kept.append)
+    mass_tol = 5e-16
+    assert int(np.argmax(straight.series["mass_err"] > mass_tol)) == 9
+    for fault, error, match, step in [
+            (("coupled_step", failing_after(0.0065, NonContractionError)), NonContractionError,
+             "at t = 0.007", 6),
+            (("MASS_TOL", mass_tol), DiagnosticFailure, "mass conservation failed at step 9,", 8)]:
+        with monkeypatch.context() as patch, pytest.raises(error, match=match) as info:
+            patch.setattr(coupler, *fault)
+            run(prob, init)
+        state, accepted = info.value.state, kept[step - 1]
+        assert state.step == accepted.step == step
+        for name in ("u", "p"):
+            assert getattr(state, name).tobytes() == getattr(accepted, name).tobytes()
+        for key, value in vars(state.accum).items():
+            assert np.asarray(value).tobytes() == \
+                np.asarray(getattr(accepted.accum, key)).tobytes()
+        for f in SERIES:
+            assert state.series[f.key].tobytes() == accepted.series[f.key].tobytes(), f.key
+        assert state.warnings == accepted.warnings
 
 
 def test_a_refusal_before_the_first_step_carries_no_state(monkeypatch):
@@ -326,8 +335,12 @@ def test_non_contraction_raises():
                           protocol=ShearProtocol.ramp(1.0, 0.1), picard_max=1)
     init = InitialData.from_preset(SGRID, space, "gaussian",
                                    {"mean": 0.0, "width": 1.0})
-    with pytest.raises(NonContractionError):
+    with pytest.raises(NonContractionError) as info:
         run(prob, init)
+    # one iterate has a change but no ratio, and the message names the change
+    (change,) = info.value.changes
+    assert f"(last change {change:.3g}); reduce dt" in str(info.value)
+    assert "nan" not in str(info.value)
 
 
 def test_fully_relaxing_divergence_is_detected():
@@ -338,7 +351,9 @@ def test_fully_relaxing_divergence_is_detected():
                           space_grid=space, protocol=ShearProtocol.ramp(1.0, 0.1))
     with pytest.raises(NonContractionError, match="diverging") as info:
         run_maxwell(prob, tau0=np.zeros(8), u0=np.zeros(8))
-    assert info.value.ratio > 1.0
+    changes = info.value.changes
+    assert changes[-1] > changes[-2] > 0
+    assert f"(ratio {changes[-1] / changes[-2]:.3g})" in str(info.value)
 
 
 def test_shape_validation():
