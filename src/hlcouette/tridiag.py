@@ -25,9 +25,19 @@ factorization raises and is never cached.  The stress step checks that
 ``lam`` is nonnegative on a miss only, before it factors: a hit reuses a
 ``lam`` that was checked when it was factored.
 
-The LAPACK wrappers are resolved once, on first use (``_lapack``), so
-start-up does not load ``scipy.linalg`` and a solve runs no import
-statement.
+The two LAPACK routines are resolved once, on first use (``_lapack``), so
+a solve runs no import statement.  They are ``scipy_dpttrf_64_`` and
+``scipy_dpttrs_64_`` of the scipy-openblas64 library that numpy's PyPI
+wheel bundles in ``numpy.libs/`` and has already loaded, called through
+``ctypes``; no run loads ``scipy.linalg``.  That library is ILP64: n, nrhs,
+ldb and info are int64 passed by address, as ``ctypes.c_int64`` scalars
+that stay referenced while the library reads them, and the nrhs and info
+scalars are shared by every call, so the solver is single-threaded.  Only
+where that library or its symbols are absent (a numpy that is not the
+wheel) does ``_lapack`` fall back to scipy's f2py wrappers of the same
+routines.  Either way a factorization binds its substitution once, when
+it is made (``_Factors.solve``), so a solve takes only the address of its
+right-hand side.
 
 A miss of the stress cache factors only the first pivots of each block.
 ``dpttrf`` runs one causal recurrence, ``e_i = c_i / d_i`` then
@@ -52,15 +62,19 @@ reaches the full call pays the prefix on top of it.  A failure inside the
 prefix raises with an ``info`` that counts pivots of the stacked prefix.
 
 ``solve_tridiagonal`` consumes its right-hand side: ``dpttrs`` substitutes
-in place of ``rhs`` (when it is a C-contiguous float array), so the
-returned solution may share its memory and ``rhs`` must not be read again.
+in place of ``rhs`` when it is a writable, C-contiguous float64 array (any
+other ``rhs`` is copied first and never written), so the returned solution
+may share its memory and ``rhs`` must not be read again.
 Both callers pass an array they built for the solve and nothing else holds;
 a caller that needs ``rhs`` afterwards passes a copy.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -70,13 +84,106 @@ from .errors import SchemeInstabilityError
 # last two pivots still differ, it factors the whole blocks instead.
 FACTOR_PREFIX = 32
 
+# dpttrs's nrhs and the info of both routines, shared by every call (the
+# solver is single-threaded) and referenced here while the library reads them.
+_NRHS = ctypes.c_int64(1)
+_INFO = ctypes.c_int64()
+
+
+def _openblas_paths() -> list[Path]:
+    """numpy's bundled scipy-openblas64 library, where numpy's wheel puts it."""
+    return sorted((Path(np.__file__).parents[1] / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+
+
+def _pointer(a: np.ndarray):
+    """The address of a writable, C-contiguous array, or TypeError/ValueError."""
+    return ctypes.byref(ctypes.c_double.from_buffer(a))
+
+
+def _operand(a: np.ndarray) -> np.ndarray:
+    """a itself where LAPACK may write in place of it (a writable,
+    C-contiguous float64 array), else a float64 copy of it."""
+    if a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable:
+        return a
+    return np.array(a, dtype=np.float64)
+
+
+class _OpenBLAS:
+    """dpttrf and dpttrs of the ILP64 library numpy has loaded, through ctypes."""
+
+    def __init__(self, path: Path):
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)  # only if loaded
+        self.dpttrf, self.dpttrs = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
+        # every argument is passed as a ctypes.byref of a checked scalar or
+        # array buffer; argtypes would re-check them at 0.8-1.3 us a call,
+        # as much as a whole n = 64 solve
+        self.dpttrf.restype = self.dpttrs.restype = None
+
+    def factor(self, diag: np.ndarray, off: np.ndarray) -> int:
+        n = ctypes.c_int64(diag.shape[0])
+        self.dpttrf(ctypes.byref(n), _pointer(diag), _pointer(off),
+                    ctypes.byref(_INFO))
+        return _INFO.value
+
+    def bind(self, d: np.ndarray, e: np.ndarray):
+        """The substitution rhs -> info through (d, e), in place of rhs.
+
+        d and e must still be writable: their pointers come from their
+        buffers, which stay exported (and the arrays alive) with the solve.
+        """
+        n = ctypes.byref(ctypes.c_int64(d.shape[0]))  # holds its scalar
+        nrhs, info = ctypes.byref(_NRHS), ctypes.byref(_INFO)
+        d_ptr, e_ptr = _pointer(d), _pointer(e)
+        dpttrs = self.dpttrs
+
+        def solve(rhs: np.ndarray) -> int:
+            dpttrs(n, nrhs, d_ptr, e_ptr, _pointer(rhs), n, info)
+            return _INFO.value
+        return solve
+
+
+class _F2py:
+    """scipy's f2py wrappers of the same routines, the fallback.  Handed
+    writable, C-contiguous float64 arrays, they work in place of them."""
+
+    def __init__(self):
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        self.dpttrf, self.dpttrs = dpttrf, dpttrs
+
+    def factor(self, diag: np.ndarray, off: np.ndarray) -> int:
+        return self.dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[2]
+
+    def bind(self, d: np.ndarray, e: np.ndarray):
+        dpttrs = self.dpttrs
+
+        def solve(rhs: np.ndarray) -> int:
+            return dpttrs(d, e, rhs, overwrite_b=1)[1]
+        return solve
+
 
 @lru_cache(maxsize=1)
-def _lapack():
-    """The wrappers (dpttrf, dpttrs), resolved on first use: start-up never
-    solves anything, so it need not load scipy.linalg."""
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    return dpttrf, dpttrs
+def _lapack() -> _OpenBLAS | _F2py:
+    """The routines, resolved on first use: numpy's own library where it is
+    loaded and has both symbols, else scipy's wrappers."""
+    for path in _openblas_paths():
+        try:
+            return _OpenBLAS(path)
+        except (OSError, AttributeError):
+            pass
+    return _F2py()
+
+
+class _Factors(tuple):
+    """Read-only factors (d, e), with ``solve``, their substitution, bound
+    once when they are made (None for n = 1, which needs no LAPACK)."""
+
+    def __new__(cls, d: np.ndarray, e: np.ndarray):
+        factors = super().__new__(cls, (d, e))
+        factors.solve = _lapack().bind(d, e) if d.shape[0] > 1 else None
+        d.flags.writeable = False
+        e.flags.writeable = False
+        return factors
 
 
 def _check(info: int, routine: str) -> None:
@@ -91,31 +198,37 @@ def factor_tridiagonal(diag: np.ndarray,
     """Read-only ``L D L^T`` factors (d, e) of a symmetric tridiagonal matrix.
 
     diag is the (n,) main diagonal and off the (n-1,) off-diagonal on both
-    sides.  Float arrays are factored in place, so the caller passes
-    temporaries of its own.  Raises SchemeInstabilityError when the matrix
-    is not positive definite.
+    sides.  Writable, C-contiguous float64 arrays are factored in place, so
+    the caller passes temporaries of its own; others are copied.  Raises
+    SchemeInstabilityError when the matrix is not positive definite.
     """
-    if diag.shape[0] < 2:
-        # the LAPACK wrappers reject an empty off-diagonal; for n = 1
-        # dpttrf only checks that the one pivot is positive
+    n = diag.shape[0]
+    if n < 2:
+        # scipy's wrappers reject an empty off-diagonal, so n = 1 never
+        # reaches LAPACK; dpttrf only checks that the one pivot is positive
         d, e, info = diag, off, 0 if np.all(diag > 0) else 1
     else:
-        d, e, info = _lapack()[0](diag, off, overwrite_d=1, overwrite_e=1)
+        if off.shape != (n - 1,):
+            raise ValueError(f"off-diagonal shape {off.shape} does not match "
+                             f"{n} unknowns")
+        d, e = _operand(diag), _operand(off)
+        info = _lapack().factor(d, e)
     _check(info, "dpttrf")
-    d.flags.writeable = False
-    e.flags.writeable = False
-    return d, e
+    return _Factors(d, e)
 
 
 def solve_tridiagonal(factors: tuple[np.ndarray, np.ndarray],
                       rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs through the factors (d, e) of A; consumes rhs."""
-    d, e = factors
+    d = factors[0]
     if d.shape[0] < 2:
         return rhs / d
-    x, info = _lapack()[1](d, e, rhs, overwrite_b=1)
-    _check(info, "dpttrs")
-    return x
+    if rhs.shape != d.shape:
+        raise ValueError(f"rhs shape {rhs.shape} does not match "
+                         f"{d.shape[0]} unknowns")
+    rhs = _operand(rhs)
+    _check(factors.solve(rhs), "dpttrs")
+    return rhs
 
 
 def _stacked_factors(lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +262,8 @@ def _diffusion_factors(n: int, lam_bytes: bytes) -> tuple[np.ndarray, np.ndarray
     counts_e = counts_d.copy()
     counts_d[:, -1] = n - m + 1
     counts_e[:, -2] = n - m + 1
-    d = np.repeat(d, counts_d.reshape(-1))
-    e = np.repeat(e, counts_e.reshape(-1)[:-1])
-    d.flags.writeable = False
-    e.flags.writeable = False
-    return d, e
+    return _Factors(np.repeat(d, counts_d.reshape(-1)),
+                    np.repeat(e, counts_e.reshape(-1)[:-1]))
 
 
 def solve_diffusion_batch(lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -3,13 +3,18 @@
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hlcouette import coupler
+import hlcouette
+from hlcouette import coupler, tridiag
 from hlcouette.config import standard_config
 from hlcouette.coupler import (SERIES, CoupledProblem, barrier_deficits, check_series_budget,
                                run, run_maxwell)
@@ -541,6 +546,33 @@ def test_run_rows_hold_no_negative_zero(protocol):
     assert signed_zeros == [0] * (prob.space_grid.n_steps + 1)
 
 
+NO_LINALG_RUNS = """\
+import sys
+import numpy as np
+from hlcouette.config import standard_config
+from hlcouette.coupler import run, run_maxwell
+prob, init, report = standard_config(grid__n_y="4", grid__n_sigma="64",
+                                     run__t_final="0.005").build()
+run(prob, init)
+run_maxwell(prob, tau0=np.zeros(4), u0=init.u0)
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+"""
+
+
+def test_no_run_loads_scipy_linalg():
+    # both paths solve through numpy's own LAPACK (tridiag); a fresh
+    # interpreter, because this one has imported scipy.linalg for the tests
+    if not tridiag._openblas_paths():
+        pytest.skip("this numpy bundles no OpenBLAS, so the solves use scipy.linalg")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(hlcouette.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_LINALG_RUNS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_run_does_not_depend_on_the_factor_cache():
     prob, init = small_problem(n_y=8, t_final=0.01)
     _diffusion_factors.cache_clear()
@@ -621,7 +653,8 @@ def test_the_solution_depends_linearly_on_small_changes_of_the_data():
 # A change that keeps every bit of the kinetic path keeps them; another
 # platform's libm or LAPACK may round differently and need digests of its
 # own, recorded from a commit known to be right on that platform.
-PINNED_ON = "x86-64, numpy 2.4, scipy 1.17 with OpenBLAS 0.3.30"
+PINNED_ON = ("x86-64, numpy 2.4, scipy 1.17 with OpenBLAS 0.3.30; "
+             "held on numpy's bundled OpenBLAS 0.3.31")
 PINNED_DIGESTS = {
     "ramp": {
         "tau": "3b6da1f7d3ce9295", "u": "35872a67e62c57cd",

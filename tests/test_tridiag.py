@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dptsv, dpttrf
 
 from hlcouette import tridiag
 from hlcouette.errors import SchemeInstabilityError
@@ -45,6 +45,16 @@ def test_solve_tridiagonal_rejects_indefinite_matrix():
     with pytest.raises(SchemeInstabilityError):
         solve_tridiagonal(factor_tridiagonal(np.array([1.0, -1.0, 2.0]),
                                              np.zeros(2)), np.ones(3))
+
+
+@pytest.mark.parametrize("rhs_n, off_n", [(8, 6), (9, 7), (7, 7)])
+def test_a_mismatched_shape_is_refused_before_lapack_reads_it(rhs_n, off_n):
+    # LAPACK reads n entries of every array it is given; a shorter or longer
+    # array than the factors' n must not reach it
+    diag, off, _ = random_system(np.random.default_rng(8), 8)
+    with pytest.raises(ValueError, match="does not match 8 unknowns"):
+        factors = factor_tridiagonal(diag, off[:off_n])
+        solve_tridiagonal(factors, np.ones(rhs_n))
 
 
 def diffusion_matrix(lam, n):
@@ -257,13 +267,27 @@ def test_settled_rows_factor_only_a_prefix(monkeypatch, lam, prefixes):
 
 # The factor path itself: factor + substitute is dptsv, bit for bit.
 @st.composite
-def spd_tridiagonals(draw):
-    """Strictly diagonally dominant symmetric tridiagonals, n in [1, 64].
+def tridiagonal_systems(draw):
+    """Symmetric tridiagonal systems, each with a right-hand side.
 
-    Half of them have an all-zero off-diagonal, the momentum matrix of an
-    inviscid (mu = 0) run.  Returns diag, off, rhs and the least margin by
-    which a row's diagonal exceeds the rest of the row.
+    Three kinds:
+    - strictly diagonally dominant, n in [1, 64].  Half of them have an
+      all-zero off-diagonal, the momentum matrix of an inviscid (mu = 0)
+      run;
+    - the stress step's stacked I + lam L, 64 blocks of 256, as standard
+      solves it;
+    - one of the first kind with one diagonal entry <= 0, which is not
+      positive definite.
+
+    Returns diag, off, rhs and the least margin by which a row's diagonal
+    exceeds the rest of the row (<= 0 for the third kind).
     """
+    kind = draw(st.sampled_from(["dominant", "stacked", "indefinite"]))
+    if kind == "stacked":
+        lam = draw(arrays(np.float64, 64, elements=st.floats(0.0, 1e3)))
+        diag, off = stacked_matrix(lam, 256)
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return diag, off, rng.uniform(-1.0, 1.0, diag.shape[0]), 1.0
     n = draw(st.integers(1, 64))
     floats = st.floats(-1e3, 1e3, allow_subnormal=False)
     if draw(st.booleans()):
@@ -275,7 +299,10 @@ def spd_tridiagonals(draw):
     reach[:-1] += np.abs(off)
     reach[1:] += np.abs(off)
     rhs = draw(arrays(np.float64, n, elements=floats))
-    return reach + excess, off, rhs, float(excess.min())
+    diag = reach + excess
+    if kind == "indefinite":
+        diag[draw(st.integers(0, n - 1))] = draw(st.floats(-1e3, 0.0))
+    return diag, off, rhs, float((diag - reach).min())
 
 
 def dptsv_solve(diag, off, rhs):
@@ -287,17 +314,81 @@ def dptsv_solve(diag, off, rhs):
     return x
 
 
+def dpttrf_info(diag, off):
+    """scipy's dpttrf info for the matrix; its wrapper rejects n = 1."""
+    if diag.shape[0] < 2:
+        return 0 if diag[0] > 0 else 1
+    return dpttrf(diag.copy(), off.copy())[2]
+
+
+def laid_out(rhs, layout):
+    """rhs as the solve is handed it: its own writable float64 copy, or one
+    read-only, strided or float32, which the solve must copy."""
+    if layout == "owned":
+        return rhs.copy()
+    if layout == "read-only":
+        rhs = rhs.copy()
+        rhs.flags.writeable = False
+        return rhs
+    if layout == "strided":
+        pairs = np.zeros((rhs.shape[0], 2))
+        pairs[:, 0] = rhs
+        return pairs[:, 0]
+    return rhs.astype(np.float32)
+
+
 @settings(max_examples=100, deadline=None)
-@given(spd_tridiagonals())
-def test_factor_and_solve_is_dptsv_bitwise_property(system):
+@given(tridiagonal_systems(),
+       st.sampled_from(["owned", "read-only", "strided", "float32"]))
+@example((np.full(3, 3.0), np.full(2, -1.0), np.arange(1.0, 4.0), 1.0),
+         "read-only")
+def test_factor_and_solve_is_dptsv_bitwise_property(system, layout):
     diag, off, rhs, margin = system
-    ref = dptsv_solve(diag, off, rhs)
-    x = solve_tridiagonal(factor_tridiagonal(diag.copy(), off.copy()), rhs.copy())
-    assert x.tobytes() == ref.tobytes()
-    x_dense = np.linalg.solve(dense(diag, off), rhs)
-    # diagonal dominance by margin bounds max|x| by max|rhs| / margin
-    scale = np.max(np.abs(rhs)) / margin
-    assert np.max(np.abs(x - x_dense)) <= 1e-9 * scale
+    if margin <= 0:
+        # dpttrf fails at the first nonpositive pivot; the error names it
+        info = dpttrf_info(diag, off)
+        assert info > 0
+        with pytest.raises(SchemeInstabilityError, match=fr"dpttrf info = {info}\)"):
+            factor_tridiagonal(diag.copy(), off.copy())
+        return
+    b = laid_out(rhs, layout)
+    kept = b.copy()
+    ref = dptsv_solve(diag, off, b.astype(np.float64))
+    x = solve_tridiagonal(factor_tridiagonal(diag.copy(), off.copy()), b)
+    assert x.dtype == np.float64 and x.tobytes() == ref.tobytes()
+    if layout == "owned":
+        # consumed: the solution takes rhs's memory
+        assert diag.shape[0] < 2 or np.shares_memory(x, b)
+    else:
+        # copied, never written through
+        assert not np.shares_memory(x, b) and b.tobytes() == kept.tobytes()
+    if diag.shape[0] <= 64:
+        x_dense = np.linalg.solve(dense(diag, off), kept.astype(np.float64))
+        # diagonal dominance by margin bounds max|x| by max|rhs| / margin
+        scale = np.max(np.abs(kept)) / margin
+        assert np.max(np.abs(x - x_dense)) <= 1e-9 * scale
+
+
+def test_without_numpys_library_the_solves_fall_back_to_scipy(monkeypatch):
+    # a numpy that bundles no scipy-openblas64 library: the factor path
+    # resolves scipy's wrappers, and a stacked solve keeps its bits
+    from scipy.linalg import lapack
+    lam = np.linspace(0.27, 0.36, 64)
+    rhs = np.random.default_rng(30).uniform(0.0, 1.0, size=(64, 256))
+    _diffusion_factors.cache_clear()
+    own = solve_diffusion_batch(lam, rhs.copy())
+    monkeypatch.setattr(tridiag, "_openblas_paths", lambda: [])
+    tridiag._lapack.cache_clear()
+    _diffusion_factors.cache_clear()
+    try:
+        routines = tridiag._lapack()
+        assert routines.dpttrf is lapack.dpttrf
+        assert routines.dpttrs is lapack.dpttrs
+        x = solve_diffusion_batch(lam, rhs.copy())
+    finally:
+        tridiag._lapack.cache_clear()
+        _diffusion_factors.cache_clear()
+    assert x.tobytes() == own.tobytes() == dptsv_batch(lam, rhs).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 9])
