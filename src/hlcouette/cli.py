@@ -171,12 +171,17 @@ def cmd_hl_run(args) -> int:
     report.raise_if_failed()
     grid, tgrid = prob.sigma_grid, prob.space_grid
     print(f"fingerprint: {cfg.fingerprint}")
+    mass = np.empty(tgrid.n_steps + 1)
+
+    def keep_mass(state, d):
+        mass[state.step] = grid.mass(state.p)[0]
+
     # the protocol is interpreted directly as the loading b(t) of the first row
     result = coupler.run_prescribed(
-        replace(prob, space_grid=SpaceTimeGrid(1, tgrid.dt, tgrid.t_final)), init.p0[:1])
+        replace(prob, space_grid=SpaceTimeGrid(1, tgrid.dt, tgrid.t_final)), init.p0[:1],
+        snapshot_sink=keep_mass)
     tau = result.series["tau"][:, 0]
     d = result.series["min_d"]
-    mass = result.row_records["mass"][:, 0]
     print(f"t = {result.times[-1]:g}: tau = {tau[-1]:.10g}, "
           f"D = {d[-1]:.10g}, mass = {mass[-1]:.12g}, "
           f"max p = {result.series['max_p'].max():.6g}")

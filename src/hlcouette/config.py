@@ -239,13 +239,11 @@ def _cast(section: str, key: str, raw: str, parser: configparser.ConfigParser):
     return value
 
 
-def load_config(path: str | None = None, overrides: list[str] | None = None,
-                text: str | None = None) -> RunConfig:
+def load_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Load an INI config, apply key=value overrides, return the typed view.
 
     Unknown sections or keys are rejected so typos cannot silently fall
-    back to defaults.  `text` bypasses the filesystem (used by tests and
-    by the fingerprint round trip).
+    back to defaults.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
@@ -253,8 +251,6 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         read = parser.read(path)
         if not read:
             raise ConfigError(f"config file not found: {path}")
-    if text is not None:
-        parser.read_string(text)
 
     for section in parser.sections():
         if section not in DEFAULTS:

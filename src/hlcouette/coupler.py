@@ -13,10 +13,12 @@ and abandoned after three non-contracting iterates or picard_max of them.
 One loop, _integrate, steps every path, and one driver, _picard, solves
 each coupled step's fixed point.  The loop owns the start state, its step-0
 records, the records every path shares (tau, u, b, iters, ratios), the
-snapshots and the checkpoints.  A snapshot is graded when it is taken:
-the loop records the two barrier deficits of the state and its D
-(barrier_deficits) and hands both to the snapshot sink, which reads what
-it keeps at once, so no density row outlives its step.  A path has three
+snapshots and the checkpoints.  It keeps exactly the SERIES records per
+step and the graded deficits per snapshot; a caller reads anything else
+from the live state through the snapshot sink.  A snapshot is graded when
+it is taken: the loop records the two barrier deficits of the state and
+its D (barrier_deficits) and hands both to the sink, which reads what it
+keeps at once, so no density row outlives its step.  A path has three
 methods: start(state) returns its tau; step(state, k) advances it over
 step k and returns the loading, tau and Picard stats of its accepted
 iterate; observe(state, k) records the path's meters of step k and
@@ -29,9 +31,8 @@ returns D.
   keeps the accumulators, the mass guard and the truncation monitor.
 - _Prescribed (run_prescribed, hl-run) is _Kinetic with the Picard solve
   replaced by one advance under a given loading b(t): the single-ensemble
-  equation the coupled problem extends.  It shares _Kinetic's start,
-  observe and per-step bookkeeping, and records each row's mass and D at
-  every step (RunResult.row_records); the velocity stays at rest.
+  equation the coupled problem extends.  It shares everything else of
+  _Kinetic; the velocity stays at rest.
 - _Relaxation (run_maxwell) integrates tau' + tau = b exactly per node.
   It is a production path for sigma_c = 0 runs and the cross-validation
   partner of the general solver; its states have no density rows.
@@ -163,19 +164,17 @@ def snapshot_count(n_steps: int, snap_every: int, first: int = 0) -> int:
     return n_steps // snap_every - (first - 1) // snap_every + (n_steps % snap_every > 0)
 
 
-def check_series_budget(sgrid: SpaceTimeGrid, snap_every: int, row_records: bool = False
-                        ) -> None:
+def check_series_budget(sgrid: SpaceTimeGrid, snap_every: int) -> None:
     """Reject, before anything is allocated, a run whose records exceed the budget.
 
-    The records are the per-step series, the three floats that grade each
-    snapshot (RunResult.deficits) and, when row_records, the mass and D of
-    every row at every step (RunResult.row_records).  No density row is kept."""
+    The records are the per-step series and the three floats that grade
+    each snapshot (RunResult.deficits).  No density row is kept.  What a
+    snapshot sink keeps is its caller's and is not budgeted: RunDirectory's
+    kept CSV fields, or hl-run's mass of its one row, 8 bytes a step."""
     n_steps, n_y = sgrid.n_steps, sgrid.n_y
     series = sum(f.length(n_steps) * (n_y if f.per_y else 1) * np.dtype(f.dtype).itemsize
                  for f in SERIES)
     need = series + 3 * 8 * snapshot_count(n_steps, snap_every)
-    if row_records:
-        need += 2 * 8 * (n_steps + 1) * n_y
     if need > SERIES_MAX_BYTES:
         raise ValidationError(
             f"run.dt and run.t_final give {n_steps} steps; with n_y = {n_y} their "
@@ -220,9 +219,6 @@ class RunResult(RunState):
     # (t, comparison deficit, induced deficit) of each snapshot the run graded,
     # in step order (barrier_deficits), (n_graded, 3); None if it graded none
     deficits: np.ndarray | None
-    # "mass" and "d" of every row at every step, (n_steps + 1, n_y) each, on
-    # the prescribed path (run_prescribed); empty on the others
-    row_records: dict[str, np.ndarray]
 
     @property
     def kind(self) -> str:
@@ -372,7 +368,6 @@ class _Kinetic:
 
     def __init__(self, prob: CoupledProblem):
         self.prob = prob
-        self.row_records: dict[str, np.ndarray] = {}
 
     def _accept(self, moments: np.ndarray, k: int) -> np.ndarray:
         """Keep the moments of the state at step k, its D and its mass error;
@@ -436,19 +431,7 @@ class _Kinetic:
 class _Prescribed(_Kinetic):
     """The kinetic path under a prescribed loading b(t) = prob.protocol, any
     Forcing: each step advances the rows by advance_rows with b frozen at
-    the step's end, as one iterate; the velocity stays at rest.  It records
-    each row's mass (SigmaGrid.mass) and D at every step."""
-
-    def start(self, state: RunState) -> np.ndarray:
-        shape = (self.prob.space_grid.n_steps + 1, self.prob.space_grid.n_y)
-        self.row_records = {"mass": np.empty(shape), "d": np.empty(shape)}
-        return super().start(state)
-
-    def observe(self, state: RunState, k: int) -> np.ndarray:
-        d = super().observe(state, k)
-        self.row_records["mass"][k] = self.prob.sigma_grid.mass(state.p)
-        self.row_records["d"][k] = d
-        return d
+    the step's end, as one iterate; the velocity stays at rest."""
 
     def _advance(self, state: RunState, k: int):
         prob, sgrid, loading = self.prob, self.prob.space_grid, self.prob.protocol
@@ -466,7 +449,6 @@ class _Relaxation:
 
     def __init__(self, prob: CoupledProblem):
         self.prob = prob
-        self.row_records: dict[str, np.ndarray] = {}
 
     def start(self, state: RunState) -> np.ndarray:
         dt = self.prob.space_grid.dt
@@ -499,7 +481,7 @@ def _integrate(prob: CoupledProblem, path, p0: np.ndarray, start: RunState,
     sgrid = prob.space_grid
     n_y, n_steps = sgrid.n_y, sgrid.n_steps
     check_state(start, prob, (path_rows(prob, closed_form=isinstance(path, _Relaxation)),))
-    check_series_budget(sgrid, snap_every, row_records=isinstance(path, _Prescribed))
+    check_series_budget(sgrid, snap_every)
     p0 = p0.copy()
     series = _new_series(n_steps, n_y)
     state = replace(start.checkpoint(), series=series)
@@ -544,8 +526,7 @@ def _integrate(prob: CoupledProblem, path, p0: np.ndarray, start: RunState,
         exc.state = state.checkpoint()
         raise
 
-    return RunResult(**vars(state), problem=prob, p0=p0, deficits=deficits,
-                     row_records=path.row_records)
+    return RunResult(**vars(state), problem=prob, p0=p0, deficits=deficits)
 
 
 def _first_state(prob: CoupledProblem, u0: np.ndarray, p0: np.ndarray, **records) -> RunState:
@@ -594,14 +575,15 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
                       snap_every, checkpoint_every, checkpoint_sink, snapshot_sink, False)
 
 
-def run_prescribed(prob: CoupledProblem, p0: np.ndarray) -> RunResult:
+def run_prescribed(prob: CoupledProblem, p0: np.ndarray, *,
+                   snapshot_sink=None) -> RunResult:
     """Integrate the rows p0, one per gap node, under the prescribed loading
-    b(t) = prob.protocol (any Forcing), grading a snapshot of every state and
-    recording each row's mass and D at every step (RunResult.row_records).
+    b(t) = prob.protocol (any Forcing), grading a snapshot of every state.
 
     This is the single-ensemble equation under a given shear rate that the
-    coupled problem extends; the velocity stays at rest.
+    coupled problem extends; the velocity stays at rest.  snapshot_sink is
+    run's, called at every step since every state is a snapshot.
     """
     return _integrate(prob, _Prescribed(prob), p0,
-                      _first_state(prob, np.zeros(prob.space_grid.n_y), p0), 1, 0, None, None,
-                      True)
+                      _first_state(prob, np.zeros(prob.space_grid.n_y), p0), 1, 0, None,
+                      snapshot_sink, True)

@@ -321,7 +321,7 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData,
                                compute_d(state.p, prob.sigma_grid, prob.dp.alpha))
               ] if state.p.shape[0] else []
     return RunResult(**vars(state), problem=prob, p0=init.p0.copy(),
-                     deficits=np.array(graded).reshape(-1, 3), row_records={})
+                     deficits=np.array(graded).reshape(-1, 3))
 
 
 def verify_resume(state: RunState, prob: CoupledProblem, p0: np.ndarray,

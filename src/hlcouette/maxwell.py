@@ -102,7 +102,7 @@ def sub_solution(p0: np.ndarray, grid: SigmaGrid, t: float,
 
 
 def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
-              alpha: float, n_quad: int = MEMORY_QUAD_POINTS) -> np.ndarray:
+              alpha: float) -> np.ndarray:
     """Closed-form stress density of the fully relaxing variant at time t.
 
     p0 are (n_rows, n_sigma) cell values, treated as point masses at cell
@@ -122,7 +122,7 @@ def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
     # memory term via w = sqrt(t - s): int_0^sqrt(t) 2 w e^{-w^2} K_{alpha w^2}(.) dw,
     # cut at MEMORY_W_MAX
     w_max = min(math.sqrt(t), MEMORY_W_MAX)
-    x, wts = np.polynomial.legendre.leggauss(n_quad)
+    x, wts = np.polynomial.legendre.leggauss(MEMORY_QUAD_POINTS)
     w = 0.5 * w_max * (x + 1.0)
     scale = 0.5 * w_max * wts * 2.0 * w * np.exp(-w * w)
     shifts = np.array([forcing.window_integral(t, wi * wi) for wi in w])

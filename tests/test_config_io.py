@@ -70,9 +70,11 @@ def test_fingerprint_tracks_effective_values():
     "[extra]\nx = 1\n",
     "[run]\nbogus = 1\n",
 ])
-def test_unknown_sections_and_keys_rejected(text):
+def test_unknown_sections_and_keys_rejected(tmp_path, text):
+    path = tmp_path / "config.ini"
+    path.write_text(text)
     with pytest.raises(ConfigError):
-        load_config(text=text)
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("override", [

@@ -200,24 +200,21 @@ def test_a_snapshot_saves_as_the_checkpoint_of_its_step(tmp_path, closed_form):
 
 
 def test_the_record_budget_charges_what_a_snapshot_holds(monkeypatch):
-    # a snapshot leaves three floats, its barrier deficits; the prescribed
-    # path adds the mass and D of every row at every step
+    # a run keeps its series and, of each snapshot, three floats: its
+    # barrier deficits; the prescribed path keeps the same records
     prob, init = small_problem(n_y=8, t_final=0.01)
     res = run(prob, init, snap_every=4)
-    assert res.deficits.shape == (4, 3) and res.row_records == {}
+    assert res.deficits.shape == (4, 3)
     prescribed = coupler.run_prescribed(prob, init.p0)
     assert prescribed.deficits.shape == (11, 3)
-    assert {key: value.shape for key, value in prescribed.row_records.items()} == \
-        {"mass": (11, 8), "d": (11, 8)}
-    for result, snap_every, row_records in ((res, 4, False), (prescribed, 1, True)):
+    for result, snap_every in ((res, 4), (prescribed, 1)):
         need = sum(record.nbytes for record in result.series.values()) \
-            + result.deficits.nbytes \
-            + sum(record.nbytes for record in result.row_records.values())
+            + result.deficits.nbytes
         monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need)
-        check_series_budget(prob.space_grid, snap_every, row_records)
+        check_series_budget(prob.space_grid, snap_every)
         monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need - 1)
         with pytest.raises(ValidationError, match="run.dt and run.t_final give 10 steps"):
-            check_series_budget(prob.space_grid, snap_every, row_records)
+            check_series_budget(prob.space_grid, snap_every)
 
 
 def test_the_record_budget_admits_an_every_step_schedule_of_one_long_row():
@@ -225,7 +222,6 @@ def test_the_record_budget_admits_an_every_step_schedule_of_one_long_row():
     # used to be refused for their kept rows; checked, never run
     space = SpaceTimeGrid(n_y=1, dt=1e-5, t_final=1.0)
     assert space.n_steps == 100_000
-    check_series_budget(space, 1, row_records=True)
     check_series_budget(space, 1)
 
 

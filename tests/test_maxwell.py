@@ -220,19 +220,18 @@ def test_density_against_direct_quadrature():
         assert out[i] == pytest.approx(decayed + memory, rel=1e-7, abs=1e-12)
 
 
-def test_memory_quadrature_is_converged():
+def test_memory_quadrature_is_converged(monkeypatch):
+    # the module's point count against twice as many
     p0 = normalized_gaussian(GRID, 1.0)[None]
-    smooth = ShearProtocol.sinusoid(0.9, 2.0).forcing
-    a = maxwell_p(p0, smooth, 1.0, GRID, 1.0, n_quad=96)
-    b = maxwell_p(p0, smooth, 1.0, GRID, 1.0, n_quad=192)
-    assert np.max(np.abs(a - b)) < 1e-10
+    forcings = (ShearProtocol.sinusoid(0.9, 2.0).forcing, ShearProtocol.ramp(1.0, 0.5).forcing)
+    smooth, ramp = (maxwell_p(p0, f, 1.0, GRID, 1.0) for f in forcings)
+    monkeypatch.setattr(maxwell, "MEMORY_QUAD_POINTS", 2 * maxwell.MEMORY_QUAD_POINTS)
+    smooth_fine, ramp_fine = (maxwell_p(p0, f, 1.0, GRID, 1.0) for f in forcings)
+    assert np.max(np.abs(smooth - smooth_fine)) < 1e-10
     # a ramp corner slows pointwise convergence but cancels exactly in the
     # zeroth moment, which is what the mass contract relies on
-    f = ShearProtocol.ramp(1.0, 0.5).forcing
-    a = maxwell_p(p0, f, 1.0, GRID, 1.0, n_quad=96)
-    b = maxwell_p(p0, f, 1.0, GRID, 1.0, n_quad=192)
-    assert np.max(np.abs(a - b)) < 1e-7
-    assert abs(float(GRID.mass(a - b)[0])) < 1e-12
+    assert np.max(np.abs(ramp - ramp_fine)) < 1e-7
+    assert abs(float(GRID.mass(ramp - ramp_fine)[0])) < 1e-12
 
 
 # fully relaxing grids whose d_sigma is a power of two, where a reordered

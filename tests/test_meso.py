@@ -38,17 +38,26 @@ def constant_forcing(value):
     return PiecewiseLinearForcing([0.0, 1.0], [value, value])
 
 
-def prescribed(p0, forcing, grid, alpha, dt, t_final):
+def prescribed(p0, forcing, grid, alpha, dt, t_final, snapshot_sink=None):
     """Run the rows p0 under the loading forcing on the prescribed path."""
     prob = coupler.CoupledProblem(
         dp=DimensionlessParams(rho=1.0, alpha=alpha, g0=1.0, mu=1.0), sigma_grid=grid,
         space_grid=SpaceTimeGrid(p0.shape[0], dt, t_final), protocol=forcing)
-    return coupler.run_prescribed(prob, p0)
+    return coupler.run_prescribed(prob, p0, snapshot_sink=snapshot_sink)
 
 
-def recorded(result):
-    """tau, D and mass of every state of a prescribed run, (n_steps+1, n_rows) each."""
-    return result.series["tau"], result.row_records["d"], result.row_records["mass"]
+def recorded(p0, forcing, grid, alpha, dt, t_final):
+    """A prescribed run and the step, D and mass of every state its snapshot
+    sink sees, in call order; D and mass are (n_steps+1, n_rows) each."""
+    steps, d, mass = [], [], []
+
+    def sink(state, d_rows):
+        steps.append(state.step)
+        d.append(d_rows.copy())
+        mass.append(grid.mass(state.p))
+
+    res = prescribed(p0, forcing, grid, alpha, dt, t_final, snapshot_sink=sink)
+    return res, steps, np.array(d), np.array(mass)
 
 
 def test_step_conserves_mass_exactly_with_full_bookkeeping():
@@ -80,8 +89,9 @@ def test_advection_moment_gain_is_exact_for_band_supported_data(b):
 
 def test_zero_loading_preserves_evenness_and_centering():
     p0 = gaussian_batch()
-    res = prescribed(p0, constant_forcing(0.0), GRID, alpha=1.0, dt=1e-3, t_final=0.2)
-    tau, _, mass = recorded(res)
+    res, _, _, mass = recorded(p0, constant_forcing(0.0), GRID, alpha=1.0, dt=1e-3,
+                               t_final=0.2)
+    tau = res.series["tau"]
     assert np.max(np.abs(tau)) <= 1e-13
     assert np.max(np.abs(mass - 1.0)) <= 1e-13
     assert np.allclose(res.p, res.p[:, ::-1], atol=1e-15)
@@ -144,10 +154,14 @@ def test_doubled_sink_breaks_the_sup_norm_safeguard(monkeypatch):
 
 def test_solver_shapes_and_recording():
     p0 = gaussian_batch()
-    res = prescribed(p0, constant_forcing(0.5), GRID, 1.0, dt=1e-2, t_final=0.05)
-    tau, d, mass = recorded(res)
+    res, steps, d, mass = recorded(p0, constant_forcing(0.5), GRID, 1.0, dt=1e-2,
+                                   t_final=0.05)
+    tau = res.series["tau"]
     assert res.times.shape == (6,) and tau.shape == (6, 1)
+    # the sink sees every state once, in step order, with the D of its row
+    assert steps == list(range(6))
     assert d.shape == (6, 1) and mass.shape == (6, 1)
+    assert d[:, 0].tobytes() == res.series["min_d"].tobytes()
     assert res.p.shape == (1, 256)
     assert np.array_equal(tau[0], compute_tau(p0, GRID))
     assert res.series["max_p"].max() >= float(p0.max())
@@ -195,8 +209,8 @@ def maxwell_limit_error(n_sigma, dt, t_final=0.25, b=0.7, alpha=4.0):
     grid = SigmaGrid(sigma_max=8.0, n_sigma=n_sigma, threshold=0.0)
     p0 = gaussian_batch(grid, width=0.8)
     forcing = constant_forcing(b)
-    res = prescribed(p0, forcing, grid, alpha, dt=dt, t_final=t_final)
-    tau, _, mass = recorded(res)
+    res, _, _, mass = recorded(p0, forcing, grid, alpha, dt=dt, t_final=t_final)
+    tau = res.series["tau"]
     exact_tau = b * -np.expm1(-res.times)
     err_tau = np.max(np.abs(tau[:, 0] - exact_tau))
     exact_p = maxwell_p(p0, forcing, t_final, grid, alpha)[0]

@@ -131,17 +131,29 @@ def test_diffusion_batch_rows_match_dense_property(batch):
         assert np.max(np.abs(x[i] - x_ref)) <= 1e-10 * np.max(np.abs(rhs[i]))
 
 
+def subnormal_batch():
+    """One stiff row whose only load, the least normal float, gives a
+    subnormal solution; the others are zero with lam = 0."""
+    rhs = np.zeros((4, 10))
+    rhs[3, 3] = np.finfo(float).smallest_normal
+    return np.array([0.0, 0.0, 0.0, 7279.0]), rhs
+
+
 @settings(max_examples=60, deadline=None)
 @given(diffusion_batches(low=0.0))
+@example(subnormal_batch())
 def test_diffusion_batch_positivity_and_column_sums_property(batch):
     # dptsv's L D L^T substitutions of an M-matrix add terms of one sign, so
     # positivity holds exactly; the column sums of I + lam L are 1 inside
-    # and 1 + lam at both ends, which is how hl_step meters absorbed mass
+    # and 1 + lam at both ends, which is how hl_step meters absorbed mass.
+    # A subnormal x is rounded to the absolute spacing 2**-1074, not to a
+    # relative one; the balance sums n + 2 such terms, weighted by up to 1 + lam.
     lam, rhs = batch
     x = solve_diffusion_batch(lam, rhs.copy())
     assert x.min() >= 0.0
     balance = x.sum(axis=1) + lam * (x[:, 0] + x[:, -1])
-    assert np.all(np.abs(rhs.sum(axis=1) - balance) <= 1e-12 * rhs.sum(axis=1))
+    floor = (rhs.shape[1] + 2) * (1.0 + lam) * 2.0**-1074
+    assert np.all(np.abs(rhs.sum(axis=1) - balance) <= 1e-12 * rhs.sum(axis=1) + floor)
 
 
 # The one-slot factor cache: a hit must give the bits a fresh dptsv gives.
