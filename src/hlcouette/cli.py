@@ -211,7 +211,7 @@ def cmd_oracle(args) -> int:
                           "set model.fully_relaxing = true")
     grid = cfg.sigma_grid()
     init = cfg.initial()
-    alpha = cfg.values["model"]["alpha"]
+    alpha = cfg.dimensionless_params().alpha
     loading = cfg.protocol()
     t = args.t
     if not np.isfinite(t):

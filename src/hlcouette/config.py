@@ -19,13 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import protocols
 from .coupler import CoupledProblem, PICARD_MAX, PICARD_TOL, check_series_budget
 from .diagnostics import C_COMPARISON, C_MOMENT
 from .errors import ConfigError
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData, ValidationReport, validate_initial
 from .params import DimensionlessParams, PhysicalParams, nondimensionalize
-from .protocols import ShearProtocol
+from .protocols import Forcing
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "model": {
@@ -128,9 +129,9 @@ class RunConfig:
                              t_final=t_final)
 
     # protocol -------------------------------------------------------
-    def protocol(self) -> ShearProtocol:
-        """The wall protocol in scaled variables, V'(t') = (t0/length) V(t0 t')
-        in dimensional mode."""
+    def protocol(self) -> Forcing:
+        """The wall protocol, the preset of protocol.kind, in scaled variables:
+        V'(t') = (t0/length) V(t0 t') in dimensional mode."""
         p = self.values["protocol"]
         kind = p["kind"]
         ts, vs = 1.0, 1.0
@@ -138,14 +139,14 @@ class RunConfig:
             t0, length, _ = self.scales
             ts, vs = t0, t0 / length
         if kind == "zero":
-            return ShearProtocol.ramp(0.0 * vs, 1.0 / ts)
+            return protocols.ramp(0.0 * vs, 1.0 / ts)
         if kind == "ramp":
-            return ShearProtocol.ramp(p["v_max"] * vs, p["t_ramp"] / ts)
+            return protocols.ramp(p["v_max"] * vs, p["t_ramp"] / ts)
         if kind == "sinusoid":
-            return ShearProtocol.sinusoid(p["amplitude"] * vs, p["period"] / ts)
+            return protocols.sinusoid(p["amplitude"] * vs, p["period"] / ts)
         if kind == "table":
-            return ShearProtocol.table([t / ts for t in p["times"]],
-                                       [v * vs for v in p["values"]])
+            return protocols.table([t / ts for t in p["times"]],
+                                   [v * vs for v in p["values"]])
         raise ConfigError(f"unknown protocol kind {kind!r}")
 
     # initial data ---------------------------------------------------

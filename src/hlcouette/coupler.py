@@ -8,7 +8,8 @@ fixed-point (Picard) iteration on the end-of-step velocity:
     u^{k+1} = backward-Euler momentum step driven by dy tau^k
 
 declared converged when the relative L2 change of u falls below picard_tol,
-and abandoned after three non-contracting iterates or picard_max of them.
+and abandoned after three non-contracting iterates or picard_max of them,
+or at the first whose change is not finite.
 
 One loop, _integrate, steps every path, and one driver, _picard, solves
 each coupled step's fixed point.  The loop owns the start state, its step-0
@@ -60,14 +61,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ArtifactIOError, ConfigError, DiagnosticFailure, HlCouetteError,
-                     NonContractionError, ValidationError)
+                     NonContractionError, SchemeInstabilityError, ValidationError)
 from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData, compute_eta
 from .macro import heat_step, l2_norm, velocity_gradient
 from .maxwell import sub_solution
 from .meso import StepReport, advance_rows, compute_d, compute_gradient_energy
 from .params import DimensionlessParams
-from .protocols import ShearProtocol
+from .protocols import Forcing
 
 PICARD_TOL = 1e-8
 PICARD_MAX = 50
@@ -83,7 +84,7 @@ class CoupledProblem:
     dp: DimensionlessParams
     sigma_grid: SigmaGrid
     space_grid: SpaceTimeGrid
-    protocol: ShearProtocol
+    protocol: Forcing
     picard_tol: float = PICARD_TOL
     picard_max: int = PICARD_MAX
 
@@ -311,6 +312,9 @@ def _picard(u: np.ndarray, stress, prob: CoupledProblem, t_next: float):
         tau_new, kept = stress(b)
         u_new = heat_step(u, tau_new, vdot_next, dp.rho, dp.mu, sgrid.dt, sgrid)
         change = l2_norm(u_new - u_iter, sgrid)
+        if not math.isfinite(change):  # inf would pass the convergence test, nan none
+            raise SchemeInstabilityError(
+                f"velocity iterate {len(changes) + 1} is not finite at t = {t_next:.6g}")
         changes.append(change)
         u_iter = u_new
         if change <= prob.picard_tol * (1.0 + l2_norm(u_new, sgrid)):
@@ -429,9 +433,9 @@ class _Kinetic:
 
 
 class _Prescribed(_Kinetic):
-    """The kinetic path under a prescribed loading b(t) = prob.protocol, any
-    Forcing: each step advances the rows by advance_rows with b frozen at
-    the step's end, as one iterate; the velocity stays at rest."""
+    """The kinetic path under the protocol read as a prescribed loading
+    b(t): each step advances the rows by advance_rows with b frozen at the
+    step's end, as one iterate; the velocity stays at rest."""
 
     def _advance(self, state: RunState, k: int):
         prob, sgrid, loading = self.prob, self.prob.space_grid, self.prob.protocol
@@ -578,7 +582,7 @@ def run_maxwell(prob: CoupledProblem, tau0: np.ndarray, u0: np.ndarray,
 def run_prescribed(prob: CoupledProblem, p0: np.ndarray, *,
                    snapshot_sink=None) -> RunResult:
     """Integrate the rows p0, one per gap node, under the prescribed loading
-    b(t) = prob.protocol (any Forcing), grading a snapshot of every state.
+    b(t) = prob.protocol, grading a snapshot of every state.
 
     This is the single-ensemble equation under a given shear rate that the
     coupled problem extends; the velocity stays at rest.  snapshot_sink is

@@ -47,7 +47,8 @@ class CFLError(HlCouetteError):
 
 class SchemeInstabilityError(HlCouetteError):
     """The scheme produced values a stable run cannot produce (deep
-    negativity). Signals a bug or a broken step size."""
+    negativity, a velocity iterate that is not finite). Signals a bug, a
+    broken step size or parameters past the range of floating point."""
 
     exit_code = 4
 

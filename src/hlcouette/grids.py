@@ -14,6 +14,7 @@ of (0, 1) with homogeneous Dirichlet walls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,8 @@ _INT_TOL = 1e-9
 
 
 def _as_int_ratio(value: float, what: str) -> int:
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} = {value} must be a finite positive integer")
     n = round(value)
     if n < 1 or abs(value - n) > _INT_TOL * max(1.0, abs(value)):
         raise ConfigError(f"{what} = {value} must be a positive integer")

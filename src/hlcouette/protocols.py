@@ -1,7 +1,7 @@
-"""Wall-velocity protocols and forcing histories.
+"""Forcing histories and the wall-velocity protocols built on them.
 
-Two layers live here.  ``Forcing`` objects are scalar functions of time
-exposing the three integrals every consumer needs:
+``Forcing`` objects are scalar functions of time exposing the three
+integrals every consumer needs:
 
 * ``value(t)``         the forcing itself,
 * ``integral(t)``      int_0^t b ds          (accumulated shear),
@@ -12,9 +12,11 @@ exposing the three integrals every consumer needs:
 Piecewise-linear and sinusoidal forcings evaluate those in closed form, so
 oracle results built on them carry no quadrature error.
 
-``ShearProtocol`` wraps a forcing as the moving-wall velocity V(t) and
-enforces the start-from-rest constraint V(0) = 0.  Its presets know no
-units: config.RunConfig.protocol passes them arguments already scaled.
+A wall protocol, the moving-wall velocity V(t), is a Forcing built by one
+of the presets ramp, sinusoid and table.  Each refuses a V that does not
+start from rest, V(0) = 0, and names the forcing by its preset: kind and
+spec, which summary.json writes.  The presets know no units:
+config.RunConfig.protocol passes them arguments already scaled.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from .errors import ValidationError
 
 
 class Forcing:
-    """Interface for scalar time histories."""
+    """Interface for scalar time histories; a wall protocol also has kind
+    and spec (see _wall)."""
+
+    kind: str
+    spec: dict
 
     def value(self, t: float) -> float:
         raise NotImplementedError
@@ -155,51 +161,33 @@ class SinusoidForcing(Forcing):
                 * math.sin(0.5 * w * s))
 
 
-class ShearProtocol:
-    """Moving-wall velocity V(t) with V(0) = 0, built on a Forcing.
+def _wall(forcing: Forcing, kind: str, spec: dict) -> Forcing:
+    """forcing as the moving-wall velocity V(t), named by its preset kind
+    and spec; refused unless it starts from rest, V(0) = 0."""
+    if forcing.value(0.0) != 0.0:
+        raise ValidationError("wall protocol must start from rest, V(0) = 0")
+    forcing.kind, forcing.spec = kind, spec
+    return forcing
 
-    kind is one of "ramp", "sinusoid", "table"; the constructor classmethods
-    are the supported presets.
-    """
 
-    def __init__(self, forcing: Forcing, kind: str, spec: dict):
-        if forcing.value(0.0) != 0.0:
-            raise ValidationError("wall protocol must start from rest, V(0) = 0")
-        self.forcing = forcing
-        self.kind = kind
-        self.spec = dict(spec)
+def ramp(v_max: float, t_ramp: float) -> Forcing:
+    """V rises linearly from rest to v_max at t_ramp and stays there."""
+    if t_ramp <= 0:
+        raise ValidationError("ramp time must be positive")
+    f = PiecewiseLinearForcing([0.0, t_ramp], [0.0, v_max])
+    return _wall(f, "ramp", {"v_max": v_max, "t_ramp": t_ramp})
 
-    @classmethod
-    def ramp(cls, v_max: float, t_ramp: float) -> "ShearProtocol":
-        if t_ramp <= 0:
-            raise ValidationError("ramp time must be positive")
-        f = PiecewiseLinearForcing([0.0, t_ramp], [0.0, v_max])
-        return cls(f, "ramp", {"v_max": v_max, "t_ramp": t_ramp})
 
-    @classmethod
-    def sinusoid(cls, amplitude: float, period: float) -> "ShearProtocol":
-        if period <= 0:
-            raise ValidationError("period must be positive")
-        f = SinusoidForcing(amplitude, 2.0 * math.pi / period)
-        return cls(f, "sinusoid", {"amplitude": amplitude, "period": period})
+def sinusoid(amplitude: float, period: float) -> Forcing:
+    """V = amplitude sin(2 pi t / period)."""
+    if period <= 0:
+        raise ValidationError("period must be positive")
+    f = SinusoidForcing(amplitude, 2.0 * math.pi / period)
+    return _wall(f, "sinusoid", {"amplitude": amplitude, "period": period})
 
-    @classmethod
-    def table(cls, times, values) -> "ShearProtocol":
-        f = PiecewiseLinearForcing(times, values)
-        return cls(f, "table", {"times": list(map(float, f.times)),
-                                "values": list(map(float, f.values))})
 
-    def value(self, t: float) -> float:
-        return self.forcing.value(t)
-
-    def derivative(self, t: float) -> float:
-        return self.forcing.derivative(t)
-
-    def integral(self, t: float) -> float:
-        return self.forcing.integral(t)
-
-    def exp_integral(self, t: float) -> float:
-        return self.forcing.exp_integral(t)
-
-    def window_integral(self, t: float, s: float) -> float:
-        return self.forcing.window_integral(t, s)
+def table(times, values) -> Forcing:
+    """V interpolated linearly between knots, constant past the last."""
+    f = PiecewiseLinearForcing(times, values)
+    return _wall(f, "table", {"times": list(map(float, f.times)),
+                              "values": list(map(float, f.values))})

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hlcouette import meso
+from hlcouette import meso, protocols
 from hlcouette.config import standard_config
 from hlcouette.coupler import CoupledProblem, run, run_maxwell
 from hlcouette.diagnostics import (C_MOMENT, evaluate, measure_f2_ratio,
@@ -22,8 +22,7 @@ from hlcouette.initial import InitialData, gaussian_cell_averages
 from hlcouette.maxwell import maxwell_p, maxwell_tau
 from hlcouette.params import (PhysicalParams, nondimensionalize,
                               redimensionalize, rescale_fields)
-from hlcouette.protocols import (PiecewiseLinearForcing, ShearProtocol,
-                                 SinusoidForcing)
+from hlcouette.protocols import PiecewiseLinearForcing, SinusoidForcing
 from reference_runs import maxwell_reference_run, restrict_nodes, restrict_times
 from test_meso import doubled_sink_step
 
@@ -64,7 +63,7 @@ def relax_pairs():
         space = SpaceTimeGrid(64, dt, 1.0)
         prob = CoupledProblem(dp=standard_config().dimensionless_params(),
                               sigma_grid=sgrid, space_grid=space,
-                              protocol=ShearProtocol.ramp(1.0, 0.5))
+                              protocol=protocols.ramp(1.0, 0.5))
         init = InitialData.from_preset(sgrid, space, "gaussian",
                                        {"mean": 0.0, "width": 1.0})
         gen = run(prob, init)

@@ -271,6 +271,23 @@ def test_summary_json_is_strict_json(tmp_path):
     assert checks["gradient_energy"]["bound"] is None
 
 
+@pytest.mark.parametrize("sets, block", [
+    ([], '{"kind": "ramp", "t_ramp": 0.5, "v_max": 1.0}'),
+    (["protocol.kind=zero"], '{"kind": "ramp", "t_ramp": 1.0, "v_max": 0.0}'),
+    (["protocol.kind=sinusoid", "protocol.amplitude=0.5"],
+     '{"amplitude": 0.5, "kind": "sinusoid", "period": 1.0}'),
+    (["model.mode=dimensional", "model.t0=2", "model.length=8", "protocol.kind=table",
+      "protocol.times=0,0.2,1", "protocol.values=0,1,0.5"],
+     '{"kind": "table", "times": [0.0, 0.1, 0.5], "values": [0.0, 0.25, 0.125]}'),
+], ids=["ramp", "zero", "sinusoid", "dimensional table"])
+def test_summary_names_the_protocol_in_scaled_units(sets, block, tmp_path):
+    out = tmp_path / "o"
+    argv = [*TINY, *(arg for s in sets for arg in ("--set", s))]
+    assert main(["run", *argv, "--skip-checks", "--out", str(out)]) == 0
+    protocol = read_summary(out / "summary.json")["protocol"]
+    assert json.dumps(protocol, sort_keys=True) == block
+
+
 @pytest.mark.parametrize("path", [[], ["--set", "model.fully_relaxing=true",
                                        "--set", "grid.sigma_max=8.0"]],
                          ids=["kinetic", "closed form"])
@@ -693,6 +710,60 @@ def test_a_non_finite_forcing_table_is_refused(sets, entry, capsys):
         assert f"forcing table {entry} is not finite" in err and "Traceback" not in err
 
 
+def suite_env():
+    """The environment in which a subprocess imports the same package the
+    suite imported, whether that is an install or a source tree on PYTHONPATH."""
+    package_root = str(Path(hlcouette.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def cli_process(argv, cwd, timeout):
+    """The CLI in a fresh interpreter: a hang fails the test at `timeout`
+    seconds instead of stalling the suite, and the suite's warning filters
+    do not reach the run."""
+    return subprocess.run([sys.executable, "-m", "hlcouette.cli", *argv], cwd=cwd,
+                          env=suite_env(), capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("sets", [
+    ["model.rho=1e308"],
+    ["model.mu=1e308"],
+    ["protocol.kind=sinusoid", "protocol.period=1e-300"],  # hung without the guard
+    ["model.rho=1e308", "model.fully_relaxing=true"],
+], ids=["rho", "mu", "sinusoid", "closed-form rho"])
+def test_a_non_finite_velocity_iterate_exits_4(sets, tmp_path):
+    # each config passes validate, then overflows the first velocity iterate
+    argv = ["--set", "grid.n_y=4", "--set", "grid.n_sigma=64", "--set", "run.t_final=0.01",
+            *(arg for s in sets for arg in ("--set", s))]
+    assert main(["validate", *argv]) == 0
+    out = tmp_path / "o"
+    proc = cli_process(["run", *argv, "--out", str(out)], tmp_path, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.splitlines()[-1] == \
+        "error: velocity iterate 1 is not finite at t = 0.001"
+    assert load_checkpoint(out / "failure_dump.npz").step == 0
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run"], ["hl-run"], ["oracle", "--t", "1"]])
+def test_an_infinite_step_count_exits_3(command, capsys):
+    # t_final/dt overflows to inf, which no integer step count holds
+    assert main([*command, "--set", "run.t_final=1e308",
+                 "--set", "model.fully_relaxing=" + str(command[0] == "oracle")]) == 3
+    assert "t_final/dt = inf must be a finite positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_oracle_refuses_the_alpha_validate_refuses(alpha, capsys):
+    argv = ["--set", "model.fully_relaxing=true", "--set", f"model.alpha={alpha}"]
+    assert main(["validate", *argv]) == 3
+    capsys.readouterr()
+    assert main(["oracle", "--t", "1", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rho, alpha and g0 must be positive" in captured.err
+
+
 def test_nondim_conversion(capsys):
     rc = main(["nondim", "--rho", "2", "--mu", "16", "--g0", "2",
                "--alpha", "8", "--t0", "2", "--sigma-c", "4",
@@ -749,12 +820,7 @@ def test_console_script_entry_point(tmp_path):
     reports through the exit status; the installed wrapper, where present,
     is run as well."""
     target = declared_console_script()
-    # The subprocess imports the same package the suite imported, whether
-    # that is an install or a source tree on PYTHONPATH.
-    package_root = str(Path(hlcouette.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = suite_env()
     commands = [[sys.executable, "-c", ENTRY_POINT_LAUNCHER, target]]
     exe = shutil.which("hlcouette")
     if exe is not None:

@@ -5,14 +5,13 @@ import zipfile
 import numpy as np
 import pytest
 
-from hlcouette import cli
+from hlcouette import cli, protocols
 from hlcouette.config import load_config, standard_config
 from hlcouette.coupler import SERIES, CoupledProblem, run
 from hlcouette.errors import ArtifactIOError, ConfigError, ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import InitialData
 from hlcouette.params import DimensionlessParams, rescale_fields
-from hlcouette.protocols import ShearProtocol
 from hlcouette.snapshots import (RunDirectory, _atomic_write, _npz,
                                  load_checkpoint, read_fields_csv, read_series,
                                  read_summary, save_checkpoint, write_fields_csv,
@@ -28,7 +27,7 @@ def micro_problem():
     sgrid = SigmaGrid(sigma_max=4.0, n_sigma=64)
     space = SpaceTimeGrid(n_y=6, dt=1e-3, t_final=0.01)
     return CoupledProblem(dp=dp, sigma_grid=sgrid, space_grid=space,
-                          protocol=ShearProtocol.ramp(1.0, 0.5))
+                          protocol=protocols.ramp(1.0, 0.5))
 
 
 def micro_run(snap_every=5, checkpoint_every=5, snapshot_sink=None):

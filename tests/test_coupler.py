@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hlcouette
-from hlcouette import coupler, tridiag
+from hlcouette import coupler, protocols, tridiag
 from hlcouette.config import standard_config
 from hlcouette.coupler import (SERIES, CoupledProblem, barrier_deficits, check_series_budget,
                                run, run_maxwell)
@@ -25,7 +25,6 @@ from hlcouette.initial import InitialData
 from hlcouette.macro import dtau_dy
 from hlcouette.meso import compute_d, compute_tau
 from hlcouette.params import DimensionlessParams
-from hlcouette.protocols import ShearProtocol
 from hlcouette.snapshots import save_checkpoint
 from hlcouette.tridiag import _diffusion_factors, solve_diffusion_batch
 from reference_runs import (maxwell_reference_run, refined_space_grid,
@@ -38,7 +37,7 @@ SGRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
 
 def small_problem(n_y=16, dt=1e-3, t_final=0.02, protocol=None, **knobs):
     space = SpaceTimeGrid(n_y=n_y, dt=dt, t_final=t_final)
-    proto = protocol if protocol is not None else ShearProtocol.ramp(1.0, 0.5)
+    proto = protocol if protocol is not None else protocols.ramp(1.0, 0.5)
     prob = CoupledProblem(dp=DP, sigma_grid=SGRID, space_grid=space,
                           protocol=proto, **knobs)
     init = InitialData.from_preset(SGRID, space, "gaussian",
@@ -58,7 +57,7 @@ def keeping_sink():
 
 
 def test_rest_protocol_is_a_fixed_point():
-    prob, init = small_problem(protocol=ShearProtocol.ramp(0.0, 1.0))
+    prob, init = small_problem(protocol=protocols.ramp(0.0, 1.0))
     res = run(prob, init)
     assert np.max(np.abs(res.series["u"])) <= 1e-13
     assert np.max(np.abs(res.series["tau"])) <= 1e-13
@@ -232,7 +231,7 @@ def test_a_run_holds_no_density_row_per_snapshot(n_y, n_sigma):
     grid = SigmaGrid(sigma_max=4.0, n_sigma=n_sigma)
     space = SpaceTimeGrid(n_y=n_y, dt=1e-3, t_final=0.4)
     prob = CoupledProblem(dp=DP, sigma_grid=grid, space_grid=space,
-                          protocol=ShearProtocol.ramp(1.0, 0.5))
+                          protocol=protocols.ramp(1.0, 0.5))
     init = InitialData.from_preset(grid, space, "gaussian", {"mean": 0.0, "width": 1.0})
     run(prob, init, snap_every=1)  # first-use caches are not the run's
     gc.collect()
@@ -333,7 +332,7 @@ def test_non_contraction_raises():
     strong = DimensionlessParams(rho=1.0, alpha=1.0, g0=1.0, mu=1.0)
     space = SpaceTimeGrid(n_y=8, dt=1e-3, t_final=0.01)
     prob = CoupledProblem(dp=strong, sigma_grid=SGRID, space_grid=space,
-                          protocol=ShearProtocol.ramp(1.0, 0.1), picard_max=1)
+                          protocol=protocols.ramp(1.0, 0.1), picard_max=1)
     init = InitialData.from_preset(SGRID, space, "gaussian",
                                    {"mean": 0.0, "width": 1.0})
     with pytest.raises(NonContractionError) as info:
@@ -349,7 +348,7 @@ def test_fully_relaxing_divergence_is_detected():
     space = SpaceTimeGrid(n_y=8, dt=0.01, t_final=0.1)
     prob = CoupledProblem(dp=stiff,
                           sigma_grid=SigmaGrid(sigma_max=4.0, n_sigma=256, threshold=0.0),
-                          space_grid=space, protocol=ShearProtocol.ramp(1.0, 0.1))
+                          space_grid=space, protocol=protocols.ramp(1.0, 0.1))
     with pytest.raises(NonContractionError, match="diverging") as info:
         run_maxwell(prob, tau0=np.zeros(8), u0=np.zeros(8))
     changes = info.value.changes
@@ -441,7 +440,7 @@ def test_maxwell_variant_recursion_and_momentum():
     # rest stays at rest
     quiet = run_maxwell(CoupledProblem(dp=DP, sigma_grid=SGRID,
                                        space_grid=prob.space_grid,
-                                       protocol=ShearProtocol.ramp(0.0, 1.0)),
+                                       protocol=protocols.ramp(0.0, 1.0)),
                         tau0=np.zeros(n_y), u0=np.zeros(n_y))
     assert not quiet.series["tau"].any() and not quiet.series["u"].any()
 
@@ -496,7 +495,7 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
     # run hands every step D of its start state and reads the accepted
     # iterate's moments; a step that recomputes both gives the same bits
     prob, init = small_problem(n_y=8, t_final=0.01,
-                               protocol=ShearProtocol.ramp(v_max, 0.002))
+                               protocol=protocols.ramp(v_max, 0.002))
     sink, carried_kept = keeping_sink()
     carried = run(prob, init, snap_every=5, snapshot_sink=sink)
     step = coupler.coupled_step
@@ -525,8 +524,8 @@ def test_carrying_d_and_tau_does_not_change_a_bit(monkeypatch, v_max):
     assert carried.deficits.tobytes() == recomputed.deficits.tobytes()
 
 
-@pytest.mark.parametrize("protocol", [ShearProtocol.sinusoid(20.0, 0.01),  # b of both signs
-                                      ShearProtocol.ramp(60.0, 0.002)])  # sub-cycled
+@pytest.mark.parametrize("protocol", [protocols.sinusoid(20.0, 0.01),  # b of both signs
+                                      protocols.ramp(60.0, 0.002)])  # sub-cycled
 def test_run_rows_hold_no_negative_zero(protocol):
     # the invariant behind hl_step's skipped terms and clip (meso docstring)
     prob, init = small_problem(n_y=8, t_final=0.02, protocol=protocol)
@@ -682,7 +681,7 @@ def _pinned_run(case: str):
         return prob, run(prob, init)
     # loading of both signs, sub-cycled where it is large
     prob, init = small_problem(n_y=8, t_final=0.02,
-                               protocol=ShearProtocol.sinusoid(60.0, 0.01))
+                               protocol=protocols.sinusoid(60.0, 0.01))
     return prob, run(prob, init)
 
 

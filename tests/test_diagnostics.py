@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlcouette.diagnostics as diag
-from hlcouette import coupler
+from hlcouette import coupler, protocols
 from hlcouette.coupler import CoupledProblem, RunState, barrier_deficits, run, run_maxwell
 from hlcouette.diagnostics import (GENERAL_CHECKS, _soft, check_f2, evaluate,
                                    gradient_energy_bound,
@@ -24,7 +24,6 @@ from hlcouette.initial import InitialData, gaussian_cell_averages
 from hlcouette.maxwell import offset_kernel, sub_solution
 from hlcouette.meso import compute_d
 from hlcouette.params import DimensionlessParams
-from hlcouette.protocols import ShearProtocol
 
 DP = DimensionlessParams(rho=1.0, alpha=1.0, g0=1.0, mu=1.0)
 SGRID = SigmaGrid(sigma_max=4.0, n_sigma=256)
@@ -33,7 +32,7 @@ SPACE = SpaceTimeGrid(n_y=16, dt=1e-3, t_final=0.1)
 
 def make_run(p0_kind="gaussian", p0_args=None, snap_every=25, snapshot_sink=None, **knobs):
     prob = CoupledProblem(dp=DP, sigma_grid=SGRID, space_grid=SPACE,
-                          protocol=ShearProtocol.ramp(1.0, 0.5), **knobs)
+                          protocol=protocols.ramp(1.0, 0.5), **knobs)
     init = InitialData.from_preset(
         SGRID, SPACE, p0_kind,
         p0_args if p0_args is not None else {"mean": 0.0, "width": 1.0})
@@ -137,7 +136,7 @@ def test_f2_check_catches_an_amplifying_velocity_map(fresh, monkeypatch):
 
 def test_f2_trivial_for_zero_stress():
     prob = CoupledProblem(dp=DP, sigma_grid=SGRID, space_grid=SPACE,
-                          protocol=ShearProtocol.ramp(0.0, 1.0))
+                          protocol=protocols.ramp(0.0, 1.0))
     res = run_maxwell(prob, tau0=np.zeros(SPACE.n_y), u0=np.zeros(SPACE.n_y))
     r = check_f2(res)
     assert r.status == "pass" and "trivially" in r.message
@@ -149,7 +148,7 @@ def test_f2_trivial_for_zero_stress():
 
 def test_rest_run_has_vanishing_moment_residuals():
     prob = CoupledProblem(dp=DP, sigma_grid=SGRID, space_grid=SPACE,
-                          protocol=ShearProtocol.ramp(0.0, 1.0))
+                          protocol=protocols.ramp(0.0, 1.0))
     init = InitialData.from_preset(SGRID, SPACE, "gaussian",
                                    {"mean": 0.0, "width": 1.0})
     res = run(prob, init)
@@ -329,7 +328,7 @@ def test_the_per_state_barrier_keeps_the_bits_of_the_per_snapshot_loop_property(
     space = SpaceTimeGrid(n_y=n_y, dt=1e-3, t_final=steps * 1e-3)
     dp = DimensionlessParams(rho=1.0, alpha=alpha, g0=1.0, mu=1.0)
     prob = CoupledProblem(dp=dp, sigma_grid=grid, space_grid=space,
-                          protocol=ShearProtocol.ramp(v_max, 0.002))
+                          protocol=protocols.ramp(v_max, 0.002))
     init = InitialData.from_preset(grid, space, "gaussian", {"mean": mean, "width": width})
     kept = []
     res = run(prob, init, snap_every=snap_every,

@@ -94,6 +94,9 @@ def test_space_grid_rejects_misaligned_horizon():
         SpaceTimeGrid(n_y=0, dt=0.1, t_final=1.0)
     with pytest.raises(ConfigError):
         SpaceTimeGrid(n_y=4, dt=-0.1, t_final=1.0)
+    for dt, t_final in ((1e-3, 1e308), (5e-324, 1.0)):  # t_final/dt overflows to inf
+        with pytest.raises(ConfigError, match="t_final/dt = inf must be a finite"):
+            SpaceTimeGrid(n_y=4, dt=dt, t_final=t_final)
 
 
 def test_zero_horizon_grid():

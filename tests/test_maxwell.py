@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from hlcouette import maxwell
+from hlcouette import maxwell, protocols
 from hlcouette.errors import ValidationError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages
 from hlcouette.maxwell import maxwell_p, maxwell_tau, offset_kernel, sub_solution
-from hlcouette.protocols import PiecewiseLinearForcing, ShearProtocol
+from hlcouette.protocols import PiecewiseLinearForcing
 
 GRID = SigmaGrid(sigma_max=8.0, n_sigma=256, threshold=0.0)
 
@@ -146,8 +146,7 @@ def test_mean_stress_constant_loading_is_saturating_exponential():
 
 
 def test_mean_stress_ramp_against_quadrature():
-    proto = ShearProtocol.ramp(1.0, 0.5)
-    f = proto.forcing
+    f = protocols.ramp(1.0, 0.5)
     for t in [0.25, 0.5, 1.0, 3.0]:
         ref = quad(lambda s: math.exp(-(t - s)) * f.value(s), 0.0, t,
                    points=[0.5] if t > 0.5 else None, epsabs=1e-13)[0]
@@ -181,7 +180,7 @@ def test_density_conserves_mass_and_symmetry():
     # sigma_max restores conservation to rounding even with a net shift
     late = maxwell_p(p0, constant_forcing(0.0), 1.0, GRID, alpha=1.0)[0]
     assert 1e-7 < 1.0 - float(GRID.mass(late)) < 1e-5
-    ramp = ShearProtocol.ramp(1.0, 0.5).forcing
+    ramp = protocols.ramp(1.0, 0.5)
     wide = SigmaGrid(sigma_max=16.0, n_sigma=512, threshold=0.0)
     w0 = normalized_gaussian(wide, 1.0)[None]
     assert float(wide.mass(maxwell_p(w0, ramp, 1.0, wide, 1.0))[0]) == \
@@ -195,7 +194,7 @@ def test_density_against_direct_quadrature():
     grid = SigmaGrid(sigma_max=6.0, n_sigma=96, threshold=0.0)
     p0 = normalized_gaussian(grid, 0.7)
     alpha, t = 0.8, 0.6
-    f = ShearProtocol.sinusoid(0.9, 2.0).forcing
+    f = protocols.sinusoid(0.9, 2.0)
     chi_t = f.integral(t)
     out = maxwell_p(p0[None], f, t, grid, alpha)[0]
 
@@ -223,7 +222,7 @@ def test_density_against_direct_quadrature():
 def test_memory_quadrature_is_converged(monkeypatch):
     # the module's point count against twice as many
     p0 = normalized_gaussian(GRID, 1.0)[None]
-    forcings = (ShearProtocol.sinusoid(0.9, 2.0).forcing, ShearProtocol.ramp(1.0, 0.5).forcing)
+    forcings = (protocols.sinusoid(0.9, 2.0), protocols.ramp(1.0, 0.5))
     smooth, ramp = (maxwell_p(p0, f, 1.0, GRID, 1.0) for f in forcings)
     monkeypatch.setattr(maxwell, "MEMORY_QUAD_POINTS", 2 * maxwell.MEMORY_QUAD_POINTS)
     smooth_fine, ramp_fine = (maxwell_p(p0, f, 1.0, GRID, 1.0) for f in forcings)

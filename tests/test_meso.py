@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hlcouette
-from hlcouette import config, coupler, meso
+from hlcouette import config, coupler, meso, protocols
 from hlcouette.errors import CFLError, ConfigError, SchemeInstabilityError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import gaussian_cell_averages, uniform_cell_averages
@@ -21,7 +21,7 @@ from hlcouette.meso import (INSTABILITY_FLOOR, StepReport, _scratch, advance_row
                             compute_d, compute_gradient_energy, compute_tau, hl_step,
                             required_substeps)
 from hlcouette.params import DimensionlessParams
-from hlcouette.protocols import PiecewiseLinearForcing, ShearProtocol
+from hlcouette.protocols import PiecewiseLinearForcing
 from hlcouette.tridiag import solve_diffusion_batch
 from test_maxwell import scalar_offset_kernel
 
@@ -143,7 +143,7 @@ def test_doubled_sink_breaks_the_sup_norm_safeguard(monkeypatch):
     monkeypatch.setattr(meso, "hl_step", doubled_sink_step)
     failed = {}
     for name, loading in (("zero", constant_forcing(0.0)),
-                          ("ramp", ShearProtocol.ramp(1.0, 0.5))):
+                          ("ramp", protocols.ramp(1.0, 0.5))):
         res = prescribed(gaussian_batch(), loading, GRID, alpha=1.0,
                          dt=1e-3, t_final=1.0)
         failed[name] = {r.name for r in evaluate(res, checks=MESO_CHECKS).failures}

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from hlcouette.config import load_config
 from hlcouette.errors import ValidationError
-from hlcouette.protocols import (PiecewiseLinearForcing, ShearProtocol,
-                                 SinusoidForcing)
+from hlcouette import protocols
+from hlcouette.protocols import Forcing, PiecewiseLinearForcing, SinusoidForcing
 
 TIMES = [0.0, 0.07, 0.25, 0.5, 1.0, 1.7, 3.0]
 
@@ -49,7 +49,7 @@ def test_window_integral_does_not_cancel_in_the_constant_tail():
     f = PiecewiseLinearForcing([0.0, 1.0], [0.0, 2.0])
     for t in (1e4, 1e13, 1e16):
         assert f.window_integral(t, 0.3) == 2.0 * 0.3
-    assert ShearProtocol.ramp(2.0, 1.0).window_integral(1e16, 0.3) == 2.0 * 0.3
+    assert protocols.ramp(2.0, 1.0).window_integral(1e16, 0.3) == 2.0 * 0.3
 
 
 def test_piecewise_linear_constant_extension():
@@ -79,7 +79,7 @@ def test_sinusoid_integrals_exact(amplitude, omega):
 
 
 def test_ramp_protocol():
-    p = ShearProtocol.ramp(1.0, 0.5)
+    p = protocols.ramp(1.0, 0.5)
     assert p.value(0.0) == 0.0
     assert p.value(0.25) == pytest.approx(0.5)
     assert p.value(0.5) == 1.0
@@ -88,14 +88,14 @@ def test_ramp_protocol():
     assert p.derivative(0.7) == 0.0
     assert p.kind == "ramp"
     with pytest.raises(ValidationError):
-        ShearProtocol.ramp(1.0, 0.0)
+        protocols.ramp(1.0, 0.0)
 
 
 def test_protocol_start_from_rest_enforced():
     with pytest.raises(ValidationError):
-        ShearProtocol.table([0.0, 1.0], [0.5, 1.0])
+        protocols.table([0.0, 1.0], [0.5, 1.0])
     # sinusoid always starts at rest
-    p = ShearProtocol.sinusoid(2.0, 0.5)
+    p = protocols.sinusoid(2.0, 0.5)
     assert p.value(0.0) == 0.0
     assert p.value(0.125) == pytest.approx(2.0)
 
@@ -103,14 +103,14 @@ def test_protocol_start_from_rest_enforced():
 # (overrides, preset hand-scaled by time_scale ts and velocity_scale vs)
 @pytest.mark.parametrize("case", [
     lambda ts, vs: (["protocol.v_max=1.0", "protocol.t_ramp=0.5"],
-                    ShearProtocol.ramp(1.0 * vs, 0.5 / ts)),
+                    protocols.ramp(1.0 * vs, 0.5 / ts)),
     lambda ts, vs: (["protocol.kind=sinusoid", "protocol.amplitude=1.5",
                      "protocol.period=0.8"],
-                    ShearProtocol.sinusoid(1.5 * vs, 0.8 / ts)),
+                    protocols.sinusoid(1.5 * vs, 0.8 / ts)),
     lambda ts, vs: (["protocol.kind=table", "protocol.times=0,0.2,1",
                      "protocol.values=0,1,0.5"],
-                    ShearProtocol.table([0.0, 0.2 / ts, 1.0 / ts], [0.0, 1.0 * vs, 0.5 * vs])),
-    lambda ts, vs: (["protocol.kind=zero"], ShearProtocol.ramp(0.0 * vs, 1.0 / ts)),
+                    protocols.table([0.0, 0.2 / ts, 1.0 / ts], [0.0, 1.0 * vs, 0.5 * vs])),
+    lambda ts, vs: (["protocol.kind=zero"], protocols.ramp(0.0 * vs, 1.0 / ts)),
 ])
 def test_protocol_rescaling(case):
     # a dimensional config sees V'(t') = vs V(ts t') with ts = t0 and
@@ -125,3 +125,32 @@ def test_protocol_rescaling(case):
         assert q.value(t_new) == expected.value(t_new)
         assert q.value(t_new) == pytest.approx(
             velocity_scale * p.value(time_scale * t_new), abs=1e-14)
+
+
+KIND_SETS = [["protocol.kind=ramp"], ["protocol.kind=zero"], ["protocol.kind=sinusoid"],
+             ["protocol.kind=table", "protocol.times=0,0.2,1", "protocol.values=0,1,0.5"]]
+DIMENSIONAL = ["model.mode=dimensional", "model.t0=2.0", "model.length=8.0"]
+
+
+@pytest.mark.parametrize("mode", [[], DIMENSIONAL], ids=["dimensionless", "dimensional"])
+@pytest.mark.parametrize("sets", KIND_SETS, ids=["ramp", "zero", "sinusoid", "table"])
+def test_a_wall_protocol_is_a_forcing(mode, sets):
+    p = load_config(overrides=[*mode, *sets]).protocol()
+    assert isinstance(p, Forcing)
+    assert p.value(0.0) == 0.0 and p.kind in ("ramp", "sinusoid", "table")
+
+
+@pytest.mark.parametrize("mode", [[], DIMENSIONAL], ids=["dimensionless", "dimensional"])
+@pytest.mark.parametrize("sets, message", [
+    (["protocol.t_ramp=0"], "ramp time must be positive"),
+    (["protocol.t_ramp=-0.5"], "ramp time must be positive"),
+    (["protocol.kind=sinusoid", "protocol.period=0"], "period must be positive"),
+    (["protocol.kind=sinusoid", "protocol.period=-1"], "period must be positive"),
+    (["protocol.kind=table", "protocol.times=0,1", "protocol.values=0.5,1"],
+     "wall protocol must start from rest, V(0) = 0"),
+], ids=["ramp zero", "ramp negative", "period zero", "period negative", "table at speed"])
+def test_a_config_protocol_is_refused_with_its_message(mode, sets, message):
+    cfg = load_config(overrides=[*mode, *sets])
+    with pytest.raises(ValidationError) as exc:
+        cfg.protocol()
+    assert str(exc.value) == message
