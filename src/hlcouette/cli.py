@@ -46,6 +46,7 @@ def _load(args) -> RunConfig:
 def cmd_validate(args) -> int:
     cfg = _load(args)
     prob, _, report = cfg.build()
+    coupler.check_series_budget(prob.space_grid, cfg.snapshot_every)  # the shape run steps
     print(f"fingerprint: {cfg.fingerprint}")
     print(f"mode: {cfg.mode}" + (" (fully relaxing)" if cfg.fully_relaxing else ""))
     sg, tg = prob.sigma_grid, prob.space_grid
@@ -70,6 +71,7 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     closed_form = cfg.fully_relaxing and not args.force_general
     prob, init, report = cfg.build()
+    coupler.check_series_budget(prob.space_grid, cfg.snapshot_every)
     report.raise_if_failed()
     eta = report.eta
     print(f"fingerprint: {cfg.fingerprint}")
@@ -170,6 +172,9 @@ def cmd_hl_run(args) -> int:
     prob, init, report = cfg.build()
     report.raise_if_failed()
     grid, tgrid = prob.sigma_grid, prob.space_grid
+    # it steps one row, the config's first, with a snapshot at every step
+    one_row = replace(prob, space_grid=SpaceTimeGrid(1, tgrid.dt, tgrid.t_final))
+    coupler.check_series_budget(one_row.space_grid, 1)
     print(f"fingerprint: {cfg.fingerprint}")
     mass = np.empty(tgrid.n_steps + 1)
 
@@ -177,9 +182,7 @@ def cmd_hl_run(args) -> int:
         mass[state.step] = grid.mass(state.p)[0]
 
     # the protocol is interpreted directly as the loading b(t) of the first row
-    result = coupler.run_prescribed(
-        replace(prob, space_grid=SpaceTimeGrid(1, tgrid.dt, tgrid.t_final)), init.p0[:1],
-        snapshot_sink=keep_mass)
+    result = coupler.run_prescribed(one_row, init.p0[:1], snapshot_sink=keep_mass)
     tau = result.series["tau"][:, 0]
     d = result.series["min_d"]
     print(f"t = {result.times[-1]:g}: tau = {tau[-1]:.10g}, "
@@ -248,6 +251,7 @@ def cmd_diagnose(args) -> int:
           f"(t = {prob.space_grid.time(state.step):g})")
     report = diagnostics.evaluate(result, c_comp=cfg.c_comparison,
                                   c_mom=cfg.c_moment)
+    report.results += diagnostics.check_restored_rows(state, prob.sigma_grid)
     print(report.format())
     report.raise_if_failed()
     return 0

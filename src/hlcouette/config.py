@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import protocols
-from .coupler import CoupledProblem, PICARD_MAX, PICARD_TOL, check_series_budget
+from .coupler import CoupledProblem, PICARD_MAX, PICARD_TOL
 from .diagnostics import C_COMPARISON, C_MOMENT
 from .errors import ConfigError
 from .grids import SigmaGrid, SpaceTimeGrid
@@ -181,14 +181,12 @@ class RunConfig:
 
     def problem(self) -> CoupledProblem:
         r = self.values["run"]
-        prob = CoupledProblem(dp=self.dimensionless_params(),
+        return CoupledProblem(dp=self.dimensionless_params(),
                               sigma_grid=self.sigma_grid(),
                               space_grid=self.space_grid(),
                               protocol=self.protocol(),
                               picard_tol=r["picard_tol"],
                               picard_max=r["picard_max"])
-        check_series_budget(prob.space_grid, self.snapshot_every)
-        return prob
 
     def build(self) -> tuple[CoupledProblem, InitialData, ValidationReport]:
         """Assemble and validate everything needed to start a run.
@@ -294,8 +292,3 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     digest = hashlib.sha256(canonical.getvalue().encode()).hexdigest()
     return RunConfig(values=values, fingerprint=digest)
 
-
-def standard_config(**overrides: str) -> RunConfig:
-    """The reference scenario, optionally tweaked via section.key=value."""
-    items = [f"{k.replace('__', '.')}={v}" for k, v in overrides.items()]
-    return load_config(overrides=items)

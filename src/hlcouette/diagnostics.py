@@ -21,7 +21,9 @@ deficits and warns on a run that graded none.  Both checks, and the
 comparison that verify_resume makes on a restored state, grade their
 largest deficit alike (_grade_barrier).  A checkpoint of either path is
 graded up to its step, once coupler.check_state admits it; a checkpoint
-with rows is its one snapshot.
+with rows is its one snapshot.  The rows a checkpoint restores, which its
+records do not see, are graded by check_restored_rows, for run --resume
+and diagnose alike.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .coupler import (MASS_TOL, TRUNCATION_TOL, CoupledProblem, RunResult, RunState,
                       barrier_deficits, check_state, path_rows)
 from .errors import DiagnosticFailure, ValidationError
-from .grids import SpaceTimeGrid
+from .grids import SigmaGrid, SpaceTimeGrid
 from .initial import InitialData
 from .macro import h1_norm_sq, heat_step, l2_norm
 from .meso import compute_d
@@ -324,21 +326,28 @@ def result_from_checkpoint(prob: CoupledProblem, init: InitialData,
                      deficits=np.array(graded).reshape(-1, 3))
 
 
+def check_restored_rows(state: RunState, grid: SigmaGrid) -> list[CheckResult]:
+    """Grade the rows of a restored state, each row's mass and the smallest
+    value, which the recorded series and accumulators do not see: the rows
+    that run --resume continues from and diagnose inspects.  A state
+    without rows (the closed form's) has none to grade."""
+    if not state.p.size:
+        return []
+    worst = float(np.abs(grid.mass(state.p) - 1.0).max())
+    pmin = float(state.p.min())
+    return [CheckResult("resume_mass", "pass" if worst <= MASS_TOL else "fail", worst,
+                        MASS_TOL, f"max |row mass - 1| = {worst:.3e}"),
+            CheckResult("resume_positivity", "pass" if pmin >= NEGATIVITY_FLOOR else "fail",
+                        pmin, NEGATIVITY_FLOOR, f"min restored value = {pmin:.3e}")]
+
+
 def verify_resume(state: RunState, prob: CoupledProblem, p0: np.ndarray,
                   c_comp: float = C_COMPARISON) -> DiagnosticsReport:
     """Re-validate a restored state of the kinetic path of prob, a run from
-    rows p0, before continuing it."""
+    rows p0, before continuing it: its rows (check_restored_rows) and its
+    comparison barrier."""
     grid, dt = prob.sigma_grid, prob.space_grid.dt
-    report = DiagnosticsReport()
-    masses = grid.mass(state.p)
-    worst = float(np.abs(masses - 1.0).max())
-    report.results.append(CheckResult(
-        "resume_mass", "pass" if worst <= MASS_TOL else "fail", worst, MASS_TOL,
-        f"max |row mass - 1| = {worst:.3e}"))
-    pmin = float(state.p.min())
-    report.results.append(CheckResult(
-        "resume_positivity", "pass" if pmin >= NEGATIVITY_FLOOR else "fail",
-        pmin, NEGATIVITY_FLOOR, f"min restored value = {pmin:.3e}"))
+    report = DiagnosticsReport(check_restored_rows(state, grid))
     graded = barrier_deficits(prob, p0, state, compute_d(state.p, grid, prob.dp.alpha))
     report.results.append(_grade_barrier(
         "resume_comparison", np.array([graded]), 1, c_comp * (grid.d_sigma + dt), "barrier - p"))

@@ -35,10 +35,6 @@ class ValidationError(HlCouetteError):
     exit_code = 3
 
 
-class ScalingUndefinedError(ValidationError):
-    """Requested a change of scales that does not exist (sigma_c = 0)."""
-
-
 class CFLError(HlCouetteError):
     """Advection step size exceeds the CFL limit; caller must sub-cycle."""
 

@@ -11,7 +11,11 @@ zero for all time; eta = 0 marks the run as outside the proven regime.
 Discretely the infimum over chi is a sliding-window search: the band has
 width 2*threshold, cell edges are aligned with the thresholds, so every
 grid-aligned window position is scanned exactly and the window resolution
-error is at most one cell of mass.
+error is at most one cell of mass.  compute_eta returns eta with the row
+and band shift chi that attain it, which validate prints.
+
+normal_cell_averages is the one Gaussian cell average of the package: the
+Gaussian presets here, and maxwell's offset kernels and memory term.
 """
 
 from __future__ import annotations
@@ -30,12 +34,19 @@ RENORM_TOL = 1e-6
 NEGATIVITY_TOL = -1e-12
 
 
+def normal_cell_averages(edges: np.ndarray, means, stds, width: float) -> np.ndarray:
+    """Averages of the normal densities N(means, stds^2) over the cells of
+    width width between consecutive edges, along the last axis: the one
+    Gaussian cell average of the package, and its one ndtr call.  means and
+    stds broadcast against edges."""
+    return np.diff(ndtr((edges - means) / stds), axis=-1) / width
+
+
 def gaussian_cell_averages(grid: SigmaGrid, mean: float, width: float) -> np.ndarray:
     """Cell-averaged normal density N(mean, width^2) on the stress grid."""
     if width <= 0:
         raise ValidationError("gaussian width must be positive")
-    cdf = ndtr((grid.edges - mean) / width)
-    return np.diff(cdf) / grid.d_sigma
+    return normal_cell_averages(grid.edges, mean, width, grid.d_sigma)
 
 
 def uniform_cell_averages(grid: SigmaGrid, lo: float, hi: float) -> np.ndarray:
@@ -86,10 +97,8 @@ class InitialData:
 
 @dataclass
 class EtaDetails:
-    eta: float
     y_index: int
     chi: float       # shift of the non-relaxing band that captures the most mass
-    capture: float   # mass captured by that worst window
 
 
 def compute_eta(p0: np.ndarray, grid: SigmaGrid, alpha: float) -> tuple[float, EtaDetails]:
@@ -103,8 +112,7 @@ def compute_eta(p0: np.ndarray, grid: SigmaGrid, alpha: float) -> tuple[float, E
     masses = grid.mass(p0)
     if grid.threshold == 0.0:
         j = int(np.argmin(masses))
-        eta = float(alpha * masses[j])
-        return eta, EtaDetails(eta=eta, y_index=j, chi=0.0, capture=0.0)
+        return float(alpha * masses[j]), EtaDetails(y_index=j, chi=0.0)
 
     half_cells = round(grid.threshold / grid.d_sigma)
     win = 2 * half_cells
@@ -117,11 +125,7 @@ def compute_eta(p0: np.ndarray, grid: SigmaGrid, alpha: float) -> tuple[float, E
     row = captures[j]
     tied = np.flatnonzero(row >= best[j] - 1e-12)
     chis = -grid.threshold - grid.edges[tied]
-    k = tied[int(np.argmin(np.abs(chis)))]
-    eta = float(etas[j])
-    return eta, EtaDetails(eta=eta, y_index=j,
-                           chi=float(-grid.threshold - grid.edges[k]),
-                           capture=float(row[k]))
+    return float(etas[j]), EtaDetails(y_index=j, chi=float(chis[np.argmin(np.abs(chis))]))
 
 
 @dataclass
@@ -132,8 +136,6 @@ class ValidationReport:
     eta: float
     eta_details: EtaDetails | None
     theory_backed: bool
-    renormalized_rows: int
-    clipped_negative_mass: float
     messages: list[str] = field(default_factory=list)
 
     def raise_if_failed(self):
@@ -162,7 +164,6 @@ def validate_initial(data: InitialData, sigma_grid: SigmaGrid, alpha: float,
         ok = False
         msgs.append("non-finite values in initial data")
 
-    clipped = 0.0
     pmin = float(p0.min()) if p0.size else 0.0
     if pmin < NEGATIVITY_TOL:
         ok = False
@@ -172,8 +173,6 @@ def validate_initial(data: InitialData, sigma_grid: SigmaGrid, alpha: float,
         np.clip(p0, 0.0, None, out=p0)
         msgs.append(f"clipped negative p0 mass {clipped:.3e}")
 
-    renorm = 0
-    max_dev = 0.0
     if ok:
         masses = sigma_grid.mass(p0)
         max_dev = float(np.abs(masses - 1.0).max())
@@ -203,6 +202,4 @@ def validate_initial(data: InitialData, sigma_grid: SigmaGrid, alpha: float,
                 msgs.append(f"outside proven well-posedness: {why}; set allow_degenerate to force")
 
     return ValidationReport(ok=ok, eta=eta, eta_details=details,
-                            theory_backed=theory_backed, renormalized_rows=renorm,
-                            clipped_negative_mass=clipped,
-                            messages=msgs)
+                            theory_backed=theory_backed, messages=msgs)

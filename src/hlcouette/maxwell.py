@@ -34,10 +34,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ValidationError
 from .grids import SigmaGrid
+from .initial import normal_cell_averages
 from .protocols import Forcing
 
 # Gauss-Legendre points for the memory integral; enough for mass errors
@@ -82,9 +82,7 @@ def offset_kernel(grid: SigmaGrid, shifts: np.ndarray, variances: np.ndarray) ->
     ds = grid.d_sigma
     k_edges = ds * (np.arange(-(n - 1), n + 1) - 0.5)  # 2n edges
     with np.errstate(divide="ignore", invalid="ignore"):
-        cdf = ndtr((k_edges - shifts[:, None]) / np.sqrt(variances)[:, None])
-    kern = np.diff(cdf, axis=1)
-    kern /= ds
+        kern = normal_cell_averages(k_edges, shifts[:, None], np.sqrt(variances)[:, None], ds)
     for i in np.flatnonzero(variances == 0.0):
         kern[i] = _point_kernel(n, ds, float(shifts[i]))
     return kern
@@ -127,8 +125,8 @@ def maxwell_p(p0: np.ndarray, forcing: Forcing, t: float, grid: SigmaGrid,
     scale = 0.5 * w_max * wts * 2.0 * w * np.exp(-w * w)
     shifts = np.array([forcing.window_integral(t, wi * wi) for wi in w])
     stds = w * math.sqrt(2.0 * alpha)
-    args = (grid.edges[None, :] - shifts[:, None]) / stds[:, None]
-    memory = scale @ (np.diff(ndtr(args), axis=1) / grid.d_sigma)
+    memory = scale @ normal_cell_averages(grid.edges, shifts[:, None], stds[:, None],
+                                          grid.d_sigma)
     return decayed + memory
 
 

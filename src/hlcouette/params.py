@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ScalingUndefinedError, ValidationError
+from .errors import ValidationError
 
 _LD = np.longdouble
 
@@ -82,11 +82,11 @@ class DimensionlessParams:
 def nondimensionalize(params: PhysicalParams) -> DimensionlessParams:
     """Map dimensional constants to the scaled system.
 
-    Raises ScalingUndefinedError when sigma_c = 0 (stress cannot be scaled
+    Raises ValidationError when sigma_c = 0 (stress cannot be scaled
     out; the fully relaxing variant keeps its dimensional stress axis).
     """
     if params.sigma_c == 0:
-        raise ScalingUndefinedError(
+        raise ValidationError(
             "sigma_c = 0 admits no stress scale; run the fully relaxing variant directly")
     rho, mu, g0, alpha = map(_LD, (params.rho, params.mu, params.g0, params.alpha))
     t0, sc, ln = map(_LD, (params.t0, params.sigma_c, params.length))
@@ -131,7 +131,7 @@ def rescale_fields(fields: dict, t0: float, length: float, sigma_c: float,
     Unknown names raise ValidationError so silent unit bugs cannot slip by.
     """
     if sigma_c == 0:
-        raise ScalingUndefinedError("sigma_c = 0 admits no stress scale")
+        raise ValidationError("sigma_c = 0 admits no stress scale")
     out = {}
     for name, arr in fields.items():
         if name not in _FIELD_FACTORS:

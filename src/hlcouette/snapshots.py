@@ -4,7 +4,9 @@ Every artifact carries the SHA-256 fingerprint of the effective config
 that produced it.  Checkpoints store the exact solver state (scaled
 units, float64 bit patterns preserved by npz) so a resumed run continues
 bit-for-bit; loading verifies the fingerprint against the current config
-before any state is trusted.
+before any state is trusted.  Checkpoints are the only artifacts the
+package reads back (load_checkpoint); the CSVs, series.npz and
+summary.json are for np.loadtxt, np.load and json.
 
 All writes go through a temporary file and an atomic rename, so a killed
 run never leaves a truncated artifact behind.
@@ -141,34 +143,6 @@ def write_fields_csv(path: str | Path, t: float, y: np.ndarray,
                             + [np.asarray(v, dtype=float) for v in fields.values()])
     header = index_name + "," + ",".join(fields)
     _atomic_write(Path(path), _text(_csv(fingerprint, t, header, table)))
-
-
-def read_fields_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
-    path = Path(path)
-    try:
-        raw = path.read_text().splitlines()
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    t = math.nan
-    header: list[str] = []
-    rows: list[list[float]] = []
-    for line in raw:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line[1:].split("=")[0].strip() == "t":
-                t = float(line.split("=", 1)[1])
-            continue
-        if not header:
-            header = line.split(",")
-            continue
-        rows.append([float(x) for x in line.split(",")])
-    if not header or not rows:
-        raise ArtifactIOError(f"no data rows in {path}")
-    data = np.array(rows)
-    out = {name: data[:, j].copy() for j, name in enumerate(header)}
-    return t, out
 
 
 def _npy(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -351,28 +325,6 @@ def write_series(path: str | Path, result: RunResult, fingerprint: str) -> None:
         **{f.archive or f.key: result.series[f.key] for f in SERIES}))
 
 
-def _member(z, name: str):
-    """An npz member as a fresh array, or a 0-d one as its Python scalar."""
-    value = z[name]
-    return value.item() if value.ndim == 0 else value
-
-
-# what np.load raises on a file that is not an intact npz archive: a
-# truncated one or a flipped byte (BadZipFile), a text file (ValueError),
-# an empty one (EOFError)
-_CORRUPT = (zipfile.BadZipFile, ValueError, EOFError)
-
-
-def read_series(path: str | Path) -> dict:
-    try:
-        with np.load(Path(path)) as z:
-            return {k: _member(z, k) for k in z.files}
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    except _CORRUPT as exc:
-        raise ArtifactIOError(f"corrupt series {path}: {exc}") from exc
-
-
 def _json_safe(value):
     """value with each non-finite float, which strict JSON cannot hold, as None."""
     if isinstance(value, dict):
@@ -388,15 +340,6 @@ def write_summary(path: str | Path, summary: dict) -> None:
                                                sort_keys=True, allow_nan=False) + "\n"))
 
 
-def read_summary(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactIOError(f"corrupt summary {path}: {exc}") from exc
-
-
 def save_checkpoint(path: str | Path, state: RunState, fingerprint: str) -> None:
     """Persist exact solver state for a bit-for-bit resume."""
     _atomic_write(Path(path), _npz(
@@ -406,6 +349,18 @@ def save_checkpoint(path: str | Path, state: RunState, fingerprint: str) -> None
         **{f.name: getattr(state.accum, f.name) for f in fields(Accumulators)},
         **{f.checkpoint_key: state.series[f.key] for f in SERIES},
         warnings=np.array(json.dumps(state.warnings))))
+
+
+def _member(z, name: str):
+    """An npz member as a fresh array, or a 0-d one as its Python scalar."""
+    value = z[name]
+    return value.item() if value.ndim == 0 else value
+
+
+# what np.load raises on a file that is not an intact npz archive: a
+# truncated one or a flipped byte (BadZipFile), a text file (ValueError),
+# an empty one (EOFError)
+_CORRUPT = (zipfile.BadZipFile, ValueError, EOFError)
 
 
 def load_checkpoint(path: str | Path,

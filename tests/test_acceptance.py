@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hlcouette import meso, protocols
-from hlcouette.config import standard_config
+from hlcouette.config import load_config
 from hlcouette.coupler import CoupledProblem, run, run_maxwell
 from hlcouette.diagnostics import (C_MOMENT, evaluate, measure_f2_ratio,
                                    moment_residuals)
@@ -26,13 +26,13 @@ from hlcouette.protocols import PiecewiseLinearForcing, SinusoidForcing
 from reference_runs import maxwell_reference_run, restrict_nodes, restrict_times
 from test_meso import doubled_sink_step
 
-DIMENSIONAL_OVERRIDES = dict(
-    model__mode="dimensional", model__rho="16.0", model__alpha="16.0",
-    model__g0="4.0", model__mu="8.0", model__t0="2.0",
-    model__sigma_c="4.0", model__length="1.0",
-    grid__sigma_max="16.0", initial__width="4.0",
-    run__dt="0.002", run__t_final="2.0",
-    protocol__v_max="0.5", protocol__t_ramp="1.0")
+DIMENSIONAL_OVERRIDES = [
+    "model.mode=dimensional", "model.rho=16.0", "model.alpha=16.0",
+    "model.g0=4.0", "model.mu=8.0", "model.t0=2.0",
+    "model.sigma_c=4.0", "model.length=1.0",
+    "grid.sigma_max=16.0", "initial.width=4.0",
+    "run.dt=0.002", "run.t_final=2.0",
+    "protocol.v_max=0.5", "protocol.t_ramp=1.0"]
 
 
 def report(num, name, ok, detail):
@@ -43,7 +43,7 @@ def report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def standard():
-    cfg = standard_config()
+    cfg = load_config()
     prob, init, checked = cfg.build()
     eta = checked.eta
     payloads = []
@@ -61,7 +61,7 @@ def relax_pairs():
     def trio(n_sigma, dt):
         sgrid = SigmaGrid(8.0, n_sigma, threshold=0.0)
         space = SpaceTimeGrid(64, dt, 1.0)
-        prob = CoupledProblem(dp=standard_config().dimensionless_params(),
+        prob = CoupledProblem(dp=load_config().dimensionless_params(),
                               sigma_grid=sgrid, space_grid=space,
                               protocol=protocols.ramp(1.0, 0.5))
         init = InitialData.from_preset(sgrid, space, "gaussian",
@@ -186,7 +186,7 @@ def test_criterion_08_moment_identity(standard):
     dt = standard["prob"].space_grid.dt
     coarse = float(np.max(np.abs(moment_residuals(res))))
     slack = C_MOMENT * (dt + grid.d_sigma)
-    cfg = standard_config(run__dt="0.0005", grid__n_sigma="512")
+    cfg = load_config(overrides=["run.dt=0.0005", "grid.n_sigma=512"])
     prob_f, init_f, _ = cfg.build()
     res_f = run(prob_f, init_f)
     refined = float(np.max(np.abs(moment_residuals(res_f))))
@@ -219,7 +219,7 @@ def test_criterion_10_picard_contraction(standard):
     res = standard["res"]
     iters = int(res.series["iters"].max())
     ratio = float(np.nanmax(res.series["ratios"]))
-    cfg = standard_config(run__dt="0.0005")
+    cfg = load_config(overrides=["run.dt=0.0005"])
     prob_h, init_h, _ = cfg.build()
     res_h = run(prob_h, init_h)
     ratio_h = float(np.nanmax(res_h.series["ratios"]))
@@ -257,7 +257,7 @@ def test_criterion_12_rescaling(standard):
             gap = abs(a - b) / np.spacing(max(abs(a), abs(b)))
             worst_ulp = max(worst_ulp, gap)
 
-    cfg = standard_config(**DIMENSIONAL_OVERRIDES)
+    cfg = load_config(overrides=DIMENSIONAL_OVERRIDES)
     prob_d, init_d, _ = cfg.build()
     res_d = run(prob_d, init_d)
     t0, length, sigma_c = cfg.scales

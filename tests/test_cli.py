@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,11 @@ import pytest
 import hlcouette
 from hlcouette import coupler
 from hlcouette.cli import main
-from hlcouette.errors import ArtifactIOError, CFLError, SchemeInstabilityError
+from hlcouette.config import load_config
+from hlcouette.errors import CFLError, SchemeInstabilityError
+from hlcouette.grids import SpaceTimeGrid
 from hlcouette.maxwell import sub_solution
-from hlcouette.snapshots import load_checkpoint, read_series, read_summary
+from hlcouette.snapshots import load_checkpoint, save_checkpoint
 from test_config_io import FAILING_RUN
 
 TINY = ["--set", "grid.n_y=6", "--set", "grid.n_sigma=64",
@@ -131,9 +134,9 @@ def test_run_writes_artifacts(tmp_path, capsys):
                      "checkpoint_final.npz", "series.npz",
                      "snapshot_000000.csv", "snapshot_000005.csv",
                      "snapshot_000010.csv", "summary.json"]
-    summary = read_summary(out / "summary.json")
-    series = read_series(out / "series.npz")
-    assert summary["fingerprint"] == series["fingerprint"]
+    summary = json.loads((out / "summary.json").read_text())
+    with np.load(out / "series.npz") as series:
+        assert summary["fingerprint"] == series["fingerprint"]
     assert summary["kind"] == "general" and summary["run"]["n_steps"] == 10
     assert summary["picard"]["max_iterations"] <= 10
     statuses = {d["name"]: d["status"] for d in summary["diagnostics"]}
@@ -146,9 +149,9 @@ def test_single_gap_node_run(tmp_path, capsys):
     assert main(["run", "--set", "grid.n_y=1", "--set", "grid.n_sigma=64",
                  "--set", "run.t_final=0.01", "--out", str(out)]) == 0
     assert "all checks passed" in capsys.readouterr().out
-    series = read_series(out / "series.npz")
-    assert series["u"].shape == (11, 1)
-    assert np.max(np.abs(series["mass_err"])) <= 1e-10
+    with np.load(out / "series.npz") as series:
+        assert series["u"].shape == (11, 1)
+        assert np.max(np.abs(series["mass_err"])) <= 1e-10
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -181,7 +184,7 @@ def test_skip_checks_suppresses_the_battery(tmp_path, capsys):
                  str(tmp_path / "o")]) == 0
     stdout = capsys.readouterr().out
     assert "mass_conservation" not in stdout
-    summary = read_summary(tmp_path / "o" / "summary.json")
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["diagnostics"] == []
 
 
@@ -234,7 +237,7 @@ def test_diagnostic_failure_exits_5_but_artifacts_survive(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL stress_moment_identity" in captured.out
     assert (out / "series.npz").exists()
-    summary = read_summary(out / "summary.json")
+    summary = json.loads((out / "summary.json").read_text())
     statuses = {d["name"]: d["status"] for d in summary["diagnostics"]}
     assert statuses["stress_moment_identity"] == "fail"
 
@@ -250,7 +253,8 @@ def test_a_zero_viscosity_run_warns_that_its_velocity_bound_is_undefined(tmp_pat
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("WARN velocity_map_lipschitz: ")
                and line.endswith("; bound undefined for mu = 0") for line in lines)
-    checks = {d["name"]: d for d in read_summary(out / "summary.json")["diagnostics"]}
+    summary = json.loads((out / "summary.json").read_text())
+    checks = {d["name"]: d for d in summary["diagnostics"]}
     assert checks["velocity_map_lipschitz"]["status"] == "warn"
     assert checks["velocity_map_lipschitz"]["bound"] is None  # inf, written as null
 
@@ -284,7 +288,7 @@ def test_summary_names_the_protocol_in_scaled_units(sets, block, tmp_path):
     out = tmp_path / "o"
     argv = [*TINY, *(arg for s in sets for arg in ("--set", s))]
     assert main(["run", *argv, "--skip-checks", "--out", str(out)]) == 0
-    protocol = read_summary(out / "summary.json")["protocol"]
+    protocol = json.loads((out / "summary.json").read_text())["protocol"]
     assert json.dumps(protocol, sort_keys=True) == block
 
 
@@ -297,7 +301,7 @@ def test_a_zero_step_run_has_nothing_to_measure(path, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "integrating 0 steps" in stdout and "all checks passed" in stdout
     assert "PASS velocity_map_lipschitz: no steps; nothing to measure" in stdout
-    assert read_summary(out / "summary.json")["run"]["n_steps"] == 0
+    assert json.loads((out / "summary.json").read_text())["run"]["n_steps"] == 0
 
 
 def test_a_mass_guard_trip_whose_dump_cannot_be_written_exits_5(tmp_path, monkeypatch,
@@ -362,10 +366,10 @@ def test_a_numerical_failure_dumps_the_last_accepted_state(argv, fault, step, co
     assert state.step == step
     if fault is not None:
         # the step that failed left no trace: the records are the straight run's
-        series = read_series(straight / "series.npz")
-        for f in coupler.SERIES:
-            assert state.series[f.key].tobytes() == \
-                series[f.archive or f.key][:f.length(step)].tobytes(), f.key
+        with np.load(straight / "series.npz") as series:
+            for f in coupler.SERIES:
+                assert state.series[f.key].tobytes() == \
+                    series[f.archive or f.key][:f.length(step)].tobytes(), f.key
     if code == 5:
         assert error.startswith(f"error: mass conservation failed at step {step + 1},")
     if argv is CLOSED_FORM_DIVERGING:
@@ -442,9 +446,6 @@ def test_an_unreadable_checkpoint_exits_6(damage, tmp_path, capsys):
         assert main(argv) == 6
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
-    series = damaged_copy(out / "series.npz", damage, tmp_path / "series.npz")
-    with pytest.raises(ArtifactIOError, match="series.npz"):
-        read_series(series)
 
 
 HL_RUN_CSV_SHA256 = {
@@ -536,7 +537,7 @@ def test_fully_relaxing_run_uses_the_closed_form(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "relaxation closed form" in stdout
-    summary = read_summary(out / "summary.json")
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["kind"] == "maxwell"
     assert not (out / "checkpoint_final.npz").exists()
 
@@ -548,7 +549,7 @@ def test_force_general_runs_a_fully_relaxing_config_on_the_kinetic_path(tmp_path
                "--set", "grid.sigma_max=8.0", "--out", str(out)])
     assert rc == 0
     assert "kinetic path" in capsys.readouterr().out
-    assert read_summary(out / "summary.json")["kind"] == "general"
+    assert json.loads((out / "summary.json").read_text())["kind"] == "general"
     assert (out / "checkpoint_final.npz").exists()
 
 
@@ -689,6 +690,55 @@ def test_a_checkpoint_that_does_not_fit_is_refused_by_resume_and_diagnose(damage
     assert "integrating" not in captured.out
     assert main(["diagnose", "--checkpoint", str(damaged), *N_Y4_20]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _scaled(state):
+    state.p *= 1.01
+
+
+def _dented(state):
+    state.p[1, 0] = -1e-6  # a tail cell
+
+
+@pytest.mark.parametrize("tamper, failed", [
+    (_scaled, "FAIL resume_mass: max |row mass - 1| = 1.000e-02"),
+    (_dented, "FAIL resume_positivity: min restored value = -1.000e-06"),
+], ids=["mass", "sign"])
+def test_diagnose_refuses_the_restored_rows_that_resume_refuses(tamper, failed, tmp_path,
+                                                                capsys):
+    # the records of a tampered checkpoint are intact, so only its rows show it
+    out = tmp_path / "o"
+    assert main(["run", *N_Y4_20, "--out", str(out)]) == 0
+    fingerprint = capsys.readouterr().out.split("fingerprint: ")[1].split()[0]
+    state = load_checkpoint(out / "checkpoint_000010.npz")
+    tamper(state)
+    tampered = tmp_path / "tampered.npz"
+    save_checkpoint(tampered, state, fingerprint)
+    for argv in (["diagnose", "--checkpoint", str(tampered)], ["run", "--resume", str(tampered)]):
+        assert main([*argv, *N_Y4_20]) == 5
+        captured = capsys.readouterr()
+        assert failed in captured.out.splitlines(), argv
+        assert captured.err.startswith("error: diagnostics failed: ")
+
+
+def test_each_command_budgets_the_records_of_the_shape_it_steps(monkeypatch, capsys):
+    # hl-run steps one row: its records fit a budget that the config's six
+    # rows, which validate and run would step, exceed
+    sets = ["grid.n_y=6", "grid.n_sigma=64", "run.t_final=0.01"]
+    prob, init, _ = load_config(overrides=sets).build()
+    space = prob.space_grid
+    one_row = coupler.run_prescribed(
+        replace(prob, space_grid=SpaceTimeGrid(1, space.dt, space.t_final)), init.p0[:1])
+    need = sum(record.nbytes for record in one_row.series.values()) + one_row.deficits.nbytes
+    argv = [arg for item in sets for arg in ("--set", item)]
+    monkeypatch.setattr(coupler, "SERIES_MAX_BYTES", need)
+    assert main(["hl-run", *argv]) == 0
+    capsys.readouterr()
+    for command in ("validate", "run"):
+        assert main([command, *argv]) == 3
+        captured = capsys.readouterr()
+        assert "with n_y = 6 their records need" in captured.err
+        assert captured.out == ""  # refused before it prints or integrates
 
 
 TABLE = ["protocol.kind=table", "protocol.times=0,0.005,0.006"]

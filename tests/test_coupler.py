@@ -15,7 +15,7 @@ import pytest
 
 import hlcouette
 from hlcouette import coupler, protocols, tridiag
-from hlcouette.config import standard_config
+from hlcouette.config import load_config
 from hlcouette.coupler import (SERIES, CoupledProblem, barrier_deficits, check_series_budget,
                                run, run_maxwell)
 from hlcouette.diagnostics import result_from_checkpoint
@@ -367,19 +367,19 @@ def test_shape_validation():
 
 # configs whose initial rows fix eta in different ways, two steps each
 ETA_CONFIGS = {
-    "standard": {},
-    "uniform": dict(initial__p0="uniform", initial__lo="-0.5", initial__hi="0.5",
-                    model__allow_degenerate="true"),  # eta = 0
-    "mixture": dict(initial__p0="mixture", initial__mean1="-1.0", initial__width1="0.5",
-                    initial__mean2="1.5", initial__width2="0.8", initial__weight1="0.3"),
-    "fully_relaxing": dict(model__fully_relaxing="true", grid__sigma_max="8.0"),  # eta = 1
-    "dimensional": dict(model__mode="dimensional", model__rho="16.0", model__alpha="16.0",
-                        model__g0="4.0", model__mu="8.0", model__t0="2.0",
-                        model__sigma_c="4.0", model__length="1.0", grid__sigma_max="16.0",
-                        initial__width="4.0", run__dt="0.002", run__t_final="0.004",
-                        protocol__v_max="0.5", protocol__t_ramp="1.0"),
-    "shifted_7x64": dict(grid__n_y="7", grid__n_sigma="64", initial__mean="0.25",
-                         initial__width="0.8"),
+    "standard": [],
+    "uniform": ["initial.p0=uniform", "initial.lo=-0.5", "initial.hi=0.5",
+                "model.allow_degenerate=true"],  # eta = 0
+    "mixture": ["initial.p0=mixture", "initial.mean1=-1.0", "initial.width1=0.5",
+                "initial.mean2=1.5", "initial.width2=0.8", "initial.weight1=0.3"],
+    "fully_relaxing": ["model.fully_relaxing=true", "grid.sigma_max=8.0"],  # eta = 1
+    "dimensional": ["model.mode=dimensional", "model.rho=16.0", "model.alpha=16.0",
+                    "model.g0=4.0", "model.mu=8.0", "model.t0=2.0",
+                    "model.sigma_c=4.0", "model.length=1.0", "grid.sigma_max=16.0",
+                    "initial.width=4.0", "run.dt=0.002", "run.t_final=0.004",
+                    "protocol.v_max=0.5", "protocol.t_ramp=1.0"],
+    "shifted_7x64": ["grid.n_y=7", "grid.n_sigma=64", "initial.mean=0.25",
+                     "initial.width=0.8"],
 }
 
 
@@ -388,7 +388,8 @@ ETA_CONFIGS = {
 def test_a_result_reads_the_eta_that_validation_reports(case, path):
     # eta is a property of the initial rows: a run, hl-run's one-row run and
     # a diagnosed checkpoint read validate_initial's eta bit for bit
-    prob, init, report = standard_config(**{"run__t_final": "0.002", **ETA_CONFIGS[case]}).build()
+    cfg = load_config(overrides=["run.t_final=0.002", *ETA_CONFIGS[case]])
+    prob, init, report = cfg.build()
     report.raise_if_failed()
     if path == "one_row":
         sgrid = prob.space_grid
@@ -544,10 +545,10 @@ def test_run_rows_hold_no_negative_zero(protocol):
 NO_LINALG_RUNS = """\
 import sys
 import numpy as np
-from hlcouette.config import standard_config
+from hlcouette.config import load_config
 from hlcouette.coupler import run, run_maxwell
-prob, init, report = standard_config(grid__n_y="4", grid__n_sigma="64",
-                                     run__t_final="0.005").build()
+prob, init, report = load_config(
+    overrides=["grid.n_y=4", "grid.n_sigma=64", "run.t_final=0.005"]).build()
 run(prob, init)
 run_maxwell(prob, tau0=np.zeros(4), u0=init.u0)
 print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
@@ -588,10 +589,10 @@ def test_run_does_not_depend_on_the_factor_cache():
 
 
 def _final_fields(n_sigma: int, dt: float, n_y: int = 8,
-                  **overrides: str) -> dict[str, np.ndarray]:
+                  overrides: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
     """tau, u and D at t = 0.5 of the standard physics."""
-    cfg = standard_config(grid__n_y=str(n_y), grid__n_sigma=str(n_sigma),
-                          run__dt=repr(dt), run__t_final="0.5", **overrides)
+    cfg = load_config(overrides=[f"grid.n_y={n_y}", f"grid.n_sigma={n_sigma}",
+                                 f"run.dt={dt!r}", "run.t_final=0.5", *overrides])
     prob, init, report = cfg.build()
     report.raise_if_failed()
     res = run(prob, init)
@@ -635,9 +636,9 @@ def test_the_solution_depends_linearly_on_small_changes_of_the_data():
     # feels a mean shift (quotient 8e-4), so it is graded under v_max only.
     eps = (4e-2, 2e-2, 1e-2, 5e-3)
     base = _final_fields(128, 4e-3)
-    for key, at, names in (("initial__mean", 0.0, ("tau",)),
-                           ("protocol__v_max", 1.0, ("tau", "u"))):
-        moved = [_final_fields(128, 4e-3, **{key: repr(at + e)}) for e in eps]
+    for key, at, names in (("initial.mean", 0.0, ("tau",)),
+                           ("protocol.v_max", 1.0, ("tau", "u"))):
+        moved = [_final_fields(128, 4e-3, overrides=(f"{key}={at + e!r}",)) for e in eps]
         for name in names:
             q = [np.abs(m[name] - base[name]).max() / e for m, e in zip(moved, eps)]
             assert min(q) > 0.05 and max(q) / min(q) < 1 + 2e-3, (key, name, q)
@@ -674,8 +675,7 @@ def _pinned_run(case: str):
     if case == "ramp":
         # the default ramp, 50 steps on rows longer than the 32 pivots the
         # stress solve factors first
-        cfg = standard_config(grid__n_y="8", grid__n_sigma="256",
-                              run__t_final="0.05")
+        cfg = load_config(overrides=["grid.n_y=8", "grid.n_sigma=256", "run.t_final=0.05"])
         prob, init, report = cfg.build()
         report.raise_if_failed()
         return prob, run(prob, init)

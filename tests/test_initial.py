@@ -56,7 +56,6 @@ def test_eta_standard_gaussian():
     assert eta == pytest.approx(ETA_CONTINUUM, abs=1e-3)
     # worst window for a centered unimodal density is the centered band
     assert details.chi == pytest.approx(0.0, abs=0.0)
-    assert details.capture == pytest.approx(1.0 - eta, abs=1e-12)
 
 
 def test_eta_uniform_half_in_band():
@@ -71,7 +70,7 @@ def test_eta_zero_for_band_supported_data():
     p0 = uniform_cell_averages(GRID, -0.5, 0.5)[None]
     eta, details = compute_eta(p0, GRID, alpha=1.0)
     assert eta == 0.0
-    assert details.capture == pytest.approx(1.0, rel=1e-14)
+    assert details.chi == 0.0  # of the band shifts that capture all mass
 
 
 def test_eta_shift_invariance_on_grid_multiples():
@@ -129,7 +128,7 @@ def test_validation_accepts_and_renormalizes():
     data.p0 *= 1.0 + 5e-7      # within the renormalization tolerance
     report = validate_initial(data, GRID, alpha=1.0, mu=1.0)
     assert report.ok and report.theory_backed
-    assert report.renormalized_rows == SPACE.n_y
+    assert report.messages[0].startswith(f"renormalized {SPACE.n_y} rows")
     assert np.allclose(GRID.mass(data.p0), 1.0, atol=1e-15)
     assert report.eta == pytest.approx(ETA_STANDARD_GRID, abs=1e-12)
 
@@ -150,7 +149,7 @@ def test_validation_clips_rounding_negativity_only():
     report = validate_initial(data, GRID, alpha=1.0, mu=1.0)
     assert report.ok
     assert data.p0[0, 0] == 0.0
-    assert report.clipped_negative_mass > 0.0
+    assert report.messages == [f"clipped negative p0 mass {1e-13 * GRID.d_sigma:.3e}"]
 
     data2 = preset()
     data2.p0[0, 0] = -1e-9

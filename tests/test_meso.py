@@ -661,8 +661,8 @@ def test_a_run_keeps_one_scratch_slot_and_no_module_array():
                 if isinstance(value, np.ndarray)}
 
     before = module_arrays()
-    prob, init, report = config.standard_config(
-        grid__n_y="6", grid__n_sigma="64", run__t_final="0.01").build()
+    prob, init, report = config.load_config(
+        overrides=["grid.n_y=6", "grid.n_sigma=64", "run.t_final=0.01"]).build()
     _scratch.cache_clear()
     result = coupler.run(prob, init, snap_every=5)
     assert result.step == 10

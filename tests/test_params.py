@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hlcouette.errors import ScalingUndefinedError, ValidationError
+from hlcouette.errors import ValidationError
 from hlcouette.params import (DimensionlessParams, PhysicalParams,
                               nondimensionalize, redimensionalize,
                               rescale_fields)
@@ -49,9 +49,9 @@ def test_dyadic_scales_round_trip_exactly():
 def test_zero_threshold_has_no_stress_scale():
     phys = PhysicalParams(rho=1.0, mu=1.0, g0=1.0, alpha=1.0,
                           t0=1.0, sigma_c=0.0, length=1.0)
-    with pytest.raises(ScalingUndefinedError):
+    with pytest.raises(ValidationError, match="sigma_c = 0 admits no stress scale"):
         nondimensionalize(phys)
-    with pytest.raises(ScalingUndefinedError):
+    with pytest.raises(ValidationError, match="sigma_c = 0 admits no stress scale"):
         rescale_fields({"tau": 1.0}, t0=1.0, length=1.0, sigma_c=0.0)
 
 
