@@ -15,15 +15,17 @@ error is at most one cell of mass.  compute_eta returns eta with the row
 and band shift chi that attain it, which validate prints.
 
 normal_cell_averages is the one Gaussian cell average of the package: the
-Gaussian presets here, and maxwell's offset kernels and memory term.
+Gaussian presets here, and maxwell's offset kernels and memory term.  Its
+normal CDF, _ndtr, is a numpy port of cephes' ndtr that keeps the bits of
+scipy.special.ndtr, so no run imports scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ValidationError
 from .grids import SigmaGrid, SpaceTimeGrid
@@ -34,12 +36,101 @@ RENORM_TOL = 1e-6
 NEGATIVITY_TOL = -1e-12
 
 
+# cephes' rational forms of erf and erfc, in descending powers; U, Q and S
+# are monic (cephes p1evl), their leading 1 written out.  With x = a/sqrt(2),
+# ndtr takes erf on |x| < 1/sqrt(2), erfc = 1 - erf on |x| < 1, erfc's P/Q
+# on |x| < 8 and R/S beyond, until erfc underflows to 0 where x*x exceeds
+# MAXLOG = log(2**1024).
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_X_LIVE = 26.641747557046326  # the largest x with x*x <= MAXLOG
+# From x = 6 up, 0.5 erfc(x) < 2**-54, so 1 - 0.5 erfc(x) rounds to 1.0.
+_X_ONE = 6.0
+# _ndtr works through its argument in slices of this many elements, so that
+# its temporaries stay small: in a run, malloc handed large freed ones back
+# to the system, and every barrier kernel then faulted their pages in anew.
+_BLOCK = 8192
+
+
+def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """The polynomial with coefs in descending powers at x, by Horner's rule
+    in cephes' order of operations."""
+    r = x * coefs[0]
+    r += coefs[1]
+    for c in coefs[2:]:
+        r *= x
+        r += c
+    return r
+
+
+def _erf_branch(x: np.ndarray) -> np.ndarray:
+    """ndtr on |x| < 1: 0.5 + 0.5 erf(x) on |x| < 1/sqrt(2), else
+    0.5 erfc(|x|) = 0.5 (1 - erf(|x|)), reflected for x > 0."""
+    z = x * x
+    erf = x * _polevl(z, _T) / _polevl(z, _U)
+    return np.where(np.abs(x) < math.sqrt(0.5), 0.5 + 0.5 * erf,
+                    np.abs((x > 0.0) - 0.5 * (1.0 - np.abs(erf))))
+
+
+def _erfc_branch(x: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
+    """ndtr on 1 <= |x| <= _X_LIVE, overwriting x: 0.5 erfc(|x|), reflected
+    to 1 - 0.5 erfc(x) for x > 0.  exp(-x*x) comes from libm through numpy's
+    complex exp; its float exp may take a SIMD path whose last bit differs."""
+    e = np.exp((-(x * x)).astype(complex)).real
+    positive = x > 0.0
+    z = np.abs(x, out=x)
+    y = e * _polevl(z, num)
+    y /= _polevl(z, den)
+    y *= 0.5
+    np.subtract(positive, y, out=y)
+    return np.abs(y, out=y)
+
+
+def _ndtr_block(x: np.ndarray) -> None:
+    """_ndtr in place on a 1-d slice x holding a/sqrt(2)."""
+    core = ~((x <= -1.0) | (x >= 1.0))  # erf's branch, nan too: it propagates
+    near = ((x > -8.0) & (x <= -1.0)) | ((x >= 1.0) & (x < _X_ONE))  # P/Q
+    far = (x >= -_X_LIVE) & (x <= -8.0)  # R/S
+    xc, xn, xf = x[core], x[near], x[far]
+    np.greater(x, 0.0, out=x)  # the saturated tails, 0 and 1
+    x[core] = _erf_branch(xc)
+    x[near] = _erfc_branch(xn, _P, _Q)
+    x[far] = _erfc_branch(xf, _R, _S)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Overwrite the contiguous float array x with its standard normal CDF,
+    bit for bit as scipy.special.ndtr (cephes) evaluates it, and with no
+    floating-point warning for any input: each branch takes only its own
+    elements.  Returns x."""
+    flat = np.multiply(x, math.sqrt(0.5), out=x).reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        _ndtr_block(flat[start:start + _BLOCK])
+    return x
+
+
 def normal_cell_averages(edges: np.ndarray, means, stds, width: float) -> np.ndarray:
     """Averages of the normal densities N(means, stds^2) over the cells of
     width width between consecutive edges, along the last axis: the one
-    Gaussian cell average of the package, and its one ndtr call.  means and
-    stds broadcast against edges."""
-    return np.diff(ndtr((edges - means) / stds), axis=-1) / width
+    Gaussian cell average of the package, and its one _ndtr call.  means
+    broadcast against edges, and stds against edges - means."""
+    args = edges - means
+    args /= stds
+    cells = np.diff(_ndtr(args), axis=-1)
+    cells /= width
+    return cells
 
 
 def gaussian_cell_averages(grid: SigmaGrid, mean: float, width: float) -> np.ndarray:

@@ -25,8 +25,9 @@ which keeps its digits where t - w^2 rounds.
 
 The decayed term, sub_solution, is also the comparison barrier of the
 general equation (xi = chi, int D = alpha t).  It takes (n_rows, n_sigma)
-rows and every row's kernel from one offset_kernel call (one broadcast
-ndtr), then convolves row by row, in an order whose bits the tests pin.
+rows and every row's kernel from one offset_kernel call (one broadcast call
+of initial's port of ndtr), then convolves row by row, in an order whose
+bits the tests pin.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ def offset_kernel(grid: SigmaGrid, shifts: np.ndarray, variances: np.ndarray) ->
 
     shifts and variances are (m,) float arrays of per-row values; the
     result holds one kernel per row, shape (m, 2n-1).  Every row comes from
-    one broadcast ndtr; a zero-variance row, whose quotients are infinite
-    or nan there, is then overwritten by its point kernel.  Each row is
-    bitwise the kernel of a batch of one with its values.
+    one broadcast call of initial's ndtr port (initial.normal_cell_averages);
+    a zero-variance row, whose quotients are infinite or nan there, is then
+    overwritten by its point kernel.  Each row is bitwise the kernel of a
+    batch of one with its values.
     """
     n = grid.n_sigma
     ds = grid.d_sigma

@@ -542,31 +542,39 @@ def test_run_rows_hold_no_negative_zero(protocol):
     assert signed_zeros == [0] * (prob.space_grid.n_steps + 1)
 
 
-NO_LINALG_RUNS = """\
+NO_SCIPY_COMMANDS = """\
+import contextlib
+import io
 import sys
-import numpy as np
-from hlcouette.config import load_config
-from hlcouette.coupler import run, run_maxwell
-prob, init, report = load_config(
-    overrides=["grid.n_y=4", "grid.n_sigma=64", "run.t_final=0.005"]).build()
-run(prob, init)
-run_maxwell(prob, tau0=np.zeros(4), u0=init.u0)
-print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+from hlcouette.cli import main
+out = sys.argv[1]
+sets = [a for s in ("grid.n_y=4", "grid.n_sigma=64", "run.t_final=0.005", "run.checkpoint_every=5")
+        for a in ("--set", s)]
+relaxing = ["--set", "model.fully_relaxing=true", *sets]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["validate", *sets]),
+             main(["run", "--out", out + "/run", *sets]),
+             main(["diagnose", "--checkpoint", out + "/run/checkpoint_000005.npz", *sets]),
+             main(["hl-run", "--out", out + "/hl", *sets]),
+             main(["oracle", "--t", "0.005", *relaxing]),
+             main(["run", "--out", out + "/maxwell", *relaxing])]
+print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 
 
-def test_no_run_loads_scipy_linalg():
-    # both paths solve through numpy's own LAPACK (tridiag); a fresh
-    # interpreter, because this one has imported scipy.linalg for the tests
+def test_no_command_loads_scipy(tmp_path):
+    # the solves call numpy's own LAPACK (tridiag) and the Gaussian cell
+    # averages initial's own ndtr; a fresh interpreter, because this one has
+    # imported scipy for the tests
     if not tridiag._openblas_paths():
         pytest.skip("this numpy bundles no OpenBLAS, so the solves use scipy.linalg")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(hlcouette.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NO_LINALG_RUNS], env=env,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_COMMANDS, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] []\n"
 
 
 def test_run_does_not_depend_on_the_factor_cache():

@@ -1,9 +1,14 @@
 """Initial data presets, the non-degeneracy constant, and validation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from hlcouette import initial
 from hlcouette.errors import ValidationError
 from hlcouette.grids import SigmaGrid, SpaceTimeGrid
 from hlcouette.initial import (InitialData, compute_eta, gaussian_cell_averages,
@@ -35,6 +40,77 @@ def test_gaussian_cell_averages_are_exact_cdf_differences():
     assert float(GRID.mass(row)) == pytest.approx(1.0, abs=1e-4)  # grid tail only
     with pytest.raises(ValidationError):
         gaussian_cell_averages(GRID, 0.0, 0.0)
+
+
+def scipy_ndtr(x):
+    """initial._ndtr's stand-in that calls scipy.special.ndtr."""
+    return ndtr(x, out=x)
+
+
+def assert_same_bits(a):
+    # nan keeps no payload promise; every other value keeps scipy's bits
+    a = np.array(a, dtype=float)
+    want = ndtr(a)
+    with np.errstate(all="raise", under="ignore"):
+        got = initial._ndtr(a)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def both_signs(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.floats(-hi, -lo))
+
+
+def neighbours(a):
+    """a and its two nextafter neighbours, of both signs."""
+    near = [math.nextafter(a, -math.inf), a, math.nextafter(a, math.inf)]
+    return near + [-v for v in near]
+
+
+# With x = a/sqrt(2), cephes branches at |x| = 1/sqrt(2), 1 and 8; past x = 6
+# the port writes 1.0, and below a = -A_UNDERFLOW erfc underflows to 0.
+A_UNDERFLOW = 37.67712072049518  # the last a with ndtr(-a) > 0
+EDGES = [v for a in (1.0, math.sqrt(2.0), 6.0 * math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                     A_UNDERFLOW) for v in neighbours(a)]
+NDTR_ARGUMENTS = st.one_of(
+    both_signs(0.0, 1.0),                                     # erf
+    both_signs(1.0, math.sqrt(2.0)),                          # 1 - erf
+    both_signs(math.sqrt(2.0), 8.0 * math.sqrt(2.0)),         # erfc's P/Q
+    both_signs(8.0 * math.sqrt(2.0), 40.0),                   # R/S, then 0 or 1
+    st.floats(-1.8e308, -1e150),                              # x*x would overflow
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(deadline=None)
+@given(st.lists(NDTR_ARGUMENTS, min_size=1, max_size=40))
+@example([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
+@example(EDGES)
+@example([-1.9e154, -1e300, -1.7976931348623157e308, 1.7976931348623157e308])
+def test_ndtr_port_keeps_scipys_bits(args):
+    assert_same_bits(args)
+
+
+def test_ndtr_port_keeps_scipys_bits_on_blocks_of_uniform_arguments():
+    # 200 000 arguments in [-40, 40] span several of the port's slices; the
+    # 1 <= |a| < sqrt(2) band among them is where 1 - y is easily dropped
+    rng = np.random.default_rng(0)
+    args = rng.uniform(-40.0, 40.0, (5, 40_000))
+    assert np.count_nonzero((np.abs(args) >= 1.0) & (np.abs(args) < math.sqrt(2.0))) > 1000
+    assert_same_bits(args)
+    assert_same_bits(rng.uniform(-2.0, 2.0, 20_000))
+    assert_same_bits(np.array(-1.5))
+
+
+@pytest.mark.parametrize("sigma_max", [4.0, 8.0])
+@pytest.mark.parametrize("kind, args", [
+    ("gaussian", {"mean": 0.0, "width": 1.0}),
+    ("mixture", {"mean1": -1.0, "width1": 0.5, "mean2": 1.5, "width2": 0.8, "weight1": 0.3})])
+def test_preset_rows_keep_scipys_bits(monkeypatch, sigma_max, kind, args):
+    grid = SigmaGrid(sigma_max=sigma_max, n_sigma=256)
+    port = InitialData.from_preset(grid, SPACE, kind, args).p0
+    monkeypatch.setattr(initial, "_ndtr", scipy_ndtr)
+    assert port.tobytes() == InitialData.from_preset(grid, SPACE, kind, args).p0.tobytes()
 
 
 def test_uniform_cell_averages_partial_overlap():

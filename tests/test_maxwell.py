@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from hlcouette import maxwell, protocols
+from hlcouette import initial, maxwell, protocols
 from hlcouette.errors import ValidationError
 from hlcouette.grids import SigmaGrid
 from hlcouette.initial import gaussian_cell_averages
 from hlcouette.maxwell import maxwell_p, maxwell_tau, offset_kernel, sub_solution
 from hlcouette.protocols import PiecewiseLinearForcing
+from test_initial import scipy_ndtr
 
 GRID = SigmaGrid(sigma_max=8.0, n_sigma=256, threshold=0.0)
 
@@ -131,6 +132,26 @@ def test_mask_free_offset_kernel_keeps_the_masked_bits_property(data, n_sigma, n
     with np.errstate(divide="raise", invalid="raise"):  # the masked form divides by no zero
         ref = masked_offset_kernel(grid, shifts, variances)
     assert offset_kernel(grid, shifts, variances).tobytes() == ref.tobytes()
+
+
+def test_kernels_and_closed_form_keep_scipys_bits(monkeypatch):
+    # initial's ndtr port against scipy's: a batch of offset kernels with
+    # zero-variance rows, and the closed form before and past the last memory
+    # node's reach (t > MEMORY_W_MAX^2)
+    shifts = np.array([0.37, -1.2, 0.0, 3.5 * GRID.d_sigma, 9.0])
+    variances = np.array([0.8, 1e-6, 0.0, 0.0, 30.0])
+    rows = np.vstack([gaussian_cell_averages(GRID, 0.0, 1.0),
+                      gaussian_cell_averages(GRID, -1.5, 0.4)])
+    ramp = protocols.ramp(1.0, 0.5)
+
+    def outputs():
+        return [offset_kernel(GRID, shifts, variances),
+                *(maxwell_p(rows, ramp, t, GRID, alpha=1.5) for t in (0.3, 2.0, 40.0))]
+
+    port = outputs()
+    monkeypatch.setattr(initial, "_ndtr", scipy_ndtr)
+    for got, want in zip(port, outputs()):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mean_stress_constant_loading_is_saturating_exponential():
