@@ -83,7 +83,6 @@ def cmd_run(args) -> int:
     if args.out:
         directory = snapshots.RunDirectory(
             args.out, prob, cfg.fingerprint,
-            scales=cfg.scales if cfg.mode == "dimensional" else None,
             dump_density=args.dump_density and not closed_form)
     try:
         resume = None
@@ -212,10 +211,9 @@ def cmd_oracle(args) -> int:
     if not cfg.fully_relaxing:
         raise ConfigError("the closed form applies to fully relaxing runs; "
                           "set model.fully_relaxing = true")
-    grid = cfg.sigma_grid()
-    init = cfg.initial()
-    alpha = cfg.dimensionless_params().alpha
-    loading = cfg.protocol()
+    # the closed form takes any p0, so the validation report goes unread
+    prob, init, _ = cfg.build()
+    grid, loading = prob.sigma_grid, prob.protocol
     t = args.t
     if not np.isfinite(t):
         raise ConfigError(f"--t must be finite, got {t!r}")
@@ -223,7 +221,7 @@ def cmd_oracle(args) -> int:
         raise ConfigError("--t must be nonnegative")
     p0 = init.p0[:1]
     tau0 = float(compute_tau(p0, grid)[0])
-    p_t = maxwell_p(p0, loading, t, grid, alpha)
+    p_t = maxwell_p(p0, loading, t, grid, prob.dp.alpha)
     tau_t = maxwell_tau(tau0, loading, t)
     mass = float(grid.mass(p_t)[0])
     print(f"fingerprint: {cfg.fingerprint}")

@@ -5,9 +5,12 @@ A config file fully determines a run.  The effective configuration
 with SHA-256 and the digest is stamped into every artifact the run
 writes, so outputs can always be traced back to their exact inputs.
 
-In dimensional mode the file carries physical constants plus the scales
-(t0, sigma_c, length); everything is converted to the scaled system
-before integration and results are mapped back on output.
+RunConfig.build is the one assembly path of every command, oracle
+included, and the one place units are applied.  In dimensional mode the
+file carries physical constants plus the scales (t0, sigma_c, length);
+in dimensionless mode the scales are 1.0.  build divides every input into
+the scaled system by the scales its params carry, and
+snapshots.RunDirectory maps results back by the same scales.
 """
 
 from __future__ import annotations
@@ -90,78 +93,6 @@ class RunConfig:
     def fully_relaxing(self) -> bool:
         return self.values["model"]["fully_relaxing"]
 
-    @property
-    def scales(self) -> tuple[float, float, float]:
-        m = self.values["model"]
-        return m["t0"], m["length"], m["sigma_c"]
-
-    def dimensionless_params(self) -> DimensionlessParams:
-        m = self.values["model"]
-        if self.mode == "dimensionless":
-            return DimensionlessParams(rho=m["rho"], alpha=m["alpha"],
-                                       g0=m["g0"], mu=m["mu"])
-        phys = PhysicalParams(rho=m["rho"], mu=m["mu"], g0=m["g0"],
-                              alpha=m["alpha"], t0=m["t0"],
-                              sigma_c=m["sigma_c"], length=m["length"])
-        return nondimensionalize(phys)
-
-    # grids ----------------------------------------------------------
-    def sigma_grid(self) -> SigmaGrid:
-        g = self.values["grid"]
-        sigma_max = g["sigma_max"]
-        threshold = 0.0 if self.fully_relaxing else 1.0
-        if self.mode == "dimensional":
-            if self.fully_relaxing:
-                raise ConfigError(
-                    "fully relaxing dimensional runs have no stress scale; "
-                    "set mode = dimensionless and work in native units")
-            sigma_max = sigma_max / self.values["model"]["sigma_c"]
-        return SigmaGrid(sigma_max=sigma_max, n_sigma=g["n_sigma"],
-                         threshold=threshold)
-
-    def space_grid(self) -> SpaceTimeGrid:
-        r = self.values["run"]
-        dt, t_final = r["dt"], r["t_final"]
-        if self.mode == "dimensional":
-            t0 = self.values["model"]["t0"]
-            dt, t_final = dt / t0, t_final / t0
-        return SpaceTimeGrid(n_y=self.values["grid"]["n_y"], dt=dt,
-                             t_final=t_final)
-
-    # protocol -------------------------------------------------------
-    def protocol(self) -> Forcing:
-        """The wall protocol, the preset of protocol.kind, in scaled variables:
-        V'(t') = (t0/length) V(t0 t') in dimensional mode."""
-        p = self.values["protocol"]
-        kind = p["kind"]
-        ts, vs = 1.0, 1.0
-        if self.mode == "dimensional":
-            t0, length, _ = self.scales
-            ts, vs = t0, t0 / length
-        if kind == "zero":
-            return protocols.ramp(0.0 * vs, 1.0 / ts)
-        if kind == "ramp":
-            return protocols.ramp(p["v_max"] * vs, p["t_ramp"] / ts)
-        if kind == "sinusoid":
-            return protocols.sinusoid(p["amplitude"] * vs, p["period"] / ts)
-        if kind == "table":
-            return protocols.table([t / ts for t in p["times"]],
-                                   [v * vs for v in p["values"]])
-        raise ConfigError(f"unknown protocol kind {kind!r}")
-
-    # initial data ---------------------------------------------------
-    def initial(self) -> InitialData:
-        i = self.values["initial"]
-        sc = self.values["model"]["sigma_c"] if self.mode == "dimensional" else 1.0
-        # every preset's lengths in scaled stress; from_preset picks its own
-        args = {k: i[k] / sc for k in ("mean", "width", "lo", "hi",
-                                        "mean1", "width1", "mean2", "width2")}
-        return InitialData.from_preset(self.sigma_grid(), self.space_grid(),
-                                       p0_kind=i["p0"],
-                                       p0_args={**args, "weight1": i["weight1"]},
-                                       u0_kind=i["u0"],
-                                       u0_amplitude=i["u0_amplitude"])
-
     # run knobs ------------------------------------------------------
     @property
     def snapshot_every(self) -> int:
@@ -179,28 +110,61 @@ class RunConfig:
     def c_moment(self) -> float:
         return self.values["tolerances"]["c_moment"]
 
-    def problem(self) -> CoupledProblem:
-        r = self.values["run"]
-        return CoupledProblem(dp=self.dimensionless_params(),
-                              sigma_grid=self.sigma_grid(),
-                              space_grid=self.space_grid(),
-                              protocol=self.protocol(),
-                              picard_tol=r["picard_tol"],
-                              picard_max=r["picard_max"])
-
     def build(self) -> tuple[CoupledProblem, InitialData, ValidationReport]:
-        """Assemble and validate everything needed to start a run.
+        """Assemble and validate everything needed to start a run, in the
+        scaled system (dividing by a scale of 1.0 is exact).
 
-        The one assembly path of every command.  A failed validation is
-        returned, not raised: the report carries eta and its messages, and
-        the caller decides whether to print it or raise_if_failed().
+        A failed validation is returned, not raised: the report carries eta
+        and its messages, and the caller decides whether to print it or
+        raise_if_failed().
         """
-        prob = self.problem()
-        init = self.initial()
-        report = validate_initial(
-            init, prob.sigma_grid, prob.dp.alpha, prob.dp.mu,
-            allow_degenerate=self.values["model"]["allow_degenerate"])
+        m, g, r, i = (self.values[k] for k in ("model", "grid", "run", "initial"))
+        if self.mode == "dimensional":
+            dp = nondimensionalize(PhysicalParams(
+                rho=m["rho"], mu=m["mu"], g0=m["g0"], alpha=m["alpha"],
+                t0=m["t0"], sigma_c=m["sigma_c"], length=m["length"]))
+            if self.fully_relaxing:
+                raise ConfigError(
+                    "fully relaxing dimensional runs have no stress scale; "
+                    "set mode = dimensionless and work in native units")
+        else:
+            dp = DimensionlessParams(rho=m["rho"], alpha=m["alpha"], g0=m["g0"],
+                                     mu=m["mu"])
+        t0, sc = dp.t0, dp.sigma_c
+        sigma_grid = SigmaGrid(sigma_max=g["sigma_max"] / sc, n_sigma=g["n_sigma"],
+                               threshold=0.0 if self.fully_relaxing else 1.0)
+        space_grid = SpaceTimeGrid(n_y=g["n_y"], dt=r["dt"] / t0,
+                                   t_final=r["t_final"] / t0)
+        prob = CoupledProblem(dp=dp, sigma_grid=sigma_grid, space_grid=space_grid,
+                              protocol=_protocol(self.values["protocol"], t0,
+                                                 t0 / dp.length),
+                              picard_tol=r["picard_tol"], picard_max=r["picard_max"])
+        # every preset's lengths in scaled stress; from_preset picks its own
+        args = {k: i[k] / sc for k in ("mean", "width", "lo", "hi",
+                                        "mean1", "width1", "mean2", "width2")}
+        init = InitialData.from_preset(sigma_grid, space_grid, p0_kind=i["p0"],
+                                       p0_args={**args, "weight1": i["weight1"]},
+                                       u0_kind=i["u0"], u0_amplitude=i["u0_amplitude"])
+        report = validate_initial(init, sigma_grid, dp.alpha, dp.mu,
+                                  allow_degenerate=m["allow_degenerate"])
         return prob, init, report
+
+
+def _protocol(p: dict, ts: float, vs: float) -> Forcing:
+    """The wall protocol, the preset of protocol.kind, in scaled variables:
+    V'(t') = vs V(ts t'), with time scale ts = t0 and velocity scale
+    vs = t0/length."""
+    kind = p["kind"]
+    if kind == "zero":
+        return protocols.ramp(0.0 * vs, 1.0 / ts)
+    if kind == "ramp":
+        return protocols.ramp(p["v_max"] * vs, p["t_ramp"] / ts)
+    if kind == "sinusoid":
+        return protocols.sinusoid(p["amplitude"] * vs, p["period"] / ts)
+    if kind == "table":
+        return protocols.table([t / ts for t in p["times"]],
+                               [v * vs for v in p["values"]])
+    raise ConfigError(f"unknown protocol kind {kind!r}")
 
 
 _CASTS: dict[tuple[str, str], Callable] = {

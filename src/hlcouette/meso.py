@@ -289,8 +289,15 @@ def advance_rows(p: np.ndarray, b, dt: float, grid: SigmaGrid, alpha: float,
 
 
 def required_substeps(b, dt: float, grid: SigmaGrid) -> int:
-    """Smallest sub-step count meeting |b| dt/n <= d_sigma (and dt/n < 1/2)."""
+    """Smallest sub-step count meeting |b| dt/n <= d_sigma (and dt/n < 1/2).
+
+    Raises SchemeInstabilityError when b is not finite: no count meets it.
+    """
     worst = float(np.abs(np.asarray(b, dtype=float)).max()) if np.size(b) else 0.0
+    if not math.isfinite(worst):  # an infinity, or a nan anywhere in b
+        raise SchemeInstabilityError(
+            f"loading of largest magnitude {worst!r} is not finite; "
+            "no sub-step count meets the CFL")
     n_cfl = max(1, math.ceil(worst * dt / grid.d_sigma))
     n_sink = max(1, math.ceil(dt / 0.5))
     return max(n_cfl, n_sink)

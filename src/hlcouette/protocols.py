@@ -16,7 +16,7 @@ A wall protocol, the moving-wall velocity V(t), is a Forcing built by one
 of the presets ramp, sinusoid and table.  Each refuses a V that does not
 start from rest, V(0) = 0, and names the forcing by its preset: kind and
 spec, which summary.json writes.  The presets know no units:
-config.RunConfig.protocol passes them arguments already scaled.
+config.RunConfig.build passes them arguments already scaled.
 """
 
 from __future__ import annotations

@@ -43,9 +43,11 @@ every file in it:
 Steps are zero-padded to six digits.  A density archive holds the
 members fingerprint, t, y, sigma and p, in that order; p[i, j] is the
 density at gap node y[i] and stress cell centre sigma[j].  The snapshot
-CSVs and the density archives are mapped back to dimensional units when
-the directory has scales, so a density is in the units of the CSV beside
-it; the other npz archives always hold the solver's scaled state.
+CSVs and the density archives are mapped back to dimensional units by
+the scales of the run's problem (its params' t0, length and sigma_c,
+which config.RunConfig.build sets; scales all 1.0 map nothing), so a
+density is in the units of the CSV beside it; the other npz archives
+always hold the solver's scaled state.
 The directory's lifecycle: the run calls it with the state of each
 snapshot step and D of its rows (its snapshot_sink).  It writes the
 density archive at once and keeps only the step's u, tau (the series'
@@ -221,13 +223,13 @@ class RunDirectory:
     """The one writer of a run's --out directory; see the module docstring."""
 
     def __init__(self, out_dir: str | Path, problem, fingerprint: str,
-                 scales: tuple[float, float, float] | None = None,
                  dump_density: bool = False):
         self.out_dir = Path(out_dir)
         self.space_grid = problem.space_grid
         self.centers = problem.sigma_grid.centers
         self.fingerprint = fingerprint
-        self.scales = scales
+        dp = problem.dp
+        self.scales = (dp.t0, dp.length, dp.sigma_c)
         self.dump_density = dump_density
         # (step, CSV fields, density archive or None) of each snapshot whose
         # CSV is not written
@@ -288,9 +290,9 @@ class RunDirectory:
         return dump, errors
 
     def _in_units(self, fields: dict) -> dict:
-        """fields mapped back to dimensional units when the directory has
-        scales; fields itself without them."""
-        if self.scales is None:
+        """fields mapped back to dimensional units by the problem's scales;
+        fields itself when they are all 1.0."""
+        if self.scales == (1.0, 1.0, 1.0):
             return fields
         return rescale_fields(fields, *self.scales, to_dimensionless=False)
 

@@ -61,7 +61,7 @@ def relax_pairs():
     def trio(n_sigma, dt):
         sgrid = SigmaGrid(8.0, n_sigma, threshold=0.0)
         space = SpaceTimeGrid(64, dt, 1.0)
-        prob = CoupledProblem(dp=load_config().dimensionless_params(),
+        prob = CoupledProblem(dp=load_config().build()[0].dp,
                               sigma_grid=sgrid, space_grid=space,
                               protocol=protocols.ramp(1.0, 0.5))
         init = InitialData.from_preset(sgrid, space, "gaussian",
@@ -260,7 +260,7 @@ def test_criterion_12_rescaling(standard):
     cfg = load_config(overrides=DIMENSIONAL_OVERRIDES)
     prob_d, init_d, _ = cfg.build()
     res_d = run(prob_d, init_d)
-    t0, length, sigma_c = cfg.scales
+    t0, length, sigma_c = prob_d.dp.t0, prob_d.dp.length, prob_d.dp.sigma_c
     fields = {"u": res_d.series["u"], "tau": res_d.series["tau"],
               "p": res_d.p, "t": res_d.times}
     physical = rescale_fields(fields, t0, length, sigma_c,

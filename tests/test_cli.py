@@ -508,6 +508,21 @@ def test_oracle_writes_density(tmp_path, capsys):
                  "--set", "model.fully_relaxing=true"]) == 3
 
 
+ORACLE_CSV_SHA256 = {
+    "gaussian": "17980734b92ac8537e6339381b9662f62feec24d53e33a9b41de2fed0fbd678f",
+    "mixture": "dd956d372ea1ed1cff51010b7f82c8a304c31cf4c57d0c9f8b8a88428e8d7fb6",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(ORACLE_CSV_SHA256))
+def test_oracle_csv_keeps_its_bytes(preset, tmp_path, capsys):
+    path = tmp_path / "oracle.csv"
+    assert main(["oracle", "--t", "0.7", "--set", "model.fully_relaxing=true",
+                 "--set", "grid.sigma_max=8.0", "--set", f"initial.p0={preset}",
+                 "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ORACLE_CSV_SHA256[preset]
+
+
 def test_oracle_mass_holds_at_long_times(capsys):
     # the memory term decays like e^{-(t - s)}: by t = 100 the density mass
     # inside sigma_max has settled, and it must stay put however long after
@@ -777,22 +792,31 @@ def cli_process(argv, cwd, timeout):
                           env=suite_env(), capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("sets", [
-    ["model.rho=1e308"],
-    ["model.mu=1e308"],
-    ["protocol.kind=sinusoid", "protocol.period=1e-300"],  # hung without the guard
-    ["model.rho=1e308", "model.fully_relaxing=true"],
-], ids=["rho", "mu", "sinusoid", "closed-form rho"])
-def test_a_non_finite_velocity_iterate_exits_4(sets, tmp_path):
+ITERATE_NOT_FINITE = "error: velocity iterate 1 is not finite at t = 0.001"
+
+
+@pytest.mark.parametrize("sets,error", [
+    (["model.rho=1e308"], ITERATE_NOT_FINITE),
+    (["model.mu=1e308"], ITERATE_NOT_FINITE),
+    # hung without the guard
+    (["protocol.kind=sinusoid", "protocol.period=1e-300"], ITERATE_NOT_FINITE),
+    (["model.rho=1e308", "model.fully_relaxing=true"], ITERATE_NOT_FINITE),
+    # the iterate is finite and its gradient is not: an OverflowError
+    # traceback from the sub-step count without the guard
+    (["initial.u0=sine", "initial.u0_amplitude=1e308"],
+     "error: loading of largest magnitude inf is not finite; no sub-step count "
+     "meets the CFL"),
+], ids=["rho", "mu", "sinusoid", "closed-form rho", "u0"])
+def test_a_non_finite_velocity_iterate_exits_4(sets, error, tmp_path):
     # each config passes validate, then overflows the first velocity iterate
+    # or the loading it induces
     argv = ["--set", "grid.n_y=4", "--set", "grid.n_sigma=64", "--set", "run.t_final=0.01",
             *(arg for s in sets for arg in ("--set", s))]
     assert main(["validate", *argv]) == 0
     out = tmp_path / "o"
     proc = cli_process(["run", *argv, "--out", str(out)], tmp_path, timeout=120)
     assert proc.returncode == 4, proc.stderr
-    assert proc.stderr.splitlines()[-1] == \
-        "error: velocity iterate 1 is not finite at t = 0.001"
+    assert proc.stderr.splitlines()[-1] == error
     assert load_checkpoint(out / "failure_dump.npz").step == 0
 
 

@@ -2,6 +2,7 @@
 
 import json
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,8 +50,9 @@ def test_defaults_and_types():
     assert isinstance(cfg.values["grid"]["n_y"], int)
     assert len(cfg.fingerprint) == 64
     assert cfg.snapshot_every == 100 and cfg.checkpoint_every == 0
-    assert cfg.sigma_grid().threshold == 1.0
-    assert cfg.space_grid().n_steps == 1000
+    prob = cfg.build()[0]
+    assert prob.sigma_grid.threshold == 1.0
+    assert prob.space_grid.n_steps == 1000
 
 
 def test_fingerprint_tracks_effective_values():
@@ -130,10 +132,10 @@ def test_build_rejects_degenerate_unless_allowed():
 def test_fully_relaxing_grid_and_dimensional_conflict():
     cfg = load_config(overrides=["model.fully_relaxing=true", "grid.sigma_max=8.0",
                                  "grid.n_sigma=512"])
-    assert cfg.sigma_grid().threshold == 0.0
+    assert cfg.build()[0].sigma_grid.threshold == 0.0
     clash = load_config(overrides=["model.mode=dimensional", "model.fully_relaxing=true"])
     with pytest.raises(ConfigError):
-        clash.sigma_grid()
+        clash.build()
 
 
 def test_dimensional_config_scales_to_the_standard_scenario():
@@ -142,16 +144,16 @@ def test_dimensional_config_scales_to_the_standard_scenario():
         "model.mu=8.0", "model.t0=2.0", "model.sigma_c=4.0", "model.length=1.0",
         "grid.sigma_max=16.0", "initial.width=4.0", "run.dt=0.002", "run.t_final=2.0",
         "protocol.v_max=0.5", "protocol.t_ramp=1.0"])
-    dp = cfg.dimensionless_params()
+    prob, init, report = cfg.build()
+    dp = prob.dp
     assert (dp.rho, dp.alpha, dp.g0, dp.mu) == (1.0, 1.0, 1.0, 1.0)
-    sg = cfg.space_grid()
+    sg = prob.space_grid
     assert sg.dt == 0.001 and sg.t_final == 1.0
-    assert cfg.sigma_grid().sigma_max == 4.0
-    proto = cfg.protocol()
+    assert prob.sigma_grid.sigma_max == 4.0
+    proto = prob.protocol
     assert proto.value(0.5) == pytest.approx(1.0, abs=1e-15)
     assert proto.value(0.25) == pytest.approx(0.5, abs=1e-15)
     ref = load_config().build()
-    prob, init, report = cfg.build()
     assert np.array_equal(init.p0, ref[1].p0)
     assert report.eta == ref[2].eta
 
@@ -299,8 +301,14 @@ def test_atomic_write_makes_parents_and_rejects_directories(tmp_path):
 
 def snapshot_csvs(out, fingerprint, scales=None, dump_density=False):
     """Run micro_run with a RunDirectory as its snapshot sink, then write the
-    snapshot CSVs; returns the run and the paths of the snapshot files."""
-    directory = RunDirectory(out, micro_problem(), fingerprint, scales, dump_density)
+    snapshot CSVs; returns the run and the paths of the snapshot files.
+
+    scales (t0, length, sigma_c) go on the directory's problem's params."""
+    prob = micro_problem()
+    if scales is not None:
+        t0, length, sigma_c = scales
+        prob = replace(prob, dp=replace(prob.dp, t0=t0, length=length, sigma_c=sigma_c))
+    directory = RunDirectory(out, prob, fingerprint, dump_density=dump_density)
     res, _ = micro_run(snapshot_sink=directory)
     assert not list(out.glob("*.csv"))  # the CSVs wait for write_snapshots
     assert len(list(out.glob("density_*.npz"))) == (3 if dump_density else 0)

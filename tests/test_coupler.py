@@ -668,6 +668,14 @@ PINNED_DIGESTS = {
         "iters": "10cc127785670308", "ratios": "cd45ea92744f3f98",
         "u_final": "f8f7c1e534f1762a", "p_final": "9bc858df07cbaa48",
     },
+    "dimensional": {
+        "tau": "4555e8a090da7eac", "u": "7269f110d3b848b0",
+        "b": "52488a998235be93", "trunc": "aa4cab83094f480a",
+        "inner": "e084d928bf35a9ea", "mass_err": "b40fd49c65b95432",
+        "min_d": "6799122988db9dad", "max_p": "df1111084fe9d228",
+        "iters": "9fb1c38ed6c3b166", "ratios": "8bed5b1d63eaea02",
+        "u_final": "371cfaa699922faa", "p_final": "67b37e8b713ac43f",
+    },
     "sinusoid": {
         "tau": "7e058e6235eb09b3", "u": "e7ab186b225b1d75",
         "b": "0b9508fc089faa90", "trunc": "fd26290cb9e7e68d",
@@ -679,12 +687,26 @@ PINNED_DIGESTS = {
 }
 
 
+# README's nondim constants and scales (t0 = 2, sigma_c = 4, length = 3)
+# with a forcing table, so every input passes through the dimensional
+# mapping; the velocity scale t0/length = 2/3 rounds each table value
+DIMENSIONAL_PIN = [
+    "model.mode=dimensional", "model.rho=2", "model.mu=16", "model.g0=2",
+    "model.alpha=8", "model.t0=2", "model.sigma_c=4", "model.length=3",
+    "grid.n_y=8", "grid.n_sigma=64", "grid.sigma_max=16.0",
+    "initial.mean=0.4", "initial.width=4.0", "initial.u0=sine",
+    "initial.u0_amplitude=0.3", "run.dt=0.002", "run.t_final=0.04",
+    "protocol.kind=table", "protocol.times=0,0.01,0.02,0.06",
+    "protocol.values=0,3.0,-1.0,0.5"]
+
+
 def _pinned_run(case: str):
-    if case == "ramp":
-        # the default ramp, 50 steps on rows longer than the 32 pivots the
-        # stress solve factors first
-        cfg = load_config(overrides=["grid.n_y=8", "grid.n_sigma=256", "run.t_final=0.05"])
-        prob, init, report = cfg.build()
+    if case in ("ramp", "dimensional"):
+        # ramp: the default ramp, 50 steps on rows longer than the 32 pivots
+        # the stress solve factors first
+        overrides = (["grid.n_y=8", "grid.n_sigma=256", "run.t_final=0.05"]
+                     if case == "ramp" else DIMENSIONAL_PIN)
+        prob, init, report = load_config(overrides=overrides).build()
         report.raise_if_failed()
         return prob, run(prob, init)
     # loading of both signs, sub-cycled where it is large
@@ -705,6 +727,9 @@ def test_kinetic_runs_keep_their_pinned_bits(case):
     prob, res = _pinned_run(case)
     if case == "ramp":
         assert prob.sigma_grid.n_sigma == 256 and res.step == 50
+    elif case == "dimensional":
+        assert (prob.dp.t0, prob.dp.sigma_c, prob.dp.length) == (2.0, 4.0, 3.0)
+        assert prob.sigma_grid.sigma_max == 4.0 and res.step == 20
     else:
         b = res.series["b"]
         assert (b > 0).any() and (b < 0).any()

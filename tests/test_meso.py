@@ -114,6 +114,11 @@ def test_required_substeps():
     assert required_substeps(2.5, 0.02, GRID) == 2    # CFL ratio 1.6
     assert required_substeps(np.array([0.1, -40.0]), 1e-3, GRID) == 2
     assert required_substeps(0.0, 1.2, GRID) == 3     # sink limit dt/n < 1/2
+    # no count meets the CFL of a non-finite loading: math.ceil raised an
+    # OverflowError (inf) or ValueError (nan) without the guard
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(SchemeInstabilityError, match="is not finite"):
+            required_substeps(np.array([0.5, bad, 1.0]), 1e-3, GRID)
 
 
 def test_subcycling_matches_manual_lockstep():

@@ -118,9 +118,9 @@ def test_protocol_rescaling(case):
     time_scale, velocity_scale = 2.0, 0.25
     overrides, expected = case(time_scale, velocity_scale)
     q = load_config(overrides=["model.mode=dimensional", "model.t0=2.0", "model.length=8.0",
-                               *overrides]).protocol()
+                               *overrides]).build()[0].protocol
     assert (q.kind, q.spec) == (expected.kind, expected.spec)
-    p = load_config(overrides=overrides).protocol()
+    p = load_config(overrides=overrides).build()[0].protocol
     for t_new in [0.0, 0.05, 0.1, 0.3, 0.6]:
         assert q.value(t_new) == expected.value(t_new)
         assert q.value(t_new) == pytest.approx(
@@ -135,7 +135,7 @@ DIMENSIONAL = ["model.mode=dimensional", "model.t0=2.0", "model.length=8.0"]
 @pytest.mark.parametrize("mode", [[], DIMENSIONAL], ids=["dimensionless", "dimensional"])
 @pytest.mark.parametrize("sets", KIND_SETS, ids=["ramp", "zero", "sinusoid", "table"])
 def test_a_wall_protocol_is_a_forcing(mode, sets):
-    p = load_config(overrides=[*mode, *sets]).protocol()
+    p = load_config(overrides=[*mode, *sets]).build()[0].protocol
     assert isinstance(p, Forcing)
     assert p.value(0.0) == 0.0 and p.kind in ("ramp", "sinusoid", "table")
 
@@ -152,5 +152,5 @@ def test_a_wall_protocol_is_a_forcing(mode, sets):
 def test_a_config_protocol_is_refused_with_its_message(mode, sets, message):
     cfg = load_config(overrides=[*mode, *sets])
     with pytest.raises(ValidationError) as exc:
-        cfg.protocol()
+        cfg.build()
     assert str(exc.value) == message
