@@ -29,14 +29,14 @@ The two LAPACK routines are resolved once, on first use (``_lapack``), so
 a solve runs no import statement.  They are ``scipy_dpttrf_64_`` and
 ``scipy_dpttrs_64_`` of the scipy-openblas64 library that numpy's PyPI
 wheel bundles in ``numpy.libs/`` and has already loaded, called through
-``ctypes``; no run loads ``scipy.linalg``.  That library is ILP64: n, nrhs,
+``ctypes``; nothing here loads scipy.  That library is ILP64: n, nrhs,
 ldb and info are int64 passed by address, as ``ctypes.c_int64`` scalars
 that stay referenced while the library reads them, and the nrhs and info
-scalars are shared by every call, so the solver is single-threaded.  Only
-where that library or its symbols are absent (a numpy that is not the
-wheel) does ``_lapack`` fall back to scipy's f2py wrappers of the same
-routines.  Either way a factorization binds its substitution once, when
-it is made (``_Factors.solve``), so a solve takes only the address of its
+scalars are shared by every call, so the solver is single-threaded.  A
+numpy that is not the wheel bundles no such library (or one without the
+two symbols), and there the first factorization raises ImportError.  A
+factorization binds its substitution once, when it is made
+(``_Factors.solve``), so a solve takes only the address of its
 right-hand side.
 
 A miss of the stress cache factors only the first pivots of each block.
@@ -109,78 +109,49 @@ def _operand(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=np.float64)
 
 
-class _OpenBLAS:
-    """dpttrf and dpttrs of the ILP64 library numpy has loaded, through ctypes."""
-
-    def __init__(self, path: Path):
-        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)  # only if loaded
-        self.dpttrf, self.dpttrs = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
+@lru_cache(maxsize=1)
+def _lapack():
+    """(dpttrf, dpttrs) of the library numpy has loaded, resolved on first
+    use; ImportError where numpy bundles no library with both symbols."""
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)  # only if loaded
+            dpttrf, dpttrs = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
+        except (OSError, AttributeError):
+            continue
         # every argument is passed as a ctypes.byref of a checked scalar or
         # array buffer; argtypes would re-check them at 0.8-1.3 us a call,
         # as much as a whole n = 64 solve
-        self.dpttrf.restype = self.dpttrs.restype = None
-
-    def factor(self, diag: np.ndarray, off: np.ndarray) -> int:
-        n = ctypes.c_int64(diag.shape[0])
-        self.dpttrf(ctypes.byref(n), _pointer(diag), _pointer(off),
-                    ctypes.byref(_INFO))
-        return _INFO.value
-
-    def bind(self, d: np.ndarray, e: np.ndarray):
-        """The substitution rhs -> info through (d, e), in place of rhs.
-
-        d and e must still be writable: their pointers come from their
-        buffers, which stay exported (and the arrays alive) with the solve.
-        """
-        n = ctypes.byref(ctypes.c_int64(d.shape[0]))  # holds its scalar
-        nrhs, info = ctypes.byref(_NRHS), ctypes.byref(_INFO)
-        d_ptr, e_ptr = _pointer(d), _pointer(e)
-        dpttrs = self.dpttrs
-
-        def solve(rhs: np.ndarray) -> int:
-            dpttrs(n, nrhs, d_ptr, e_ptr, _pointer(rhs), n, info)
-            return _INFO.value
-        return solve
-
-
-class _F2py:
-    """scipy's f2py wrappers of the same routines, the fallback.  Handed
-    writable, C-contiguous float64 arrays, they work in place of them."""
-
-    def __init__(self):
-        from scipy.linalg.lapack import dpttrf, dpttrs
-        self.dpttrf, self.dpttrs = dpttrf, dpttrs
-
-    def factor(self, diag: np.ndarray, off: np.ndarray) -> int:
-        return self.dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[2]
-
-    def bind(self, d: np.ndarray, e: np.ndarray):
-        dpttrs = self.dpttrs
-
-        def solve(rhs: np.ndarray) -> int:
-            return dpttrs(d, e, rhs, overwrite_b=1)[1]
-        return solve
-
-
-@lru_cache(maxsize=1)
-def _lapack() -> _OpenBLAS | _F2py:
-    """The routines, resolved on first use: numpy's own library where it is
-    loaded and has both symbols, else scipy's wrappers."""
-    for path in _openblas_paths():
-        try:
-            return _OpenBLAS(path)
-        except (OSError, AttributeError):
-            pass
-    return _F2py()
+        dpttrf.restype = dpttrs.restype = None
+        return dpttrf, dpttrs
+    raise ImportError(
+        "hlcouette needs numpy's PyPI wheel: its tridiagonal solves call "
+        "scipy_dpttrf_64_ and scipy_dpttrs_64_ of the scipy-openblas64 "
+        "library that the wheel bundles in numpy.libs/, and this numpy "
+        "bundles no library with both")
 
 
 class _Factors(tuple):
-    """Read-only factors (d, e), with ``solve``, their substitution, bound
-    once when they are made (None for n = 1, which needs no LAPACK)."""
+    """Read-only factors (d, e), with ``solve``, their dpttrs substitution
+    rhs -> info in place of rhs, bound once when they are made (None for
+    n = 1, which needs no LAPACK)."""
 
     def __new__(cls, d: np.ndarray, e: np.ndarray):
         factors = super().__new__(cls, (d, e))
-        factors.solve = _lapack().bind(d, e) if d.shape[0] > 1 else None
+        factors.solve = None
+        if d.shape[0] > 1:
+            # bound while d and e are writable: their pointers come from
+            # their buffers, which stay exported (and the arrays alive)
+            # with the solve
+            dpttrs = _lapack()[1]
+            n = ctypes.byref(ctypes.c_int64(d.shape[0]))  # holds its scalar
+            nrhs, info = ctypes.byref(_NRHS), ctypes.byref(_INFO)
+            d_ptr, e_ptr = _pointer(d), _pointer(e)
+
+            def solve(rhs: np.ndarray) -> int:
+                dpttrs(n, nrhs, d_ptr, e_ptr, _pointer(rhs), n, info)
+                return _INFO.value
+            factors.solve = solve
         d.flags.writeable = False
         e.flags.writeable = False
         return factors
@@ -204,15 +175,18 @@ def factor_tridiagonal(diag: np.ndarray,
     """
     n = diag.shape[0]
     if n < 2:
-        # scipy's wrappers reject an empty off-diagonal, so n = 1 never
-        # reaches LAPACK; dpttrf only checks that the one pivot is positive
+        # an empty off-diagonal has no buffer for ctypes to point at, so
+        # n = 1 never reaches LAPACK; dpttrf only checks that the one pivot
+        # is positive
         d, e, info = diag, off, 0 if np.all(diag > 0) else 1
     else:
         if off.shape != (n - 1,):
             raise ValueError(f"off-diagonal shape {off.shape} does not match "
                              f"{n} unknowns")
         d, e = _operand(diag), _operand(off)
-        info = _lapack().factor(d, e)
+        _lapack()[0](ctypes.byref(ctypes.c_int64(n)), _pointer(d), _pointer(e),
+                     ctypes.byref(_INFO))
+        info = _INFO.value
     _check(info, "dpttrf")
     return _Factors(d, e)
 

@@ -4,6 +4,7 @@ import filecmp
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -879,14 +880,32 @@ sys.exit(entry.load()())
 """
 
 
-def declared_console_script():
+def declared_project():
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10 has no tomllib
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"]["hlcouette"]
+        return tomllib.load(fh)["project"]
+
+
+def declared_console_script():
+    return declared_project()["scripts"]["hlcouette"]
+
+
+def distribution_names(requirements):
+    """The distribution each requirement string names, e.g. numpy of numpy>=2.0."""
+    return {re.match(r"[A-Za-z0-9._-]+", r).group().lower() for r in requirements}
+
+
+def test_scipy_is_a_test_dependency_only():
+    # no command loads scipy (test_coupler.py::test_no_command_loads_scipy);
+    # the tests use it as an oracle
+    project = declared_project()
+    runtime = distribution_names(project["dependencies"])
+    assert "numpy" in runtime and "scipy" not in runtime
+    assert "scipy" in distribution_names(project["optional-dependencies"]["test"])
 
 
 def test_console_script_entry_point(tmp_path):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hlcouette
-from hlcouette import coupler, protocols, tridiag
+from hlcouette import coupler, protocols
 from hlcouette.config import load_config
 from hlcouette.coupler import (SERIES, CoupledProblem, barrier_deficits, check_series_budget,
                                run, run_maxwell)
@@ -546,6 +546,15 @@ NO_SCIPY_COMMANDS = """\
 import contextlib
 import io
 import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
 from hlcouette.cli import main
 out = sys.argv[1]
 sets = [a for s in ("grid.n_y=4", "grid.n_sigma=64", "run.t_final=0.005", "run.checkpoint_every=5")
@@ -564,10 +573,8 @@ print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
 
 def test_no_command_loads_scipy(tmp_path):
     # the solves call numpy's own LAPACK (tridiag) and the Gaussian cell
-    # averages initial's own ndtr; a fresh interpreter, because this one has
-    # imported scipy for the tests
-    if not tridiag._openblas_paths():
-        pytest.skip("this numpy bundles no OpenBLAS, so the solves use scipy.linalg")
+    # averages initial's own ndtr; a fresh interpreter in which every import
+    # of scipy fails, because this one has imported scipy for the tests
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(hlcouette.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))

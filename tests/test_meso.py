@@ -511,6 +511,72 @@ def test_hl_step_keeps_nonnegative_rows_free_of_negative_zero(inputs):
     assert rep.min_before_clip >= 0.0
 
 
+# With D frozen, hl_step is a linear map S of its rows with nonnegative
+# entries and unit column sums: every stage is monotone and the deposit
+# returns what the others removed.  So ||S p - S q||_1 <= ||p - q||_1, with
+# equality for a difference of one sign, whose mass S keeps; on such a
+# difference no contraction absorbs rounding, so the computed step meets
+# the bound up to an additive c eps (||p||_1 + ||q||_1), not a factor
+# (1 + c eps) on ||p - q||_1 (q = 0 makes the excess one step's mass
+# error, measured at up to 360 eps for n_sigma = 256).  c counts the
+# roundings, eps/2 each, on the longest chain into an output cell: 3 per
+# cell in dpttrf's pivots and 5 per cell in dpttrs's two substitutions,
+# over the n cells of a row; at most n in the sink's dot; 3 in the upwind
+# update, 1 in the sink's scaling, 5 in the deposit (its two sums, its
+# share of the absorbed flux, its halving, its addition); and 2 for the
+# two differences this test takes.  That is 9 n + 11 roundings.
+L1_GRIDS = (SigmaGrid(2.0, 16), SigmaGrid(4.0, 64), SigmaGrid(4.0, 256))
+
+
+def l1_excess(grid, p, q, b, dt, alpha):
+    """Per row, ||S p - S q||_1 - ||p - q||_1 over the rounding allowance,
+    S being hl_step with D frozen at p's; nonexpansive rows give <= 1."""
+    d = compute_d(p, grid, alpha)
+    sp, _ = hl_step(p, b, dt, grid, alpha, d=d)
+    sq, _ = hl_step(q, b, dt, grid, alpha, d=d)
+
+    def l1(a):
+        return np.array([math.fsum(row) for row in np.abs(a)])
+    allowance = (9 * grid.n_sigma + 11) * (np.finfo(float).eps / 2) * (l1(p) + l1(q))
+    return (l1(sp - sq) - l1(p - q)) / np.maximum(allowance, np.finfo(float).tiny)
+
+
+@st.composite
+def frozen_d_pairs(draw):
+    grid = draw(st.sampled_from(L1_GRIDS))
+    shape = (draw(st.integers(1, 4)), grid.n_sigma)
+    p, q = (draw(arrays(np.float64, shape, elements=CELL)) for _ in range(2))
+    dt = draw(st.one_of(DYADIC_DT, st.floats(1e-6, 1.0, exclude_max=True)))
+    nu = np.array(draw(st.lists(COURANT, min_size=shape[0], max_size=shape[0])))
+    return grid, p, q, loading(nu, grid, dt), dt, draw(ALPHA)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frozen_d_pairs())
+def test_hl_step_is_l1_nonexpansive_with_d_frozen_property(inputs):
+    assert l1_excess(*inputs).max() <= 1.0
+
+
+def test_a_non_monotone_stage_breaks_l1_nonexpansiveness(monkeypatch):
+    # an anti-diffusive pass after the solve keeps these smooth rows positive
+    # and their mass nearly unchanged, but amplifies the rough part of
+    # their difference, which no monotone stage can do
+    def sharpened(lam, rhs):
+        x = solve_diffusion_batch(lam, rhs)
+        x[:, 1:-1] += 0.2 * (2.0 * x[:, 1:-1] - x[:, :-2] - x[:, 2:])
+        return x
+
+    grid, dt, alpha = SigmaGrid(4.0, 64), 1e-3, 1.0
+    p = gaussian_batch(grid)
+    q = p * (1.0 + 0.1 * (-1.0) ** np.arange(grid.n_sigma))
+    b = np.array([0.1]) * grid.d_sigma / dt
+    assert l1_excess(grid, p, q, b, dt, alpha).max() <= 1.0
+    monkeypatch.setattr(meso, "solve_diffusion_batch", sharpened)
+    for row in (p, q):
+        assert hl_step(row, b, dt, grid, alpha)[1].min_before_clip > 0.0
+    assert l1_excess(grid, p, q, b, dt, alpha).max() > 1.0
+
+
 def unchecked_grid(sigma_max, n_sigma, threshold):
     """A SigmaGrid past its checks.  The quadratures read only n_sigma, the
     centers and the exterior count, so an odd n_sigma or a threshold beyond

@@ -381,26 +381,27 @@ def test_factor_and_solve_is_dptsv_bitwise_property(system, layout):
         assert np.max(np.abs(x - x_dense)) <= 1e-9 * scale
 
 
-def test_without_numpys_library_the_solves_fall_back_to_scipy(monkeypatch):
-    # a numpy that bundles no scipy-openblas64 library: the factor path
-    # resolves scipy's wrappers, and a stacked solve keeps its bits
-    from scipy.linalg import lapack
-    lam = np.linspace(0.27, 0.36, 64)
-    rhs = np.random.default_rng(30).uniform(0.0, 1.0, size=(64, 256))
-    _diffusion_factors.cache_clear()
-    own = solve_diffusion_batch(lam, rhs.copy())
-    monkeypatch.setattr(tridiag, "_openblas_paths", lambda: [])
+@pytest.mark.parametrize("library", ["none", "without_the_symbols"])
+def test_without_numpys_library_the_first_factorization_refuses(monkeypatch, library):
+    # a numpy that is not the PyPI wheel bundles no scipy-openblas64
+    # library; a loaded library without dpttrf and dpttrs (the wheel's own
+    # libgfortran) is refused the same way
+    libs = tridiag._openblas_paths()[0].parent
+    paths = [] if library == "none" else sorted(libs.glob("libgfortran*.so*"))
+    assert library == "none" or paths
+    monkeypatch.setattr(tridiag, "_openblas_paths", lambda: paths)
     tridiag._lapack.cache_clear()
     _diffusion_factors.cache_clear()
     try:
-        routines = tridiag._lapack()
-        assert routines.dpttrf is lapack.dpttrf
-        assert routines.dpttrs is lapack.dpttrs
-        x = solve_diffusion_batch(lam, rhs.copy())
+        for factor in (lambda: factor_tridiagonal(np.full(3, 2.0), np.full(2, -1.0)),
+                       lambda: solve_diffusion_batch(np.array([0.3]), np.ones((1, 8)))):
+            with pytest.raises(ImportError, match=r"needs numpy's PyPI wheel: "
+                               r"its tridiagonal solves call scipy_dpttrf_64_ and "
+                               r"scipy_dpttrs_64_"):
+                factor()
     finally:
         tridiag._lapack.cache_clear()
         _diffusion_factors.cache_clear()
-    assert x.tobytes() == own.tobytes() == dptsv_batch(lam, rhs).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 9])
